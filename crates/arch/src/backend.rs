@@ -1,4 +1,4 @@
-use crate::{ArchError, MicroOp, PimConfig};
+use crate::{ArchError, MicroOp, PimConfig, PreparedBatch};
 
 /// The execution side of the micro-operation interface — implemented by the
 /// physical chip, by the bit-accurate simulator ([`pim-sim`]), and by the
@@ -48,6 +48,20 @@ pub trait Backend {
         Ok(())
     }
 
+    /// Replays a batch that was validated once when it was prepared. The
+    /// default hands the operations to
+    /// [`execute_batch`](Self::execute_batch), which is always correct; a
+    /// backend overrides this only to skip work the preparation already
+    /// did, and must then check
+    /// [`PreparedBatch::prepared_for`] its own geometry.
+    ///
+    /// # Errors
+    ///
+    /// See [`execute_batch`](Self::execute_batch).
+    fn execute_prepared(&mut self, batch: &PreparedBatch) -> Result<(), ArchError> {
+        self.execute_batch(batch.ops())
+    }
+
     /// Consumes a stream of pre-encoded 64-bit operation words — the form a
     /// production host driver DMAs to the on-chip controller. The default
     /// decodes and executes each word; buffer-style backends override this
@@ -76,6 +90,10 @@ impl<B: Backend + ?Sized> Backend for &mut B {
 
     fn execute_batch(&mut self, ops: &[MicroOp]) -> Result<(), ArchError> {
         (**self).execute_batch(ops)
+    }
+
+    fn execute_prepared(&mut self, batch: &PreparedBatch) -> Result<(), ArchError> {
+        (**self).execute_prepared(batch)
     }
 
     fn stream(&mut self, words: &[u64]) -> Result<(), ArchError> {

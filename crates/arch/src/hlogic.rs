@@ -322,7 +322,7 @@ impl HLogic {
         }
         let reps = self.gate_count() as u32 - 1; // T
         let operands = self.operand_cols();
-        for col in &operands {
+        for col in operands.clone() {
             if (col.offset as u32) >= regs {
                 return Err(ArchError::AddressOutOfBounds {
                     what: "intra-partition offset",
@@ -358,8 +358,8 @@ impl HLogic {
         // must be disjoint, i.e. the section width must be smaller than the
         // partition stride.
         if reps > 0 {
-            let lo = operands.iter().map(|c| c.part).min().expect("nonempty");
-            let hi = operands.iter().map(|c| c.part).max().expect("nonempty");
+            let lo = operands.clone().map(|c| c.part).min().expect("nonempty");
+            let hi = operands.map(|c| c.part).max().expect("nonempty");
             let span = (hi - lo) as u32;
             if span >= self.p_step as u32 {
                 return bad(format!(
@@ -373,12 +373,10 @@ impl HLogic {
     }
 
     /// The columns read or written by the leftmost gate.
-    fn operand_cols(&self) -> Vec<ColAddr> {
-        match self.gate.inputs() {
-            0 => vec![self.out],
-            1 => vec![self.in_a, self.out],
-            _ => vec![self.in_a, self.in_b, self.out],
-        }
+    fn operand_cols(&self) -> impl Iterator<Item = ColAddr> + Clone {
+        [self.out, self.in_a, self.in_b]
+            .into_iter()
+            .take(1 + self.gate.inputs())
     }
 
     /// Expands the periodic pattern into its individual gate instances —
@@ -441,13 +439,26 @@ impl HLogic {
     }
 
     /// Bitmask (one bit per partition) of output partitions — the
-    /// word-level evaluation helper used by the simulator.
+    /// word-level evaluation helper used by the simulator. Meaningful for a
+    /// validated operation only.
     pub fn out_bits(&self) -> u32 {
-        let mut m = 0u32;
-        for t in 0..self.gate_count() as u32 {
-            m |= 1 << (self.out.part as u32 + t * self.p_step as u32);
-        }
-        m
+        /// `EVERY[s]`: bits `0, s, 2s, …` of a 32-bit word (`s >= 32`: bit 0).
+        const EVERY: [u32; 33] = {
+            let mut table = [1u32; 33];
+            let mut step = 1;
+            while step < 32 {
+                let mut bit = 0;
+                while bit < 32 {
+                    table[step] |= 1 << bit;
+                    bit += step;
+                }
+                step += 1;
+            }
+            table
+        };
+        // Every `p_step`-th partition from `out.part` through `p_end`.
+        let span = (self.p_end - self.out.part) as u32;
+        (EVERY[self.p_step.min(32) as usize] & (u32::MAX >> (31 - span))) << self.out.part
     }
 
     /// Partition shift from input A to the output (`pOUT - pA`), used to
@@ -754,6 +765,8 @@ mod tests {
             if let Ok(op) = op {
                 let gates = op.expand_gates();
                 prop_assert_eq!(gates.len() as u64, op.gate_count());
+                let out_parts = gates.iter().fold(0u32, |m, g| m | 1 << g.out.part);
+                prop_assert_eq!(op.out_bits(), out_parts);
                 // Sections disjoint.
                 let sections: Vec<(u8, u8)> = gates.iter().map(|g| {
                     let lo = g.a.part.min(g.b.part).min(g.out.part);

@@ -71,18 +71,27 @@ fn bench_func(c: &mut Criterion) {
         2,
         &[0, 1],
     )
+    .unwrap()
+    .prepare(&cfg)
     .unwrap();
-    group.throughput(Throughput::Elements(routine.ops.len() as u64));
+    // The same routine through both entry points: `int_add` pays the
+    // per-op validate/charge/plan prologue, `prepared_int_add` is how the
+    // driver replays a cached routine.
+    let ops = routine.batch.ops();
+    group.throughput(Throughput::Elements(ops.len() as u64));
     let mut func = FuncBackend::new(cfg).unwrap();
     group.bench_function("int_add", |b| {
-        b.iter(|| func.execute_batch(&routine.ops).unwrap());
+        b.iter(|| func.execute_batch(ops).unwrap());
+    });
+    group.bench_function("prepared_int_add", |b| {
+        b.iter(|| func.execute_prepared(&routine.batch).unwrap());
     });
     group.finish();
 }
 
 fn bench_simulator(c: &mut Criterion) {
     let cfg = PimConfig::small().with_crossbars(64).with_rows(256);
-    let routine = routines::compile_rtype(
+    let pim_driver::Routine { ops, .. } = routines::compile_rtype(
         &cfg,
         pim_driver::ParallelismMode::BitSerial,
         RegOp::Add,
@@ -92,7 +101,7 @@ fn bench_simulator(c: &mut Criterion) {
     )
     .unwrap();
     let mut group = c.benchmark_group("simulator");
-    group.throughput(Throughput::Elements(routine.ops.len() as u64));
+    group.throughput(Throughput::Elements(ops.len() as u64));
     for strict in [true, false] {
         let mut sim = PimSimulator::new(cfg.clone()).unwrap();
         sim.set_strict(strict);
@@ -102,7 +111,7 @@ fn bench_simulator(c: &mut Criterion) {
             "int_add_fast"
         };
         group.bench_function(name, |b| {
-            b.iter(|| sim.execute_batch(&routine.ops).unwrap());
+            b.iter(|| sim.execute_batch(&ops).unwrap());
         });
     }
     group.finish();

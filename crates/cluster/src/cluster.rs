@@ -1879,7 +1879,13 @@ impl Drop for PimCluster {
         }
         for w in &mut self.workers {
             if let Some(h) = w.get_mut().unwrap_or_else(|e| e.into_inner()).handle.take() {
-                let _ = h.join();
+                // A worker's completion wake can drop the last handle onto
+                // the cluster, which runs this drop on that worker. Its
+                // channel is closed, so it exits once this returns; joining
+                // it from itself would fail with a deadlock error.
+                if h.thread().id() != std::thread::current().id() {
+                    let _ = h.join();
+                }
             }
         }
     }

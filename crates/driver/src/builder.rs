@@ -1,5 +1,7 @@
 use crate::DriverError;
-use pim_arch::{ColAddr, GateKind, HLogic, MicroOp, PimConfig, RegId, WORD_BITS};
+use pim_arch::{
+    ArchError, ColAddr, GateKind, HLogic, MicroOp, PimConfig, PreparedBatch, RegId, WORD_BITS,
+};
 
 /// An ordered collection of cell addresses representing a multi-bit value,
 /// least-significant bit first.
@@ -65,6 +67,31 @@ impl Routine {
     pub fn encode_ops(&self) -> Vec<u64> {
         self.ops.iter().map(pim_arch::encode::encode).collect()
     }
+
+    /// Validates the routine against `cfg` once and moves its operations
+    /// into the replay form — no second copy of them exists afterwards.
+    ///
+    /// # Errors
+    ///
+    /// See [`PreparedBatch::new`].
+    pub fn prepare(self, cfg: &PimConfig) -> Result<PreparedRoutine, ArchError> {
+        Ok(PreparedRoutine {
+            batch: PreparedBatch::new(self.ops, cfg)?,
+            stats: self.stats,
+        })
+    }
+}
+
+/// A [`Routine`] as the [`RoutineCache`](crate::RoutineCache) holds it:
+/// validated, cost-summed and dead-store-planned once, ready for
+/// [`Backend::execute_prepared`](pim_arch::Backend::execute_prepared)
+/// under any crossbar/row mask.
+#[derive(Debug, Clone)]
+pub struct PreparedRoutine {
+    /// The micro-operations (`batch.ops()`) and their replay summary.
+    pub batch: PreparedBatch,
+    /// Cost statistics.
+    pub stats: RoutineStats,
 }
 
 const ALL: u32 = u32::MAX;
@@ -730,7 +757,7 @@ mod tests {
     ) -> Vec<bool> {
         let mut b = CircuitBuilder::new(c);
         let probes = build(&mut b);
-        let routine = b.finish();
+        let routine = b.finish().prepare(c).unwrap();
         let mut sim = PimSimulator::new(c.clone()).unwrap();
         // Dirty the scratch region to prove routines self-initialize.
         for reg in c.user_regs..c.regs {
@@ -755,7 +782,7 @@ mod tests {
             RangeMask::dense(0, c.rows as u32).unwrap(),
         ))
         .unwrap();
-        sim.execute_batch(&routine.ops).unwrap();
+        sim.execute_prepared(&routine.batch).unwrap();
         probes
             .iter()
             .map(|p| sim.peek(0, 0, p.offset as usize) >> p.part & 1 == 1)
@@ -918,7 +945,7 @@ mod tests {
         b.par_not(0, 2); // reg2 = !reg0
         b.init_reg(3, true);
         b.par_nor(0, 1, 3); // reg3 = !(reg0 | reg1)
-        let routine = b.finish();
+        let routine = b.finish().prepare(&c).unwrap();
         let mut sim = PimSimulator::new(c.clone()).unwrap();
         sim.poke(0, 0, 0, 0x1234_5678);
         sim.poke(0, 0, 1, 0x0F0F_0F0F);
@@ -926,7 +953,7 @@ mod tests {
             .unwrap();
         sim.execute(&pim_arch::MicroOp::RowMask(RangeMask::single(0)))
             .unwrap();
-        sim.execute_batch(&routine.ops).unwrap();
+        sim.execute_prepared(&routine.batch).unwrap();
         assert_eq!(sim.peek(0, 0, 2), !0x1234_5678u32);
         assert_eq!(sim.peek(0, 0, 3), !(0x1234_5678u32 | 0x0F0F_0F0F));
         assert_eq!(routine.stats.logic_cycles, 2);
@@ -941,7 +968,7 @@ mod tests {
             b.init_reg(2, true);
             b.par_shift_not(0, 2, shift);
             let expected_ops = shift.unsigned_abs() as u64 + 1;
-            let routine = b.finish();
+            let routine = b.finish().prepare(&c).unwrap();
             assert!(
                 routine.stats.logic_cycles <= expected_ops,
                 "shift {shift}: {} ops",
@@ -954,7 +981,7 @@ mod tests {
                 .unwrap();
             sim.execute(&pim_arch::MicroOp::RowMask(RangeMask::single(0)))
                 .unwrap();
-            sim.execute_batch(&routine.ops).unwrap();
+            sim.execute_prepared(&routine.batch).unwrap();
             let got = sim.peek(0, 0, 2);
             for p in 0..32i32 {
                 let src = p - shift;

@@ -1,4 +1,4 @@
-use crate::builder::Routine;
+use crate::builder::PreparedRoutine;
 use crate::{routines, DriverError, ParallelismMode};
 use parking_lot::RwLock;
 use pim_arch::{PimConfig, RegId};
@@ -28,18 +28,27 @@ pub struct RoutineKey {
 /// This is the reason the *software* host driver is not a bottleneck
 /// (§V-B, Figure 13): after the first use of an `(op, dtype, registers)`
 /// combination, "translation" of a macro-instruction is an iteration over a
-/// precompiled `Arc<Routine>` — no gate-level compilation on the hot path.
+/// precompiled `Arc<PreparedRoutine>` — no gate-level compilation on the
+/// hot path, and nothing for a backend to redo either: a miss compiles the
+/// routine *and* prepares it ([`Routine::prepare`](crate::Routine::prepare):
+/// every operation validated against the geometry, the cost summed, the
+/// whole-memory dead stores planned), so a hit hands
+/// [`Backend::execute_prepared`](pim_arch::Backend::execute_prepared) a
+/// batch it can replay without looking at any operation twice. The
+/// prepared form owns the routine's operations (one copy) and adds O(1)
+/// plus one bit per operation.
 ///
 /// The compiled-routine map lives behind an `Arc<RwLock<…>>`, so a cache
 /// can be [`share`d](RoutineCache::share) between many drivers: the
 /// cluster hands every shard driver a handle onto one map, and a routine
-/// compiles **once per cluster** instead of once per shard. Hit/miss
+/// compiles and prepares **once per cluster** instead of once per shard
+/// (shards of one cluster share one geometry). Hit/miss
 /// counters stay per handle, so per-shard telemetry survives sharing. The
 /// steady-state cost of sharing is one uncontended read-lock acquisition
 /// per macro-instruction.
 #[derive(Debug, Default)]
 pub struct RoutineCache {
-    map: Arc<RwLock<HashMap<RoutineKey, Arc<Routine>>>>,
+    map: Arc<RwLock<HashMap<RoutineKey, Arc<PreparedRoutine>>>>,
     hits: u64,
     misses: u64,
 }
@@ -60,7 +69,8 @@ impl RoutineCache {
         }
     }
 
-    /// Returns the routine for `key`, compiling it on first use.
+    /// Returns the routine for `key`, compiling and preparing it on first
+    /// use.
     ///
     /// Compilation happens under the write lock, so concurrent sharers of
     /// one map compile a given key exactly once — every other caller
@@ -73,7 +83,7 @@ impl RoutineCache {
         &mut self,
         cfg: &PimConfig,
         key: RoutineKey,
-    ) -> Result<Arc<Routine>, DriverError> {
+    ) -> Result<Arc<PreparedRoutine>, DriverError> {
         if let Some(r) = self.map.read().get(&key) {
             self.hits += 1;
             return Ok(Arc::clone(r));
@@ -95,7 +105,7 @@ impl RoutineCache {
             key.dst,
             &key.srcs[..arity],
         )?;
-        let arc = Arc::new(routine);
+        let arc = Arc::new(routine.prepare(cfg)?);
         map.insert(key, Arc::clone(&arc));
         Ok(arc)
     }

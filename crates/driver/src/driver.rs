@@ -1,9 +1,8 @@
 use crate::cache::{RoutineCache, RoutineKey};
-use crate::DriverError;
-use pim_arch::{encode, htree, Backend, MicroOp, MoveOp, PimConfig, RangeMask, VGate};
-use pim_isa::Instruction;
+use crate::{DriverError, RoutineStats};
+use pim_arch::{encode, htree, Backend, MicroOp, MoveOp, PimConfig, RangeMask, RegId, VGate};
+use pim_isa::{DType, Instruction, RegOp};
 use std::collections::HashMap;
-use std::sync::Arc;
 
 /// Which arithmetic implementation the driver compiles where both exist
 /// (§II-B): bit-serial element-parallel or bit-parallel element-parallel
@@ -73,7 +72,9 @@ pub struct Driver<B> {
     mode: ParallelismMode,
     cfg: PimConfig,
     issued: IssuedCycles,
-    encoded_cache: HashMap<RoutineKey, Arc<Vec<u64>>>,
+    /// Wire words of routine *bodies* (mask-free, so valid under any
+    /// target) for [`execute_streamed`](Self::execute_streamed).
+    encoded_cache: HashMap<RoutineKey, (Vec<u64>, RoutineStats)>,
     /// Masks currently stored in the memory (the driver is the sole
     /// micro-operation source, so it can elide redundant mask operations).
     cur_xb: Option<RangeMask>,
@@ -216,6 +217,18 @@ impl<B: Backend> Driver<B> {
         Ok(n as u64)
     }
 
+    fn routine_key(&self, op: RegOp, dtype: DType, dst: RegId, srcs: &[RegId; 3]) -> RoutineKey {
+        let mut key_srcs = [0; 3];
+        key_srcs[..op.arity()].copy_from_slice(&srcs[..op.arity()]);
+        RoutineKey {
+            op,
+            dtype,
+            dst,
+            srcs: key_srcs,
+            mode: self.mode,
+        }
+    }
+
     /// Executes one macro-instruction, returning the value for
     /// [`Instruction::Read`] and `None` otherwise.
     ///
@@ -233,20 +246,10 @@ impl<B: Backend> Driver<B> {
                 srcs,
                 target,
             } => {
-                let key = RoutineKey {
-                    op: *op,
-                    dtype: *dtype,
-                    dst: *dst,
-                    srcs: {
-                        let mut s = [0; 3];
-                        s[..op.arity()].copy_from_slice(&srcs[..op.arity()]);
-                        s
-                    },
-                    mode: self.mode,
-                };
+                let key = self.routine_key(*op, *dtype, *dst, srcs);
                 let routine = self.cache.get_or_compile(&self.cfg, key)?;
                 let masks = self.set_masks(Some(target.warps), Some(target.rows))?;
-                self.backend.execute_batch(&routine.ops)?;
+                self.backend.execute_prepared(&routine.batch)?;
                 self.issued.logic += routine.stats.logic_cycles;
                 self.issued.total += routine.stats.total_cycles() + masks;
                 Ok(None)
@@ -329,7 +332,10 @@ impl<B: Backend> Driver<B> {
 
     /// Executes one R-type macro-instruction by *streaming* its cached
     /// pre-encoded 64-bit words to the backend — the production-driver hot
-    /// path whose rate the Figure 13 "Host Driver" series measures.
+    /// path whose rate the Figure 13 "Host Driver" series measures. Only
+    /// the routine body is cached; the target's masks go out per call
+    /// (elided when the memory already holds them), exactly as in
+    /// [`execute`](Self::execute).
     ///
     /// # Errors
     ///
@@ -346,37 +352,17 @@ impl<B: Backend> Driver<B> {
             self.execute(instr)?;
             return Ok(());
         };
-        let key = RoutineKey {
-            op: *op,
-            dtype: *dtype,
-            dst: *dst,
-            srcs: {
-                let mut s = [0; 3];
-                s[..op.arity()].copy_from_slice(&srcs[..op.arity()]);
-                s
-            },
-            mode: self.mode,
-        };
+        let key = self.routine_key(*op, *dtype, *dst, srcs);
         if !self.encoded_cache.contains_key(&key) {
             let routine = self.cache.get_or_compile(&self.cfg, key)?;
-            let mut words = vec![
-                encode::encode(&MicroOp::XbMask(target.warps)),
-                encode::encode(&MicroOp::RowMask(target.rows)),
-            ];
-            words.extend(routine.encode_ops());
-            self.issued.logic += routine.stats.logic_cycles;
-            self.issued.total += routine.stats.total_cycles() + 2;
-            self.encoded_cache.insert(key, Arc::new(words));
-            let cached = Arc::clone(&self.encoded_cache[&key]);
-            self.backend.stream(&cached)?;
-            self.cur_xb = Some(target.warps);
-            self.cur_rows = Some(target.rows);
-            return Ok(());
+            let words = routine.batch.ops().iter().map(encode::encode).collect();
+            self.encoded_cache.insert(key, (words, routine.stats));
         }
-        let cached = Arc::clone(&self.encoded_cache[&key]);
-        self.backend.stream(&cached)?;
-        self.cur_xb = Some(target.warps);
-        self.cur_rows = Some(target.rows);
+        let masks = self.set_masks(Some(target.warps), Some(target.rows))?;
+        let (words, stats) = &self.encoded_cache[&key];
+        self.backend.stream(words)?;
+        self.issued.logic += stats.logic_cycles;
+        self.issued.total += stats.total_cycles() + masks;
         Ok(())
     }
 

@@ -24,7 +24,10 @@
 //! * A [`RoutineCache`] so that steady-state translation of a
 //!   macro-instruction is an iteration over a precompiled sequence — the
 //!   property that makes the software driver faster than the PIM chip it
-//!   feeds (Figure 13, "Host Driver" series).
+//!   feeds (Figure 13, "Host Driver" series). The cache holds each routine
+//!   as a [`PreparedRoutine`]: validated once, so backends replay it
+//!   through [`Backend::execute_prepared`](pim_arch::Backend::execute_prepared)
+//!   without re-checking any operation.
 //! * A [`SinkBackend`] that reroutes micro-operations to a buffer, used to
 //!   measure the driver's maximal supported throughput exactly as in the
 //!   paper's artifact (Appendix E).
@@ -69,7 +72,7 @@ mod sink;
 pub mod routines;
 pub mod theory;
 
-pub use builder::{Bits, CircuitBuilder, Routine, RoutineStats};
+pub use builder::{Bits, CircuitBuilder, PreparedRoutine, Routine, RoutineStats};
 pub use cache::{RoutineCache, RoutineKey};
 pub use driver::{Driver, IssuedCycles, ParallelismMode};
 pub use error::DriverError;

@@ -375,7 +375,7 @@ mod tests {
         let mut b = CircuitBuilder::new(&c);
         let probes = build(&mut b);
         assert!(probes.len() <= 64);
-        let routine = b.finish();
+        let routine = b.finish().prepare(&c).unwrap();
         let mut sim = PimSimulator::new(c.clone()).unwrap();
         for reg in c.user_regs..c.regs {
             sim.poke(0, 0, reg, 0xDEAD_BEEF); // dirty scratch
@@ -386,7 +386,7 @@ mod tests {
         sim.execute(&MicroOp::XbMask(RangeMask::single(0))).unwrap();
         sim.execute(&MicroOp::RowMask(RangeMask::single(0)))
             .unwrap();
-        sim.execute_batch(&routine.ops).unwrap();
+        sim.execute_prepared(&routine.batch).unwrap();
         let mut out = 0u64;
         for (i, p) in probes.iter().enumerate() {
             let bit = sim.peek(0, 0, p.offset as usize) >> p.part & 1;

@@ -29,7 +29,10 @@ pub fn eval_vec(
     let n = inputs[0].len();
     assert!(inputs.iter().all(|v| v.len() == n));
     let cfg = test_cfg(n);
-    let routine = compile_rtype(&cfg, mode, op, dtype, dst, srcs).expect("compile");
+    let routine = compile_rtype(&cfg, mode, op, dtype, dst, srcs)
+        .expect("compile")
+        .prepare(&cfg)
+        .expect("prepare");
     let mut sim = PimSimulator::new(cfg.clone()).expect("sim");
     for reg in cfg.user_regs..cfg.regs {
         for row in 0..cfg.rows {
@@ -44,7 +47,7 @@ pub fn eval_vec(
     sim.execute(&MicroOp::XbMask(RangeMask::single(0))).unwrap();
     sim.execute(&MicroOp::RowMask(RangeMask::dense(0, n as u32).unwrap()))
         .unwrap();
-    sim.execute_batch(&routine.ops).unwrap();
+    sim.execute_prepared(&routine.batch).unwrap();
     (0..n).map(|row| sim.peek(0, row, dst as usize)).collect()
 }
 

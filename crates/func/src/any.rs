@@ -1,5 +1,5 @@
 use crate::{FuncBackend, FuncSnapshot};
-use pim_arch::{ArchError, Backend, MicroOp, PimConfig};
+use pim_arch::{ArchError, Backend, MicroOp, PimConfig, PreparedBatch};
 use pim_sim::{PimSimulator, Profiler, SimSnapshot};
 
 /// Selects which [`Backend`] implementation executes a chip's
@@ -195,6 +195,13 @@ impl Backend for AnyBackend {
         match self {
             AnyBackend::Sim(s) => s.execute_batch(ops),
             AnyBackend::Func(f) => f.execute_batch(ops),
+        }
+    }
+
+    fn execute_prepared(&mut self, batch: &PreparedBatch) -> Result<(), ArchError> {
+        match self {
+            AnyBackend::Sim(s) => s.execute_prepared(batch),
+            AnyBackend::Func(f) => f.execute_prepared(batch),
         }
     }
 

@@ -1,7 +1,8 @@
 use pim_arch::{
-    ArchError, Backend, GateKind, HLogic, MicroOp, MoveOp, PimConfig, RangeMask, VGate,
+    plan_elisions, ArchError, Backend, GateKind, HLogic, MicroOp, MoveOp, OpBits, PimConfig,
+    PreparedBatch, RangeMask, VGate,
 };
-use pim_sim::{charge_op, Profiler};
+use pim_sim::{charge_batch, charge_op, Profiler};
 
 /// Lane mask selecting the even row (low 32 bits) of a packed word.
 const LOW: u64 = 0x0000_0000_FFFF_FFFF;
@@ -28,64 +29,94 @@ fn part_shift64(x: u64, s: i32) -> u64 {
 type Span = (std::ops::Range<usize>, u64);
 
 /// Lowers a row mask into contiguous row-pair segments with constant lane
-/// masks. Dense masks produce at most three segments (odd head half-pair,
-/// full middle, even tail half-pair); step-2 masks produce one single-lane
-/// segment; other strides fall back to one segment per row.
-fn row_segments(mask: &RangeMask) -> Vec<Span> {
+/// masks, handing each to `f`. Dense masks produce at most three segments
+/// (odd head half-pair, full middle, even tail half-pair); step-2 masks
+/// produce one single-lane segment; other strides fall back to one segment
+/// per row.
+fn for_each_row_segment(mask: &RangeMask, mut f: impl FnMut(std::ops::Range<usize>, u64)) {
     let (start, stop) = (mask.start() as usize, mask.stop() as usize);
-    let mut segs = Vec::new();
     match mask.step() {
         1 => {
             let mut lo = start;
             if lo & 1 == 1 {
-                segs.push((lo >> 1..(lo >> 1) + 1, HIGH));
+                f(lo >> 1..(lo >> 1) + 1, HIGH);
                 lo += 1;
                 if lo > stop {
-                    return segs;
+                    return;
                 }
             }
             if stop & 1 == 1 {
-                segs.push((lo >> 1..(stop >> 1) + 1, u64::MAX));
+                f(lo >> 1..(stop >> 1) + 1, u64::MAX);
             } else {
                 if lo < stop {
-                    segs.push((lo >> 1..stop >> 1, u64::MAX));
+                    f(lo >> 1..stop >> 1, u64::MAX);
                 }
-                segs.push((stop >> 1..(stop >> 1) + 1, LOW));
+                f(stop >> 1..(stop >> 1) + 1, LOW);
             }
         }
         2 => {
             let lane = if start & 1 == 0 { LOW } else { HIGH };
-            segs.push((start >> 1..(stop >> 1) + 1, lane));
+            f(start >> 1..(stop >> 1) + 1, lane);
         }
         _ => {
             for row in mask.iter() {
                 let row = row as usize;
                 let lane = if row & 1 == 0 { LOW } else { HIGH };
-                segs.push((row >> 1..(row >> 1) + 1, lane));
+                f(row >> 1..(row >> 1) + 1, lane);
             }
         }
     }
-    segs
 }
 
-/// Expands row segments across the crossbar mask into flat word spans
-/// within one register block. A dense crossbar mask whose row segment
-/// covers every row pair collapses into a *single* span over all selected
-/// crossbars — the whole-memory fast path.
-fn flat_spans(xb_mask: &RangeMask, segs: &[Span], rph: usize) -> Vec<Span> {
-    if let (Some(xr), [(seg, lane)]) = (xb_mask.as_dense_range(), segs) {
-        if seg.start == 0 && seg.end == rph {
-            return vec![(xr.start * rph..xr.end * rph, *lane)];
+/// Rebuilds `spans` as the flat word spans, within one register block, of
+/// the rows `row_mask` selects in the crossbars `xb_mask` selects. A dense
+/// crossbar mask whose rows lower to one segment covering every row pair
+/// collapses into a *single* span over all selected crossbars — the
+/// whole-memory fast path.
+fn rebuild_spans(spans: &mut Vec<Span>, xb_mask: &RangeMask, row_mask: &RangeMask, rph: usize) {
+    spans.clear();
+    if let (Some(xr), true) = (xb_mask.as_dense_range(), row_mask.step() <= 2) {
+        let mut segments = 0;
+        let mut last = (0..0, 0);
+        for_each_row_segment(row_mask, |seg, lane| {
+            segments += 1;
+            last = (seg, lane);
+        });
+        if segments == 1 && last.0 == (0..rph) {
+            spans.push((xr.start * rph..xr.end * rph, last.1));
+            return;
         }
     }
-    let mut spans = Vec::with_capacity(xb_mask.len() * segs.len());
     for xb in xb_mask.iter() {
         let base = xb as usize * rph;
-        for (seg, lane) in segs {
-            spans.push((base + seg.start..base + seg.end, *lane));
-        }
+        for_each_row_segment(row_mask, |seg, lane| {
+            spans.push((base + seg.start..base + seg.end, lane));
+        });
     }
-    spans
+}
+
+/// The output block of a fused gate kernel (mutable) plus its input
+/// blocks, split out of the image in O(1). An input equal to `out` comes
+/// back as `None` — the kernel then reads the output word itself, which is
+/// exactly the pre-gate value because each word is read before it is
+/// written (same aliasing contract as the bit-accurate crossbar kernels).
+#[allow(clippy::type_complexity)]
+fn out_and_inputs(
+    words: &mut [u64],
+    block: usize,
+    out: usize,
+    a: usize,
+    b: usize,
+) -> (&mut [u64], Option<&[u64]>, Option<&[u64]>) {
+    let (below, rest) = words.split_at_mut(out * block);
+    let (dst, above) = rest.split_at_mut(block);
+    let (below, above): (&[u64], &[u64]) = (below, above);
+    let input = |reg: usize| match reg.cmp(&out) {
+        std::cmp::Ordering::Less => Some(&below[reg * block..(reg + 1) * block]),
+        std::cmp::Ordering::Equal => None,
+        std::cmp::Ordering::Greater => Some(&above[(reg - out - 1) * block..(reg - out) * block]),
+    };
+    (dst, input(a), input(b))
 }
 
 /// The vectorized functional backend: architecturally equivalent to
@@ -105,6 +136,11 @@ pub struct FuncBackend {
     words: Vec<u64>,
     xb_mask: RangeMask,
     row_mask: RangeMask,
+    /// The word spans the two masks select within one register block,
+    /// rebuilt on first use after a mask changed (`spans_stale`) — every
+    /// gate and write between two mask operations shares them.
+    spans: Vec<Span>,
+    spans_stale: bool,
     strict: bool,
     profiler: Profiler,
     threads: usize,
@@ -139,6 +175,8 @@ impl FuncBackend {
             xb_mask: RangeMask::dense(0, cfg.crossbars as u32).expect("validated nonzero"),
             row_mask: RangeMask::dense(0, cfg.rows as u32).expect("validated nonzero"),
             words: vec![0; cfg.regs * xbs * rph],
+            spans: Vec::new(),
+            spans_stale: true,
             xbs,
             rph,
             cfg,
@@ -227,8 +265,7 @@ impl FuncBackend {
             "snapshot geometry mismatch"
         );
         self.words.clone_from(&snap.words);
-        self.xb_mask = snap.xb_mask;
-        self.row_mask = snap.row_mask;
+        self.set_masks(snap.xb_mask, snap.row_mask);
         self.strict = snap.strict;
         self.profiler = snap.profiler.clone();
     }
@@ -238,125 +275,81 @@ impl FuncBackend {
         (reg * self.xbs + xb) * self.rph + pair
     }
 
-    /// The contiguous packed block of one register (all crossbars).
-    #[inline]
-    fn block_mut(&mut self, reg: usize) -> &mut [u64] {
-        let block = self.xbs * self.rph;
-        &mut self.words[reg * block..(reg + 1) * block]
+    fn set_masks(&mut self, xb_mask: RangeMask, row_mask: RangeMask) {
+        self.xb_mask = xb_mask;
+        self.row_mask = row_mask;
+        self.spans_stale = true;
     }
 
-    /// The mutable output block plus the shared input blocks for a fused
-    /// gate kernel. An input equal to `out` comes back as `None` — the
-    /// kernel then reads the output word itself, which is exactly the
-    /// pre-gate value because each word is read before it is written
-    /// (same aliasing contract as the bit-accurate crossbar kernels).
-    #[allow(clippy::type_complexity)]
-    fn out_and_inputs(
-        &mut self,
-        out: usize,
-        a: usize,
-        b: usize,
-    ) -> (&mut [u64], Option<&[u64]>, Option<&[u64]>) {
-        let block = self.xbs * self.rph;
-        let mut dst: Option<&mut [u64]> = None;
-        let mut col_a: Option<&[u64]> = None;
-        let mut col_b: Option<&[u64]> = None;
-        for (i, chunk) in self.words.chunks_exact_mut(block).enumerate() {
-            if i == out {
-                dst = Some(chunk);
-            } else if i == a || i == b {
-                let shared: &[u64] = chunk;
-                if i == a {
-                    col_a = Some(shared);
-                }
-                if i == b {
-                    col_b = Some(shared);
-                }
-            }
+    /// The image and the spans the stored masks select in a register
+    /// block, brought up to date first.
+    fn words_and_spans(&mut self) -> (&mut [u64], &[Span]) {
+        if self.spans_stale {
+            rebuild_spans(&mut self.spans, &self.xb_mask, &self.row_mask, self.rph);
+            self.spans_stale = false;
         }
-        let dst = dst.expect("output register validated in bounds");
-        (
-            dst,
-            if a == out { None } else { col_a },
-            if b == out { None } else { col_b },
-        )
+        (&mut self.words, &self.spans)
     }
 
     /// Applies a horizontal stateful-logic operation under the stored
-    /// masks — the word-level gate evaluation over packed row pairs.
+    /// masks — the word-level gate evaluation over packed row pairs, and
+    /// the one gate kernel every execution path ends in. Shifts and the
+    /// output-partition bits come from the operation itself each time;
+    /// nothing about an operation is stored beyond the `MicroOp`.
     fn apply_hlogic(&mut self, op: &HLogic) {
         let bits = op.out_bits() as u64;
         let bits64 = bits << 32 | bits;
         let (sa, sb) = (op.shift_a(), op.shift_b());
-        let out = op.out.offset as usize;
-        let a = op.in_a.offset as usize;
-        let b = op.in_b.offset as usize;
-        let spans = flat_spans(&self.xb_mask, &row_segments(&self.row_mask), self.rph);
-        match op.gate {
-            GateKind::Init0 => {
-                let dst = self.block_mut(out);
-                for (r, lane) in &spans {
-                    let m = bits64 & lane;
-                    for w in &mut dst[r.clone()] {
-                        *w &= !m;
-                    }
-                }
-            }
-            GateKind::Init1 => {
-                let dst = self.block_mut(out);
-                for (r, lane) in &spans {
-                    let m = bits64 & lane;
-                    for w in &mut dst[r.clone()] {
-                        *w |= m;
-                    }
-                }
-            }
-            GateKind::Not => {
-                let (dst, col_a, _) = self.out_and_inputs(out, a, a);
-                for (r, lane) in &spans {
-                    let m = bits64 & lane;
-                    match col_a {
-                        Some(av) => {
-                            for (d, &x) in dst[r.clone()].iter_mut().zip(&av[r.clone()]) {
-                                *d &= !(part_shift64(x, sa) & m);
-                            }
-                        }
-                        None => {
-                            for d in dst[r.clone()].iter_mut() {
-                                *d &= !(part_shift64(*d, sa) & m);
-                            }
+        let block = self.xbs * self.rph;
+        let (words, spans) = self.words_and_spans();
+        let (dst, col_a, col_b) = out_and_inputs(
+            words,
+            block,
+            op.out.offset as usize,
+            op.in_a.offset as usize,
+            op.in_b.offset as usize,
+        );
+        for (r, lane) in spans {
+            let m = bits64 & lane;
+            let dst = &mut dst[r.clone()];
+            match op.gate {
+                GateKind::Init0 => dst.iter_mut().for_each(|w| *w &= !m),
+                GateKind::Init1 => dst.iter_mut().for_each(|w| *w |= m),
+                GateKind::Not => match col_a {
+                    Some(av) => {
+                        for (d, &x) in dst.iter_mut().zip(&av[r.clone()]) {
+                            *d &= !(part_shift64(x, sa) & m);
                         }
                     }
-                }
-            }
-            GateKind::Nor => {
-                let (dst, col_a, col_b) = self.out_and_inputs(out, a, b);
-                for (r, lane) in &spans {
-                    let m = bits64 & lane;
-                    match (col_a, col_b) {
-                        (Some(av), Some(bv)) => {
-                            let (av, bv) = (&av[r.clone()], &bv[r.clone()]);
-                            for ((d, &x), &y) in dst[r.clone()].iter_mut().zip(av).zip(bv) {
-                                *d &= !((part_shift64(x, sa) | part_shift64(y, sb)) & m);
-                            }
-                        }
-                        (None, Some(bv)) => {
-                            for (d, &y) in dst[r.clone()].iter_mut().zip(&bv[r.clone()]) {
-                                *d &= !((part_shift64(*d, sa) | part_shift64(y, sb)) & m);
-                            }
-                        }
-                        (Some(av), None) => {
-                            for (d, &x) in dst[r.clone()].iter_mut().zip(&av[r.clone()]) {
-                                *d &= !((part_shift64(x, sa) | part_shift64(*d, sb)) & m);
-                            }
-                        }
-                        (None, None) => {
-                            for d in dst[r.clone()].iter_mut() {
-                                *d &= !((part_shift64(*d, sa) | part_shift64(*d, sb)) & m);
-                            }
+                    None => {
+                        for d in dst.iter_mut() {
+                            *d &= !(part_shift64(*d, sa) & m);
                         }
                     }
-                }
+                },
+                GateKind::Nor => match (col_a, col_b) {
+                    (Some(av), Some(bv)) => {
+                        for ((d, &x), &y) in dst.iter_mut().zip(&av[r.clone()]).zip(&bv[r.clone()])
+                        {
+                            *d &= !((part_shift64(x, sa) | part_shift64(y, sb)) & m);
+                        }
+                    }
+                    (None, Some(bv)) => {
+                        for (d, &y) in dst.iter_mut().zip(&bv[r.clone()]) {
+                            *d &= !((part_shift64(*d, sa) | part_shift64(y, sb)) & m);
+                        }
+                    }
+                    (Some(av), None) => {
+                        for (d, &x) in dst.iter_mut().zip(&av[r.clone()]) {
+                            *d &= !((part_shift64(x, sa) | part_shift64(*d, sb)) & m);
+                        }
+                    }
+                    (None, None) => {
+                        for d in dst.iter_mut() {
+                            *d &= !((part_shift64(*d, sa) | part_shift64(*d, sb)) & m);
+                        }
+                    }
+                },
             }
         }
     }
@@ -365,9 +358,10 @@ impl FuncBackend {
     /// crossbar (memory write semantics).
     fn apply_write(&mut self, reg: usize, value: u32) {
         let packed = (value as u64) << 32 | value as u64;
-        let spans = flat_spans(&self.xb_mask, &row_segments(&self.row_mask), self.rph);
-        let dst = self.block_mut(reg);
-        for (r, lane) in &spans {
+        let block = self.xbs * self.rph;
+        let (words, spans) = self.words_and_spans();
+        let dst = &mut words[reg * block..(reg + 1) * block];
+        for (r, lane) in spans {
             if *lane == u64::MAX {
                 dst[r.clone()].fill(packed);
             } else {
@@ -436,8 +430,8 @@ impl FuncBackend {
     /// no strict discipline check runs here.
     fn apply(&mut self, op: &MicroOp) {
         match op {
-            MicroOp::XbMask(m) => self.xb_mask = *m,
-            MicroOp::RowMask(m) => self.row_mask = *m,
+            MicroOp::XbMask(m) => self.set_masks(*m, self.row_mask),
+            MicroOp::RowMask(m) => self.set_masks(self.xb_mask, *m),
             MicroOp::Write { index, value } => self.apply_write(*index as usize, *value),
             MicroOp::LogicH(l) => self.apply_hlogic(l),
             MicroOp::LogicV {
@@ -451,73 +445,25 @@ impl FuncBackend {
         }
     }
 
-    /// Whether the stored masks select the entire memory (every crossbar,
-    /// every row) — the condition under which a whole-register store fully
-    /// defines the register for dead-store elimination.
-    fn masks_full(&self) -> bool {
+    /// Whether `xb_mask` and `row_mask` select the entire memory (every
+    /// crossbar, every row) — the condition under which a whole-register
+    /// store fully defines the register for dead-store elimination.
+    fn masks_full(&self, xb_mask: &RangeMask, row_mask: &RangeMask) -> bool {
         let full =
             |m: &RangeMask, n: usize| m.start() == 0 && m.step() == 1 && m.stop() as usize == n - 1;
-        full(&self.xb_mask, self.cfg.crossbars) && full(&self.row_mask, self.cfg.rows)
+        full(xb_mask, self.cfg.crossbars) && full(row_mask, self.cfg.rows)
     }
-}
 
-/// The backward dead-store walk over a validated batch. `full[i]` tells
-/// whether op `i` ran under whole-memory masks. An operation is elided
-/// when its only effect is a store to a register that is completely
-/// overwritten later in the batch before any read; accounting already
-/// covered the full stream, so elision changes no modeled cycle.
-fn plan_elisions(ops: &[MicroOp], full: &[bool], regs: usize) -> Vec<bool> {
-    let mut elide = vec![false; ops.len()];
-    // dead[r]: every bit of register r (all crossbars/rows) is overwritten
-    // later in the batch before any operation reads it.
-    let mut dead = vec![false; regs];
-    for i in (0..ops.len()).rev() {
-        match &ops[i] {
-            MicroOp::XbMask(_) | MicroOp::RowMask(_) => {}
-            MicroOp::Write { index, .. } => {
-                let r = *index as usize;
-                if dead[r] {
-                    elide[i] = true;
-                } else if full[i] {
-                    dead[r] = true;
-                }
+    /// Applies validated, charged, read-free operations in order, skipping
+    /// the ones `elide` marks. [`plan_elisions`] never marks a mask
+    /// operation, so the final mask state matches op-by-op execution.
+    fn run(&mut self, ops: &[MicroOp], elide: Option<&OpBits>) {
+        for (i, op) in ops.iter().enumerate() {
+            if !elide.is_some_and(|e| e.get(i)) {
+                self.apply(op);
             }
-            MicroOp::LogicH(l) => {
-                let out = l.out.offset as usize;
-                if dead[out] {
-                    elide[i] = true;
-                    continue;
-                }
-                match l.gate {
-                    GateKind::Init0 | GateKind::Init1 => {
-                        if full[i] && l.out_bits() == u32::MAX {
-                            dead[out] = true;
-                        }
-                    }
-                    GateKind::Not => dead[l.in_a.offset as usize] = false,
-                    GateKind::Nor => {
-                        dead[l.in_a.offset as usize] = false;
-                        dead[l.in_b.offset as usize] = false;
-                    }
-                }
-            }
-            MicroOp::LogicV { index, .. } => {
-                // Writes one row (and NOT reads the same register); a
-                // single-row store never fully defines the register.
-                if dead[*index as usize] {
-                    elide[i] = true;
-                }
-            }
-            MicroOp::Move(mv) => {
-                // Reads the source register; writes one row of the
-                // destination register (partial — does not define it).
-                dead[mv.index_src as usize] = false;
-                dead[mv.index_dst as usize] = false;
-            }
-            MicroOp::Read { .. } => unreachable!("reads rejected before execution"),
         }
     }
-    elide
 }
 
 impl Backend for FuncBackend {
@@ -543,59 +489,65 @@ impl Backend for FuncBackend {
 
     fn execute_batch(&mut self, ops: &[MicroOp]) -> Result<(), ArchError> {
         // Validate and charge the full stream first, tracking the evolving
-        // mask state and recording whether each op saw whole-memory masks.
-        // On any rejection the masks and profiler roll back, so a failed
-        // batch leaves the backend exactly as it was.
-        let (xb_mask0, row_mask0) = (self.xb_mask, self.row_mask);
+        // mask state and recording which ops see whole-memory masks. On any
+        // rejection the profiler rolls back (the stored masks are not
+        // touched until the stream is accepted), so a failed batch leaves
+        // the backend exactly as it was.
+        let (mut xb_mask, mut row_mask) = (self.xb_mask, self.row_mask);
         let profiler0 = self.profiler.clone();
-        let mut full = Vec::with_capacity(ops.len());
-        let mut failed = None;
-        for op in ops {
-            if matches!(op, MicroOp::Read { .. }) {
-                failed = Some(ArchError::Protocol {
+        let mut full: Option<OpBits> = None;
+        let mut is_full = self.masks_full(&xb_mask, &row_mask);
+        for (i, op) in ops.iter().enumerate() {
+            let checked = match op {
+                MicroOp::Read { .. } => Err(ArchError::Protocol {
                     reason: "read operations cannot be batched".into(),
-                });
-                break;
-            }
-            if let Err(e) = op.validate(&self.cfg) {
-                failed = Some(e);
-                break;
-            }
-            full.push(self.masks_full());
-            if let Err(e) = charge_op(
-                &mut self.profiler,
-                op,
-                &self.xb_mask,
-                &self.row_mask,
-                &self.cfg,
-            ) {
-                failed = Some(e);
-                break;
+                }),
+                _ => op.validate(&self.cfg).and_then(|()| {
+                    charge_op(&mut self.profiler, op, &xb_mask, &row_mask, &self.cfg)
+                }),
+            };
+            if let Err(e) = checked {
+                self.profiler = profiler0;
+                return Err(e);
             }
             match op {
-                MicroOp::XbMask(m) => self.xb_mask = *m,
-                MicroOp::RowMask(m) => self.row_mask = *m,
+                MicroOp::XbMask(m) => {
+                    xb_mask = *m;
+                    is_full = self.masks_full(&xb_mask, &row_mask);
+                }
+                MicroOp::RowMask(m) => {
+                    row_mask = *m;
+                    is_full = self.masks_full(&xb_mask, &row_mask);
+                }
+                _ if is_full => full.get_or_insert_with(|| OpBits::new(ops.len())).set(i),
                 _ => {}
             }
         }
-        self.xb_mask = xb_mask0;
-        self.row_mask = row_mask0;
-        if let Some(e) = failed {
-            self.profiler = profiler0;
-            return Err(e);
-        }
+        // Only a store under whole-memory masks can make another one dead.
+        let elide = full.map(|full| plan_elisions(ops, |i| full.get(i)));
+        self.run(ops, elide.as_ref());
+        Ok(())
+    }
 
-        // Execute with dead stores elided. Mask updates always replay so
-        // the final mask state matches op-by-op execution.
-        let elide = plan_elisions(ops, &full, self.cfg.regs);
-        for (op, &skip) in ops.iter().zip(&elide) {
-            match op {
-                MicroOp::XbMask(m) => self.xb_mask = *m,
-                MicroOp::RowMask(m) => self.row_mask = *m,
-                _ if !skip => self.apply(op),
-                _ => {}
-            }
+    fn execute_prepared(&mut self, batch: &PreparedBatch) -> Result<(), ArchError> {
+        if !batch.prepared_for(&self.cfg) {
+            // Validated for another geometry: nothing about it is trusted.
+            return self.execute_batch(batch.ops());
         }
+        // The batch holds no mask operation, so the stored masks hold for
+        // all of it: one closed-form charge (atomic on a bad move), and the
+        // elision plan is the precomputed one or none at all.
+        charge_batch(
+            &mut self.profiler,
+            batch,
+            &self.xb_mask,
+            &self.row_mask,
+            &self.cfg,
+        )?;
+        let elide = self
+            .masks_full(&self.xb_mask, &self.row_mask)
+            .then(|| batch.full_mask_elisions());
+        self.run(batch.ops(), elide);
         Ok(())
     }
 }

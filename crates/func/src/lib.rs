@@ -14,9 +14,9 @@
 //!   horizontal gates become straight-line loops over contiguous `u64`
 //!   slices spanning *all* crossbars at once; the shift-mask-andnot gate
 //!   evaluation is applied to both packed rows per word operation.
-//! * **Segmented masks** — a row mask is lowered once per operation into
-//!   at most three contiguous word-range segments with a constant lane
-//!   mask (dense masks → head half-pair, full middle, tail half-pair;
+//! * **Segmented masks** — a row mask is lowered once per mask change
+//!   into at most three contiguous word-range segments with a constant
+//!   lane mask (dense masks → head half-pair, full middle, tail half-pair;
 //!   step-2 masks → one segment selecting a single 32-bit lane), so the
 //!   inner loops stay branch-free.
 //! * **Batch dead-store elimination** — [`Backend::execute_batch`] charges
@@ -26,6 +26,11 @@
 //!   routines re-initialize their scratch registers before every gate, so
 //!   on arithmetic-heavy batches this removes most of the physical work
 //!   while the modeled cycles stay exactly those of the full stream.
+//! * **Prepared replay** — [`Backend::execute_prepared`] runs a
+//!   [`pim_arch::PreparedBatch`] (what the driver's routine cache holds)
+//!   through the same kernel loop without validating, charging or planning
+//!   per operation: one closed-form [`pim_sim::charge_batch`], the
+//!   precomputed elision plan when the masks are full.
 //!
 //! What the functional backend does **not** do: enforce the stateful-logic
 //! strict discipline (output cells of `NOT`/`NOR` holding 1 when the gate

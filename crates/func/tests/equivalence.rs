@@ -1,9 +1,13 @@
 //! Differential oracle: the functional backend must produce bit-identical
 //! architectural state and identical profiling counters to the
 //! bit-accurate simulator for the same micro-operation stream — both
-//! op-by-op and batched (where dead-store elimination runs).
+//! op-by-op and batched (where dead-store elimination runs). Replaying a
+//! `PreparedBatch` must in turn be indistinguishable from `execute_batch`
+//! of the same operations: image, masks and every profiler counter.
 
-use pim_arch::{Backend, ColAddr, GateKind, HLogic, MicroOp, MoveOp, PimConfig, RangeMask, VGate};
+use pim_arch::{
+    Backend, ColAddr, GateKind, HLogic, MicroOp, MoveOp, PimConfig, PreparedBatch, RangeMask, VGate,
+};
 use pim_func::{AnyBackend, BackendKind, FuncBackend};
 use pim_sim::PimSimulator;
 use proptest::prelude::*;
@@ -195,6 +199,203 @@ proptest! {
         func.execute_batch(&ops).unwrap();
         assert_same_state(&sim, &func, &cfg);
     }
+}
+
+/// The four mask shapes a routine replays under: whole memory, a dense
+/// window, strided rows and crossbars, a single row.
+fn replay_masks(cfg: &PimConfig, shape: u8, a: u8, b: u8) -> [MicroOp; 2] {
+    let (xbs, rows) = (cfg.crossbars as u32, cfg.rows as u32);
+    let (xb, row) = match shape % 4 {
+        0 => (
+            RangeMask::dense(0, xbs).unwrap(),
+            RangeMask::dense(0, rows).unwrap(),
+        ),
+        1 => {
+            let (x0, r0) = (a as u32 % (xbs - 1), b as u32 % (rows - 1));
+            (
+                RangeMask::dense(x0, x0 + 1 + (b as u32 % (xbs - x0))).unwrap(),
+                RangeMask::dense(r0, r0 + 1 + (a as u32 % (rows - r0))).unwrap(),
+            )
+        }
+        2 => (
+            RangeMask::strided(a as u32 % 4, 1 + b as u32 % 4, 4).unwrap(),
+            RangeMask::strided(b as u32 % 3, 1 + a as u32 % 4, 2 + a as u32 % 2).unwrap(),
+        ),
+        _ => (
+            RangeMask::single(a as u32 % xbs),
+            RangeMask::single(b as u32 % rows),
+        ),
+    };
+    [MicroOp::XbMask(xb), MicroOp::RowMask(row)]
+}
+
+/// Runs `body` under `masks` three ways — `execute_batch` on the
+/// functional backend, `execute_prepared` on it, `execute_prepared` on the
+/// simulator (the trait default) — and holds all three equal.
+fn assert_prepared_replay_matches(cfg: &PimConfig, masks: &[MicroOp], body: Vec<MicroOp>) {
+    let prepared = PreparedBatch::new(body.clone(), cfg).unwrap();
+    let mut sim = PimSimulator::new(cfg.clone()).unwrap();
+    let mut batch = FuncBackend::new(cfg.clone()).unwrap();
+    let mut replay = FuncBackend::new(cfg.clone()).unwrap();
+    sim.set_strict(false);
+    // Distinct cell contents, so a skipped or misplaced store shows.
+    for xb in 0..cfg.crossbars {
+        for row in 0..cfg.rows {
+            for reg in 0..cfg.regs {
+                let v = (xb * 0x0101_0101 + row * 0x0001_0203 + reg * 0x1F00_0035) as u32;
+                sim.poke(xb, row, reg, v);
+                batch.poke(xb, row, reg, v);
+                replay.poke(xb, row, reg, v);
+            }
+        }
+    }
+    sim.execute_batch(masks).unwrap();
+    batch.execute_batch(masks).unwrap();
+    replay.execute_batch(masks).unwrap();
+    let expected = batch.execute_batch(&body);
+    assert_eq!(replay.execute_prepared(&prepared), expected);
+    assert_eq!(sim.execute_prepared(&prepared), expected);
+    // Twice: the second replay starts from the first one's leftovers.
+    if expected.is_ok() {
+        batch.execute_batch(&body).unwrap();
+        replay.execute_prepared(&prepared).unwrap();
+        sim.execute_prepared(&prepared).unwrap();
+    }
+    for probe in [&mut batch, &mut replay] {
+        // Final masks: a follow-up write lands on the same cells.
+        probe
+            .execute(&MicroOp::Write {
+                index: 0,
+                value: 0xA5A5_5A5A,
+            })
+            .unwrap();
+    }
+    sim.execute(&MicroOp::Write {
+        index: 0,
+        value: 0xA5A5_5A5A,
+    })
+    .unwrap();
+    assert_same_state(&sim, &batch, cfg);
+    assert_same_state(&sim, &replay, cfg);
+    assert_eq!(batch.profiler(), replay.profiler());
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// Random mask-free bodies (writes, strided gates, vertical gates,
+    /// moves that may be illegal under the masks) under every mask shape.
+    #[test]
+    fn prepared_replay_matches_batch(
+        seeds in proptest::collection::vec(any::<(u8, u8, u8, u8, u8, u8, u8)>(), 1..48),
+        mv in any::<(u8, u8, u8, u8)>(),
+        shape in any::<(u8, u8, u8)>(),
+    ) {
+        let cfg = PimConfig::small().with_crossbars(32).with_rows(16);
+        let mut body: Vec<MicroOp> = seeds
+            .iter()
+            .filter_map(|&(kind, a, b, c, d, e, f)| arbitrary_op(&cfg, (2 + kind % 3, a, b, c, d, e, f)))
+            .collect();
+        if mv.0 % 2 == 0 {
+            let at = mv.1 as usize % (body.len() + 1);
+            body.insert(at, MicroOp::Move(MoveOp {
+                dist: [1, -1, 2, 16][mv.2 as usize % 4],
+                row_src: mv.2 as u32 % 16,
+                row_dst: mv.3 as u32 % 16,
+                index_src: mv.3 % 32,
+                index_dst: mv.1 % 32,
+            }));
+        }
+        assert_prepared_replay_matches(&cfg, &replay_masks(&cfg, shape.0, shape.1, shape.2), body);
+    }
+
+    /// Routine-shaped bodies where dead-store elimination fires under
+    /// whole-memory masks, replayed under every mask shape.
+    #[test]
+    fn prepared_replay_matches_batch_where_stores_are_dead(
+        regs in proptest::collection::vec(0u8..8, 1..24),
+        shape in any::<(u8, u8, u8)>(),
+    ) {
+        let cfg = PimConfig::small().with_crossbars(16).with_rows(32);
+        let mut body = Vec::new();
+        for &r in &regs {
+            body.push(MicroOp::Write { index: r, value: 0x0F0F_F0F0 });
+            body.push(MicroOp::LogicH(HLogic::init_reg(true, r, &cfg).unwrap()));
+            body.push(MicroOp::LogicH(
+                HLogic::parallel(GateKind::Nor, (r + 1) % 8, (r + 2) % 8, r, &cfg).unwrap(),
+            ));
+        }
+        let prepared = PreparedBatch::new(body.clone(), &cfg).unwrap();
+        prop_assert!(prepared.full_mask_elisions().count() >= regs.len());
+        assert_prepared_replay_matches(&cfg, &replay_masks(&cfg, shape.0, shape.1, shape.2), body);
+    }
+}
+
+#[test]
+fn prepared_elision_plan_is_not_applied_under_partial_masks() {
+    // The vertical store lands in row 9 and the whole-register INIT that
+    // follows makes it dead — but only when the INIT covers row 9. Under a
+    // row mask that excludes it the store must run.
+    let cfg = PimConfig::small();
+    let body = vec![
+        MicroOp::LogicV {
+            gate: VGate::Init0,
+            row_in: 0,
+            row_out: 9,
+            index: 3,
+        },
+        MicroOp::LogicH(HLogic::init_reg(true, 3, &cfg).unwrap()),
+    ];
+    let prepared = PreparedBatch::new(body.clone(), &cfg).unwrap();
+    assert!(prepared.full_mask_elisions().get(0));
+    for rows in [
+        RangeMask::dense(0, cfg.rows as u32).unwrap(),
+        RangeMask::dense(0, 8).unwrap(),
+    ] {
+        let masks = [
+            MicroOp::XbMask(RangeMask::dense(0, cfg.crossbars as u32).unwrap()),
+            MicroOp::RowMask(rows),
+        ];
+        assert_prepared_replay_matches(&cfg, &masks, body.clone());
+    }
+}
+
+#[test]
+fn batch_prepared_for_another_geometry_is_never_trusted() {
+    let tall = PimConfig::small(); // 64 rows
+    let short = PimConfig::small().with_rows(8);
+    let mut func = FuncBackend::new(short.clone()).unwrap();
+    func.poke(0, 3, 1, 0x1111_2222);
+
+    // Valid for the geometry it was prepared for, out of bounds here: the
+    // replay is refused whole, like the same `execute_batch` would be.
+    let escaping = PreparedBatch::new(
+        vec![
+            MicroOp::Write { index: 1, value: 7 },
+            MicroOp::LogicV {
+                gate: VGate::Init1,
+                row_in: 0,
+                row_out: 40,
+                index: 1,
+            },
+        ],
+        &tall,
+    )
+    .unwrap();
+    assert!(!escaping.prepared_for(&short));
+    let err = func.execute_prepared(&escaping).unwrap_err();
+    assert!(matches!(
+        err,
+        pim_arch::ArchError::AddressOutOfBounds { .. }
+    ));
+    assert_eq!(func.peek(0, 3, 1), 0x1111_2222);
+    assert_eq!(func.profiler(), &pim_sim::Profiler::new());
+
+    // Valid in both: falls back to full validation and executes.
+    let portable = PreparedBatch::new(vec![MicroOp::Write { index: 1, value: 7 }], &tall).unwrap();
+    func.execute_prepared(&portable).unwrap();
+    assert_eq!(func.peek(0, 3, 1), 7);
+    assert_eq!(func.profiler().ops.write, 1);
 }
 
 #[test]

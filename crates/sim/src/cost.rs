@@ -2,16 +2,18 @@
 //!
 //! Every backend — the bit-accurate [`PimSimulator`](crate::PimSimulator)
 //! and the vectorized functional backend (`pim-func`) — charges modeled
-//! cycles through this one function, so `Profiler` totals, telemetry
+//! cycles through [`charge_op`], so `Profiler` totals, telemetry
 //! attribution and deadline semantics are identical regardless of how the
-//! data movement is actually computed on the host.
+//! data movement is actually computed on the host. [`charge_batch`] is its
+//! closed form over a [`PreparedBatch`]: the same totals in one step (a
+//! proptest holds the two equal field for field).
 //!
 //! Under the microarchitectural model every micro-operation occupies one
 //! PIM clock cycle, except distributed moves whose transfers share H-tree
 //! links (those serialize; see [`pim_arch::htree::plan_move`]).
 
 use crate::Profiler;
-use pim_arch::{htree, ArchError, MicroOp, PimConfig, RangeMask};
+use pim_arch::{htree, ArchError, MicroOp, PimConfig, PreparedBatch, RangeMask};
 
 /// Charges one micro-operation to `p` given the mask state in effect,
 /// returning the operation's cycle cost.
@@ -73,10 +75,50 @@ pub fn charge_op(
     Ok(cycles)
 }
 
+/// Charges a whole prepared batch to `p` under the masks it replays
+/// under, returning its cycle cost: exactly what folding [`charge_op`]
+/// over `batch.ops()` charges, computed from the batch's cost summary.
+/// The batch holds no mask operation, so both masks are constant across
+/// it and only the moves need a per-operation step.
+///
+/// # Errors
+///
+/// Returns [`ArchError::InvalidMove`] when a move violates the H-tree
+/// rules under `xb_mask`; nothing is charged in that case.
+pub fn charge_batch(
+    p: &mut Profiler,
+    batch: &PreparedBatch,
+    xb_mask: &RangeMask,
+    row_mask: &RangeMask,
+    cfg: &PimConfig,
+) -> Result<u64, ArchError> {
+    let cost = batch.cost();
+    let (mut move_cycles, mut move_pairs, mut move_level) = (0, 0, 0);
+    for mv in &cost.moves {
+        let plan = htree::plan_move(xb_mask, mv, cfg)?;
+        move_cycles += plan.cycles;
+        move_pairs += plan.pairs;
+        move_level = move_level.max(plan.tree_level);
+    }
+    let xbs = xb_mask.len() as u64;
+    p.ops.write += cost.writes;
+    p.ops.logic_h += cost.logic_h;
+    p.ops.logic_v += cost.logic_v;
+    p.ops.mv += cost.moves.len() as u64;
+    p.gates += cost.h_gates + cost.logic_v;
+    p.row_gates += cost.h_gates * row_mask.len() as u64 * xbs + cost.logic_v * xbs;
+    p.move_pairs += move_pairs;
+    p.max_move_level = p.max_move_level.max(move_level);
+    let cycles = cost.writes + cost.logic_h + cost.logic_v + move_cycles;
+    p.cycles += cycles;
+    Ok(cycles)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pim_arch::{GateKind, HLogic};
+    use pim_arch::{ColAddr, GateKind, HLogic, MoveOp, VGate};
+    use proptest::prelude::*;
 
     #[test]
     fn charges_match_op_types() {
@@ -102,7 +144,7 @@ mod tests {
         let xb = RangeMask::single(0);
         let rows = RangeMask::dense(0, cfg.rows as u32).unwrap();
         let mut p = Profiler::new();
-        let mv = pim_arch::MoveOp {
+        let mv = MoveOp {
             dist: 0,
             row_src: 0,
             row_dst: 0,
@@ -112,5 +154,99 @@ mod tests {
         assert!(charge_op(&mut p, &MicroOp::Move(mv), &xb, &rows, &cfg).is_err());
         assert_eq!(p.cycles, 0);
         assert_eq!(p.ops.mv, 0);
+    }
+
+    /// One mask-free, read-free operation from seven bytes of entropy.
+    fn arbitrary_op(cfg: &PimConfig, seed: (u8, u8, u8, u8, u8, u8, u8)) -> Option<MicroOp> {
+        let (kind, a, b, c, d, e, f) = seed;
+        let regs = cfg.regs as u8;
+        let rows = cfg.rows as u32;
+        Some(match kind % 4 {
+            0 => MicroOp::Write {
+                index: a % regs,
+                value: u32::from_le_bytes([b, c, d, e]),
+            },
+            1 => MicroOp::LogicH(
+                HLogic::strided(
+                    [
+                        GateKind::Init0,
+                        GateKind::Init1,
+                        GateKind::Not,
+                        GateKind::Nor,
+                    ][f as usize % 4],
+                    ColAddr::new(a % 8, b % regs),
+                    ColAddr::new(a % 8 + c % 4, d % regs),
+                    ColAddr::new(a % 8 + e % 4, f % regs),
+                    (a % 8 + e % 4) + (c % 3) * 8,
+                    8,
+                    cfg,
+                )
+                .ok()?,
+            ),
+            2 => MicroOp::LogicV {
+                gate: [VGate::Init0, VGate::Init1, VGate::Not][a as usize % 3],
+                row_in: b as u32 % rows,
+                row_out: c as u32 % rows,
+                index: d % regs,
+            },
+            _ => MicroOp::Move(MoveOp {
+                // Mostly legal distances for the masks below, some not.
+                dist: [1, -1, 2, 4, -4, 16, 0][a as usize % 7],
+                row_src: b as u32 % rows,
+                row_dst: c as u32 % rows,
+                index_src: d % regs,
+                index_dst: e % regs,
+            }),
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// `charge_batch` is the closed form of folding `charge_op`: every
+        /// `Profiler` field agrees, over writes, strided gates, vertical
+        /// gates and moves, under dense, strided and single masks; and a
+        /// batch the fold rejects is rejected with nothing charged.
+        #[test]
+        fn charge_batch_equals_folded_charge_op(
+            seeds in proptest::collection::vec(any::<(u8, u8, u8, u8, u8, u8, u8)>(), 0..40),
+            xb in any::<(u8, u8, u8)>(),
+            rows in any::<(u8, u8, u8)>(),
+        ) {
+            let cfg = PimConfig::small().with_crossbars(32).with_rows(16);
+            let mask = |(start, count, step): (u8, u8, u8), n: u32, steps: [u32; 3]| {
+                RangeMask::strided(start as u32 % n, 1 + count as u32 % 8, steps[step as usize % 3])
+                    .ok()
+                    .filter(|m| m.stop() < n)
+            };
+            let xb_mask = mask(xb, 32, [1, 4, 16]);
+            let row_mask = mask(rows, 16, [1, 2, 3]);
+            prop_assume!(xb_mask.is_some() && row_mask.is_some());
+            let (xb_mask, row_mask) = (xb_mask.unwrap(), row_mask.unwrap());
+            let ops: Vec<MicroOp> =
+                seeds.iter().filter_map(|&s| arbitrary_op(&cfg, s)).collect();
+            let batch = PreparedBatch::new(ops.clone(), &cfg).unwrap();
+
+            // A profiler that already holds counts: charging must add.
+            let mut start = Profiler::new();
+            charge_op(&mut start, &MicroOp::Read { index: 0 }, &xb_mask, &row_mask, &cfg).unwrap();
+            start.max_move_level = 1;
+            let mut folded = start.clone();
+            let fold: Result<u64, ArchError> = ops.iter().try_fold(0, |sum, op| {
+                Ok(sum + charge_op(&mut folded, op, &xb_mask, &row_mask, &cfg)?)
+            });
+            let mut closed = start.clone();
+            let direct = charge_batch(&mut closed, &batch, &xb_mask, &row_mask, &cfg);
+            match fold {
+                Ok(cycles) => {
+                    prop_assert_eq!(direct, Ok(cycles));
+                    prop_assert_eq!(closed, folded);
+                }
+                Err(e) => {
+                    prop_assert_eq!(direct, Err(e));
+                    prop_assert_eq!(closed, start, "a rejected batch charges nothing");
+                }
+            }
+        }
     }
 }

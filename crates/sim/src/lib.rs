@@ -57,7 +57,7 @@ mod crossbar;
 mod profiler;
 mod simulator;
 
-pub use cost::charge_op;
+pub use cost::{charge_batch, charge_op};
 pub use crossbar::Crossbar;
 pub use profiler::{OpTypeCounts, Profiler};
 pub use simulator::{PimSimulator, SimSnapshot};

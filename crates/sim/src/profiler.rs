@@ -41,7 +41,7 @@ impl OpTypeCounts {
 /// Eq. (1).
 ///
 /// [`cycles`]: Profiler::cycles
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Profiler {
     /// PIM cycles consumed.
     pub cycles: u64,

@@ -4,7 +4,7 @@
 //! protocol violations; and the driver/simulator cycle accounting must
 //! agree.
 
-use pypim::arch::{encode, Backend, GateKind, HLogic, MicroOp, PimConfig};
+use pypim::arch::{encode, Backend, GateKind, HLogic, MicroOp, PimConfig, RangeMask};
 use pypim::driver::{routines, Driver, ParallelismMode};
 use pypim::isa::{DType, Instruction, RegOp, ThreadRange};
 use pypim::sim::PimSimulator;
@@ -34,8 +34,9 @@ fn encoded_stream_equals_structured_execution() {
             }
         }
     }
-    a.execute_batch(&routine.ops).unwrap();
     let words = routine.encode_ops();
+    let routine = routine.prepare(&cfg).unwrap();
+    a.execute_prepared(&routine.batch).unwrap();
     b.stream(&words).unwrap();
     for xb in 0..cfg.crossbars {
         for row in 0..cfg.rows {
@@ -282,6 +283,17 @@ fn streamed_execution_matches_structured_on_the_simulator() {
     // same memory state and answers as the structured path.
     let cfg = PimConfig::small().with_crossbars(2).with_rows(8);
     let all = ThreadRange::all(&cfg);
+    // The same routine key under two more targets: the cached words must
+    // not carry the first call's masks.
+    let upper = ThreadRange::new(RangeMask::single(1), RangeMask::dense(4, 8).unwrap());
+    let evens = ThreadRange::new(RangeMask::single(0), RangeMask::new(0, 6, 2).unwrap());
+    let add_into_3 = |target| Instruction::RType {
+        op: RegOp::Add,
+        dtype: DType::Int32,
+        dst: 3,
+        srcs: [2, 1, 0],
+        target,
+    };
     let program = [
         Instruction::Write {
             reg: 0,
@@ -293,6 +305,11 @@ fn streamed_execution_matches_structured_on_the_simulator() {
             value: 19,
             target: all,
         },
+        Instruction::Write {
+            reg: 3,
+            value: 0xAAAA_5555,
+            target: all,
+        },
         Instruction::RType {
             op: RegOp::Mul,
             dtype: DType::Int32,
@@ -300,20 +317,27 @@ fn streamed_execution_matches_structured_on_the_simulator() {
             srcs: [0, 1, 0],
             target: all,
         },
-        Instruction::RType {
-            op: RegOp::Add,
-            dtype: DType::Int32,
-            dst: 3,
-            srcs: [2, 1, 0],
-            target: all,
-        },
+        add_into_3(upper),
+        add_into_3(evens),
+        add_into_3(upper),
     ];
     let mut structured = Driver::new(PimSimulator::new(cfg.clone()).unwrap());
     let mut streamed = Driver::new(PimSimulator::new(cfg.clone()).unwrap());
     for instr in &program {
         structured.execute(instr).unwrap();
         streamed.execute_streamed(instr).unwrap();
-        // Repeat through the cached-words fast path too.
+    }
+    // Hits on the cached words count as issued work like misses do.
+    assert_eq!(structured.issued(), streamed.issued());
+    assert_eq!(
+        structured.backend().profiler(),
+        streamed.backend().profiler()
+    );
+    // Untouched rows keep the sentinel; repeating through the cached-words
+    // path (idempotent here: dst is not a source) changes nothing.
+    assert_eq!(streamed.backend().peek(0, 1, 3), 0xAAAA_5555);
+    assert_eq!(streamed.backend().peek(1, 3, 3), 0xAAAA_5555);
+    for instr in &program[3..] {
         streamed.execute_streamed(instr).unwrap();
     }
     let expect = 0x7FFF_0003u32.wrapping_mul(19).wrapping_add(19);
