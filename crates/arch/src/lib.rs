@@ -73,7 +73,7 @@ pub type PartId = u8;
 /// Number of bits in an architectural word (`N` in the paper, Table III).
 ///
 /// The word size equals the partition count in the evaluated configuration;
-/// the condensed simulator row format ([`pim-sim`]) relies on this being 32.
+/// the simulator's plane indexing ([`pim-sim`]) relies on this being 32.
 ///
 /// [`pim-sim`]: https://docs.rs/pim-sim
 pub const WORD_BITS: usize = 32;

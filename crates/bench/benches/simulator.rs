@@ -1,7 +1,7 @@
 //! Simulator execution speed: how many micro-operations per second the
 //! bit-accurate CPU simulator sustains — the CPU stand-in for the paper's
-//! GPU acceleration (§VI). Measured with the batched (parallel-across-
-//! crossbars) path and the strict checker on/off.
+//! GPU acceleration (§VI). Measured through the batch entry points with
+//! the strict checker on/off.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use pim_arch::{Backend, MicroOp, PimConfig, RangeMask};
@@ -11,9 +11,12 @@ use pim_func::FuncBackend;
 use pim_isa::{DType, RegOp};
 use pim_sim::PimSimulator;
 
-/// The simulator's horizontal-logic kernel in isolation (single-threaded,
-/// strict on): dense row masks versus the strided fall-back, comparable
-/// before/after any kernel change through BENCH_simulator.json.
+/// The simulator's horizontal-logic kernel in isolation (strict on) on
+/// partition-parallel gates: a dense row mask, a strided one, and a
+/// single row — the one shape the bit-plane layout makes dear (a 32-gate
+/// operation touches 32 plane words per operand and crossbar where a
+/// word-per-row format touches one). Comparable before/after any kernel
+/// change through BENCH_simulator.json.
 fn bench_hlogic(c: &mut Criterion) {
     let cfg = PimConfig::small().with_crossbars(64).with_rows(256);
     let ops = hlogic_ops(&cfg, 256);
@@ -25,10 +28,10 @@ fn bench_hlogic(c: &mut Criterion) {
             "strided",
             RangeMask::new(0, cfg.rows as u32 - 2, 2).unwrap(),
         ),
+        ("single_row", RangeMask::single(77)),
     ];
     for (name, row_mask) in masks {
         let mut sim = PimSimulator::new(cfg.clone()).unwrap();
-        sim.set_threads(1);
         let mut batch = vec![MicroOp::RowMask(row_mask)];
         batch.extend(ops.iter().cloned());
         group.bench_function(name, |b| {
@@ -91,7 +94,7 @@ fn bench_func(c: &mut Criterion) {
 
 fn bench_simulator(c: &mut Criterion) {
     let cfg = PimConfig::small().with_crossbars(64).with_rows(256);
-    let pim_driver::Routine { ops, .. } = routines::compile_rtype(
+    let routine = routines::compile_rtype(
         &cfg,
         pim_driver::ParallelismMode::BitSerial,
         RegOp::Add,
@@ -99,7 +102,10 @@ fn bench_simulator(c: &mut Criterion) {
         2,
         &[0, 1],
     )
+    .unwrap()
+    .prepare(&cfg)
     .unwrap();
+    let ops = routine.batch.ops();
     let mut group = c.benchmark_group("simulator");
     group.throughput(Throughput::Elements(ops.len() as u64));
     for strict in [true, false] {
@@ -111,9 +117,15 @@ fn bench_simulator(c: &mut Criterion) {
             "int_add_fast"
         };
         group.bench_function(name, |b| {
-            b.iter(|| sim.execute_batch(&ops).unwrap());
+            b.iter(|| sim.execute_batch(ops).unwrap());
         });
     }
+    // The same routine the way the driver replays it from its cache: no
+    // per-operation validate/charge prologue.
+    let mut sim = PimSimulator::new(cfg).unwrap();
+    group.bench_function("prepared_int_add", |b| {
+        b.iter(|| sim.execute_prepared(&routine.batch).unwrap());
+    });
     group.finish();
 }
 

@@ -99,7 +99,7 @@ fn rebuild_spans(spans: &mut Vec<Span>, xb_mask: &RangeMask, row_mask: &RangeMas
 /// blocks, split out of the image in O(1). An input equal to `out` comes
 /// back as `None` — the kernel then reads the output word itself, which is
 /// exactly the pre-gate value because each word is read before it is
-/// written (same aliasing contract as the bit-accurate crossbar kernels).
+/// written.
 #[allow(clippy::type_complexity)]
 fn out_and_inputs(
     words: &mut [u64],
@@ -144,6 +144,8 @@ pub struct FuncBackend {
     strict: bool,
     profiler: Profiler,
     threads: usize,
+    /// Source words of the move in flight (reused across moves).
+    move_scratch: Vec<u32>,
 }
 
 /// A point-in-time copy of a functional backend's architectural state —
@@ -183,6 +185,7 @@ impl FuncBackend {
             strict: true,
             profiler: Profiler::new(),
             threads: 1,
+            move_scratch: Vec::new(),
         })
     }
 
@@ -394,17 +397,18 @@ impl FuncBackend {
     /// and destinations are disjoint (H-tree rules), and the two-phase
     /// form matches the simulator exactly.
     fn apply_move(&mut self, mv: &MoveOp) {
-        let transfers: Vec<(usize, u32)> = self
-            .xb_mask
-            .iter()
-            .map(|src| {
-                let value = self.peek(src as usize, mv.row_src as usize, mv.index_src as usize);
-                ((src as i64 + mv.dist as i64) as usize, value)
-            })
-            .collect();
-        for (dst, value) in transfers {
+        let mask = self.xb_mask;
+        let mut sent = std::mem::take(&mut self.move_scratch);
+        sent.clear();
+        sent.extend(
+            mask.iter()
+                .map(|src| self.peek(src as usize, mv.row_src as usize, mv.index_src as usize)),
+        );
+        for (src, &value) in mask.iter().zip(&sent) {
+            let dst = (src as i64 + mv.dist as i64) as usize;
             self.poke(dst, mv.row_dst as usize, mv.index_dst as usize, value);
         }
+        self.move_scratch = sent;
     }
 
     fn read_word(&self, index: u8) -> Result<u32, ArchError> {

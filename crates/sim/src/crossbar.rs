@@ -1,409 +1,531 @@
-use pim_arch::{ArchError, GateKind, HLogic, RangeMask, VGate};
+use pim_arch::{ArchError, ColAddr, GateKind, HLogic, MoveOp, RangeMask, VGate, WORD_BITS};
 
-/// One simulated memristive crossbar array in the condensed 32-bit row
-/// format (§VI "Memory" optimization).
+/// Rows packed into one plane word.
+const LANE: usize = u64::BITS as usize;
+
+/// The cells of every crossbar of one chip, stored the way the arrays are
+/// built: **one bit plane per crossbar column (bitline)**, one bit per row.
 ///
-/// The logical state of row `r` is stored as `regs` words, where word `k`
-/// packs the 32 bits at intra-partition offset `k` across all partitions —
-/// bit `j` of word `k` is the cell at partition `j`, offset `k`. Under the
-/// strided data format of §III-C this means word `k` *is* the value of
-/// register `k`.
+/// Column `(reg, part)` — intra-partition offset `reg` of partition `part`,
+/// i.e. bit `part` of register `reg` under the strided data format of
+/// §III-C — is plane `reg · 32 + part`. A plane holds that column of every
+/// crossbar back to back, 64 rows to a `u64`:
+/// `bits[(plane · crossbars + xb) · ⌈rows / 64⌉ + row / 64]`, bit `row % 64`.
+/// Padding bits above `rows` in a crossbar's last word are 0 and stay 0.
 ///
-/// Storage is **register-major**: `words[reg * rows + row]`. A horizontal
-/// micro-operation touches the *same* one, two, or three registers of every
-/// selected row, so each register is one contiguous column slice and a
-/// dense row mask turns the gate into straight-line loops over `&[u32]`
-/// slices — the shape LLVM autovectorizes (see [`apply_hlogic`]).
+/// The paper's simulator condenses a row into 32-bit words (word `k` =
+/// register `k`, bit `p` = partition `p`) because its GPU kernel gives every
+/// row a thread and evaluates a partition-parallel gate as three word
+/// operations. The workloads the paper reports (Figure 13, Table II) are
+/// **bit-serial**, though: almost every micro-operation is one gate on one
+/// column, and in the condensed format that gate reads three words and
+/// rewrites one *per row* to change a single bit of it. On a CPU the plane
+/// layout is the cheaper one: a gate is `out[w] &= !((a[w] | b[w]) & m[w])`
+/// over the planes it names, 64 rows per word, and a partition-parallel gate
+/// touches the same number of bits in either format. The price is
+/// word-granular access (`Write`, `Read`, `Move`, vertical gates,
+/// [`word`](Self::word)), which becomes a 32-plane gather or scatter; those
+/// operations are single-row or rare.
 ///
-/// (The per-crossbar activation bit of §III-B is represented by the
-/// simulator's stored crossbar mask; iterating the mask's range pattern is
-/// equivalent to — and faster than — testing a bit in every crossbar.)
-///
-/// [`apply_hlogic`]: Crossbar::apply_hlogic
-#[derive(Debug, Clone)]
-pub struct Crossbar {
+/// The type holds cells only: masks, the strict flag and profiling are the
+/// caller's. The stored masks reach the kernels as a [`Selection`].
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Crossbars {
+    xbs: usize,
     rows: usize,
-    /// Register-major storage: `words[reg * rows + row]`.
-    words: Vec<u32>,
+    /// Words per crossbar within a plane: `rows.div_ceil(64)`.
+    wpx: usize,
+    bits: Vec<u64>,
 }
 
-/// Shifts word bits from input partitions to output partitions: positive
-/// `s` moves bit `p` to bit `p + s`.
-#[inline]
-fn part_shift(x: u32, s: i32) -> u32 {
-    if s >= 0 {
-        x << s
-    } else {
-        x >> (-s)
-    }
+/// The cells a crossbar mask and a row mask select, as every plane sees
+/// them: equally long word spans plus the bit pattern of the selected rows
+/// over one span. Lowered once per mask change
+/// ([`Crossbars::lower_masks`]) and shared by every gate and write until
+/// the next one; a strided row mask is just a different pattern.
+#[derive(Debug, Clone, Default)]
+pub struct Selection {
+    /// First word of each span, relative to the start of a plane.
+    starts: Vec<usize>,
+    /// Selected rows over one span (`pattern.len()` words).
+    pattern: Vec<u64>,
+    /// Row word (`row / 64`) held by the first word of a span.
+    first_word: usize,
 }
 
-impl Crossbar {
-    /// Creates a crossbar with `rows × regs` words, all cells at logical 0.
-    pub fn new(rows: usize, regs: usize) -> Self {
-        Crossbar {
-            rows,
-            words: vec![0; rows * regs],
-        }
-    }
-
-    /// Number of rows.
-    pub fn rows(&self) -> usize {
-        self.rows
-    }
-
-    /// Words per row (= registers per thread).
-    pub fn regs(&self) -> usize {
-        self.words.len() / self.rows
-    }
-
-    /// The word at `(row, reg)` — register `reg` of thread `row`.
-    #[inline]
-    pub fn word(&self, row: usize, reg: usize) -> u32 {
-        self.words[reg * self.rows + row]
-    }
-
-    /// Overwrites the word at `(row, reg)` (memory write semantics — not a
-    /// stateful-logic gate).
-    #[inline]
-    pub fn set_word(&mut self, row: usize, reg: usize, value: u32) {
-        self.words[reg * self.rows + row] = value;
-    }
-
-    /// Reads the single cell at `(row, partition, offset)`.
-    pub fn cell(&self, row: usize, part: u8, offset: u8) -> bool {
-        self.word(row, offset as usize) >> part & 1 == 1
-    }
-
-    /// Writes the single cell at `(row, partition, offset)`.
-    pub fn set_cell(&mut self, row: usize, part: u8, offset: u8, value: bool) {
-        let w = &mut self.words[offset as usize * self.rows + row];
-        if value {
-            *w |= 1 << part;
-        } else {
-            *w &= !(1 << part);
-        }
-    }
-
-    /// The contiguous column of register `reg` (one word per row).
-    #[inline]
-    fn col(&self, reg: usize) -> &[u32] {
-        &self.words[reg * self.rows..(reg + 1) * self.rows]
-    }
-
-    /// Mutable contiguous column of register `reg`.
-    #[inline]
-    fn col_mut(&mut self, reg: usize) -> &mut [u32] {
-        &mut self.words[reg * self.rows..(reg + 1) * self.rows]
-    }
-
-    /// The mutable output column plus the shared input columns for a fused
-    /// gate kernel. An input equal to `out` comes back as `None` — the
-    /// kernel then reads the output word itself, which is exactly the
-    /// pre-gate value because each row is read before it is written.
-    #[allow(clippy::type_complexity)]
-    fn out_and_inputs(
-        &mut self,
-        out: usize,
-        a: usize,
-        b: usize,
-    ) -> (&mut [u32], Option<&[u32]>, Option<&[u32]>) {
-        let rows = self.rows;
-        let mut dst: Option<&mut [u32]> = None;
-        let mut col_a: Option<&[u32]> = None;
-        let mut col_b: Option<&[u32]> = None;
-        for (i, chunk) in self.words.chunks_exact_mut(rows).enumerate() {
-            if i == out {
-                dst = Some(chunk);
-            } else if i == a || i == b {
-                let shared: &[u32] = chunk;
-                if i == a {
-                    col_a = Some(shared);
-                }
-                if i == b {
-                    col_b = Some(shared);
-                }
-            }
-        }
-        let dst = dst.expect("output register validated in bounds");
-        (
-            dst,
-            if a == out { None } else { col_a },
-            if b == out { None } else { col_b },
-        )
-    }
-
-    /// Writes `value` to register `reg` of every row selected by
-    /// `row_mask` (memory write semantics). Dense masks fill a contiguous
-    /// column slice in one pass.
-    pub fn write_rows(&mut self, reg: usize, row_mask: &RangeMask, value: u32) {
-        let col = self.col_mut(reg);
-        if let Some(r) = row_mask.as_dense_range() {
-            col[r].fill(value);
-        } else {
-            for row in row_mask.iter() {
-                col[row as usize] = value;
-            }
-        }
-    }
-
-    /// Applies a horizontal stateful-logic operation to every row selected
-    /// by `row_mask`, using the word-level evaluation (three bitwise ops per
-    /// row instead of per-partition iteration).
+impl Selection {
+    /// Rewrites every selected word of the plane `out` as
+    /// `f(old word, the same word of each of `inputs`, pattern word)`.
     ///
-    /// Dense row masks take the fast path: per-gate fused kernels over
-    /// contiguous column slices, with the strict-mode check hoisted out of
-    /// the gate loop as a separate pre-scan. Strided masks fall back to the
-    /// row-indexed loop.
+    /// A one-word span (a single row, or any rows within one plane word)
+    /// is indexed directly: under such masks an operation is a few words
+    /// per plane, and setting up slices would cost more than the words.
+    #[inline(always)]
+    fn update<const K: usize>(
+        &self,
+        out: &mut [u64],
+        inputs: [&[u64]; K],
+        f: impl Fn(u64, [u64; K], u64) -> u64,
+    ) {
+        if let [m] = self.pattern[..] {
+            for &s in &self.starts {
+                out[s] = f(out[s], inputs.map(|plane| plane[s]), m);
+            }
+            return;
+        }
+        for &s in &self.starts {
+            let span = s..s + self.pattern.len();
+            let (out, inputs) = (
+                &mut out[span.clone()],
+                inputs.map(|plane| &plane[span.clone()]),
+            );
+            for (i, &m) in self.pattern.iter().enumerate() {
+                out[i] = f(out[i], inputs.map(|plane| plane[i]), m);
+            }
+        }
+    }
+
+    /// Sets (`value`) or clears the selected cells of one plane.
+    #[inline(always)]
+    fn fill(&self, plane: &mut [u64], value: bool) {
+        let ones = if value { u64::MAX } else { 0 };
+        self.update(plane, [], |d, [], m| d & !m | m & ones);
+    }
+
+    /// The selected spans of one plane.
+    fn spans<'a>(&'a self, plane: &'a [u64]) -> impl Iterator<Item = &'a [u64]> {
+        self.starts
+            .iter()
+            .map(move |&s| &plane[s..s + self.pattern.len()])
+    }
+
+    /// The selected cells of one plane that hold 0, OR-ed over its spans.
+    fn unset(&self, plane: &[u64]) -> u64 {
+        if let [m] = self.pattern[..] {
+            return self
+                .starts
+                .iter()
+                .fold(0, |unset, &s| unset | !plane[s] & m);
+        }
+        self.spans(plane)
+            .flat_map(|span| span.iter().zip(&self.pattern))
+            .fold(0, |unset, (&d, &m)| unset | !d & m)
+    }
+}
+
+/// Borrows `len` words at `out` mutably and `len` words at each of `a` and
+/// `b` shared. The inputs may overlap each other but not the output
+/// (guaranteed for the planes of a validated gate; see
+/// [`Crossbars::apply_hlogic`]), else the slicing panics.
+fn split3(
+    bits: &mut [u64],
+    out: usize,
+    a: usize,
+    b: usize,
+    len: usize,
+) -> (&mut [u64], &[u64], &[u64]) {
+    let (below, rest) = bits.split_at_mut(out);
+    let (dst, above) = rest.split_at_mut(len);
+    let (below, above): (&[u64], &[u64]) = (below, above);
+    let input = |at: usize| match at < out {
+        true => &below[at..at + len],
+        false => &above[at - out - len..at - out],
+    };
+    (dst, input(a), input(b))
+}
+
+impl Crossbars {
+    /// Creates `xbs` crossbars of `rows` rows × `regs` registers, all cells
+    /// at logical 0.
+    pub fn new(xbs: usize, rows: usize, regs: usize) -> Self {
+        let wpx = rows.div_ceil(LANE);
+        Crossbars {
+            xbs,
+            rows,
+            wpx,
+            bits: vec![0; regs * WORD_BITS * xbs * wpx],
+        }
+    }
+
+    /// `(crossbars, rows per crossbar, registers per row)`.
+    pub fn geometry(&self) -> (usize, usize, usize) {
+        let regs = self.bits.len() / (WORD_BITS * self.plane_words());
+        (self.xbs, self.rows, regs)
+    }
+
+    /// Words in one plane.
+    fn plane_words(&self) -> usize {
+        self.xbs * self.wpx
+    }
+
+    /// Where row `row` of crossbar `xb` sits in every plane: word index
+    /// within the plane and bit within the word.
+    fn locate(&self, xb: usize, row: usize) -> (usize, usize) {
+        assert!(xb < self.xbs && row < self.rows, "cell out of geometry");
+        (xb * self.wpx + row / LANE, row % LANE)
+    }
+
+    /// Reads the single cell at `(crossbar, row, partition, offset)`.
+    pub fn cell(&self, xb: usize, row: usize, part: u8, offset: u8) -> bool {
+        let (word, bit) = self.locate(xb, row);
+        let plane = offset as usize * WORD_BITS + part as usize;
+        self.bits[plane * self.plane_words() + word] >> bit & 1 == 1
+    }
+
+    /// Writes the single cell at `(crossbar, row, partition, offset)`.
+    pub fn set_cell(&mut self, xb: usize, row: usize, part: u8, offset: u8, value: bool) {
+        let (word, bit) = self.locate(xb, row);
+        let at = (offset as usize * WORD_BITS + part as usize) * self.plane_words() + word;
+        self.bits[at] = self.bits[at] & !(1 << bit) | (value as u64) << bit;
+    }
+
+    /// The 32 planes of register `reg`, partition 0 first.
+    fn reg_planes(&self, reg: usize) -> impl Iterator<Item = &[u64]> {
+        let ps = self.plane_words();
+        self.bits[reg * WORD_BITS * ps..][..WORD_BITS * ps].chunks_exact(ps)
+    }
+
+    /// Mutable [`reg_planes`](Self::reg_planes).
+    fn reg_planes_mut(&mut self, reg: usize) -> impl Iterator<Item = &mut [u64]> {
+        let ps = self.plane_words();
+        self.bits[reg * WORD_BITS * ps..][..WORD_BITS * ps].chunks_exact_mut(ps)
+    }
+
+    /// The word at `(crossbar, row, reg)` — register `reg` of thread `row`,
+    /// gathered from the register's 32 planes.
+    pub fn word(&self, xb: usize, row: usize, reg: usize) -> u32 {
+        let (word, bit) = self.locate(xb, row);
+        self.reg_planes(reg)
+            .enumerate()
+            .fold(0, |v, (part, plane)| {
+                v | ((plane[word] >> bit & 1) as u32) << part
+            })
+    }
+
+    /// Overwrites the word at `(crossbar, row, reg)` (memory write
+    /// semantics — not a stateful-logic gate).
+    pub fn set_word(&mut self, xb: usize, row: usize, reg: usize, value: u32) {
+        let (word, bit) = self.locate(xb, row);
+        for (part, plane) in self.reg_planes_mut(reg).enumerate() {
+            plane[word] = plane[word] & !(1 << bit) | ((value >> part & 1) as u64) << bit;
+        }
+    }
+
+    /// Lowers the two stored masks into `sel`, reusing its buffers.
+    ///
+    /// The rows become a word range plus a bit pattern; each selected
+    /// crossbar contributes one span of that range. When the range covers a
+    /// crossbar's whole plane and the crossbar mask is dense, neighbouring
+    /// spans touch, so they merge into **one** span over all selected
+    /// crossbars with the pattern repeated — a whole-tensor gate is then a
+    /// single flat loop per plane.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a mask reaches past the geometry (a validated mask
+    /// micro-operation never does).
+    pub fn lower_masks(&self, xb_mask: &RangeMask, row_mask: &RangeMask, sel: &mut Selection) {
+        assert!(
+            (xb_mask.stop() as usize) < self.xbs && (row_mask.stop() as usize) < self.rows,
+            "mask out of geometry"
+        );
+        let (start, stop) = (row_mask.start() as usize, row_mask.stop() as usize);
+        let (first, last) = (start / LANE, stop / LANE);
+        sel.first_word = first;
+        sel.pattern.clear();
+        if row_mask.is_dense() {
+            sel.pattern.extend((first..=last).map(|w| {
+                let lo = start.max(w * LANE) % LANE;
+                let hi = stop.min(w * LANE + LANE - 1) % LANE;
+                (u64::MAX >> (LANE - 1 - hi)) & (u64::MAX << lo)
+            }));
+        } else {
+            sel.pattern.resize(last - first + 1, 0);
+            for row in row_mask.iter() {
+                sel.pattern[row as usize / LANE - first] |= 1 << (row as usize % LANE);
+            }
+        }
+        sel.starts.clear();
+        match xb_mask.as_dense_range() {
+            Some(xbs) if sel.pattern.len() == self.wpx => {
+                sel.starts.push(xbs.start * self.wpx);
+                let one = sel.pattern.len();
+                for _ in 1..xbs.len() {
+                    sel.pattern.extend_from_within(..one);
+                }
+            }
+            _ => sel
+                .starts
+                .extend(xb_mask.iter().map(|xb| xb as usize * self.wpx + first)),
+        }
+    }
+
+    /// Plane `index`.
+    fn plane(&self, index: usize) -> &[u64] {
+        let ps = self.plane_words();
+        &self.bits[index * ps..][..ps]
+    }
+
+    /// Plane `index`, mutable.
+    fn plane_mut(&mut self, index: usize) -> &mut [u64] {
+        let ps = self.plane_words();
+        &mut self.bits[index * ps..][..ps]
+    }
+
+    /// Writes `value` to register `reg` of every selected row (memory write
+    /// semantics): each of its 32 planes is set or cleared under the
+    /// selection.
+    pub fn write(&mut self, reg: usize, value: u32, sel: &Selection) {
+        for (part, plane) in self.reg_planes_mut(reg).enumerate() {
+            sel.fill(plane, value >> part & 1 == 1);
+        }
+    }
+
+    /// Applies a horizontal stateful-logic operation to the selected cells
+    /// — the one gate kernel: per concurrent gate, per span,
+    /// `out[w] &= !((a[w] | b[w]) & m[w])` over whole plane words.
+    ///
+    /// Gates are evaluated one after another, which equals the simultaneous
+    /// semantics: [`HLogic::validate`] forbids an input that is its own
+    /// gate's output and keeps concurrent sections disjoint, so no gate
+    /// reads a column another gate of the operation writes. When the gates
+    /// sit in neighbouring partitions (`p_step == 1`) and the output
+    /// register differs from the input registers, the planes of all gates
+    /// are adjacent and are borrowed as one run per operand.
+    ///
+    /// `op` must be valid for this geometry, `sel` lowered by these cells.
     ///
     /// # Errors
     ///
     /// In strict mode, returns [`ArchError::Protocol`] if a `NOT`/`NOR`
     /// output cell does not hold logical 1 when the gate fires (a missing
-    /// initialization in the driver). On the dense path this check runs
-    /// *before* any cell changes, so a strict failure leaves the crossbar
-    /// untouched; the strided path reports the first offending row in mask
-    /// order, with earlier rows already updated.
+    /// initialization in the driver). The check runs over every gate
+    /// *before* any cell changes, for every mask shape: a strict failure
+    /// leaves the cells untouched and names the lowest offending row.
     pub fn apply_hlogic(
         &mut self,
         op: &HLogic,
-        row_mask: &RangeMask,
+        sel: &Selection,
         strict: bool,
     ) -> Result<(), ArchError> {
-        debug_assert!((row_mask.stop() as usize) < self.rows);
-        match row_mask.as_dense_range() {
-            Some(range) => self.apply_hlogic_dense(op, range, strict),
-            None => self.apply_hlogic_strided(op, row_mask, strict),
+        let plane = |c: ColAddr| c.offset as usize * WORD_BITS + c.part as usize;
+        let (gates, step) = (op.gate_count() as usize, op.p_step as usize);
+        let out = plane(op.out);
+        if op.gate.inputs() == 0 {
+            for t in 0..gates {
+                sel.fill(self.plane_mut(out + t * step), op.gate == GateKind::Init1);
+            }
+            return Ok(());
         }
-    }
-
-    /// Dense-mask kernels: one straight-line loop per gate/alias shape over
-    /// contiguous `&[u32]` slices.
-    fn apply_hlogic_dense(
-        &mut self,
-        op: &HLogic,
-        range: std::ops::Range<usize>,
-        strict: bool,
-    ) -> Result<(), ArchError> {
-        let bits = op.out_bits();
-        let out_reg = op.out.offset as usize;
-        let a_reg = op.in_a.offset as usize;
-        let b_reg = op.in_b.offset as usize;
-        let (sa, sb) = (op.shift_a(), op.shift_b());
-        match op.gate {
-            GateKind::Init0 => {
-                for w in &mut self.col_mut(out_reg)[range] {
-                    *w &= !bits;
-                }
-            }
-            GateKind::Init1 => {
-                for w in &mut self.col_mut(out_reg)[range] {
-                    *w |= bits;
-                }
-            }
-            GateKind::Not => {
-                if strict {
-                    self.strict_prescan(op, range.clone())?;
-                }
-                let (dst, col_a, _) = self.out_and_inputs(out_reg, a_reg, a_reg);
-                let dst = &mut dst[range.clone()];
-                match col_a {
-                    Some(a) => {
-                        for (d, &av) in dst.iter_mut().zip(&a[range]) {
-                            *d &= !(part_shift(av, sa) & bits);
-                        }
-                    }
-                    None => {
-                        for d in dst.iter_mut() {
-                            *d &= !(part_shift(*d, sa) & bits);
-                        }
-                    }
-                }
-            }
-            GateKind::Nor => {
-                if strict {
-                    self.strict_prescan(op, range.clone())?;
-                }
-                let (dst, col_a, col_b) = self.out_and_inputs(out_reg, a_reg, b_reg);
-                let dst = &mut dst[range.clone()];
-                match (col_a, col_b) {
-                    (Some(a), Some(b)) => {
-                        let (a, b) = (&a[range.clone()], &b[range]);
-                        for ((d, &av), &bv) in dst.iter_mut().zip(a).zip(b) {
-                            *d &= !((part_shift(av, sa) | part_shift(bv, sb)) & bits);
-                        }
-                    }
-                    (None, Some(b)) => {
-                        for (d, &bv) in dst.iter_mut().zip(&b[range]) {
-                            *d &= !((part_shift(*d, sa) | part_shift(bv, sb)) & bits);
-                        }
-                    }
-                    (Some(a), None) => {
-                        for (d, &av) in dst.iter_mut().zip(&a[range]) {
-                            *d &= !((part_shift(av, sa) | part_shift(*d, sb)) & bits);
-                        }
-                    }
-                    (None, None) => {
-                        for d in dst.iter_mut() {
-                            *d &= !((part_shift(*d, sa) | part_shift(*d, sb)) & bits);
-                        }
-                    }
-                }
+        if strict {
+            self.check_outputs_set(op, out, sel)?;
+        }
+        // A NOT is a NOR of its input with itself.
+        let in_b = if op.gate == GateKind::Nor {
+            op.in_b
+        } else {
+            op.in_a
+        };
+        let (a, b) = (plane(op.in_a), plane(in_b));
+        let ps = self.plane_words();
+        let adjacent = step == 1 && op.in_a.offset != op.out.offset && in_b.offset != op.out.offset;
+        let (runs, run) = if adjacent { (1, gates) } else { (gates, 1) };
+        for t in (0..runs).map(|r| r * step) {
+            let (out, a, b) = split3(
+                &mut self.bits,
+                (out + t) * ps,
+                (a + t) * ps,
+                (b + t) * ps,
+                run * ps,
+            );
+            let planes = out
+                .chunks_exact_mut(ps)
+                .zip(a.chunks_exact(ps).zip(b.chunks_exact(ps)));
+            for (out, (a, b)) in planes {
+                sel.update(out, [a, b], |d, [a, b], m| d & !((a | b) & m));
             }
         }
         Ok(())
     }
 
-    /// The strict stateful-logic check for a dense range, hoisted out of
-    /// the gate loop: every output cell the gate touches must hold 1.
-    fn strict_prescan(&self, op: &HLogic, range: std::ops::Range<usize>) -> Result<(), ArchError> {
-        let bits = op.out_bits();
-        let start = range.start;
-        let col = &self.col(op.out.offset as usize)[range];
-        if let Some(pos) = col.iter().position(|&w| w & bits != bits) {
-            return Err(uninitialized((start + pos) as u32, op));
+    /// The strict stateful-logic check: every output cell `op` touches under
+    /// `sel` must hold 1 (`out` is its first output plane). One OR-fold of
+    /// `!out[w] & m[w]` over the gates; only a failure pays for finding the
+    /// row.
+    fn check_outputs_set(&self, op: &HLogic, out: usize, sel: &Selection) -> Result<(), ArchError> {
+        let planes =
+            || (0..op.gate_count() as usize).map(|t| self.plane(out + t * op.p_step as usize));
+        if planes().fold(0, |unset, plane| unset | sel.unset(plane)) == 0 {
+            return Ok(());
         }
-        Ok(())
+        let lowest = planes()
+            .flat_map(|plane| sel.spans(plane))
+            .flat_map(|span| span.iter().zip(&sel.pattern).enumerate())
+            .filter(|&(_, (&d, &m))| !d & m != 0)
+            .map(|(i, (&d, &m))| {
+                (sel.first_word + i) % self.wpx * LANE + (!d & m).trailing_zeros() as usize
+            })
+            .min();
+        let Some(row) = lowest else { return Ok(()) };
+        Err(ArchError::Protocol {
+            reason: format!(
+                "stateful {:?} gate in row {row} writes to partition bits {:#010x} of register {} \
+                 that were not initialized to 1",
+                op.gate,
+                op.out_bits(),
+                op.out.offset
+            ),
+        })
     }
 
-    /// Strided fall-back: the row-indexed loop of the seed implementation,
-    /// with the register bases hoisted.
-    fn apply_hlogic_strided(
-        &mut self,
-        op: &HLogic,
-        row_mask: &RangeMask,
-        strict: bool,
-    ) -> Result<(), ArchError> {
-        let bits = op.out_bits();
-        let rows = self.rows;
-        let out_base = op.out.offset as usize * rows;
-        let a_base = op.in_a.offset as usize * rows;
-        let b_base = op.in_b.offset as usize * rows;
-        let (sa, sb) = (op.shift_a(), op.shift_b());
-        for row in row_mask.iter() {
-            let row = row as usize;
-            match op.gate {
-                GateKind::Init0 => self.words[out_base + row] &= !bits,
-                GateKind::Init1 => self.words[out_base + row] |= bits,
-                GateKind::Not => {
-                    let a = part_shift(self.words[a_base + row], sa);
-                    let out = &mut self.words[out_base + row];
-                    if strict && *out & bits != bits {
-                        return Err(uninitialized(row as u32, op));
-                    }
-                    *out &= !(a & bits);
-                }
-                GateKind::Nor => {
-                    let a = part_shift(self.words[a_base + row], sa);
-                    let b = part_shift(self.words[b_base + row], sb);
-                    let out = &mut self.words[out_base + row];
-                    if strict && *out & bits != bits {
-                        return Err(uninitialized(row as u32, op));
-                    }
-                    *out &= !((a | b) & bits);
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// Applies a vertical stateful-logic operation: gate from `row_in` to
-    /// `row_out` at the columns whose intra-partition index equals `index`
-    /// (i.e. one whole register — 32 cells — per operation).
+    /// Applies a vertical stateful-logic operation in every crossbar of
+    /// `xb_mask`: gate from `row_in` to `row_out` at the columns whose
+    /// intra-partition index equals `reg` (one whole register — 32 cells —
+    /// per crossbar).
     ///
     /// # Errors
     ///
     /// In strict mode, returns [`ArchError::Protocol`] if a `NOT` output
-    /// cell does not hold logical 1.
+    /// cell does not hold logical 1, before any cell changes.
     pub fn apply_vlogic(
         &mut self,
         gate: VGate,
-        row_in: usize,
-        row_out: usize,
-        index: usize,
+        (row_in, row_out): (usize, usize),
+        reg: usize,
+        xb_mask: &RangeMask,
         strict: bool,
     ) -> Result<(), ArchError> {
-        match gate {
-            VGate::Init0 => self.set_word(row_out, index, 0),
-            VGate::Init1 => self.set_word(row_out, index, u32::MAX),
-            VGate::Not => {
-                let src = self.word(row_in, index);
-                let dst = self.word(row_out, index);
-                if strict && dst != u32::MAX {
-                    return Err(ArchError::Protocol {
-                        reason: format!(
-                            "vertical NOT into row {row_out}, register {index}: output cells \
-                             not initialized to 1 (found {dst:#010x})"
-                        ),
-                    });
+        let xbs = || xb_mask.iter().map(|xb| xb as usize);
+        if strict && gate == VGate::Not {
+            if let Some(found) = xbs()
+                .map(|xb| self.word(xb, row_out, reg))
+                .find(|&w| w != u32::MAX)
+            {
+                return Err(ArchError::Protocol {
+                    reason: format!(
+                        "vertical NOT into row {row_out}, register {reg}: output cells not \
+                         initialized to 1 (found {found:#010x})"
+                    ),
+                });
+            }
+        }
+        for xb in xbs() {
+            let ((src, src_bit), (dst, dst_bit)) =
+                (self.locate(xb, row_in), self.locate(xb, row_out));
+            for plane in self.reg_planes_mut(reg) {
+                match gate {
+                    VGate::Init0 => plane[dst] &= !(1 << dst_bit),
+                    VGate::Init1 => plane[dst] |= 1 << dst_bit,
+                    VGate::Not => plane[dst] &= !((plane[src] >> src_bit & 1) << dst_bit),
                 }
-                self.set_word(row_out, index, dst & !src);
             }
         }
         Ok(())
     }
-}
 
-fn uninitialized(row: u32, op: &HLogic) -> ArchError {
-    ArchError::Protocol {
-        reason: format!(
-            "stateful {:?} gate in row {row} writes to partition bits {:#010x} of register \
-             {} that were not initialized to 1",
-            op.gate,
-            op.out_bits(),
-            op.out.offset
-        ),
+    /// Distributed move: every crossbar of `xb_mask` sends its word at
+    /// `(row_src, index_src)` to `(row_dst, index_dst)` of the crossbar
+    /// `dist` away. All sources are gathered into `scratch` before any
+    /// destination is written, so a destination that is also a source still
+    /// sends its old word. The caller has planned the move (destinations in
+    /// range).
+    pub fn move_words(&mut self, mv: &MoveOp, xb_mask: &RangeMask, scratch: &mut Vec<u32>) {
+        let (row, reg) = (mv.row_src as usize, mv.index_src as usize);
+        scratch.clear();
+        scratch.extend(xb_mask.iter().map(|src| self.word(src as usize, row, reg)));
+        let (row, reg) = (mv.row_dst as usize, mv.index_dst as usize);
+        for (src, &value) in xb_mask.iter().zip(scratch.iter()) {
+            self.set_word((src as i64 + mv.dist as i64) as usize, row, reg, value);
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pim_arch::{ColAddr, PimConfig};
+    use pim_arch::PimConfig;
     use proptest::prelude::*;
 
     fn cfg() -> PimConfig {
         PimConfig::small()
     }
 
+    /// One crossbar of `cfg`'s dimensions.
+    fn one(cfg: &PimConfig) -> Crossbars {
+        Crossbars::new(1, cfg.rows, cfg.regs)
+    }
+
+    fn lower(cells: &Crossbars, xbs: RangeMask, rows: RangeMask) -> Selection {
+        let mut sel = Selection::default();
+        cells.lower_masks(&xbs, &rows, &mut sel);
+        sel
+    }
+
+    /// `rows` of the only crossbar of a one-crossbar chip.
+    fn rows_of(cells: &Crossbars, rows: RangeMask) -> Selection {
+        lower(cells, RangeMask::single(0), rows)
+    }
+
     fn full_rows(cfg: &PimConfig) -> RangeMask {
         RangeMask::dense(0, cfg.rows as u32).unwrap()
     }
 
+    /// Padding bits above `rows` in the last word of every crossbar of
+    /// every plane are 0.
+    fn assert_padding_clear(cells: &Crossbars) {
+        let used = cells.rows % LANE;
+        if used == 0 {
+            return;
+        }
+        for (i, xb) in cells.bits.chunks_exact(cells.wpx).enumerate() {
+            assert_eq!(
+                xb[cells.wpx - 1] >> used,
+                0,
+                "padding set in plane/crossbar slot {i}"
+            );
+        }
+    }
+
     #[test]
     fn word_layout_matches_cells() {
-        let mut xb = Crossbar::new(4, 32);
-        xb.set_word(2, 5, 0b1010);
-        assert!(!xb.cell(2, 0, 5));
-        assert!(xb.cell(2, 1, 5));
-        assert!(!xb.cell(2, 2, 5));
-        assert!(xb.cell(2, 3, 5));
-        xb.set_cell(2, 0, 5, true);
-        assert_eq!(xb.word(2, 5), 0b1011);
-        xb.set_cell(2, 3, 5, false);
-        assert_eq!(xb.word(2, 5), 0b0011);
+        let mut xb = Crossbars::new(2, 4, 32);
+        xb.set_word(1, 2, 5, 0b1010);
+        assert!(!xb.cell(1, 2, 0, 5));
+        assert!(xb.cell(1, 2, 1, 5));
+        assert!(!xb.cell(1, 2, 2, 5));
+        assert!(xb.cell(1, 2, 3, 5));
+        xb.set_cell(1, 2, 0, 5, true);
+        assert_eq!(xb.word(1, 2, 5), 0b1011);
+        xb.set_cell(1, 2, 3, 5, false);
+        assert_eq!(xb.word(1, 2, 5), 0b0011);
+        // The other crossbar, the other rows and the other registers of the
+        // same planes are untouched.
+        assert_eq!(xb.word(0, 2, 5), 0);
+        assert_eq!(xb.word(1, 1, 5), 0);
+        assert_eq!(xb.word(1, 2, 4), 0);
+        assert_eq!(xb.geometry(), (2, 4, 32));
     }
 
     #[test]
     fn init_gates_set_whole_register() {
         let c = cfg();
-        let mut xb = Crossbar::new(c.rows, c.regs);
-        let rows = full_rows(&c);
+        let mut xb = one(&c);
+        let rows = rows_of(&xb, full_rows(&c));
         let init1 = HLogic::init_reg(true, 3, &c).unwrap();
         xb.apply_hlogic(&init1, &rows, true).unwrap();
-        assert!(xb.word(0, 3) == u32::MAX && xb.word(c.rows - 1, 3) == u32::MAX);
+        assert!(xb.word(0, 0, 3) == u32::MAX && xb.word(0, c.rows - 1, 3) == u32::MAX);
         let init0 = HLogic::init_reg(false, 3, &c).unwrap();
         xb.apply_hlogic(&init0, &rows, true).unwrap();
-        assert_eq!(xb.word(5, 3), 0);
+        assert_eq!(xb.word(0, 5, 3), 0);
     }
 
     #[test]
     fn parallel_nor_computes_per_partition() {
         let c = cfg();
-        let mut xb = Crossbar::new(c.rows, c.regs);
-        let rows = full_rows(&c);
-        xb.set_word(1, 0, 0x0F0F_3355);
-        xb.set_word(1, 1, 0x00FF_0F55);
+        let mut xb = one(&c);
+        let rows = rows_of(&xb, full_rows(&c));
+        xb.set_word(0, 1, 0, 0x0F0F_3355);
+        xb.set_word(0, 1, 1, 0x00FF_0F55);
         xb.apply_hlogic(&HLogic::init_reg(true, 2, &c).unwrap(), &rows, true)
             .unwrap();
         xb.apply_hlogic(
@@ -412,93 +534,158 @@ mod tests {
             true,
         )
         .unwrap();
-        assert_eq!(xb.word(1, 2), !(0x0F0F_3355u32 | 0x00FF_0F55));
+        assert_eq!(xb.word(0, 1, 2), !(0x0F0F_3355u32 | 0x00FF_0F55));
         // Unselected rows saw the same ops (full mask) — NOR of zeros is 1.
-        assert_eq!(xb.word(0, 2), u32::MAX);
+        assert_eq!(xb.word(0, 0, 2), u32::MAX);
     }
 
     #[test]
     fn row_mask_limits_logic() {
         let c = cfg();
-        let mut xb = Crossbar::new(c.rows, c.regs);
-        let even = RangeMask::new(0, c.rows as u32 - 2, 2).unwrap();
+        let mut xb = one(&c);
+        let even = rows_of(&xb, RangeMask::new(0, c.rows as u32 - 2, 2).unwrap());
         xb.apply_hlogic(&HLogic::init_reg(true, 0, &c).unwrap(), &even, true)
             .unwrap();
-        assert_eq!(xb.word(0, 0), u32::MAX);
-        assert_eq!(xb.word(1, 0), 0);
-        assert_eq!(xb.word(2, 0), u32::MAX);
+        assert_eq!(xb.word(0, 0, 0), u32::MAX);
+        assert_eq!(xb.word(0, 1, 0), 0);
+        assert_eq!(xb.word(0, 2, 0), u32::MAX);
     }
 
     #[test]
     fn partial_dense_mask_limits_logic() {
-        // A dense sub-range must only touch its rows (fast-path bounds).
-        let c = cfg();
-        let mut xb = Crossbar::new(c.rows, c.regs);
-        let mid = RangeMask::dense(10, 20).unwrap();
-        xb.apply_hlogic(&HLogic::init_reg(true, 0, &c).unwrap(), &mid, true)
-            .unwrap();
-        for row in 0..c.rows {
-            let expect = (10..20).contains(&row);
-            assert_eq!(xb.word(row, 0) == u32::MAX, expect, "row {row}");
+        // A dense sub-range must only touch its rows, also when it
+        // straddles a plane-word boundary (rows 60..70 of 96).
+        let c = cfg().with_rows(96);
+        for range in [10..20, 60..70] {
+            let mut xb = one(&c);
+            let mid = rows_of(&xb, RangeMask::dense(range.start, range.end).unwrap());
+            xb.apply_hlogic(&HLogic::init_reg(true, 0, &c).unwrap(), &mid, true)
+                .unwrap();
+            for row in 0..c.rows {
+                let expect = range.contains(&(row as u32));
+                assert_eq!(xb.word(0, row, 0) == u32::MAX, expect, "row {row}");
+            }
         }
+    }
+
+    /// Dense and strided row masks for the strict-mode tests: the failure
+    /// contract is the same for every mask shape.
+    fn strict_masks(c: &PimConfig) -> [RangeMask; 2] {
+        [
+            full_rows(c),
+            RangeMask::new(1, c.rows as u32 - 1, 2).unwrap(),
+        ]
     }
 
     #[test]
     fn strict_mode_catches_missing_init() {
         let c = cfg();
-        let mut xb = Crossbar::new(c.rows, c.regs);
-        let rows = full_rows(&c);
-        let not = HLogic::parallel(GateKind::Not, 0, 0, 1, &c).unwrap();
-        let err = xb.apply_hlogic(&not, &rows, true).unwrap_err();
-        assert!(matches!(err, ArchError::Protocol { .. }));
-        // The dense pre-scan fails *before* mutating: state is untouched.
-        assert!((0..c.rows).all(|r| xb.word(r, 1) == 0));
-        // Non-strict mode performs the (possibly wrong) stateful update.
-        xb.apply_hlogic(&not, &rows, false).unwrap();
+        for mask in strict_masks(&c) {
+            let mut xb = one(&c);
+            let rows = rows_of(&xb, mask);
+            // Every second row carries input ones, so a non-strict run
+            // would change cells.
+            xb.write(0, u32::MAX, &rows);
+            let before = xb.clone();
+            let not = HLogic::parallel(GateKind::Not, 0, 0, 1, &c).unwrap();
+            let err = xb.apply_hlogic(&not, &rows, true).unwrap_err();
+            assert!(matches!(err, ArchError::Protocol { .. }));
+            // The pre-scan fails *before* mutating: state is untouched.
+            assert_eq!(xb, before, "{mask:?}");
+            // Non-strict mode performs the (possibly wrong) stateful update.
+            xb.apply_hlogic(&not, &rows, false).unwrap();
+        }
     }
 
     #[test]
     fn strict_prescan_reports_first_bad_row() {
         let c = cfg();
-        let mut xb = Crossbar::new(c.rows, c.regs);
-        let rows = full_rows(&c);
-        xb.apply_hlogic(&HLogic::init_reg(true, 1, &c).unwrap(), &rows, true)
-            .unwrap();
-        xb.set_word(13, 1, 0x7FFF_FFFF); // one cleared output cell
-        let not = HLogic::parallel(GateKind::Not, 0, 0, 1, &c).unwrap();
-        let err = xb.apply_hlogic(&not, &rows, true).unwrap_err();
-        match err {
-            ArchError::Protocol { reason } => {
-                assert!(reason.contains("row 13"), "{reason}");
+        for mask in strict_masks(&c) {
+            let mut xb = one(&c);
+            let rows = rows_of(&xb, mask);
+            xb.apply_hlogic(&HLogic::init_reg(true, 1, &c).unwrap(), &rows, true)
+                .unwrap();
+            // Cleared output cells in rows 41 and 13 (both selected by
+            // either mask), found by different gates: the lower row wins.
+            xb.set_word(0, 41, 1, 0xFFFF_FFFE);
+            xb.set_word(0, 13, 1, 0x7FFF_FFFF);
+            xb.set_word(0, 7, 0, u32::MAX); // inputs that would clear row 7
+            let before = xb.clone();
+            let not = HLogic::parallel(GateKind::Not, 0, 0, 1, &c).unwrap();
+            let err = xb.apply_hlogic(&not, &rows, true).unwrap_err();
+            match err {
+                ArchError::Protocol { reason } => {
+                    assert!(reason.contains("row 13 "), "{mask:?}: {reason}");
+                }
+                other => panic!("unexpected error {other:?}"),
             }
-            other => panic!("unexpected error {other:?}"),
+            assert_eq!(xb, before, "{mask:?}: a strict failure changed cells");
         }
+    }
+
+    #[test]
+    fn strict_failure_names_the_row_within_its_crossbar() {
+        // Merged spans run over several crossbars: the reported row is the
+        // row inside the offending crossbar, not a position in the span.
+        let c = cfg().with_rows(130);
+        let mut chip = Crossbars::new(3, c.rows, c.regs);
+        let all = lower(&chip, RangeMask::dense(0, 3).unwrap(), full_rows(&c));
+        chip.apply_hlogic(&HLogic::init_reg(true, 1, &c).unwrap(), &all, true)
+            .unwrap();
+        chip.set_cell(2, 129, 4, 1, false);
+        let not = HLogic::parallel(GateKind::Not, 0, 0, 1, &c).unwrap();
+        let err = chip.apply_hlogic(&not, &all, true).unwrap_err();
+        assert!(err.to_string().contains("row 129 "), "{err}");
     }
 
     #[test]
     fn stateful_not_only_clears() {
         let c = cfg();
-        let mut xb = Crossbar::new(c.rows, c.regs);
-        let rows = full_rows(&c);
-        xb.set_word(0, 0, 0xAAAA_AAAA);
+        let mut xb = one(&c);
+        let rows = rows_of(&xb, full_rows(&c));
+        xb.set_word(0, 0, 0, 0xAAAA_AAAA);
         xb.apply_hlogic(&HLogic::init_reg(true, 1, &c).unwrap(), &rows, true)
             .unwrap();
         let not = HLogic::parallel(GateKind::Not, 0, 0, 1, &c).unwrap();
         xb.apply_hlogic(&not, &rows, true).unwrap();
-        assert_eq!(xb.word(0, 1), 0x5555_5555);
+        assert_eq!(xb.word(0, 0, 1), 0x5555_5555);
         // Applying the same NOT again (non-strict: outputs now partially 0)
         // cannot switch any cell back to 1.
         xb.apply_hlogic(&not, &rows, false).unwrap();
-        assert_eq!(xb.word(0, 1), 0x5555_5555);
+        assert_eq!(xb.word(0, 0, 1), 0x5555_5555);
+    }
+
+    #[test]
+    fn not_reads_only_its_first_input() {
+        // `HLogic`'s fields are public and `validate` checks only the inputs
+        // a gate reads: a NOT whose `in_b` was never canonicalized (here it
+        // names the output column) behaves like the canonical one.
+        let c = cfg();
+        let canonical = HLogic::parallel(GateKind::Not, 0, 0, 1, &c).unwrap();
+        let odd = HLogic {
+            in_b: canonical.out,
+            ..canonical.clone()
+        };
+        odd.validate(&c).unwrap();
+        let mut xb = one(&c);
+        let rows = rows_of(&xb, full_rows(&c));
+        xb.set_word(0, 3, 0, 0x0F0F_0F0F);
+        xb.apply_hlogic(&HLogic::init_reg(true, 1, &c).unwrap(), &rows, true)
+            .unwrap();
+        let mut expect = xb.clone();
+        expect.apply_hlogic(&canonical, &rows, true).unwrap();
+        xb.apply_hlogic(&odd, &rows, true).unwrap();
+        assert_eq!(xb, expect);
+        assert_eq!(xb.word(0, 3, 1), 0xF0F0_F0F0);
     }
 
     #[test]
     fn cross_partition_shift_pattern() {
         // NOT from partition p to p+1 for even p: out bits odd partitions.
         let c = cfg();
-        let mut xb = Crossbar::new(c.rows, c.regs);
-        let rows = full_rows(&c);
-        xb.set_word(0, 0, 0x0000_FFFF);
+        let mut xb = one(&c);
+        let rows = rows_of(&xb, full_rows(&c));
+        xb.set_word(0, 0, 0, 0x0000_FFFF);
         xb.apply_hlogic(&HLogic::init_reg(true, 1, &c).unwrap(), &rows, true)
             .unwrap();
         let op = HLogic::strided(
@@ -516,7 +703,7 @@ mod tests {
         // Input bits 0,2,..,14 are 1 -> outputs 1,3,..,15 become 0.
         // Input bits 16,18,..,30 are 0 -> outputs 17,..,31 stay 1.
         // Even output bits untouched (still 1 from init).
-        let w = xb.word(0, 1);
+        let w = xb.word(0, 0, 1);
         for p in 0..32u32 {
             let expect = if p % 2 == 1 { p >= 16 } else { true };
             assert_eq!(w >> p & 1 == 1, expect, "partition {p}");
@@ -526,8 +713,8 @@ mod tests {
     #[test]
     fn self_aliased_gates_read_pre_gate_state() {
         // Output register == input register (different partitions): every
-        // row must read its own pre-gate word. Exercises the in-place
-        // kernels of the dense path against the strided reference.
+        // gate must read the pre-operation cells, under a dense mask and
+        // under the two strided masks that cover the same rows.
         let c = cfg();
         let op = HLogic::strided(
             GateKind::Not,
@@ -539,159 +726,366 @@ mod tests {
             &c,
         )
         .unwrap();
-        let mut dense = Crossbar::new(c.rows, c.regs);
+        let mut dense = one(&c);
         for row in 0..c.rows {
-            dense.set_word(row, 4, 0x9E37_79B9u32.wrapping_mul(row as u32 + 1));
+            dense.set_word(0, row, 4, 0x9E37_79B9u32.wrapping_mul(row as u32 + 1));
         }
+        let pre = dense.clone();
         let mut strided = dense.clone();
-        dense
-            .apply_hlogic(&op, &RangeMask::dense(0, c.rows as u32).unwrap(), false)
-            .unwrap();
-        // Equivalent two-step strided cover of the same rows.
-        let half = (c.rows / 2) as u32;
-        strided
-            .apply_hlogic(
-                &op,
-                &RangeMask::new(0, c.rows as u32 - 2, 2).unwrap(),
-                false,
-            )
-            .unwrap();
-        strided
-            .apply_hlogic(
-                &op,
-                &RangeMask::new(1, c.rows as u32 - 1, 2).unwrap(),
-                false,
-            )
-            .unwrap();
-        assert_eq!(half * 2, c.rows as u32);
+        let all = rows_of(&dense, full_rows(&c));
+        dense.apply_hlogic(&op, &all, false).unwrap();
+        for start in [0, 1] {
+            let half = RangeMask::new(start, c.rows as u32 - 2 + start, 2).unwrap();
+            let half = rows_of(&strided, half);
+            strided.apply_hlogic(&op, &half, false).unwrap();
+        }
+        assert_eq!(dense, strided);
         for row in 0..c.rows {
-            assert_eq!(dense.word(row, 4), strided.word(row, 4), "row {row}");
+            let w = pre.word(0, row, 4);
+            let cleared = (w & 0x5555_5555) << 1; // odd partitions whose left neighbour is 1
+            assert_eq!(dense.word(0, row, 4), w & !cleared, "row {row}");
         }
     }
 
     #[test]
     fn vertical_ops_move_registers_between_rows() {
         let c = cfg();
-        let mut xb = Crossbar::new(c.rows, c.regs);
-        xb.set_word(7, 4, 0x1234_5678);
-        xb.apply_vlogic(VGate::Init1, 0, 9, 4, true).unwrap();
-        xb.apply_vlogic(VGate::Not, 7, 9, 4, true).unwrap();
-        assert_eq!(xb.word(9, 4), !0x1234_5678);
+        let mut xb = one(&c);
+        let only = RangeMask::single(0);
+        xb.set_word(0, 7, 4, 0x1234_5678);
+        xb.apply_vlogic(VGate::Init1, (0, 9), 4, &only, true)
+            .unwrap();
+        xb.apply_vlogic(VGate::Not, (7, 9), 4, &only, true).unwrap();
+        assert_eq!(xb.word(0, 9, 4), !0x1234_5678);
         // Second NOT through another register restores the value.
-        xb.apply_vlogic(VGate::Init1, 0, 11, 4, true).unwrap();
-        xb.apply_vlogic(VGate::Not, 9, 11, 4, true).unwrap();
-        assert_eq!(xb.word(11, 4), 0x1234_5678);
+        xb.apply_vlogic(VGate::Init1, (0, 11), 4, &only, true)
+            .unwrap();
+        xb.apply_vlogic(VGate::Not, (9, 11), 4, &only, true)
+            .unwrap();
+        assert_eq!(xb.word(0, 11, 4), 0x1234_5678);
         // Strict vertical NOT without init fails.
-        assert!(xb.apply_vlogic(VGate::Not, 7, 12, 4, true).is_err());
-        xb.apply_vlogic(VGate::Init0, 0, 12, 4, true).unwrap();
-        assert_eq!(xb.word(12, 4), 0);
+        assert!(xb
+            .apply_vlogic(VGate::Not, (7, 12), 4, &only, true)
+            .is_err());
+        xb.apply_vlogic(VGate::Init0, (0, 12), 4, &only, true)
+            .unwrap();
+        assert_eq!(xb.word(0, 12, 4), 0);
+    }
+
+    #[test]
+    fn strict_vertical_failure_leaves_every_crossbar_untouched() {
+        let c = cfg();
+        let mut chip = Crossbars::new(3, c.rows, c.regs);
+        let all = RangeMask::dense(0, 3).unwrap();
+        for xb in 0..3 {
+            chip.set_word(xb, 7, 4, 0xFFFF_0000);
+        }
+        chip.apply_vlogic(VGate::Init1, (0, 9), 4, &all, true)
+            .unwrap();
+        chip.set_word(2, 9, 4, 0xFFFF_FF7F); // only the last crossbar is unprepared
+        let before = chip.clone();
+        let err = chip
+            .apply_vlogic(VGate::Not, (7, 9), 4, &all, true)
+            .unwrap_err();
+        assert!(err.to_string().contains("0xffffff7f"), "{err}");
+        assert_eq!(chip, before);
     }
 
     #[test]
     fn write_rows_covers_dense_and_strided() {
         let c = cfg();
-        let mut xb = Crossbar::new(c.rows, c.regs);
-        xb.write_rows(3, &RangeMask::dense(4, 10).unwrap(), 0xAB);
-        xb.write_rows(5, &RangeMask::new(1, 61, 4).unwrap(), 0xCD);
+        let mut xb = one(&c);
+        let dense = rows_of(&xb, RangeMask::dense(4, 10).unwrap());
+        let strided = rows_of(&xb, RangeMask::new(1, 61, 4).unwrap());
+        xb.write(3, 0xAB, &dense);
+        xb.write(5, 0xCD, &strided);
         for row in 0..c.rows {
-            assert_eq!(xb.word(row, 3) == 0xAB, (4..10).contains(&row), "row {row}");
-            assert_eq!(xb.word(row, 5) == 0xCD, row % 4 == 1, "row {row}");
+            assert_eq!(
+                xb.word(0, row, 3) == 0xAB,
+                (4..10).contains(&row),
+                "row {row}"
+            );
+            assert_eq!(xb.word(0, row, 5) == 0xCD, row % 4 == 1, "row {row}");
         }
     }
 
-    /// The fast word-level evaluation must agree with the reference
-    /// semantics: every expanded gate applied simultaneously (reading the
-    /// pre-operation state). Both the dense fast path and the strided
-    /// fall-back run on the same inputs and must match the reference and
-    /// each other.
+    #[test]
+    fn moves_gather_every_source_before_scattering() {
+        // Crossbar 1 is both a destination (of 0) and a source (for 2): it
+        // must send the word it held before the move.
+        let mut chip = Crossbars::new(3, 8, 4);
+        chip.set_word(0, 5, 1, 0xAAAA_0001);
+        chip.set_word(1, 5, 1, 0xBBBB_0002);
+        let mv = MoveOp {
+            dist: 1,
+            row_src: 5,
+            row_dst: 5,
+            index_src: 1,
+            index_dst: 1,
+        };
+        let mut scratch = vec![7; 9]; // stale contents are discarded
+        chip.move_words(&mv, &RangeMask::dense(0, 2).unwrap(), &mut scratch);
+        assert_eq!(chip.word(1, 5, 1), 0xAAAA_0001);
+        assert_eq!(chip.word(2, 5, 1), 0xBBBB_0002);
+        assert_eq!(scratch.len(), 2);
+    }
+
+    /// A valid horizontal operation of every shape from a few bytes of
+    /// entropy: every gate kind, strides 1..=16, 1..=32 concurrent gates,
+    /// and — a quarter of the time — a single gate whose operands sit
+    /// anywhere in an eight-partition section (the only shape where an
+    /// input may share the output's register in another partition).
+    fn arbitrary_gate(
+        c: &PimConfig,
+        (code, p0, step, reps): (u8, u8, u8, u8),
+        d: (u8, u8, u8),
+        offs: (u8, u8, u8),
+    ) -> Option<HLogic> {
+        let gate = GateKind::from_code(code % 4)?;
+        let (p0, step) = (p0 % 8, 1 + step % 16);
+        let serial = reps % 4 == 0;
+        let width = if serial { 8 } else { step };
+        let (da, db, dout) = (d.0 % width, d.1 % width, d.2 % width);
+        let (da, db) = (da.min(db), da.max(db)); // NOR: pA <= pB
+        let reps = if serial {
+            0
+        } else {
+            reps % ((31 - p0 - db.max(dout)) / step + 1)
+        };
+        HLogic::strided(
+            gate,
+            ColAddr::new(p0 + da, offs.0 % 3),
+            ColAddr::new(p0 + db, offs.1 % 3),
+            ColAddr::new(p0 + dout, offs.2 % 3),
+            p0 + dout + reps * step,
+            step,
+            c,
+        )
+        .ok() // an input that coincides with the output
+    }
+
+    /// A row mask of every shape: whole crossbar, dense sub-range, dense
+    /// range straddling the first plane-word boundary, strides 2/3/5, one
+    /// row.
+    fn arbitrary_rows(rows: u32, (kind, x, y): (u8, u8, u8)) -> RangeMask {
+        let (x, y) = (x as u32, y as u32);
+        let strided = |step: u32| {
+            let start = x % rows;
+            RangeMask::strided(start, 1 + y % ((rows - 1 - start) / step + 1), step).unwrap()
+        };
+        match kind % 7 {
+            0 => RangeMask::dense(0, rows).unwrap(),
+            1 => RangeMask::dense(x % rows, x % rows + 1 + y % (rows - x % rows)).unwrap(),
+            2 if rows > 65 => RangeMask::new(63 - x % 8, 64 + y % (rows - 64), 1).unwrap(),
+            2 | 3 => strided(2),
+            4 => strided(3),
+            5 => strided(5),
+            _ => RangeMask::single(x % rows),
+        }
+    }
+
+    /// The plane kernel must agree with the reference semantics — every
+    /// expanded gate applied simultaneously (reading the pre-operation
+    /// state), cell by cell through `cell`/`set_cell` — for every operation
+    /// shape, under every mask shape, at row counts that are and are not a
+    /// multiple of 64. Comparing whole images also holds the padding bits
+    /// at 0 and every unselected cell unchanged. In strict mode the same
+    /// operation either does the same or fails, names the lowest row with
+    /// an unset output and changes nothing.
     #[test]
     fn word_level_matches_expanded_gates() {
-        let c = cfg();
-        let mut runner = proptest::test_runner::TestRunner::default();
+        const XBS: usize = 4;
+        let mut runner = proptest::test_runner::TestRunner::new(ProptestConfig::with_cases(1024));
         runner
             .run(
                 &(
-                    0u8..8,
-                    0u8..4,
-                    0u8..8,
-                    1u8..8,
-                    0u8..4,
-                    (0u8..8, 0u8..8, 0u8..8),
-                    proptest::collection::vec(any::<u32>(), 8),
-                    0u8..4,
+                    any::<(u8, u8, u8, u8)>(),
+                    any::<(u8, u8, u8)>(),
+                    any::<(u8, u8, u8)>(),
+                    any::<(u8, u8, u8)>(),
+                    any::<(u8, u8, u8)>(),
+                    any::<u32>(),
                 ),
-                |(pa, pbd, pod, step, reps, (oa, ob, oo), data, code)| {
-                    let gate = GateKind::from_code(code).unwrap();
-                    let in_a = ColAddr::new(pa, oa);
-                    let in_b = ColAddr::new(pa + pbd, ob);
-                    let out = ColAddr::new(pod, oo);
-                    let p_end = pod as u32 + reps as u32 * step as u32;
-                    prop_assume!(p_end < 32);
-                    let op = HLogic::strided(gate, in_a, in_b, out, p_end as u8, step, &c);
-                    let op = match op {
-                        Ok(op) => op,
-                        Err(_) => return Ok(()), // invalid pattern — skip
+                |(shape, parts, offs, row_seed, (geometry, xb_kind, xb_at), seed)| {
+                    let c = cfg().with_rows([4, 64, 96, 130][geometry as usize % 4]);
+                    let Some(op) = arbitrary_gate(&c, shape, parts, offs) else {
+                        return Ok(());
                     };
-                    // Load rows 0 and 1 with the same random words. Row 0 is
-                    // exercised through the dense kernel (step-1 single-row
-                    // mask), row 1 through the strided fall-back (a step-2
-                    // mask selecting only row 1).
-                    let mut fast = Crossbar::new(4, c.regs);
-                    for (k, w) in data.iter().enumerate() {
-                        fast.set_word(0, k, *w);
-                        fast.set_word(1, k, *w);
-                    }
-                    let mut slow = fast.clone();
-                    let pre = fast.clone();
-                    let dense_mask = RangeMask::dense(0, 1).unwrap();
-                    assert!(dense_mask.is_dense());
-                    let strided_mask = RangeMask::strided(1, 1, 2).unwrap();
-                    assert!(!strided_mask.is_dense());
-                    fast.apply_hlogic(&op, &dense_mask, false).unwrap();
-                    fast.apply_hlogic(&op, &strided_mask, false).unwrap();
-                    // Reference: per-gate stateful update from the snapshot.
-                    for g in op.expand_gates() {
-                        let inputs_high = match gate {
-                            GateKind::Init0 => true, // out := 0
-                            GateKind::Init1 => false,
-                            GateKind::Not => pre.cell(0, g.a.part, g.a.offset),
-                            GateKind::Nor => {
-                                pre.cell(0, g.a.part, g.a.offset)
-                                    || pre.cell(0, g.b.part, g.b.offset)
+                    let row_mask = arbitrary_rows(c.rows as u32, row_seed);
+                    let xb_mask = match xb_kind % 4 {
+                        0 => RangeMask::dense(0, XBS as u32).unwrap(),
+                        1 => RangeMask::dense(1, 3).unwrap(),
+                        2 => RangeMask::new(xb_at as u32 % 2, 2 + xb_at as u32 % 2, 2).unwrap(),
+                        _ => RangeMask::single(xb_at as u32 % XBS as u32),
+                    };
+                    // Registers 0..3 hold mostly-ones noise, so strict runs
+                    // both pass and fail.
+                    let mut pre = Crossbars::new(XBS, c.rows, c.regs);
+                    let mut noise = seed | 1;
+                    for xb in 0..XBS {
+                        for row in 0..c.rows {
+                            for reg in 0..3 {
+                                noise ^= noise << 13;
+                                noise ^= noise >> 17;
+                                noise ^= noise << 5;
+                                let holes = if noise % 5 == 0 {
+                                    noise.rotate_left(9) & noise
+                                } else {
+                                    0
+                                };
+                                pre.set_word(
+                                    xb,
+                                    row,
+                                    reg,
+                                    if seed % 3 == 0 { noise } else { !holes },
+                                );
                             }
+                        }
+                    }
+                    let sel = lower(&pre, xb_mask, row_mask);
+
+                    // Reference: per-gate stateful update from the snapshot.
+                    let mut slow = pre.clone();
+                    let mut first_unset: Option<u32> = None;
+                    for g in op.expand_gates() {
+                        for xb in xb_mask.iter().map(|xb| xb as usize) {
+                            for row in row_mask.iter() {
+                                let cell =
+                                    |col: ColAddr| pre.cell(xb, row as usize, col.part, col.offset);
+                                let value = match op.gate {
+                                    GateKind::Init0 => false,
+                                    GateKind::Init1 => true,
+                                    GateKind::Not => cell(g.out) && !cell(g.a),
+                                    GateKind::Nor => cell(g.out) && !(cell(g.a) || cell(g.b)),
+                                };
+                                slow.set_cell(xb, row as usize, g.out.part, g.out.offset, value);
+                                if op.gate.inputs() > 0 && !cell(g.out) {
+                                    first_unset = Some(first_unset.map_or(row, |r| r.min(row)));
+                                }
+                            }
+                        }
+                    }
+
+                    let mut fast = pre.clone();
+                    fast.apply_hlogic(&op, &sel, false).unwrap();
+                    prop_assert!(
+                        fast == slow,
+                        "{:?} under {:?} x {:?}",
+                        &op,
+                        xb_mask,
+                        row_mask
+                    );
+                    assert_padding_clear(&fast);
+
+                    let mut strict = pre.clone();
+                    match (strict.apply_hlogic(&op, &sel, true), first_unset) {
+                        (Ok(()), None) => prop_assert!(strict == slow),
+                        (Err(e), Some(row)) => {
+                            prop_assert!(
+                                e.to_string().contains(&format!("row {row} ")),
+                                "{} vs {}",
+                                e,
+                                row
+                            );
+                            prop_assert!(strict == pre, "strict failure changed cells: {:?}", &op);
+                        }
+                        (got, want) => {
+                            prop_assert!(false, "strict: {:?}, first unset {:?}", got, want)
+                        }
+                    }
+                    Ok(())
+                },
+            )
+            .unwrap();
+    }
+
+    /// Word-granular operations against a plain `Vec<u32>` model of the
+    /// chip, at a row count that leaves padding in every plane word:
+    /// writes under every mask shape, vertical gates, moves, single-word
+    /// pokes; the image, read back word by word, always matches the model
+    /// and the padding stays clear.
+    #[test]
+    fn word_ops_match_a_word_array_model() {
+        const XBS: usize = 4;
+        let c = cfg().with_rows(96).with_crossbars(XBS);
+        let mut runner = proptest::test_runner::TestRunner::new(ProptestConfig::with_cases(128));
+        runner
+            .run(
+                &proptest::collection::vec(any::<(u8, (u8, u8, u8), u8, u32)>(), 1..24),
+                |steps| {
+                    let mut chip = Crossbars::new(XBS, c.rows, c.regs);
+                    let mut model = vec![0u32; XBS * c.rows * 4];
+                    let at = |xb: usize, row: usize, reg: usize| (xb * c.rows + row) * 4 + reg;
+                    let mut scratch = Vec::new();
+                    for (kind, rows, x, value) in steps {
+                        let reg = x as usize % 4;
+                        let xb_mask = match x % 3 {
+                            0 => RangeMask::dense(0, XBS as u32).unwrap(),
+                            1 => RangeMask::new(0, 2, 2).unwrap(),
+                            _ => RangeMask::single(x as u32 % XBS as u32),
                         };
-                        for row in [0, 1] {
-                            match gate {
-                                GateKind::Init0 => {
-                                    slow.set_cell(row, g.out.part, g.out.offset, false)
-                                }
-                                GateKind::Init1 => {
-                                    slow.set_cell(row, g.out.part, g.out.offset, true)
-                                }
-                                _ => {
-                                    if inputs_high {
-                                        slow.set_cell(row, g.out.part, g.out.offset, false);
+                        let (r0, r1) = (rows.1 as usize % c.rows, rows.2 as usize % c.rows);
+                        match kind % 4 {
+                            0 => {
+                                let row_mask = arbitrary_rows(c.rows as u32, rows);
+                                chip.write(reg, value, &lower(&chip, xb_mask, row_mask));
+                                for xb in xb_mask.iter() {
+                                    for row in row_mask.iter() {
+                                        model[at(xb as usize, row as usize, reg)] = value;
                                     }
                                 }
                             }
+                            1 => {
+                                let gate =
+                                    [VGate::Init0, VGate::Init1, VGate::Not][value as usize % 3];
+                                chip.apply_vlogic(gate, (r0, r1), reg, &xb_mask, false)
+                                    .unwrap();
+                                for xb in xb_mask.iter().map(|xb| xb as usize) {
+                                    let src = model[at(xb, r0, reg)];
+                                    let dst = &mut model[at(xb, r1, reg)];
+                                    *dst = match gate {
+                                        VGate::Init0 => 0,
+                                        VGate::Init1 => u32::MAX,
+                                        VGate::Not => *dst & !src,
+                                    };
+                                }
+                            }
+                            2 => {
+                                // Sources {0, 2} or one crossbar below the last.
+                                let sources = match x % 2 {
+                                    0 => RangeMask::new(0, 2, 2).unwrap(),
+                                    _ => RangeMask::single(x as u32 % (XBS as u32 - 1)),
+                                };
+                                let mv = MoveOp {
+                                    dist: 1,
+                                    row_src: r0 as u32,
+                                    row_dst: r1 as u32,
+                                    index_src: reg as u8,
+                                    index_dst: (value % 4) as u8,
+                                };
+                                chip.move_words(&mv, &sources, &mut scratch);
+                                let sent: Vec<u32> = sources
+                                    .iter()
+                                    .map(|s| model[at(s as usize, r0, reg)])
+                                    .collect();
+                                for (s, v) in sources.iter().zip(sent) {
+                                    model[at(s as usize + 1, r1, value as usize % 4)] = v;
+                                }
+                            }
+                            _ => {
+                                chip.set_word(x as usize % XBS, r0, reg, value);
+                                model[at(x as usize % XBS, r0, reg)] = value;
+                            }
                         }
                     }
-                    for row in 0..4 {
-                        for k in 0..c.regs {
-                            prop_assert_eq!(
-                                fast.word(row, k),
-                                slow.word(row, k),
-                                "row {} register {} differs for {:?}",
-                                row,
-                                k,
-                                &op
-                            );
+                    for xb in 0..XBS {
+                        for row in 0..c.rows {
+                            for reg in 0..4 {
+                                prop_assert_eq!(chip.word(xb, row, reg), model[at(xb, row, reg)]);
+                            }
                         }
                     }
-                    // Dense and strided paths agree with each other.
-                    for k in 0..c.regs {
-                        prop_assert_eq!(fast.word(0, k), fast.word(1, k));
-                    }
+                    assert_padding_clear(&chip);
                     Ok(())
                 },
             )

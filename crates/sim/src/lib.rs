@@ -7,29 +7,41 @@
 //! and keeps profiling metrics (micro-operation counts per type, which are
 //! cycle counts under the 1-op/cycle model).
 //!
-//! Two of the paper's GPU optimizations are reproduced on the CPU:
+//! The paper accelerates its simulator on a GPU with two optimizations; this
+//! CPU reproduction keeps their purpose and changes their form:
 //!
-//! * **Memory**: rows are stored in a condensed 32-bit format defined by the
-//!   strided data layout — word `k` of a row holds the 32 bits at
-//!   intra-partition offset `k`, i.e. word `k` *is* register `k`. Storage
-//!   is **register-major** (`words[reg * rows + row]`): a horizontal
-//!   micro-operation reads/writes the *same* registers of many rows, so
-//!   each register is one contiguous column slice in host memory.
-//! * **Logic**: partition-parallel stateful logic evaluates as three bitwise
-//!   word operations (shift, mask, and-not) instead of iterating over
-//!   partitions. Under a **dense row mask** (step 1 — the shape of
-//!   whole-tensor operations) a gate is a straight-line loop over one, two,
-//!   or three contiguous `&[u32]` slices with the strict-mode check hoisted
-//!   out as a pre-scan; LLVM autovectorizes these loops, so the host
-//!   exploits the same row-parallelism the chip executes in a single cycle.
-//!   Strided masks take a row-indexed fall-back. Batches replay
-//!   **crossbar-major** (each crossbar runs the whole micro-op run while
-//!   its words are cache-hot) and execute in parallel across crossbars
-//!   (std scoped threads stand in for the paper's CUDA kernel).
+//! * **Memory**: the paper condenses a row into 32-bit words (word `k` of a
+//!   row *is* register `k`, bit `p` its partition `p`), which suits a GPU
+//!   that gives every row a thread. The workloads the paper reports
+//!   (Figure 13, Table II) are bit-serial, though — almost every
+//!   micro-operation is one gate on one column — and in that format such a
+//!   gate reads three words and rewrites one per row to change one bit of
+//!   it. Here the chip is stored the way it is built: **one bit plane per
+//!   column (bitline)**, one bit per row, 64 rows to a `u64`, in a single
+//!   chip-wide image `planes[reg · 32 + part][crossbar][row / 64]`
+//!   ([`Crossbars`]). A bit-serial gate on 512 rows touches 8 words per
+//!   crossbar instead of 512; a partition-parallel gate touches the same
+//!   number of bits in either format. Word-granular operations (`Write`, `Read`,
+//!   `Move`, vertical gates) gather or scatter across a register's 32
+//!   planes; they are single-row or rare.
+//! * **Logic**: every horizontal gate, under every mask, is one kernel —
+//!   `out[w] &= !((a[w] | b[w]) & m[w])` over the plane words of each
+//!   concurrent gate. The stored masks are lowered once per mask operation
+//!   into word spans plus a row bit pattern ([`Selection`]); a strided row
+//!   mask is only a different pattern, and a dense crossbar mask over whole
+//!   crossbars is one contiguous span, so a whole-tensor gate is a flat
+//!   loop LLVM autovectorizes — the host exploits the row-parallelism the
+//!   chip executes in a single cycle. Operations execute one after another
+//!   on the calling thread, over the selected crossbars only: with so little
+//!   data per operation a thread hand-off would cost more than the
+//!   operation (the paper's CUDA kernel has no CPU counterpart here).
 //!
 //! A *strict mode* (default on) additionally checks the stateful-logic
 //! discipline: every `NOT`/`NOR` output cell must hold logical 1 when the
-//! gate fires, catching missing initializations in driver routines.
+//! gate fires, catching missing initializations in driver routines. The
+//! check runs before the gate changes anything, whatever the masks: a
+//! refused gate leaves the cells untouched and names the lowest offending
+//! row.
 //!
 //! # Example
 //!
@@ -58,6 +70,6 @@ mod profiler;
 mod simulator;
 
 pub use cost::{charge_batch, charge_op};
-pub use crossbar::Crossbar;
+pub use crossbar::{Crossbars, Selection};
 pub use profiler::{OpTypeCounts, Profiler};
 pub use simulator::{PimSimulator, SimSnapshot};

@@ -1,28 +1,34 @@
-use crate::{Crossbar, Profiler};
-use pim_arch::{ArchError, Backend, HLogic, MicroOp, PimConfig, RangeMask, VGate};
-
-/// Minimum amount of per-batch work (crossbars × operations) before the
-/// simulator fans a batch out across threads.
-const PARALLEL_WORK_THRESHOLD: usize = 1 << 14;
+use crate::{charge_batch, charge_op, Crossbars, Profiler, Selection};
+use pim_arch::{ArchError, Backend, MicroOp, PimConfig, PreparedBatch, RangeMask};
 
 /// The bit-accurate digital PIM simulator (§VI) — a drop-in replacement for
 /// a physical chip behind the [`Backend`] micro-operation interface.
 ///
-/// State: one [`Crossbar`] per array, the stored crossbar mask, and the
-/// stored row mask (start/stop/step, §III-B). A [`Profiler`] records
-/// micro-operation counts per type; under the 1-op/cycle model these are
-/// latency measurements.
+/// State: the cells of every crossbar as one bit-plane image
+/// ([`Crossbars`]), the stored crossbar mask and the stored row mask
+/// (start/stop/step, §III-B). A [`Profiler`] records micro-operation counts
+/// per type; under the 1-op/cycle model these are latency measurements.
+///
+/// Operations execute one after another on the calling thread, each over
+/// the selected crossbars only: a micro-operation touches too few words of
+/// the plane image to repay a thread hand-off.
 ///
 /// See the crate-level docs for an end-to-end example.
 #[derive(Debug)]
 pub struct PimSimulator {
     cfg: PimConfig,
-    xbars: Vec<Crossbar>,
+    cells: Crossbars,
     xb_mask: RangeMask,
     row_mask: RangeMask,
+    /// The two masks as the plane kernels take them, lowered on the first
+    /// gate or write after a mask operation (`sel_stale`).
+    sel: Selection,
+    sel_stale: bool,
     strict: bool,
     profiler: Profiler,
     threads: usize,
+    /// Source words of the move in flight (reused across moves).
+    move_scratch: Vec<u32>,
 }
 
 /// A point-in-time copy of a simulator's complete architectural state:
@@ -33,7 +39,7 @@ pub struct PimSimulator {
 /// suffix since the snapshot).
 #[derive(Debug, Clone)]
 pub struct SimSnapshot {
-    xbars: Vec<Crossbar>,
+    cells: Crossbars,
     xb_mask: RangeMask,
     row_mask: RangeMask,
     strict: bool,
@@ -49,21 +55,17 @@ impl PimSimulator {
     /// Returns [`ArchError::InvalidConfig`] if `cfg` fails validation.
     pub fn new(cfg: PimConfig) -> Result<Self, ArchError> {
         cfg.validate()?;
-        let xbars = (0..cfg.crossbars)
-            .map(|_| Crossbar::new(cfg.rows, cfg.regs))
-            .collect();
-        let threads = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-            .min(16);
         Ok(PimSimulator {
             xb_mask: RangeMask::dense(0, cfg.crossbars as u32).expect("validated nonzero"),
             row_mask: RangeMask::dense(0, cfg.rows as u32).expect("validated nonzero"),
+            cells: Crossbars::new(cfg.crossbars, cfg.rows, cfg.regs),
             cfg,
-            xbars,
+            sel: Selection::default(),
+            sel_stale: true,
             strict: true,
             profiler: Profiler::new(),
-            threads,
+            threads: 1,
+            move_scratch: Vec::new(),
         })
     }
 
@@ -74,17 +76,14 @@ impl PimSimulator {
         self.strict = strict;
     }
 
-    /// Overrides the number of worker threads used for batch execution.
-    ///
-    /// [`new`](PimSimulator::new) defaults to the host's available
-    /// parallelism capped at 16; callers embedding many simulators in one
-    /// process (e.g. the shard workers of `pim-cluster`) pin this to 1 so
-    /// the host is not oversubscribed. Values are clamped to at least 1.
+    /// Stores a worker-thread preference for interface parity with
+    /// `pim-func` (embedders such as `pim-cluster` pin it to 1). Execution
+    /// is always single-threaded. Values clamp to at least 1.
     pub fn set_threads(&mut self, threads: usize) {
         self.threads = threads.max(1);
     }
 
-    /// The effective number of worker threads used for batch execution.
+    /// The stored thread count (execution is single-threaded regardless).
     pub fn threads(&self) -> usize {
         self.threads
     }
@@ -108,19 +107,14 @@ impl PimSimulator {
     /// value) at `(crossbar, row, reg)`. Bypasses the micro-operation
     /// interface — production code must use [`MicroOp::Read`].
     pub fn peek(&self, xb: usize, row: usize, reg: usize) -> u32 {
-        self.xbars[xb].word(row, reg)
+        self.cells.word(xb, row, reg)
     }
 
     /// Direct state mutation for tests and debugging; see [`peek`].
     ///
     /// [`peek`]: PimSimulator::peek
     pub fn poke(&mut self, xb: usize, row: usize, reg: usize, value: u32) {
-        self.xbars[xb].set_word(row, reg, value);
-    }
-
-    /// The crossbar state, for test inspection.
-    pub fn crossbar(&self, xb: usize) -> &Crossbar {
-        &self.xbars[xb]
+        self.cells.set_word(xb, row, reg, value);
     }
 
     /// Captures the complete architectural state (cells, masks, strict
@@ -128,7 +122,7 @@ impl PimSimulator {
     /// policy, not architectural state, and is not captured.
     pub fn snapshot(&self) -> SimSnapshot {
         SimSnapshot {
-            xbars: self.xbars.clone(),
+            cells: self.cells.clone(),
             xb_mask: self.xb_mask,
             row_mask: self.row_mask,
             strict: self.strict,
@@ -141,13 +135,14 @@ impl PimSimulator {
     /// geometry (same crossbar count and dimensions).
     pub fn restore(&mut self, snap: &SimSnapshot) {
         debug_assert_eq!(
-            snap.xbars.len(),
-            self.xbars.len(),
+            snap.cells.geometry(),
+            self.cells.geometry(),
             "snapshot geometry mismatch"
         );
-        self.xbars.clone_from(&snap.xbars);
+        self.cells.clone_from(&snap.cells);
         self.xb_mask = snap.xb_mask;
         self.row_mask = snap.row_mask;
+        self.sel_stale = true;
         self.strict = snap.strict;
         self.profiler = snap.profiler.clone();
     }
@@ -159,54 +154,7 @@ impl PimSimulator {
         self.profiler.cycles += cycles;
     }
 
-    /// Accounts profiling metadata for one operation given the mask state
-    /// in effect, returning the operation's cycle cost. Delegates to the
-    /// shared cost model ([`crate::charge_op`]) so every backend charges
-    /// identical modeled cycles.
-    fn account(&mut self, op: &MicroOp) -> Result<u64, ArchError> {
-        crate::charge_op(
-            &mut self.profiler,
-            op,
-            &self.xb_mask,
-            &self.row_mask,
-            &self.cfg,
-        )
-    }
-
-    /// Applies a non-read, non-move operation to every crossbar selected by
-    /// `xb_mask`, given mask state.
-    fn apply_local(
-        xbars: &mut [Crossbar],
-        op: &MicroOp,
-        xb_mask: &RangeMask,
-        row_mask: &RangeMask,
-        strict: bool,
-    ) -> Result<(), ArchError> {
-        let local = LocalOp::prepare(op);
-        for xb in xb_mask.iter() {
-            local.apply(&mut xbars[xb as usize], row_mask, strict)?;
-        }
-        Ok(())
-    }
-
-    fn execute_move(&mut self, mv: &pim_arch::MoveOp) -> Result<(), ArchError> {
-        // Validation already done by `account` via plan_move.
-        let transfers: Vec<(usize, u32)> = self
-            .xb_mask
-            .iter()
-            .map(|src| {
-                let value =
-                    self.xbars[src as usize].word(mv.row_src as usize, mv.index_src as usize);
-                ((src as i64 + mv.dist as i64) as usize, value)
-            })
-            .collect();
-        for (dst, value) in transfers {
-            self.xbars[dst].set_word(mv.row_dst as usize, mv.index_dst as usize, value);
-        }
-        Ok(())
-    }
-
-    fn execute_read(&mut self, index: u8) -> Result<u32, ArchError> {
+    fn read(&self, index: u8) -> Result<u32, ArchError> {
         if !self.xb_mask.is_single() || !self.row_mask.is_single() {
             return Err(ArchError::Protocol {
                 reason: format!(
@@ -217,107 +165,45 @@ impl PimSimulator {
                 ),
             });
         }
-        Ok(self.xbars[self.xb_mask.start() as usize]
-            .word(self.row_mask.start() as usize, index as usize))
+        let (xb, row) = (self.xb_mask.start(), self.row_mask.start());
+        Ok(self.cells.word(xb as usize, row as usize, index as usize))
     }
 
-    /// Executes a run of mask/write/logic operations, dispatched **per
-    /// crossbar**: the run is decoded once ([`LocalOp::prepare`]), then each
-    /// crossbar replays the whole run with mask operations resolved to a
-    /// local `selected` flag — no per-operation re-setup, and one
-    /// crossbar's storage stays cache-hot across the entire run. With
-    /// `parallel`, crossbar chunks replay on scoped worker threads.
-    fn execute_run(&mut self, run: &[MicroOp], parallel: bool) -> Result<(), ArchError> {
-        let strict = self.strict;
-        let prepared: Vec<LocalOp<'_>> = run.iter().map(LocalOp::prepare).collect();
-        let (xb_mask0, row_mask0) = (self.xb_mask, self.row_mask);
-        if parallel {
-            let chunk_size = self.cfg.crossbars.div_ceil(self.threads);
-            let prepared = &prepared;
-            let results: Vec<Result<(), ArchError>> = std::thread::scope(|scope| {
-                let mut handles = Vec::new();
-                for (ci, chunk) in self.xbars.chunks_mut(chunk_size).enumerate() {
-                    let base = (ci * chunk_size) as u32;
-                    handles.push(scope.spawn(move || {
-                        for (i, xb) in chunk.iter_mut().enumerate() {
-                            replay_run(xb, base + i as u32, prepared, xb_mask0, row_mask0, strict)?;
-                        }
-                        Ok(())
-                    }));
-                }
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("worker panicked"))
-                    .collect()
-            });
-            for r in results {
-                r?;
-            }
-        } else {
-            for (i, xb) in self.xbars.iter_mut().enumerate() {
-                replay_run(xb, i as u32, &prepared, xb_mask0, row_mask0, strict)?;
-            }
+    /// Applies one validated, charged operation under the stored masks —
+    /// the one place every execution path ends in. A move was planned when
+    /// it was charged, so its destinations are in range.
+    fn apply(&mut self, op: &MicroOp) -> Result<Option<u32>, ArchError> {
+        if self.sel_stale && matches!(op, MicroOp::Write { .. } | MicroOp::LogicH(_)) {
+            self.cells
+                .lower_masks(&self.xb_mask, &self.row_mask, &mut self.sel);
+            self.sel_stale = false;
         }
-        // Replay mask updates on the dispatcher state.
-        for op in run {
-            match op {
-                MicroOp::XbMask(m) => self.xb_mask = *m,
-                MicroOp::RowMask(m) => self.row_mask = *m,
-                _ => {}
-            }
-        }
-        Ok(())
-    }
-
-    /// The validation/accounting pass of a batch: checks every operation,
-    /// charges the profiler, and tracks the evolving mask state. Mutates
-    /// masks and profiler; the caller restores them (always for masks,
-    /// on error for the profiler).
-    fn account_batch(&mut self, ops: &[MicroOp]) -> Result<(), ArchError> {
-        for op in ops {
-            if matches!(op, MicroOp::Read { .. }) {
-                return Err(ArchError::Protocol {
-                    reason: "read operations cannot be batched".into(),
-                });
-            }
-            op.validate(&self.cfg)?;
-            // `account` uses the mask state in effect at this op.
-            self.account(op)?;
-            match op {
-                MicroOp::XbMask(m) => self.xb_mask = *m,
-                MicroOp::RowMask(m) => self.row_mask = *m,
-                _ => {}
-            }
-        }
-        Ok(())
-    }
-
-    fn execute_serial(&mut self, op: &MicroOp) -> Result<Option<u32>, ArchError> {
         match op {
-            MicroOp::XbMask(m) => {
-                self.xb_mask = *m;
-                Ok(None)
+            MicroOp::XbMask(m) => (self.xb_mask, self.sel_stale) = (*m, true),
+            MicroOp::RowMask(m) => (self.row_mask, self.sel_stale) = (*m, true),
+            MicroOp::Read { index } => return self.read(*index).map(Some),
+            MicroOp::Write { index, value } => self.cells.write(*index as usize, *value, &self.sel),
+            MicroOp::LogicH(l) => self.cells.apply_hlogic(l, &self.sel, self.strict)?,
+            MicroOp::LogicV {
+                gate,
+                row_in,
+                row_out,
+                index,
+            } => {
+                let rows = (*row_in as usize, *row_out as usize);
+                self.cells
+                    .apply_vlogic(*gate, rows, *index as usize, &self.xb_mask, self.strict)?
             }
-            MicroOp::RowMask(m) => {
-                self.row_mask = *m;
-                Ok(None)
-            }
-            MicroOp::Read { index } => self.execute_read(*index).map(Some),
-            MicroOp::Move(mv) => {
-                self.execute_move(mv)?;
-                Ok(None)
-            }
-            other => {
-                Self::apply_local(
-                    &mut self.xbars,
-                    other,
-                    &self.xb_mask,
-                    &self.row_mask,
-                    self.strict,
-                )?;
-                Ok(None)
-            }
+            MicroOp::Move(mv) => self
+                .cells
+                .move_words(mv, &self.xb_mask, &mut self.move_scratch),
         }
+        Ok(None)
+    }
+
+    /// Applies accepted, read-free operations in order.
+    fn run(&mut self, ops: &[MicroOp]) -> Result<(), ArchError> {
+        ops.iter().try_for_each(|op| self.apply(op).map(drop))
     }
 }
 
@@ -328,143 +214,62 @@ impl Backend for PimSimulator {
 
     fn execute(&mut self, op: &MicroOp) -> Result<Option<u32>, ArchError> {
         op.validate(&self.cfg)?;
-        self.account(op)?;
-        self.execute_serial(op)
+        charge_op(
+            &mut self.profiler,
+            op,
+            &self.xb_mask,
+            &self.row_mask,
+            &self.cfg,
+        )?;
+        self.apply(op)
     }
 
     fn execute_batch(&mut self, ops: &[MicroOp]) -> Result<(), ArchError> {
-        // Validate and account first (profiling replays the mask state).
-        // On any rejection the masks and profiler roll back, so a failed
-        // batch leaves the simulator exactly as it was.
-        let (xb_mask0, row_mask0) = (self.xb_mask, self.row_mask);
+        // Validate and charge the whole stream first, against the mask
+        // state each operation will run under. The stored masks are not
+        // touched until the stream is accepted and the profiler rolls back
+        // on a rejection, so a refused batch leaves the simulator exactly
+        // as it was.
+        let (mut xb_mask, mut row_mask) = (self.xb_mask, self.row_mask);
         let profiler0 = self.profiler.clone();
-        if let Err(e) = self.account_batch(ops) {
-            self.xb_mask = xb_mask0;
-            self.row_mask = row_mask0;
-            self.profiler = profiler0;
-            return Err(e);
-        }
-        self.xb_mask = xb_mask0;
-        self.row_mask = row_mask0;
-
-        // Execute: split into parallel runs at move boundaries.
-        let mut start = 0;
-        let parallel_ok = self.threads > 1
-            && self.cfg.crossbars >= 2 * self.threads
-            && ops.len() * self.cfg.crossbars >= PARALLEL_WORK_THRESHOLD;
-        for i in 0..=ops.len() {
-            let boundary = i == ops.len() || matches!(ops[i], MicroOp::Move(_));
-            if !boundary {
-                continue;
+        for op in ops {
+            let checked = match op {
+                MicroOp::Read { .. } => Err(ArchError::Protocol {
+                    reason: "read operations cannot be batched".into(),
+                }),
+                _ => op.validate(&self.cfg).and_then(|()| {
+                    charge_op(&mut self.profiler, op, &xb_mask, &row_mask, &self.cfg)
+                }),
+            };
+            if let Err(e) = checked {
+                self.profiler = profiler0;
+                return Err(e);
             }
-            let run = &ops[start..i];
-            if !run.is_empty() {
-                self.execute_run(run, parallel_ok)?;
-            }
-            if i < ops.len() {
-                self.execute_serial(&ops[i])?;
-            }
-            start = i + 1;
-        }
-        Ok(())
-    }
-}
-
-/// A batch operation prepared for per-crossbar replay: the mask-independent
-/// decode of a [`MicroOp`] (address widening, variant narrowing) done once
-/// per run instead of once per operation × crossbar.
-enum LocalOp<'a> {
-    XbMask(RangeMask),
-    RowMask(RangeMask),
-    Write {
-        index: usize,
-        value: u32,
-    },
-    LogicH(&'a HLogic),
-    LogicV {
-        gate: VGate,
-        row_in: usize,
-        row_out: usize,
-        index: usize,
-    },
-}
-
-impl<'a> LocalOp<'a> {
-    fn prepare(op: &'a MicroOp) -> Self {
-        match op {
-            MicroOp::XbMask(m) => LocalOp::XbMask(*m),
-            MicroOp::RowMask(m) => LocalOp::RowMask(*m),
-            MicroOp::Write { index, value } => LocalOp::Write {
-                index: *index as usize,
-                value: *value,
-            },
-            MicroOp::LogicH(l) => LocalOp::LogicH(l),
-            MicroOp::LogicV {
-                gate,
-                row_in,
-                row_out,
-                index,
-            } => LocalOp::LogicV {
-                gate: *gate,
-                row_in: *row_in as usize,
-                row_out: *row_out as usize,
-                index: *index as usize,
-            },
-            MicroOp::Read { .. } | MicroOp::Move(_) => {
-                unreachable!("read/move ops are handled by the dispatcher")
+            match op {
+                MicroOp::XbMask(m) => xb_mask = *m,
+                MicroOp::RowMask(m) => row_mask = *m,
+                _ => {}
             }
         }
+        self.run(ops)
     }
 
-    fn apply(
-        &self,
-        xb: &mut Crossbar,
-        row_mask: &RangeMask,
-        strict: bool,
-    ) -> Result<(), ArchError> {
-        match self {
-            LocalOp::Write { index, value } => {
-                xb.write_rows(*index, row_mask, *value);
-                Ok(())
-            }
-            LocalOp::LogicH(l) => xb.apply_hlogic(l, row_mask, strict),
-            LocalOp::LogicV {
-                gate,
-                row_in,
-                row_out,
-                index,
-            } => xb.apply_vlogic(*gate, *row_in, *row_out, *index, strict),
-            LocalOp::XbMask(_) | LocalOp::RowMask(_) => {
-                unreachable!("mask ops are tracked by the replay loop")
-            }
+    fn execute_prepared(&mut self, batch: &PreparedBatch) -> Result<(), ArchError> {
+        if !batch.prepared_for(&self.cfg) {
+            // Validated for another geometry: nothing about it is trusted.
+            return self.execute_batch(batch.ops());
         }
+        // No mask operation inside, so the stored masks hold for all of it:
+        // one closed-form charge, atomic on a bad move.
+        charge_batch(
+            &mut self.profiler,
+            batch,
+            &self.xb_mask,
+            &self.row_mask,
+            &self.cfg,
+        )?;
+        self.run(batch.ops())
     }
-}
-
-/// Replays a prepared run on one crossbar. Mask operations update the local
-/// selection state (`selected` flag, row mask); data operations apply when
-/// this crossbar is selected. Crossbar-major iteration keeps one crossbar's
-/// storage hot in cache across the whole run and turns per-operation mask
-/// iteration into an O(1) membership test.
-fn replay_run(
-    xb: &mut Crossbar,
-    global_idx: u32,
-    run: &[LocalOp<'_>],
-    xb_mask0: RangeMask,
-    row_mask0: RangeMask,
-    strict: bool,
-) -> Result<(), ArchError> {
-    let mut selected = xb_mask0.contains(global_idx);
-    let mut row_mask = row_mask0;
-    for op in run {
-        match op {
-            LocalOp::XbMask(m) => selected = m.contains(global_idx),
-            LocalOp::RowMask(m) => row_mask = *m,
-            data if selected => data.apply(xb, &row_mask, strict)?,
-            _ => {}
-        }
-    }
-    Ok(())
 }
 
 #[cfg(test)]
@@ -625,7 +430,7 @@ mod tests {
 
     #[test]
     fn batch_matches_serial_execution() {
-        let cfg = PimConfig::small().with_crossbars(64); // enough for threads
+        let cfg = PimConfig::small().with_crossbars(64);
         let mut batch_ops: Vec<MicroOp> = Vec::new();
         batch_ops.push(MicroOp::XbMask(RangeMask::new(0, 62, 2).unwrap()));
         batch_ops.push(MicroOp::RowMask(RangeMask::new(0, 60, 4).unwrap()));
@@ -643,7 +448,7 @@ mod tests {
             index_dst: 2,
         }));
         batch_ops.push(MicroOp::LogicH(HLogic::init_reg(false, 3, &cfg).unwrap()));
-        // Duplicate the logic tail to cross the parallel work threshold.
+        // A long logic tail under the post-move masks.
         for _ in 0..600 {
             batch_ops.push(MicroOp::LogicH(HLogic::init_reg(true, 4, &cfg).unwrap()));
             batch_ops.push(MicroOp::LogicH(
@@ -714,6 +519,105 @@ mod tests {
     }
 
     #[test]
+    fn strict_failure_mid_batch_keeps_the_failing_op_atomic() {
+        // The batch is accepted (valid, charged) and runs until the gate
+        // whose outputs were never initialized; that gate changes nothing.
+        let mut s = sim();
+        let cfg = s.config().clone();
+        let ops = [
+            MicroOp::Write {
+                index: 0,
+                value: 0xFFFF_0000,
+            },
+            MicroOp::RowMask(RangeMask::new(1, 63, 2).unwrap()),
+            MicroOp::LogicH(HLogic::parallel(GateKind::Not, 0, 0, 1, &cfg).unwrap()),
+            MicroOp::Write { index: 2, value: 9 },
+        ];
+        let err = s.execute_batch(&ops).unwrap_err();
+        assert!(matches!(err, ArchError::Protocol { .. }));
+        assert_eq!(s.peek(3, 5, 0), 0xFFFF_0000);
+        assert!((0..64).all(|row| s.peek(3, row, 1) == 0 && s.peek(3, row, 2) == 0));
+    }
+
+    #[test]
+    fn snapshot_mutate_restore_roundtrips() {
+        let cfg = PimConfig::small().with_rows(96); // padding in every plane word
+        let mut s = PimSimulator::new(cfg.clone()).unwrap();
+        s.execute_batch(&[
+            MicroOp::XbMask(RangeMask::new(1, 13, 4).unwrap()),
+            MicroOp::RowMask(RangeMask::new(2, 92, 3).unwrap()),
+            MicroOp::Write {
+                index: 4,
+                value: 0x1234_5678,
+            },
+            MicroOp::LogicH(HLogic::init_reg(true, 5, &cfg).unwrap()),
+            MicroOp::LogicH(HLogic::parallel(GateKind::Not, 4, 4, 5, &cfg).unwrap()),
+        ])
+        .unwrap();
+        s.set_strict(false);
+        let snap = s.snapshot();
+        let (cells, profiler) = (s.cells.clone(), s.profiler().clone());
+
+        // Mutate everything a snapshot covers: cells, both masks, the
+        // strict flag, the profiler.
+        s.set_strict(true);
+        s.execute_batch(&[
+            MicroOp::XbMask(RangeMask::dense(0, 16).unwrap()),
+            MicroOp::RowMask(RangeMask::dense(0, 96).unwrap()),
+            MicroOp::LogicH(HLogic::init_reg(false, 4, &cfg).unwrap()),
+            MicroOp::LogicH(HLogic::init_reg(true, 5, &cfg).unwrap()),
+        ])
+        .unwrap();
+        assert_ne!(s.cells, cells);
+
+        s.restore(&snap);
+        assert_eq!(s.cells, cells);
+        assert_eq!(s.profiler(), &profiler);
+        assert!(!s.strict());
+        // The restored masks are the ones in force again (and are lowered
+        // afresh): a write lands on the snapshot's selection only.
+        s.execute(&MicroOp::Write { index: 6, value: 7 }).unwrap();
+        for xb in 0..16 {
+            for row in 0..96 {
+                let selected = xb % 4 == 1 && xb <= 13 && row % 3 == 2 && row <= 92;
+                assert_eq!(s.peek(xb, row, 6) == 7, selected, "xb {xb} row {row}");
+            }
+        }
+    }
+
+    #[test]
+    fn batch_prepared_for_another_geometry_is_never_trusted() {
+        let tall = PimConfig::small(); // 64 rows
+        let mut s = PimSimulator::new(PimConfig::small().with_rows(8)).unwrap();
+        s.poke(0, 3, 1, 0x1111_2222);
+        // Valid where it was prepared, out of bounds here: refused whole,
+        // like the same `execute_batch` would be.
+        let escaping = PreparedBatch::new(
+            vec![
+                MicroOp::Write { index: 1, value: 7 },
+                MicroOp::LogicV {
+                    gate: VGate::Init1,
+                    row_in: 0,
+                    row_out: 40,
+                    index: 1,
+                },
+            ],
+            &tall,
+        )
+        .unwrap();
+        let err = s.execute_prepared(&escaping).unwrap_err();
+        assert!(matches!(err, ArchError::AddressOutOfBounds { .. }));
+        assert_eq!(s.peek(0, 3, 1), 0x1111_2222);
+        assert_eq!(s.profiler(), &Profiler::new());
+        // Valid in both: validated in full, then executed.
+        let portable =
+            PreparedBatch::new(vec![MicroOp::Write { index: 1, value: 7 }], &tall).unwrap();
+        s.execute_prepared(&portable).unwrap();
+        assert_eq!(s.peek(0, 3, 1), 7);
+        assert_eq!(s.profiler().ops.write, 1);
+    }
+
+    #[test]
     fn rejects_out_of_geometry_ops() {
         let mut s = sim();
         assert!(s
@@ -729,7 +633,7 @@ mod tests {
 #[cfg(test)]
 mod proptests {
     use super::*;
-    use pim_arch::{ColAddr, GateKind, HLogic};
+    use pim_arch::{ColAddr, GateKind, HLogic, PreparedBatch};
     use proptest::prelude::*;
 
     fn arbitrary_op(cfg: &PimConfig, seed: (u8, u8, u8, u8, u8, u8, u8)) -> Option<MicroOp> {
@@ -783,9 +687,9 @@ mod proptests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(48))]
 
-        /// Random micro-operation programs: batched (parallel) execution
-        /// leaves the memory in exactly the same state as serial execution,
-        /// with identical profiling counters.
+        /// Random micro-operation programs: batched execution leaves the
+        /// memory in exactly the same state as serial execution, with
+        /// identical profiling counters.
         #[test]
         fn batch_equals_serial_fuzz(
             seeds in proptest::collection::vec(any::<(u8, u8, u8, u8, u8, u8, u8)>(), 1..40),
@@ -815,6 +719,88 @@ mod proptests {
             }
             prop_assert_eq!(serial.profiler().cycles, batch.profiler().cycles);
             prop_assert_eq!(serial.profiler().ops, batch.profiler().ops);
+        }
+
+        /// The three entry points on one mask-free body under the same
+        /// masks — `execute_prepared`, `execute_batch`, op-by-op `execute`
+        /// — agree on accept/reject, on the image (padding included: 80
+        /// rows), on the final masks and on every `Profiler` counter; a
+        /// body with an illegal move is refused whole by both batch forms.
+        #[test]
+        fn prepared_batch_and_serial_agree(
+            seeds in proptest::collection::vec(any::<(u8, u8, u8, u8, u8, u8, u8)>(), 1..40),
+            mv in any::<(u8, u8, u8, u8)>(),
+            shape in any::<(u8, u8, u8)>(),
+        ) {
+            let cfg = PimConfig::small().with_crossbars(32).with_rows(80);
+            let mut body: Vec<MicroOp> = seeds
+                .iter()
+                .filter_map(|&(kind, a, b, c, d, e, f)| arbitrary_op(&cfg, (2 + kind % 3, a, b, c, d, e, f)))
+                .collect();
+            if mv.0 % 2 == 0 {
+                let at = mv.1 as usize % (body.len() + 1);
+                body.insert(at, MicroOp::Move(pim_arch::MoveOp {
+                    dist: [1, -1, 2, 16][mv.2 as usize % 4],
+                    row_src: mv.2 as u32 % 80,
+                    row_dst: mv.3 as u32 % 80,
+                    index_src: mv.3 % 32,
+                    index_dst: mv.1 % 32,
+                }));
+            }
+            // Whole memory, a dense window, strided crossbars and rows, a
+            // single row.
+            let (a, b) = (shape.1 as u32, shape.2 as u32);
+            let (xb_mask, row_mask) = match shape.0 % 4 {
+                0 => (RangeMask::dense(0, 32).unwrap(), RangeMask::dense(0, 80).unwrap()),
+                1 => (
+                    RangeMask::dense(a % 31, a % 31 + 1 + b % (32 - a % 31)).unwrap(),
+                    RangeMask::dense(b % 79, b % 79 + 1 + a % (80 - b % 79)).unwrap(),
+                ),
+                2 => (
+                    RangeMask::strided(a % 4, 1 + b % 4, 4).unwrap(),
+                    RangeMask::strided(b % 3, 1 + a % 16, 2 + a % 4).unwrap(),
+                ),
+                _ => (RangeMask::single(a % 32), RangeMask::single(b % 80)),
+            };
+            // Distinct contents, so a skipped or misplaced store shows.
+            let mut setup: Vec<MicroOp> = (0..32)
+                .flat_map(|reg| [
+                    MicroOp::RowMask(RangeMask::new(reg % 5, 75 + reg % 5, 5).unwrap()),
+                    MicroOp::Write { index: reg as u8, value: 0x9E37_79B9u32.wrapping_mul(reg + 1) },
+                ])
+                .collect();
+            setup.extend([MicroOp::XbMask(xb_mask), MicroOp::RowMask(row_mask)]);
+
+            let prepared = PreparedBatch::new(body.clone(), &cfg).unwrap();
+            let mut sims = [(); 3].map(|()| PimSimulator::new(cfg.clone()).unwrap());
+            for sim in &mut sims {
+                sim.set_strict(false); // random gates may hit uninitialized cells
+                sim.execute_batch(&setup).unwrap();
+            }
+            let [replay, batch, serial] = &mut sims;
+            let before = (batch.cells.clone(), batch.profiler().clone());
+            let expected = batch.execute_batch(&body);
+            prop_assert_eq!(replay.execute_prepared(&prepared), expected.clone());
+            if expected.is_err() {
+                for sim in [&*replay, &*batch] {
+                    prop_assert!(sim.cells == before.0 && sim.profiler() == &before.1);
+                }
+                return Ok(());
+            }
+            // Twice: the second run starts from the first one's leftovers.
+            replay.execute_prepared(&prepared).unwrap();
+            batch.execute_batch(&body).unwrap();
+            for op in body.iter().chain(&body) {
+                serial.execute(op).unwrap();
+            }
+            for sim in &mut sims {
+                // Final masks: a follow-up write lands on the same cells.
+                sim.execute(&MicroOp::Write { index: 0, value: 0xA5A5_5A5A }).unwrap();
+            }
+            for sim in &sims[1..] {
+                prop_assert!(sim.cells == sims[0].cells, "images diverge");
+                prop_assert_eq!(sim.profiler(), sims[0].profiler());
+            }
         }
     }
 }
