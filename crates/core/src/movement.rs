@@ -67,8 +67,8 @@ fn plan_move_warps_split(
 
 /// Plans the instruction sequence copying `src`'s elements into `dst`
 /// (same length, any layouts) without executing anything — the single
-/// source of truth behind both the blocking [`copy`] and the async serving
-/// path, which submits the plan itself.
+/// source of truth behind the blocking [`copy`], [`shifted`] and the async
+/// serving path, which submits the plan itself.
 ///
 /// Fast paths, in order:
 /// 1. identical thread sets, different registers → a register-to-register
@@ -76,11 +76,16 @@ fn plan_move_warps_split(
 /// 2. identical row patterns at a constant warp distance → one `MoveWarps`
 ///    per distinct row (parallel across warp pairs);
 /// 3. identical warp sets with differing row patterns → one `MoveRows`
-///    (warp-parallel, thread-serial).
+///    (warp-parallel, thread-serial);
+/// 4. two dense (stride-1) views at different thread offsets that share no
+///    cell (different registers, or disjoint thread sets) → the dense-shift
+///    plan: one range `MoveRows` per run of rows that stay in their warp
+///    plus one `MoveWarps` per row that changes warp.
 ///
-/// Returns `Ok(None)` when no move-based plan exists (pathological
-/// layouts); callers fall back to element-by-element read/write, which
-/// cannot be expressed as a non-read instruction batch.
+/// Returns `Ok(None)` when no move-based plan exists (pathological strides,
+/// strided views spanning partial warps, in-place overlapping copies);
+/// callers fall back to element-by-element read/write, which cannot be
+/// expressed as a non-read instruction batch.
 ///
 /// # Errors
 ///
@@ -155,6 +160,11 @@ pub fn plan_copy(src: &Tensor, dst: &Tensor) -> Result<Option<Vec<Instruction>>>
             }
         }
     }
+    // Fast path 4: dense views that share no cell.
+    let apart = src.thread(0).abs_diff(dst.thread(0)) >= src.len();
+    if src.stride == 1 && dst.stride == 1 && (src.reg() != dst.reg() || apart) {
+        return plan_dense_shift(src, dst);
+    }
     Ok(None)
 }
 
@@ -215,9 +225,11 @@ pub fn compact_with_padding(src: &Tensor, capacity: usize, pad_bits: u32) -> Res
 
 /// Element-shifted view materialization: returns a tensor `r` aligned with
 /// `t` where `r[i] = t[i + dist]` for in-range `i` (out-of-range elements
-/// hold unspecified values). `dist` may be negative. Lowered onto one
-/// `MoveRows` plus at most `|dist| % rows` (or `rows`) `MoveWarps`
-/// instructions, all warp-parallel.
+/// hold unspecified values). `dist` may be negative. One [`plan_copy`]
+/// between the two overlapping slices, executed as one batch: a whole-warp
+/// shift is `rows` `MoveWarps` (fast path 2), anything else the dense-shift
+/// plan (fast path 4) — a handful of range `MoveRows` plus `|dist| % rows`
+/// `MoveWarps` (times the H-tree phases), all warp-parallel.
 ///
 /// # Errors
 ///
@@ -231,7 +243,7 @@ pub fn shifted(t: &Tensor, dist: i64) -> Result<Tensor> {
     let n = t.len() as i64;
     let out = t.alloc_result(t.dtype())?;
     let d = dist;
-    if d == 0 || d.abs() >= n {
+    if d.abs() >= n {
         return Ok(out);
     }
     // r[i] = t[i + d]: source range in t is [max(0,d), min(n, n+d)),
@@ -239,42 +251,48 @@ pub fn shifted(t: &Tensor, dist: i64) -> Result<Tensor> {
     let src_lo = d.max(0) as usize;
     let dst_lo = (-d).max(0) as usize;
     let count = (n - d.abs()) as usize;
-    let src_view = t.slice(src_lo, src_lo + count)?;
-    let dst_view = out.slice(dst_lo, dst_lo + count)?;
-    copy_dense_shift(&src_view, &dst_view)?;
+    copy(
+        &t.slice(src_lo, src_lo + count)?,
+        &out.slice(dst_lo, dst_lo + count)?,
+    )?;
     Ok(out)
 }
 
-/// Copies between two dense stride-1 views whose thread offsets differ by
-/// an arbitrary delta, decomposed into at most `rows` warp-parallel moves:
-/// all elements sharing a source row form one warp-range class moved by a
-/// single `MoveRows` (same warp) or `MoveWarps` (constant warp distance)
-/// instruction.
+/// Plans the copy between two dense stride-1 views whose thread offsets
+/// differ by an arbitrary delta and that share no cell. All elements
+/// sharing a source row form one class `(source row, destination row, warp
+/// set, warp distance)`. A class that changes warp is one `MoveWarps`
+/// (phase-split when its warp sets overlap). Classes that stay in their
+/// warp are merged: every maximal run of consecutive source rows with the
+/// same warp set whose destination rows advance with them is *one* range
+/// `MoveRows` — a uniform row shift, which the driver lowers to two
+/// vertical gates per row pair plus a constant, instead of a full
+/// instruction per row. Runs break only where the warp set changes (the
+/// view's first and last partial warps, the wrap of the source or
+/// destination row), so their number does not depend on `rows`.
 ///
-/// The whole decomposition is planned first and executed as *one* batch,
-/// with the `MoveWarps` classes grouped by warp distance (and the
-/// `MoveRows` classes after them). Row classes are mutually independent —
-/// they read disjoint source cells and write disjoint destination cells,
-/// and the source and destination stripes never share a cell — so any
-/// execution order is equivalent; the grouped order hands a sharded device
-/// runs of consecutive same-distance moves, exactly what its cross-chip
-/// move coalescer merges into one bulk transfer per distance instead of
-/// one per warp (see `pim_cluster::MoveCoalescer`).
-fn copy_dense_shift(src: &Tensor, dst: &Tensor) -> Result<()> {
-    let dev = src.device().clone();
-    let rows = dev.config().rows;
+/// The `MoveWarps` classes come first, grouped by warp distance, then the
+/// row runs. Classes are mutually independent — they read disjoint source
+/// cells and write disjoint destination cells, and source and destination
+/// never share a cell — so any execution order is equivalent; the grouped
+/// order hands a sharded device runs of consecutive same-distance moves,
+/// exactly what its cross-chip move coalescer merges into one bulk transfer
+/// per distance instead of one per warp (see `pim_cluster::MoveCoalescer`).
+///
+/// `None` when a class has no move plan, which leaves the whole copy to the
+/// caller's element fallback. It does not happen for views inside the
+/// memory: a range `MoveRows` over in-bounds dense rows always validates,
+/// and `plan_move_warps_split` always finds phases for a step-1 warp set.
+fn plan_dense_shift(src: &Tensor, dst: &Tensor) -> Result<Option<Vec<Instruction>>> {
+    let cfg = src.device().config();
+    let rows = cfg.rows;
     let n = src.len();
-    let s0 = src.thread(0);
-    let d0 = dst.thread(0);
-    if s0 == d0 {
-        return copy(src, dst);
-    }
-    let s0_row = s0 % rows;
+    let s0_row = src.thread(0) % rows;
     // Planned warp moves, grouped by warp distance in first-appearance
-    // order; row-local moves; row classes no move instruction covers.
+    // order; row runs as (first source row, first destination row, row
+    // count, warps).
     let mut warp_moves: Vec<(i64, Vec<Instruction>)> = Vec::new();
-    let mut row_moves: Vec<Instruction> = Vec::new();
-    let mut fallback: Vec<usize> = Vec::new();
+    let mut runs: Vec<(u32, u32, u32, RangeMask)> = Vec::new();
     for r in 0..rows {
         // Elements whose source row is r: i ≡ (r - s0_row) mod rows.
         let i0 = (r + rows - s0_row) % rows;
@@ -287,55 +305,38 @@ fn copy_dense_shift(src: &Tensor, dst: &Tensor) -> Result<()> {
         let warps = RangeMask::strided(sw, count, 1)?;
         let dist = dw as i64 - sw as i64;
         if dist == 0 {
-            let instr = Instruction::MoveRows {
-                src: src.reg(),
-                dst: dst.reg(),
-                src_rows: RangeMask::single(sr),
-                dst_rows: RangeMask::single(dr),
-                warps,
-            };
-            if instr.validate(dev.config()).is_ok() {
-                row_moves.push(instr);
-            } else {
-                fallback.push(i0);
+            match runs.last_mut() {
+                Some((s, d, len, w)) if *w == warps && *s + *len == sr && *d + *len == dr => {
+                    *len += 1;
+                }
+                _ => runs.push((sr, dr, 1, warps)),
             }
-        } else {
-            match plan_move_warps_split(
-                dev.config(),
-                src.reg(),
-                dst.reg(),
-                sr,
-                dr,
-                warps,
-                dist as i32,
-            )? {
-                Some(instrs) => match warp_moves.iter_mut().find(|(d, _)| *d == dist) {
-                    Some((_, group)) => group.extend(instrs),
-                    None => warp_moves.push((dist, instrs)),
-                },
-                None => fallback.push(i0),
-            }
+            continue;
+        }
+        let Some(instrs) =
+            plan_move_warps_split(cfg, src.reg(), dst.reg(), sr, dr, warps, dist as i32)?
+        else {
+            return Ok(None);
+        };
+        match warp_moves.iter_mut().find(|(d, _)| *d == dist) {
+            Some((_, group)) => group.extend(instrs),
+            None => warp_moves.push((dist, instrs)),
         }
     }
     let mut plan: Vec<Instruction> = warp_moves
         .into_iter()
         .flat_map(|(_, group)| group)
         .collect();
-    plan.extend(row_moves);
-    if !plan.is_empty() {
-        dev.exec_batch(&plan)?;
+    for (s, d, len, warps) in runs {
+        plan.push(Instruction::MoveRows {
+            src: src.reg(),
+            dst: dst.reg(),
+            src_rows: RangeMask::dense(s, s + len)?,
+            dst_rows: RangeMask::dense(d, d + len)?,
+            warps,
+        });
     }
-    // Per-element fallback for the row classes no move plan covered (reads
-    // only source cells and writes only destination cells the batch does
-    // not touch, so running after the batch is equivalent).
-    for i0 in fallback {
-        let mut i = i0;
-        while i < n {
-            dst.set_raw(i, src.get_raw(i)?)?;
-            i += rows;
-        }
-    }
-    Ok(())
+    Ok(Some(plan))
 }
 
 #[cfg(test)]
@@ -372,19 +373,84 @@ mod tests {
 
     #[test]
     fn shifted_moves_are_warp_parallel() {
-        // A whole-warp shift must cost O(rows) micro-ops, not O(n).
+        // A shift costs instructions per *run* of rows, never per row: the
+        // number of `MoveRows` (six horizontal gates each) does not grow
+        // with the crossbar height; the rows that stay in their warp take
+        // two vertical gates each, and only the `|dist|` rows that change
+        // warp take a `MoveWarps` each (times at most four H-tree phases).
+        for rows in [8usize, 16, 64] {
+            let d = Device::new(PimConfig::small().with_crossbars(4).with_rows(rows)).unwrap();
+            let n = 3 * rows + 5; // ragged: partial last warp
+            let vals: Vec<i32> = (0..n as i32).collect();
+            let t = d.from_slice_i32(&vals).unwrap();
+            for dist in [3i64, -3, rows as i64 - 1, 1 - rows as i64] {
+                let crossing = dist.unsigned_abs();
+                d.reset_counters().unwrap();
+                let s = shifted(&t, dist).unwrap();
+                let p = d.profiler().unwrap();
+                let what = format!("rows {rows} dist {dist}: {:?}", p.ops);
+                assert!(
+                    p.ops.logic_h.is_multiple_of(6) && p.ops.logic_h <= 18,
+                    "{what}"
+                );
+                assert_eq!(p.ops.logic_v, 2 * (rows as u64 - crossing), "{what}");
+                assert!((crossing..=4 * crossing).contains(&p.ops.mv), "{what}");
+                assert_eq!(p.ops.read + p.ops.write, 0, "{what}");
+                let got = s.to_vec_i32().unwrap();
+                for i in 0..n as i64 {
+                    if (0..n as i64).contains(&(i + dist)) {
+                        assert_eq!(got[i as usize], (i + dist) as i32, "dist {dist} at {i}");
+                    }
+                }
+            }
+            // A whole-warp shift is one `MoveWarps` per row and phase.
+            d.reset_counters().unwrap();
+            let s = shifted(&t, rows as i64).unwrap();
+            let p = d.profiler().unwrap();
+            assert!(p.ops.mv <= 4 * rows as u64, "used {} move ops", p.ops.mv);
+            assert_eq!(p.ops.logic_h + p.ops.logic_v, 0);
+            assert_eq!(s.to_vec_i32().unwrap()[..n - rows], vals[rows..]);
+        }
+    }
+
+    #[test]
+    fn reduction_layouts_keep_their_plans() {
+        // The log-reduction step (upper half next to the lower half) on
+        // 4 warps x 8 rows, level by level: whole warps move by fast path
+        // 2, sub-warp halves by fast path 3. `pim-serve` submits these very
+        // instructions, so they are held exactly.
         let d = dev();
-        let n = 32; // 4 warps x 8 rows
-        let t = d
-            .from_slice_i32(&(0..n as i32).collect::<Vec<_>>())
-            .unwrap();
-        d.reset_counters().unwrap();
-        let s = shifted(&t, 8).unwrap(); // exactly one warp
-        let p = d.profiler().unwrap();
-        assert!(p.ops.mv <= 8 * 4, "warp shift used {} move ops", p.ops.mv);
-        let out = s.to_vec_i32().unwrap();
-        for (i, &v) in out.iter().enumerate().take(n - 8) {
-            assert_eq!(v, (i + 8) as i32);
+        let t = d.zeros_i32(32).unwrap();
+        let plan = |half: usize| {
+            let hi = t.slice(half, 2 * half).unwrap();
+            let out = t.slice(0, half).unwrap().alloc_result(t.dtype()).unwrap();
+            (plan_copy(&hi, &out).unwrap().unwrap(), t.reg(), out.reg())
+        };
+        let dense = |lo, hi| RangeMask::dense(lo, hi).unwrap();
+        for (half, warps, dist) in [(16, dense(2, 4), -2), (8, RangeMask::single(1), -1)] {
+            let (got, src, dst) = plan(half);
+            let want: Vec<Instruction> = (0..8)
+                .map(|row| Instruction::MoveWarps {
+                    src,
+                    dst,
+                    row_src: row,
+                    row_dst: row,
+                    warps,
+                    dist,
+                })
+                .collect();
+            assert_eq!(got, want, "half {half}");
+        }
+        for half in [4u32, 2, 1] {
+            let (got, src, dst) = plan(half as usize);
+            let want = Instruction::MoveRows {
+                src,
+                dst,
+                src_rows: dense(half, 2 * half),
+                dst_rows: dense(0, half),
+                warps: RangeMask::single(0),
+            };
+            assert_eq!(got, vec![want], "half {half}");
         }
     }
 

@@ -1,7 +1,17 @@
 //! In-memory bitonic sorting (§VI-A "Sorting"): a Batcher bitonic network
 //! expressed entirely as element-parallel tensor operations plus uniform
-//! shift moves, so each compare-and-swap stage costs O(1) vectored
-//! instructions regardless of the tensor length.
+//! shift moves, so the instruction count of a compare-and-swap stage depends
+//! on the crossbar height, never on the tensor length.
+//!
+//! A stage at pair distance `j` on a device with `R` rows per crossbar is
+//! about ten element-parallel instructions per thread range (masks, compare,
+//! selects) plus two [`shifted`](crate::shifted) calls, by `+j` and `-j`.
+//! A shift by `j < R` plans one range `MoveRows` (the `R - j` rows that stay
+//! in their warp, two vertical gates per row) and `j` `MoveWarps` (the rows
+//! that cross into the neighbouring warp), each split into at most four
+//! H-tree phases; a shift by a multiple of `R` plans `R` `MoveWarps` per
+//! phase. The moves, not the arithmetic, are what separates the sort from
+//! theoretical PIM (Figure 13).
 //!
 //! The classic network conditionally swaps pairs `(i, i ^ j)` with a
 //! direction given by bit `k` of the index. Both conditions are *data*
@@ -38,15 +48,11 @@ impl Tensor {
         if n2 == 1 {
             return Ok(t);
         }
-        let dev = self.device().clone();
-        // Index tensor, thread-aligned with t.
-        let iota = {
-            let it = dev.empty(n2, DType::Int32, Some(t.alloc.stripe))?;
-            for i in 0..n2 {
-                it.set_raw(i, i as u32)?;
-            }
-            it
-        };
+        // Index tensor, thread-aligned with t, stored as one bulk scatter.
+        let iota = self
+            .device()
+            .empty(n2, DType::Int32, Some(t.alloc.stripe))?;
+        iota.store_raw((0..n2).map(|i| i as u32))?;
         let mut k = 2usize;
         while k <= n2 {
             // 1 where bit k of the index is clear (ascending block).

@@ -417,14 +417,12 @@ impl<B: Backend> Driver<B> {
         // thread-serial transfers so each source row is read before any
         // pair overwrites it: descending for an upward shift, ascending
         // for a downward one.
-        let pairs: Vec<(u32, u32)> = src_rows.iter().zip(dst_rows.iter()).collect();
+        let pairs = src_rows.len() as u32;
         let upward = dst_rows.start() > src_rows.start();
-        let ordered: Box<dyn Iterator<Item = &(u32, u32)>> = if upward {
-            Box::new(pairs.iter().rev())
-        } else {
-            Box::new(pairs.iter())
-        };
-        for &(s, d) in ordered {
+        for k in 0..pairs {
+            let k = if upward { pairs - 1 - k } else { k };
+            let s = src_rows.start() + k * src_rows.step();
+            let d = dst_rows.start() + k * dst_rows.step();
             ops.push(MicroOp::LogicV {
                 gate: VGate::Init1,
                 row_in: s,
@@ -644,6 +642,76 @@ mod tests {
             // Source register unchanged.
             let src = d.execute(&Instruction::Read { reg: 0, warp, row }).unwrap();
             assert_eq!(src, Some(100 + row));
+        }
+    }
+
+    /// The lowering `shifted()` rests on: a `MoveRows` whose source and
+    /// destination rows overlap is a uniform shift, and the thread-serial
+    /// vertical transfers must run in the order that reads every source row
+    /// before a pair overwrites its scratch copy. Checked on the strict
+    /// simulator (every gate output initialized first) against a host
+    /// reference, together with the micro-op count the cost model assumes.
+    #[test]
+    fn move_rows_lowers_overlapping_uniform_shifts() {
+        let cfg = PimConfig::small();
+        let rows = cfg.rows as u32;
+        let everywhere = RangeMask::dense(0, cfg.crossbars as u32).unwrap();
+        let warps = RangeMask::dense(2, 11).unwrap();
+        let span = |start, count, step| RangeMask::strided(start, count, step).unwrap();
+        let mut cases = Vec::new();
+        for shift in [1, rows / 2 - 3, rows - 1] {
+            let (low, high) = (span(0, rows - shift, 1), span(shift, rows - shift, 1));
+            cases.push((low, high)); // upward
+            cases.push((high, low)); // downward
+        }
+        // Equal strides, overlapping sets: rows 0,3,..,57 <-> 6,9,..,63.
+        cases.push((span(0, 20, 3), span(6, 20, 3)));
+        cases.push((span(6, 20, 3), span(0, 20, 3)));
+        for (src_rows, dst_rows) in cases {
+            let mut d = driver();
+            assert!(d.backend().strict());
+            for row in 0..rows {
+                for (reg, value) in [(0, 100 + row), (1, 7)] {
+                    d.execute(&Instruction::Write {
+                        reg,
+                        value,
+                        target: ThreadRange::new(everywhere, RangeMask::single(row)),
+                    })
+                    .unwrap();
+                }
+            }
+            let mv = Instruction::MoveRows {
+                src: 0,
+                dst: 1,
+                src_rows,
+                dst_rows,
+                warps,
+            };
+            let pairs = src_rows.len() as u64;
+            // The second issue finds the crossbar mask already stored.
+            for elided in [0, 1] {
+                d.reset_issued();
+                d.execute(&mv).unwrap();
+                assert_eq!(d.issued().total, 2 * pairs + 9 - elided, "{mv:?}");
+                assert_eq!(d.issued().logic, pairs + 4);
+            }
+            let mut want = vec![7; rows as usize];
+            for (s, t) in src_rows.iter().zip(dst_rows.iter()) {
+                want[t as usize] = 100 + s;
+            }
+            for warp in everywhere.iter() {
+                for row in 0..rows {
+                    let moved = if warps.contains(warp) {
+                        want[row as usize]
+                    } else {
+                        7
+                    };
+                    let got = d.execute(&Instruction::Read { reg: 1, warp, row }).unwrap();
+                    assert_eq!(got, Some(moved), "{mv:?} warp {warp} row {row}");
+                    let src = d.execute(&Instruction::Read { reg: 0, warp, row }).unwrap();
+                    assert_eq!(src, Some(100 + row), "{mv:?} source warp {warp} row {row}");
+                }
+            }
         }
     }
 

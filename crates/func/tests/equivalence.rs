@@ -231,7 +231,7 @@ fn replay_masks(cfg: &PimConfig, shape: u8, a: u8, b: u8) -> [MicroOp; 2] {
 
 /// Runs `body` under `masks` three ways — `execute_batch` on the
 /// functional backend, `execute_prepared` on it, `execute_prepared` on the
-/// simulator (the trait default) — and holds all three equal.
+/// simulator (its own closed-form charge) — and holds all three equal.
 fn assert_prepared_replay_matches(cfg: &PimConfig, masks: &[MicroOp], body: Vec<MicroOp>) {
     let prepared = PreparedBatch::new(body.clone(), cfg).unwrap();
     let mut sim = PimSimulator::new(cfg.clone()).unwrap();
