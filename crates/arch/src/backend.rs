@@ -48,6 +48,29 @@ pub trait Backend {
         Ok(())
     }
 
+    /// Executes a batch that may contain reads, appending the word each
+    /// [`MicroOp::Read`] returns to `out` in stream order — the bulk form
+    /// of a host upload or read-back, where every word is a mask operation
+    /// plus one access. The default loops over [`execute`](Self::execute),
+    /// which is always correct but stops at the first failing operation
+    /// with the earlier ones applied. A backend overrides it to treat the
+    /// stream as a whole, as [`execute_batch`](Self::execute_batch) does
+    /// (`pim-sim` accepts or refuses it atomically and applies runs of
+    /// single-row accesses as block operations); each read must still find
+    /// masks that select a single row of a single crossbar at its point of
+    /// the stream.
+    ///
+    /// # Errors
+    ///
+    /// Returns an error on the first failing operation; `out` then holds
+    /// the reads that completed before it.
+    fn execute_reading(&mut self, ops: &[MicroOp], out: &mut Vec<u32>) -> Result<(), ArchError> {
+        for op in ops {
+            out.extend(self.execute(op)?);
+        }
+        Ok(())
+    }
+
     /// Replays a batch that was validated once when it was prepared. The
     /// default hands the operations to
     /// [`execute_batch`](Self::execute_batch), which is always correct; a
@@ -90,6 +113,10 @@ impl<B: Backend + ?Sized> Backend for &mut B {
 
     fn execute_batch(&mut self, ops: &[MicroOp]) -> Result<(), ArchError> {
         (**self).execute_batch(ops)
+    }
+
+    fn execute_reading(&mut self, ops: &[MicroOp], out: &mut Vec<u32>) -> Result<(), ArchError> {
+        (**self).execute_reading(ops, out)
     }
 
     fn execute_prepared(&mut self, batch: &PreparedBatch) -> Result<(), ArchError> {

@@ -147,14 +147,22 @@ impl MicroOp {
             MicroOp::Write { index, .. } | MicroOp::Read { index } => check_reg(*index),
             MicroOp::LogicH(op) => op.validate(cfg),
             MicroOp::LogicV {
+                gate,
                 row_in,
                 row_out,
                 index,
-                ..
             } => {
                 check_row(*row_in)?;
                 check_row(*row_out)?;
-                check_reg(*index)
+                check_reg(*index)?;
+                // As for a horizontal gate: an output memristor cannot be
+                // an input of its own gate.
+                if *gate == VGate::Not && row_in == row_out {
+                    return Err(ArchError::InvalidRange {
+                        reason: format!("vertical NOT reads row {row_in}, the row it writes"),
+                    });
+                }
+                Ok(())
             }
             MicroOp::Move(mv) => {
                 check_row(mv.row_src)?;
@@ -215,6 +223,17 @@ mod tests {
         }
         .validate(&cfg)
         .is_err());
+        // A vertical NOT cannot read the row it writes; the input row of
+        // an INIT is ignored.
+        for (gate, ok) in [(VGate::Not, false), (VGate::Init1, true)] {
+            let op = MicroOp::LogicV {
+                gate,
+                row_in: 5,
+                row_out: 5,
+                index: 0,
+            };
+            assert_eq!(op.validate(&cfg).is_ok(), ok, "{gate:?}");
+        }
         let mv = MoveOp {
             dist: 4,
             row_src: 0,

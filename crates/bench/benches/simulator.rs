@@ -6,9 +6,9 @@
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use pim_arch::{Backend, MicroOp, PimConfig, RangeMask};
 use pim_bench::hlogic_ops;
-use pim_driver::routines;
+use pim_driver::{routines, Driver};
 use pim_func::FuncBackend;
-use pim_isa::{DType, RegOp};
+use pim_isa::{DType, Instruction, RegOp, ThreadRange};
 use pim_sim::PimSimulator;
 
 /// The simulator's horizontal-logic kernel in isolation (strict on) on
@@ -57,6 +57,7 @@ fn bench_func(c: &mut Criterion) {
             "strided",
             RangeMask::new(0, cfg.rows as u32 - 2, 2).unwrap(),
         ),
+        ("single_row", RangeMask::single(77)),
     ];
     for (name, row_mask) in masks {
         let mut func = FuncBackend::new(cfg.clone()).unwrap();
@@ -129,5 +130,58 @@ fn bench_simulator(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_simulator, bench_hlogic, bench_func);
+/// The two accesses that cross the plane layout, through the driver, at
+/// the geometry `pimbench`'s `tensor_sim` runs (16 x 512, strict on): a
+/// tensor-sized upload and read-back (one single-row write or read per
+/// word), and the row transfer of a shift (one `MoveRows` whose 511 row
+/// pairs overlap). Both reach the simulator as runs its batch executor
+/// applies in block form.
+fn bench_row_access(c: &mut Criterion) {
+    let cfg = PimConfig::small().with_crossbars(16).with_rows(512);
+    let mut group = c.benchmark_group("simulator");
+    let words = (cfg.crossbars * cfg.rows) as u32;
+    let cell = |i: u32| ThreadRange::single(i / cfg.rows as u32, i % cfg.rows as u32);
+    let upload = (0..words).map(|i| Instruction::Write {
+        reg: 0,
+        value: i.wrapping_mul(0x9E37_79B9),
+        target: cell(i),
+    });
+    let read_back = (0..words).map(|i| Instruction::Read {
+        reg: 0,
+        warp: cell(i).warps.start(),
+        row: cell(i).rows.start(),
+    });
+    let instrs: Vec<Instruction> = upload.chain(read_back).collect();
+    let mut driver = Driver::new(PimSimulator::new(cfg.clone()).unwrap());
+    let mut results = Vec::with_capacity(instrs.len());
+    group.throughput(Throughput::Elements(instrs.len() as u64));
+    group.bench_function("upload_readback", |b| {
+        b.iter(|| {
+            results.clear();
+            driver.execute_many(&instrs, &mut results).unwrap();
+        });
+    });
+
+    let rows = cfg.rows as u32;
+    let shift = Instruction::MoveRows {
+        src: 0,
+        dst: 1,
+        src_rows: RangeMask::dense(0, rows - 1).unwrap(),
+        dst_rows: RangeMask::dense(1, rows).unwrap(),
+        warps: RangeMask::dense(0, 2).unwrap(),
+    };
+    group.throughput(Throughput::Elements(u64::from(rows) - 1));
+    group.bench_function("move_rows_shift", |b| {
+        b.iter(|| driver.execute(&shift).unwrap());
+    });
+    group.finish();
+}
+
+criterion_group!(
+    benches,
+    bench_simulator,
+    bench_hlogic,
+    bench_func,
+    bench_row_access
+);
 criterion_main!(benches);

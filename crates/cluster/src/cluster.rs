@@ -1080,14 +1080,12 @@ impl PimCluster {
             for entry in &j.log {
                 match entry {
                     JournalEntry::Instrs(instrs) => {
-                        for instr in instrs {
-                            driver
-                                .execute(instr)
-                                .map_err(|e| ClusterError::RecoveryFailed {
-                                    shard,
-                                    reason: format!("replay failed: {e}"),
-                                })?;
-                        }
+                        driver.execute_many(instrs, &mut Vec::new()).map_err(|e| {
+                            ClusterError::RecoveryFailed {
+                                shard,
+                                reason: format!("replay failed: {e}"),
+                            }
+                        })?;
                         replayed += instrs.len() as u64;
                     }
                     JournalEntry::Micro(ops) => {
@@ -1969,14 +1967,9 @@ fn run_worker(
                     } else {
                         0
                     };
-                    for instr in instrs {
-                        match driver.execute(instr) {
-                            Ok(v) => out.push(v),
-                            Err(e) => {
-                                failure = Some(ClusterError::Shard { shard, source: e });
-                                break 'segments;
-                            }
-                        }
+                    if let Err(e) = driver.execute_many(instrs, &mut out) {
+                        failure = Some(ClusterError::Shard { shard, source: e });
+                        break 'segments;
                     }
                     if recording {
                         let after = driver.backend().profiler().cycles;

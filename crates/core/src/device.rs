@@ -118,6 +118,18 @@ impl Future for ReadTicket {
     }
 }
 
+/// Where the per-instruction results of [`Driver::execute_many`] go on a
+/// single chip: the words of the reads are kept, the `None` of every other
+/// instruction is dropped (a batch without reads allocates nothing).
+#[derive(Default)]
+struct ReadWords(Vec<u32>);
+
+impl Extend<Option<u32>> for ReadWords {
+    fn extend<T: IntoIterator<Item = Option<u32>>>(&mut self, results: T) {
+        self.0.extend(results.into_iter().flatten());
+    }
+}
+
 /// A handle to a PIM memory: the entry point of the development library
 /// (§V-A), owning the host driver, the bit-accurate simulator behind it,
 /// and the dynamic memory manager.
@@ -554,13 +566,7 @@ impl Device {
     /// concurrently (one job per shard between cross-chip barriers).
     pub(crate) fn exec_batch(&self, instrs: &[Instruction]) -> Result<()> {
         match &self.inner.engine {
-            Engine::Single(d) => {
-                let mut d = d.lock();
-                for i in instrs {
-                    d.execute(i)?;
-                }
-                Ok(())
-            }
+            Engine::Single(d) => Ok(d.lock().execute_many(instrs, &mut ReadWords::default())?),
             Engine::Cluster(c) => Ok(c.execute_batch(instrs)?),
         }
     }
@@ -571,13 +577,19 @@ impl Device {
     pub(crate) fn read_many(&self, locs: &[(u32, u32, u8)]) -> Result<Vec<u32>> {
         match &self.inner.engine {
             Engine::Single(d) => {
-                let mut d = d.lock();
-                locs.iter()
-                    .map(|&(warp, row, reg)| {
-                        Ok(d.execute(&Instruction::Read { reg, warp, row })?
-                            .expect("read returns a value"))
-                    })
-                    .collect()
+                let reads =
+                    locs.iter()
+                        .map(|&(warp, row, reg)| Instruction::Read { reg, warp, row });
+                let mut words = ReadWords(Vec::with_capacity(locs.len()));
+                d.lock().execute_many(reads, &mut words)?;
+                // A read without a word is a backend that broke the read
+                // protocol; report it as such.
+                if words.0.len() != locs.len() {
+                    return Err(CoreError::Protocol {
+                        reason: format!("{} reads returned {} words", locs.len(), words.0.len()),
+                    });
+                }
+                Ok(words.0)
             }
             Engine::Cluster(c) => Ok(c.gather(locs)?),
         }
@@ -588,15 +600,12 @@ impl Device {
     pub(crate) fn write_many(&self, writes: &[GlobalWrite]) -> Result<()> {
         match &self.inner.engine {
             Engine::Single(d) => {
-                let mut d = d.lock();
-                for w in writes {
-                    d.execute(&Instruction::Write {
-                        reg: w.reg,
-                        value: w.value,
-                        target: pim_isa::ThreadRange::single(w.warp, w.row),
-                    })?;
-                }
-                Ok(())
+                let cells = writes.iter().map(|w| Instruction::Write {
+                    reg: w.reg,
+                    value: w.value,
+                    target: pim_isa::ThreadRange::single(w.warp, w.row),
+                });
+                Ok(d.lock().execute_many(cells, &mut ReadWords::default())?)
             }
             Engine::Cluster(c) => Ok(c.scatter(writes)?),
         }
@@ -625,10 +634,7 @@ impl Device {
         }
         match &self.inner.engine {
             Engine::Single(d) => {
-                let mut d = d.lock();
-                for i in instrs {
-                    d.execute(i)?;
-                }
+                d.lock().execute_many(instrs, &mut ReadWords::default())?;
                 Ok(StepTicket::ready())
             }
             Engine::Cluster(c) => match c.submit_batch(instrs)? {
@@ -674,9 +680,7 @@ impl Device {
                     } else {
                         0
                     };
-                    for i in &b.instrs {
-                        d.execute(i)?;
-                    }
+                    d.execute_many(&b.instrs, &mut ReadWords::default())?;
                     if recording {
                         let after = d.backend().profiler().cycles;
                         let delta = after.saturating_sub(before);

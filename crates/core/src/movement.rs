@@ -455,6 +455,34 @@ mod tests {
     }
 
     #[test]
+    fn no_plan_moves_rows_onto_themselves() {
+        // A `MoveRows` between identical row sets would read the rows it
+        // writes, and the ISA refuses it: views on the same threads copy
+        // register to register, and every other offset between two dense
+        // views plans a real shift.
+        let d = dev();
+        let cfg = d.config().clone();
+        let t = d.zeros_i32(32).unwrap();
+        let u = t.alloc_result(t.dtype()).unwrap();
+        for len in [1, 5, 8, 13] {
+            for a in 0..=32 - len {
+                for b in 0..=32 - len {
+                    let (src, dst) = (t.slice(a, a + len).unwrap(), u.slice(b, b + len).unwrap());
+                    for instr in plan_copy(&src, &dst).unwrap().expect("dense views plan") {
+                        instr.validate(&cfg).unwrap();
+                        if let Instruction::MoveRows {
+                            src_rows, dst_rows, ..
+                        } = instr
+                        {
+                            assert_ne!(src_rows, dst_rows, "{a} -> {b} x{len}");
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
     fn compact_pads_and_preserves() {
         let d = dev();
         let t = d.from_slice_f32(&[1.0, 2.0, 3.0]).unwrap();

@@ -260,15 +260,14 @@ impl Tensor {
             });
         }
         let (warp, row) = self.warp_row(i);
-        let v = self
-            .device()
-            .exec(&Instruction::Read {
-                reg: self.reg(),
-                warp,
-                row,
-            })?
-            .expect("read returns a value");
-        Ok(v)
+        let word = self.device().exec(&Instruction::Read {
+            reg: self.reg(),
+            warp,
+            row,
+        })?;
+        word.ok_or_else(|| CoreError::Protocol {
+            reason: "a read returned no word".into(),
+        })
     }
 
     /// Writes the raw word of element `i`.

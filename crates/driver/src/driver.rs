@@ -2,7 +2,15 @@ use crate::cache::{RoutineCache, RoutineKey};
 use crate::{DriverError, RoutineStats};
 use pim_arch::{encode, htree, Backend, MicroOp, MoveOp, PimConfig, RangeMask, RegId, VGate};
 use pim_isa::{DType, Instruction, RegOp};
+use std::borrow::Borrow;
 use std::collections::HashMap;
+
+/// Cells (single-thread writes and reads) lowered into one micro-operation
+/// batch by [`Driver::execute_many`] before it goes to the backend: several
+/// plane words' worth of rows, so a backend sees whole runs, while the
+/// batch buffer (allocated with the driver) stays at 15 KB however long
+/// the upload is.
+const CELLS_PER_BATCH: usize = 256;
 
 /// Which arithmetic implementation the driver compiles where both exist
 /// (§II-B): bit-serial element-parallel or bit-parallel element-parallel
@@ -79,6 +87,11 @@ pub struct Driver<B> {
     /// micro-operation source, so it can elide redundant mask operations).
     cur_xb: Option<RangeMask>,
     cur_rows: Option<RangeMask>,
+    /// The cells [`execute_many`](Self::execute_many) has lowered but not
+    /// yet handed to the backend, and the words its reads returned (both
+    /// reused across calls).
+    cells: Vec<MicroOp>,
+    read_words: Vec<u32>,
 }
 
 impl<B: Backend> Driver<B> {
@@ -95,6 +108,8 @@ impl<B: Backend> Driver<B> {
             encoded_cache: HashMap::new(),
             cur_xb: None,
             cur_rows: None,
+            cells: Vec::with_capacity(3 * CELLS_PER_BATCH),
+            read_words: Vec::with_capacity(CELLS_PER_BATCH),
         }
     }
 
@@ -375,6 +390,115 @@ impl<B: Backend> Driver<B> {
         for i in instrs {
             self.execute(i)?;
         }
+        Ok(())
+    }
+
+    /// Executes a sequence of macro-instructions, appending one result per
+    /// instruction to `out` (the word for an [`Instruction::Read`], `None`
+    /// otherwise; a `Vec`, or a sink that keeps only what the caller
+    /// wants) — [`execute`](Self::execute) in a loop, except that every
+    /// run of single-thread writes and reads (a host upload or read-back)
+    /// reaches the backend as one micro-operation batch through
+    /// [`Backend::execute_reading`] instead of one call per mask and per
+    /// access. The micro-operations, the elided masks and
+    /// [`issued`](Self::issued) are exactly those of the loop.
+    ///
+    /// # Errors
+    ///
+    /// Fails on the first erroring instruction, with the instructions
+    /// before it executed; see [`execute`](Self::execute). A batch the
+    /// backend refuses counts nothing towards `issued`.
+    pub fn execute_many<I, O>(&mut self, instrs: I, out: &mut O) -> Result<(), DriverError>
+    where
+        I: IntoIterator,
+        I::Item: Borrow<Instruction>,
+        O: Extend<Option<u32>>,
+    {
+        let mut pending = IssuedCycles::default();
+        for instr in instrs {
+            let instr = instr.borrow();
+            let cell = match instr {
+                Instruction::Write { reg, value, target } if target.len() == 1 => Some((
+                    *target,
+                    MicroOp::Write {
+                        index: *reg,
+                        value: *value,
+                    },
+                )),
+                Instruction::Read { reg, warp, row } => Some((
+                    pim_isa::ThreadRange::single(*warp, *row),
+                    MicroOp::Read { index: *reg },
+                )),
+                _ => None,
+            };
+            // An invalid cell ends the run like any other instruction;
+            // `execute` then reports it.
+            let cell = cell.filter(|_| instr.validate(&self.cfg).is_ok());
+            let Some((target, access)) = cell else {
+                self.flush_cells(&mut pending, out)?;
+                out.extend([self.execute(instr)?]);
+                continue;
+            };
+            // The masks, elided as `set_masks` elides them (written out
+            // here: handing the pair back by value cost 7 ns a cell).
+            let before = self.cells.len();
+            if self.cur_xb != Some(target.warps) {
+                self.cells.push(MicroOp::XbMask(target.warps));
+                self.cur_xb = Some(target.warps);
+            }
+            if self.cur_rows != Some(target.rows) {
+                self.cells.push(MicroOp::RowMask(target.rows));
+                self.cur_rows = Some(target.rows);
+            }
+            self.cells.push(access);
+            pending.logic += 1;
+            pending.total += (self.cells.len() - before) as u64;
+            if pending.logic as usize == CELLS_PER_BATCH {
+                self.flush_cells(&mut pending, out)?;
+            }
+        }
+        self.flush_cells(&mut pending, out)
+    }
+
+    /// Hands the lowered cells to the backend as one batch, counts them as
+    /// issued and appends their results to `out`. If the backend refuses
+    /// the batch, the masks it holds are no longer known.
+    fn flush_cells(
+        &mut self,
+        pending: &mut IssuedCycles,
+        out: &mut impl Extend<Option<u32>>,
+    ) -> Result<(), DriverError> {
+        if self.cells.is_empty() {
+            return Ok(());
+        }
+        self.read_words.clear();
+        let done = self
+            .backend
+            .execute_reading(&self.cells, &mut self.read_words);
+        let reads = self
+            .cells
+            .iter()
+            .filter(|op| matches!(op, MicroOp::Read { .. }))
+            .count();
+        let answered = self.read_words.len();
+        let done = done.and_then(|()| match answered == reads {
+            true => Ok(()),
+            false => Err(pim_arch::ArchError::Protocol {
+                reason: format!("backend answered {reads} reads with {answered} words"),
+            }),
+        });
+        if let Err(e) = done {
+            self.cells.clear();
+            self.invalidate_masks();
+            return Err(e.into());
+        }
+        let mut words = self.read_words.iter();
+        out.extend(self.cells.drain(..).filter_map(|op| match op {
+            MicroOp::Write { .. } => Some(None),
+            MicroOp::Read { .. } => Some(words.next().copied()),
+            _ => None,
+        }));
+        self.issued += std::mem::take(pending);
         Ok(())
     }
 
@@ -713,6 +837,98 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn execute_many_chunks_long_runs_and_stops_at_a_bad_instruction() {
+        let cell = |i: u32| (i * 7 / 64 % 16, i * 7 % 64);
+        let mut instrs: Vec<Instruction> = (0..2 * CELLS_PER_BATCH as u32 + 300)
+            .map(|i| {
+                let (warp, row) = cell(i);
+                Instruction::Write {
+                    reg: 1,
+                    value: 1000 + i,
+                    target: ThreadRange::single(warp, row),
+                }
+            })
+            .collect();
+        instrs.extend((0..CELLS_PER_BATCH as u32 + 9).map(|i| {
+            let (warp, row) = cell(i);
+            Instruction::Read { reg: 1, warp, row }
+        }));
+        let (mut bulk, mut looped) = (driver(), driver());
+        let mut got = Vec::new();
+        bulk.execute_many(&instrs, &mut got).unwrap();
+        let want: Vec<_> = instrs.iter().map(|i| looped.execute(i).unwrap()).collect();
+        assert_eq!(got, want);
+        assert_eq!(bulk.issued(), looped.issued());
+        assert_eq!(bulk.backend().profiler(), looped.backend().profiler());
+
+        // A cell the ISA refuses ends the call there: the cells before it
+        // are in memory and in `out`, and the masks the driver believes in
+        // are the ones stored.
+        let bad = [
+            instrs[0].clone(),
+            Instruction::Read {
+                reg: 1,
+                warp: 0,
+                row: 0,
+            },
+            Instruction::Read {
+                reg: 1,
+                warp: 99,
+                row: 0,
+            },
+            instrs[1].clone(),
+        ];
+        got.clear();
+        let err = bulk.execute_many(&bad, &mut got).unwrap_err();
+        assert!(matches!(
+            err,
+            DriverError::Arch(pim_arch::ArchError::AddressOutOfBounds { .. })
+        ));
+        assert_eq!(got, [None, Some(1000)]);
+        bulk.execute_many(&instrs[5..6], &mut got).unwrap();
+        let (warp, row) = cell(5);
+        assert_eq!(bulk.backend().peek(warp as usize, row as usize, 1), 1005);
+    }
+
+    #[test]
+    fn move_rows_onto_the_same_rows_is_refused() {
+        // A zero shift would lower to vertical NOTs that read the row they
+        // have just initialized and silently zero the destination.
+        let mut d = driver();
+        let cfg = d.config().clone();
+        let everywhere = RangeMask::dense(0, cfg.crossbars as u32).unwrap();
+        for row in 0..8 {
+            for (reg, value) in [(0, 100 + row), (1, 7)] {
+                d.execute(&Instruction::Write {
+                    reg,
+                    value,
+                    target: ThreadRange::new(everywhere, RangeMask::single(row)),
+                })
+                .unwrap();
+            }
+        }
+        let cycles = d.backend().profiler().cycles;
+        let err = d
+            .execute(&Instruction::MoveRows {
+                src: 0,
+                dst: 1,
+                src_rows: RangeMask::dense(0, 8).unwrap(),
+                dst_rows: RangeMask::dense(0, 8).unwrap(),
+                warps: everywhere,
+            })
+            .unwrap_err();
+        assert!(
+            matches!(
+                err,
+                DriverError::Arch(pim_arch::ArchError::InvalidRange { .. })
+            ),
+            "{err}"
+        );
+        assert_eq!(d.backend().profiler().cycles, cycles);
+        assert_eq!(d.backend().peek(3, 5, 1), 7);
     }
 
     #[test]

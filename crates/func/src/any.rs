@@ -198,6 +198,13 @@ impl Backend for AnyBackend {
         }
     }
 
+    fn execute_reading(&mut self, ops: &[MicroOp], out: &mut Vec<u32>) -> Result<(), ArchError> {
+        match self {
+            AnyBackend::Sim(s) => s.execute_reading(ops, out),
+            AnyBackend::Func(f) => f.execute_reading(ops, out),
+        }
+    }
+
     fn execute_prepared(&mut self, batch: &PreparedBatch) -> Result<(), ArchError> {
         match self {
             AnyBackend::Sim(s) => s.execute_prepared(batch),

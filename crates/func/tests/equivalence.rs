@@ -79,6 +79,35 @@ fn arbitrary_op(cfg: &PimConfig, seed: (u8, u8, u8, u8, u8, u8, u8)) -> Option<M
             index: d % regs,
         },
     })
+    // A vertical NOT from a row onto itself is not an operation.
+    .filter(|op| op.validate(cfg).is_ok())
+}
+
+#[test]
+fn vertical_not_onto_its_own_row_is_refused_alike() {
+    // The gate would read the memristor it drives; both backends refuse it
+    // with the same error through every entry point, and change nothing.
+    let cfg = PimConfig::small();
+    let not = |row_in| MicroOp::LogicV {
+        gate: VGate::Not,
+        row_in,
+        row_out: 5,
+        index: 2,
+    };
+    let mut sim = PimSimulator::new(cfg.clone()).unwrap();
+    let mut func = FuncBackend::new(cfg.clone()).unwrap();
+    sim.set_strict(false);
+    let refused = sim.execute(&not(5)).unwrap_err();
+    assert!(
+        matches!(refused, pim_arch::ArchError::InvalidRange { .. }),
+        "{refused}"
+    );
+    assert_eq!(func.execute(&not(5)), Err(refused.clone()));
+    assert_eq!(sim.execute_batch(&[not(4), not(5)]), Err(refused.clone()));
+    assert_eq!(func.execute_batch(&[not(4), not(5)]), Err(refused));
+    assert!(PreparedBatch::new(vec![not(5)], &cfg).is_err());
+    assert_same_state(&sim, &func, &cfg);
+    assert_eq!(sim.profiler().cycles, 0);
 }
 
 /// Interleaves single-source moves (with their mask) into a stream so the

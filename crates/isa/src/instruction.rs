@@ -78,9 +78,12 @@ pub enum Instruction {
     /// selected warp, copy register `src` of row `src_rows[k]` into register
     /// `dst` of row `dst_rows[k]`, for each position `k`.
     ///
-    /// `src_rows` and `dst_rows` must select the same number of rows and be
-    /// disjoint row sets (a row cannot be both source and destination in
-    /// one transfer).
+    /// `src_rows` and `dst_rows` must select the same number of rows. They
+    /// may overlap only as a uniform shift — equal strides, different
+    /// starts — which the driver orders so that every row is read before it
+    /// is overwritten; identical row sets are refused (a vertical transfer
+    /// cannot read the row it writes; copying between registers of the same
+    /// rows is an `RType` copy).
     MoveRows {
         /// Source register.
         src: RegId,
@@ -196,6 +199,13 @@ impl Instruction {
                 // mapping is a uniform shift (equal strides): the driver
                 // then orders the thread-serial transfers so every source
                 // row is read before it is overwritten.
+                if src_rows == dst_rows {
+                    return Err(ArchError::InvalidRange {
+                        reason: "source and destination rows are identical: a vertical transfer \
+                                 cannot read the row it writes"
+                            .into(),
+                    });
+                }
                 let overlap = src_rows.iter().any(|r| dst_rows.contains(r));
                 if overlap && src_rows.step() != dst_rows.step() {
                     return Err(ArchError::InvalidRange {
@@ -336,6 +346,20 @@ mod tests {
         }
         .validate(&c)
         .unwrap();
+        // A zero shift (identical sets) would transfer every row onto
+        // itself: rejected, whatever the registers.
+        for (src, dst) in [(0, 1), (0, 0)] {
+            let err = Instruction::MoveRows {
+                src,
+                dst,
+                src_rows: RangeMask::dense(0, 8).unwrap(),
+                dst_rows: RangeMask::dense(0, 8).unwrap(),
+                warps,
+            }
+            .validate(&c)
+            .unwrap_err();
+            assert!(matches!(err, ArchError::InvalidRange { .. }), "{err}");
+        }
         // Overlapping sets with different strides: rejected.
         assert!(Instruction::MoveRows {
             src: 0,

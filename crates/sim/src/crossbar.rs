@@ -1,7 +1,7 @@
 use pim_arch::{ArchError, ColAddr, GateKind, HLogic, MoveOp, RangeMask, VGate, WORD_BITS};
 
 /// Rows packed into one plane word.
-const LANE: usize = u64::BITS as usize;
+pub(crate) const LANE: usize = u64::BITS as usize;
 
 /// The cells of every crossbar of one chip, stored the way the arrays are
 /// built: **one bit plane per crossbar column (bitline)**, one bit per row.
@@ -24,8 +24,22 @@ const LANE: usize = u64::BITS as usize;
 /// over the planes it names, 64 rows per word, and a partition-parallel gate
 /// touches the same number of bits in either format. The price is
 /// word-granular access (`Write`, `Read`, `Move`, vertical gates,
-/// [`word`](Self::word)), which becomes a 32-plane gather or scatter; those
-/// operations are single-row or rare.
+/// [`word`](Self::word)): one word is one bit in each of a register's 32
+/// planes, a 32-plane gather or scatter. That price is paid per word only
+/// when a word comes alone. The two *other-direction* accesses of the array
+/// arrive in runs — an upload or a read-back walks the rows of a register, a
+/// row move walks row pairs — and a run has a block form over whole plane
+/// words:
+///
+/// * rows of one plane word written or read one after another are a 64 x 64
+///   bit-matrix transpose between the word format and 32 plane words
+///   (`write_rows`, `read_rows`);
+/// * `INIT1` + vertical `NOT` pairs that move a row range by a uniform shift
+///   are one complemented bit-range copy per plane
+///   (`shift_rows_not`).
+///
+/// `PimSimulator`'s batch executor recognises the runs; a lone word, a
+/// `Move` and everything else still gather or scatter.
 ///
 /// The type holds cells only: masks, the strict flag and profiling are the
 /// caller's. The stored masks reach the kernels as a [`Selection`].
@@ -134,6 +148,34 @@ fn split3(
     (dst, input(a), input(b))
 }
 
+/// The rows `start..=stop` that fall into plane word `w` (which must
+/// overlap the range), as bits of that word.
+fn row_bits(start: usize, stop: usize, w: usize) -> u64 {
+    let lo = start.max(w * LANE) % LANE;
+    let hi = stop.min(w * LANE + LANE - 1) % LANE;
+    (u64::MAX >> (LANE - 1 - hi)) & (u64::MAX << lo)
+}
+
+/// Transposes a 64 x 64 bit matrix in place — bit `c` of `m[r]` trades
+/// places with bit `r` of `m[c]` — in six rounds of block swaps (Warren,
+/// *Hacker's Delight* §7-3): the off-diagonal 32 x 32 blocks first, then
+/// the off-diagonal halves of every block, down to single bits.
+fn transpose64(m: &mut [u64; LANE]) {
+    let mut j = LANE / 2;
+    let mut low = u64::MAX >> j;
+    while j != 0 {
+        let mut k = 0;
+        while k < LANE {
+            let t = ((m[k] >> j) ^ m[k + j]) & low;
+            m[k] ^= t << j;
+            m[k + j] ^= t;
+            k = (k + j + 1) & !j;
+        }
+        j /= 2;
+        low ^= low << j;
+    }
+}
+
 impl Crossbars {
     /// Creates `xbs` crossbars of `rows` rows × `regs` registers, all cells
     /// at logical 0.
@@ -234,11 +276,8 @@ impl Crossbars {
         sel.first_word = first;
         sel.pattern.clear();
         if row_mask.is_dense() {
-            sel.pattern.extend((first..=last).map(|w| {
-                let lo = start.max(w * LANE) % LANE;
-                let hi = stop.min(w * LANE + LANE - 1) % LANE;
-                (u64::MAX >> (LANE - 1 - hi)) & (u64::MAX << lo)
-            }));
+            sel.pattern
+                .extend((first..=last).map(|w| row_bits(start, stop, w)));
         } else {
             sel.pattern.resize(last - first + 1, 0);
             for row in row_mask.iter() {
@@ -436,6 +475,99 @@ impl Crossbars {
         let (row, reg) = (mv.row_dst as usize, mv.index_dst as usize);
         for (src, &value) in xb_mask.iter().zip(scratch.iter()) {
             self.set_word((src as i64 + mv.dist as i64) as usize, row, reg, value);
+        }
+    }
+
+    /// Block form of a run of single-row writes to register `reg` inside
+    /// plane word `word` (rows `64 · word ..`) of every crossbar of
+    /// `xb_mask`: `values[r]` is the word for row `64 · word + r`, `written`
+    /// has bit `r` set for the rows the run wrote (the other entries of
+    /// `values` must be 0). One transpose turns the words into the 32 plane
+    /// words they occupy, then each plane takes one masked store per
+    /// crossbar — equal to [`set_word`](Self::set_word) row by row.
+    pub(crate) fn write_rows(
+        &mut self,
+        reg: usize,
+        word: usize,
+        mut values: [u64; LANE],
+        written: u64,
+        xb_mask: &RangeMask,
+    ) {
+        assert!(
+            (xb_mask.stop() as usize) < self.xbs && word < self.wpx,
+            "cell out of geometry"
+        );
+        transpose64(&mut values);
+        let wpx = self.wpx;
+        for (plane, &column) in self.reg_planes_mut(reg).zip(&values) {
+            for xb in xb_mask.iter() {
+                let at = xb as usize * wpx + word;
+                plane[at] = plane[at] & !written | column;
+            }
+        }
+    }
+
+    /// Block form of a run of reads: register `reg` of the 64 rows of plane
+    /// word `word` of crossbar `xb`, entry `r` holding the word of row
+    /// `64 · word + r` — the inverse gather of `write_rows`, equal to
+    /// [`word`](Self::word) row by row.
+    pub(crate) fn read_rows(&self, xb: usize, word: usize, reg: usize) -> [u64; LANE] {
+        assert!(xb < self.xbs && word < self.wpx, "cell out of geometry");
+        let mut values = [0; LANE];
+        for (column, plane) in values.iter_mut().zip(self.reg_planes(reg)) {
+            *column = plane[xb * self.wpx + word];
+        }
+        transpose64(&mut values);
+        values
+    }
+
+    /// Block form of a run of vertical `INIT1` + `NOT` pairs that moves a
+    /// row range of register `reg` by a uniform shift, in every crossbar of
+    /// `xb_mask`: each row `r` of `dst` takes the complement of what row
+    /// `r - shift` held **before** the run, every other row is untouched.
+    /// Per plane it is one funnel shift over the words the range covers,
+    /// walked from the far end so that every word is read before it is
+    /// stored.
+    ///
+    /// The caller guarantees that the serial pairs it replaces never read a
+    /// row an earlier pair wrote; the rows `dst` and `dst - shift` lie
+    /// inside the geometry and `shift != 0`.
+    pub(crate) fn shift_rows_not(
+        &mut self,
+        reg: usize,
+        dst: std::ops::RangeInclusive<usize>,
+        shift: isize,
+        xb_mask: &RangeMask,
+    ) {
+        let (lo, hi) = (*dst.start(), *dst.end());
+        assert!(
+            (xb_mask.stop() as usize) < self.xbs && lo <= hi && hi < self.rows,
+            "cell out of geometry"
+        );
+        let (first, last) = (lo / LANE, hi / LANE);
+        let wpx = self.wpx;
+        for plane in self.reg_planes_mut(reg) {
+            for xb in xb_mask.iter() {
+                let rows = &mut plane[xb as usize * wpx..][..wpx];
+                // Words beyond the crossbar read as 0: masked out below.
+                let old = |rows: &[u64], w: isize| {
+                    usize::try_from(w).map_or(0, |w| rows.get(w).copied().unwrap_or(0))
+                };
+                for k in 0..=last - first {
+                    let w = if shift > 0 { last - k } else { first + k };
+                    let from = (w * LANE) as isize - shift;
+                    let (q, r) = (
+                        from.div_euclid(LANE as isize),
+                        from.rem_euclid(LANE as isize),
+                    );
+                    let mut moved = old(rows, q) >> r;
+                    if r != 0 {
+                        moved |= old(rows, q + 1) << (LANE as isize - r);
+                    }
+                    let m = row_bits(lo, hi, w);
+                    rows[w] = rows[w] & !m | !moved & m;
+                }
+            }
         }
     }
 }
@@ -828,6 +960,158 @@ mod tests {
         assert_eq!(chip.word(1, 5, 1), 0xAAAA_0001);
         assert_eq!(chip.word(2, 5, 1), 0xBBBB_0002);
         assert_eq!(scratch.len(), 2);
+    }
+
+    #[test]
+    fn transpose_matches_the_double_loop() {
+        let mut noise = 0x9E37_79B9_7F4A_7C15u64;
+        for round in 0..8 {
+            let mut m = [0u64; LANE];
+            for row in &mut m {
+                noise ^= noise << 13;
+                noise ^= noise >> 7;
+                noise ^= noise << 17;
+                // Sparse, dense and word-format (32 columns) matrices.
+                *row = match round % 3 {
+                    0 => noise,
+                    1 => noise & noise.rotate_left(21) & noise.rotate_left(42),
+                    _ => noise >> 32,
+                };
+            }
+            let mut want = [0u64; LANE];
+            for (r, row) in m.iter().enumerate() {
+                for (c, column) in want.iter_mut().enumerate() {
+                    *column |= (row >> c & 1) << r;
+                }
+            }
+            let mut got = m;
+            transpose64(&mut got);
+            assert_eq!(got, want, "round {round}");
+            transpose64(&mut got);
+            assert_eq!(got, m, "transposing twice is the identity");
+        }
+    }
+
+    /// A chip of `xbs` crossbars with distinct noise in registers 0..3.
+    fn noisy(xbs: usize, rows: usize, seed: u32) -> Crossbars {
+        let mut chip = Crossbars::new(xbs, rows, 4);
+        let mut noise = seed | 1;
+        for xb in 0..xbs {
+            for row in 0..rows {
+                for reg in 0..3 {
+                    noise ^= noise << 13;
+                    noise ^= noise >> 17;
+                    noise ^= noise << 5;
+                    chip.set_word(xb, row, reg, noise);
+                }
+            }
+        }
+        chip
+    }
+
+    /// Every crossbar, every second one, the last one — over 1 to 3
+    /// crossbars.
+    fn xb_masks(xbs: usize) -> Vec<RangeMask> {
+        let last = xbs as u32 - 1;
+        vec![
+            RangeMask::dense(0, xbs as u32).unwrap(),
+            RangeMask::new(0, last - last % 2, 2).unwrap(),
+            RangeMask::single(last),
+        ]
+    }
+
+    /// `write_rows` and `read_rows` against `set_word`/`word` loops: row
+    /// subsets that start and end mid-word, in every plane word, written to
+    /// strided crossbar sets; whole images compared, so unwritten rows,
+    /// other registers, other crossbars and the padding are held too.
+    #[test]
+    fn row_block_access_matches_word_loops() {
+        for (xbs, rows) in [(1, 4), (2, 64), (3, 96), (2, 200)] {
+            for xb_mask in xb_masks(xbs) {
+                let mut fast = noisy(xbs, rows, (rows * 31 + xbs) as u32);
+                let mut slow = fast.clone();
+                let mut noise = 0xC0FF_EE11u32;
+                for word in 0..rows.div_ceil(LANE) {
+                    let in_word = (rows - word * LANE).min(LANE);
+                    // First..last row of the subset within the word, and a
+                    // stride: dense, every third row, a single row.
+                    for (first, last, step) in [
+                        (0, in_word - 1, 1),
+                        (in_word / 3, in_word - 1 - in_word / 4, 1),
+                        (1 % in_word, in_word - 1, 3),
+                        (in_word / 2, in_word / 2, 1),
+                    ] {
+                        let (mut values, mut written) = ([0u64; LANE], 0u64);
+                        for r in (first..=last).step_by(step) {
+                            noise = noise.wrapping_mul(0x9E37_79B9).wrapping_add(r as u32);
+                            values[r] = u64::from(noise);
+                            written |= 1 << r;
+                            for xb in xb_mask.iter() {
+                                slow.set_word(xb as usize, word * LANE + r, 1, noise);
+                            }
+                        }
+                        fast.write_rows(1, word, values, written, &xb_mask);
+                        assert!(fast == slow, "{xbs}x{rows} word {word} {xb_mask:?}");
+                    }
+                    for xb in 0..xbs {
+                        let got = fast.read_rows(xb, word, 1);
+                        for (r, &value) in got.iter().enumerate() {
+                            let want = match r < in_word {
+                                true => slow.word(xb, word * LANE + r, 1),
+                                false => 0, // padding rows read as 0
+                            };
+                            assert_eq!(value, u64::from(want), "xb {xb} word {word} row {r}");
+                        }
+                    }
+                }
+                assert_padding_clear(&fast);
+            }
+        }
+    }
+
+    /// `shift_rows_not` against the serial pairs it replaces (`INIT1` of
+    /// the destination row, vertical `NOT` into it, ordered so that every
+    /// source row is read before it is overwritten), for every shift
+    /// distance in both directions and row ranges that overlap their
+    /// sources, are disjoint from them, sit inside one plane word or span
+    /// several.
+    #[test]
+    fn shifted_row_ranges_match_serial_transfers() {
+        for (xbs, rows) in [(1usize, 4usize), (2, 64), (3, 96), (2, 200)] {
+            let pre = noisy(xbs, rows, (rows * 7 + xbs) as u32);
+            let xb_mask = xb_masks(xbs)[(rows / 4) % 3];
+            for dist in 1..rows {
+                for upward in [true, false] {
+                    // Source ranges: as many rows as fit, a short range at
+                    // the far end, a mid-word range.
+                    let fit = rows - dist;
+                    for (first, count) in [(0, fit), (fit - 1, 1), (fit / 3, fit.div_ceil(2))] {
+                        let count = count.min(fit - first);
+                        // Upward: rows first.. move to first + dist..;
+                        // downward: the mirror image.
+                        let (src, dst, shift) = match upward {
+                            true => (first, first + dist, dist as isize),
+                            false => (first + dist, first, -(dist as isize)),
+                        };
+                        let mut slow = pre.clone();
+                        for k in 0..count {
+                            let k = if upward { count - 1 - k } else { k };
+                            slow.apply_vlogic(VGate::Init1, (0, dst + k), 2, &xb_mask, true)
+                                .unwrap();
+                            slow.apply_vlogic(VGate::Not, (src + k, dst + k), 2, &xb_mask, true)
+                                .unwrap();
+                        }
+                        let mut fast = pre.clone();
+                        fast.shift_rows_not(2, dst..=dst + count - 1, shift, &xb_mask);
+                        assert!(
+                            fast == slow,
+                            "{xbs}x{rows}: rows {src}.. -> {dst}.. x{count} under {xb_mask:?}"
+                        );
+                        assert_padding_clear(&fast);
+                    }
+                }
+            }
+        }
     }
 
     /// A valid horizontal operation of every shape from a few bytes of

@@ -1,5 +1,6 @@
+use crate::crossbar::LANE;
 use crate::{charge_batch, charge_op, Crossbars, Profiler, Selection};
-use pim_arch::{ArchError, Backend, MicroOp, PimConfig, PreparedBatch, RangeMask};
+use pim_arch::{ArchError, Backend, MicroOp, PimConfig, PreparedBatch, RangeMask, RegId, VGate};
 
 /// The bit-accurate digital PIM simulator (§VI) — a drop-in replacement for
 /// a physical chip behind the [`Backend`] micro-operation interface.
@@ -155,16 +156,7 @@ impl PimSimulator {
     }
 
     fn read(&self, index: u8) -> Result<u32, ArchError> {
-        if !self.xb_mask.is_single() || !self.row_mask.is_single() {
-            return Err(ArchError::Protocol {
-                reason: format!(
-                    "read requires masks selecting a single row of a single crossbar \
-                     (crossbar mask selects {}, row mask selects {})",
-                    self.xb_mask.len(),
-                    self.row_mask.len()
-                ),
-            });
-        }
+        check_read_masks(&self.xb_mask, &self.row_mask)?;
         let (xb, row) = (self.xb_mask.start(), self.row_mask.start());
         Ok(self.cells.word(xb as usize, row as usize, index as usize))
     }
@@ -205,6 +197,202 @@ impl PimSimulator {
     fn run(&mut self, ops: &[MicroOp]) -> Result<(), ArchError> {
         ops.iter().try_for_each(|op| self.apply(op).map(drop))
     }
+
+    /// Validates and charges a whole stream against the mask state each
+    /// operation will run under; with `reads`, a read must find both masks
+    /// single at its point of the stream. The stored masks are not touched
+    /// and the profiler rolls back on a rejection, so a refused stream
+    /// leaves the simulator exactly as it was.
+    fn accept(&mut self, ops: &[MicroOp], reads: bool) -> Result<(), ArchError> {
+        let (mut xb_mask, mut row_mask) = (self.xb_mask, self.row_mask);
+        let profiler0 = self.profiler.clone();
+        for op in ops {
+            let checked = op
+                .validate(&self.cfg)
+                .and_then(|()| match op {
+                    MicroOp::Read { .. } if !reads => Err(ArchError::Protocol {
+                        reason: "read operations cannot be batched".into(),
+                    }),
+                    MicroOp::Read { .. } => check_read_masks(&xb_mask, &row_mask),
+                    _ => Ok(()),
+                })
+                .and_then(|()| charge_op(&mut self.profiler, op, &xb_mask, &row_mask, &self.cfg));
+            if let Err(e) = checked {
+                self.profiler = profiler0;
+                return Err(e);
+            }
+            match op {
+                MicroOp::XbMask(m) => xb_mask = *m,
+                MicroOp::RowMask(m) => row_mask = *m,
+                _ => {}
+            }
+        }
+        Ok(())
+    }
+
+    /// Applies an accepted stream in order, appending what its reads return
+    /// to `out`. The two accesses that cross the plane layout arrive in
+    /// runs, and a run at the head of the remaining stream is applied in
+    /// its block form; every other operation — and every run too short or
+    /// too irregular to have one — goes through [`apply`](Self::apply).
+    fn run_blocks(&mut self, ops: &[MicroOp], out: &mut Vec<u32>) -> Result<(), ArchError> {
+        let mut rest = ops;
+        while let Some(op) = rest.first() {
+            let run = match op {
+                MicroOp::LogicV { .. } => self.transfer_run(rest),
+                MicroOp::RowMask(_) => self.access_run(rest, out),
+                _ => None,
+            };
+            match run {
+                Some(covered) => rest = &rest[covered..],
+                None => {
+                    out.extend(self.apply(op)?);
+                    rest = &rest[1..];
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// Applies the row-transfer run at the head of `ops`, returning the
+    /// operations it covered: two or more `INIT1` + vertical `NOT` pairs on
+    /// one register whose source and destination rows advance together by
+    /// one row per pair (what `MoveRows` lowers to). While no pair reads a
+    /// row an earlier pair wrote, serial and simultaneous semantics
+    /// coincide and the pairs are one complemented range copy per plane.
+    /// Pair `j` writes the row pair `k` reads when `shift = step · (k - j)`,
+    /// so the run is cut before the first such `k`. Strict mode has nothing
+    /// to check: every `NOT` output was initialized by its own pair.
+    fn transfer_run(&mut self, ops: &[MicroOp]) -> Option<usize> {
+        let (src, dst, reg) = transfer_pair(ops)?;
+        let step = transfer_pair(ops.get(2..)?)?.0 - src;
+        let shift = dst - src;
+        if step.abs() != 1 || shift == 0 {
+            return None;
+        }
+        let safe = usize::try_from(shift * step).unwrap_or(usize::MAX);
+        let pairs = ops
+            .chunks_exact(2)
+            .take(safe)
+            .zip(0..)
+            .take_while(|&(pair, k)| {
+                transfer_pair(pair) == Some((src + step * k, dst + step * k, reg))
+            })
+            .count();
+        if pairs < 2 {
+            return None;
+        }
+        let last = dst + step * (pairs as i64 - 1);
+        self.cells.shift_rows_not(
+            reg as usize,
+            dst.min(last) as usize..=dst.max(last) as usize,
+            shift as isize,
+            &self.xb_mask,
+        );
+        Some(2 * pairs)
+    }
+
+    /// Applies the upload or read-back run at the head of `ops`, returning
+    /// the operations it covered: two or more cells — a single-row mask
+    /// followed by a `Write` (or a `Read`) of one register — whose rows
+    /// share a plane word. The writes are one transposed store into the
+    /// crossbars of the stored crossbar mask, the reads one transposed
+    /// gather from the single crossbar it selects (checked when the stream
+    /// was accepted). The row mask ends at the last cell's row, as it would
+    /// cell by cell.
+    fn access_run(&mut self, ops: &[MicroOp], out: &mut Vec<u32>) -> Option<usize> {
+        let (row0, head) = access_cell(ops)?;
+        let cells = || {
+            ops.chunks_exact(2)
+                .map_while(access_cell)
+                .take_while(|&(row, access)| {
+                    row / LANE == row0 / LANE
+                        && match (head, access) {
+                            (MicroOp::Write { index: a, .. }, MicroOp::Write { index: b, .. })
+                            | (MicroOp::Read { index: a }, MicroOp::Read { index: b }) => a == b,
+                            _ => false,
+                        }
+                })
+        };
+        let (count, last) = cells().fold((0, row0), |(count, _), (row, _)| (count + 1, row));
+        if count < 2 {
+            return None;
+        }
+        match *head {
+            MicroOp::Write { index, .. } => {
+                let (mut values, mut written) = ([0; LANE], 0);
+                for (row, access) in cells() {
+                    if let MicroOp::Write { value, .. } = access {
+                        values[row % LANE] = u64::from(*value);
+                        written |= 1 << (row % LANE);
+                    }
+                }
+                self.cells
+                    .write_rows(index as usize, row0 / LANE, values, written, &self.xb_mask);
+            }
+            MicroOp::Read { index } => {
+                let xb = self.xb_mask.start() as usize;
+                let values = self.cells.read_rows(xb, row0 / LANE, index as usize);
+                out.extend(cells().map(|(row, _)| values[row % LANE] as u32));
+            }
+            _ => return None,
+        }
+        (self.row_mask, self.sel_stale) = (RangeMask::single(last as u32), true);
+        Some(2 * count)
+    }
+}
+
+/// The read protocol (§III-B): a read answers with one word, so the masks
+/// in force must select a single row of a single crossbar.
+fn check_read_masks(xb_mask: &RangeMask, row_mask: &RangeMask) -> Result<(), ArchError> {
+    if xb_mask.is_single() && row_mask.is_single() {
+        return Ok(());
+    }
+    Err(ArchError::Protocol {
+        reason: format!(
+            "read requires masks selecting a single row of a single crossbar \
+             (crossbar mask selects {}, row mask selects {})",
+            xb_mask.len(),
+            row_mask.len()
+        ),
+    })
+}
+
+/// `(source row, destination row, register)` when `ops` starts with the
+/// vertical transfer of one row: `INIT1` of the destination, then `NOT`
+/// into it.
+fn transfer_pair(ops: &[MicroOp]) -> Option<(i64, i64, RegId)> {
+    match ops {
+        [MicroOp::LogicV {
+            gate: VGate::Init1,
+            row_out: init_row,
+            index: init_reg,
+            ..
+        }, MicroOp::LogicV {
+            gate: VGate::Not,
+            row_in,
+            row_out,
+            index,
+        }, ..]
+            if (init_row, init_reg) == (row_out, index) =>
+        {
+            Some((i64::from(*row_in), i64::from(*row_out), *index))
+        }
+        _ => None,
+    }
+}
+
+/// `(row, access)` when `ops` starts with one cell of an upload or a
+/// read-back: a single-row mask, then the `Write` or `Read` under it.
+fn access_cell(ops: &[MicroOp]) -> Option<(usize, &MicroOp)> {
+    match ops {
+        [MicroOp::RowMask(m), access @ (MicroOp::Write { .. } | MicroOp::Read { .. }), ..]
+            if m.is_single() =>
+        {
+            Some((m.start() as usize, access))
+        }
+        _ => None,
+    }
 }
 
 impl Backend for PimSimulator {
@@ -225,33 +413,13 @@ impl Backend for PimSimulator {
     }
 
     fn execute_batch(&mut self, ops: &[MicroOp]) -> Result<(), ArchError> {
-        // Validate and charge the whole stream first, against the mask
-        // state each operation will run under. The stored masks are not
-        // touched until the stream is accepted and the profiler rolls back
-        // on a rejection, so a refused batch leaves the simulator exactly
-        // as it was.
-        let (mut xb_mask, mut row_mask) = (self.xb_mask, self.row_mask);
-        let profiler0 = self.profiler.clone();
-        for op in ops {
-            let checked = match op {
-                MicroOp::Read { .. } => Err(ArchError::Protocol {
-                    reason: "read operations cannot be batched".into(),
-                }),
-                _ => op.validate(&self.cfg).and_then(|()| {
-                    charge_op(&mut self.profiler, op, &xb_mask, &row_mask, &self.cfg)
-                }),
-            };
-            if let Err(e) = checked {
-                self.profiler = profiler0;
-                return Err(e);
-            }
-            match op {
-                MicroOp::XbMask(m) => xb_mask = *m,
-                MicroOp::RowMask(m) => row_mask = *m,
-                _ => {}
-            }
-        }
-        self.run(ops)
+        self.accept(ops, false)?;
+        self.run_blocks(ops, &mut Vec::new())
+    }
+
+    fn execute_reading(&mut self, ops: &[MicroOp], out: &mut Vec<u32>) -> Result<(), ArchError> {
+        self.accept(ops, true)?;
+        self.run_blocks(ops, out)
     }
 
     fn execute_prepared(&mut self, batch: &PreparedBatch) -> Result<(), ArchError> {
@@ -486,6 +654,66 @@ mod tests {
     }
 
     #[test]
+    fn reading_batch_uploads_and_reads_back_in_runs() {
+        // 80 rows of one crossbar written and read back (downwards) in one
+        // stream, crossing the plane-word boundary at row 64: same words,
+        // same counters and same final masks as op by op.
+        let cfg = PimConfig::small().with_rows(96);
+        let value = |row: u32| 0x9E37_79B9u32.wrapping_mul(row + 1);
+        let mut ops = vec![MicroOp::XbMask(RangeMask::single(2))];
+        for row in 10..90 {
+            ops.push(MicroOp::RowMask(RangeMask::single(row)));
+            ops.push(MicroOp::Write {
+                index: 3,
+                value: value(row),
+            });
+        }
+        for row in (10..90).rev() {
+            ops.push(MicroOp::RowMask(RangeMask::single(row)));
+            ops.push(MicroOp::Read { index: 3 });
+        }
+        let mut batch = PimSimulator::new(cfg.clone()).unwrap();
+        let mut words = Vec::new();
+        batch.execute_reading(&ops, &mut words).unwrap();
+        assert_eq!(words, (10..90).rev().map(value).collect::<Vec<_>>());
+        let mut serial = PimSimulator::new(cfg).unwrap();
+        for op in &ops {
+            serial.execute(op).unwrap();
+        }
+        for sim in [&mut batch, &mut serial] {
+            sim.execute(&MicroOp::Write { index: 4, value: 1 }).unwrap();
+        }
+        assert_eq!(batch.cells, serial.cells);
+        assert_eq!(batch.profiler(), serial.profiler());
+        assert_eq!((batch.peek(2, 10, 4), batch.peek(2, 11, 4)), (1, 0));
+    }
+
+    #[test]
+    fn reading_batch_with_an_unaddressed_read_is_refused_whole() {
+        let mut s = sim();
+        let before = (s.cells.clone(), s.profiler().clone());
+        let mut words = Vec::new();
+        let err = s
+            .execute_reading(
+                &[
+                    MicroOp::XbMask(RangeMask::dense(0, 2).unwrap()),
+                    MicroOp::RowMask(RangeMask::single(0)),
+                    MicroOp::Write { index: 0, value: 7 },
+                    MicroOp::RowMask(RangeMask::single(1)),
+                    MicroOp::Read { index: 0 },
+                ],
+                &mut words,
+            )
+            .unwrap_err();
+        assert!(matches!(err, ArchError::Protocol { .. }), "{err}");
+        assert!(words.is_empty());
+        assert_eq!((&s.cells, s.profiler()), (&before.0, &before.1));
+        // The masks still cover the whole memory.
+        s.execute(&MicroOp::Write { index: 0, value: 7 }).unwrap();
+        assert_eq!((s.peek(0, 0, 0), s.peek(15, 63, 0)), (7, 7));
+    }
+
+    #[test]
     fn failed_batch_rolls_back_masks_and_profiler() {
         let mut s = sim();
         let cycles0 = s.profiler().cycles;
@@ -680,6 +908,8 @@ mod proptests {
                 index: d % regs,
             },
         })
+        // A vertical NOT from a row onto itself is not an operation.
+        .filter(|op| op.validate(cfg).is_ok())
     }
 
     use pim_arch::VGate;

@@ -213,6 +213,55 @@ fn crash_recovers_bit_identically_under_tight_checkpoint_bounds() {
 }
 
 #[test]
+fn journal_replay_restores_a_scatter_bit_identically() {
+    // A scatter is journaled instruction by instruction and replayed
+    // through the same bulk path that executed it: the revived shard holds
+    // the same words and the replay counts one instruction per cell.
+    let cfg = cfg();
+    let cells: Vec<(u32, u32)> = (0..150u32)
+        .map(|i| (i * 5 / cfg.rows as u32 % 8, i * 5 % cfg.rows as u32))
+        .collect();
+    let word = |i: usize| 0x85EB_CA6Bu32.wrapping_mul(i as u32 + 3);
+    let writes: Vec<_> = cells
+        .iter()
+        .enumerate()
+        .map(|(i, &(warp, row))| pypim::cluster::GlobalWrite::new(warp, row, 1, word(i)))
+        .collect();
+    let on_shard_0 = cells.iter().filter(|&&(warp, _)| warp < 4).count() as u64;
+    assert!(on_shard_0 > 64 && on_shard_0 < 150);
+    let locs: Vec<_> = cells.iter().map(|&(warp, row)| (warp, row, 1)).collect();
+
+    // Shard 0's second job — its half of the gather — crashes the worker;
+    // no checkpoint in between, so recovery is pure replay of the scatter.
+    let injector = Arc::new(FaultInjector::new(FaultPlan::none().crash_at(0, 1), SHARDS));
+    let cluster = PimCluster::with_options(
+        cfg,
+        SHARDS,
+        ClusterOptions {
+            recovery: RecoveryConfig {
+                checkpoint_max_instructions: usize::MAX,
+                checkpoint_interval_cycles: u64::MAX,
+                ..RecoveryConfig::default()
+            },
+            fault: Some(injector),
+            ..ClusterOptions::default()
+        },
+    )
+    .unwrap();
+    cluster.scatter(&writes).unwrap();
+    let err = cluster.gather(&locs).unwrap_err();
+    assert!(
+        matches!(err, ClusterError::WorkerCrashed { shard: 0 }),
+        "{err:?}"
+    );
+    let got = cluster.gather(&locs).unwrap();
+    assert_eq!(got, (0..cells.len()).map(word).collect::<Vec<_>>());
+    let stats = cluster.stats().unwrap();
+    assert_eq!(stats.worker_restarts, 1);
+    assert_eq!(stats.replayed_instructions, on_shard_0);
+}
+
+#[test]
 fn recovery_disabled_turns_crashes_into_permanent_disconnects() {
     let injector = Arc::new(FaultInjector::new(FaultPlan::none().crash_at(0, 0), SHARDS));
     let cluster = PimCluster::with_options(
