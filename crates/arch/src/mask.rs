@@ -149,6 +149,11 @@ impl RangeMask {
         index >= self.start && index <= self.stop && (index - self.start).is_multiple_of(self.step)
     }
 
+    /// Whether this mask and `other` select a common index.
+    pub fn intersects(&self, other: &RangeMask) -> bool {
+        self.iter().any(|index| other.contains(index))
+    }
+
     /// Iterates over the selected indices in ascending order.
     pub fn iter(&self) -> Iter {
         Iter {
@@ -280,6 +285,11 @@ mod tests {
         for i in 0..20 {
             assert_eq!(m.contains(i), [2, 5, 8, 11, 14].contains(&i), "index {i}");
         }
+        // Interleaved sets share no index; a shifted copy does once the
+        // shift is a multiple of the step.
+        assert!(!m.intersects(&RangeMask::new(3, 15, 3).unwrap()));
+        assert!(m.intersects(&RangeMask::new(8, 20, 3).unwrap()));
+        assert!(!m.intersects(&RangeMask::dense(15, 20).unwrap()));
     }
 
     #[test]

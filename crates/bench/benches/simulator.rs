@@ -133,9 +133,11 @@ fn bench_simulator(c: &mut Criterion) {
 /// The two accesses that cross the plane layout, through the driver, at
 /// the geometry `pimbench`'s `tensor_sim` runs (16 x 512, strict on): a
 /// tensor-sized upload and read-back (one single-row write or read per
-/// word), and the row transfer of a shift (one `MoveRows` whose 511 row
-/// pairs overlap). Both reach the simulator as runs its batch executor
-/// applies in block form.
+/// word), the row transfer of a shift (one `MoveRows` whose 511 row
+/// pairs overlap) and one direction of a distance-1 compare-exchange (one
+/// `MoveRows` from the 256 odd rows to the 256 even rows: disjoint strided
+/// sets). All three reach the simulator as runs its batch executor applies
+/// in block form.
 fn bench_row_access(c: &mut Criterion) {
     let cfg = PimConfig::small().with_crossbars(16).with_rows(512);
     let mut group = c.benchmark_group("simulator");
@@ -173,6 +175,18 @@ fn bench_row_access(c: &mut Criterion) {
     group.throughput(Throughput::Elements(u64::from(rows) - 1));
     group.bench_function("move_rows_shift", |b| {
         b.iter(|| driver.execute(&shift).unwrap());
+    });
+
+    let exchange = Instruction::MoveRows {
+        src: 0,
+        dst: 1,
+        src_rows: RangeMask::strided(1, rows / 2, 2).unwrap(),
+        dst_rows: RangeMask::strided(0, rows / 2, 2).unwrap(),
+        warps: RangeMask::dense(0, 2).unwrap(),
+    };
+    group.throughput(Throughput::Elements(u64::from(rows) / 2));
+    group.bench_function("move_rows_disjoint", |b| {
+        b.iter(|| driver.execute(&exchange).unwrap());
     });
     group.finish();
 }

@@ -100,6 +100,37 @@ impl Workload {
     }
 }
 
+/// The two panels of Figure 13 — the fundamental operations and the
+/// library-level benchmarks. `full` sorts 64k elements beside 1k, the quick
+/// suite 4k.
+pub fn figure13_suite(full: bool) -> ([Workload; 5], [Workload; 5]) {
+    let top = [
+        Workload::RType(RegOp::Add, DType::Int32),
+        Workload::RType(RegOp::Mul, DType::Int32),
+        Workload::RType(RegOp::Lt, DType::Int32),
+        Workload::RType(RegOp::Add, DType::Float32),
+        Workload::RType(RegOp::Mul, DType::Float32),
+    ];
+    let bottom = [
+        Workload::CordicSine,
+        Workload::SumReduce,
+        Workload::MulReduce,
+        Workload::Sort(1024),
+        Workload::Sort(if full { 65536 } else { 4096 }),
+    ];
+    (top, bottom)
+}
+
+/// The §VI-B summary of a suite: `(average, worst)` distance from
+/// theoretical PIM. The paper claims 5 % and 16 %.
+pub fn distance_summary<'a>(results: impl IntoIterator<Item = &'a BenchResult>) -> (f64, f64) {
+    let (mut sum, mut worst, mut count) = (0.0, f64::MIN, 0);
+    for d in results.into_iter().map(BenchResult::distance_from_theory) {
+        (sum, worst, count) = (sum + d, worst.max(d), count + 1);
+    }
+    (sum / count as f64, worst)
+}
+
 fn human(n: usize) -> String {
     if n.is_multiple_of(1024) {
         format!("{}k", n / 1024)

@@ -54,7 +54,7 @@ pub use alloc::{MemoryManager, PlacementHint, Stripe};
 pub use cordic::CORDIC_ITERS;
 pub use device::{Device, ReadTicket, StepTicket};
 pub use error::{CoreError, Result};
-pub use movement::{compact_with_padding, copy, materialize_like, plan_copy, shifted};
+pub use movement::{compact_with_padding, copy, exchange, materialize_like, plan_copy, shifted};
 pub use pim_cluster::{
     ClusterOptions, ErrorClass, FaultInjector, FaultPlan, FaultProfile, HostFault, HostFaultPlan,
     HostFaultProfile, LinkFaultKind, LinkWindow, RecoveryConfig, ShardBackends,

@@ -1,23 +1,36 @@
 //! In-memory bitonic sorting (§VI-A "Sorting"): a Batcher bitonic network
-//! expressed entirely as element-parallel tensor operations plus uniform
-//! shift moves, so the instruction count of a compare-and-swap stage depends
+//! expressed entirely as element-parallel tensor operations plus row and
+//! warp moves, so the instruction count of a compare-and-swap stage depends
 //! on the crossbar height, never on the tensor length.
-//!
-//! A stage at pair distance `j` on a device with `R` rows per crossbar is
-//! about ten element-parallel instructions per thread range (masks, compare,
-//! selects) plus two [`shifted`](crate::shifted) calls, by `+j` and `-j`.
-//! A shift by `j < R` plans one range `MoveRows` (the `R - j` rows that stay
-//! in their warp, two vertical gates per row) and `j` `MoveWarps` (the rows
-//! that cross into the neighbouring warp), each split into at most four
-//! H-tree phases; a shift by a multiple of `R` plans `R` `MoveWarps` per
-//! phase. The moves, not the arithmetic, are what separates the sort from
-//! theoretical PIM (Figure 13).
 //!
 //! The classic network conditionally swaps pairs `(i, i ^ j)` with a
 //! direction given by bit `k` of the index. Both conditions are *data*
 //! here: an index tensor (iota) is materialized once, and the per-stage
 //! masks derive from it with bitwise ops — keeping every PIM instruction
 //! uniform across threads (no irregular masks needed).
+//!
+//! A stage at pair distance `j` inside a `k`-block is, per thread range:
+//!
+//! 1. the lane mask `zj` (1 where bit `j` of the index is clear): a scalar
+//!    fill, `And`, `Zero` (`zk`, the block-direction mask, is built the
+//!    same way once per `k`; hoisting all `log n` masks out of the loops
+//!    would hold 11 registers at `n = 1k` and exhaust the 16 a thread has);
+//! 2. the partner `p[i] = t[i ^ j]`: one [`exchange`](crate::exchange);
+//! 3. `lt = t < p`: one `Lt`;
+//! 4. `take = lt ^ zk ^ zj`: two `Xor` — `t` stays iff `lt == keep_min`, and
+//!    the pair keeps its minimum in the lower lane iff the block ascends,
+//!    `keep_min = !(zk ^ zj)`;
+//! 5. `t = take ? t : p`: one `Mux`.
+//!
+//! The exchange is where the sort leaves theoretical PIM (Figure 13). With
+//! `R` rows per crossbar and `L = min(n, R)` lanes per warp, every stage
+//! with `j < R` and `L` a multiple of `2j` — all of them when `R` is a power
+//! of two — moves only the lanes it keeps: `2 · min(j, L / 2j)` range
+//! `MoveRows` between disjoint row sets, `L` vertical gates, no `MoveWarps`.
+//! The stages with `j >= R` (and every stage `2j` does not divide `R` for,
+//! e.g. `j = 32` at `R = 96`) shift the whole tensor by `+j` and `-j` —
+//! `R` `MoveWarps` per H-tree phase for a whole-warp distance — and select
+//! the half of each that `zj` names.
 
 use crate::movement;
 use crate::tensor::Tensor;
@@ -64,18 +77,13 @@ impl Tensor {
                 let zj = iota
                     .binary_scalar(pim_isa::RegOp::And, j as u32)?
                     .zero_mask()?;
-                // Partner values: above for the lower pair element, below
-                // for the upper one. Out-of-range lanes are never selected.
-                let up = movement::shifted(&t, j as i64)?;
-                let dn = movement::shifted(&t, -(j as i64))?;
-                let partner = zj.select(&up, &dn)?;
-                // Keep the minimum where the pair-direction and block
-                // direction agree.
-                let keep_min = zk.eq_elem(&zj)?;
+                let partner = movement::exchange(&t, j, &zj)?;
+                // `t` stays where it is the pair's minimum and the lane
+                // keeps minima (lower lane of an ascending block, upper of
+                // a descending one), or neither.
                 let lt = t.lt(&partner)?;
-                let minv = lt.select(&t, &partner)?;
-                let maxv = lt.select(&partner, &t)?;
-                t = keep_min.select(&minv, &maxv)?;
+                let take = lt.bit_xor(&zk)?.bit_xor(&zj)?;
+                t = take.select(&t, &partner)?;
                 j /= 2;
             }
             k *= 2;

@@ -92,6 +92,9 @@ pub struct Driver<B> {
     /// reused across calls).
     cells: Vec<MicroOp>,
     read_words: Vec<u32>,
+    /// The micro-operations of the `MoveRows` being executed (reused across
+    /// calls; see [`lower_move_rows`](Self::lower_move_rows)).
+    move_ops: Vec<MicroOp>,
 }
 
 impl<B: Backend> Driver<B> {
@@ -110,6 +113,7 @@ impl<B: Backend> Driver<B> {
             cur_rows: None,
             cells: Vec::with_capacity(3 * CELLS_PER_BATCH),
             read_words: Vec::with_capacity(CELLS_PER_BATCH),
+            move_ops: Vec::new(),
         }
     }
 
@@ -296,10 +300,11 @@ impl<B: Backend> Driver<B> {
                 dst_rows,
                 warps,
             } => {
-                let before = self.cur_xb;
-                let ops = self.lower_move_rows(*src, *dst, src_rows, dst_rows, warps)?;
-                let elide = before == Some(*warps);
-                let ops = if elide { &ops[1..] } else { &ops[..] };
+                self.lower_move_rows(*src, *dst, src_rows, dst_rows, warps)?;
+                // The crossbar mask comes first and goes out only when the
+                // memory holds another one.
+                let elide = usize::from(self.cur_xb == Some(*warps));
+                let ops = &self.move_ops[elide..];
                 self.backend.execute_batch(ops)?;
                 self.cur_xb = Some(*warps);
                 self.cur_rows = Some(*dst_rows);
@@ -502,11 +507,28 @@ impl<B: Backend> Driver<B> {
         Ok(())
     }
 
-    /// Lowers a warp-parallel thread-serial move (Figure 11b): the source
-    /// register is complemented once for all source rows (2 horizontal
-    /// micro-ops), each row pair transfers through one vertical INIT+NOT
-    /// pair (un-complementing in the process), and the value lands in the
-    /// destination register through two more horizontal NOTs.
+    /// Lowers a warp-parallel thread-serial move (Figure 11b) into
+    /// `self.move_ops`, crossbar mask first: the source register is
+    /// complemented once for all source rows into scratch register `t1`
+    /// (row mask + 2 horizontal micro-ops), each row pair transfers through
+    /// one vertical `NOT` inside `t1` (un-complementing in the process), and
+    /// the value lands in the destination register through two more
+    /// horizontal `NOT`s under the destination row mask (4 micro-ops). A
+    /// vertical `NOT` needs its output row initialized, and the two shapes
+    /// differ in who does that:
+    ///
+    /// * **disjoint row sets** (no destination row is a source row): one
+    ///   horizontal `INIT` of `t1` under the destination row mask serves
+    ///   every pair, so the transfers are the bare `NOT`s —
+    ///   `pairs + 10` micro-operations;
+    /// * **overlapping sets** (a uniform shift, equal strides): the
+    ///   destination rows of `t1` hold complements still to be read, so each
+    ///   pair initializes its own output row (`INIT1` + `NOT`), ordered so
+    ///   that every source row is read before a pair overwrites it —
+    ///   `2 * pairs + 9` micro-operations.
+    ///
+    /// Theory counts one transfer per pair plus the complement chain
+    /// (`pairs + 4`) for both.
     fn lower_move_rows(
         &mut self,
         src: u8,
@@ -514,75 +536,62 @@ impl<B: Backend> Driver<B> {
         src_rows: &RangeMask,
         dst_rows: &RangeMask,
         warps: &RangeMask,
-    ) -> Result<Vec<MicroOp>, DriverError> {
+    ) -> Result<(), DriverError> {
         if self.cfg.scratch_regs() < 2 {
             return Err(DriverError::Unsupported {
                 what: "row moves require at least 2 scratch registers".into(),
             });
         }
-        let t1 = self.cfg.user_regs as u8;
+        let cfg = &self.cfg;
+        let t1 = cfg.user_regs as u8;
         let t2 = t1 + 1;
-        let mut ops = Vec::with_capacity(8 + 2 * src_rows.len());
+        let init = |reg| pim_arch::HLogic::init_reg(true, reg, cfg).map(MicroOp::LogicH);
+        let not = |from, to| {
+            pim_arch::HLogic::parallel(pim_arch::GateKind::Not, from, from, to, cfg)
+                .map(MicroOp::LogicH)
+        };
+        let ops = &mut self.move_ops;
+        ops.clear();
         ops.push(MicroOp::XbMask(*warps));
         // t1 = !src on all source rows.
         ops.push(MicroOp::RowMask(*src_rows));
-        ops.push(MicroOp::LogicH(pim_arch::HLogic::init_reg(
-            true, t1, &self.cfg,
-        )?));
-        ops.push(MicroOp::LogicH(pim_arch::HLogic::parallel(
-            pim_arch::GateKind::Not,
-            src,
-            src,
-            t1,
-            &self.cfg,
-        )?));
+        ops.push(init(t1)?);
+        ops.push(not(src, t1)?);
         // Vertical transfer per pair: t1[dst_row] = !t1[src_row] = value.
-        // When the row sets overlap (a uniform shift), order the
-        // thread-serial transfers so each source row is read before any
-        // pair overwrites it: descending for an upward shift, ascending
-        // for a downward one.
+        let disjoint = !src_rows.intersects(dst_rows);
+        if disjoint {
+            ops.push(MicroOp::RowMask(*dst_rows));
+            ops.push(init(t1)?);
+        }
+        // When the row sets overlap, order the thread-serial transfers so
+        // each source row is read before any pair overwrites it: descending
+        // for an upward shift, ascending for a downward one.
         let pairs = src_rows.len() as u32;
-        let upward = dst_rows.start() > src_rows.start();
+        let upward = !disjoint && dst_rows.start() > src_rows.start();
         for k in 0..pairs {
             let k = if upward { pairs - 1 - k } else { k };
-            let s = src_rows.start() + k * src_rows.step();
-            let d = dst_rows.start() + k * dst_rows.step();
-            ops.push(MicroOp::LogicV {
-                gate: VGate::Init1,
-                row_in: s,
-                row_out: d,
+            let row_in = src_rows.start() + k * src_rows.step();
+            let row_out = dst_rows.start() + k * dst_rows.step();
+            let gate = |gate| MicroOp::LogicV {
+                gate,
+                row_in,
+                row_out,
                 index: t1,
-            });
-            ops.push(MicroOp::LogicV {
-                gate: VGate::Not,
-                row_in: s,
-                row_out: d,
-                index: t1,
-            });
+            };
+            if !disjoint {
+                ops.push(gate(VGate::Init1));
+            }
+            ops.push(gate(VGate::Not));
         }
         // dst = !!t1 on all destination rows.
-        ops.push(MicroOp::RowMask(*dst_rows));
-        ops.push(MicroOp::LogicH(pim_arch::HLogic::init_reg(
-            true, t2, &self.cfg,
-        )?));
-        ops.push(MicroOp::LogicH(pim_arch::HLogic::parallel(
-            pim_arch::GateKind::Not,
-            t1,
-            t1,
-            t2,
-            &self.cfg,
-        )?));
-        ops.push(MicroOp::LogicH(pim_arch::HLogic::init_reg(
-            true, dst, &self.cfg,
-        )?));
-        ops.push(MicroOp::LogicH(pim_arch::HLogic::parallel(
-            pim_arch::GateKind::Not,
-            t2,
-            t2,
-            dst,
-            &self.cfg,
-        )?));
-        Ok(ops)
+        if !disjoint {
+            ops.push(MicroOp::RowMask(*dst_rows));
+        }
+        ops.push(init(t2)?);
+        ops.push(not(t1, t2)?);
+        ops.push(init(dst)?);
+        ops.push(not(t2, dst)?);
+        Ok(())
     }
 }
 
@@ -769,12 +778,15 @@ mod tests {
         }
     }
 
-    /// The lowering `shifted()` rests on: a `MoveRows` whose source and
-    /// destination rows overlap is a uniform shift, and the thread-serial
-    /// vertical transfers must run in the order that reads every source row
-    /// before a pair overwrites its scratch copy. Checked on the strict
-    /// simulator (every gate output initialized first) against a host
-    /// reference, together with the micro-op count the cost model assumes.
+    /// The two lowerings row movement rests on. A `MoveRows` whose source
+    /// and destination rows overlap is a uniform shift (`shifted()`): the
+    /// thread-serial vertical transfers must run in the order that reads
+    /// every source row before a pair overwrites its scratch copy, each
+    /// behind its own `INIT1`. One between disjoint row sets (`exchange()`,
+    /// the reduction halves) initializes all its outputs with one horizontal
+    /// `INIT`. Checked on the strict simulator (every gate output
+    /// initialized first) against a host reference, together with the
+    /// micro-op count the cost model assumes.
     #[test]
     fn move_rows_lowers_overlapping_uniform_shifts() {
         let cfg = PimConfig::small();
@@ -782,16 +794,26 @@ mod tests {
         let everywhere = RangeMask::dense(0, cfg.crossbars as u32).unwrap();
         let warps = RangeMask::dense(2, 11).unwrap();
         let span = |start, count, step| RangeMask::strided(start, count, step).unwrap();
+        // (source rows, destination rows, sets overlap)
         let mut cases = Vec::new();
         for shift in [1, rows / 2 - 3, rows - 1] {
             let (low, high) = (span(0, rows - shift, 1), span(shift, rows - shift, 1));
-            cases.push((low, high)); // upward
-            cases.push((high, low)); // downward
+            // The `rows - 1` shift is a single pair: disjoint.
+            let overlap = shift != rows - 1;
+            cases.push((low, high, overlap)); // upward
+            cases.push((high, low, overlap)); // downward
         }
         // Equal strides, overlapping sets: rows 0,3,..,57 <-> 6,9,..,63.
-        cases.push((span(0, 20, 3), span(6, 20, 3)));
-        cases.push((span(6, 20, 3), span(0, 20, 3)));
-        for (src_rows, dst_rows) in cases {
+        cases.push((span(0, 20, 3), span(6, 20, 3), true));
+        cases.push((span(6, 20, 3), span(0, 20, 3), true));
+        // Disjoint sets: dense blocks, the two halves of strided pairs (an
+        // exchange at distance 4), and differing strides.
+        cases.push((span(8, 8, 1), span(0, 8, 1), false));
+        cases.push((span(16, 16, 1), span(32, 16, 1), false));
+        cases.push((span(1, 8, 8), span(5, 8, 8), false));
+        cases.push((span(5, 8, 8), span(1, 8, 8), false));
+        cases.push((span(0, 6, 1), span(10, 6, 9), false));
+        for (src_rows, dst_rows, overlap) in cases {
             let mut d = driver();
             assert!(d.backend().strict());
             for row in 0..rows {
@@ -812,11 +834,12 @@ mod tests {
                 warps,
             };
             let pairs = src_rows.len() as u64;
+            let total = if overlap { 2 * pairs + 9 } else { pairs + 10 };
             // The second issue finds the crossbar mask already stored.
             for elided in [0, 1] {
                 d.reset_issued();
                 d.execute(&mv).unwrap();
-                assert_eq!(d.issued().total, 2 * pairs + 9 - elided, "{mv:?}");
+                assert_eq!(d.issued().total, total - elided, "{mv:?}");
                 assert_eq!(d.issued().logic, pairs + 4);
             }
             let mut want = vec![7; rows as usize];
@@ -837,6 +860,31 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// The horizontal `INIT` of the disjoint shape is what initializes the
+    /// outputs of its vertical `NOT`s. Run once in full, the move leaves the
+    /// moved words (zeros) in the destination rows of the scratch register;
+    /// the same stream without that `INIT` then fails the strict check.
+    #[test]
+    fn disjoint_move_rows_needs_its_horizontal_init() {
+        let mut d = driver();
+        let (low, high) = (
+            RangeMask::dense(0, 8).unwrap(),
+            RangeMask::dense(8, 16).unwrap(),
+        );
+        d.lower_move_rows(0, 1, &low, &high, &RangeMask::single(0))
+            .unwrap();
+        let mut ops = d.move_ops.clone();
+        let init = 1 + ops
+            .iter()
+            .rposition(|op| matches!(op, MicroOp::RowMask(_)))
+            .unwrap();
+        assert!(matches!(&ops[init], MicroOp::LogicH(l) if l.gate == pim_arch::GateKind::Init1));
+        d.backend_mut().execute_batch(&ops).unwrap();
+        ops.remove(init);
+        let err = d.backend_mut().execute_batch(&ops).unwrap_err();
+        assert!(matches!(err, pim_arch::ArchError::Protocol { .. }), "{err}");
     }
 
     #[test]

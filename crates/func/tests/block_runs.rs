@@ -1,7 +1,9 @@
 //! The batch executor of the bit-accurate simulator applies runs of
-//! micro-operations in block form: `INIT1` + vertical `NOT` pairs that move
-//! a row range, and single-row writes or reads that walk the rows of one
-//! plane word. This suite feeds it random batches salted with such runs —
+//! micro-operations in block form: vertical `NOT`s that move a dense or
+//! strided row set by a uniform shift (each behind its own `INIT1`, or bare
+//! after one horizontal `INIT` of the destination rows — the two shapes
+//! `MoveRows` lowers to), and single-row writes or reads that walk the rows
+//! of one plane word. This suite feeds it random batches salted with such runs —
 //! well-formed, cut short, interrupted and illegal ones — and holds the
 //! batch entry points (`execute_batch`, `execute_reading`) equal to
 //! op-by-op `execute`: cells, stored masks, `Profiler`, returned reads and
@@ -77,14 +79,18 @@ fn foreign(cfg: &PimConfig, (_, a, b, c, d, _, _): Seed) -> MicroOp {
     }
 }
 
-/// A candidate row-transfer run: `pairs` pairs from source row `s` to
-/// `s + shift`, advancing by `step`, clipped to the geometry; `flaw` then
-/// breaks it in the middle the ways a recogniser must notice.
+/// A candidate row-transfer run: `pairs` transfers from source row `s` to
+/// `s + shift`, advancing by `step`, clipped to the geometry — every
+/// vertical `NOT` behind the `INIT1` of its output row, or (`bare`) all of
+/// them behind one horizontal `INIT` under the destination row mask. `flaw`
+/// then breaks the run in the middle the ways a recogniser must notice, or
+/// leaves an output of a bare run uninitialized.
 fn transfer_run(cfg: &PimConfig, seed: Seed, ops: &mut Vec<MicroOp>) {
-    let (_, a, b, c, d, flaw, f) = seed;
+    let (kind, a, b, c, d, flaw, f) = seed;
     let rows = cfg.rows as i64;
-    // Row by row, up or down; now and then a stride no block form covers.
-    let step = [1, -1, 1, -1, 1, -1, 2, -3][c as usize % 8];
+    let bare = kind / 8 % 2 == 1;
+    // Row by row, up or down, and the strides of a strided row set.
+    let step = [1, -1, 1, -1, 1, -1, 2, -3, 4, 8][c as usize % 10];
     // Small shifts both ways (the overlapping cases, inside and outside
     // the interval that makes serial and simultaneous differ) and large.
     let shift = match b % 4 {
@@ -96,6 +102,25 @@ fn transfer_run(cfg: &PimConfig, seed: Seed, ops: &mut Vec<MicroOp>) {
     let reg = d % REGS;
     let mut s = a as i64 * 7 % rows;
     let pairs = [1, 2, 3, 70, 130][f as usize % 5];
+    let in_rows = |row: i64| (0..rows).contains(&row);
+    if bare && flaw % 8 != 5 {
+        // The outputs of the unbroken run — all but the last with flaw 4.
+        let fit = (0..pairs)
+            .take_while(|k| in_rows(s + k * step) && in_rows(s + k * step + shift))
+            .count() as i64;
+        let set = fit - i64::from(flaw % 8 == 4);
+        if set > 0 {
+            let lowest = (s + shift).min(s + shift + (fit - 1) * step);
+            let skipped = if step < 0 { fit - set } else { 0 };
+            let outputs = RangeMask::strided(
+                (lowest + skipped * step.abs()) as u32,
+                set as u32,
+                step.unsigned_abs() as u32,
+            );
+            ops.push(MicroOp::RowMask(outputs.unwrap()));
+            ops.push(MicroOp::LogicH(HLogic::init_reg(true, reg, cfg).unwrap()));
+        }
+    }
     for k in 0..pairs {
         let (mut init, mut reg_k) = (s + shift, reg);
         if k == pairs / 2 {
@@ -107,16 +132,17 @@ fn transfer_run(cfg: &PimConfig, seed: Seed, ops: &mut Vec<MicroOp>) {
                 _ => {}
             }
         }
-        let in_rows = |row: i64| (0..rows).contains(&row);
         if !in_rows(s) || !in_rows(s + shift) || !in_rows(init) {
             break;
         }
-        ops.push(MicroOp::LogicV {
-            gate: VGate::Init1,
-            row_in: s as u32,
-            row_out: init as u32,
-            index: reg_k,
-        });
+        if !bare {
+            ops.push(MicroOp::LogicV {
+                gate: VGate::Init1,
+                row_in: s as u32,
+                row_out: init as u32,
+                index: reg_k,
+            });
+        }
         ops.push(MicroOp::LogicV {
             gate: VGate::Not,
             row_in: s as u32,

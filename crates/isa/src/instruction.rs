@@ -206,8 +206,7 @@ impl Instruction {
                             .into(),
                     });
                 }
-                let overlap = src_rows.iter().any(|r| dst_rows.contains(r));
-                if overlap && src_rows.step() != dst_rows.step() {
+                if src_rows.intersects(dst_rows) && src_rows.step() != dst_rows.step() {
                     return Err(ArchError::InvalidRange {
                         reason: "overlapping source/destination row sets require equal strides"
                             .into(),

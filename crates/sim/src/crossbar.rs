@@ -34,9 +34,9 @@ pub(crate) const LANE: usize = u64::BITS as usize;
 /// * rows of one plane word written or read one after another are a 64 x 64
 ///   bit-matrix transpose between the word format and 32 plane words
 ///   (`write_rows`, `read_rows`);
-/// * `INIT1` + vertical `NOT` pairs that move a row range by a uniform shift
-///   are one complemented bit-range copy per plane
-///   (`shift_rows_not`).
+/// * vertical `NOT`s (bare, or each behind its own `INIT1`) that move a
+///   dense or strided row set by a uniform shift are one masked,
+///   complemented funnel shift per plane (`transfer_rows`).
 ///
 /// `PimSimulator`'s batch executor recognises the runs; a lone word, a
 /// `Move` and everything else still gather or scatter.
@@ -521,51 +521,50 @@ impl Crossbars {
         values
     }
 
-    /// Block form of a run of vertical `INIT1` + `NOT` pairs that moves a
-    /// row range of register `reg` by a uniform shift, in every crossbar of
-    /// `xb_mask`: each row `r` of `dst` takes the complement of what row
-    /// `r - shift` held **before** the run, every other row is untouched.
-    /// Per plane it is one funnel shift over the words the range covers,
-    /// walked from the far end so that every word is read before it is
-    /// stored.
+    /// Whether every cell `dst` selects in register `reg` holds 1 — what
+    /// strict mode asks of the outputs of a run of vertical `NOT`s before
+    /// [`transfer_rows`](Self::transfer_rows) may stand in for them.
+    pub(crate) fn rows_set(&self, reg: usize, dst: &Selection) -> bool {
+        self.reg_planes(reg)
+            .fold(0, |unset, plane| unset | dst.unset(plane))
+            == 0
+    }
+
+    /// Block form of a run of vertical `NOT`s that moves a row set of
+    /// register `reg` by a uniform shift: each row `r` that `dst` selects
+    /// takes `old[r] & !old[r - shift]`, where `old` is the register
+    /// **before** the run — with `init` (each `NOT` behind its own `INIT1`)
+    /// simply `!old[r - shift]`. Every other row is untouched. Per plane it
+    /// is one funnel shift over the words of each span under the span's row
+    /// pattern (dense or strided alike), walked from the far end so that
+    /// every word is read before it is stored.
     ///
-    /// The caller guarantees that the serial pairs it replaces never read a
-    /// row an earlier pair wrote; the rows `dst` and `dst - shift` lie
-    /// inside the geometry and `shift != 0`.
-    pub(crate) fn shift_rows_not(
-        &mut self,
-        reg: usize,
-        dst: std::ops::RangeInclusive<usize>,
-        shift: isize,
-        xb_mask: &RangeMask,
-    ) {
-        let (lo, hi) = (*dst.start(), *dst.end());
-        assert!(
-            (xb_mask.stop() as usize) < self.xbs && lo <= hi && hi < self.rows,
-            "cell out of geometry"
-        );
-        let (first, last) = (lo / LANE, hi / LANE);
-        let wpx = self.wpx;
+    /// The caller guarantees that the serial gates it replaces never read a
+    /// row an earlier one wrote; `dst` was lowered by these cells, its rows
+    /// less `shift` lie inside the crossbar and `shift != 0`.
+    pub(crate) fn transfer_rows(&mut self, reg: usize, dst: &Selection, shift: isize, init: bool) {
+        let span = dst.pattern.len();
+        // Words off the plane read as 0: only rows outside the crossbar
+        // would come from there, and the pattern selects none of those.
+        let old = |plane: &[u64], w: isize| {
+            usize::try_from(w).map_or(0, |w| plane.get(w).copied().unwrap_or(0))
+        };
         for plane in self.reg_planes_mut(reg) {
-            for xb in xb_mask.iter() {
-                let rows = &mut plane[xb as usize * wpx..][..wpx];
-                // Words beyond the crossbar read as 0: masked out below.
-                let old = |rows: &[u64], w: isize| {
-                    usize::try_from(w).map_or(0, |w| rows.get(w).copied().unwrap_or(0))
-                };
-                for k in 0..=last - first {
-                    let w = if shift > 0 { last - k } else { first + k };
+            for &start in &dst.starts {
+                for k in 0..span {
+                    let i = if shift > 0 { span - 1 - k } else { k };
+                    let (w, m) = (start + i, dst.pattern[i]);
                     let from = (w * LANE) as isize - shift;
                     let (q, r) = (
                         from.div_euclid(LANE as isize),
                         from.rem_euclid(LANE as isize),
                     );
-                    let mut moved = old(rows, q) >> r;
+                    let mut moved = old(plane, q) >> r;
                     if r != 0 {
-                        moved |= old(rows, q + 1) << (LANE as isize - r);
+                        moved |= old(plane, q + 1) << (LANE as isize - r);
                     }
-                    let m = row_bits(lo, hi, w);
-                    rows[w] = rows[w] & !m | !moved & m;
+                    let out = if init { plane[w] | m } else { plane[w] };
+                    plane[w] = out & !(moved & m);
                 }
             }
         }
@@ -1069,45 +1068,82 @@ mod tests {
         }
     }
 
-    /// `shift_rows_not` against the serial pairs it replaces (`INIT1` of
-    /// the destination row, vertical `NOT` into it, ordered so that every
-    /// source row is read before it is overwritten), for every shift
-    /// distance in both directions and row ranges that overlap their
-    /// sources, are disjoint from them, sit inside one plane word or span
-    /// several.
+    /// `transfer_rows` against the serial gates it replaces — `INIT1` of
+    /// the destination row and a vertical `NOT` into it, ordered so that
+    /// every source row is read before it is overwritten; or, where no
+    /// destination row is a source row, the bare `NOT`s into whatever the
+    /// destination rows hold — for every shift distance in both directions,
+    /// dense and strided row sets that overlap their sources, interleave
+    /// with them or lie apart, inside one plane word or across several.
     #[test]
     fn shifted_row_ranges_match_serial_transfers() {
         for (xbs, rows) in [(1usize, 4usize), (2, 64), (3, 96), (2, 200)] {
             let pre = noisy(xbs, rows, (rows * 7 + xbs) as u32);
             let xb_mask = xb_masks(xbs)[(rows / 4) % 3];
             for dist in 1..rows {
-                for upward in [true, false] {
-                    // Source ranges: as many rows as fit, a short range at
-                    // the far end, a mid-word range.
-                    let fit = rows - dist;
+                for (upward, step) in [(true, 1), (false, 1), (true, 3), (false, 2 * dist)] {
+                    // Source sets: as many rows as fit, a short set at the
+                    // far end, a mid-word set.
+                    let fit = (rows - dist).div_ceil(step);
                     for (first, count) in [(0, fit), (fit - 1, 1), (fit / 3, fit.div_ceil(2))] {
                         let count = count.min(fit - first);
                         // Upward: rows first.. move to first + dist..;
                         // downward: the mirror image.
+                        let first = first * step;
                         let (src, dst, shift) = match upward {
                             true => (first, first + dist, dist as isize),
                             false => (first + dist, first, -(dist as isize)),
                         };
-                        let mut slow = pre.clone();
-                        for k in 0..count {
-                            let k = if upward { count - 1 - k } else { k };
-                            slow.apply_vlogic(VGate::Init1, (0, dst + k), 2, &xb_mask, true)
-                                .unwrap();
-                            slow.apply_vlogic(VGate::Not, (src + k, dst + k), 2, &xb_mask, true)
-                                .unwrap();
-                        }
-                        let mut fast = pre.clone();
-                        fast.shift_rows_not(2, dst..=dst + count - 1, shift, &xb_mask);
-                        assert!(
-                            fast == slow,
-                            "{xbs}x{rows}: rows {src}.. -> {dst}.. x{count} under {xb_mask:?}"
+                        let dst_rows =
+                            RangeMask::strided(dst as u32, count as u32, step as u32).unwrap();
+                        let sel = lower(&pre, xb_mask, dst_rows);
+                        let what = format!(
+                            "{xbs}x{rows}: rows {src}.. -> {dst}.. x{count} step {step} under {xb_mask:?}"
                         );
-                        assert_padding_clear(&fast);
+                        // No pair writes a row a later pair reads.
+                        let apart = dist % step != 0 || dist / step >= count;
+                        for init in [true, false] {
+                            if !init && !apart {
+                                continue;
+                            }
+                            let mut slow = pre.clone();
+                            for k in 0..count {
+                                let k = if upward { count - 1 - k } else { k } * step;
+                                if init {
+                                    slow.apply_vlogic(
+                                        VGate::Init1,
+                                        (0, dst + k),
+                                        2,
+                                        &xb_mask,
+                                        true,
+                                    )
+                                    .unwrap();
+                                }
+                                slow.apply_vlogic(
+                                    VGate::Not,
+                                    (src + k, dst + k),
+                                    2,
+                                    &xb_mask,
+                                    init,
+                                )
+                                .unwrap();
+                            }
+                            let mut fast = pre.clone();
+                            fast.transfer_rows(2, &sel, shift, init);
+                            assert!(fast == slow, "{what} init {init}");
+                            assert_padding_clear(&fast);
+                        }
+                        // The strict pre-check of the bare shape: true once
+                        // the destination rows are set, false with one
+                        // cleared cell.
+                        let mut set = pre.clone();
+                        for plane in set.reg_planes_mut(2) {
+                            sel.fill(plane, true);
+                        }
+                        assert!(set.rows_set(2, &sel), "{what}");
+                        let hole = dst + (count - 1) * step;
+                        set.set_cell(xb_mask.stop() as usize, hole, 17, 2, false);
+                        assert!(!set.rows_set(2, &sel), "{what}");
                     }
                 }
             }

@@ -26,17 +26,18 @@
 //!   in each of a register's 32 planes. Alone, such an operation gathers or
 //!   scatters 32 plane words. In a tensor program they come in **runs** — an
 //!   upload or read-back is a single-row mask plus one `Write`/`Read` per
-//!   word, a row move is an `INIT1` + vertical `NOT` pair per row — and the
+//!   word, a row move is a vertical `NOT` per row (behind its own `INIT1`
+//!   when source and destination rows overlap) — and the
 //!   batch entry points ([`execute_batch`](pim_arch::Backend::execute_batch),
 //!   [`execute_reading`](pim_arch::Backend::execute_reading)) apply a run in
 //!   its block form once the whole stream is validated and charged
-//!   operation by operation: the
-//!   accesses to rows of one plane word become a 64 x 64 bit-matrix
-//!   transpose between word format and planes, the pairs of a uniform row
-//!   shift one complemented bit-range copy per plane. An operation outside a
-//!   run, a run of one, a shift whose serial order matters and everything in
-//!   a prepared routine take the per-operation path; cells, masks, profiler
-//!   and errors are the same either way.
+//!   operation by operation: the accesses to rows of one plane word become
+//!   a 64 x 64 bit-matrix transpose between word format and planes, the
+//!   transfers of a dense or strided row set one masked complemented shift
+//!   per plane. An operation outside a run, a run of one, a shift whose
+//!   serial order matters and everything in a prepared routine take the
+//!   per-operation path; cells, masks, profiler and errors are the same
+//!   either way.
 //! * **Logic**: every horizontal gate, under every mask, is one kernel —
 //!   `out[w] &= !((a[w] | b[w]) & m[w])` over the plane words of each
 //!   concurrent gate. The stored masks are lowered once per mask operation

@@ -30,6 +30,9 @@ pub struct PimSimulator {
     threads: usize,
     /// Source words of the move in flight (reused across moves).
     move_scratch: Vec<u32>,
+    /// Destination rows of the row-transfer run in flight, lowered under
+    /// the stored crossbar mask (reused across runs).
+    run_sel: Selection,
 }
 
 /// A point-in-time copy of a simulator's complete architectural state:
@@ -67,6 +70,7 @@ impl PimSimulator {
             profiler: Profiler::new(),
             threads: 1,
             move_scratch: Vec::new(),
+            run_sel: Selection::default(),
         })
     }
 
@@ -255,41 +259,59 @@ impl PimSimulator {
     }
 
     /// Applies the row-transfer run at the head of `ops`, returning the
-    /// operations it covered: two or more `INIT1` + vertical `NOT` pairs on
-    /// one register whose source and destination rows advance together by
-    /// one row per pair (what `MoveRows` lowers to). While no pair reads a
-    /// row an earlier pair wrote, serial and simultaneous semantics
-    /// coincide and the pairs are one complemented range copy per plane.
-    /// Pair `j` writes the row pair `k` reads when `shift = step · (k - j)`,
-    /// so the run is cut before the first such `k`. Strict mode has nothing
-    /// to check: every `NOT` output was initialized by its own pair.
+    /// operations it covered: two or more vertical `NOT`s on one register —
+    /// bare, or each behind the `INIT1` of its output row — whose input and
+    /// output rows advance together by one constant step (what `MoveRows`
+    /// lowers to: step 1 for a row range, the stride for a strided set).
+    /// While no gate reads a row an earlier one wrote, serial and
+    /// simultaneous semantics coincide and the run is one masked
+    /// complemented shift per plane. Gate `j` writes the row gate `k` reads
+    /// when `shift = step · (k - j)`, so the run is cut before the first
+    /// such `k`. Strict mode has nothing to check behind an `INIT1`; the
+    /// outputs of bare `NOT`s are checked together before any cell changes,
+    /// and a run with an unset output is left to the gate-by-gate path,
+    /// which stops at the offending gate as it would outside a batch.
     fn transfer_run(&mut self, ops: &[MicroOp]) -> Option<usize> {
-        let (src, dst, reg) = transfer_pair(ops)?;
-        let step = transfer_pair(ops.get(2..)?)?.0 - src;
+        let init = matches!(
+            ops.first()?,
+            MicroOp::LogicV {
+                gate: VGate::Init1,
+                ..
+            }
+        );
+        let width = 1 + usize::from(init);
+        let (src, dst, reg) = transfer(ops, init)?;
+        let step = transfer(ops.get(width..)?, init)?.0 - src;
         let shift = dst - src;
-        if step.abs() != 1 || shift == 0 {
+        if step == 0 || shift == 0 {
             return None;
         }
-        let safe = usize::try_from(shift * step).unwrap_or(usize::MAX);
-        let pairs = ops
-            .chunks_exact(2)
+        let safe = match shift % step == 0 && shift / step >= 1 {
+            true => (shift / step) as usize,
+            false => usize::MAX,
+        };
+        let count = ops
+            .chunks_exact(width)
             .take(safe)
             .zip(0..)
-            .take_while(|&(pair, k)| {
-                transfer_pair(pair) == Some((src + step * k, dst + step * k, reg))
+            .take_while(|&(gate, k)| {
+                transfer(gate, init) == Some((src + step * k, dst + step * k, reg))
             })
             .count();
-        if pairs < 2 {
+        if count < 2 {
             return None;
         }
-        let last = dst + step * (pairs as i64 - 1);
-        self.cells.shift_rows_not(
-            reg as usize,
-            dst.min(last) as usize..=dst.max(last) as usize,
-            shift as isize,
-            &self.xb_mask,
-        );
-        Some(2 * pairs)
+        let lowest = dst.min(dst + step * (count as i64 - 1));
+        let rows =
+            RangeMask::strided(lowest as u32, count as u32, step.unsigned_abs() as u32).ok()?;
+        self.cells
+            .lower_masks(&self.xb_mask, &rows, &mut self.run_sel);
+        if self.strict && !init && !self.cells.rows_set(reg as usize, &self.run_sel) {
+            return None;
+        }
+        self.cells
+            .transfer_rows(reg as usize, &self.run_sel, shift as isize, init);
+        Some(width * count)
     }
 
     /// Applies the upload or read-back run at the head of `ops`, returning
@@ -359,25 +381,29 @@ fn check_read_masks(xb_mask: &RangeMask, row_mask: &RangeMask) -> Result<(), Arc
 }
 
 /// `(source row, destination row, register)` when `ops` starts with the
-/// vertical transfer of one row: `INIT1` of the destination, then `NOT`
-/// into it.
-fn transfer_pair(ops: &[MicroOp]) -> Option<(i64, i64, RegId)> {
-    match ops {
-        [MicroOp::LogicV {
-            gate: VGate::Init1,
-            row_out: init_row,
-            index: init_reg,
-            ..
-        }, MicroOp::LogicV {
+/// vertical transfer of one row: a `NOT` into the destination row — with
+/// `init`, behind the `INIT1` of that row.
+fn transfer(ops: &[MicroOp], init: bool) -> Option<(i64, i64, RegId)> {
+    let not = match (init, ops) {
+        (false, [not, ..]) => not,
+        (
+            true,
+            [MicroOp::LogicV {
+                gate: VGate::Init1,
+                row_out: init_row,
+                index: init_reg,
+                ..
+            }, not @ MicroOp::LogicV { row_out, index, .. }, ..],
+        ) if (init_row, init_reg) == (row_out, index) => not,
+        _ => return None,
+    };
+    match not {
+        MicroOp::LogicV {
             gate: VGate::Not,
             row_in,
             row_out,
             index,
-        }, ..]
-            if (init_row, init_reg) == (row_out, index) =>
-        {
-            Some((i64::from(*row_in), i64::from(*row_out), *index))
-        }
+        } => Some((i64::from(*row_in), i64::from(*row_out), *index)),
         _ => None,
     }
 }
