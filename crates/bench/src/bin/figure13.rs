@@ -6,8 +6,9 @@
 //!
 //! Usage: `cargo run --release -p pim-bench --bin figure13 [--full]`
 //!
-//! Exits non-zero when the worst distance from theoretical PIM exceeds the
-//! paper's 16 %, so a CI step that runs it fails on a fidelity regression.
+//! Exits non-zero when the distance from theoretical PIM exceeds the
+//! paper's claim — 5 % on average, 16 % worst case — so a CI step that runs
+//! it fails on a fidelity regression.
 //!
 //! `--full` uses the 64k-thread geometry and sorts 64k elements (slow);
 //! the default quick mode uses 4k threads and additionally reports results
@@ -21,7 +22,9 @@ use pim_bench::{
 use pypim_core::{Device, ParallelismMode};
 use std::process::ExitCode;
 
-/// The paper's worst-case distance from theoretical PIM (§VI-B).
+/// The paper's average and worst-case distance from theoretical PIM
+/// (§VI-B).
+const AVERAGE_DISTANCE_CLAIM: f64 = 0.05;
 const WORST_DISTANCE_CLAIM: f64 = 0.16;
 
 fn print_panel(title: &str, rows: &[BenchResult], paper_threads: u64, threads: u64) {
@@ -126,13 +129,19 @@ fn main() -> ExitCode {
         serial as f64 / parallel as f64
     );
 
-    if worst_dist > WORST_DISTANCE_CLAIM {
-        eprintln!(
-            "worst distance from theoretical PIM {:.1}% exceeds the paper's {:.0}%",
-            100.0 * worst_dist,
-            100.0 * WORST_DISTANCE_CLAIM
-        );
-        return ExitCode::FAILURE;
+    let mut code = ExitCode::SUCCESS;
+    for (what, dist, claim) in [
+        ("average", avg_dist, AVERAGE_DISTANCE_CLAIM),
+        ("worst", worst_dist, WORST_DISTANCE_CLAIM),
+    ] {
+        if dist > claim {
+            eprintln!(
+                "{what} distance from theoretical PIM {:.1}% exceeds the paper's {:.0}%",
+                100.0 * dist,
+                100.0 * claim
+            );
+            code = ExitCode::FAILURE;
+        }
     }
-    ExitCode::SUCCESS
+    code
 }

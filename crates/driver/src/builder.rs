@@ -96,17 +96,53 @@ pub struct PreparedRoutine {
 
 const ALL: u32 = u32::MAX;
 
+/// Lifetime-class boundaries, in gates between a cell's [`alloc`] and its
+/// [`release`]: a cell whose lifetime reaches `CLASS_SPLITS[k]` belongs to
+/// class `k + 1` or above. The ladder is not delicate: `[16, 128, 1024]` and
+/// `[32, 256, 2048]` compile every arithmetic routine within two cycles of
+/// it, and `[64, 512]` does so for all but the divisions (Int div +1.4 %).
+///
+/// [`alloc`]: CircuitBuilder::alloc
+/// [`release`]: CircuitBuilder::release
+const CLASS_SPLITS: [u32; 4] = [16, 64, 256, 1024];
+
+/// Number of lifetime classes.
+const CLASSES: usize = CLASS_SPLITS.len() + 1;
+
+/// The lifetime of a cell that is never released (shared constants,
+/// results) or whose lifetime is not known yet (the measuring run).
+const NEVER_RELEASED: u32 = u32::MAX;
+
+fn class_of(lifetime: u32) -> usize {
+    CLASS_SPLITS.iter().filter(|&&s| lifetime >= s).count()
+}
+
 /// Compiles gate-level circuits into micro-operation sequences under the
 /// stateful-logic discipline.
 ///
 /// The builder manages the driver-reserved scratch registers
 /// (`user_regs..regs` intra-row offsets): [`alloc`](Self::alloc) hands out
-/// cells guaranteed to hold logical 1 (ready to be a `NOT`/`NOR` output),
-/// batching initializations into whole-register partition-parallel `INIT1`
-/// micro-operations wherever possible. Serial gate emitters compose the
-/// derived gate library (`or`, `and`, `xor`, `mux`, full adders) from the
-/// native `NOT`/`NOR` set, while the `par_*` family emits partition-parallel
-/// operations on whole registers (one micro-op for up to 32 gates).
+/// cells guaranteed to hold logical 1 (ready to be a `NOT`/`NOR` output).
+/// Serial gate emitters compose the derived gate library (`or`, `and`,
+/// `xor`, `mux`, full adders) from the native `NOT`/`NOR` set, while the
+/// `par_*` family emits partition-parallel operations on whole registers
+/// (one micro-op for up to 32 gates).
+///
+/// # Two runs
+///
+/// A routine is built by [`compile`](Self::compile), which walks the
+/// routine body **twice**. A scratch cell costs an `INIT1` only when its
+/// register cannot be re-armed as a whole, and a register can be re-armed
+/// as a whole only when all of its cells are dead at once — so where a cell
+/// should go depends on how long it will live, which is not known when it
+/// is allocated. The first (*measuring*) run therefore emits nothing: it
+/// only counts, and records for the `n`-th allocation how many gates were
+/// emitted between its `alloc` and its `release`. The clock is
+/// [`RoutineStats::logic_cycles`], which no placement decision can move.
+/// The second (*emitting*) run is handed that table and places every cell
+/// by its lifetime. Routine bodies are pure functions of their arguments
+/// and only compare cells for identity, so both runs make the same calls;
+/// `compile` asserts that their allocation counts agree.
 ///
 /// Theoretical-vs-measured accounting is kept per [`RoutineStats`].
 #[derive(Debug)]
@@ -126,12 +162,62 @@ pub struct CircuitBuilder<'c> {
     in_use: usize,
     const0: Option<ColAddr>,
     const1: Option<ColAddr>,
+    /// Whether this is the measuring run: count, record lifetimes, emit
+    /// nothing.
+    measuring: bool,
+    /// Lifetime in gates per allocation sequence number: written by the
+    /// measuring run, read by the emitting run.
+    lifetimes: Vec<u32>,
+    /// Allocations made so far — the next allocation's sequence number.
+    allocs: usize,
+    /// Measuring run only: per scratch cell, the sequence number and the
+    /// birth clock of the allocation that holds it.
+    born: Vec<(usize, u64)>,
+    /// Per lifetime class, the register it currently takes cells from.
+    open: [Option<usize>; CLASSES],
 }
 
 impl<'c> CircuitBuilder<'c> {
-    /// Creates a builder for `cfg` with all scratch cells free and dirty
-    /// (their contents from previous routines are unknown).
-    pub fn new(cfg: &'c PimConfig) -> Self {
+    /// Compiles the routine that `body` describes: runs `body` once to
+    /// measure every scratch cell's lifetime and once more to emit, with
+    /// all scratch cells free and dirty at the start of each run (their
+    /// contents from previous routines are unknown). This is the only way
+    /// to obtain a builder.
+    ///
+    /// # Errors
+    ///
+    /// Propagates the error of either run.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the two runs of `body` allocate differently — a body that
+    /// is not a pure function of its arguments is a driver bug.
+    pub fn compile(
+        cfg: &'c PimConfig,
+        mut body: impl FnMut(&mut CircuitBuilder<'c>) -> Result<(), DriverError>,
+    ) -> Result<Routine, DriverError> {
+        let mut measure = CircuitBuilder::new(cfg, true, Vec::new());
+        body(&mut measure)?;
+        let mut emit = CircuitBuilder::new(cfg, false, measure.lifetimes);
+        // A compiled routine is cached for the life of its cluster, so its
+        // stream should not carry the slack of a vector grown by doubling.
+        // One INIT per 32 gate outputs is the floor; a sixteenth on top of
+        // the gates covers every routine in the library.
+        let gates = measure.stats.logic_cycles as usize;
+        emit.ops.reserve_exact(gates + gates / 16 + 64);
+        body(&mut emit)?;
+        assert_eq!(
+            emit.allocs,
+            emit.lifetimes.len(),
+            "the measuring and the emitting run must allocate alike"
+        );
+        Ok(Routine {
+            ops: emit.ops,
+            stats: emit.stats,
+        })
+    }
+
+    fn new(cfg: &'c PimConfig, measuring: bool, lifetimes: Vec<u32>) -> Self {
         let n = cfg.scratch_regs();
         CircuitBuilder {
             cfg,
@@ -144,20 +230,17 @@ impl<'c> CircuitBuilder<'c> {
             in_use: 0,
             const0: None,
             const1: None,
+            measuring,
+            lifetimes,
+            allocs: 0,
+            born: vec![(0, 0); if measuring { n * WORD_BITS } else { 0 }],
+            open: [None; CLASSES],
         }
     }
 
     /// The configuration this builder compiles for.
     pub fn config(&self) -> &PimConfig {
         self.cfg
-    }
-
-    /// Consumes the builder, producing the compiled routine.
-    pub fn finish(self) -> Routine {
-        Routine {
-            ops: self.ops,
-            stats: self.stats,
-        }
     }
 
     /// Number of scratch cells currently live.
@@ -176,86 +259,111 @@ impl<'c> CircuitBuilder<'c> {
         (self.cfg.user_regs + index) as RegId
     }
 
-    fn take(&mut self, index: usize, part: u32) -> ColAddr {
-        self.free[index] &= !(1 << part);
-        self.clean[index] &= !(1 << part);
-        self.written[index] &= !(1 << part);
-        self.in_use += 1;
-        self.stats.scratch_high_water = self.stats.scratch_high_water.max(self.in_use);
-        ColAddr::new(part as u8, self.scratch_offset(index))
+    /// The free cells of scratch register `i` that hold logical 1.
+    fn ready(&self, i: usize) -> u32 {
+        self.free[i] & self.clean[i]
     }
 
     /// Allocates one scratch cell guaranteed to hold logical 1 — ready to
     /// serve as a stateful-gate output (or as a constant-1 input).
     ///
-    /// Initializations are batched: the builder prefers cells that are
-    /// already clean, bulk-initializes fully-free registers with a single
-    /// partition-parallel `INIT1`, and only falls back to per-cell `INIT1`
-    /// under fragmentation.
+    /// A cell is placed by how long it will live (the measuring run's
+    /// table, see the type-level docs): its lifetime picks one of a few
+    /// classes (split at 16, 64, 256 and 1 024 gates — constants, not
+    /// parameters), and the cell is the lowest clean cell of that class's
+    /// *open* register. Cells that die together thus share a
+    /// register, the register empties as a whole, and one
+    /// partition-parallel `INIT1` re-arms all 32 of its cells — whereas a
+    /// register holding even one long-lived cell can only ever be re-armed
+    /// piecemeal, one strided `INIT1` per run of dead cells.
+    ///
+    /// When the open register has no clean cell left, the class opens the
+    /// register that yields the most free cells per `INIT1` (a wholly free
+    /// register: 32 for one), initializing its dirty free cells on the
+    /// spot — registers are armed on demand, never ahead of use. A register
+    /// whose clean cells another class is still drawing from is passed
+    /// over; only when nothing else is free is such a cell taken.
     ///
     /// # Errors
     ///
     /// Returns [`DriverError::ScratchExhausted`] when every scratch cell is
     /// live.
     pub fn alloc(&mut self) -> Result<ColAddr, DriverError> {
-        // 1. A clean free cell (prefer low registers so long-lived values
-        //    cluster there and high registers recycle wholesale).
+        let seq = self.allocs;
+        self.allocs += 1;
+        if self.measuring {
+            self.lifetimes.push(NEVER_RELEASED);
+        }
+        let lifetime = self.lifetimes.get(seq).copied().unwrap_or(NEVER_RELEASED);
+        let class = class_of(lifetime);
+        let i = match self.open[class].filter(|&i| self.ready(i) != 0) {
+            Some(i) => i,
+            None => self
+                .open_register(class)
+                .or_else(|| (0..self.free.len()).find(|&i| self.ready(i) != 0))
+                .ok_or(DriverError::ScratchExhausted {
+                    available: self.cfg.scratch_regs() * WORD_BITS,
+                })?,
+        };
+        let part = self.ready(i).trailing_zeros();
+        self.free[i] &= !(1 << part);
+        self.clean[i] &= !(1 << part);
+        self.written[i] &= !(1 << part);
+        self.in_use += 1;
+        self.stats.scratch_high_water = self.stats.scratch_high_water.max(self.in_use);
+        if self.measuring {
+            self.born[i * WORD_BITS + part as usize] = (seq, self.stats.logic_cycles);
+        }
+        Ok(ColAddr::new(part as u8, self.scratch_offset(i)))
+    }
+
+    /// Makes the register with the most free cells per `INIT1` needed the
+    /// open register of `class` and initializes its dirty free cells: each
+    /// contiguous run of them is one strided `INIT1` (init gates occupy one
+    /// partition each, so any contiguous partition range is a valid
+    /// pattern), and a wholly free register is one run. Returns `None` when
+    /// every free cell sits in a register that another class holds open
+    /// with clean cells left.
+    fn open_register(&mut self, class: usize) -> Option<usize> {
+        // (register, free cells, INITs needed)
+        let mut best: Option<(usize, u32, u32)> = None;
         for i in 0..self.free.len() {
-            let avail = self.free[i] & self.clean[i];
-            if avail != 0 && !self.reserved[i] {
-                return Ok(self.take(i, avail.trailing_zeros()));
+            let free = self.free[i];
+            let held = self.ready(i) != 0 && self.open.contains(&Some(i));
+            if free == 0 || held {
+                continue;
+            }
+            let dirty = free & !self.clean[i];
+            let cells = free.count_ones();
+            let inits = (dirty & !(dirty << 1)).count_ones();
+            if best.is_none_or(|(_, c, n)| cells * n > c * inits) {
+                best = Some((i, cells, inits));
             }
         }
-        // 2. Sweep: bulk-initialize every fully-free dirty register.
-        let mut swept = false;
-        for i in 0..self.free.len() {
-            if self.free[i] == ALL && self.clean[i] != ALL && !self.reserved[i] {
-                let reg = self.scratch_offset(i);
-                self.emit_init_reg(reg, true);
-                self.clean[i] = ALL;
-                swept = true;
+        let (i, ..) = best?;
+        let reg = self.scratch_offset(i);
+        let dirty = self.free[i] & !self.clean[i];
+        let mut mask = dirty;
+        while mask != 0 {
+            let start = mask.trailing_zeros();
+            let run = (mask >> start).trailing_ones();
+            let cell = ColAddr::new(start as u8, reg);
+            let p_end = (start + run - 1) as u8;
+            self.init("contiguous init range", |cfg| {
+                HLogic::strided(GateKind::Init1, cell, cell, cell, p_end, 1, cfg)
+            });
+            mask &= !((((1u64 << run) - 1) as u32) << start);
+        }
+        self.clean[i] |= dirty;
+        // A class that ran this register dry and has not allocated since
+        // still points at it: these cells are not for it.
+        for o in &mut self.open {
+            if *o == Some(i) {
+                *o = None;
             }
         }
-        if swept {
-            return self.alloc();
-        }
-        // 3. Re-initialize the dirtiest register's free cells wholesale:
-        //    each contiguous run of dirty free cells becomes one strided
-        //    INIT1 micro-operation (init gates occupy one partition each,
-        //    so any contiguous partition range is a valid pattern).
-        let best = (0..self.free.len())
-            .filter(|&i| !self.reserved[i])
-            .max_by_key(|&i| (self.free[i] & !self.clean[i]).count_ones());
-        if let Some(i) = best {
-            let dirty = self.free[i] & !self.clean[i];
-            if dirty != 0 {
-                let reg = self.scratch_offset(i);
-                let mut mask = dirty;
-                while mask != 0 {
-                    let start = mask.trailing_zeros();
-                    let run = (mask >> start).trailing_ones();
-                    let cell = ColAddr::new(start as u8, reg);
-                    let op = HLogic::strided(
-                        GateKind::Init1,
-                        cell,
-                        cell,
-                        cell,
-                        (start + run - 1) as u8,
-                        1,
-                        self.cfg,
-                    )
-                    .expect("contiguous init range is valid");
-                    self.ops.push(MicroOp::LogicH(op));
-                    self.stats.overhead_cycles += 1;
-                    mask &= !((((1u64 << run) - 1) as u32) << start);
-                }
-                self.clean[i] |= dirty;
-                return Ok(self.take(i, dirty.trailing_zeros()));
-            }
-        }
-        Err(DriverError::ScratchExhausted {
-            available: self.cfg.scratch_regs() * WORD_BITS,
-        })
+        self.open[class] = Some(i);
+        Some(i)
     }
 
     /// Releases a scratch cell. Cells that were never written since
@@ -276,10 +384,17 @@ impl<'c> CircuitBuilder<'c> {
             "release of a cell inside a reserved register"
         );
         self.free[i] |= bit;
-        if self.written[i] & bit == 0 {
+        // The measuring run emits nothing, so there a dead cell is as good
+        // as a clean one, and no register is ever searched for to re-arm.
+        if self.measuring || self.written[i] & bit == 0 {
             self.clean[i] |= bit;
         }
         self.in_use -= 1;
+        if self.measuring {
+            let (seq, born) = self.born[i * WORD_BITS + c.part as usize];
+            let gates = self.stats.logic_cycles - born;
+            self.lifetimes[seq] = u32::try_from(gates).unwrap_or(NEVER_RELEASED);
+        }
     }
 
     /// Releases several scratch cells.
@@ -347,8 +462,7 @@ impl<'c> CircuitBuilder<'c> {
             return Ok(c);
         }
         let c = self.alloc()?;
-        self.emit_init_cell(c, false);
-        self.mark_written(c);
+        self.init_cell(c, false);
         self.const0 = Some(c);
         Ok(c)
     }
@@ -375,30 +489,46 @@ impl<'c> CircuitBuilder<'c> {
         }
     }
 
-    fn emit_init_cell(&mut self, c: ColAddr, v: bool) {
-        let gate = if v { GateKind::Init1 } else { GateKind::Init0 };
-        let op = HLogic::serial(gate, c, c, c, self.cfg).expect("validated cell address");
-        self.ops.push(MicroOp::LogicH(op));
-        self.stats.overhead_cycles += 1;
+    /// Appends one horizontal micro-operation. The measuring run neither
+    /// builds nor validates it: only the caller's cycle counters move.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the operation is invalid for the geometry — `what` the
+    /// caller promised it is; a driver bug.
+    fn push(&mut self, what: &str, op: impl FnOnce(&PimConfig) -> Result<HLogic, ArchError>) {
+        if !self.measuring {
+            let op = op(self.cfg).unwrap_or_else(|e| panic!("{what}: {e}"));
+            self.ops.push(MicroOp::LogicH(op));
+        }
     }
 
-    fn emit_init_reg(&mut self, reg: RegId, v: bool) {
-        let op = HLogic::init_reg(v, reg, self.cfg).expect("validated register");
-        self.ops.push(MicroOp::LogicH(op));
+    /// One `NOT`/`NOR` micro-operation (a theoretical-PIM cycle).
+    fn logic(&mut self, what: &str, op: impl FnOnce(&PimConfig) -> Result<HLogic, ArchError>) {
+        self.stats.logic_cycles += 1;
+        self.push(what, op);
+    }
+
+    /// One `INIT0`/`INIT1` micro-operation (an overhead cycle).
+    fn init(&mut self, what: &str, op: impl FnOnce(&PimConfig) -> Result<HLogic, ArchError>) {
         self.stats.overhead_cycles += 1;
+        self.push(what, op);
     }
 
     /// Initializes a single cell (overhead cycle). The cell may be a user
     /// register cell; scratch bookkeeping is updated when applicable.
     pub fn init_cell(&mut self, c: ColAddr, v: bool) {
-        self.emit_init_cell(c, v);
+        let gate = if v { GateKind::Init1 } else { GateKind::Init0 };
+        self.init("validated cell address", |cfg| {
+            HLogic::serial(gate, c, c, c, cfg)
+        });
         self.mark_written(c);
     }
 
     /// Initializes a whole register with one partition-parallel `INIT`
     /// micro-operation (overhead cycle).
     pub fn init_reg(&mut self, reg: RegId, v: bool) {
-        self.emit_init_reg(reg, v);
+        self.init("validated register", |cfg| HLogic::init_reg(v, reg, cfg));
     }
 
     /// Emits a serial `NOR` gate into `out`, which must already hold 1.
@@ -409,10 +539,9 @@ impl<'c> CircuitBuilder<'c> {
     /// the output) — a driver bug.
     pub fn nor_into(&mut self, a: ColAddr, b: ColAddr, out: ColAddr) {
         let (a, b) = if a.part <= b.part { (a, b) } else { (b, a) };
-        let op = HLogic::serial(GateKind::Nor, a, b, out, self.cfg)
-            .expect("electrically valid NOR gate");
-        self.ops.push(MicroOp::LogicH(op));
-        self.stats.logic_cycles += 1;
+        self.logic("electrically valid NOR gate", |cfg| {
+            HLogic::serial(GateKind::Nor, a, b, out, cfg)
+        });
         self.mark_written(out);
     }
 
@@ -422,10 +551,9 @@ impl<'c> CircuitBuilder<'c> {
     ///
     /// Panics if `a == out` (driver bug).
     pub fn not_into(&mut self, a: ColAddr, out: ColAddr) {
-        let op = HLogic::serial(GateKind::Not, a, a, out, self.cfg)
-            .expect("electrically valid NOT gate");
-        self.ops.push(MicroOp::LogicH(op));
-        self.stats.logic_cycles += 1;
+        self.logic("electrically valid NOT gate", |cfg| {
+            HLogic::serial(GateKind::Not, a, a, out, cfg)
+        });
         self.mark_written(out);
     }
 
@@ -666,18 +794,17 @@ impl<'c> CircuitBuilder<'c> {
     /// Partition-parallel `NOT` of a whole register: one micro-operation for
     /// all 32 gates. `dst` must be initialized to all-ones.
     pub fn par_not(&mut self, src: RegId, dst: RegId) {
-        let op =
-            HLogic::parallel(GateKind::Not, src, src, dst, self.cfg).expect("validated registers");
-        self.ops.push(MicroOp::LogicH(op));
-        self.stats.logic_cycles += 1;
+        self.logic("validated registers", |cfg| {
+            HLogic::parallel(GateKind::Not, src, src, dst, cfg)
+        });
     }
 
     /// Partition-parallel `NOR` of two whole registers into `dst` (one
     /// micro-operation; `dst` must be all-ones).
     pub fn par_nor(&mut self, a: RegId, b: RegId, dst: RegId) {
-        let op = HLogic::parallel(GateKind::Nor, a, b, dst, self.cfg).expect("validated registers");
-        self.ops.push(MicroOp::LogicH(op));
-        self.stats.logic_cycles += 1;
+        self.logic("validated registers", |cfg| {
+            HLogic::parallel(GateKind::Nor, a, b, dst, cfg)
+        });
     }
 
     /// Cross-partition shifted `NOT`: `dst[p + shift] = !src[p]` for every
@@ -714,18 +841,11 @@ impl<'c> CircuitBuilder<'c> {
                 continue;
             }
             let p_end = (first_out + reps * step as i32) as u8;
-            let op = HLogic::strided(
-                GateKind::Not,
-                ColAddr::new(first_in as u8, src),
-                ColAddr::new(first_in as u8, src),
-                ColAddr::new(first_out as u8, dst),
-                p_end,
-                step,
-                self.cfg,
-            )
-            .expect("validated shift pattern");
-            self.ops.push(MicroOp::LogicH(op));
-            self.stats.logic_cycles += 1;
+            let input = ColAddr::new(first_in as u8, src);
+            let output = ColAddr::new(first_out as u8, dst);
+            self.logic("validated shift pattern", |cfg| {
+                HLogic::strided(GateKind::Not, input, input, output, p_end, step, cfg)
+            });
         }
     }
 
@@ -740,6 +860,7 @@ impl<'c> CircuitBuilder<'c> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::routines::testutil::compile;
     use pim_arch::{Backend, PimConfig, RangeMask};
     use pim_sim::PimSimulator;
 
@@ -747,17 +868,16 @@ mod tests {
         PimConfig::small().with_crossbars(1).with_rows(8)
     }
 
-    /// Runs `build` once, then evaluates the routine on a single row whose
-    /// scratch-region is dirtied with `garbage`, with `inputs` cells preset.
-    /// Returns a closure to probe cells.
+    /// Compiles `build`, then evaluates the routine on rows whose scratch
+    /// region starts dirty, with `inputs` cells preset. Returns the values
+    /// of the cells `build` returned.
     fn run(
         c: &PimConfig,
         inputs: &[(ColAddr, bool)],
-        build: impl FnOnce(&mut CircuitBuilder) -> Vec<ColAddr>,
+        build: impl FnMut(&mut CircuitBuilder) -> Vec<ColAddr>,
     ) -> Vec<bool> {
-        let mut b = CircuitBuilder::new(c);
-        let probes = build(&mut b);
-        let routine = b.finish().prepare(c).unwrap();
+        let (routine, probes) = compile(c, build);
+        let routine = routine.prepare(c).unwrap();
         let mut sim = PimSimulator::new(c.clone()).unwrap();
         // Dirty the scratch region to prove routines self-initialize.
         for reg in c.user_regs..c.regs {
@@ -857,11 +977,9 @@ mod tests {
 
     #[test]
     fn full_adder_costs_9_gates() {
-        let c = cfg();
-        let mut b = CircuitBuilder::new(&c);
         let (x, y, z) = (in_cell(0), in_cell(1), in_cell(2));
-        let _ = b.full_adder(x, y, z).unwrap();
-        assert_eq!(b.finish().stats.logic_cycles, 9);
+        let (routine, _) = compile(&cfg(), |b| b.full_adder(x, y, z).unwrap());
+        assert_eq!(routine.stats.logic_cycles, 9);
     }
 
     #[test]
@@ -934,18 +1052,111 @@ mod tests {
             got.iter().all(|&v| v),
             "allocated cells must hold 1: {got:?}"
         );
+
+        // Interleaved lifetimes on a pool of four registers, so that every
+        // placement path is taken. Each cell handed out becomes a gate
+        // output at once — the strict simulator refuses a gate whose output
+        // does not hold 1 — except the shared constant, which is probed.
+        let c = cfg().with_user_regs(28);
+        let src = in_cell(0);
+        let fresh = |b: &mut CircuitBuilder| {
+            let cell = b.alloc().unwrap();
+            b.not_into(src, cell);
+            cell
+        };
+        // Lets `gates` gates pass (into user register 1).
+        let tick = |b: &mut CircuitBuilder, gates: usize| {
+            for k in 0..gates {
+                let part = (k % WORD_BITS) as u8;
+                if part == 0 {
+                    b.init_reg(1, true);
+                }
+                b.not_into(src, ColAddr::new(part, 1));
+            }
+        };
+        // `count` cells that live for nine gates each, eight at a time;
+        // returns their scratch registers and what initializing them cost.
+        let shorts = |b: &mut CircuitBuilder, count: usize| {
+            let before = b.stats.overhead_cycles;
+            let mut ring = std::collections::VecDeque::new();
+            let mut regs = Vec::new();
+            for _ in 0..count {
+                let cell = fresh(b);
+                regs.push(b.scratch_index(cell).unwrap());
+                ring.push_back(cell);
+                if ring.len() > 8 {
+                    b.release(ring.pop_front().unwrap());
+                }
+            }
+            b.release_all(ring);
+            (regs, b.stats.overhead_cycles - before)
+        };
+        let total = c.scratch_regs() * WORD_BITS;
+        let mut trace = None;
+        let got = run(&c, &[], |b| {
+            let one = b.one().unwrap(); // never released
+            let first = shorts(b, 80);
+            let medium = fresh(b);
+            tick(b, 20);
+            b.release(medium);
+            let long = fresh(b);
+            tick(b, 70);
+            b.release(long);
+            let longer = fresh(b);
+            tick(b, 300);
+            b.release(longer);
+            let second = shorts(b, 24);
+            // Exhaustion: every remaining cell is handed out, once.
+            let mut rest = 0;
+            while let Ok(cell) = b.alloc() {
+                b.not_into(src, cell);
+                rest += 1;
+            }
+            assert_eq!(rest, total - 1);
+            assert_eq!(b.live_cells(), total);
+            assert!(matches!(
+                b.alloc(),
+                Err(DriverError::ScratchExhausted { .. })
+            ));
+            let reg = |cell| b.scratch_index(cell).unwrap();
+            trace = Some((first, reg(medium), reg(long), longer, second));
+            vec![one]
+        });
+        assert_eq!(got, [true]);
+        let ((first, first_inits), medium, long, longer, (second, second_inits)) = trace.unwrap();
+        // Open: the constant took register 0, so the short class opens
+        // register 1; when that runs dry with eight cells still live, a
+        // wholly free register (32 cells for one INIT) beats re-arming its
+        // 24 dead ones. Reopen: by the time register 2 runs dry, register 1
+        // has emptied as a whole and is armed again — three INITs in all.
+        assert_eq!(first[..32], [1; 32]);
+        assert_eq!(first[32..64], [2; 32]);
+        assert_eq!(first[64..], [1; 16]);
+        assert_eq!(first_inits, 3);
+        // Each longer-lived class opens a register of its own while one is
+        // to be had...
+        assert_eq!((medium, long), (2, 3));
+        // ...and steals when every register with a free cell is another
+        // class's open one: the lowest clean cell, next to the constant.
+        assert_eq!(longer, ColAddr::new(1, c.user_regs as RegId));
+        // Re-arm in place: with no other register to be had, the short
+        // class initializes the 24 dead cells of its own with one strided
+        // INIT while its last eight are still live.
+        assert_eq!(second, [1; 24]);
+        assert_eq!(second_inits, 1);
     }
 
     #[test]
     fn par_ops_match_word_semantics() {
         let c = cfg();
-        let mut b = CircuitBuilder::new(&c);
-        // dst regs: user regs 2 and 3.
-        b.init_reg(2, true);
-        b.par_not(0, 2); // reg2 = !reg0
-        b.init_reg(3, true);
-        b.par_nor(0, 1, 3); // reg3 = !(reg0 | reg1)
-        let routine = b.finish().prepare(&c).unwrap();
+        let (routine, ()) = compile(&c, |b| {
+            // dst regs: user regs 2 and 3.
+            b.init_reg(2, true);
+            b.par_not(0, 2); // reg2 = !reg0
+            b.init_reg(3, true);
+            b.par_nor(0, 1, 3); // reg3 = !(reg0 | reg1)
+        });
+        let routine = routine.prepare(&c).unwrap();
         let mut sim = PimSimulator::new(c.clone()).unwrap();
         sim.poke(0, 0, 0, 0x1234_5678);
         sim.poke(0, 0, 1, 0x0F0F_0F0F);
@@ -964,11 +1175,12 @@ mod tests {
     fn par_shift_not_shifts_partitions() {
         let c = cfg();
         for shift in [-31, -7, -3, -1, 1, 2, 5, 31] {
-            let mut b = CircuitBuilder::new(&c);
-            b.init_reg(2, true);
-            b.par_shift_not(0, 2, shift);
+            let (routine, ()) = compile(&c, |b| {
+                b.init_reg(2, true);
+                b.par_shift_not(0, 2, shift);
+            });
             let expected_ops = shift.unsigned_abs() as u64 + 1;
-            let routine = b.finish().prepare(&c).unwrap();
+            let routine = routine.prepare(&c).unwrap();
             assert!(
                 routine.stats.logic_cycles <= expected_ops,
                 "shift {shift}: {} ops",
@@ -998,44 +1210,46 @@ mod tests {
     #[test]
     fn scratch_exhaustion_is_reported() {
         let c = cfg();
-        let mut b = CircuitBuilder::new(&c);
         let total = c.scratch_regs() * WORD_BITS;
-        for _ in 0..total {
-            b.alloc().unwrap();
-        }
-        assert!(matches!(
-            b.alloc(),
-            Err(DriverError::ScratchExhausted { .. })
-        ));
+        compile(&c, |b| {
+            for _ in 0..total {
+                b.alloc().unwrap();
+            }
+            assert!(matches!(
+                b.alloc(),
+                Err(DriverError::ScratchExhausted { .. })
+            ));
+        });
     }
 
     #[test]
     fn alloc_reg_reserves_and_releases() {
         let c = cfg();
-        let mut b = CircuitBuilder::new(&c);
-        let r1 = b.alloc_reg().unwrap();
-        let r2 = b.alloc_reg().unwrap();
-        assert_ne!(r1, r2);
-        assert!(r1 as usize >= c.user_regs && (r1 as usize) < c.regs);
-        // Cells never come from reserved registers.
-        for _ in 0..(c.scratch_regs() - 2) * WORD_BITS {
-            let cell = b.alloc().unwrap();
-            assert_ne!(cell.offset, r1);
-            assert_ne!(cell.offset, r2);
-        }
-        assert!(b.alloc().is_err());
-        b.release_reg(r1);
-        assert!(b.alloc().is_ok());
+        compile(&c, |b| {
+            let r1 = b.alloc_reg().unwrap();
+            let r2 = b.alloc_reg().unwrap();
+            assert_ne!(r1, r2);
+            assert!(r1 as usize >= c.user_regs && (r1 as usize) < c.regs);
+            // Cells never come from reserved registers.
+            for _ in 0..(c.scratch_regs() - 2) * WORD_BITS {
+                let cell = b.alloc().unwrap();
+                assert_ne!(cell.offset, r1);
+                assert_ne!(cell.offset, r2);
+            }
+            assert!(b.alloc().is_err());
+            b.release_reg(r1);
+            assert!(b.alloc().is_ok());
+        });
     }
 
     #[test]
     #[should_panic(expected = "double free")]
     fn double_free_panics() {
-        let c = cfg();
-        let mut b = CircuitBuilder::new(&c);
-        let cell = b.alloc().unwrap();
-        b.release(cell);
-        b.release(cell);
+        compile(&cfg(), |b| {
+            let cell = b.alloc().unwrap();
+            b.release(cell);
+            b.release(cell);
+        });
     }
 
     #[test]
@@ -1043,23 +1257,23 @@ mod tests {
         // 32 chained full adders (a ripple add) must spend most cycles on
         // logic, not initialization — the §VI-B "close to theoretical" claim
         // starts here.
-        let c = cfg();
-        let mut b = CircuitBuilder::new(&c);
-        let mut carry = b.zero().unwrap();
-        for i in 0..32u8 {
-            let a = ColAddr::new(i, 0);
-            let x = ColAddr::new(i, 1);
-            let (s, co) = b.full_adder(a, x, carry).unwrap();
-            b.release(s);
-            if carry != b.zero().unwrap() {
-                b.release(carry);
+        let (routine, ()) = compile(&cfg(), |b| {
+            let mut carry = b.zero().unwrap();
+            for i in 0..32u8 {
+                let a = ColAddr::new(i, 0);
+                let x = ColAddr::new(i, 1);
+                let (s, co) = b.full_adder(a, x, carry).unwrap();
+                b.release(s);
+                if carry != b.zero().unwrap() {
+                    b.release(carry);
+                }
+                carry = co;
             }
-            carry = co;
-        }
-        let stats = b.finish().stats;
+        });
+        let stats = routine.stats;
         assert_eq!(stats.logic_cycles, 9 * 32);
         assert!(
-            stats.overhead_fraction() < 0.10,
+            stats.overhead_fraction() < 0.05,
             "overhead fraction {} too high ({} overhead cycles)",
             stats.overhead_fraction(),
             stats.overhead_cycles

@@ -8,9 +8,9 @@
 //!
 //! * A [`CircuitBuilder`] that compiles gate-level routines under the
 //!   stateful-logic discipline (every `NOT`/`NOR` output initialized to 1),
-//!   with scratch-cell management in the driver-reserved registers and
-//!   automatic batching of initializations into whole-register,
-//!   partition-parallel `INIT` micro-operations.
+//!   with scratch-cell management in the driver-reserved registers: a cell
+//!   is placed by how long it lives, so a scratch register empties as a
+//!   whole and one partition-parallel `INIT` re-arms 32 gate outputs.
 //! * The **AritPIM suite** re-implemented from scratch: bit-serial
 //!   ripple-carry integer arithmetic (the 9-NOR full adder), truncated
 //!   32-bit multiplication, signed restoring division/modulo, and complete

@@ -360,6 +360,7 @@ pub fn normalize_left(
 mod tests {
     use super::*;
     use crate::builder::CircuitBuilder;
+    use crate::routines::testutil::compile;
     use pim_arch::{Backend, MicroOp, PimConfig, RangeMask};
     use pim_sim::PimSimulator;
 
@@ -370,12 +371,11 @@ mod tests {
 
     /// Evaluates `build` on a row where registers 0..k are preloaded with
     /// `inputs`; returns the probed cells as a u64 (LSB = first probe).
-    fn eval(inputs: &[u32], build: impl FnOnce(&mut CircuitBuilder) -> Vec<ColAddr>) -> u64 {
+    fn eval(inputs: &[u32], build: impl Fn(&mut CircuitBuilder) -> Vec<ColAddr>) -> u64 {
         let c = cfg();
-        let mut b = CircuitBuilder::new(&c);
-        let probes = build(&mut b);
+        let (routine, probes) = compile(&c, build);
         assert!(probes.len() <= 64);
-        let routine = b.finish().prepare(&c).unwrap();
+        let routine = routine.prepare(&c).unwrap();
         let mut sim = PimSimulator::new(c.clone()).unwrap();
         for reg in c.user_regs..c.regs {
             sim.poke(0, 0, reg, 0xDEAD_BEEF); // dirty scratch

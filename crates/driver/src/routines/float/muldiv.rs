@@ -14,13 +14,13 @@ fn mant_product(
 ) -> Result<Bits, DriverError> {
     let n = ma.len();
     let mut acc: Bits = Vec::with_capacity(2 * n);
-    // First partial product: mx & ma[0], upper half zeroes.
+    // First partial product: mx & ma[0]. Of its all-zero upper half only
+    // bit `n` is ever read (by the first row below); every higher bit is
+    // the carry of a row and is pushed when that carry lands.
     for &x in mx.iter().take(n) {
         acc.push(b.and(x, ma[0])?);
     }
-    for _ in n..2 * n {
-        acc.push(common::owned_zero(b)?);
-    }
+    acc.push(common::owned_zero(b)?);
     for i in 1..n {
         let mut carry: Option<ColAddr> = None;
         for j in 0..n {
@@ -38,11 +38,8 @@ fn mant_product(
             acc[i + j] = s;
             carry = Some(cout);
         }
-        // The carry lands in acc[i + n], which is still zero here.
-        if let Some(c) = carry {
-            b.release(acc[i + n]);
-            acc[i + n] = c;
-        }
+        // The carry lands in acc[i + n], the next bit up.
+        acc.extend(carry);
     }
     Ok(acc)
 }

@@ -11,9 +11,18 @@
 //! Aliasing: routines either stream results bit-by-bit after consuming the
 //! corresponding input bits, or buffer results in scratch and write the
 //! destination at the very end — so `dst` may equal any source register.
+//!
+//! Every routine body is a function of `&mut CircuitBuilder` and is walked
+//! twice by [`CircuitBuilder::compile`] — once to measure how long each
+//! scratch cell lives, once to emit with every cell placed by its lifetime
+//! (see the builder's docs). A body must therefore be a pure function of its
+//! arguments: it may compare cells for identity, but what it allocates,
+//! emits and releases must not depend on *which* cells it was handed.
 
 pub mod common;
 
+#[cfg(test)]
+mod tests;
 #[cfg(test)]
 pub(crate) mod testutil;
 
@@ -53,52 +62,48 @@ pub fn compile_rtype(
         srcs.len() >= op.arity(),
         "missing source registers for {op}"
     );
-    let mut b = CircuitBuilder::new(cfg);
     let aliased = srcs[..op.arity()].contains(&dst);
     let (s0, s1, s2) = (
         srcs.first().copied().unwrap_or(0),
         srcs.get(1).copied().unwrap_or(0),
         srcs.get(2).copied().unwrap_or(0),
     );
-    match (op, dtype) {
+    CircuitBuilder::compile(cfg, |b| match (op, dtype) {
         (RegOp::Add, DType::Int32) => match mode {
-            ParallelismMode::BitSerial => intarith::add_serial(&mut b, s0, s1, dst, aliased)?,
-            ParallelismMode::BitParallel => intarith::add_parallel(&mut b, s0, s1, dst)?,
+            ParallelismMode::BitSerial => intarith::add_serial(b, s0, s1, dst, aliased),
+            ParallelismMode::BitParallel => intarith::add_parallel(b, s0, s1, dst),
         },
-        (RegOp::Sub, DType::Int32) => intarith::sub_serial(&mut b, s0, s1, dst, aliased)?,
-        (RegOp::Mul, DType::Int32) => intarith::mul(&mut b, s0, s1, dst)?,
-        (RegOp::Div, DType::Int32) => intarith::divmod(&mut b, s0, s1, dst, false)?,
-        (RegOp::Mod, DType::Int32) => intarith::divmod(&mut b, s0, s1, dst, true)?,
-        (RegOp::Neg, DType::Int32) => intarith::neg(&mut b, s0, dst, aliased)?,
+        (RegOp::Sub, DType::Int32) => intarith::sub_serial(b, s0, s1, dst, aliased),
+        (RegOp::Mul, DType::Int32) => intarith::mul(b, s0, s1, dst),
+        (RegOp::Div, DType::Int32) => intarith::divmod(b, s0, s1, dst, false),
+        (RegOp::Mod, DType::Int32) => intarith::divmod(b, s0, s1, dst, true),
+        (RegOp::Neg, DType::Int32) => intarith::neg(b, s0, dst, aliased),
         (RegOp::Lt | RegOp::Le | RegOp::Gt | RegOp::Ge, DType::Int32) => {
-            intcmp::ordered(&mut b, op, s0, s1, dst)?
+            intcmp::ordered(b, op, s0, s1, dst)
         }
-        (RegOp::Eq | RegOp::Ne, DType::Int32) => intcmp::equality(&mut b, op, s0, s1, dst)?,
+        (RegOp::Eq | RegOp::Ne, DType::Int32) => intcmp::equality(b, op, s0, s1, dst),
         (RegOp::Not | RegOp::And | RegOp::Or | RegOp::Xor, _) => {
-            bitwise::compile(&mut b, op, s0, s1, dst, aliased)?
+            bitwise::compile(b, op, s0, s1, dst, aliased)
         }
-        (RegOp::Sign, DType::Int32) => misc::sign(&mut b, s0, dst)?,
-        (RegOp::Zero, DType::Int32) => misc::zero_int(&mut b, s0, dst)?,
-        (RegOp::Abs, DType::Int32) => misc::abs(&mut b, s0, dst)?,
-        (RegOp::Mux, _) => misc::mux(&mut b, s0, s1, s2, dst, aliased)?,
-        (RegOp::Add, DType::Float32) => float::add(&mut b, s0, s1, dst, false)?,
-        (RegOp::Sub, DType::Float32) => float::add(&mut b, s0, s1, dst, true)?,
-        (RegOp::Mul, DType::Float32) => float::mul(&mut b, s0, s1, dst)?,
-        (RegOp::Div, DType::Float32) => float::div(&mut b, s0, s1, dst)?,
-        (RegOp::Neg, DType::Float32) => float::neg(&mut b, s0, dst)?,
-        (RegOp::Abs, DType::Float32) => float::abs(&mut b, s0, dst)?,
-        (RegOp::Sign, DType::Float32) => float::sign(&mut b, s0, dst)?,
-        (RegOp::Zero, DType::Float32) => misc::zero_float(&mut b, s0, dst)?,
+        (RegOp::Sign, DType::Int32) => misc::sign(b, s0, dst),
+        (RegOp::Zero, DType::Int32) => misc::zero_int(b, s0, dst),
+        (RegOp::Abs, DType::Int32) => misc::abs(b, s0, dst),
+        (RegOp::Mux, _) => misc::mux(b, s0, s1, s2, dst, aliased),
+        (RegOp::Add, DType::Float32) => float::add(b, s0, s1, dst, false),
+        (RegOp::Sub, DType::Float32) => float::add(b, s0, s1, dst, true),
+        (RegOp::Mul, DType::Float32) => float::mul(b, s0, s1, dst),
+        (RegOp::Div, DType::Float32) => float::div(b, s0, s1, dst),
+        (RegOp::Neg, DType::Float32) => float::neg(b, s0, dst),
+        (RegOp::Abs, DType::Float32) => float::abs(b, s0, dst),
+        (RegOp::Sign, DType::Float32) => float::sign(b, s0, dst),
+        (RegOp::Zero, DType::Float32) => misc::zero_float(b, s0, dst),
         (RegOp::Lt | RegOp::Le | RegOp::Gt | RegOp::Ge | RegOp::Eq | RegOp::Ne, DType::Float32) => {
-            float::compare(&mut b, op, s0, s1, dst)?
+            float::compare(b, op, s0, s1, dst)
         }
-        (RegOp::Mod, DType::Float32) => {
-            return Err(DriverError::Unsupported {
-                what: format!("{op} on {dtype}"),
-            })
-        }
-    }
-    Ok(b.finish())
+        (RegOp::Mod, DType::Float32) => Err(DriverError::Unsupported {
+            what: format!("{op} on {dtype}"),
+        }),
+    })
 }
 
 /// Streaming destination: hands out pre-initialized destination cells bit

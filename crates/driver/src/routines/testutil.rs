@@ -4,14 +4,32 @@
 //! paper's correctness methodology (§VI-A).
 
 use crate::routines::compile_rtype;
-use crate::ParallelismMode;
+use crate::{CircuitBuilder, DriverError, ParallelismMode, Routine};
 use pim_arch::{Backend, MicroOp, PimConfig, RangeMask};
 use pim_isa::{DType, RegOp};
 use pim_sim::PimSimulator;
 
-/// Geometry used by routine tests: one crossbar, `rows` threads.
-fn test_cfg(rows: usize) -> PimConfig {
-    PimConfig::small().with_crossbars(1).with_rows(rows.max(1))
+/// Geometry used by routine tests: one crossbar, `rows` threads, the top
+/// `scratch` registers reserved for the driver.
+fn test_cfg(rows: usize, scratch: usize) -> PimConfig {
+    let cfg = PimConfig::small().with_crossbars(1).with_rows(rows.max(1));
+    let user_regs = cfg.regs - scratch;
+    cfg.with_user_regs(user_regs)
+}
+
+/// Compiles `build` through the production entry point; returns the routine
+/// and what `build` returned in the emitting run.
+pub fn compile<T>(
+    cfg: &PimConfig,
+    mut build: impl FnMut(&mut CircuitBuilder) -> T,
+) -> (Routine, T) {
+    let mut out = None;
+    let routine = CircuitBuilder::compile(cfg, |b| {
+        out = Some(build(b));
+        Ok(())
+    })
+    .expect("compile");
+    (routine, out.expect("the body ran"))
 }
 
 /// Evaluates `op` element-parallel over input columns (one source register
@@ -26,11 +44,28 @@ pub fn eval_vec(
     dst: u8,
     srcs: &[u8],
 ) -> Vec<u32> {
+    let scratch = PimConfig::small().scratch_regs();
+    try_eval_vec(scratch, op, dtype, mode, inputs, dst, srcs).expect("compile")
+}
+
+/// [`eval_vec`] with a scratch pool of `scratch` registers.
+///
+/// # Errors
+///
+/// Returns the compilation error when the pool is too small for the routine.
+pub fn try_eval_vec(
+    scratch: usize,
+    op: RegOp,
+    dtype: DType,
+    mode: ParallelismMode,
+    inputs: &[&[u32]],
+    dst: u8,
+    srcs: &[u8],
+) -> Result<Vec<u32>, DriverError> {
     let n = inputs[0].len();
     assert!(inputs.iter().all(|v| v.len() == n));
-    let cfg = test_cfg(n);
-    let routine = compile_rtype(&cfg, mode, op, dtype, dst, srcs)
-        .expect("compile")
+    let cfg = test_cfg(n, scratch);
+    let routine = compile_rtype(&cfg, mode, op, dtype, dst, srcs)?
         .prepare(&cfg)
         .expect("prepare");
     let mut sim = PimSimulator::new(cfg.clone()).expect("sim");
@@ -48,7 +83,67 @@ pub fn eval_vec(
     sim.execute(&MicroOp::RowMask(RangeMask::dense(0, n as u32).unwrap()))
         .unwrap();
     sim.execute_prepared(&routine.batch).unwrap();
-    (0..n).map(|row| sim.peek(0, row, dst as usize)).collect()
+    Ok((0..n).map(|row| sim.peek(0, row, dst as usize)).collect())
+}
+
+/// The host's result of one R-type operation on raw words, with the
+/// semantics [`RegOp`] documents (`a`, `x`, `y` are the sources in order;
+/// unary operations read `a`, [`RegOp::Mux`] selects on `a`).
+pub fn host_reference(op: RegOp, dtype: DType, a: u32, x: u32, y: u32) -> u32 {
+    let (ai, xi) = (a as i32, x as i32);
+    let (af, xf) = (f32::from_bits(a), f32::from_bits(x));
+    let float = dtype == DType::Float32;
+    let pick = |f: f32, i: i32| if float { f.to_bits() } else { i as u32 };
+    let test = |f: bool, i: bool| (if float { f } else { i }) as u32;
+    match op {
+        RegOp::Add => pick(af + xf, ai.wrapping_add(xi)),
+        RegOp::Sub => pick(af - xf, ai.wrapping_sub(xi)),
+        RegOp::Mul => pick(af * xf, ai.wrapping_mul(xi)),
+        RegOp::Div => pick(af / xf, if xi == 0 { 0 } else { ai.wrapping_div(xi) }),
+        RegOp::Mod => (if xi == 0 { ai } else { ai.wrapping_rem(xi) }) as u32,
+        RegOp::Neg if float => a ^ 0x8000_0000,
+        RegOp::Neg => ai.wrapping_neg() as u32,
+        RegOp::Abs if float => a & 0x7FFF_FFFF,
+        RegOp::Abs => ai.wrapping_abs() as u32,
+        RegOp::Lt => test(af < xf, ai < xi),
+        RegOp::Le => test(af <= xf, ai <= xi),
+        RegOp::Gt => test(af > xf, ai > xi),
+        RegOp::Ge => test(af >= xf, ai >= xi),
+        RegOp::Eq => test(af == xf, ai == xi),
+        RegOp::Ne => test(af != xf, ai != xi),
+        RegOp::Not => !a,
+        RegOp::And => a & x,
+        RegOp::Or => a | x,
+        RegOp::Xor => a ^ x,
+        // ±0 keeps its sign; the sign of NaN is NaN.
+        RegOp::Sign if float && (af == 0.0 || af.is_nan()) => a,
+        RegOp::Sign => pick(af.signum(), ai.signum()),
+        RegOp::Zero => pick((af == 0.0) as u8 as f32, (ai == 0) as i32),
+        RegOp::Mux => {
+            if a != 0 {
+                x
+            } else {
+                y
+            }
+        }
+    }
+}
+
+/// Asserts that `got` is the host's result: bit-exact, except that any NaN
+/// stands for any other where the result is a float value.
+pub fn assert_matches_host(op: RegOp, dtype: DType, got: u32, expect: u32, ctx: &str) {
+    let float_valued = matches!(
+        op,
+        RegOp::Add | RegOp::Sub | RegOp::Mul | RegOp::Div | RegOp::Sign
+    );
+    if dtype == DType::Float32 && float_valued {
+        assert_float_bits_eq(got, expect, ctx);
+    } else {
+        assert_eq!(
+            got, expect,
+            "{ctx}: got {got:#010x}, expected {expect:#010x}"
+        );
+    }
 }
 
 /// Binary operation on a single pair.

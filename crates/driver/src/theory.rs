@@ -83,9 +83,10 @@ mod tests {
         let stats =
             rtype_stats(&cfg, ParallelismMode::BitSerial, RegOp::Add, DType::Int32).unwrap();
         assert_eq!(stats.logic_cycles, ripple_add_gates(32));
-        // Measured within ~6% of theoretical (the §VI-B claim's origin).
+        // Measured within 5% of theoretical (the §VI-B claim's origin):
+        // 11 INITs on 288 gates.
         assert!(
-            stats.overhead_fraction() < 0.06,
+            stats.overhead_fraction() < 0.05,
             "overhead {}",
             stats.overhead_fraction()
         );
