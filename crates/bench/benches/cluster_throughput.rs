@@ -7,20 +7,17 @@
 //! scaling summary with per-shard issued-cycle and routine-cache telemetry
 //! (the production observability of the cluster subsystem).
 //!
-//! Interconnect groups: `move_cross` A/Bs batched burst staging against the
-//! PR-1 per-word path for a chip-crossing `MoveWarps`; `move_mixed` A/Bs
-//! the dependency-aware drain rule (only touched shards wait at a crossing
-//! move) against the PR-1 global barrier on a batch that interleaves heavy
-//! shard-local work with cross-chip transfers; `move_shift` A/Bs the
-//! cross-chip move coalescer (`Coalesce::On` vs `Off`) on a whole-memory
-//! shift whose decomposition otherwise reaches the links as one message
-//! and one barrier per warp.
+//! Interconnect groups: `move_cross` times one chip-crossing `MoveWarps`
+//! (one burst per shard pair); `move_mixed` a batch that interleaves heavy
+//! shard-local work with cross-chip transfers (only touched shards wait at
+//! a crossing move); `move_shift` a whole-memory shift whose decomposition
+//! the move coalescer merges into one barrier and one burst per shard pair,
+//! with its modeled link traffic recorded next to the wall time.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use pim_arch::{MicroOp, PimConfig, RangeMask};
 use pim_bench::{hlogic_ops, random_ints};
-use pim_cluster::{Coalesce, DrainPolicy, InterconnectConfig, PimCluster, Staging};
-use pim_driver::ParallelismMode;
+use pim_cluster::PimCluster;
 use pim_isa::{DType, Instruction, RegOp, ThreadRange};
 use pypim_core::{shifted, Device, Tensor};
 
@@ -120,25 +117,9 @@ fn scaling_summary() {
     }
 }
 
-/// Builds a 4-chip cluster with an explicit interconnect policy.
-fn cluster_with(staging: Staging, drain: DrainPolicy) -> PimCluster {
-    PimCluster::with_interconnect(
-        shard_cfg(),
-        4,
-        ParallelismMode::default(),
-        InterconnectConfig {
-            staging,
-            drain,
-            ..InterconnectConfig::default()
-        },
-    )
-    .unwrap()
-}
-
-/// Cross-shard move staging: the same 32-warp chip-crossing `MoveWarps`
-/// with batched burst staging (one message per shard pair) vs the PR-1
-/// per-word path (one host round trip per word pair). Batched staging
-/// should win clearly — that is the interconnect's reason to exist.
+/// Cross-shard move staging: a 32-warp chip-crossing `MoveWarps`, staged as
+/// one message per shard pair — one gathered read burst and one scattered
+/// write burst each.
 fn bench_move_cross(c: &mut Criterion) {
     let mut group = c.benchmark_group("move_cross");
     // Warps 0..=31 (shards 0 and 1) -> warps 32..=63 (shards 2 and 3):
@@ -152,23 +133,17 @@ fn bench_move_cross(c: &mut Criterion) {
         dist: 32,
     };
     group.throughput(Throughput::Elements(32));
-    for (name, staging) in [
-        ("batched", Staging::Batched),
-        ("per_word", Staging::PerWord),
-    ] {
-        let cluster = cluster_with(staging, DrainPolicy::Touched);
-        group.bench_function(name, |b| {
-            b.iter(|| cluster.execute_batch(std::slice::from_ref(&mv)).unwrap());
-        });
-    }
+    let cluster = PimCluster::new(shard_cfg(), 4).unwrap();
+    group.bench_function("batched", |b| {
+        b.iter(|| cluster.execute_batch(std::slice::from_ref(&mv)).unwrap());
+    });
     group.finish();
 }
 
 /// Dependency-aware drain: a mixed batch interleaving heavy element work on
-/// shards 2/3 with chip-crossing moves between shards 0/1. Under the
-/// dependency scheduler only the touched shards (0, 1) drain at each
-/// crossing move — shards 2/3 stream their queued work concurrently with
-/// the transfers; the PR-1 global barrier serializes the two.
+/// shards 2/3 with chip-crossing moves between shards 0/1. Only the touched
+/// shards (0, 1) drain at each crossing move — shards 2/3 stream their
+/// queued work concurrently with the transfers.
 fn bench_move_mixed(c: &mut Criterion) {
     const SEGMENTS: u64 = 6;
     let rows = RangeMask::dense(0, 8).unwrap();
@@ -193,157 +168,84 @@ fn bench_move_mixed(c: &mut Criterion) {
     let mut group = c.benchmark_group("move_mixed");
     // Untouched-shard work per batch: SEGMENTS x 32 warps x 8 rows.
     group.throughput(Throughput::Elements(SEGMENTS * 32 * 8));
-    for (name, drain) in [
-        ("dep_sched", DrainPolicy::Touched),
-        ("global_barrier", DrainPolicy::Global),
-    ] {
-        let cluster = cluster_with(Staging::Batched, drain);
-        group.bench_function(name, |b| {
-            b.iter(|| cluster.execute_batch(&batch).unwrap());
-        });
-    }
+    let cluster = PimCluster::new(shard_cfg(), 4).unwrap();
+    group.bench_function("dep_sched", |b| {
+        b.iter(|| cluster.execute_batch(&batch).unwrap());
+    });
     group.finish();
-    drain_summary(&batch);
-}
-
-/// Prints the scheduler telemetry behind `move_mixed`: how many shard
-/// queues each policy drains at the crossing-move barriers. The wall-clock
-/// gap between the two is the transfer/compute overlap, which — like the
-/// shard-scaling numbers — only materializes when the host has spare cores
-/// for the untouched shards' workers to stream on; the drained-queue
-/// counters show the scheduling difference on any host.
-fn drain_summary(batch: &[Instruction]) {
-    let cores = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    println!("\nmove_mixed drain telemetry (host parallelism: {cores} core(s)):");
-    for (name, drain) in [
-        ("dep_sched", DrainPolicy::Touched),
-        ("global_barrier", DrainPolicy::Global),
-    ] {
-        let cluster = cluster_with(Staging::Batched, drain);
-        cluster.execute_batch(batch).unwrap();
-        let t = cluster.stats().unwrap().traffic;
-        println!(
-            "   {name}: {} barriers drained {} shard queue(s); {} messages, \
-             {} cross-chip words, {} modeled link cycles",
-            t.barriers, t.drained_queues, t.messages, t.cross_words, t.link_cycles,
-        );
-    }
-    if cores < 2 {
-        println!(
-            "   (single-core host: untouched shards cannot stream during \
-             transfers, so the wall-clock gap shrinks to the synchronization \
-             overhead the global barrier adds)\n"
-        );
-    } else {
-        println!();
-    }
-}
-
-/// A cluster-backed device with an explicit move-coalescing policy.
-fn shift_dev(shards: usize, coalesce: Coalesce) -> Device {
-    Device::cluster_with_interconnect(
-        shard_cfg(),
-        shards,
-        ParallelismMode::default(),
-        InterconnectConfig {
-            coalesce,
-            ..InterconnectConfig::default()
-        },
-    )
-    .unwrap()
+    // The scheduler telemetry behind the row: how many shard queues the
+    // crossing-move barriers drained. The transfer/compute overlap itself
+    // only shows in wall time when the host has spare cores for the
+    // untouched shards' workers; the counters read the same on any host.
+    let cluster = PimCluster::new(shard_cfg(), 4).unwrap();
+    cluster.execute_batch(&batch).unwrap();
+    let t = cluster.stats().unwrap().traffic;
+    println!(
+        "\nmove_mixed drain telemetry: {} barriers drained {} shard queue(s); \
+         {} messages, {} cross-chip words, {} modeled link cycles\n",
+        t.barriers, t.drained_queues, t.messages, t.cross_words, t.link_cycles,
+    );
 }
 
 /// Move coalescing: a whole-memory shift by one chip's worth of elements,
 /// so every moved warp crosses a shard boundary. The movement layer
 /// decomposes the shift into one single-warp crossing `MoveWarps` per
-/// (row class x phase); `per_move` (`Coalesce::Off`) pays one barrier and
-/// one message for each of them, `coalesced` (`Coalesce::On`) merges the
-/// whole run into one barrier and one burst per `(src, dst)` shard pair —
-/// O(shard pairs) instead of O(warps).
+/// (row class x phase); the cluster merges the whole run into one barrier
+/// and one burst per `(src, dst)` shard pair — O(shard pairs) instead of
+/// O(warps).
 fn bench_move_shift(c: &mut Criterion) {
-    let mut group = c.benchmark_group("move_shift");
-    for shards in [2usize, 4] {
-        for (name, coalesce) in [("coalesced", Coalesce::On), ("per_move", Coalesce::Off)] {
-            let dev = shift_dev(shards, coalesce);
-            let n = dev.config().total_threads() as usize;
-            let dist = (n / shards) as i64;
-            let t = dev.arange_i32(n).unwrap();
-            group.throughput(Throughput::Elements((n as i64 - dist) as u64));
-            group.bench_with_input(
-                BenchmarkId::new(name, format!("{shards}-shard")),
-                &shards,
-                |b, _| {
-                    b.iter(|| shifted(&t, dist).unwrap());
-                },
-            );
-        }
-    }
-    // Modeled link traffic of one shift per policy, written into the JSON
-    // report so the A/B is machine-checkable: `link_seconds` is the
-    // modeled link time at a 1 GHz link clock (throughput = moved
-    // elements per modeled second); `messages` and `barriers` are raw
-    // counts stashed in the seconds field (compare `coalesced` vs
-    // `per_move` — they scale with shard pairs vs warp count).
+    // Modeled link time is reported at a 1 GHz link clock.
     const LINK_HZ: f64 = 1e9;
+    let mut group = c.benchmark_group("move_shift");
+    let mut traffic = Vec::new();
     for shards in [2usize, 4] {
-        for (name, coalesce) in [("coalesced", Coalesce::On), ("per_move", Coalesce::Off)] {
-            let dev = shift_dev(shards, coalesce);
-            let n = dev.config().total_threads() as usize;
-            let dist = (n / shards) as i64;
-            let t = dev.arange_i32(n).unwrap();
-            dev.reset_counters().unwrap();
-            shifted(&t, dist).unwrap();
-            let traffic = dev.cluster_stats().unwrap().unwrap().traffic;
-            let moved = (n as i64 - dist) as u64;
-            group.report_metric(
-                BenchmarkId::new(format!("link_seconds_{name}"), format!("{shards}-shard")),
-                traffic.link_cycles as f64 / LINK_HZ,
-                Some(Throughput::Elements(moved)),
-            );
-            group.report_metric(
-                BenchmarkId::new(format!("messages_{name}"), format!("{shards}-shard")),
-                traffic.messages as f64,
-                None,
-            );
-            group.report_metric(
-                BenchmarkId::new(format!("barriers_{name}"), format!("{shards}-shard")),
-                traffic.barriers as f64,
-                None,
-            );
-        }
-    }
-    group.finish();
-    shift_summary();
-}
-
-/// Prints the coalescer telemetry behind `move_shift`: messages, barriers,
-/// link cycles, and merged-run counters for the same whole-memory shift
-/// under both policies.
-fn shift_summary() {
-    println!("\nmove_shift coalescer telemetry (4 shards, whole-memory shift):");
-    for (name, coalesce) in [("coalesced", Coalesce::On), ("per_move", Coalesce::Off)] {
-        let dev = shift_dev(4, coalesce);
+        let dev = Device::cluster(shard_cfg(), shards).unwrap();
         let n = dev.config().total_threads() as usize;
+        let dist = (n / shards) as i64;
         let t = dev.arange_i32(n).unwrap();
+        let moved = (n as i64 - dist) as u64;
+        // The link traffic of one shift, before the timed iterations add
+        // theirs.
         dev.reset_counters().unwrap();
-        shifted(&t, (n / 4) as i64).unwrap();
-        let tr = dev.cluster_stats().unwrap().unwrap().traffic;
-        println!(
-            "   {name}: {} messages, {} barriers, {} cross-chip words, \
-             {} modeled link cycles; {} runs merged {} moves (saving {} \
-             messages)",
-            tr.messages,
-            tr.barriers,
-            tr.cross_words,
-            tr.link_cycles,
-            tr.runs_merged,
-            tr.moves_merged,
-            tr.bursts_saved,
+        shifted(&t, dist).unwrap();
+        traffic.push((shards, moved, dev.cluster_stats().unwrap().unwrap().traffic));
+        group.throughput(Throughput::Elements(moved));
+        group.bench_with_input(
+            BenchmarkId::new("coalesced", format!("{shards}-shard")),
+            &shards,
+            |b, _| {
+                b.iter(|| shifted(&t, dist).unwrap());
+            },
         );
     }
-    println!();
+    // Written into the JSON report so the traffic is machine-checkable:
+    // `link_seconds` is the modeled link time (throughput = moved elements
+    // per modeled second); `messages` and `barriers` are raw counts stashed
+    // in the seconds field — they scale with shard pairs, not warp count.
+    for &(shards, moved, tr) in &traffic {
+        let id = |name: &str| BenchmarkId::new(name, format!("{shards}-shard"));
+        group.report_metric(
+            id("link_seconds_coalesced"),
+            tr.link_cycles as f64 / LINK_HZ,
+            Some(Throughput::Elements(moved)),
+        );
+        group.report_metric(id("messages_coalesced"), tr.messages as f64, None);
+        group.report_metric(id("barriers_coalesced"), tr.barriers as f64, None);
+    }
+    group.finish();
+    let (shards, _, tr) = traffic[traffic.len() - 1];
+    println!(
+        "\nmove_shift coalescer telemetry ({shards} shards, whole-memory shift): \
+         {} messages, {} barriers, {} cross-chip words, {} modeled link \
+         cycles; {} runs merged {} moves (saving {} messages)\n",
+        tr.messages,
+        tr.barriers,
+        tr.cross_words,
+        tr.link_cycles,
+        tr.runs_merged,
+        tr.moves_merged,
+        tr.bursts_saved,
+    );
 }
 
 /// The horizontal-logic kernel through the shard micro-batch path: the

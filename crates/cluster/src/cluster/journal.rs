@@ -1,0 +1,231 @@
+//! Crash recovery: each shard's checkpoint + bounded replay journal, and
+//! the supervisor that rebuilds a dead worker from them.
+
+use super::worker::spawn_worker;
+use super::{PimCluster, WorkerSlot};
+use crate::ClusterError;
+use pim_arch::{Backend, MicroOp};
+use pim_driver::{Driver, IssuedCycles, ParallelismMode, RoutineCache};
+use pim_func::{AnyBackend, AnySnapshot};
+use pim_isa::Instruction;
+use std::sync::atomic::Ordering;
+use std::sync::Arc;
+
+/// Shard crash-recovery policy: whether the supervisor respawns dead
+/// workers, and how often each worker checkpoints its simulator state.
+///
+/// Between checkpoints the worker keeps a bounded journal of executed
+/// jobs; recovery restores the last backend snapshot ([`AnySnapshot`])
+/// and replays the journal suffix, so a crash costs bounded replay
+/// latency instead of a dead cluster. Checkpointing is host-side only — it
+/// never touches modeled state, so modeled cycle counts are bit-identical
+/// with recovery on or off.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct RecoveryConfig {
+    /// Respawn crashed workers on the next submission (on by default).
+    /// When off, a dead worker leaves the shard permanently
+    /// [`Disconnected`](ClusterError::Disconnected) — the pre-supervision
+    /// behavior.
+    pub enabled: bool,
+    /// Take a fresh checkpoint once the shard has modeled at least this
+    /// many cycles since the last one.
+    pub checkpoint_interval_cycles: u64,
+    /// Take a fresh checkpoint once the journal holds this many
+    /// instructions/micro-operations, whatever the cycle budget says —
+    /// this bounds both journal memory and worst-case replay latency.
+    pub checkpoint_max_instructions: usize,
+}
+
+impl Default for RecoveryConfig {
+    fn default() -> Self {
+        RecoveryConfig {
+            enabled: true,
+            checkpoint_interval_cycles: 1_000_000,
+            checkpoint_max_instructions: 4096,
+        }
+    }
+}
+
+/// One recoverable unit of shard work, recorded by the worker after it
+/// executed successfully. Replaying the journal (in order, on top of the
+/// checkpoint snapshot) reproduces the shard state at crash time.
+pub(super) enum JournalEntry {
+    /// Macro instructions of one executed job (read results are
+    /// recomputed and discarded on replay).
+    Instrs(Vec<Instruction>),
+    /// A raw micro-operation batch.
+    Micro(Vec<MicroOp>),
+    Control(Control),
+}
+
+/// A control operation on one shard's driver. The live worker and journal
+/// replay apply it through the same function, so a recovered shard cannot
+/// drift from one that never crashed.
+#[derive(Debug, Clone, Copy)]
+pub(super) enum Control {
+    SetStrict(bool),
+    ResetProfiler,
+    ResetIssued,
+}
+
+impl Control {
+    pub(super) fn apply(self, driver: &mut Driver<AnyBackend>) {
+        match self {
+            Control::SetStrict(strict) => driver.backend_mut().set_strict(strict),
+            Control::ResetProfiler => {
+                driver.backend_mut().reset_profiler();
+                // Hit/miss telemetry belongs to the same measurement
+                // region as the chip cycle counters; serving benchmarks
+                // must start from a clean slate.
+                driver.reset_cache_stats();
+            }
+            Control::ResetIssued => driver.reset_issued(),
+        }
+    }
+}
+
+/// A shard's checkpoint + bounded replay log, shared between the worker
+/// (which appends and periodically re-checkpoints) and the supervisor
+/// (which restores from it on revival).
+pub(super) struct ShardJournal {
+    snapshot: AnySnapshot,
+    issued: IssuedCycles,
+    /// Profiler cycles at snapshot time (checkpoint-interval baseline).
+    snapshot_cycles: u64,
+    log: Vec<JournalEntry>,
+    /// Instructions + micro-operations in `log` (checkpoint-size bound).
+    logged_instrs: usize,
+}
+
+impl ShardJournal {
+    /// A journal whose checkpoint is the driver's current state.
+    pub(super) fn new(driver: &Driver<AnyBackend>) -> Self {
+        ShardJournal {
+            snapshot: driver.backend().snapshot(),
+            issued: driver.issued(),
+            snapshot_cycles: driver.backend().profiler().cycles,
+            log: Vec::new(),
+            logged_instrs: 0,
+        }
+    }
+
+    /// Appends one executed unit of `weight` instructions/micro-operations.
+    pub(super) fn record(&mut self, entry: JournalEntry, weight: usize) {
+        self.logged_instrs += weight;
+        self.log.push(entry);
+    }
+
+    /// Re-checkpoints: captures the driver's current state as the new
+    /// snapshot and clears the log.
+    pub(super) fn checkpoint(&mut self, driver: &Driver<AnyBackend>) {
+        *self = ShardJournal::new(driver);
+    }
+
+    /// Re-checkpoints if the journal outgrew the configured bounds.
+    pub(super) fn maybe_checkpoint(&mut self, driver: &Driver<AnyBackend>, rc: &RecoveryConfig) {
+        let cycles = driver.backend().profiler().cycles;
+        if self.logged_instrs >= rc.checkpoint_max_instructions
+            || cycles.saturating_sub(self.snapshot_cycles) >= rc.checkpoint_interval_cycles
+        {
+            self.checkpoint(driver);
+        }
+    }
+
+    /// Rebuilds the shard state at crash time on `backend`: restores the
+    /// checkpoint, replays the log in order, and charges the replayed span
+    /// a second time as a stall. Returns the driver and the number of
+    /// instructions/micro-operations replayed.
+    fn replay(
+        &self,
+        mut backend: AnyBackend,
+        mode: ParallelismMode,
+        cache: RoutineCache,
+    ) -> Result<(Driver<AnyBackend>, u64), String> {
+        backend.restore(&self.snapshot);
+        let mut driver = Driver::with_cache(backend, mode, cache);
+        driver.restore_issued(self.issued);
+        let checkpoint_cycles = driver.backend().profiler().cycles;
+        let mut replayed = 0u64;
+        for entry in &self.log {
+            match entry {
+                JournalEntry::Instrs(instrs) => {
+                    driver
+                        .execute_many(instrs, &mut Vec::new())
+                        .map_err(|e| format!("replay failed: {e}"))?;
+                    replayed += instrs.len() as u64;
+                }
+                JournalEntry::Micro(ops) => {
+                    driver
+                        .backend_mut()
+                        .execute_batch(ops)
+                        .map_err(|e| format!("replay failed: {e}"))?;
+                    driver.invalidate_masks();
+                    replayed += ops.len() as u64;
+                }
+                JournalEntry::Control(op) => op.apply(&mut driver),
+            }
+        }
+        // Replay brings the profiler back to its pre-crash value, but on
+        // the wall timeline the replayed span executed twice — once before
+        // the crash (already counted, then rolled back by the restore, then
+        // re-counted by the replay) and once during recovery. Charge the
+        // recovery pass as a stall so degraded runs model the real
+        // throughput cost of a crash.
+        let replay_span = driver
+            .backend()
+            .profiler()
+            .cycles
+            .saturating_sub(checkpoint_cycles);
+        driver.backend_mut().stall(replay_span);
+        Ok((driver, replayed))
+    }
+}
+
+impl PimCluster {
+    /// Respawns a dead shard worker: reaps the old thread, rebuilds the
+    /// shard simulator from the journal's checkpoint, replays the journal
+    /// suffix, re-checkpoints, and spawns a fresh worker thread. Called
+    /// with the shard's slot lock held.
+    ///
+    /// # Errors
+    ///
+    /// [`Disconnected`](ClusterError::Disconnected) when recovery is
+    /// disabled; [`RecoveryFailed`](ClusterError::RecoveryFailed) when
+    /// replay fails or the OS refuses a thread (the shard stays down).
+    pub(super) fn revive(&self, slot: &mut WorkerSlot, shard: usize) -> Result<(), ClusterError> {
+        slot.tx = None;
+        slot.reap();
+        let journal = match &self.journals[shard] {
+            Some(j) if self.recovery.enabled => Arc::clone(j),
+            _ => return Err(ClusterError::Disconnected { shard }),
+        };
+        let failed = |reason: String| ClusterError::RecoveryFailed { shard, reason };
+        let mut backend = AnyBackend::new(self.backend_kinds[shard], self.shard_cfg.clone())
+            .map_err(|e| failed(e.to_string()))?;
+        backend.set_threads(1);
+        let mut driver = {
+            let mut j = journal.lock().unwrap_or_else(|e| e.into_inner());
+            let (driver, replayed) = j
+                .replay(backend, self.mode, self.shared_cache.share())
+                .map_err(failed)?;
+            self.replayed.fetch_add(replayed, Ordering::Relaxed);
+            // Fold the replayed suffix into a fresh checkpoint so a second
+            // crash never replays the same work twice.
+            j.checkpoint(&driver);
+            driver
+        };
+        driver.invalidate_masks();
+        let (tx, handle) = spawn_worker(
+            shard,
+            driver,
+            &self.telemetry,
+            Some(journal),
+            self.fault.clone(),
+            self.recovery.clone(),
+        )?;
+        slot.tx = Some(tx);
+        slot.handle = Some(handle);
+        self.restarts.fetch_add(1, Ordering::Relaxed);
+        Ok(())
+    }
+}

@@ -1,0 +1,528 @@
+//! Routing and submission: the one way a batch of logical instructions
+//! goes through the cluster — validate, split per shard, coalesce crossing
+//! moves, barrier, transfer, launch — plus the host-staged transfer itself
+//! and the bulk gather/scatter it is built from.
+
+use super::stats::{fold_f32, fold_i32, Combine};
+use super::tickets::{Completion, GatherTicket, JobSet, JobTicket};
+use super::worker::Job;
+use super::PimCluster;
+use crate::coalesce::{CrossingMove, MoveCoalescer};
+use crate::sched::BatchScheduler;
+use crate::{ClusterError, LinkFaultKind};
+use pim_arch::RangeMask;
+use pim_fault::LinkFault;
+use pim_isa::{Instruction, ThreadRange};
+use pim_telemetry::{RequestId, RequestStats};
+
+/// A global memory location: `(warp, row, register)` in cluster-wide warp
+/// numbering. [`GlobalWrite`] is the named, value-carrying counterpart used
+/// by [`PimCluster::scatter`].
+pub type GlobalLoc = (u32, u32, u8);
+
+/// A global write: the word to deposit at one cluster-wide memory cell.
+///
+/// Field-for-field parity with [`GlobalLoc`] — `(warp, row, reg)` address a
+/// cell exactly as a gather location does — plus the `value` to store.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct GlobalWrite {
+    /// Global warp (cluster-wide numbering).
+    pub warp: u32,
+    /// Row within the warp.
+    pub row: u32,
+    /// Register to write.
+    pub reg: u8,
+    /// Raw word value (for floats, the IEEE-754 bit pattern).
+    pub value: u32,
+}
+
+impl GlobalWrite {
+    /// Builds a write in [`GlobalLoc`] field order plus the value.
+    pub fn new(warp: u32, row: u32, reg: u8, value: u32) -> Self {
+        GlobalWrite {
+            warp,
+            row,
+            reg,
+            value,
+        }
+    }
+
+    /// The cell this write addresses, as a gather location.
+    pub fn loc(&self) -> GlobalLoc {
+        (self.warp, self.row, self.reg)
+    }
+}
+
+/// One client batch tagged with the request it belongs to — the unit the
+/// serving gateway submits through [`PimCluster::submit_batch_tagged`] so
+/// shard workers can attribute their modeled cycles to the request.
+#[derive(Debug, Clone)]
+pub struct TaggedBatch {
+    /// The request this batch executes for ([`RequestId::UNTAGGED`] for
+    /// background work).
+    pub request: RequestId,
+    /// The batch's non-read instructions, in program order.
+    pub instrs: Vec<Instruction>,
+}
+
+/// `instr` addressed to `warps` (one shard's local warp mask) in place of
+/// its own; rows, registers and distances are per-warp and pass through.
+fn rebased(instr: &Instruction, warps: RangeMask) -> Instruction {
+    let mut local = instr.clone();
+    match &mut local {
+        Instruction::RType { target, .. } | Instruction::Write { target, .. } => {
+            target.warps = warps;
+        }
+        Instruction::MoveRows { warps: mask, .. } | Instruction::MoveWarps { warps: mask, .. } => {
+            *mask = warps;
+        }
+        Instruction::Read { warp, .. } => *warp = warps.start(),
+    }
+    local
+}
+
+impl PimCluster {
+    /// Submits a batch of *local* (shard-addressed) macro-instructions to
+    /// one shard and returns immediately; many submissions to different
+    /// shards (or the same shard) proceed concurrently.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ClusterError::ShardIndex`] or
+    /// [`ClusterError::Disconnected`]; execution errors surface from
+    /// [`JobTicket::wait`].
+    pub fn submit(
+        &self,
+        shard: usize,
+        instrs: Vec<Instruction>,
+    ) -> Result<JobTicket, ClusterError> {
+        self.submit_segments(shard, vec![(RequestId::UNTAGGED, instrs)])
+    }
+
+    /// Submits one shard job of per-request instruction segments (a
+    /// coalesced gateway group carries several requests in one job); each
+    /// segment's execution span and modeled cycles record against its
+    /// request when telemetry is enabled.
+    pub(crate) fn submit_segments(
+        &self,
+        shard: usize,
+        segments: Vec<(RequestId, Vec<Instruction>)>,
+    ) -> Result<JobTicket, ClusterError> {
+        let (reply, ticket) = Completion::open(shard, &self.jobs_inflight);
+        self.send(shard, Job::Macro { segments, reply })?;
+        Ok(ticket)
+    }
+
+    /// Executes one *logical* macro-instruction addressed in global warp
+    /// space, splitting it across the affected shards and blocking until
+    /// all of them finish. Returns the value for [`Instruction::Read`].
+    ///
+    /// # Errors
+    ///
+    /// Returns validation errors against the aggregate geometry and shard
+    /// execution errors.
+    pub fn execute(&self, instr: &Instruction) -> Result<Option<u32>, ClusterError> {
+        match instr {
+            Instruction::Read { reg, warp, row } => {
+                instr.validate(&self.logical_cfg)?;
+                Ok(self.gather(&[(*warp, *row, *reg)])?.pop())
+            }
+            // All non-read instructions share the batched routing, so the
+            // shard-splitting rules live in exactly one place.
+            _ => {
+                self.execute_batch(std::slice::from_ref(instr))?;
+                Ok(None)
+            }
+        }
+    }
+
+    /// Executes a sequence of non-read logical instructions and blocks
+    /// until every shard finished:
+    /// [`submit_batch`](PimCluster::submit_batch)`(instrs)?.wait()`.
+    ///
+    /// # Errors
+    ///
+    /// See [`submit_batch`](PimCluster::submit_batch), plus shard
+    /// execution errors.
+    pub fn execute_batch(&self, instrs: &[Instruction]) -> Result<(), ClusterError> {
+        self.submit_batch(instrs)?.wait()
+    }
+
+    /// Submits a batch of non-read logical instructions *without waiting*.
+    /// Consecutive instructions accumulate into per-shard queues and one
+    /// job per involved shard goes in flight, observable through the
+    /// returned [`JobSet`]. An inter-warp move that crosses a chip
+    /// boundary is staged through the host before the call returns: it
+    /// drains only the shards it touches (source + destination warp
+    /// owners), while every untouched shard keeps streaming its queued
+    /// instructions concurrently with the transfer (the drain rule; see
+    /// the crate-level docs), and the batch that staged it has completed
+    /// when the call returns — its [`JobSet`] is already ready.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ClusterError::Protocol`] for reads (which return data and
+    /// must go through [`execute`](PimCluster::execute)), plus validation
+    /// and shard errors. Nothing runs if validation fails.
+    pub fn submit_batch(&self, instrs: &[Instruction]) -> Result<JobSet, ClusterError> {
+        self.submit_routed(std::iter::once((RequestId::UNTAGGED, instrs)))
+    }
+
+    /// [`submit_batch`](PimCluster::submit_batch) over request-tagged
+    /// batches — the serving gateway's submission path. Per-shard work
+    /// keeps batch order but carries each batch's [`RequestId`] as a
+    /// worker-side segment, so execution spans and modeled cycles attribute
+    /// to the request that caused them (even inside a coalesced group), and
+    /// each batch's transfers attribute to its own request. A batch that
+    /// staged a transfer completes before the next one is routed.
+    ///
+    /// # Errors
+    ///
+    /// See [`submit_batch`](PimCluster::submit_batch). Nothing runs if any
+    /// batch fails validation.
+    pub fn submit_batch_tagged(&self, batches: &[TaggedBatch]) -> Result<JobSet, ClusterError> {
+        self.submit_routed(batches.iter().map(|b| (b.request, b.instrs.as_slice())))
+    }
+
+    /// Whether [`submit_batch`](PimCluster::submit_batch) returns with this
+    /// batch still streaming (`true`) or blocks the caller on host-staged
+    /// transfers because it contains a chip-crossing move (`false`; the
+    /// returned [`JobSet`] is then ready on its first poll). Invalid
+    /// batches report `true` — their submission fails fast without
+    /// executing anything.
+    pub fn batch_streams_async(&self, instrs: &[Instruction]) -> bool {
+        if self.validate_batch(instrs).is_err() {
+            return true;
+        }
+        instrs.iter().all(|i| match i {
+            Instruction::MoveWarps { warps, dist, .. } => {
+                self.plan.route_move_warps(warps, *dist).cross.is_empty()
+            }
+            _ => true,
+        })
+    }
+
+    /// Validates a whole non-read batch before anything is queued: a
+    /// validation or protocol error must mean *nothing* ran (a mid-batch
+    /// failure would otherwise leave earlier instructions applied on some
+    /// shards and discard ones still queued).
+    fn validate_batch(&self, instrs: &[Instruction]) -> Result<(), ClusterError> {
+        for instr in instrs {
+            instr.validate(&self.logical_cfg)?;
+            if matches!(instr, Instruction::Read { .. }) {
+                return Err(ClusterError::Protocol {
+                    reason: "read instructions cannot be batched (they return data)".into(),
+                });
+            }
+        }
+        Ok(())
+    }
+
+    /// The one batch path every entry point calls into. Shard-local work
+    /// streams through the [`BatchScheduler`] while the [`MoveCoalescer`]
+    /// accumulates the current run of compatible crossing moves. Any
+    /// instruction that cannot join the run — a different distance, a data
+    /// hazard, or simply not a crossing move — flushes the run *before* it
+    /// is enqueued, so shard-visible effects keep instruction-stream order.
+    /// A run never spans two batches (each transfer attributes to its own
+    /// request), and a batch that staged a transfer is drained before the
+    /// next is routed. What is still in flight at the end is the result.
+    fn submit_routed<'a>(
+        &self,
+        batches: impl Iterator<Item = (RequestId, &'a [Instruction])> + Clone,
+    ) -> Result<JobSet, ClusterError> {
+        for (_, instrs) in batches.clone() {
+            self.validate_batch(instrs)?;
+        }
+        let mut sched = BatchScheduler::new(self);
+        let mut coalescer = MoveCoalescer::new();
+        let mut parts: Vec<(usize, Instruction)> = Vec::new();
+        for (request, instrs) in batches {
+            let mut crossed = false;
+            for instr in instrs {
+                let cross = self.split_local(instr, &mut parts);
+                crossed |= cross.is_some();
+                if !coalescer.is_empty() && !cross.as_ref().is_some_and(|mv| coalescer.accepts(mv))
+                {
+                    self.flush_run(&mut sched, &mut coalescer, request)?;
+                }
+                for (shard, part) in parts.drain(..) {
+                    sched.enqueue(shard, request, part);
+                }
+                if let Some(mv) = cross {
+                    coalescer.push(mv);
+                }
+            }
+            if crossed {
+                if !coalescer.is_empty() {
+                    self.flush_run(&mut sched, &mut coalescer, request)?;
+                }
+                sched.drain()?;
+            }
+        }
+        sched.finish()
+    }
+
+    /// Splits one validated logical instruction into its shard-local pieces
+    /// (appended to `parts` as `(shard, local instruction)` pairs) and
+    /// returns the chip-crossing remainder of a `MoveWarps`, if any. Every
+    /// instruction splits along its warp mask alone: a piece is the
+    /// instruction itself, addressed to one shard's local warps
+    /// ([`rebased`]).
+    fn split_local(
+        &self,
+        instr: &Instruction,
+        parts: &mut Vec<(usize, Instruction)>,
+    ) -> Option<CrossingMove> {
+        let piece = |&(shard, warps): &(usize, RangeMask)| (shard, rebased(instr, warps));
+        match instr {
+            Instruction::Read { .. } => {
+                unreachable!("every public entry runs validate_batch, which rejects reads, first")
+            }
+            Instruction::RType { target, .. } | Instruction::Write { target, .. } => {
+                parts.extend(self.plan.split_warps(&target.warps).iter().map(piece));
+                None
+            }
+            Instruction::MoveRows { warps, .. } => {
+                parts.extend(self.plan.split_warps(warps).iter().map(piece));
+                None
+            }
+            Instruction::MoveWarps {
+                src,
+                dst,
+                row_src,
+                row_dst,
+                warps,
+                dist,
+            } => {
+                let route = self.plan.route_move_warps(warps, *dist);
+                parts.extend(route.local.iter().map(piece));
+                CrossingMove::new(route, warps, *dist, *src, *dst, *row_src, *row_dst)
+            }
+        }
+    }
+
+    /// Flushes the coalescer's current (non-empty) run: one barrier over
+    /// the union of the shards the run touches, then one bulk transfer
+    /// staging every crossing pair of every member.
+    fn flush_run(
+        &self,
+        sched: &mut BatchScheduler<'_>,
+        coalescer: &mut MoveCoalescer,
+        request: RequestId,
+    ) -> Result<(), ClusterError> {
+        let run = coalescer.take();
+        let touched = MoveCoalescer::touched_shards(&run, &self.plan);
+        self.interconnect.record_barrier(sched.busy(&touched));
+        sched.barrier(&touched)?;
+        self.cross_transfer(&run, request)
+    }
+
+    /// Inter-chip transfer of one coalesced run over the modeled
+    /// interconnect: the crossing pairs of *every* member are concatenated
+    /// and grouped into one message per `(source, destination)` shard pair
+    /// — one gathered read burst and one scattered write burst each — with
+    /// every burst's cycle cost accounted to
+    /// [`TrafficStats`](crate::TrafficStats). All gathers precede all
+    /// scatters; this is safe because run members are cell-independent of
+    /// each other ([`MoveCoalescer::accepts`]) and each member's own source
+    /// and destination warp sets are disjoint (H-tree rule).
+    fn cross_transfer(&self, run: &[CrossingMove], request: RequestId) -> Result<(), ClusterError> {
+        let all: Vec<(u32, u32)> = run.iter().flat_map(|m| m.pairs().iter().copied()).collect();
+        let groups = self.interconnect.group(&self.plan, &all);
+        if run.len() >= 2 {
+            // Messages a per-move staging would have sent (each member's
+            // distinct shard pairs), minus the merged transfer's. A scratch
+            // set keeps this O(pairs) — no per-member grouping allocations
+            // on the hot path.
+            let mut distinct: Vec<(usize, usize)> = Vec::new();
+            let per_move: usize = run
+                .iter()
+                .map(|m| {
+                    distinct.clear();
+                    for &(s, d) in m.pairs() {
+                        let key = (self.plan.shard_of_warp(s), self.plan.shard_of_warp(d));
+                        if !distinct.contains(&key) {
+                            distinct.push(key);
+                        }
+                    }
+                    distinct.len()
+                })
+                .sum();
+            self.interconnect
+                .record_coalesced(run.len() as u64, (per_move - groups.len()) as u64);
+        }
+        for g in &groups {
+            self.check_link(g.src_shard, g.dst_shard)?;
+            let words = g.pairs.len() as u64;
+            let cycles = self.interconnect.record_burst(words);
+            self.record_burst_span(request, words, cycles);
+        }
+        let locs: Vec<GlobalLoc> = run
+            .iter()
+            .flat_map(|m| m.pairs().iter().map(|&(s, _)| (s, m.row_src(), m.src())))
+            .collect();
+        let values = self.gather(&locs)?;
+        let writes: Vec<GlobalWrite> = run
+            .iter()
+            .flat_map(|m| m.pairs().iter().map(|&(_, d)| (d, m.row_dst(), m.dst())))
+            .zip(values)
+            .map(|((d, row, reg), v)| GlobalWrite::new(d, row, reg, v))
+            .collect();
+        self.scatter(&writes)
+    }
+
+    /// Records one accounted burst as a trace span on the interconnect
+    /// track and attributes its traffic to `request`. The burst occupies
+    /// `[now, now + cycles)` on the global modeled clock and advances it —
+    /// host-staged transfers serialize after the drained shards' work,
+    /// matching
+    /// [`ClusterStats::modeled_latency_cycles`](crate::ClusterStats::modeled_latency_cycles)'s
+    /// upper bound.
+    fn record_burst_span(&self, request: RequestId, words: u64, cycles: u64) {
+        if !self.telemetry.is_enabled() {
+            return;
+        }
+        let start = self.telemetry.now();
+        self.telemetry.advance_clock(start + cycles);
+        self.ic_track
+            .record_complete("burst", start, cycles, request, Some(("words", words)));
+        self.telemetry.attribute(
+            request,
+            RequestStats {
+                cross_words: words,
+                link_cycles: cycles,
+                ..RequestStats::default()
+            },
+        );
+    }
+
+    /// Consults the fault injector for one staged burst; a scheduled drop
+    /// or detected corruption aborts the transfer *before* any data moves,
+    /// so nothing of a faulted message ever lands (no silent corruption).
+    /// Both by-index and cycle-window schedules apply — the burst is
+    /// stamped with the modeled clock so window schedules (partitions) see
+    /// when it was staged.
+    fn check_link(&self, src_shard: usize, dst_shard: usize) -> Result<(), ClusterError> {
+        let Some(inj) = &self.fault else {
+            return Ok(());
+        };
+        if let Some(fault) = inj.link_fault_at(self.telemetry.now()) {
+            return Err(ClusterError::LinkFault {
+                src_shard,
+                dst_shard,
+                kind: match fault {
+                    LinkFault::Drop => LinkFaultKind::Dropped,
+                    LinkFault::Corrupt => LinkFaultKind::Corrupted,
+                },
+            });
+        }
+        Ok(())
+    }
+
+    /// The shard owning global warp `warp`.
+    fn shard_of(&self, warp: u32) -> Result<usize, ClusterError> {
+        let shard = self.plan.shard_of_warp(warp);
+        if shard >= self.shards() {
+            return Err(ClusterError::ShardIndex {
+                shard,
+                shards: self.shards(),
+            });
+        }
+        Ok(shard)
+    }
+
+    /// Reads many global `(warp, row, register)` locations, one shard job
+    /// per involved shard, all in flight concurrently. Results come back in
+    /// input order.
+    ///
+    /// # Errors
+    ///
+    /// Returns addressing or shard errors.
+    pub fn gather(&self, locs: &[GlobalLoc]) -> Result<Vec<u32>, ClusterError> {
+        self.submit_gather(locs)?.wait()
+    }
+
+    /// Submits the per-shard read jobs of a gather *without waiting*; the
+    /// returned [`GatherTicket`] reassembles values in input order when
+    /// waited or awaited.
+    ///
+    /// # Errors
+    ///
+    /// Returns addressing or shard errors (on submission failure nothing is
+    /// partially observable — reads have no side effects).
+    pub fn submit_gather(&self, locs: &[GlobalLoc]) -> Result<GatherTicket, ClusterError> {
+        let mut per: Vec<(Vec<usize>, Vec<Instruction>)> = (0..self.shards())
+            .map(|_| (Vec::new(), Vec::new()))
+            .collect();
+        for (i, &(warp, row, reg)) in locs.iter().enumerate() {
+            let shard = self.shard_of(warp)?;
+            per[shard].0.push(i);
+            per[shard].1.push(Instruction::Read {
+                reg,
+                warp: self.plan.local_warp(warp),
+                row,
+            });
+        }
+        let mut parts = Vec::new();
+        for (shard, (indices, instrs)) in per.into_iter().enumerate() {
+            if !instrs.is_empty() {
+                parts.push((indices, self.submit(shard, instrs)?));
+            }
+        }
+        Ok(GatherTicket::new(parts, locs.len()))
+    }
+
+    /// Writes many [`GlobalWrite`] cells, one shard job per involved shard,
+    /// all in flight concurrently.
+    ///
+    /// # Errors
+    ///
+    /// Returns addressing or shard errors.
+    pub fn scatter(&self, writes: &[GlobalWrite]) -> Result<(), ClusterError> {
+        self.submit_scatter(writes)?.wait()
+    }
+
+    /// Submits the per-shard write jobs of a scatter *without waiting*.
+    ///
+    /// # Errors
+    ///
+    /// Returns addressing or shard errors.
+    pub fn submit_scatter(&self, writes: &[GlobalWrite]) -> Result<JobSet, ClusterError> {
+        let mut sched = BatchScheduler::new(self);
+        for w in writes {
+            let cell = Instruction::Write {
+                reg: w.reg,
+                value: w.value,
+                target: ThreadRange::single(self.plan.local_warp(w.warp), w.row),
+            };
+            sched.enqueue(self.shard_of(w.warp)?, RequestId::UNTAGGED, cell);
+        }
+        sched.finish()
+    }
+
+    /// Gathers float words from `locs` and folds them on the host — the
+    /// cross-shard combining step of a sharded reduction.
+    ///
+    /// # Errors
+    ///
+    /// Fails for an empty location list or on gather errors.
+    pub fn reduce_f32(&self, locs: &[GlobalLoc], op: Combine) -> Result<f32, ClusterError> {
+        let bits = self.gather(locs)?;
+        fold_f32(op, bits.into_iter().map(f32::from_bits)).ok_or_else(|| ClusterError::Protocol {
+            reason: "reduction over an empty location set".into(),
+        })
+    }
+
+    /// Gathers int words from `locs` and folds them on the host.
+    ///
+    /// # Errors
+    ///
+    /// See [`reduce_f32`](PimCluster::reduce_f32).
+    pub fn reduce_i32(&self, locs: &[GlobalLoc], op: Combine) -> Result<i32, ClusterError> {
+        let bits = self.gather(locs)?;
+        fold_i32(op, bits.into_iter().map(|b| b as i32)).ok_or_else(|| ClusterError::Protocol {
+            reason: "reduction over an empty location set".into(),
+        })
+    }
+}

@@ -43,27 +43,10 @@
 //! Anything that is not a crossing `MoveWarps` with the run's distance —
 //! another instruction kind, a different distance, a hazard — flushes the
 //! run first, so instruction-stream order is preserved around every merge.
-//! [`Coalesce::Off`] turns the peephole off (runs of one) for A/B
-//! benchmarking (`BENCH_cluster.json`, group `move_shift`) and equivalence
-//! tests, mirroring [`Staging::PerWord`](crate::Staging) and
-//! [`DrainPolicy::Global`](crate::DrainPolicy).
 
 use crate::{MoveRoute, ShardPlan};
 use pim_arch::RangeMask;
 use std::collections::HashMap;
-
-/// Whether the cluster's batch path merges runs of compatible crossing
-/// moves into bulk transfers.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Coalesce {
-    /// Merge runs of consecutive same-distance, hazard-free crossing moves
-    /// into one barrier + one burst per `(src, dst)` shard pair.
-    #[default]
-    On,
-    /// Every crossing move pays its own barrier and transfer — the PR-3
-    /// behaviour, kept for A/B benchmarking against [`Coalesce::On`].
-    Off,
-}
 
 /// The cells one side of a `MoveWarps` touches: one register/row across a
 /// warp mask.
@@ -103,10 +86,6 @@ fn masks_overlap(a: &RangeMask, b: &RangeMask) -> bool {
 #[derive(Debug, Clone)]
 pub struct CrossingMove {
     route: MoveRoute,
-    src: u8,
-    dst: u8,
-    row_src: u32,
-    row_dst: u32,
     dist: i32,
     reads: CellRange,
     writes: CellRange,
@@ -139,10 +118,6 @@ impl CrossingMove {
             .expect("shifting a valid mask by a validated distance keeps it valid");
         Some(CrossingMove {
             route,
-            src,
-            dst,
-            row_src,
-            row_dst,
             dist,
             reads: CellRange {
                 reg: src,
@@ -164,37 +139,36 @@ impl CrossingMove {
 
     /// Source register of the move.
     pub fn src(&self) -> u8 {
-        self.src
+        self.reads.reg
     }
 
     /// Destination register of the move.
     pub fn dst(&self) -> u8 {
-        self.dst
+        self.writes.reg
     }
 
     /// Source row of the move.
     pub fn row_src(&self) -> u32 {
-        self.row_src
+        self.reads.row
     }
 
     /// Destination row of the move.
     pub fn row_dst(&self) -> u32 {
-        self.row_dst
+        self.writes.row
     }
 }
 
 /// The peephole itself: accumulates the current run of mergeable crossing
-/// moves while [`PimCluster::execute_batch`](crate::PimCluster::execute_batch)
-/// streams a batch, handing the whole run back for one bulk transfer when
+/// moves while [`PimCluster::submit_batch`](crate::PimCluster::submit_batch)
+/// routes a batch, handing the whole run back for one bulk transfer when
 /// it breaks.
 ///
 /// Hazard lookups are bucketed in a map keyed by `(register, row)`, so
 /// accepting a move into a large run checks only the masks sharing its
 /// register and row — a whole-memory shift (distinct rows per member)
 /// coalesces its thousands of phase moves in linear time.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct MoveCoalescer {
-    policy: Coalesce,
     run: Vec<CrossingMove>,
     dist: i32,
     /// Read cell ranges of the run's members, keyed by `(reg, row)`.
@@ -217,15 +191,9 @@ fn bucket_intersects(buckets: &HashMap<(u8, u32), Vec<RangeMask>>, cell: &CellRa
 }
 
 impl MoveCoalescer {
-    /// A fresh coalescer under `policy`.
-    pub fn new(policy: Coalesce) -> Self {
-        MoveCoalescer {
-            policy,
-            run: Vec::new(),
-            dist: 0,
-            reads: HashMap::new(),
-            writes: HashMap::new(),
-        }
+    /// A fresh coalescer with an empty run.
+    pub fn new() -> Self {
+        MoveCoalescer::default()
     }
 
     /// Whether the current run is empty.
@@ -239,17 +207,13 @@ impl MoveCoalescer {
     }
 
     /// Whether `mv` may join the current run: any move starts an empty
-    /// run; under [`Coalesce::On`] a non-empty run additionally accepts
-    /// moves with the run's distance that are cell-independent of every
-    /// member (see the module docs); under [`Coalesce::Off`] a non-empty
-    /// run accepts nothing, so every crossing move flushes its
-    /// predecessor — the per-move PR-3 behaviour.
+    /// run; a non-empty run accepts moves with the run's distance that are
+    /// cell-independent of every member (see the module docs).
     pub fn accepts(&self, mv: &CrossingMove) -> bool {
         if self.run.is_empty() {
             return true;
         }
-        self.policy == Coalesce::On
-            && mv.dist == self.dist
+        mv.dist == self.dist
             && !bucket_intersects(&self.reads, &mv.writes)
             && !bucket_intersects(&self.writes, &mv.reads)
             && !bucket_intersects(&self.writes, &mv.writes)
@@ -345,7 +309,7 @@ mod tests {
         // The shifted() decomposition: same registers, same dist, one move
         // per row class — all mergeable into one run.
         let p = plan4();
-        let mut c = MoveCoalescer::new(Coalesce::On);
+        let mut c = MoveCoalescer::new();
         for row in 0..8 {
             let m = mv(&p, RangeMask::new(8, 15, 1).unwrap(), -8, 0, 1, row, row);
             assert!(c.accepts(&m), "row {row} must merge");
@@ -365,7 +329,7 @@ mod tests {
     #[test]
     fn rejects_different_distance() {
         let p = plan4();
-        let mut c = MoveCoalescer::new(Coalesce::On);
+        let mut c = MoveCoalescer::new();
         c.push(mv(&p, RangeMask::new(8, 11, 1).unwrap(), -8, 0, 1, 0, 0));
         let other = mv(&p, RangeMask::new(12, 15, 1).unwrap(), -12, 0, 1, 1, 1);
         assert!(!c.accepts(&other), "different distances must not merge");
@@ -374,7 +338,7 @@ mod tests {
     #[test]
     fn rejects_write_write_overlap() {
         let p = plan4();
-        let mut c = MoveCoalescer::new(Coalesce::On);
+        let mut c = MoveCoalescer::new();
         // Both write (reg 1, row 0, warps 0..=3).
         c.push(mv(&p, RangeMask::new(8, 11, 1).unwrap(), -8, 0, 1, 0, 0));
         let clash = mv(&p, RangeMask::new(8, 11, 1).unwrap(), -8, 0, 1, 1, 0);
@@ -388,7 +352,7 @@ mod tests {
     #[test]
     fn rejects_read_write_hazards_both_directions() {
         let p = plan4();
-        let mut c = MoveCoalescer::new(Coalesce::On);
+        let mut c = MoveCoalescer::new();
         // The run reads (reg 0, row 0, warps 8..=11) and writes
         // (reg 1, row 0, warps 0..=3).
         c.push(mv(&p, RangeMask::new(8, 11, 1).unwrap(), -8, 0, 1, 0, 0));
@@ -412,7 +376,7 @@ mod tests {
         // so the run must absorb the whole chain. One-crossbar shards make
         // every phase a crossing move.
         let p = ShardPlan::new(&PimConfig::small().with_crossbars(1), 8).unwrap();
-        let mut c = MoveCoalescer::new(Coalesce::On);
+        let mut c = MoveCoalescer::new();
         // Phase 1 of a dist-1 overlapping shift: src {0, 4} -> dst {1, 5}.
         c.push(mv(&p, RangeMask::strided(0, 2, 4).unwrap(), 1, 0, 1, 0, 0));
         // Phase 2: src {1, 5} (the previous phase's destinations) ->
@@ -422,21 +386,10 @@ mod tests {
     }
 
     #[test]
-    fn off_policy_never_extends_a_run() {
-        let p = plan4();
-        let mut c = MoveCoalescer::new(Coalesce::Off);
-        let a = mv(&p, RangeMask::new(8, 11, 1).unwrap(), -8, 0, 1, 0, 0);
-        let b = mv(&p, RangeMask::new(8, 11, 1).unwrap(), -8, 0, 1, 1, 1);
-        assert!(c.accepts(&a), "an empty run accepts under any policy");
-        c.push(a);
-        assert!(!c.accepts(&b), "Coalesce::Off must keep runs at one move");
-    }
-
-    #[test]
     #[should_panic(expected = "coalescer rejects")]
     fn push_panics_on_rejected_move() {
         let p = plan4();
-        let mut c = MoveCoalescer::new(Coalesce::On);
+        let mut c = MoveCoalescer::new();
         c.push(mv(&p, RangeMask::new(8, 11, 1).unwrap(), -8, 0, 1, 0, 0));
         c.push(mv(&p, RangeMask::new(12, 15, 1).unwrap(), -12, 0, 1, 1, 1));
     }

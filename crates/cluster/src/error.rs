@@ -108,12 +108,13 @@ pub enum ClusterError {
         /// Detected failure mode.
         kind: LinkFaultKind,
     },
-    /// The supervisor could not restore a crashed shard (checkpoint replay
-    /// failed). The shard stays down; this is fatal for the cluster.
+    /// The supervisor could not start a shard worker or restore a crashed
+    /// one (the OS refused a thread, or checkpoint replay failed). The
+    /// shard stays down; this is fatal for the cluster.
     RecoveryFailed {
-        /// Shard that could not be recovered.
+        /// Shard that could not be started or recovered.
         shard: usize,
-        /// Human-readable description of the replay failure.
+        /// Human-readable description of the failure.
         reason: String,
     },
     /// A cluster-level protocol rule was violated (e.g. a read inside a

@@ -1,69 +1,30 @@
 //! Modeled chip-to-chip interconnect.
 //!
-//! PR 1 staged every cross-chip `MoveWarps` through the host one
-//! gather/scatter word pair at a time. This module models the links a real
-//! multi-chip deployment would have: crossing word pairs are grouped into
-//! one *message* per `(source shard, destination shard)` pair — one
-//! gathered read burst and one scattered write burst — and every burst is
-//! charged a modeled cycle cost
+//! This module models the links a real multi-chip deployment would have:
+//! crossing word pairs are grouped into one *message* per
+//! `(source shard, destination shard)` pair — one gathered read burst on
+//! the source chip and one scattered write burst on the destination chip —
+//! and every burst is charged a modeled cycle cost
 //!
 //! ```text
 //! cost(n words) = latency + ceil(n · WORD_BITS / link_bits)
 //! ```
 //!
-//! accumulated into [`TrafficStats::link_cycles`]. The per-word path is
-//! kept behind [`Staging::PerWord`] so benchmarks can A/B the two
-//! (`BENCH_cluster.json`, group `move_cross`), and the scheduler's global
-//! barrier survives behind [`DrainPolicy::Global`] for the same reason.
+//! accumulated into [`TrafficStats::link_cycles`].
 
-use crate::coalesce::Coalesce;
 use crate::ShardPlan;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Mutex, MutexGuard};
 
 /// Bits per transferred word (`u32` cells).
 pub const WORD_BITS: u64 = 32;
 
-/// How crossing word pairs are staged over the links.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Staging {
-    /// One message per `(source shard, destination shard)` pair carrying
-    /// every word the pair exchanges: one gathered read burst on the source
-    /// chip and one scattered write burst on the destination chip.
-    #[default]
-    Batched,
-    /// One message — and one host round trip — per word pair: the PR-1
-    /// behaviour, kept for A/B benchmarking against [`Staging::Batched`].
-    PerWord,
-}
-
-/// Which shard queues a crossing move forces to drain.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum DrainPolicy {
-    /// Only shards owning a crossing source or destination warp drain;
-    /// untouched shards keep streaming their queued instructions while the
-    /// transfer is in flight.
-    #[default]
-    Touched,
-    /// Every shard queue drains at every crossing move: the PR-1 global
-    /// barrier, kept for A/B benchmarking against [`DrainPolicy::Touched`].
-    Global,
-}
-
-/// Geometry and policy of the modeled chip-to-chip interconnect.
+/// Geometry of the modeled chip-to-chip interconnect.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct InterconnectConfig {
     /// Link width: bits moved per link cycle (default 128).
     pub link_bits: u32,
     /// Fixed per-message latency in link cycles (default 8).
     pub latency: u64,
-    /// Message granularity (default [`Staging::Batched`]).
-    pub staging: Staging,
-    /// Barrier scope at crossing moves (default [`DrainPolicy::Touched`]).
-    pub drain: DrainPolicy,
-    /// Whether runs of consecutive compatible crossing moves merge into
-    /// one barrier + transfer (default [`Coalesce::On`]; see
-    /// [`MoveCoalescer`](crate::MoveCoalescer)).
-    pub coalesce: Coalesce,
 }
 
 impl Default for InterconnectConfig {
@@ -71,9 +32,6 @@ impl Default for InterconnectConfig {
         InterconnectConfig {
             link_bits: 128,
             latency: 8,
-            staging: Staging::default(),
-            drain: DrainPolicy::default(),
-            coalesce: Coalesce::default(),
         }
     }
 }
@@ -112,8 +70,7 @@ pub struct MessageGroup {
 /// Interconnect and scheduler traffic counters, aggregated cluster-wide.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TrafficStats {
-    /// Bursts sent over the links (in [`Staging::PerWord`] mode every word
-    /// pair is its own message).
+    /// Bursts sent over the links.
     pub messages: u64,
     /// Cross-chip words moved.
     pub cross_words: u64,
@@ -123,24 +80,19 @@ pub struct TrafficStats {
     /// Crossing moves that forced shard queues to drain.
     pub barriers: u64,
     /// Shard queues those barriers actually drained: shards inside the
-    /// barrier's scope ([`DrainPolicy::Global`] = all shards,
-    /// [`DrainPolicy::Touched`] = the crossing pairs' owners) that had
-    /// pending or in-flight work to wait for. A barrier hitting only idle
-    /// shards drains zero queues — the gap between the two policies on a
-    /// busy cluster is the scheduler's win.
+    /// barrier's scope (the crossing pairs' owners) that had pending or
+    /// in-flight work to wait for. A barrier hitting only idle shards
+    /// drains zero queues.
     pub drained_queues: u64,
     /// Coalesced runs flushed with at least two crossing moves — each one
     /// a group of per-move barriers/transfers collapsed into a single
     /// barrier + bulk transfer.
     pub runs_merged: u64,
-    /// Crossing moves carried by those merged runs (every one of them
-    /// would have paid its own barrier and messages under
-    /// [`Coalesce::Off`]).
+    /// Crossing moves carried by those merged runs (routed one by one,
+    /// every one of them would have paid its own barrier and messages).
     pub moves_merged: u64,
     /// Interconnect messages the merged runs avoided: per-move burst
-    /// counts summed, minus the bursts the merged transfers actually sent
-    /// (zero under [`Staging::PerWord`], where messages are per word
-    /// either way).
+    /// counts summed, minus the bursts the merged transfers actually sent.
     pub bursts_saved: u64,
 }
 
@@ -159,27 +111,21 @@ impl pim_telemetry::MetricsSource for TrafficStats {
 
 /// The modeled interconnect: configuration plus live traffic accounting.
 ///
-/// Counters are host-side atomics — recording from the cluster's `&self`
-/// execution paths needs no locking.
+/// The counters sit behind one host-side lock, so the cluster's `&self`
+/// execution paths record from any client thread and a snapshot is never
+/// torn.
 #[derive(Debug, Default)]
 pub struct Interconnect {
     cfg: InterconnectConfig,
-    messages: AtomicU64,
-    cross_words: AtomicU64,
-    link_cycles: AtomicU64,
-    barriers: AtomicU64,
-    drained_queues: AtomicU64,
-    runs_merged: AtomicU64,
-    moves_merged: AtomicU64,
-    bursts_saved: AtomicU64,
+    traffic: Mutex<TrafficStats>,
 }
 
 impl Interconnect {
-    /// Builds an interconnect with the given geometry/policy.
+    /// Builds an interconnect with the given geometry.
     pub fn new(cfg: InterconnectConfig) -> Self {
         Interconnect {
             cfg,
-            ..Interconnect::default()
+            traffic: Mutex::default(),
         }
     }
 
@@ -210,57 +156,50 @@ impl Interconnect {
         groups
     }
 
+    /// The live counters. Every update is a handful of additions that
+    /// leave them valid at each step, so a poisoned lock is still usable.
+    fn counters(&self) -> MutexGuard<'_, TrafficStats> {
+        self.traffic.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
     /// Accounts one burst of `words` words; returns its modeled cycle cost.
-    /// Batched transfers record one burst per [`MessageGroup`]
+    /// A transfer records one burst per [`MessageGroup`]
     /// (`Interconnect::group`), sized by that group's word count — see
     /// `PimCluster`'s cross-transfer path.
     pub fn record_burst(&self, words: u64) -> u64 {
         let cycles = self.cfg.burst_cycles(words);
-        self.messages.fetch_add(1, Ordering::Relaxed);
-        self.cross_words.fetch_add(words, Ordering::Relaxed);
-        self.link_cycles.fetch_add(cycles, Ordering::Relaxed);
+        let mut t = self.counters();
+        t.messages += 1;
+        t.cross_words += words;
+        t.link_cycles += cycles;
         cycles
     }
 
     /// Accounts one crossing-move barrier that drained `drained` shard
     /// queues.
     pub fn record_barrier(&self, drained: u64) {
-        self.barriers.fetch_add(1, Ordering::Relaxed);
-        self.drained_queues.fetch_add(drained, Ordering::Relaxed);
+        let mut t = self.counters();
+        t.barriers += 1;
+        t.drained_queues += drained;
     }
 
     /// Accounts one flushed coalesced run of `moves` (≥ 2) crossing moves
     /// that avoided `bursts_saved` interconnect messages.
     pub fn record_coalesced(&self, moves: u64, bursts_saved: u64) {
-        self.runs_merged.fetch_add(1, Ordering::Relaxed);
-        self.moves_merged.fetch_add(moves, Ordering::Relaxed);
-        self.bursts_saved.fetch_add(bursts_saved, Ordering::Relaxed);
+        let mut t = self.counters();
+        t.runs_merged += 1;
+        t.moves_merged += moves;
+        t.bursts_saved += bursts_saved;
     }
 
     /// Snapshot of the traffic counters.
     pub fn traffic(&self) -> TrafficStats {
-        TrafficStats {
-            messages: self.messages.load(Ordering::Relaxed),
-            cross_words: self.cross_words.load(Ordering::Relaxed),
-            link_cycles: self.link_cycles.load(Ordering::Relaxed),
-            barriers: self.barriers.load(Ordering::Relaxed),
-            drained_queues: self.drained_queues.load(Ordering::Relaxed),
-            runs_merged: self.runs_merged.load(Ordering::Relaxed),
-            moves_merged: self.moves_merged.load(Ordering::Relaxed),
-            bursts_saved: self.bursts_saved.load(Ordering::Relaxed),
-        }
+        *self.counters()
     }
 
     /// Zeroes the traffic counters (the start of a measurement region).
     pub fn reset(&self) {
-        self.messages.store(0, Ordering::Relaxed);
-        self.cross_words.store(0, Ordering::Relaxed);
-        self.link_cycles.store(0, Ordering::Relaxed);
-        self.barriers.store(0, Ordering::Relaxed);
-        self.drained_queues.store(0, Ordering::Relaxed);
-        self.runs_merged.store(0, Ordering::Relaxed);
-        self.moves_merged.store(0, Ordering::Relaxed);
-        self.bursts_saved.store(0, Ordering::Relaxed);
+        *self.counters() = TrafficStats::default();
     }
 }
 
@@ -279,7 +218,6 @@ mod tests {
         let narrow = InterconnectConfig {
             link_bits: 8,
             latency: 2,
-            ..InterconnectConfig::default()
         };
         assert_eq!(narrow.burst_cycles(3), 2 + 12);
     }
@@ -314,7 +252,7 @@ mod tests {
 
     #[test]
     fn per_group_burst_accounting() {
-        // The batched-transfer recording rule: one burst per message
+        // The transfer recording rule: one burst per message
         // group, sized by the group's pair count — messages equal the
         // distinct shard pairs, words equal the crossing pairs.
         let plan = ShardPlan::new(&PimConfig::small().with_crossbars(4), 4).unwrap();
@@ -335,7 +273,6 @@ mod tests {
         let ic = Interconnect::new(InterconnectConfig {
             link_bits: 32,
             latency: 4,
-            ..InterconnectConfig::default()
         });
         assert_eq!(ic.record_burst(8), 4 + 8);
         assert_eq!(ic.record_burst(1), 4 + 1);

@@ -17,12 +17,16 @@
 //! * [`PimCluster::submit`]/[`JobTicket::wait`] — batched job submission:
 //!   many macro-instruction batches stream to all shards concurrently, from
 //!   any number of client threads.
-//! * [`PimCluster::execute`]/[`PimCluster::execute_batch`] — transparent
-//!   routing of logical instructions, including inter-warp moves: moves
-//!   within a chip stay native, moves crossing a chip boundary go over the
-//!   modeled [`Interconnect`].
+//! * [`PimCluster::submit_batch`] — the one routing path for logical
+//!   instructions ([`execute`](PimCluster::execute),
+//!   [`execute_batch`](PimCluster::execute_batch) and
+//!   [`submit_batch_tagged`](PimCluster::submit_batch_tagged) are thin calls
+//!   into it): validate, split per shard, coalesce crossing moves, barrier,
+//!   transfer, launch. Moves within a chip stay native; moves crossing a
+//!   chip boundary go over the modeled [`Interconnect`]. What is still in
+//!   flight when the call returns is a [`JobSet`].
 //! * [`Interconnect`]/[`InterconnectConfig`] — the chip-to-chip link model:
-//!   crossing word pairs batch into one message per
+//!   crossing word pairs travel as one message per
 //!   `(source, destination)` shard pair (one gathered read burst + one
 //!   scattered write burst), each charged
 //!   `latency + ceil(words × 32 / link_bits)` link cycles into
@@ -35,26 +39,21 @@
 //!   move rule keeps a move's source and destination warp sets disjoint,
 //!   and each shard's job channel is FIFO — concurrent work can only live
 //!   on shards whose cells the transfer neither reads nor writes.
-//!   [`DrainPolicy::Global`] and [`Staging::PerWord`] preserve the PR-1
-//!   behaviours for A/B benchmarks (`BENCH_cluster.json`, groups
-//!   `move_cross` and `move_mixed`).
-//! * [`MoveCoalescer`]/[`Coalesce`] — cross-chip move coalescing, the last
-//!   stage of the **movement → coalescer → interconnect pipeline**. The
-//!   movement layer (`pypim-core`'s `movement` module) lowers a tensor
-//!   shift onto one `MoveWarps` per row class — phase-split further when
-//!   the H-tree's disjointness rule forbids the direct move — and plans
-//!   the whole decomposition as *one* batch grouped by warp distance.
-//!   [`PimCluster::execute_batch`] streams that batch while the coalescer
-//!   accumulates the current *run* of consecutive crossing moves that
-//!   share a distance and are independent at the cell level; when the run
-//!   breaks (other instruction, other distance, hazard) it flushes as a
-//!   single transfer: one barrier over the union of touched shards, one
-//!   gathered read burst and one scattered write burst per
-//!   `(source, destination)` shard pair — `O(shard pairs)` messages and
-//!   barriers for a whole-memory shift instead of `O(warps)`.
-//!   [`Coalesce::Off`] keeps the per-move path for A/B benchmarks
-//!   (`BENCH_cluster.json`, group `move_shift`) and equivalence tests;
-//!   [`TrafficStats`] reports `runs_merged`/`moves_merged`/`bursts_saved`.
+//! * [`MoveCoalescer`] — cross-chip move coalescing, the last stage of the
+//!   **movement → coalescer → interconnect pipeline**. The movement layer
+//!   (`pypim-core`'s `movement` module) lowers a tensor shift onto one
+//!   `MoveWarps` per row class — phase-split further when the H-tree's
+//!   disjointness rule forbids the direct move — and plans the whole
+//!   decomposition as *one* batch grouped by warp distance. While that
+//!   batch is routed the coalescer accumulates the current *run* of
+//!   consecutive crossing moves that share a distance and are independent
+//!   at the cell level; when the run breaks (other instruction, other
+//!   distance, hazard, end of the batch) it flushes as a single transfer:
+//!   one barrier over the union of touched shards, one gathered read burst
+//!   and one scattered write burst per `(source, destination)` shard pair —
+//!   `O(shard pairs)` messages and barriers for a whole-memory shift
+//!   instead of `O(warps)`. [`TrafficStats`] reports
+//!   `runs_merged`/`moves_merged`/`bursts_saved`.
 //! * [`Combine`]/[`PimCluster::reduce_f32`]/[`PimCluster::reduce_i32`] —
 //!   cross-shard combining: gather per-shard partials and fold on the host.
 //! * [`PimCluster::stats`] — per-shard telemetry (simulator profiler,
@@ -106,15 +105,13 @@ mod plan;
 pub(crate) mod sched;
 
 pub use cluster::{
-    fold_f32, fold_i32, ClusterOptions, ClusterStats, Combine, GatherTicket, GlobalLoc,
-    GlobalWrite, JobSet, JobTicket, PimCluster, RecoveryConfig, ShardBackends, ShardStats,
-    Submission, TaggedBatch,
+    execute_segment, fold_f32, fold_i32, ClusterOptions, ClusterStats, Combine, GatherTicket,
+    GlobalLoc, GlobalWrite, JobSet, JobTicket, PimCluster, RecoveryConfig, ShardBackends,
+    ShardStats, TaggedBatch,
 };
-pub use coalesce::{Coalesce, CrossingMove, MoveCoalescer};
+pub use coalesce::{CrossingMove, MoveCoalescer};
 pub use error::{ClusterError, ErrorClass, LinkFaultKind};
-pub use interconnect::{
-    DrainPolicy, Interconnect, InterconnectConfig, MessageGroup, Staging, TrafficStats, WORD_BITS,
-};
+pub use interconnect::{Interconnect, InterconnectConfig, MessageGroup, TrafficStats, WORD_BITS};
 pub use pim_fault::{
     FaultInjector, FaultPlan, FaultProfile, FaultStats, HostFault, HostFaultPlan, HostFaultProfile,
     LinkFault, LinkWindow, WorkerFault,

@@ -10,7 +10,6 @@
 
 use crate::ClusterError;
 use pim_arch::{PimConfig, RangeMask};
-use pim_isa::ThreadRange;
 use std::ops::Range;
 
 /// A routed `MoveWarps`: the shard-local native sub-moves plus the global
@@ -142,15 +141,6 @@ impl ShardPlan {
             }
         }
         out
-    }
-
-    /// Splits a logical thread range into per-shard local thread ranges
-    /// (rows are per-warp and pass through unchanged).
-    pub fn split_target(&self, t: &ThreadRange) -> Vec<(usize, ThreadRange)> {
-        self.split_warps(&t.warps)
-            .into_iter()
-            .map(|(s, warps)| (s, ThreadRange::new(warps, t.rows)))
-            .collect()
     }
 
     /// Partitions a logical `MoveWarps` (global warp mask + uniform

@@ -1,11 +1,9 @@
-//! Dependency-aware shard scheduling for [`PimCluster::execute_batch`].
+//! Dependency-aware shard scheduling for the cluster's one batch path
+//! ([`PimCluster::submit_batch`]): per-shard dependency tracking instead of
+//! a global barrier at every crossing `MoveWarps`.
 //!
-//! PR 1 accumulated one instruction queue per shard and, at every crossing
-//! `MoveWarps`, flushed *all* of them behind a global barrier. The
-//! [`BatchScheduler`] replaces that barrier with per-shard dependency
-//! tracking:
-//!
-//! * Shard-local instructions accumulate in per-shard *pending* queues.
+//! * Shard-local instructions accumulate in per-shard *pending* queues, one
+//!   segment per request.
 //! * A crossing move *drains* only the shards it touches — the owners of
 //!   its crossing source and destination warps, as reported by
 //!   [`ShardPlan::route_move_warps`](crate::ShardPlan::route_move_warps) —
@@ -14,53 +12,58 @@
 //! * Untouched shards are *launched* instead: their pending queues are
 //!   submitted without waiting, so those chips keep streaming queued work
 //!   concurrently with the cross-chip transfer.
+//! * With no crossing move nothing is launched until the end, and what is
+//!   then in flight — one job per involved shard — is the submission's
+//!   [`JobSet`].
 //!
 //! This is safe because the H-tree move rule guarantees a `MoveWarps`'
 //! source and destination warp sets are disjoint, and every shard's job
 //! channel is FIFO: work racing with the transfer lives entirely on shards
 //! whose warps the transfer does not read or write.
 
-use crate::cluster::JobTicket;
-use crate::{ClusterError, PimCluster};
+use crate::{ClusterError, JobSet, JobTicket, PimCluster};
 use pim_isa::Instruction;
 use pim_telemetry::RequestId;
 
-/// Per-shard dependency tracker driving one [`PimCluster::execute_batch`]
-/// call: pending (not yet submitted) instruction queues plus in-flight
-/// (submitted, not yet awaited) job tickets for every shard. Carries the
-/// [`RequestId`] of the batch being executed so every shard job it
-/// launches attributes its modeled cycles to that request.
+/// Per-shard dependency tracker driving one submission: pending (not yet
+/// submitted) instruction segments, each carrying the [`RequestId`] its
+/// modeled cycles attribute to, plus in-flight (submitted, not yet awaited)
+/// job tickets for every shard.
 pub(crate) struct BatchScheduler<'c> {
     cluster: &'c PimCluster,
-    request: RequestId,
-    pending: Vec<Vec<Instruction>>,
+    pending: Vec<Vec<(RequestId, Vec<Instruction>)>>,
     inflight: Vec<Vec<JobTicket>>,
 }
 
 impl<'c> BatchScheduler<'c> {
-    pub(crate) fn new(cluster: &'c PimCluster, request: RequestId) -> Self {
+    pub(crate) fn new(cluster: &'c PimCluster) -> Self {
         let shards = cluster.shards();
         BatchScheduler {
             cluster,
-            request,
             pending: vec![Vec::new(); shards],
             inflight: (0..shards).map(|_| Vec::new()).collect(),
         }
     }
 
-    /// Queues one shard-local instruction; nothing is submitted yet.
-    pub(crate) fn enqueue(&mut self, shard: usize, instr: Instruction) {
-        self.pending[shard].push(instr);
+    /// Queues one shard-local instruction of `request`, extending the
+    /// shard's last segment or opening one; nothing is submitted yet.
+    /// Inlined: a scatter calls it once per word from another module.
+    #[inline]
+    pub(crate) fn enqueue(&mut self, shard: usize, request: RequestId, instr: Instruction) {
+        match self.pending[shard].last_mut() {
+            Some((r, segment)) if *r == request => segment.push(instr),
+            _ => self.pending[shard].push((request, vec![instr])),
+        }
     }
 
-    /// Submits a shard's pending queue without waiting, so the shard
-    /// streams it concurrently with whatever the host does next.
+    /// Submits a shard's pending segments as one job without waiting, so
+    /// the shard streams it concurrently with whatever the host does next.
     fn launch(&mut self, shard: usize) -> Result<(), ClusterError> {
         if self.pending[shard].is_empty() {
             return Ok(());
         }
-        let instrs = std::mem::take(&mut self.pending[shard]);
-        let ticket = self.cluster.submit_request(shard, self.request, instrs)?;
+        let segments = std::mem::take(&mut self.pending[shard]);
+        let ticket = self.cluster.submit_segments(shard, segments)?;
         self.inflight[shard].push(ticket);
         Ok(())
     }
@@ -111,15 +114,18 @@ impl<'c> BatchScheduler<'c> {
             .count() as u64
     }
 
-    /// Submits every pending queue and waits for all in-flight work — the
-    /// end of the batch.
-    pub(crate) fn finish(mut self) -> Result<(), ClusterError> {
+    /// A barrier over every shard: what was queued so far is complete
+    /// before anything else is routed.
+    pub(crate) fn drain(&mut self) -> Result<(), ClusterError> {
+        self.barrier(&vec![true; self.pending.len()])
+    }
+
+    /// Submits every pending queue and hands back everything still in
+    /// flight — the end of the submission.
+    pub(crate) fn finish(mut self) -> Result<JobSet, ClusterError> {
         for shard in 0..self.pending.len() {
             self.launch(shard)?;
         }
-        for shard in 0..self.pending.len() {
-            self.wait(shard)?;
-        }
-        Ok(())
+        Ok(JobSet::new(self.inflight.into_iter().flatten()))
     }
 }

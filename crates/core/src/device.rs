@@ -4,17 +4,17 @@ use crate::{CoreError, Result};
 use parking_lot::Mutex;
 use pim_arch::PimConfig;
 use pim_cluster::{
-    ClusterOptions, ClusterStats, GatherTicket, GlobalWrite, InterconnectConfig, JobSet,
-    PimCluster, Submission, TaggedBatch,
+    execute_segment, ClusterOptions, ClusterStats, GatherTicket, GlobalWrite, JobSet, PimCluster,
+    TaggedBatch,
 };
 use pim_driver::{Driver, ParallelismMode};
 use pim_func::{AnyBackend, BackendKind};
 use pim_isa::{DType, Instruction};
 use pim_sim::Profiler;
-use pim_telemetry::{MetricsSnapshot, MetricsSource, RequestStats, Telemetry};
+use pim_telemetry::{MetricsSnapshot, MetricsSource, Telemetry, TrackHandle};
 use std::future::Future;
 use std::pin::Pin;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::task::{Context, Poll};
 
 /// The execution engine behind a device: a single simulated chip driven
@@ -31,28 +31,25 @@ pub(crate) struct DeviceInner {
     /// The device's telemetry handle (disabled by default; shared with the
     /// cluster's shard workers when cluster-backed).
     pub(crate) telemetry: Telemetry,
+    /// The `chip-0` trace track of a single-chip device, registered by its
+    /// first tagged submission.
+    chip_track: OnceLock<TrackHandle>,
 }
 
 /// An in-flight non-read instruction batch submitted through
 /// [`Device::submit_instrs`]: a blocking handle ([`wait`](StepTicket::wait))
 /// and a pollable [`Future`] in one. On a cluster device the per-shard jobs
 /// stream concurrently and the shard workers wake the registered waker on
-/// completion; on a single-chip device (and for batches containing
-/// chip-crossing moves, which need host staging) execution happened inline
-/// and the ticket is born ready.
+/// completion; a single-chip device, and a batch whose chip-crossing moves
+/// were staged through the host, has finished by the time the ticket
+/// exists, and the ticket is born ready.
 #[derive(Debug)]
-pub struct StepTicket(StepInner);
-
-#[derive(Debug)]
-enum StepInner {
-    Done,
-    Cluster(JobSet),
-}
+pub struct StepTicket(JobSet);
 
 impl StepTicket {
     /// A completed submission.
     pub fn ready() -> Self {
-        StepTicket(StepInner::Done)
+        StepTicket(JobSet::ready())
     }
 
     /// Blocks until the batch completes.
@@ -61,10 +58,7 @@ impl StepTicket {
     ///
     /// Returns the first shard error.
     pub fn wait(self) -> Result<()> {
-        match self.0 {
-            StepInner::Done => Ok(()),
-            StepInner::Cluster(set) => Ok(set.wait()?),
-        }
+        Ok(self.0.wait()?)
     }
 }
 
@@ -72,10 +66,7 @@ impl Future for StepTicket {
     type Output = Result<()>;
 
     fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<Self::Output> {
-        match &mut self.get_mut().0 {
-            StepInner::Done => Poll::Ready(Ok(())),
-            StepInner::Cluster(set) => Pin::new(set).poll(cx).map(|r| Ok(r?)),
-        }
+        Pin::new(&mut self.get_mut().0).poll(cx).map(|r| Ok(r?))
     }
 }
 
@@ -83,13 +74,7 @@ impl Future for StepTicket {
 /// yields the values in input order. Like [`StepTicket`], both blocking and
 /// pollable; single-chip devices read inline and return a ready ticket.
 #[derive(Debug)]
-pub struct ReadTicket(ReadInner);
-
-#[derive(Debug)]
-enum ReadInner {
-    Done(Option<Vec<u32>>),
-    Cluster(GatherTicket),
-}
+pub struct ReadTicket(GatherTicket);
 
 impl ReadTicket {
     /// Blocks until every read completes.
@@ -98,10 +83,7 @@ impl ReadTicket {
     ///
     /// Returns the first shard error.
     pub fn wait(self) -> Result<Vec<u32>> {
-        match self.0 {
-            ReadInner::Done(values) => Ok(values.expect("ready ticket holds its values")),
-            ReadInner::Cluster(t) => Ok(t.wait()?),
-        }
+        Ok(self.0.wait()?)
     }
 }
 
@@ -109,12 +91,7 @@ impl Future for ReadTicket {
     type Output = Result<Vec<u32>>;
 
     fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<Self::Output> {
-        match &mut self.get_mut().0 {
-            ReadInner::Done(values) => {
-                Poll::Ready(Ok(values.take().expect("ready ticket polled twice")))
-            }
-            ReadInner::Cluster(t) => Pin::new(t).poll(cx).map(|r| Ok(r?)),
-        }
+        Pin::new(&mut self.get_mut().0).poll(cx).map(|r| Ok(r?))
     }
 }
 
@@ -226,6 +203,7 @@ impl Device {
                 mem: Mutex::new(MemoryManager::new(&cfg)),
                 cfg,
                 telemetry: Telemetry::disabled(),
+                chip_track: OnceLock::new(),
             }),
             placement: None,
         })
@@ -241,60 +219,24 @@ impl Device {
     ///
     /// Returns an error if `cfg` fails validation or `shards` is zero.
     pub fn cluster(cfg: PimConfig, shards: usize) -> Result<Self> {
-        Device::cluster_with_mode(cfg, shards, ParallelismMode::default())
+        Device::cluster_with_options(cfg, shards, ClusterOptions::default())
     }
 
-    /// Creates a cluster-backed device with an explicit driver parallelism
-    /// mode and the default chip-to-chip interconnect model.
-    ///
-    /// # Errors
-    ///
-    /// See [`cluster`](Device::cluster).
-    pub fn cluster_with_mode(cfg: PimConfig, shards: usize, mode: ParallelismMode) -> Result<Self> {
-        Device::cluster_with_interconnect(cfg, shards, mode, InterconnectConfig::default())
-    }
-
-    /// Creates a cluster-backed device with explicit driver parallelism and
-    /// chip-to-chip interconnect models. The interconnect's link
-    /// width/latency set the modeled cycle cost of cross-chip transfers;
-    /// its staging/drain policies select transfer batching and the
-    /// scheduler's barrier scope (see [`pim_cluster::InterconnectConfig`]).
-    /// The resulting traffic counters surface through
-    /// [`Device::cluster_stats`] as [`ClusterStats::traffic`].
+    /// Creates a cluster-backed device from a full [`ClusterOptions`]
+    /// bundle — the constructor that exposes the driver parallelism mode,
+    /// the chip-to-chip interconnect model (its link width/latency set the
+    /// modeled cycle cost of cross-chip transfers, surfaced through
+    /// [`Device::cluster_stats`] as [`ClusterStats::traffic`]), crash
+    /// recovery ([`pim_cluster::RecoveryConfig`]), deterministic fault
+    /// injection (`ClusterOptions::fault`) and per-shard backend selection
+    /// (`ClusterOptions::backends`, see [`pim_cluster::ShardBackends`]).
+    /// The options' telemetry handle is replaced by the device's own (the
+    /// device owns the unified modeled-clock/metrics surface).
     ///
     /// # Errors
     ///
     /// See [`cluster`](Device::cluster); additionally fails for an unusable
     /// interconnect model (e.g. a zero-width link).
-    pub fn cluster_with_interconnect(
-        cfg: PimConfig,
-        shards: usize,
-        mode: ParallelismMode,
-        icfg: InterconnectConfig,
-    ) -> Result<Self> {
-        Device::cluster_with_options(
-            cfg,
-            shards,
-            ClusterOptions {
-                mode,
-                interconnect: icfg,
-                ..ClusterOptions::default()
-            },
-        )
-    }
-
-    /// Creates a cluster-backed device from a full [`ClusterOptions`]
-    /// bundle — the constructor that exposes crash recovery
-    /// ([`pim_cluster::RecoveryConfig`]), deterministic fault injection
-    /// (`ClusterOptions::fault`) and per-shard backend selection
-    /// (`ClusterOptions::backends`, see
-    /// [`pim_cluster::ShardBackends`]). The options' telemetry handle is
-    /// replaced by the device's own (the device owns the unified
-    /// modeled-clock/metrics surface).
-    ///
-    /// # Errors
-    ///
-    /// See [`cluster_with_interconnect`](Device::cluster_with_interconnect).
     pub fn cluster_with_options(
         cfg: PimConfig,
         shards: usize,
@@ -321,6 +263,7 @@ impl Device {
                 mem: Mutex::new(mem),
                 cfg: logical,
                 telemetry,
+                chip_track: OnceLock::new(),
             }),
             placement: None,
         })
@@ -615,8 +558,9 @@ impl Device {
     /// returning a [`StepTicket`] that is both a blocking handle and a
     /// pollable future — the primitive the async serving gateway coalesces
     /// client work onto. On a cluster the batch splits per shard and
-    /// streams; chip-crossing moves (which need host staging barriers) and
-    /// single-chip devices execute inline and return a ready ticket, with
+    /// streams; a batch with chip-crossing moves (which the host stages
+    /// behind scheduler barriers) and every batch on a single-chip device
+    /// has executed when the call returns, and its ticket is ready — with
     /// identical semantics.
     ///
     /// # Errors
@@ -637,10 +581,7 @@ impl Device {
                 d.lock().execute_many(instrs, &mut ReadWords::default())?;
                 Ok(StepTicket::ready())
             }
-            Engine::Cluster(c) => match c.submit_batch(instrs)? {
-                Submission::Tickets(set) => Ok(StepTicket(StepInner::Cluster(set))),
-                Submission::Inline => Ok(StepTicket::ready()),
-            },
+            Engine::Cluster(c) => Ok(StepTicket(c.submit_batch(instrs)?)),
         }
     }
 
@@ -672,59 +613,26 @@ impl Device {
         }
         match &self.inner.engine {
             Engine::Single(d) => {
+                let track = self
+                    .inner
+                    .chip_track
+                    .get_or_init(|| self.inner.telemetry.track("chip-0"));
                 let mut d = d.lock();
+                let mut sink = ReadWords::default();
                 for b in batches {
-                    let recording = self.inner.telemetry.is_enabled();
-                    let before = if recording {
-                        d.backend().profiler().cycles
-                    } else {
-                        0
-                    };
-                    d.execute_many(&b.instrs, &mut ReadWords::default())?;
-                    if recording {
-                        let after = d.backend().profiler().cycles;
-                        let delta = after.saturating_sub(before);
-                        // Anchor at the later of the global clock and the
-                        // profiler total: identical to charging absolute
-                        // profiler cycles while the clock only ever moved
-                        // through execution, but when a driver has jumped
-                        // the clock ahead (open-loop load generation,
-                        // retry backoff) the batch occupies `[now, now +
-                        // delta)` instead of charging nothing.
-                        let start = self.inner.telemetry.now().max(before);
-                        let track = self.inner.telemetry.track("chip-0");
-                        track.record_complete(
-                            "exec",
-                            start,
-                            delta,
-                            b.request,
-                            Some(("instructions", b.instrs.len() as u64)),
-                        );
-                        self.inner.telemetry.advance_clock(start + delta);
-                        self.inner.telemetry.attribute(
-                            b.request,
-                            RequestStats {
-                                cycles: after.saturating_sub(before),
-                                instructions: b.instrs.len() as u64,
-                                ..Default::default()
-                            },
-                        );
-                    }
+                    execute_segment(&mut d, track, b.request, &b.instrs, &mut sink)?;
                 }
                 Ok(StepTicket::ready())
             }
-            Engine::Cluster(c) => match c.submit_batch_tagged(batches)? {
-                Submission::Tickets(set) => Ok(StepTicket(StepInner::Cluster(set))),
-                Submission::Inline => Ok(StepTicket::ready()),
-            },
+            Engine::Cluster(c) => Ok(StepTicket(c.submit_batch_tagged(batches)?)),
         }
     }
 
     /// Whether [`submit_instrs`](Device::submit_instrs) would stream this
-    /// batch asynchronously (`true`) or execute it inline on the calling
-    /// thread (`false`: single-chip devices always, cluster batches with
-    /// chip-crossing moves). The serving gateway uses this to keep inline
-    /// work off shard-worker threads.
+    /// batch asynchronously (`true`) or block the calling thread until it
+    /// has executed (`false`: single-chip devices always, cluster batches
+    /// with chip-crossing moves). The serving gateway uses this to keep
+    /// blocking submissions off shard-worker threads.
     pub fn instrs_stream_async(&self, instrs: &[Instruction]) -> bool {
         match &self.inner.engine {
             Engine::Single(_) => false,
@@ -741,10 +649,10 @@ impl Device {
     /// Returns addressing errors; deferred shard errors surface on
     /// wait/await.
     pub fn submit_reads(&self, locs: &[(u32, u32, u8)]) -> Result<ReadTicket> {
-        match &self.inner.engine {
-            Engine::Single(_) => Ok(ReadTicket(ReadInner::Done(Some(self.read_many(locs)?)))),
-            Engine::Cluster(c) => Ok(ReadTicket(ReadInner::Cluster(c.submit_gather(locs)?))),
-        }
+        Ok(ReadTicket(match &self.inner.engine {
+            Engine::Single(_) => GatherTicket::ready(self.read_many(locs)?),
+            Engine::Cluster(c) => c.submit_gather(locs)?,
+        }))
     }
 
     /// Allocates an uninitialized tensor of `capacity` elements (rounded up

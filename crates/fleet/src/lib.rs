@@ -121,7 +121,6 @@ impl Default for FleetConfig {
             hop: InterconnectConfig {
                 link_bits: 64,
                 latency: 64,
-                ..InterconnectConfig::default()
             },
             fault: HostFaultPlan::none(),
         }

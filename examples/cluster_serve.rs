@@ -19,11 +19,12 @@
 
 use futures::executor::block_on;
 use futures::future::join_all;
-use pypim::driver::ParallelismMode;
 use pypim::loadgen::MODELED_CYCLES_PER_SEC;
 use pypim::serve::ClusterClient;
 use pypim::telemetry::WindowSampler;
-use pypim::{Device, DeviceServeExt, InterconnectConfig, PimConfig, Result, ServeConfig};
+use pypim::{
+    ClusterOptions, Device, DeviceServeExt, InterconnectConfig, PimConfig, Result, ServeConfig,
+};
 use std::cell::RefCell;
 use std::time::{Duration, Instant};
 
@@ -64,15 +65,17 @@ fn percentile(sorted: &[Duration], p: f64) -> Duration {
 
 fn main() -> Result<()> {
     // Explicit interconnect model: a 128-bit chip-to-chip link with 8
-    // cycles of per-message latency, batched-burst staging, and the
-    // dependency-aware drain rule (only shards a transfer touches wait).
-    let icfg = InterconnectConfig::default();
-    let dev = Device::cluster_with_interconnect(
-        PimConfig::small(),
-        SHARDS,
-        ParallelismMode::default(),
-        icfg,
-    )?;
+    // cycles of per-message latency. Crossing words travel as one burst
+    // per shard pair, and only the shards a transfer touches wait for it.
+    let icfg = InterconnectConfig {
+        link_bits: 128,
+        latency: 8,
+    };
+    let options = ClusterOptions {
+        interconnect: icfg,
+        ..ClusterOptions::default()
+    };
+    let dev = Device::cluster_with_options(PimConfig::small(), SHARDS, options)?;
     println!(
         "cluster: {} chips x {} crossbars x {} rows = {} logical threads",
         dev.shards(),

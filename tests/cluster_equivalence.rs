@@ -6,7 +6,7 @@
 //! output.
 
 use proptest::prelude::*;
-use pypim::{Coalesce, Device, InterconnectConfig, PimConfig, Result, Tensor};
+use pypim::{Device, PimConfig, Result, Tensor};
 
 /// Single chip: 16 crossbars × 64 rows.
 fn single() -> Device {
@@ -221,26 +221,11 @@ fn small_tensors_allocate_chip_local() {
     );
 }
 
-/// A 4-shard device with the same logical geometry as [`sharded`] and an
-/// explicit move-coalescing policy.
-fn sharded_coalesce(coalesce: Coalesce) -> Device {
-    Device::cluster_with_interconnect(
-        PimConfig::small().with_crossbars(4),
-        4,
-        pypim::driver::ParallelismMode::default(),
-        InterconnectConfig {
-            coalesce,
-            ..InterconnectConfig::default()
-        },
-    )
-    .unwrap()
-}
-
 proptest! {
     #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(5))]
 
-    /// Arbitrary shift/rotate sequences leave bit-identical memory with
-    /// the move coalescer on, off, and on a single chip. Every step
+    /// Arbitrary shift/rotate sequences leave bit-identical memory on the
+    /// coalescing 4-shard cluster and on a single chip. Every step
     /// re-compacts the shift's defined region into a fully-initialized
     /// tensor (padding included), so the compared bytes never depend on
     /// unspecified out-of-range cells.
@@ -275,10 +260,8 @@ proptest! {
             Ok(out)
         };
         let on_single = program(&single()).unwrap();
-        let coalesced = program(&sharded_coalesce(Coalesce::On)).unwrap();
-        let per_move = program(&sharded_coalesce(Coalesce::Off)).unwrap();
-        prop_assert_eq!(&on_single, &coalesced, "Coalesce::On diverged");
-        prop_assert_eq!(&coalesced, &per_move, "On vs Off diverged");
+        let coalesced = program(&sharded()).unwrap();
+        prop_assert_eq!(&on_single, &coalesced, "the coalesced cluster diverged");
     }
 }
 
@@ -338,7 +321,7 @@ proptest! {
         let (Some(a), Some(b)) = (a, b) else {
             return Ok(()); // one of the moves stayed on-chip: nothing to merge
         };
-        let mut c = MoveCoalescer::new(Coalesce::On);
+        let mut c = MoveCoalescer::new();
         c.push(a);
         if c.accepts(&b) {
             prop_assert_eq!(a_dist, b_dist, "merged across distances");
@@ -353,6 +336,235 @@ proptest! {
             prop_assert!(a_writes.is_disjoint(&b_reads), "merged a write-read hazard");
             prop_assert!(a_reads.is_disjoint(&b_writes), "merged a read-write hazard");
             prop_assert!(a_writes.is_disjoint(&b_writes), "merged a write-write hazard");
+        }
+    }
+}
+
+/// What the cluster's one batch path promises, checked on bare clusters
+/// with generated request batches. Every batch owns a window of `WINDOW`
+/// warps; at five warps over 4-crossbar chips each window spans a chip
+/// boundary (the shape of pimbench's `serve_crossing` sessions), so its
+/// inter-warp moves come out chip-local and chip-crossing alike.
+mod one_path {
+    use proptest::prelude::*;
+    use pypim::driver::Driver;
+    use pypim::isa::{DType, Instruction, RegOp, ThreadRange};
+    use pypim::sim::PimSimulator;
+    use pypim::{
+        ClusterOptions, PimCluster, PimConfig, RangeMask, RequestId, TaggedBatch, Telemetry,
+    };
+    use std::future::Future;
+    use std::pin::Pin;
+    use std::task::{Context, Poll, Waker};
+
+    const WINDOW: u32 = 5;
+    /// Registers the batches use: 0 and 1 are seeded, all four are compared.
+    const REGS: u8 = 4;
+
+    /// 4 chips x 4 crossbars x 64 rows: the 16-warp logical geometry of
+    /// `PimConfig::small()`.
+    fn cluster4(telemetry: Telemetry) -> PimCluster {
+        let options = ClusterOptions {
+            telemetry,
+            ..ClusterOptions::default()
+        };
+        PimCluster::with_options(PimConfig::small().with_crossbars(4), 4, options).unwrap()
+    }
+
+    /// One of four interleaved 16-row classes.
+    fn row_class(c: u32) -> RangeMask {
+        RangeMask::new(c % 4, 60 + c % 4, 4).unwrap()
+    }
+
+    /// Registers 0 and 1 of every thread, distinct per warp and row class.
+    fn seed() -> Vec<Instruction> {
+        let cells =
+            (0..16u32).flat_map(|w| (0..4u32).flat_map(move |c| (0..2u8).map(move |r| (w, c, r))));
+        cells
+            .map(|(w, c, reg)| Instruction::Write {
+                reg,
+                value: 1000 * (u32::from(reg) + 1) + 10 * w + c,
+                target: ThreadRange::new(RangeMask::single(w), row_class(c)),
+            })
+            .collect()
+    }
+
+    /// One instruction inside the window starting at warp `lo`, derived
+    /// from three raw draws; a draw that does not validate becomes a
+    /// `Write`.
+    fn instr(lo: u32, (kind, a, b): (u32, u32, u32)) -> Instruction {
+        let w0 = lo + a % WINDOW;
+        let w1 = w0 + (a >> 3) % (lo + WINDOW - w0);
+        let warps = RangeMask::new(w0, w1, 1).unwrap();
+        let (r0, r1) = ((a >> 8) as u8 % REGS, (a >> 10) as u8 % REGS);
+        let write = Instruction::Write {
+            reg: r0,
+            value: b,
+            target: ThreadRange::new(warps, row_class(b)),
+        };
+        let drawn = match kind {
+            0 => return write,
+            1 => Instruction::RType {
+                op: [RegOp::Add, RegOp::Sub, RegOp::And, RegOp::Or][(b >> 4) as usize % 4],
+                dtype: DType::Int32,
+                dst: 2 + r0 % 2,
+                srcs: [r1 % 2, (r1 >> 1) % 2, 0],
+                target: ThreadRange::new(warps, row_class(b)),
+            },
+            2 => Instruction::MoveRows {
+                src: r0,
+                dst: r1,
+                src_rows: row_class(b),
+                dst_rows: row_class(b >> 2),
+                warps,
+            },
+            _ => Instruction::MoveWarps {
+                src: r0,
+                dst: r1,
+                row_src: b % 64,
+                row_dst: (b >> 6) % 64,
+                warps,
+                // The destination run starts anywhere it still fits the
+                // window; distance 0 and overlaps fail validation.
+                dist: (lo + (b >> 12) % (WINDOW - (w1 - w0))) as i32 - w0 as i32,
+            },
+        };
+        if drawn.validate(&PimConfig::small()).is_ok() {
+            drawn
+        } else {
+            write
+        }
+    }
+
+    /// Up to three tagged batches on disjoint windows.
+    fn batches(raw: &[Vec<(u32, u32, u32)>]) -> Vec<TaggedBatch> {
+        raw.iter()
+            .enumerate()
+            .map(|(k, draws)| TaggedBatch {
+                request: RequestId::new(k as u32 + 1, 0),
+                instrs: draws.iter().map(|&d| instr(k as u32 * WINDOW, d)).collect(),
+            })
+            .collect()
+    }
+
+    fn cells() -> impl Iterator<Item = (u32, u32, u8)> {
+        (0..16u32)
+            .flat_map(|w| (0..64u32).flat_map(move |row| (0..REGS).map(move |reg| (w, row, reg))))
+    }
+
+    fn image(cluster: &PimCluster) -> Vec<u32> {
+        cluster.gather(&cells().collect::<Vec<_>>()).unwrap()
+    }
+
+    /// The crossing `(source, destination)` pairs of a batch's moves.
+    fn crossing_pairs(cluster: &PimCluster, instrs: &[Instruction]) -> u64 {
+        let cross = |i: &Instruction| match i {
+            Instruction::MoveWarps { warps, dist, .. } => {
+                cluster.plan().route_move_warps(warps, *dist).cross.len() as u64
+            }
+            _ => 0,
+        };
+        instrs.iter().map(cross).sum()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(12))]
+
+        /// One tagged submission, the same instructions one `execute` at a
+        /// time, and one chip leave identical memory; the submission sends
+        /// the interconnect traffic of its batches run one `execute_batch`
+        /// each; and each request is attributed the crossing words of its
+        /// own batch (a run never merges across a batch boundary).
+        #[test]
+        fn tagged_submission_matches_a_single_chip(
+            raw in proptest::collection::vec(
+                proptest::collection::vec((0u32..6, 0u32..1 << 16, 0u32..1 << 18), 1..8),
+                1..4,
+            ),
+        ) {
+            let (seed, batches) = (seed(), batches(&raw));
+            let all = || batches.iter().flat_map(|b| b.instrs.iter());
+
+            let mut chip = Driver::new(PimSimulator::new(PimConfig::small()).unwrap());
+            for i in seed.iter().chain(all()) {
+                chip.execute(i).unwrap();
+            }
+            let reference: Vec<u32> = cells()
+                .map(|(warp, row, reg)| {
+                    chip.execute(&Instruction::Read { reg, warp, row }).unwrap().unwrap()
+                })
+                .collect();
+
+            let telemetry = Telemetry::recording();
+            let tagged = cluster4(telemetry.clone());
+            tagged.execute_batch(&seed).unwrap();
+            tagged.submit_batch_tagged(&batches).unwrap().wait().unwrap();
+            prop_assert_eq!(&image(&tagged), &reference, "tagged submission diverged");
+
+            let stepped = cluster4(Telemetry::disabled());
+            stepped.execute_batch(&seed).unwrap();
+            for i in all() {
+                stepped.execute(i).unwrap();
+            }
+            prop_assert_eq!(&image(&stepped), &reference, "instruction-at-a-time diverged");
+
+            let batched = cluster4(Telemetry::disabled());
+            batched.execute_batch(&seed).unwrap();
+            for b in &batches {
+                batched.execute_batch(&b.instrs).unwrap();
+            }
+            let traffic = |c: &PimCluster| {
+                let t = c.stats().unwrap().traffic;
+                (t.messages, t.cross_words, t.link_cycles, t.barriers)
+            };
+            prop_assert_eq!(traffic(&tagged), traffic(&batched));
+
+            let attributed = telemetry.request_stats();
+            for b in &batches {
+                let words = attributed
+                    .iter()
+                    .find(|(id, _)| *id == b.request)
+                    .map_or(0, |(_, stats)| stats.cross_words);
+                prop_assert_eq!(words, crossing_pairs(&tagged, &b.instrs), "{}", b.request);
+            }
+        }
+
+        /// The gateway's rule that a shard-worker wake never runs a blocking
+        /// submission rests on `batch_streams_async`: whenever it says
+        /// `false`, the submission has finished by the time it returns, so
+        /// the first poll — with a waker nobody will ever fire — is ready.
+        #[test]
+        fn a_batch_that_does_not_stream_is_ready_on_its_first_poll(
+            raw in proptest::collection::vec(
+                proptest::collection::vec((0u32..6, 0u32..1 << 16, 0u32..1 << 18), 1..8),
+                1..4,
+            ),
+        ) {
+            let cluster = cluster4(Telemetry::disabled());
+            let mut batches = batches(&raw);
+            // Warp 3 -> 4 crosses from chip 0 to chip 1: no case is vacuous.
+            batches.push(TaggedBatch {
+                request: RequestId::new(9, 0),
+                instrs: vec![Instruction::MoveWarps {
+                    src: 0,
+                    dst: 1,
+                    row_src: 0,
+                    row_dst: 0,
+                    warps: RangeMask::single(3),
+                    dist: 1,
+                }],
+            });
+            for b in &batches {
+                let streams = cluster.batch_streams_async(&b.instrs);
+                prop_assert_eq!(streams, crossing_pairs(&cluster, &b.instrs) == 0);
+                let mut set = cluster.submit_batch_tagged(std::slice::from_ref(b)).unwrap();
+                if streams {
+                    set.wait().unwrap();
+                } else {
+                    let mut cx = Context::from_waker(Waker::noop());
+                    prop_assert_eq!(Pin::new(&mut set).poll(&mut cx), Poll::Ready(Ok(())));
+                }
+            }
         }
     }
 }
