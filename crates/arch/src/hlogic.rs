@@ -22,6 +22,7 @@ pub enum GateKind {
 
 impl GateKind {
     /// Number of input operands read by this gate.
+    #[inline]
     pub fn inputs(self) -> usize {
         match self {
             GateKind::Init0 | GateKind::Init1 => 0,
@@ -31,6 +32,7 @@ impl GateKind {
     }
 
     /// Encoding used in the 2-bit gate-type field of the wire format.
+    #[inline]
     pub fn code(self) -> u8 {
         match self {
             GateKind::Init0 => 0,
@@ -42,6 +44,7 @@ impl GateKind {
 
     /// Decodes a 2-bit gate-type field; `None` for codes above 3 (which
     /// cannot occur in a well-formed wire word).
+    #[inline]
     pub fn from_code(code: u8) -> Option<Self> {
         Some(match code {
             0 => GateKind::Init0,
@@ -267,9 +270,17 @@ impl HLogic {
         HLogic::parallel(gate, offset, offset, offset, cfg)
     }
 
-    /// Number of concurrent gates performed by this operation.
+    /// Number of concurrent gates performed by this operation. A serial or
+    /// partition-parallel operation (`p_step == 1`, nearly every one a
+    /// routine holds) is counted without the division.
+    #[inline]
     pub fn gate_count(&self) -> u64 {
-        ((self.p_end - self.out.part) / self.p_step) as u64 + 1
+        let span = (self.p_end - self.out.part) as u64;
+        1 + if self.p_step == 1 {
+            span
+        } else {
+            span / self.p_step as u64
+        }
     }
 
     /// Validates the operation against the restricted partition model and

@@ -59,7 +59,7 @@ pub use error::ArchError;
 pub use hlogic::{ColAddr, GateInstance, GateKind, HLogic, PartitionOpcode};
 pub use mask::RangeMask;
 pub use microop::{MicroOp, MoveOp, VGate};
-pub use prepared::{plan_elisions, BatchCost, OpBits, PreparedBatch};
+pub use prepared::{plan_elisions, BatchCost, OpBits, PreparedBatch, ReplayRecord};
 
 /// Identifier of a crossbar array (a *warp* in ISA terms).
 pub type XbId = u32;

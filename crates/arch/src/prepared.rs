@@ -1,4 +1,5 @@
-use crate::{ArchError, GateKind, MicroOp, MoveOp, PimConfig};
+use crate::{ArchError, GateKind, HLogic, MicroOp, MoveOp, PimConfig, WORD_BITS};
+use std::sync::OnceLock;
 
 /// One bit per operation of a batch: which operations a backend may skip.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -98,6 +99,135 @@ pub fn plan_elisions(ops: &[MicroOp], full: impl Fn(usize) -> bool) -> OpBits {
     elide
 }
 
+/// One operation of a batch as a bit-plane engine replays it: a horizontal
+/// gate resolved into the planes it names, or — the default record — a
+/// marker that the operation at the same index of [`PreparedBatch::ops`] is
+/// not a horizontal gate and runs from there. A plane is a crossbar column,
+/// `offset · 32 + part`, so a record is independent of the geometry. Eight
+/// bytes: replaying a routine reads a third of what its [`MicroOp`]s occupy
+/// and decodes nothing.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct ReplayRecord {
+    out: u16,
+    in_a: u16,
+    in_b: u16,
+    /// Concurrent gates; 0 for an operation that is not a horizontal gate.
+    gates: u8,
+    /// Bits 0-1: [`GateKind::code`]; bit 2: armed; bits 3-7: plane stride.
+    flags: u8,
+}
+
+const ARMED: u8 = 1 << 2;
+
+impl ReplayRecord {
+    /// Resolves a valid horizontal operation; `armed` as
+    /// [`armed`](Self::armed) defines it.
+    #[inline]
+    pub fn gate(op: &HLogic, armed: bool) -> Self {
+        let plane = |c: crate::ColAddr| (c.offset as usize * WORD_BITS + c.part as usize) as u16;
+        let gates = op.gate_count() as u8;
+        // A single gate has no stride; among several it is below 32.
+        let step = if gates == 1 { 0 } else { op.p_step & 31 };
+        // A NOT is a NOR of its input with itself.
+        let in_b = if op.gate == GateKind::Nor {
+            op.in_b
+        } else {
+            op.in_a
+        };
+        ReplayRecord {
+            out: plane(op.out),
+            in_a: plane(op.in_a),
+            in_b: plane(in_b),
+            gates,
+            flags: op.gate.code() | if armed { ARMED } else { 0 } | step << 3,
+        }
+    }
+
+    /// Whether the operation is a horizontal gate (and the other accessors
+    /// mean anything).
+    #[inline]
+    pub fn is_gate(&self) -> bool {
+        self.gates != 0
+    }
+
+    /// Gate type of every concurrent gate.
+    #[inline]
+    pub fn kind(&self) -> GateKind {
+        GateKind::from_code(self.flags & 3).unwrap_or(GateKind::Nor)
+    }
+
+    /// Output plane of the first gate.
+    #[inline]
+    pub fn out(&self) -> usize {
+        self.out as usize
+    }
+
+    /// Input planes of the first gate (twice the same for a `NOT`).
+    #[inline]
+    pub fn inputs(&self) -> (usize, usize) {
+        (self.in_a as usize, self.in_b as usize)
+    }
+
+    /// Number of concurrent gates.
+    #[inline]
+    pub fn gates(&self) -> usize {
+        self.gates as usize
+    }
+
+    /// Planes between one concurrent gate and the next.
+    #[inline]
+    pub fn step(&self) -> usize {
+        (self.flags >> 3) as usize
+    }
+
+    /// The strict check of this `NOT`/`NOR` is discharged by the batch
+    /// itself: whatever selection the batch replays under, every output
+    /// cell holds 1 when the gate fires.
+    #[inline]
+    pub fn armed(&self) -> bool {
+        self.flags & ARMED != 0
+    }
+}
+
+/// Resolves a validated batch into its replay records and proves what it
+/// can of the stateful-logic discipline — a forward dataflow, sound because
+/// the batch holds no mask operation and so runs under **one** selection: a
+/// horizontal `INIT1` sets every selected cell of its output planes, which
+/// are then the cells a later gate on those planes selects. Any operation
+/// that can clear a cell of a plane takes the plane out of the set again: a
+/// `NOT`/`NOR` (its own outputs), an `INIT0`, and a `Write`, a vertical gate
+/// or a `Move` into the register (all 32 planes; the last two ignore the
+/// row mask). A `NOT`/`NOR` whose output planes are all in the set is armed.
+fn resolve(ops: &[MicroOp]) -> Vec<ReplayRecord> {
+    // set[r]: the partitions of register r whose plane is set.
+    let mut set = [0u32; 256];
+    let records = ops.iter().map(|op| {
+        match op {
+            MicroOp::LogicH(l) => {
+                let (planes, bits) = (&mut set[l.out.offset as usize], l.out_bits());
+                let armed = l.gate.inputs() > 0 && *planes & bits == bits;
+                match l.gate {
+                    GateKind::Init1 => *planes |= bits,
+                    _ => *planes &= !bits,
+                }
+                return ReplayRecord::gate(l, armed);
+            }
+            MicroOp::Write { index, .. } | MicroOp::LogicV { index, .. } => {
+                set[*index as usize] = 0
+            }
+            // Belt and braces: the destinations of a legal move lie outside
+            // the crossbar mask (`htree::plan_move`), so no replay can show
+            // this clear — it keeps the proof from resting on that rule.
+            MicroOp::Move(mv) => set[mv.index_dst as usize] = 0,
+            // `new` admits none of these; a mask would end the one
+            // selection the proof rests on.
+            MicroOp::XbMask(_) | MicroOp::RowMask(_) | MicroOp::Read { .. } => set = [0; 256],
+        }
+        ReplayRecord::default()
+    });
+    records.collect()
+}
+
 /// What a [`PreparedBatch`] costs, independent of the masks it replays
 /// under: everything a cost model needs to charge the whole batch in one
 /// step (`pim_sim::charge_batch`).
@@ -129,8 +259,10 @@ pub struct BatchCost {
 /// masks no store defines a whole register, so nothing is elidable.
 ///
 /// Beyond the operations themselves the prepared form adds O(1) state plus
-/// one bit per operation.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// one bit per operation — and, once a bit-plane backend has asked for
+/// them, the [`records`](Self::records): 8 bytes per operation, built on
+/// the first replay and never for a batch only word-level backends see.
+#[derive(Debug, Clone)]
 pub struct PreparedBatch {
     ops: Vec<MicroOp>,
     /// `(crossbars, rows, partitions, regs)` the operations were validated
@@ -138,7 +270,19 @@ pub struct PreparedBatch {
     geometry: [usize; 4],
     cost: BatchCost,
     full_mask_elisions: OpBits,
+    /// `resolve(ops)`, built on first use.
+    records: OnceLock<Vec<ReplayRecord>>,
 }
+
+/// Batches are equal when they hold the same operations for the same
+/// geometry; everything else is derived from those, built or not.
+impl PartialEq for PreparedBatch {
+    fn eq(&self, other: &Self) -> bool {
+        self.ops == other.ops && self.geometry == other.geometry
+    }
+}
+
+impl Eq for PreparedBatch {}
 
 fn geometry(cfg: &PimConfig) -> [usize; 4] {
     [cfg.crossbars, cfg.rows, cfg.partitions, cfg.regs]
@@ -185,6 +329,7 @@ impl PreparedBatch {
             geometry: geometry(cfg),
             cost,
             full_mask_elisions,
+            records: OnceLock::new(),
         })
     }
 
@@ -209,6 +354,14 @@ impl PreparedBatch {
     /// every row of every crossbar ([`plan_elisions`] with `full` always true).
     pub fn full_mask_elisions(&self) -> &OpBits {
         &self.full_mask_elisions
+    }
+
+    /// The operations as a bit-plane engine replays them, one record per
+    /// operation of [`ops`](Self::ops) and in their order: planes resolved,
+    /// strict checks proved where the batch itself discharges them
+    /// ([`ReplayRecord::armed`]). Built by the first call.
+    pub fn records(&self) -> &[ReplayRecord] {
+        self.records.get_or_init(|| resolve(&self.ops))
     }
 }
 
@@ -293,5 +446,100 @@ mod tests {
         let batch = PreparedBatch::new(vec![tall], &c).unwrap();
         assert!(batch.prepared_for(&c));
         assert!(!batch.prepared_for(&narrow));
+    }
+
+    #[test]
+    fn records_resolve_planes_and_arm_gates_behind_an_init1() {
+        let c = cfg();
+        let mv = |index_src, index_dst| {
+            MicroOp::Move(MoveOp {
+                dist: 1,
+                row_src: 0,
+                row_dst: 0,
+                index_src,
+                index_dst,
+            })
+        };
+        let vertical = |index| MicroOp::LogicV {
+            gate: crate::VGate::Init1,
+            row_in: 0,
+            row_out: 1,
+            index,
+        };
+        let cell = |part| crate::ColAddr::new(part, 3);
+        let serial =
+            |gate| MicroOp::LogicH(HLogic::serial(gate, cell(1), cell(1), cell(9), &c).unwrap());
+        // What sits between `INIT1 r3` and `NOR r0, r1 -> r3`, and whether
+        // the NOR is still armed behind it.
+        let between = [
+            (vec![], true),
+            (
+                vec![MicroOp::Write { index: 4, value: 0 }, vertical(2), mv(3, 4)],
+                true,
+            ),
+            (vec![nor(3, 3, 5)], true), // reads the register
+            (
+                vec![MicroOp::Write {
+                    index: 3,
+                    value: u32::MAX,
+                }],
+                false,
+            ),
+            (vec![vertical(3)], false),
+            (vec![mv(4, 3)], false),
+            (vec![serial(GateKind::Init0)], false),
+            (vec![serial(GateKind::Not)], false), // a gate's own output
+            (vec![serial(GateKind::Not), serial(GateKind::Init1)], true),
+        ];
+        for (clobber, armed) in between {
+            let mut ops = vec![init(3)];
+            ops.extend(clobber);
+            ops.push(nor(0, 1, 3));
+            let batch = PreparedBatch::new(ops.clone(), &c).unwrap();
+            let records = batch.records();
+            assert_eq!(records.len(), ops.len());
+            for (record, op) in records.iter().zip(&ops) {
+                assert_eq!(record.is_gate(), matches!(op, MicroOp::LogicH(_)), "{op:?}");
+            }
+            let last = records[ops.len() - 1];
+            assert_eq!(last.armed(), armed, "{ops:?}");
+            assert_eq!(
+                (
+                    last.kind(),
+                    last.out(),
+                    last.inputs(),
+                    last.gates(),
+                    last.step()
+                ),
+                (GateKind::Nor, 3 * 32, (0, 32), 32, 1)
+            );
+            assert!(!records[0].armed(), "an INIT has no check to prove");
+        }
+        // Every output plane must be set, not some: one armed cell does
+        // not arm a gate on the whole register, and an unarmed batch start
+        // arms nothing.
+        let ops = vec![serial(GateKind::Init1), serial(GateKind::Not), nor(0, 1, 3)];
+        let batch = PreparedBatch::new(ops, &c).unwrap();
+        let armed: Vec<bool> = batch.records().iter().map(ReplayRecord::armed).collect();
+        assert_eq!(armed, [false, true, false]);
+        let serial = batch.records()[1];
+        assert_eq!(
+            (serial.kind(), serial.out(), serial.inputs(), serial.gates()),
+            (GateKind::Not, 3 * 32 + 9, (3 * 32 + 1, 3 * 32 + 1), 1)
+        );
+        assert_eq!(std::mem::size_of::<ReplayRecord>(), 8);
+    }
+
+    #[test]
+    fn equality_and_clones_ignore_whether_records_were_built() {
+        let ops = vec![init(3), nor(0, 1, 3), MicroOp::Write { index: 3, value: 7 }];
+        let built = PreparedBatch::new(ops.clone(), &cfg()).unwrap();
+        let unbuilt = built.clone();
+        built.records();
+        assert_eq!(built, unbuilt);
+        assert_eq!(built.clone(), unbuilt);
+        assert_eq!(built.clone().records(), unbuilt.records());
+        let other = PreparedBatch::new(ops[..2].to_vec(), &cfg()).unwrap();
+        assert_ne!(built, other);
     }
 }

@@ -90,14 +90,13 @@ fn scaling_summary() {
             for s in &stats.shards {
                 println!(
                     "   shard {}: {} chip cycles, issued {} ({} logic), \
-                     cache {}h/{}m, {} sim thread(s)",
+                     cache {}h/{}m",
                     s.shard,
                     s.profiler.cycles,
                     s.issued.total,
                     s.issued.logic,
                     s.cache_hits,
                     s.cache_misses,
-                    s.sim_threads,
                 );
             }
         }

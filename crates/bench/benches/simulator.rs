@@ -6,10 +6,18 @@
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use pim_arch::{Backend, MicroOp, PimConfig, RangeMask};
 use pim_bench::hlogic_ops;
-use pim_driver::{routines, Driver};
+use pim_driver::{routines, Driver, ParallelismMode, PreparedRoutine};
 use pim_func::FuncBackend;
 use pim_isa::{DType, Instruction, RegOp, ThreadRange};
 use pim_sim::PimSimulator;
+
+/// The bit-serial routine `r2 = r0 op r1` as the driver's cache holds it.
+fn prepared(cfg: &PimConfig, op: RegOp, dtype: DType) -> PreparedRoutine {
+    routines::compile_rtype(cfg, ParallelismMode::BitSerial, op, dtype, 2, &[0, 1])
+        .unwrap()
+        .prepare(cfg)
+        .unwrap()
+}
 
 /// The simulator's horizontal-logic kernel in isolation (strict on) on
 /// partition-parallel gates: a dense row mask, a strided one, and a
@@ -67,17 +75,7 @@ fn bench_func(c: &mut Criterion) {
             b.iter(|| func.execute_batch(&batch).unwrap());
         });
     }
-    let routine = routines::compile_rtype(
-        &cfg,
-        pim_driver::ParallelismMode::BitSerial,
-        RegOp::Add,
-        DType::Int32,
-        2,
-        &[0, 1],
-    )
-    .unwrap()
-    .prepare(&cfg)
-    .unwrap();
+    let routine = prepared(&cfg, RegOp::Add, DType::Int32);
     // The same routine through both entry points: `int_add` pays the
     // per-op validate/charge/plan prologue, `prepared_int_add` is how the
     // driver replays a cached routine.
@@ -95,17 +93,7 @@ fn bench_func(c: &mut Criterion) {
 
 fn bench_simulator(c: &mut Criterion) {
     let cfg = PimConfig::small().with_crossbars(64).with_rows(256);
-    let routine = routines::compile_rtype(
-        &cfg,
-        pim_driver::ParallelismMode::BitSerial,
-        RegOp::Add,
-        DType::Int32,
-        2,
-        &[0, 1],
-    )
-    .unwrap()
-    .prepare(&cfg)
-    .unwrap();
+    let routine = prepared(&cfg, RegOp::Add, DType::Int32);
     let ops = routine.batch.ops();
     let mut group = c.benchmark_group("simulator");
     group.throughput(Throughput::Elements(ops.len() as u64));
@@ -127,6 +115,22 @@ fn bench_simulator(c: &mut Criterion) {
     group.bench_function("prepared_int_add", |b| {
         b.iter(|| sim.execute_prepared(&routine.batch).unwrap());
     });
+    // Prepared replay of a long bit-serial routine (FP mul, ~11.5 k
+    // micro-ops, strict on) at the two ends of the selection size: one
+    // plane word per gate, where a row is the fixed per-op cost of the
+    // replay loop, and `tensor_sim`'s 128 words, where it is the word cost.
+    for (name, xbs, rows) in [
+        ("prepared_fp_mul_1x64", 1, 64),
+        ("prepared_fp_mul_16x512", 16, 512),
+    ] {
+        let cfg = PimConfig::small().with_crossbars(xbs).with_rows(rows);
+        let routine = prepared(&cfg, RegOp::Mul, DType::Float32);
+        let mut sim = PimSimulator::new(cfg).unwrap();
+        group.throughput(Throughput::Elements(routine.batch.ops().len() as u64));
+        group.bench_function(name, |b| {
+            b.iter(|| sim.execute_prepared(&routine.batch).unwrap());
+        });
+    }
     group.finish();
 }
 

@@ -225,9 +225,8 @@ impl PimCluster {
     /// and deterministic fault injection ([`FaultInjector`]) are
     /// configured.
     ///
-    /// Each shard backend is pinned to a single internal thread
-    /// ([`AnyBackend::set_threads`]) — parallelism comes from the shard
-    /// workers themselves, so the host is not oversubscribed.
+    /// Each shard backend executes on its worker's thread alone —
+    /// parallelism comes from the shard workers themselves.
     ///
     /// Every shard driver receives a [`RoutineCache::share`] of one
     /// cluster-wide compilation map: a routine compiles once per cluster
@@ -260,12 +259,10 @@ impl PimCluster {
         let mut workers = Vec::with_capacity(shards);
         let mut journals = Vec::with_capacity(shards);
         for (shard, &kind) in backend_kinds.iter().enumerate() {
-            let mut backend =
-                AnyBackend::new(kind, cfg.clone()).map_err(|e| ClusterError::Shard {
-                    shard,
-                    source: DriverError::from(e),
-                })?;
-            backend.set_threads(1);
+            let backend = AnyBackend::new(kind, cfg.clone()).map_err(|e| ClusterError::Shard {
+                shard,
+                source: DriverError::from(e),
+            })?;
             let driver = Driver::with_cache(backend, mode, shared_cache.share());
             let journal = recovery
                 .enabled

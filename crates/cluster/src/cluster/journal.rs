@@ -200,9 +200,8 @@ impl PimCluster {
             _ => return Err(ClusterError::Disconnected { shard }),
         };
         let failed = |reason: String| ClusterError::RecoveryFailed { shard, reason };
-        let mut backend = AnyBackend::new(self.backend_kinds[shard], self.shard_cfg.clone())
+        let backend = AnyBackend::new(self.backend_kinds[shard], self.shard_cfg.clone())
             .map_err(|e| failed(e.to_string()))?;
-        backend.set_threads(1);
         let mut driver = {
             let mut j = journal.lock().unwrap_or_else(|e| e.into_inner());
             let (driver, replayed) = j

@@ -19,8 +19,6 @@ pub struct ShardStats {
     pub cache_hits: u64,
     /// Routine-cache misses of this shard's driver.
     pub cache_misses: u64,
-    /// Host threads the shard simulator uses internally.
-    pub sim_threads: usize,
 }
 
 /// Aggregated telemetry across every shard — the production observability

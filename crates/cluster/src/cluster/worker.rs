@@ -242,7 +242,6 @@ fn run_worker(
                     issued: driver.issued(),
                     cache_hits,
                     cache_misses,
-                    sim_threads: driver.backend().threads(),
                 });
             }
             Job::Control { op, reply } => {

@@ -115,6 +115,34 @@ fn every_routine_arms_whole_registers_and_keeps_its_gates() {
     }
 }
 
+/// A routine's strict checks are a compile-time fact: replayed under any
+/// masks, every `NOT`/`NOR` fires into planes an `INIT1` of the same routine
+/// set, so a bit-plane backend proves the checks from the stream
+/// (`PreparedBatch::records`) and runs none. A routine that relied on
+/// scratch state another routine left behind would fail here, not at replay.
+#[test]
+fn every_routine_is_proved_whole() {
+    let cfg = PimConfig::small();
+    let mut gates = 0;
+    for (op, dtype, mode, _) in table2() {
+        let srcs = &[0, 1, 2][..op.arity()];
+        // Out of place, over the first source, over the last.
+        for dst in [3, 0, op.arity() as u8 - 1] {
+            let ctx = format!("{op} {dtype} {mode:?} -> r{dst}");
+            let routine = compile_rtype(&cfg, mode, op, dtype, dst, srcs).expect(&ctx);
+            let prepared = routine.prepare(&cfg).expect(&ctx);
+            for (i, record) in prepared.batch.records().iter().enumerate() {
+                assert!(record.is_gate(), "{ctx}: op {i} is not a horizontal gate");
+                if record.kind().inputs() > 0 {
+                    assert!(record.armed(), "{ctx}: op {i} is unproved");
+                    gates += 1;
+                }
+            }
+        }
+    }
+    assert!(gates > 500_000, "only {gates} gates proved");
+}
+
 #[test]
 fn every_pool_compiles_what_it_did_and_computes_the_hosts_results() {
     let ints = int_pairs(26);

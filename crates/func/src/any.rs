@@ -103,23 +103,6 @@ impl AnyBackend {
         }
     }
 
-    /// Overrides the worker-thread count used for batch execution (the
-    /// functional backend stores it without fanning out).
-    pub fn set_threads(&mut self, threads: usize) {
-        match self {
-            AnyBackend::Sim(s) => s.set_threads(threads),
-            AnyBackend::Func(f) => f.set_threads(threads),
-        }
-    }
-
-    /// The effective thread count.
-    pub fn threads(&self) -> usize {
-        match self {
-            AnyBackend::Sim(s) => s.threads(),
-            AnyBackend::Func(f) => f.threads(),
-        }
-    }
-
     /// Charges `cycles` modeled cycles without executing anything.
     pub fn stall(&mut self, cycles: u64) {
         match self {

@@ -143,7 +143,6 @@ pub struct FuncBackend {
     spans_stale: bool,
     strict: bool,
     profiler: Profiler,
-    threads: usize,
     /// Source words of the move in flight (reused across moves).
     move_scratch: Vec<u32>,
 }
@@ -184,7 +183,6 @@ impl FuncBackend {
             cfg,
             strict: true,
             profiler: Profiler::new(),
-            threads: 1,
             move_scratch: Vec::new(),
         })
     }
@@ -201,18 +199,6 @@ impl FuncBackend {
     /// [`set_strict`]: FuncBackend::set_strict
     pub fn strict(&self) -> bool {
         self.strict
-    }
-
-    /// Stores a worker-thread preference for interface parity. Execution
-    /// is always single-threaded — the word-level kernels saturate memory
-    /// bandwidth without fan-out. Values clamp to at least 1.
-    pub fn set_threads(&mut self, threads: usize) {
-        self.threads = threads.max(1);
-    }
-
-    /// The stored thread count (execution is single-threaded regardless).
-    pub fn threads(&self) -> usize {
-        self.threads
     }
 
     /// The profiling counters accumulated so far.

@@ -1,4 +1,4 @@
-use pim_arch::{ArchError, ColAddr, GateKind, HLogic, MoveOp, RangeMask, VGate, WORD_BITS};
+use pim_arch::{ArchError, GateKind, HLogic, MoveOp, RangeMask, ReplayRecord, VGate, WORD_BITS};
 
 /// Rows packed into one plane word.
 pub(crate) const LANE: usize = u64::BITS as usize;
@@ -40,6 +40,11 @@ pub(crate) const LANE: usize = u64::BITS as usize;
 ///
 /// `PimSimulator`'s batch executor recognises the runs; a lone word, a
 /// `Move` and everything else still gather or scatter.
+///
+/// Horizontal gates have one kernel, [`apply_gate`](Self::apply_gate), over
+/// a gate resolved into its planes ([`ReplayRecord`]): a prepared routine
+/// brings its records along, [`apply_hlogic`](Self::apply_hlogic) resolves
+/// an [`HLogic`] on the spot.
 ///
 /// The type holds cells only: masks, the strict flag and profiling are the
 /// caller's. The stored masks reach the kernels as a [`Selection`].
@@ -99,6 +104,26 @@ impl Selection {
         }
     }
 
+    /// One gate on the planes that start at words `out`, `a` and `b` of
+    /// `bits`: `out[w] &= !((a[w] | b[w]) & m[w])` over every selected word,
+    /// indexed directly — most gates of a bit-serial routine run on a
+    /// handful of words, where borrowing three slices costs more than the
+    /// words do.
+    #[inline(always)]
+    fn nor(&self, bits: &mut [u64], out: usize, a: usize, b: usize) {
+        if let [m] = self.pattern[..] {
+            for &s in &self.starts {
+                bits[out + s] &= !((bits[a + s] | bits[b + s]) & m);
+            }
+            return;
+        }
+        for &s in &self.starts {
+            for (w, &m) in (s..).zip(&self.pattern) {
+                bits[out + w] &= !((bits[a + w] | bits[b + w]) & m);
+            }
+        }
+    }
+
     /// Sets (`value`) or clears the selected cells of one plane.
     #[inline(always)]
     fn fill(&self, plane: &mut [u64], value: bool) {
@@ -130,7 +155,7 @@ impl Selection {
 /// Borrows `len` words at `out` mutably and `len` words at each of `a` and
 /// `b` shared. The inputs may overlap each other but not the output
 /// (guaranteed for the planes of a validated gate; see
-/// [`Crossbars::apply_hlogic`]), else the slicing panics.
+/// [`Crossbars::apply_gate`]), else the slicing panics.
 fn split3(
     bits: &mut [u64],
     out: usize,
@@ -320,101 +345,141 @@ impl Crossbars {
         }
     }
 
-    /// Applies a horizontal stateful-logic operation to the selected cells
-    /// — the one gate kernel: per concurrent gate, per span,
-    /// `out[w] &= !((a[w] | b[w]) & m[w])` over whole plane words.
-    ///
-    /// Gates are evaluated one after another, which equals the simultaneous
-    /// semantics: [`HLogic::validate`] forbids an input that is its own
-    /// gate's output and keeps concurrent sections disjoint, so no gate
-    /// reads a column another gate of the operation writes. When the gates
-    /// sit in neighbouring partitions (`p_step == 1`) and the output
-    /// register differs from the input registers, the planes of all gates
-    /// are adjacent and are borrowed as one run per operand.
-    ///
-    /// `op` must be valid for this geometry, `sel` lowered by these cells.
+    /// Applies a horizontal stateful-logic operation to the selected cells:
+    /// resolves `op` into its planes and hands it to
+    /// [`apply_gate`](Self::apply_gate), checking every `NOT`/`NOR` output
+    /// when `strict`. `op` must be valid for this geometry, `sel` lowered
+    /// by these cells.
     ///
     /// # Errors
     ///
-    /// In strict mode, returns [`ArchError::Protocol`] if a `NOT`/`NOR`
-    /// output cell does not hold logical 1 when the gate fires (a missing
-    /// initialization in the driver). The check runs over every gate
-    /// *before* any cell changes, for every mask shape: a strict failure
-    /// leaves the cells untouched and names the lowest offending row.
+    /// See [`apply_gate`](Self::apply_gate).
     pub fn apply_hlogic(
         &mut self,
         op: &HLogic,
         sel: &Selection,
         strict: bool,
     ) -> Result<(), ArchError> {
-        let plane = |c: ColAddr| c.offset as usize * WORD_BITS + c.part as usize;
-        let (gates, step) = (op.gate_count() as usize, op.p_step as usize);
-        let out = plane(op.out);
-        if op.gate.inputs() == 0 {
-            for t in 0..gates {
-                sel.fill(self.plane_mut(out + t * step), op.gate == GateKind::Init1);
-            }
-            return Ok(());
-        }
-        if strict {
-            self.check_outputs_set(op, out, sel)?;
-        }
-        // A NOT is a NOR of its input with itself.
-        let in_b = if op.gate == GateKind::Nor {
-            op.in_b
+        self.apply_gate(&ReplayRecord::gate(op, false), sel, strict)
+    }
+
+    /// Applies a resolved horizontal gate to the selected cells — the one
+    /// gate kernel, `out[w] &= !((a[w] | b[w]) & m[w])` over whole plane
+    /// words per concurrent gate and span, behind every execution path: a
+    /// prepared replay hands in the records of its batch, everything else
+    /// arrives through [`apply_hlogic`](Self::apply_hlogic).
+    ///
+    /// Gates are evaluated one after another, which equals the simultaneous
+    /// semantics: [`HLogic::validate`] forbids an input that is its own
+    /// gate's output and keeps concurrent sections disjoint, so no gate
+    /// reads a column another gate of the operation writes. A single gate
+    /// — nearly every operation of a bit-serial routine, most of them over
+    /// a handful of words — indexes its three planes directly. When several
+    /// gates sit in neighbouring partitions (`step == 1`) and the output
+    /// register differs from the input registers, the planes of all gates
+    /// are adjacent and are borrowed as one run per operand.
+    ///
+    /// Everything but the single gate sits out of line: folded into one
+    /// body the kernel spills registers on every call, and a gate on one
+    /// plane word costs 14 ns instead of 6.
+    ///
+    /// `gate` must be the record of a gate valid for this geometry, `sel`
+    /// lowered by these cells.
+    ///
+    /// # Errors
+    ///
+    /// With `check`, returns [`ArchError::Protocol`] if a `NOT`/`NOR`
+    /// output cell does not hold logical 1 when the gate fires (a missing
+    /// initialization in the driver). The check runs over every gate
+    /// *before* any cell changes, for every mask shape: a failure leaves
+    /// the cells untouched and names the lowest offending row. Strict
+    /// callers pass `check = false` only for a gate whose batch proved it
+    /// ([`ReplayRecord::armed`]).
+    pub fn apply_gate(
+        &mut self,
+        gate: &ReplayRecord,
+        sel: &Selection,
+        check: bool,
+    ) -> Result<(), ArchError> {
+        if gate.kind().inputs() == 0 {
+            self.init_planes(gate, sel);
+        } else if check && self.outputs_unset(gate, sel) {
+            return Err(self.unset_output(gate, sel));
+        } else if gate.gates() == 1 {
+            let (out, (a, b), ps) = (gate.out(), gate.inputs(), self.plane_words());
+            sel.nor(&mut self.bits, out * ps, a * ps, b * ps);
         } else {
-            op.in_a
-        };
-        let (a, b) = (plane(op.in_a), plane(in_b));
-        let ps = self.plane_words();
-        let adjacent = step == 1 && op.in_a.offset != op.out.offset && in_b.offset != op.out.offset;
-        let (runs, run) = if adjacent { (1, gates) } else { (gates, 1) };
-        for t in (0..runs).map(|r| r * step) {
-            let (out, a, b) = split3(
-                &mut self.bits,
-                (out + t) * ps,
-                (a + t) * ps,
-                (b + t) * ps,
-                run * ps,
-            );
+            self.nor_planes(gate, sel);
+        }
+        Ok(())
+    }
+
+    /// The output planes of `gate`.
+    fn outputs(gate: &ReplayRecord) -> impl Iterator<Item = usize> {
+        let (out, step) = (gate.out(), gate.step());
+        (0..gate.gates()).map(move |t| out + t * step)
+    }
+
+    /// `INIT0`/`INIT1`: sets or clears the selected cells of every output
+    /// plane.
+    #[inline(never)]
+    fn init_planes(&mut self, gate: &ReplayRecord, sel: &Selection) {
+        for plane in Self::outputs(gate) {
+            sel.fill(self.plane_mut(plane), gate.kind() == GateKind::Init1);
+        }
+    }
+
+    /// The strict check: whether a selected output cell of `gate` holds 0 —
+    /// one OR-fold of `!out[w] & m[w]` over the gates; only a failure pays
+    /// for finding the row.
+    #[inline(never)]
+    fn outputs_unset(&self, gate: &ReplayRecord, sel: &Selection) -> bool {
+        Self::outputs(gate).fold(0, |unset, plane| unset | sel.unset(self.plane(plane))) != 0
+    }
+
+    /// The concurrent gates of a multi-gate `NOT`/`NOR`, one after another.
+    #[inline(never)]
+    fn nor_planes(&mut self, gate: &ReplayRecord, sel: &Selection) {
+        let (out, (a, b), gates, ps) =
+            (gate.out(), gate.inputs(), gate.gates(), self.plane_words());
+        if gate.step() == 1 && a / WORD_BITS != out / WORD_BITS && b / WORD_BITS != out / WORD_BITS
+        {
+            let (out, a, b) = split3(&mut self.bits, out * ps, a * ps, b * ps, gates * ps);
             let planes = out
                 .chunks_exact_mut(ps)
                 .zip(a.chunks_exact(ps).zip(b.chunks_exact(ps)));
             for (out, (a, b)) in planes {
                 sel.update(out, [a, b], |d, [a, b], m| d & !((a | b) & m));
             }
+            return;
         }
-        Ok(())
+        for t in (0..gates).map(|t| t * gate.step()) {
+            sel.nor(&mut self.bits, (out + t) * ps, (a + t) * ps, (b + t) * ps);
+        }
     }
 
-    /// The strict stateful-logic check: every output cell `op` touches under
-    /// `sel` must hold 1 (`out` is its first output plane). One OR-fold of
-    /// `!out[w] & m[w]` over the gates; only a failure pays for finding the
-    /// row.
-    fn check_outputs_set(&self, op: &HLogic, out: usize, sel: &Selection) -> Result<(), ArchError> {
-        let planes =
-            || (0..op.gate_count() as usize).map(|t| self.plane(out + t * op.p_step as usize));
-        if planes().fold(0, |unset, plane| unset | sel.unset(plane)) == 0 {
-            return Ok(());
-        }
-        let lowest = planes()
-            .flat_map(|plane| sel.spans(plane))
+    /// The strict failure report: the lowest row in which an output cell of
+    /// `gate` that `sel` selects does not hold 1.
+    #[cold]
+    fn unset_output(&self, gate: &ReplayRecord, sel: &Selection) -> ArchError {
+        let row = Self::outputs(gate)
+            .flat_map(|plane| sel.spans(self.plane(plane)))
             .flat_map(|span| span.iter().zip(&sel.pattern).enumerate())
             .filter(|&(_, (&d, &m))| !d & m != 0)
             .map(|(i, (&d, &m))| {
                 (sel.first_word + i) % self.wpx * LANE + (!d & m).trailing_zeros() as usize
             })
-            .min();
-        let Some(row) = lowest else { return Ok(()) };
-        Err(ArchError::Protocol {
+            .min()
+            .unwrap_or(0);
+        ArchError::Protocol {
             reason: format!(
                 "stateful {:?} gate in row {row} writes to partition bits {:#010x} of register {} \
                  that were not initialized to 1",
-                op.gate,
-                op.out_bits(),
-                op.out.offset
+                gate.kind(),
+                Self::outputs(gate).fold(0u32, |bits, plane| bits | 1 << (plane % WORD_BITS)),
+                gate.out() / WORD_BITS
             ),
-        })
+        }
     }
 
     /// Applies a vertical stateful-logic operation in every crossbar of
@@ -574,7 +639,7 @@ impl Crossbars {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pim_arch::PimConfig;
+    use pim_arch::{ColAddr, PimConfig};
     use proptest::prelude::*;
 
     fn cfg() -> PimConfig {

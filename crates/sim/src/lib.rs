@@ -34,28 +34,39 @@
 //!   operation by operation: the accesses to rows of one plane word become
 //!   a 64 x 64 bit-matrix transpose between word format and planes, the
 //!   transfers of a dense or strided row set one masked complemented shift
-//!   per plane. An operation outside a run, a run of one, a shift whose
-//!   serial order matters and everything in a prepared routine take the
-//!   per-operation path; cells, masks, profiler and errors are the same
-//!   either way.
-//! * **Logic**: every horizontal gate, under every mask, is one kernel —
-//!   `out[w] &= !((a[w] | b[w]) & m[w])` over the plane words of each
-//!   concurrent gate. The stored masks are lowered once per mask operation
-//!   into word spans plus a row bit pattern ([`Selection`]); a strided row
-//!   mask is only a different pattern, and a dense crossbar mask over whole
-//!   crossbars is one contiguous span, so a whole-tensor gate is a flat
-//!   loop LLVM autovectorizes — the host exploits the row-parallelism the
-//!   chip executes in a single cycle. Operations execute one after another
-//!   on the calling thread, over the selected crossbars only: with so little
-//!   data per operation a thread hand-off would cost more than the
-//!   operation (the paper's CUDA kernel has no CPU counterpart here).
+//!   per plane. An operation outside a run, a run of one and a shift whose
+//!   serial order matters take the per-operation path; cells, masks,
+//!   profiler and errors are the same either way.
+//! * **Logic**: every horizontal gate, under every mask, is one kernel
+//!   ([`Crossbars::apply_gate`]) — `out[w] &= !((a[w] | b[w]) & m[w])` over
+//!   the plane words of each concurrent gate. The stored masks are lowered
+//!   once per mask operation into word spans plus a row bit pattern
+//!   ([`Selection`]); a strided row mask is only a different pattern, and a
+//!   dense crossbar mask over whole crossbars is one contiguous span, so a
+//!   whole-tensor gate is a flat loop LLVM autovectorizes — the host
+//!   exploits the row-parallelism the chip executes in a single cycle.
+//!   The kernel takes a gate *resolved* into its planes
+//!   ([`pim_arch::ReplayRecord`]). A cached routine
+//!   ([`execute_prepared`](pim_arch::Backend::execute_prepared)) carries
+//!   its records, so its replay is one closed-form charge, one lowered
+//!   selection and a loop over 8-byte records; every other path resolves
+//!   the `HLogic` on the fly and lands in the same kernel. Operations
+//!   execute one after another on the calling thread, over the selected
+//!   crossbars only: with so little data per operation a thread hand-off
+//!   would cost more than the operation (the paper's CUDA kernel has no
+//!   CPU counterpart here).
 //!
 //! A *strict mode* (default on) additionally checks the stateful-logic
 //! discipline: every `NOT`/`NOR` output cell must hold logical 1 when the
 //! gate fires, catching missing initializations in driver routines. The
 //! check runs before the gate changes anything, whatever the masks: a
 //! refused gate leaves the cells untouched and names the lowest offending
-//! row.
+//! row. In a prepared batch a check is *proved* rather than run wherever
+//! the batch itself discharges it — the gate's output planes were set by an
+//! `INIT1` of the same batch and nothing wrote them since
+//! ([`ReplayRecord::armed`](pim_arch::ReplayRecord::armed)); that is every
+//! gate of every routine the driver compiles, so strict replay of a routine
+//! scans nothing, and every unproved gate is still scanned.
 //!
 //! # Example
 //!

@@ -27,7 +27,6 @@ pub struct PimSimulator {
     sel_stale: bool,
     strict: bool,
     profiler: Profiler,
-    threads: usize,
     /// Source words of the move in flight (reused across moves).
     move_scratch: Vec<u32>,
     /// Destination rows of the row-transfer run in flight, lowered under
@@ -60,15 +59,14 @@ impl PimSimulator {
     pub fn new(cfg: PimConfig) -> Result<Self, ArchError> {
         cfg.validate()?;
         Ok(PimSimulator {
-            xb_mask: RangeMask::dense(0, cfg.crossbars as u32).expect("validated nonzero"),
-            row_mask: RangeMask::dense(0, cfg.rows as u32).expect("validated nonzero"),
+            xb_mask: RangeMask::dense(0, cfg.crossbars as u32)?,
+            row_mask: RangeMask::dense(0, cfg.rows as u32)?,
             cells: Crossbars::new(cfg.crossbars, cfg.rows, cfg.regs),
             cfg,
             sel: Selection::default(),
             sel_stale: true,
             strict: true,
             profiler: Profiler::new(),
-            threads: 1,
             move_scratch: Vec::new(),
             run_sel: Selection::default(),
         })
@@ -79,18 +77,6 @@ impl PimSimulator {
     /// by default; benchmarks may disable it for speed.
     pub fn set_strict(&mut self, strict: bool) {
         self.strict = strict;
-    }
-
-    /// Stores a worker-thread preference for interface parity with
-    /// `pim-func` (embedders such as `pim-cluster` pin it to 1). Execution
-    /// is always single-threaded. Values clamp to at least 1.
-    pub fn set_threads(&mut self, threads: usize) {
-        self.threads = threads.max(1);
-    }
-
-    /// The stored thread count (execution is single-threaded regardless).
-    pub fn threads(&self) -> usize {
-        self.threads
     }
 
     /// Whether strict stateful-logic checking is enabled.
@@ -123,8 +109,7 @@ impl PimSimulator {
     }
 
     /// Captures the complete architectural state (cells, masks, strict
-    /// flag, profiler) as a [`SimSnapshot`]. The thread count is host
-    /// policy, not architectural state, and is not captured.
+    /// flag, profiler) as a [`SimSnapshot`].
     pub fn snapshot(&self) -> SimSnapshot {
         SimSnapshot {
             cells: self.cells.clone(),
@@ -169,10 +154,8 @@ impl PimSimulator {
     /// the one place every execution path ends in. A move was planned when
     /// it was charged, so its destinations are in range.
     fn apply(&mut self, op: &MicroOp) -> Result<Option<u32>, ArchError> {
-        if self.sel_stale && matches!(op, MicroOp::Write { .. } | MicroOp::LogicH(_)) {
-            self.cells
-                .lower_masks(&self.xb_mask, &self.row_mask, &mut self.sel);
-            self.sel_stale = false;
+        if matches!(op, MicroOp::Write { .. } | MicroOp::LogicH(_)) {
+            self.lower_selection();
         }
         match op {
             MicroOp::XbMask(m) => (self.xb_mask, self.sel_stale) = (*m, true),
@@ -197,9 +180,13 @@ impl PimSimulator {
         Ok(None)
     }
 
-    /// Applies accepted, read-free operations in order.
-    fn run(&mut self, ops: &[MicroOp]) -> Result<(), ArchError> {
-        ops.iter().try_for_each(|op| self.apply(op).map(drop))
+    /// Brings `sel` up to date with the stored masks.
+    fn lower_selection(&mut self) {
+        if self.sel_stale {
+            self.cells
+                .lower_masks(&self.xb_mask, &self.row_mask, &mut self.sel);
+            self.sel_stale = false;
+        }
     }
 
     /// Validates and charges a whole stream against the mask state each
@@ -454,7 +441,7 @@ impl Backend for PimSimulator {
             return self.execute_batch(batch.ops());
         }
         // No mask operation inside, so the stored masks hold for all of it:
-        // one closed-form charge, atomic on a bad move.
+        // one closed-form charge, atomic on a bad move, and one selection.
         charge_batch(
             &mut self.profiler,
             batch,
@@ -462,7 +449,16 @@ impl Backend for PimSimulator {
             &self.row_mask,
             &self.cfg,
         )?;
-        self.run(batch.ops())
+        self.lower_selection();
+        for (i, record) in batch.records().iter().enumerate() {
+            if record.is_gate() {
+                let check = self.strict && !record.armed();
+                self.cells.apply_gate(record, &self.sel, check)?;
+            } else {
+                self.apply(&batch.ops()[i])?;
+            }
+        }
+        Ok(())
     }
 }
 
@@ -940,6 +936,69 @@ mod proptests {
 
     use pim_arch::VGate;
 
+    /// One operation of a mask-free batch that leans on the stateful-logic
+    /// discipline: horizontal INITs and gates over a handful of output
+    /// shapes on registers `0..regs`, so that an `INIT1` often covers the
+    /// outputs of a later gate — and the writes, vertical gates and moves
+    /// into the same registers that come in between. `row` is a row the
+    /// batch's row mask selects (where a vertical gate does damage); a move
+    /// must be legal under `xb_mask`, or the whole batch is refused.
+    fn discipline_op(
+        cfg: &PimConfig,
+        regs: u8,
+        (xb_mask, row): (&RangeMask, u32),
+        (kind, a, b, c, d): (u8, u8, u8, u8, u8),
+    ) -> Option<MicroOp> {
+        // (first output partition, last, stride): partition-parallel,
+        // serial, both halves of a register, every eighth partition.
+        const SHAPES: [(u8, u8, u8); 5] =
+            [(0, 31, 1), (3, 3, 1), (0, 30, 2), (1, 31, 2), (4, 28, 8)];
+        let rows = cfg.rows as u32;
+        let gate = match kind % 16 {
+            0..=2 => GateKind::Init1,
+            3 => GateKind::Init0,
+            4..=6 => GateKind::Not,
+            7 | 8 => GateKind::Nor,
+            9 => {
+                let value = [u32::MAX, 0xFFFF_0000, !(1 << (b % 32)), 0x0F0F_F0F0][c as usize % 4];
+                return Some(MicroOp::Write {
+                    index: d % regs,
+                    value,
+                });
+            }
+            10 | 11 => {
+                return Some(MicroOp::LogicV {
+                    gate: [VGate::Init0, VGate::Init1, VGate::Not][a as usize % 3],
+                    row_in: u32::from(b) * 7 % rows,
+                    row_out: if c % 4 == 0 { u32::from(c) % rows } else { row },
+                    index: d % regs,
+                })
+                .filter(|op| op.validate(cfg).is_ok());
+            }
+            _ => {
+                let mv = pim_arch::MoveOp {
+                    dist: [1, -1, 4][a as usize % 3],
+                    row_src: u32::from(b) * 5 % rows,
+                    row_dst: row,
+                    index_src: c % regs,
+                    index_dst: d % regs,
+                };
+                return pim_arch::htree::plan_move(xb_mask, &mv, cfg)
+                    .is_ok()
+                    .then_some(MicroOp::Move(mv));
+            }
+        };
+        let (out, p_end, step) = SHAPES[a as usize % SHAPES.len()];
+        // Inputs inside the first gate's section, in any of the registers
+        // (the output's own included, in another partition).
+        let input = |x: u8| ColAddr::new(out + x % step.min(4), x / 4 % regs);
+        let (in_a, in_b) = (input(b.min(c)), input(b.max(c)));
+        let out = ColAddr::new(out, d % regs);
+        HLogic::strided(gate, in_a, in_b, out, p_end, step, cfg)
+            .ok()
+            .map(MicroOp::LogicH)
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -1056,6 +1115,107 @@ mod proptests {
             for sim in &sims[1..] {
                 prop_assert!(sim.cells == sims[0].cells, "images diverge");
                 prop_assert_eq!(sim.profiler(), sims[0].profiler());
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(192))]
+
+        /// A strict check a prepared batch proves and skips is a check that
+        /// would have passed: on random batches with missing and clobbered
+        /// INITs, under every mask shape and over random cells, prepared
+        /// replay and op-by-op execution return the same `Result` (the same
+        /// gate refused, in the same row, in the same words), leave the same
+        /// cells and — where the batch runs through — the same `Profiler`;
+        /// with strict off they leave the same cells. (A refused gate parts
+        /// the profilers by design: a prepared batch is charged whole.)
+        #[test]
+        fn proved_checks_are_checks_that_pass(
+            seeds in proptest::collection::vec(any::<(u8, u8, u8, u8, u8)>(), 1..32),
+            (geometry, regs, fill) in any::<(u8, u8, u32)>(),
+            shape in any::<(u8, u8, u8, u8)>(),
+        ) {
+            let (xbs, rows) = [(1, 64), (2, 96), (16, 512)][geometry as usize % 3];
+            let cfg = PimConfig::small().with_crossbars(xbs as usize).with_rows(rows as usize);
+            let regs = 2 + regs % 3;
+            let (a, b) = (u32::from(shape.2), u32::from(shape.3));
+            // Every crossbar, a dense window, some of every fourth, one (a
+            // move is legal only under a mask that stops short of the last
+            // crossbars).
+            let xb0 = a % xbs;
+            let xb_mask = match shape.0 % 4 {
+                0 => RangeMask::dense(0, xbs).unwrap(),
+                1 => RangeMask::dense(xb0, xb0 + 1 + b % (xbs - xb0)).unwrap(),
+                2 => RangeMask::strided(xb0, 1 + b % ((xbs - 1 - xb0) / 4 + 1), 4).unwrap(),
+                _ => RangeMask::single(xb0),
+            };
+            // Whole crossbar, a dense window, strided rows, one row.
+            let row0 = b * 3 % rows;
+            let row_mask = match shape.1 % 4 {
+                0 => RangeMask::dense(0, rows).unwrap(),
+                1 => RangeMask::dense(row0, row0 + 1 + a % (rows - row0)).unwrap(),
+                2 => RangeMask::strided(row0, 1 + a % ((rows - 1 - row0) / 3 + 1), 3).unwrap(),
+                _ => RangeMask::single(row0),
+            };
+            let selected = row_mask.start() + row_mask.step() * (a % row_mask.len() as u32);
+            // Three seeds in sixteen are the hazard itself: an `INIT1`, an
+            // operation that writes its planes (`INIT0`, a gate) or into its
+            // register (`Write`, vertical gate, `Move`), a gate on its planes.
+            let body: Vec<MicroOp> = seeds
+                .iter()
+                .flat_map(|&(kind, a, b, c, d)| {
+                    let hazard = [0, [3, 4, 9, 10, 12, 12][b as usize % 6], 4 + c % 5];
+                    let kinds = if kind % 16 < 13 { &[kind][..] } else { &hazard[..] };
+                    let ops = kinds.iter().filter_map(|&kind| {
+                        discipline_op(&cfg, regs, (&xb_mask, selected), (kind, a, b, c, d))
+                    });
+                    ops.collect::<Vec<_>>()
+                })
+                .collect();
+            prop_assume!(!body.is_empty());
+            let prepared = PreparedBatch::new(body.clone(), &cfg).unwrap();
+
+            // Per register: all ones (twice as often), ones with a hole in
+            // one word of 64, noise.
+            let mut seeded = PimSimulator::new(cfg.clone()).unwrap();
+            let mut noise = fill | 1;
+            for reg in 0..regs as usize {
+                for (xb, row) in (0..xbs as usize).flat_map(|xb| (0..rows as usize).map(move |row| (xb, row))) {
+                    noise ^= noise << 13;
+                    noise ^= noise >> 17;
+                    noise ^= noise << 5;
+                    let word = match (fill >> (2 * reg)) % 4 {
+                        0 | 1 => u32::MAX,
+                        2 if noise % 64 == 0 => !(1 << ((noise >> 8) % 32)),
+                        2 => u32::MAX,
+                        _ => noise,
+                    };
+                    seeded.poke(xb, row, reg, word);
+                }
+            }
+            seeded.execute_batch(&[MicroOp::XbMask(xb_mask), MicroOp::RowMask(row_mask)]).unwrap();
+            let image = seeded.snapshot();
+
+            for strict in [true, false] {
+                let mut sims = [(); 2].map(|()| PimSimulator::new(cfg.clone()).unwrap());
+                for sim in &mut sims {
+                    sim.restore(&image);
+                    sim.set_strict(strict);
+                }
+                let [replay, serial] = &mut sims;
+                // Twice: the second pass starts from what the first left.
+                for pass in 0..2 {
+                    let expected = body.iter().try_for_each(|op| serial.execute(op).map(drop));
+                    let got = replay.execute_prepared(&prepared);
+                    prop_assert_eq!(&got, &expected, "strict {}, pass {}", strict, pass);
+                    prop_assert!(replay.cells == serial.cells, "strict {}, pass {}: cells diverge", strict, pass);
+                    if expected.is_err() {
+                        prop_assert!(strict, "only a strict check refuses a valid gate");
+                        break;
+                    }
+                    prop_assert_eq!(replay.profiler(), serial.profiler());
+                }
             }
         }
     }
