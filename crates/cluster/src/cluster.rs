@@ -12,7 +12,7 @@ mod tickets;
 mod worker;
 
 pub use journal::RecoveryConfig;
-pub use stats::{fold_f32, fold_i32, ClusterStats, Combine, ShardStats};
+pub use stats::{ClusterStats, ShardStats};
 pub use submit::{GlobalLoc, GlobalWrite, TaggedBatch};
 pub use tickets::{GatherTicket, JobSet, JobTicket};
 pub use worker::execute_segment;

@@ -109,33 +109,3 @@ impl MetricsSource for ClusterStats {
         self.traffic.fill_metrics(snap);
     }
 }
-
-/// Host-side fold applied to gathered shard values.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Combine {
-    /// Summation (wrapping for int32).
-    Sum,
-    /// Minimum.
-    Min,
-    /// Maximum.
-    Max,
-}
-
-/// Folds float values in order. Returns `None` for an empty input.
-pub fn fold_f32(op: Combine, values: impl IntoIterator<Item = f32>) -> Option<f32> {
-    values.into_iter().reduce(|a, b| match op {
-        Combine::Sum => a + b,
-        Combine::Min => a.min(b),
-        Combine::Max => a.max(b),
-    })
-}
-
-/// Folds int values in order (wrapping sum). Returns `None` for an empty
-/// input.
-pub fn fold_i32(op: Combine, values: impl IntoIterator<Item = i32>) -> Option<i32> {
-    values.into_iter().reduce(|a, b| match op {
-        Combine::Sum => a.wrapping_add(b),
-        Combine::Min => a.min(b),
-        Combine::Max => a.max(b),
-    })
-}

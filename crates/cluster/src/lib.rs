@@ -54,8 +54,6 @@
 //!   `O(shard pairs)` messages and barriers for a whole-memory shift
 //!   instead of `O(warps)`. [`TrafficStats`] reports
 //!   `runs_merged`/`moves_merged`/`bursts_saved`.
-//! * [`Combine`]/[`PimCluster::reduce_f32`]/[`PimCluster::reduce_i32`] —
-//!   cross-shard combining: gather per-shard partials and fold on the host.
 //! * [`PimCluster::stats`] — per-shard telemetry (simulator profiler,
 //!   driver issued cycles, routine-cache hit/miss counters), aggregated by
 //!   [`ClusterStats`] — the observability behind the §V-B "driver is not
@@ -105,9 +103,8 @@ mod plan;
 pub(crate) mod sched;
 
 pub use cluster::{
-    execute_segment, fold_f32, fold_i32, ClusterOptions, ClusterStats, Combine, GatherTicket,
-    GlobalLoc, GlobalWrite, JobSet, JobTicket, PimCluster, RecoveryConfig, ShardBackends,
-    ShardStats, TaggedBatch,
+    execute_segment, ClusterOptions, ClusterStats, GatherTicket, GlobalLoc, GlobalWrite, JobSet,
+    JobTicket, PimCluster, RecoveryConfig, ShardBackends, ShardStats, TaggedBatch,
 };
 pub use coalesce::{CrossingMove, MoveCoalescer};
 pub use error::{ClusterError, ErrorClass, LinkFaultKind};

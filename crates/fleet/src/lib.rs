@@ -23,7 +23,8 @@
 //!   [`Fleet::tick_now`]. A crashed or lapsed host's sessions are
 //!   re-placed on the least-loaded survivor; results that arrive from a
 //!   pre-failover placement are discarded by generation stamp and the
-//!   request re-issued ([`FleetSession::run`]).
+//!   request re-issued — one rule, [`FleetSession::must_reissue`], behind
+//!   [`FleetSession::run`] and the open-loop driver alike.
 //! * **Host-to-host hop** — session placement and failover hand-off
 //!   traffic ride a second [`Interconnect`] tier with its own latency
 //!   and width ([`FleetConfig::hop`]), charged to the modeled clock and
@@ -78,10 +79,12 @@ use std::sync::Arc;
 /// request itself).
 const SESSION_STATE_WORDS: u64 = 64;
 
-/// Times a session is re-placed and its request re-issued before the
-/// fleet gives up and surfaces [`CoreError::Evicted`]. Bounds work under
-/// pathological schedules where every host dies in turn.
-const MAX_REISSUES: u32 = 8;
+/// Times one request is issued again after
+/// [`FleetSession::must_reissue`] discarded an attempt, before it counts
+/// as failed ([`FleetSession::run`] surfaces [`CoreError::Evicted`]; an
+/// open-loop driver counts a failure). Bounds work under pathological
+/// schedules where every host dies in turn.
+pub const MAX_REISSUES: u32 = 8;
 
 /// Fleet geometry, timing, and fault schedule.
 #[derive(Debug, Clone)]
@@ -721,75 +724,76 @@ impl FleetSession {
         self.fleet.generation_of(self.slot)
     }
 
-    /// Forces the session onto the least-loaded eligible host, bumping
-    /// its generation. External drivers call this after a transient
-    /// placement failure (the path [`run`](FleetSession::run) takes
-    /// internally); in-flight work submitted against the old placement
-    /// becomes stale.
-    pub fn migrate(&self) {
-        self.fleet.replace_session(self.slot);
-    }
-
     /// The current host client, or `None` once the session was evicted
     /// (no live host left to re-place it on). Load drivers use this to
-    /// build per-placement state; anything submitted through it is
-    /// subject to the same staleness rules as [`run`](FleetSession::run).
+    /// build per-placement state; a result of anything submitted through
+    /// it goes through [`must_reissue`](FleetSession::must_reissue).
     pub fn client(&self) -> Option<Arc<ClusterClient>> {
         self.fleet.client_of(self.slot).map(|(c, _)| c)
     }
 
+    /// The fleet's one staleness rule: whether `result`, produced by an
+    /// attempt submitted under placement `generation`, must be discarded
+    /// and the request issued again.
+    ///
+    /// Runs a control-plane step first, so a lease that lapsed while the
+    /// attempt was in flight is seen. Then:
+    ///
+    /// * the generation moved — the placement died (or moved) under the
+    ///   attempt, so whatever it produced is from a dead session: discard
+    ///   it, **even when it is `Ok`**;
+    /// * a [`Transient`](ErrorClass::Transient) error under the current
+    ///   generation — the host's gateway exhausted its own retry budget,
+    ///   so the placement itself is bad: move the session to the
+    ///   least-loaded eligible host (bumping its generation) and discard;
+    /// * anything else stands.
+    ///
+    /// Each discard counts into `fleet.reissued`. The caller owns the
+    /// budget: it re-issues at most [`MAX_REISSUES`] times per request.
+    pub fn must_reissue<T>(&self, generation: u64, result: &Result<T>) -> bool {
+        self.fleet.tick_now();
+        let stale = self.generation() != generation;
+        let transient = matches!(result, Err(e) if e.class() == ErrorClass::Transient);
+        if !stale && !transient {
+            return false;
+        }
+        self.fleet.inner.reissued.inc();
+        if !stale {
+            self.fleet.replace_session(self.slot);
+        }
+        true
+    }
+
     /// Runs one request against the session's current placement,
-    /// re-issuing it on failover until it completes against a placement
-    /// that is still current.
+    /// re-issuing it until it completes against a placement that is still
+    /// current ([`must_reissue`](FleetSession::must_reissue) decides).
     ///
     /// `attempt` must be **self-contained and idempotent**: it receives
     /// the placement's [`ClusterClient`] and rebuilds whatever state it
     /// needs (uploads included), because a re-issue lands on a fresh
-    /// session of a different host. A result that arrives from a
-    /// placement the fleet has since failed over is *discarded* — even a
-    /// successful one, since its session died mid-flight — and the
-    /// request re-issued; `fleet.reissued` counts each discard.
+    /// session of a different host.
     ///
     /// # Errors
     ///
-    /// Returns [`CoreError::Evicted`] when no live host is left (or the
-    /// re-issue budget is exhausted), and otherwise surfaces the
-    /// attempt's own error classes unchanged — a typed error, never a
-    /// hang.
+    /// Returns [`CoreError::Evicted`] when no live host is left or the
+    /// re-issue budget ([`MAX_REISSUES`]) is exhausted, and otherwise
+    /// surfaces the attempt's own error classes unchanged — a typed
+    /// error, never a hang.
     pub async fn run<T, F>(&self, mut attempt: F) -> Result<T>
     where
         F: for<'a> FnMut(&'a ClusterClient) -> Pin<Box<dyn Future<Output = Result<T>> + 'a>>,
     {
-        let mut reissues = 0u32;
-        loop {
+        for _ in 0..=MAX_REISSUES {
             self.fleet.tick_now();
             let Some((client, generation)) = self.fleet.client_of(self.slot) else {
-                return Err(CoreError::Evicted { session: self.slot });
+                break;
             };
             let result = attempt(&client).await;
-            self.fleet.tick_now();
-            if self.fleet.generation_of(self.slot) != generation {
-                // The placement died (or moved) while the attempt was in
-                // flight: whatever it produced is from a dead session.
-                self.fleet.inner.reissued.inc();
-                reissues += 1;
-                if reissues > MAX_REISSUES {
-                    return Err(CoreError::Evicted { session: self.slot });
-                }
-                continue;
-            }
-            match result {
-                Err(e) if e.class() == ErrorClass::Transient && reissues < MAX_REISSUES => {
-                    // The host's gateway exhausted its own retry budget:
-                    // treat the placement as bad and move the session.
-                    self.fleet.inner.reissued.inc();
-                    reissues += 1;
-                    self.fleet.replace_session(self.slot);
-                    continue;
-                }
-                other => return other,
+            if !self.must_reissue(generation, &result) {
+                return result;
             }
         }
+        Err(CoreError::Evicted { session: self.slot })
     }
 }
 
@@ -991,6 +995,43 @@ mod tests {
         assert!(trace.contains("fleet/control"), "{trace}");
         assert!(trace.contains("failover"), "{trace}");
         assert!(trace.contains("election"), "{trace}");
+    }
+
+    #[test]
+    fn one_staleness_rule_discards_moves_or_lets_stand() {
+        let fleet = Fleet::new(tiny(2)).unwrap();
+        let session = fleet.session().unwrap();
+        let transient =
+            || -> Result<()> { Err(pim_cluster::ClusterError::WorkerCrashed { shard: 0 }.into()) };
+        assert_eq!(transient().unwrap_err().class(), ErrorClass::Transient);
+
+        // Current generation, nothing transient: the result stands.
+        let gen0 = session.generation();
+        assert!(!session.must_reissue(gen0, &Ok(())));
+        let fatal: Result<()> = Err(CoreError::DeviceMismatch);
+        assert!(!session.must_reissue(gen0, &fatal));
+        let evicted: Result<()> = Err(CoreError::Evicted { session: 0 });
+        assert!(!session.must_reissue(gen0, &evicted));
+        assert_eq!(fleet.stats().reissued, 0);
+        assert_eq!(session.generation(), gen0);
+
+        // A transient error under the current generation moves the
+        // session and is counted.
+        let host0 = fleet.host_of(session.id());
+        assert!(session.must_reissue(gen0, &transient()));
+        assert_eq!(fleet.stats().reissued, 1);
+        assert_eq!(fleet.stats().orphaned_sessions, 1);
+        let gen1 = session.generation();
+        assert!(gen1 > gen0, "migration bumps the generation");
+        assert_ne!(fleet.host_of(session.id()), host0, "least-loaded host");
+
+        // A result under a moved generation is discarded even when Ok —
+        // and a stale transient one does not move the session again.
+        assert!(session.must_reissue(gen0, &Ok(())));
+        assert!(session.must_reissue(gen0, &transient()));
+        assert_eq!(fleet.stats().reissued, 3);
+        assert_eq!(session.generation(), gen1);
+        assert_eq!(fleet.stats().orphaned_sessions, 1);
     }
 
     #[test]

@@ -1,27 +1,19 @@
-//! The open-loop driver: injects requests at their scheduled modeled
-//! cycles regardless of completion, polls the in-flight set from one host
-//! thread, and closes windowed samples as the modeled clock crosses
-//! window boundaries.
-//!
-//! **Open loop** means arrival times come from the schedule, not from
-//! completions: when the gateway falls behind, requests keep arriving and
-//! queue — which is exactly the overload behaviour (diverging queue-wait
-//! tails) a closed-loop harness structurally cannot produce, because it
-//! never offers more than `in-flight × 1/latency`.
-//!
-//! **Determinism**: on a single-chip device the whole run executes inline
-//! on this thread — futures resolve during their poll, the modeled clock
-//! advances only through execution and the driver's idle jumps, and the
-//! schedule is materialized from the seed up front. The same seed
-//! therefore produces bit-identical reports. Multi-chip clusters execute
-//! on worker threads; their reports are statistically stable but not
-//! bit-reproducible.
+//! The open loop, written once: [`drive`] injects requests at their
+//! scheduled modeled cycles regardless of completion, sweeps the
+//! in-flight set from one host thread, and closes windowed samples as the
+//! modeled clock crosses window boundaries (semantics, poll order and
+//! determinism: the crate docs). What it drives is a [`LoadTarget`]: the
+//! gateway target here ([`run`]) or the fleet target in
+//! [`fleet`](crate::fleet) ([`run_fleet`](crate::run_fleet)).
 
 use crate::profile::{build_schedule, ArrivalProfile};
 use crate::shape::{RequestShape, Template};
+use pim_fleet::MAX_REISSUES;
 use pim_serve::{ClusterClient, ExecFuture, Gateway};
-use pim_telemetry::{CounterHandle, HistogramSnapshot, Telemetry, WindowSample, WindowSampler};
-use pypim_core::{CoreError, Device, Result};
+use pim_telemetry::{
+    CounterHandle, HistogramSnapshot, MetricsSnapshot, Telemetry, WindowSample, WindowSampler,
+};
+use pypim_core::{CoreError, Result};
 use std::future::Future;
 use std::pin::Pin;
 use std::sync::{Condvar, Mutex};
@@ -173,20 +165,20 @@ impl RunReport {
 /// The condvar parker doubling as the polling loop's waker: shard workers
 /// wake it through the futures' registered wakers; the driver parks with
 /// a short timeout so a missed wake only costs the timeout.
-pub(crate) struct Parker {
+struct Parker {
     flag: Mutex<bool>,
     cv: Condvar,
 }
 
 impl Parker {
-    pub(crate) fn new() -> Self {
+    fn new() -> Self {
         Parker {
             flag: Mutex::new(false),
             cv: Condvar::new(),
         }
     }
 
-    pub(crate) fn park_timeout(&self, dur: Duration) {
+    fn park_timeout(&self, dur: Duration) {
         let mut notified = self.flag.lock().unwrap_or_else(|e| e.into_inner());
         if !*notified {
             let (guard, _) = self
@@ -207,94 +199,82 @@ impl Wake for Parker {
     }
 }
 
-struct Pending {
-    fut: ExecFuture,
-    scheduled: u64,
+/// What the open loop drives. A **lane** is one (class, session) slot: a
+/// session on the target plus the replay template bound to it; the loop
+/// opens `classes × sessions_per_class` of them, numbered in that order,
+/// and round-robins each class's arrivals over its lanes.
+pub(crate) trait LoadTarget {
+    /// What an attempt remembers of the placement it was submitted under.
+    type Stamp;
+
+    /// The telemetry whose modeled clock the loop jumps when idle and
+    /// whose registry holds the `loadgen.*` metrics.
+    fn telemetry(&self) -> &Telemetry;
+
+    /// Arms or disarms telemetry recording on everything that executes:
+    /// execution only charges the modeled clock while telemetry records,
+    /// so an open-loop run needs it on.
+    fn set_armed(&self, on: bool);
+
+    /// Opens the next lane, for `class`.
+    fn open_lane(&mut self, class: &ClassSpec) -> Result<()>;
+
+    /// Registry name of the one histogram of its own the target reports,
+    /// per window and — as [`RunReport::queue_wait`] — over the run.
+    fn histogram(&self) -> &'static str;
+
+    /// Called once, with every lane open: baselines whatever else the
+    /// target reports as a delta over the run, and returns the cycle the
+    /// run starts at.
+    fn begin(&mut self) -> Result<u64>;
+
+    /// The current modeled cycle (a fleet runs a control-plane step to
+    /// tell).
+    fn now(&self) -> u64;
+
+    /// Submits one attempt on `lane`; `None` when the lane has nowhere
+    /// left to submit to (the request then counts as failed).
+    fn submit(&mut self, lane: usize) -> Result<Option<(ExecFuture, Self::Stamp)>>;
+
+    /// Whether `result` of an attempt on `lane` must be discarded and the
+    /// request issued again.
+    fn must_reissue(&mut self, lane: usize, stamp: &Self::Stamp, result: &Result<()>) -> bool;
+
+    /// The metrics snapshot a window is closed from.
+    fn snapshot(&self) -> Result<MetricsSnapshot>;
+
+    /// Records the target's counter tracks for the window closing at
+    /// modeled cycle `at`.
+    fn record_tracks(&mut self, at: u64) -> Result<()>;
 }
 
-/// Re-disarms telemetry on drop when the harness armed it (execution only
-/// charges the modeled clock while telemetry records, so an open-loop run
-/// needs it on; a caller that had it off gets it back off even on error
-/// paths).
-struct EnabledGuard<'a> {
-    telemetry: &'a Telemetry,
+/// One attempt in flight.
+struct Pending<S> {
+    fut: ExecFuture,
+    stamp: S,
+    lane: usize,
+    /// Modeled cycle the request was scheduled at (a re-issue keeps its
+    /// original, so measured latency includes detection and re-placement).
+    scheduled: u64,
+    reissues: u32,
+}
+
+/// The armed target; restores the caller's arming on drop, error paths
+/// included.
+struct Armed<'a, T: LoadTarget> {
+    target: &'a mut T,
     prev: bool,
 }
 
-impl Drop for EnabledGuard<'_> {
+impl<T: LoadTarget> Drop for Armed<'_, T> {
     fn drop(&mut self) {
-        self.telemetry.set_enabled(self.prev);
+        self.target.set_armed(self.prev);
     }
 }
 
-/// Per-window observability flushed at each window close: gauge counter
-/// tracks plus per-shard utilization derived from profiler cycle deltas.
-struct TrackSet {
-    telemetry: Telemetry,
-    queue_depth: CounterHandle,
-    in_flight: CounterHandle,
-    shard_util: Vec<CounterHandle>,
-    prev_shard_cycles: Vec<u64>,
-}
-
-impl TrackSet {
-    fn new(telemetry: &Telemetry) -> Self {
-        TrackSet {
-            telemetry: telemetry.clone(),
-            queue_depth: telemetry.counter_track("serve/queue_depth"),
-            in_flight: telemetry.counter_track("serve/in_flight"),
-            shard_util: Vec::new(),
-            prev_shard_cycles: Vec::new(),
-        }
-    }
-
-    fn flush(&mut self, dev: &Device, at: u64, window_width: u64) -> Result<()> {
-        if !self.telemetry.is_enabled() {
-            return Ok(());
-        }
-        let metrics = self.telemetry.metrics();
-        self.queue_depth
-            .record(at, metrics.gauge("serve.queue_depth").get() as f64);
-        self.in_flight
-            .record(at, metrics.gauge("serve.in_flight").get() as f64);
-        if let Some(stats) = dev.cluster_stats()? {
-            if self.shard_util.is_empty() {
-                for s in &stats.shards {
-                    self.shard_util.push(
-                        self.telemetry
-                            .counter_track(&format!("shard{}/util", s.shard)),
-                    );
-                    self.prev_shard_cycles.push(0);
-                }
-            }
-            for (i, s) in stats.shards.iter().enumerate() {
-                let delta = s.profiler.cycles.saturating_sub(self.prev_shard_cycles[i]);
-                self.prev_shard_cycles[i] = s.profiler.cycles;
-                let util = 100.0 * delta as f64 / window_width.max(1) as f64;
-                self.shard_util[i].record(at, util);
-            }
-        }
-        Ok(())
-    }
-}
-
-/// Runs one open-loop load against `gateway` (see the module docs for the
-/// loop's semantics and determinism guarantees).
-///
-/// Overload studies should build the gateway with
-/// `max_queue_depth: 0` (unbounded session queues): with the default
-/// bounded queues, offered load beyond the bound fast-fails with
-/// `Overloaded` instead of queueing, and the run measures admission-loss
-/// rather than queueing collapse.
-///
-/// # Errors
-///
-/// Fails on an empty/zero config, on session or template setup errors
-/// (e.g. warp space too small for `classes × sessions_per_class`
-/// windows), or if a stats snapshot fails mid-run. Individual request
-/// failures do **not** fail the run — they count into
-/// [`RunReport::failed`].
-pub fn run(gateway: &Gateway, cfg: &LoadgenConfig) -> Result<RunReport> {
+/// Runs one open-loop load against `target`. The report's `queue_wait`
+/// summarizes the target's [own histogram](LoadTarget::histogram).
+pub(crate) fn drive<T: LoadTarget>(target: &mut T, cfg: &LoadgenConfig) -> Result<RunReport> {
     let invalid = |reason: &str| CoreError::Protocol {
         reason: format!("loadgen config: {reason}"),
     };
@@ -308,26 +288,22 @@ pub fn run(gateway: &Gateway, cfg: &LoadgenConfig) -> Result<RunReport> {
         return Err(invalid("horizon_cycles and window_cycles must be nonzero"));
     }
 
-    // Session pools and replay templates, one pool per class. Building
-    // templates allocates every tensor the run will touch; injection
-    // itself only clones instruction vectors.
-    let mut pools: Vec<Vec<(ClusterClient, Template)>> = Vec::with_capacity(cfg.classes.len());
-    for class in &cfg.classes {
-        let mut pool = Vec::with_capacity(cfg.sessions_per_class);
-        for _ in 0..cfg.sessions_per_class {
-            let client = gateway.session()?;
-            let template = Template::build(&client, class.shape, class.elems)?;
-            pool.push((client, template));
-        }
-        pools.push(pool);
-    }
-    let dev = pools[0][0].0.device().clone();
-    let telemetry = dev.telemetry().clone();
-    let _armed = EnabledGuard {
-        telemetry: &telemetry,
+    let telemetry = target.telemetry().clone();
+    let armed = Armed {
         prev: telemetry.is_enabled(),
+        target,
     };
-    telemetry.set_enabled(true);
+    armed.target.set_armed(true);
+    let target = &mut *armed.target;
+
+    // One lane per (class, session). Opening them allocates every tensor
+    // the run will touch; injection itself only clones instruction
+    // vectors.
+    for class in &cfg.classes {
+        for _ in 0..cfg.sessions_per_class {
+            target.open_lane(class)?;
+        }
+    }
 
     let profiles: Vec<ArrivalProfile> = cfg.classes.iter().map(|c| c.profile).collect();
     let schedule = build_schedule(&profiles, cfg.seed, cfg.horizon_cycles);
@@ -338,28 +314,26 @@ pub fn run(gateway: &Gateway, cfg: &LoadgenConfig) -> Result<RunReport> {
     let failed_c = metrics.counter("loadgen.failed");
     let over_target_c = metrics.counter("loadgen.over_target");
     let latency_h = metrics.histogram("loadgen.latency_cycles");
-    let queue_wait_h = metrics.histogram("serve.queue_wait_cycles");
-    let base_latency = latency_h.state();
-    let base_queue_wait = queue_wait_h.state();
+    let own_h = metrics.histogram(target.histogram());
+    let (base_latency, base_own) = (latency_h.state(), own_h.state());
 
     let mut sampler = WindowSampler::new(cfg.window_cycles);
     sampler.watch_histogram("loadgen.latency_cycles", &latency_h);
-    sampler.watch_histogram("serve.queue_wait_cycles", &queue_wait_h);
-    let mut tracks = TrackSet::new(&telemetry);
+    sampler.watch_histogram(target.histogram(), &own_h);
 
     let parker = std::sync::Arc::new(Parker::new());
     let waker = Waker::from(parker.clone());
     let mut cx = Context::from_waker(&waker);
 
-    let start = telemetry.now();
+    let start = target.begin()?;
     let horizon_end = start + cfg.horizon_cycles;
-    let mut pending: Vec<Pending> = Vec::new();
+    let mut pending: Vec<Pending<T::Stamp>> = Vec::new();
     let mut next = 0usize;
     let (mut injected, mut completed, mut completed_in_horizon, mut failed, mut over_target) =
         (0u64, 0u64, 0u64, 0u64, 0u64);
 
     loop {
-        let now = telemetry.now();
+        let now = target.now();
 
         // Inject every arrival due by the current modeled time. Late
         // injection (now past the scheduled cycle because execution
@@ -369,28 +343,36 @@ pub fn run(gateway: &Gateway, cfg: &LoadgenConfig) -> Result<RunReport> {
         while next < schedule.len() && start + schedule[next].cycle <= now {
             let a = schedule[next];
             next += 1;
-            let (client, template) = &pools[a.class][a.seq as usize % cfg.sessions_per_class];
-            let fut = client.submit(template.instrs.clone());
             injected += 1;
             injected_c.inc();
-            pending.push(Pending {
-                fut,
-                scheduled: start + a.cycle,
-            });
+            let lane = a.class * cfg.sessions_per_class + a.seq as usize % cfg.sessions_per_class;
+            match target.submit(lane)? {
+                Some((fut, stamp)) => pending.push(Pending {
+                    fut,
+                    stamp,
+                    lane,
+                    scheduled: start + a.cycle,
+                    reissues: 0,
+                }),
+                None => {
+                    failed += 1;
+                    failed_c.inc();
+                }
+            }
         }
 
         // Close windows as the clock crosses boundaries.
         if sampler.ready(now) {
-            let width = sampler.window_cycles();
-            sampler.sample(now, dev.metrics_snapshot()?);
-            tracks.flush(&dev, now, width)?;
+            sampler.sample(now, target.snapshot()?);
+            target.record_tracks(now)?;
         }
 
         if pending.is_empty() {
             match schedule.get(next) {
                 // Idle: jump the clock to the next arrival, but stop at
                 // window boundaries on the way so the series keeps its
-                // grid resolution across idle gaps.
+                // grid resolution across idle gaps (and a fleet's next
+                // `now` fires the faults that became due in the jump).
                 Some(a) => {
                     let boundary = (now / cfg.window_cycles + 1) * cfg.window_cycles;
                     telemetry.advance_clock((start + a.cycle).min(boundary));
@@ -404,40 +386,63 @@ pub fn run(gateway: &Gateway, cfg: &LoadgenConfig) -> Result<RunReport> {
             break; // Abandon outstanding work: saturated sweep points end.
         }
 
-        // Poll the in-flight set in admission order. On a single chip
-        // each poll executes queued groups inline, so this sweep both
-        // advances the modeled clock and retires requests.
+        // Sweep the in-flight set in admission order (crate docs). On a
+        // single chip each poll executes queued groups inline, so this
+        // sweep both advances the modeled clock and retires requests.
         let mut progressed = false;
-        pending.retain_mut(|p| match Pin::new(&mut p.fut).poll(&mut cx) {
-            Poll::Pending => true,
-            Poll::Ready(res) => {
-                progressed = true;
-                // The slot's completion stamp, not the clock at poll
-                // time: one pump can drain many groups before this sweep
-                // resumes, and the clock has then moved past all of them.
-                let done_at = p.fut.completed_at().unwrap_or_else(|| telemetry.now());
-                let lat = done_at.saturating_sub(p.scheduled);
-                match res {
-                    Ok(()) => {
-                        latency_h.record(lat);
-                        completed += 1;
-                        completed_c.inc();
-                        if done_at <= horizon_end {
-                            completed_in_horizon += 1;
-                        }
-                        if cfg.latency_target_cycles > 0 && lat > cfg.latency_target_cycles {
-                            over_target += 1;
-                            over_target_c.inc();
-                        }
-                    }
-                    Err(_) => {
+        let mut i = 0;
+        while i < pending.len() {
+            let Poll::Ready(res) = Pin::new(&mut pending[i].fut).poll(&mut cx) else {
+                i += 1;
+                continue;
+            };
+            progressed = true;
+            let p = pending.remove(i);
+            if target.must_reissue(p.lane, &p.stamp, &res) {
+                let again = if p.reissues < MAX_REISSUES {
+                    target.submit(p.lane)?
+                } else {
+                    None
+                };
+                match again {
+                    Some((fut, stamp)) => pending.push(Pending {
+                        fut,
+                        stamp,
+                        reissues: p.reissues + 1,
+                        ..p
+                    }),
+                    None => {
                         failed += 1;
                         failed_c.inc();
                     }
                 }
-                false
+                continue;
             }
-        });
+            match res {
+                Ok(()) => {
+                    // The slot's completion stamp, not the clock at poll
+                    // time: one pump can drain many groups before this
+                    // sweep resumes, and the clock has then moved past
+                    // all of them.
+                    let done_at = p.fut.completed_at().unwrap_or_else(|| telemetry.now());
+                    let lat = done_at.saturating_sub(p.scheduled);
+                    latency_h.record(lat);
+                    completed += 1;
+                    completed_c.inc();
+                    if done_at <= horizon_end {
+                        completed_in_horizon += 1;
+                    }
+                    if cfg.latency_target_cycles > 0 && lat > cfg.latency_target_cycles {
+                        over_target += 1;
+                        over_target_c.inc();
+                    }
+                }
+                Err(_) => {
+                    failed += 1;
+                    failed_c.inc();
+                }
+            }
+        }
 
         if !progressed {
             // Cluster-only path: work is on shard threads and nothing
@@ -448,12 +453,11 @@ pub fn run(gateway: &Gateway, cfg: &LoadgenConfig) -> Result<RunReport> {
     }
 
     // Close the partial tail window so the series covers the whole run.
-    let end_cycle = telemetry.now();
+    let end_cycle = target.now();
     let tail_start = sampler.last().map_or(start, |w| w.end);
     if end_cycle > tail_start {
-        let width = sampler.window_cycles();
-        sampler.sample(end_cycle, dev.metrics_snapshot()?);
-        tracks.flush(&dev, end_cycle, width)?;
+        sampler.sample(end_cycle, target.snapshot()?);
+        target.record_tracks(end_cycle)?;
     }
 
     let horizon_secs = cfg.horizon_cycles as f64 / MODELED_CYCLES_PER_SEC;
@@ -470,7 +474,125 @@ pub fn run(gateway: &Gateway, cfg: &LoadgenConfig) -> Result<RunReport> {
         offered_rps: injected as f64 / horizon_secs,
         achieved_rps: completed_in_horizon as f64 / horizon_secs,
         latency: latency_h.state().since(&base_latency).summary(),
-        queue_wait: queue_wait_h.state().since(&base_queue_wait).summary(),
+        queue_wait: own_h.state().since(&base_own).summary(),
         windows: sampler.samples().cloned().collect(),
     })
+}
+
+/// A [`Gateway`] as a load target: lanes are plain sessions, a placement
+/// never moves, so no result is ever discarded.
+struct GatewayTarget<'a> {
+    gateway: &'a Gateway,
+    lanes: Vec<(ClusterClient, Template)>,
+    /// Gauge tracks recorded at each window close.
+    queue_depth: CounterHandle,
+    in_flight: CounterHandle,
+    /// Per shard: its utilization track and its profiler cycles when the
+    /// last window closed (the run's start for the first).
+    shards: Vec<(CounterHandle, u64)>,
+    /// Modeled cycle the last window closed at.
+    prev_at: u64,
+}
+
+impl LoadTarget for GatewayTarget<'_> {
+    type Stamp = ();
+
+    fn telemetry(&self) -> &Telemetry {
+        self.gateway.telemetry()
+    }
+
+    fn set_armed(&self, on: bool) {
+        self.telemetry().set_enabled(on);
+    }
+
+    fn open_lane(&mut self, class: &ClassSpec) -> Result<()> {
+        let client = self.gateway.session()?;
+        let template = Template::build(&client, class.shape, class.elems)?;
+        self.lanes.push((client, template));
+        Ok(())
+    }
+
+    fn histogram(&self) -> &'static str {
+        "serve.queue_wait_cycles"
+    }
+
+    fn begin(&mut self) -> Result<u64> {
+        // Utilization is a delta: whatever the shards ran before this run
+        // (an earlier run on the same gateway) is not the first window's.
+        if let Some(stats) = self.gateway.device().cluster_stats()? {
+            for s in &stats.shards {
+                let track = format!("shard{}/util", s.shard);
+                let track = self.telemetry().counter_track(&track);
+                self.shards.push((track, s.profiler.cycles));
+            }
+        }
+        self.prev_at = self.now();
+        Ok(self.prev_at)
+    }
+
+    fn now(&self) -> u64 {
+        self.telemetry().now()
+    }
+
+    fn submit(&mut self, lane: usize) -> Result<Option<(ExecFuture, ())>> {
+        let (client, template) = &self.lanes[lane];
+        Ok(Some((client.submit(template.instrs.clone()), ())))
+    }
+
+    fn must_reissue(&mut self, _lane: usize, _stamp: &(), _result: &Result<()>) -> bool {
+        false
+    }
+
+    fn snapshot(&self) -> Result<MetricsSnapshot> {
+        self.gateway.device().metrics_snapshot()
+    }
+
+    fn record_tracks(&mut self, at: u64) -> Result<()> {
+        let metrics = self.telemetry().metrics();
+        self.queue_depth
+            .record(at, metrics.gauge("serve.queue_depth").get() as f64);
+        self.in_flight
+            .record(at, metrics.gauge("serve.in_flight").get() as f64);
+        if let Some(stats) = self.gateway.device().cluster_stats()? {
+            // A window closes late when an execution jump crosses its
+            // boundary, so the share is of the cycles it really spanned.
+            let span = at.saturating_sub(self.prev_at).max(1) as f64;
+            for (s, (util, prev)) in stats.shards.iter().zip(&mut self.shards) {
+                let delta = s.profiler.cycles.saturating_sub(*prev);
+                *prev = s.profiler.cycles;
+                util.record(at, 100.0 * delta as f64 / span);
+            }
+        }
+        self.prev_at = at;
+        Ok(())
+    }
+}
+
+/// Runs one open-loop load against `gateway` (see the crate docs for the
+/// loop's semantics, poll order and determinism guarantees).
+///
+/// Overload studies should build the gateway with
+/// `max_queue_depth: 0` (unbounded session queues): with the default
+/// bounded queues, offered load beyond the bound fast-fails with
+/// `Overloaded` instead of queueing, and the run measures admission-loss
+/// rather than queueing collapse.
+///
+/// # Errors
+///
+/// Fails on an empty/zero config, on session or template setup errors
+/// (e.g. warp space too small for `classes × sessions_per_class`
+/// windows), or if a stats snapshot fails mid-run. Individual request
+/// failures do **not** fail the run — they count into
+/// [`RunReport::failed`].
+pub fn run(gateway: &Gateway, cfg: &LoadgenConfig) -> Result<RunReport> {
+    let telemetry = gateway.telemetry();
+    let mut target = GatewayTarget {
+        gateway,
+        lanes: Vec::new(),
+        queue_depth: telemetry.counter_track("serve/queue_depth"),
+        in_flight: telemetry.counter_track("serve/in_flight"),
+        shards: Vec::new(),
+        prev_at: 0,
+    };
+    drive(&mut target, cfg)
 }

@@ -1,37 +1,21 @@
-//! The open-loop driver for a multi-host [`Fleet`]: the same injection
-//! semantics as [`run`](crate::run) — arrivals fire at their scheduled
-//! modeled cycles whether or not earlier requests finished — but sessions
-//! are fleet placements that *move* when their host crashes, stalls past
-//! the lease, or partitions away.
+//! A multi-host [`Fleet`] as a load target for the open loop in
+//! [`driver`](crate::driver): lanes are fleet placements that *move* when
+//! their host crashes, stalls past the lease, or partitions away.
 //!
-//! The driver owns the staleness protocol end to end: every completion is
-//! checked against the placement generation it was submitted under, and a
-//! result from a failed-over placement is discarded (even a successful
-//! one — its session died mid-flight) and the request re-issued against
-//! the new placement with its *original* scheduled cycle, so measured
-//! latency includes the full failover detection and re-placement delay.
-//!
-//! With the default functional single-chip hosts the whole run executes
-//! inline on the driving thread, so one seed plus one fault schedule
-//! reproduces bit-identical reports — the property the failover proptests
-//! and the chaos CI step lean on.
+//! Every completion goes through the fleet's one staleness rule,
+//! [`FleetSession::must_reissue`]: a result from a failed-over placement
+//! is discarded (even a successful one — its session died mid-flight) and
+//! the request re-issued against the new placement with its *original*
+//! scheduled cycle, so measured latency includes the full failover
+//! detection and re-placement delay.
 
-use crate::driver::{LoadgenConfig, Parker, MODELED_CYCLES_PER_SEC};
-use crate::profile::{build_schedule, ArrivalProfile};
+use crate::driver::{drive, ClassSpec, LoadTarget, LoadgenConfig};
 use crate::shape::{RequestShape, Template};
 use pim_fleet::{Fleet, FleetSession, FleetStats};
 use pim_serve::{ClusterClient, ExecFuture};
-use pim_telemetry::{HistogramSnapshot, WindowSample, WindowSampler};
-use pypim_core::{CoreError, ErrorClass, Result};
-use std::future::Future;
-use std::pin::Pin;
+use pim_telemetry::{CounterHandle, HistogramSnapshot, MetricsSnapshot, Telemetry, WindowSample};
+use pypim_core::{CoreError, Result};
 use std::sync::Arc;
-use std::task::{Context, Poll, Waker};
-use std::time::Duration;
-
-/// Times one arrival is re-issued after a failover discard or transient
-/// placement failure before it counts as failed.
-const MAX_REISSUES: u32 = 8;
 
 /// What one open-loop fleet run produced: the load-side totals plus the
 /// control-plane activity (elections, failovers, re-issues) the run
@@ -87,65 +71,122 @@ impl FleetRunReport {
     }
 }
 
-/// One (class, session) pool entry: the fleet placement plus the replay
-/// template built against its *current* client, rebuilt whenever the
-/// placement generation moves.
-struct PoolEntry {
+/// One fleet lane: the placement plus the replay template built against
+/// its *current* client, rebuilt whenever the placement generation moves.
+struct Lane {
     session: FleetSession,
-    client: Option<Arc<ClusterClient>>,
-    template: Option<Template>,
+    /// The current placement's client and the template bound to it;
+    /// `None` once the session is evicted with nowhere to go.
+    bound: Option<(Arc<ClusterClient>, Template)>,
     generation: u64,
     shape: RequestShape,
     elems: usize,
 }
 
-impl PoolEntry {
+impl Lane {
     /// Re-binds the template to the session's current placement if it
-    /// moved; returns `false` once the session is evicted for good.
-    fn refresh(&mut self) -> Result<bool> {
+    /// moved, and hands that placement back; `None` once the session is
+    /// evicted for good.
+    fn placement(&mut self) -> Result<Option<&(Arc<ClusterClient>, Template)>> {
         let generation = self.session.generation();
-        if self.template.is_some() && generation == self.generation {
-            return Ok(true);
+        if self.bound.is_none() || generation != self.generation {
+            self.bound = match self.session.client() {
+                Some(client) => {
+                    let template = Template::build(&client, self.shape, self.elems)?;
+                    self.generation = generation;
+                    Some((client, template))
+                }
+                None => None,
+            };
         }
-        match self.session.client() {
-            Some(client) => {
-                self.template = Some(Template::build(&client, self.shape, self.elems)?);
-                self.client = Some(client);
-                self.generation = generation;
-                Ok(true)
-            }
-            None => {
-                self.template = None;
-                self.client = None;
-                Ok(false)
-            }
-        }
+        Ok(self.bound.as_ref())
     }
 }
 
-struct Pending {
-    fut: ExecFuture,
-    /// Keeps the submission's session alive even if the pool entry has
-    /// already re-bound to a new placement.
-    _client: Arc<ClusterClient>,
-    scheduled: u64,
-    class: usize,
-    pool: usize,
+/// What an attempt remembers: the generation it was submitted under, and
+/// its client — which keeps the submission's session alive even if the
+/// lane has already re-bound to a new placement.
+struct Stamp {
     generation: u64,
-    reissues: u32,
+    _client: Arc<ClusterClient>,
 }
 
-/// Restores the fleet-wide telemetry arming on drop (the run needs it on
-/// so execution charges the modeled clock; a caller that had it off gets
-/// it back off even on error paths).
-struct FleetEnabledGuard<'a> {
+/// A [`Fleet`] as a load target.
+struct FleetTarget<'a> {
     fleet: &'a Fleet,
-    prev: bool,
+    lanes: Vec<Lane>,
+    base_stats: FleetStats,
+    live_hosts: CounterHandle,
 }
 
-impl Drop for FleetEnabledGuard<'_> {
-    fn drop(&mut self) {
-        self.fleet.set_telemetry_enabled(self.prev);
+impl LoadTarget for FleetTarget<'_> {
+    type Stamp = Stamp;
+
+    fn telemetry(&self) -> &Telemetry {
+        self.fleet.telemetry()
+    }
+
+    fn set_armed(&self, on: bool) {
+        self.fleet.set_telemetry_enabled(on);
+    }
+
+    fn open_lane(&mut self, class: &ClassSpec) -> Result<()> {
+        let mut lane = Lane {
+            session: self.fleet.session()?,
+            bound: None,
+            generation: 0,
+            shape: class.shape,
+            elems: class.elems,
+        };
+        if lane.placement()?.is_none() {
+            return Err(CoreError::Evicted {
+                session: lane.session.id(),
+            });
+        }
+        self.lanes.push(lane);
+        Ok(())
+    }
+
+    fn histogram(&self) -> &'static str {
+        "fleet.failover_cycles"
+    }
+
+    fn begin(&mut self) -> Result<u64> {
+        self.base_stats = self.fleet.stats();
+        Ok(self.now())
+    }
+
+    /// One control-plane step: due faults fire, heartbeats renew, lapsed
+    /// hosts fail over (moving their lanes' placements).
+    fn now(&self) -> u64 {
+        self.fleet.tick_now()
+    }
+
+    fn submit(&mut self, lane: usize) -> Result<Option<(ExecFuture, Stamp)>> {
+        let lane = &mut self.lanes[lane];
+        let Some((client, template)) = lane.placement()? else {
+            return Ok(None);
+        };
+        let fut = client.submit(template.instrs.clone());
+        let stamp = Stamp {
+            _client: Arc::clone(client),
+            generation: lane.generation,
+        };
+        Ok(Some((fut, stamp)))
+    }
+
+    fn must_reissue(&mut self, lane: usize, stamp: &Stamp, result: &Result<()>) -> bool {
+        let session = &self.lanes[lane].session;
+        session.must_reissue(stamp.generation, result)
+    }
+
+    fn snapshot(&self) -> Result<MetricsSnapshot> {
+        self.fleet.metrics_snapshot()
+    }
+
+    fn record_tracks(&mut self, at: u64) -> Result<()> {
+        self.live_hosts.record(at, self.fleet.live_hosts() as f64);
+        Ok(())
     }
 }
 
@@ -159,331 +200,39 @@ impl Drop for FleetEnabledGuard<'_> {
 /// because every host died — do **not** fail the run; they count into
 /// [`FleetRunReport::failed`].
 pub fn run_fleet(fleet: &Fleet, cfg: &LoadgenConfig) -> Result<FleetRunReport> {
-    let invalid = |reason: &str| CoreError::Protocol {
-        reason: format!("loadgen config: {reason}"),
-    };
-    if cfg.classes.is_empty() {
-        return Err(invalid("no traffic classes"));
-    }
-    if cfg.sessions_per_class == 0 {
-        return Err(invalid("sessions_per_class must be at least 1"));
-    }
-    if cfg.horizon_cycles == 0 || cfg.window_cycles == 0 {
-        return Err(invalid("horizon_cycles and window_cycles must be nonzero"));
-    }
-
-    let telemetry = fleet.telemetry().clone();
-    let _armed = FleetEnabledGuard {
+    let mut target = FleetTarget {
         fleet,
-        prev: telemetry.is_enabled(),
+        lanes: Vec::new(),
+        base_stats: FleetStats::default(),
+        live_hosts: fleet.telemetry().counter_track("fleet/live_hosts"),
     };
-    fleet.set_telemetry_enabled(true);
-
-    // Session pools, one per class; templates bind to the initial
-    // placements here and re-bind on failover.
-    let mut pools: Vec<Vec<PoolEntry>> = Vec::with_capacity(cfg.classes.len());
-    for class in &cfg.classes {
-        let mut pool = Vec::with_capacity(cfg.sessions_per_class);
-        for _ in 0..cfg.sessions_per_class {
-            let mut entry = PoolEntry {
-                session: fleet.session()?,
-                client: None,
-                template: None,
-                generation: 0,
-                shape: class.shape,
-                elems: class.elems,
-            };
-            if !entry.refresh()? {
-                return Err(CoreError::Evicted {
-                    session: entry.session.id(),
-                });
-            }
-            pool.push(entry);
-        }
-        pools.push(pool);
-    }
-
-    let profiles: Vec<ArrivalProfile> = cfg.classes.iter().map(|c| c.profile).collect();
-    let schedule = build_schedule(&profiles, cfg.seed, cfg.horizon_cycles);
-
-    let metrics = telemetry.metrics();
-    let injected_c = metrics.counter("loadgen.injected");
-    let completed_c = metrics.counter("loadgen.completed");
-    let failed_c = metrics.counter("loadgen.failed");
-    let reissued_c = metrics.counter("fleet.reissued");
-    let latency_h = metrics.histogram("loadgen.latency_cycles");
-    let failover_h = metrics.histogram("fleet.failover_cycles");
-    let base_latency = latency_h.state();
-    let base_failover = failover_h.state();
-    let base_stats = fleet.stats();
-    let base_reissued = reissued_c.get();
-
-    let mut sampler = WindowSampler::new(cfg.window_cycles);
-    sampler.watch_histogram("loadgen.latency_cycles", &latency_h);
-    sampler.watch_histogram("fleet.failover_cycles", &failover_h);
-    let live_track = telemetry.counter_track("fleet/live_hosts");
-
-    let parker = Arc::new(Parker::new());
-    let waker = Waker::from(parker.clone());
-    let mut cx = Context::from_waker(&waker);
-
-    let start = fleet.tick_now();
-    let horizon_end = start + cfg.horizon_cycles;
-    let mut pending: Vec<Pending> = Vec::new();
-    let mut next = 0usize;
-    let (mut injected, mut completed, mut completed_in_horizon, mut failed) =
-        (0u64, 0u64, 0u64, 0u64);
-
-    // Submits one attempt for (class, pool) or returns false if the
-    // session is evicted with nowhere to go.
-    let submit = |pools: &mut Vec<Vec<PoolEntry>>,
-                  pending: &mut Vec<Pending>,
-                  class: usize,
-                  pool: usize,
-                  scheduled: u64,
-                  reissues: u32|
-     -> Result<bool> {
-        let entry = &mut pools[class][pool];
-        if !entry.refresh()? {
-            return Ok(false);
-        }
-        let client = entry.client.as_ref().expect("refreshed entry").clone();
-        let template = entry.template.as_ref().expect("refreshed entry");
-        let fut = client.submit(template.instrs.clone());
-        pending.push(Pending {
-            fut,
-            _client: client,
-            scheduled,
-            class,
-            pool,
-            generation: entry.generation,
-            reissues,
-        });
-        Ok(true)
+    let run = drive(&mut target, cfg)?;
+    let (end, base) = (fleet.stats(), target.base_stats);
+    let stats = FleetStats {
+        leader_changes: end.leader_changes - base.leader_changes,
+        failovers: end.failovers - base.failovers,
+        orphaned_sessions: end.orphaned_sessions - base.orphaned_sessions,
+        reissued: end.reissued - base.reissued,
+        heartbeats: end.heartbeats - base.heartbeats,
+        sessions: end.sessions - base.sessions,
     };
-
-    loop {
-        // Every iteration starts with one control-plane step: due faults
-        // fire, heartbeats renew, lapsed hosts fail over (moving their
-        // pool entries' placements).
-        let now = fleet.tick_now();
-
-        // Inject every arrival due by the current modeled time.
-        while next < schedule.len() && start + schedule[next].cycle <= now {
-            let a = schedule[next];
-            next += 1;
-            injected += 1;
-            injected_c.inc();
-            let pool = a.seq as usize % cfg.sessions_per_class;
-            if !submit(&mut pools, &mut pending, a.class, pool, start + a.cycle, 0)? {
-                failed += 1;
-                failed_c.inc();
-            }
-        }
-
-        if sampler.ready(now) {
-            sampler.sample(now, fleet.metrics_snapshot()?);
-            if telemetry.is_enabled() {
-                live_track.record(now, fleet.live_hosts() as f64);
-            }
-        }
-
-        if pending.is_empty() {
-            match schedule.get(next) {
-                Some(a) => {
-                    // Idle: jump to the next arrival, stopping at window
-                    // boundaries (and letting tick_now fire any faults
-                    // that became due during the jump).
-                    let boundary = (now / cfg.window_cycles + 1) * cfg.window_cycles;
-                    telemetry.advance_clock((start + a.cycle).min(boundary));
-                    continue;
-                }
-                None => break,
-            }
-        }
-
-        if !cfg.drain && next >= schedule.len() && now >= horizon_end {
-            break;
-        }
-
-        // Poll the in-flight set; completions are validated against the
-        // placement generation they were submitted under.
-        let mut progressed = false;
-        let mut i = 0;
-        while i < pending.len() {
-            match Pin::new(&mut pending[i].fut).poll(&mut cx) {
-                Poll::Pending => i += 1,
-                Poll::Ready(res) => {
-                    progressed = true;
-                    let p = pending.swap_remove(i);
-                    fleet.tick_now();
-                    let stale = pools[p.class][p.pool].session.generation() != p.generation;
-                    let transient = matches!(&res, Err(e) if e.class() == ErrorClass::Transient);
-                    if stale || transient {
-                        // A stale result (even a successful one) is from
-                        // a dead placement; a transient error means the
-                        // placement itself went bad — move it.
-                        reissued_c.inc();
-                        if transient && !stale {
-                            pools[p.class][p.pool].session.migrate();
-                        }
-                        if p.reissues >= MAX_REISSUES
-                            || !submit(
-                                &mut pools,
-                                &mut pending,
-                                p.class,
-                                p.pool,
-                                p.scheduled,
-                                p.reissues + 1,
-                            )?
-                        {
-                            failed += 1;
-                            failed_c.inc();
-                        }
-                        continue;
-                    }
-                    match res {
-                        Ok(()) => {
-                            let done_at = p.fut.completed_at().unwrap_or_else(|| telemetry.now());
-                            latency_h.record(done_at.saturating_sub(p.scheduled));
-                            completed += 1;
-                            completed_c.inc();
-                            if done_at <= horizon_end {
-                                completed_in_horizon += 1;
-                            }
-                        }
-                        Err(_) => {
-                            failed += 1;
-                            failed_c.inc();
-                        }
-                    }
-                }
-            }
-        }
-
-        if !progressed {
-            parker.park_timeout(Duration::from_micros(200));
-        }
-    }
-
-    // Close the partial tail window.
-    let end_cycle = fleet.tick_now();
-    let tail_start = sampler.last().map_or(start, |w| w.end);
-    if end_cycle > tail_start {
-        sampler.sample(end_cycle, fleet.metrics_snapshot()?);
-        if telemetry.is_enabled() {
-            live_track.record(end_cycle, fleet.live_hosts() as f64);
-        }
-    }
-
-    let end_stats = fleet.stats();
-    let horizon_secs = cfg.horizon_cycles as f64 / MODELED_CYCLES_PER_SEC;
     Ok(FleetRunReport {
-        seed: cfg.seed,
-        horizon_cycles: cfg.horizon_cycles,
-        window_cycles: cfg.window_cycles,
-        injected,
-        completed,
-        completed_in_horizon,
-        failed,
-        reissued: reissued_c.get() - base_reissued,
-        end_cycle,
-        offered_rps: injected as f64 / horizon_secs,
-        achieved_rps: completed_in_horizon as f64 / horizon_secs,
-        latency: latency_h.state().since(&base_latency).summary(),
-        failover_cycles: failover_h.state().since(&base_failover).summary(),
-        fleet: FleetStats {
-            leader_changes: end_stats.leader_changes - base_stats.leader_changes,
-            failovers: end_stats.failovers - base_stats.failovers,
-            orphaned_sessions: end_stats.orphaned_sessions - base_stats.orphaned_sessions,
-            reissued: end_stats.reissued - base_stats.reissued,
-            heartbeats: end_stats.heartbeats - base_stats.heartbeats,
-            sessions: end_stats.sessions - base_stats.sessions,
-        },
-        windows: sampler.samples().cloned().collect(),
-    })
-}
-
-/// One operating point of a fleet latency-vs-load sweep.
-#[derive(Debug, Clone)]
-pub struct FleetSweepPoint {
-    /// Rate multiplier this point ran at.
-    pub factor: f64,
-    /// Offered load, requests per modeled second.
-    pub offered_rps: f64,
-    /// Achieved goodput, requests per modeled second.
-    pub achieved_rps: f64,
-    /// Whole-run latency p99 (modeled cycles).
-    pub p99_cycles: u64,
-    /// Failovers the fault schedule provoked at this point.
-    pub failovers: u64,
-    /// Attempts discarded and re-issued at this point.
-    pub reissued: u64,
-    /// Requests that failed at this point.
-    pub failed: u64,
-}
-
-/// Result of [`latency_vs_load_fleet`].
-#[derive(Debug, Clone)]
-pub struct FleetSweepReport {
-    /// Operating points, in the order swept.
-    pub points: Vec<FleetSweepPoint>,
-    /// Highest offered load still achieving ≥ 95% goodput across the
-    /// sweep's fault schedule — the *degraded* knee.
-    pub knee_rps: f64,
-    /// Failover detection p99 (modeled cycles) at the highest-load point
-    /// that observed a failover.
-    pub failover_p99_cycles: u64,
-}
-
-/// Sweeps offered load across `factors`, building a **fresh** fleet per
-/// point (so fault schedules and queues restart), and derives the
-/// degraded knee and the failover-detection p99 the serving benches
-/// publish.
-///
-/// # Errors
-///
-/// As [`run_fleet`]; the first failing point aborts the sweep.
-pub fn latency_vs_load_fleet(
-    mut make_fleet: impl FnMut() -> Result<Fleet>,
-    base: &LoadgenConfig,
-    factors: &[f64],
-) -> Result<FleetSweepReport> {
-    let mut points = Vec::with_capacity(factors.len());
-    let mut failover_p99_cycles = 0;
-    for &factor in factors {
-        let fleet = make_fleet()?;
-        let cfg = base.scaled(factor);
-        let report = run_fleet(&fleet, &cfg)?;
-        if report.failover_cycles.count > 0 {
-            failover_p99_cycles = report.failover_cycles.p99;
-        }
-        points.push(FleetSweepPoint {
-            factor,
-            offered_rps: report.offered_rps,
-            achieved_rps: report.achieved_rps,
-            p99_cycles: report.latency.p99,
-            failovers: report.fleet.failovers,
-            reissued: report.reissued,
-            failed: report.failed,
-        });
-    }
-    let knee_rps = points
-        .iter()
-        .filter(|p| p.offered_rps > 0.0 && p.achieved_rps / p.offered_rps >= 0.95)
-        .map(|p| p.offered_rps)
-        .fold(0.0_f64, f64::max);
-    let knee_rps = if knee_rps > 0.0 {
-        knee_rps
-    } else {
-        points
-            .iter()
-            .map(|p| p.achieved_rps)
-            .fold(0.0_f64, f64::max)
-    };
-    Ok(FleetSweepReport {
-        points,
-        knee_rps,
-        failover_p99_cycles,
+        seed: run.seed,
+        horizon_cycles: run.horizon_cycles,
+        window_cycles: run.window_cycles,
+        injected: run.injected,
+        completed: run.completed,
+        completed_in_horizon: run.completed_in_horizon,
+        failed: run.failed,
+        reissued: stats.reissued,
+        end_cycle: run.end_cycle,
+        offered_rps: run.offered_rps,
+        achieved_rps: run.achieved_rps,
+        latency: run.latency,
+        // The fleet target's own histogram is the failover detection
+        // latency, not a queue wait.
+        failover_cycles: run.queue_wait,
+        fleet: stats,
+        windows: run.windows,
     })
 }

@@ -26,22 +26,37 @@
 //! queue-wait p99 diverges), and the p99 at the ~70%-of-peak healthy
 //! operating point — the `open_loop_*` rows of `BENCH_serve.json`.
 //!
-//! [`run_fleet`] drives the same open loop against a multi-host
-//! [`pim_fleet::Fleet`]: sessions are fleet placements that move on
-//! failover, stale completions are discarded and re-issued against the
-//! new placement, and the report carries the control-plane activity
-//! (elections, failovers, re-issues) the fault schedule provoked.
-//! [`latency_vs_load_fleet`] sweeps it — the `fleet_*` rows of
-//! `BENCH_serve.json`.
+//! [`run_fleet`] drives a multi-host [`pim_fleet::Fleet`] — not "the same
+//! open loop" re-written but the same function: [`run`] and [`run_fleet`]
+//! both end in one inject-poll-window loop, over a crate-private
+//! `LoadTarget` with two thin implementations. A fleet's lanes are
+//! placements that move on failover; every completion goes through the
+//! fleet's one staleness rule ([`pim_fleet::FleetSession::must_reissue`]),
+//! a discarded attempt is re-issued against the new placement at most
+//! [`pim_fleet::MAX_REISSUES`] times, and the report carries the
+//! control-plane activity (elections, failovers, re-issues) the fault
+//! schedule provoked. A fault-free one-host fleet run *is* the gateway
+//! run, shifted by the hop cycles its session placements cost.
+//!
+//! ## Poll order
+//!
+//! The in-flight set is swept in **admission order**, for every target: a
+//! re-issued attempt joins at the back and a finished one leaves without
+//! reordering the rest. On a single chip a poll executes queued groups
+//! inline, so the sweep order decides which request a tied modeled cycle
+//! is charged to; oldest-first is the order a FIFO server retires
+//! requests in, and it keeps a report a function of the seed alone.
 //!
 //! ## Determinism
 //!
 //! Arrival schedules are materialized from the seed before the run
-//! starts, and on a **single-chip** device every future resolves inline
-//! on the driving thread, so the same seed produces bit-identical
-//! reports (including the SLO JSON). Multi-chip clusters execute on
-//! worker threads: reports there are statistically stable, not
-//! bit-reproducible.
+//! starts, and on **single-chip** devices (a gateway over one, or a fleet
+//! of default hosts) every future resolves inline on the driving thread
+//! and the modeled clock advances only through execution and the loop's
+//! idle jumps — so the same seed (plus, for a fleet, the same fault
+//! schedule) produces bit-identical reports, the SLO JSON included.
+//! Multi-chip clusters execute on worker threads: reports there are
+//! statistically stable, not bit-reproducible.
 //!
 //! ## Zero cost when unused
 //!
@@ -93,9 +108,7 @@ mod shape;
 mod slo;
 
 pub use driver::{run, ClassSpec, LoadgenConfig, RunReport, MODELED_CYCLES_PER_SEC};
-pub use fleet::{
-    latency_vs_load_fleet, run_fleet, FleetRunReport, FleetSweepPoint, FleetSweepReport,
-};
+pub use fleet::{run_fleet, FleetRunReport};
 pub use profile::{build_schedule, Arrival, ArrivalProfile};
 pub use shape::{RequestShape, Template};
 pub use slo::{latency_vs_load, run_slo, SloConfig, SloReport, SweepPoint, SweepReport, WindowSlo};
@@ -177,6 +190,49 @@ mod tests {
         Ok(())
     }
 
+    /// A gateway's shards have run before the run starts (here: an
+    /// earlier run); none of that belongs to the first window's
+    /// utilization.
+    #[test]
+    fn shard_utilization_of_a_reused_gateway_starts_at_the_run() -> Result<()> {
+        let dev = Device::cluster(PimConfig::small().with_crossbars(8), 2)?;
+        let gateway = dev.serve(ServeConfig {
+            max_queue_depth: 0,
+            ..ServeConfig::default()
+        });
+        let cfg = LoadgenConfig {
+            seed: 5,
+            horizon_cycles: 400_000,
+            window_cycles: 50_000,
+            classes: vec![ClassSpec::new(
+                "fused",
+                RequestShape::Fused,
+                ArrivalProfile::Poisson { rate: 200.0 },
+                16,
+            )],
+            ..LoadgenConfig::default()
+        };
+        let util = || -> Vec<f64> {
+            let tracks = gateway.telemetry().recorder().counter_tracks();
+            let track = tracks.iter().find(|(name, ..)| name == "shard0/util");
+            track.map_or(Vec::new(), |(_, samples, _)| {
+                samples.iter().map(|&(_, v)| v).collect()
+            })
+        };
+        run(&gateway, &cfg)?;
+        let first_run = util().len();
+        run(&gateway, &cfg)?;
+        let second = util().split_off(first_run);
+        assert!(second.len() >= 4, "{second:?}");
+        let busiest = second[1..].iter().copied().fold(0.0, f64::max);
+        assert!(
+            second[0] <= busiest,
+            "first window {} above every other window of its run {second:?}",
+            second[0]
+        );
+        Ok(())
+    }
+
     fn fleet_cfg(fault: pim_fault::HostFaultPlan) -> pim_fleet::FleetConfig {
         pim_fleet::FleetConfig {
             hosts: 2,
@@ -225,6 +281,51 @@ mod tests {
         Ok(())
     }
 
+    /// One loop drives both targets, so a fault-free one-host fleet is a
+    /// gateway with a later cycle 0: placing the sessions costs
+    /// host-to-host hop cycles before the schedule starts, and nothing
+    /// else differs — under the knee and far past it.
+    #[test]
+    fn one_host_fleet_run_equals_gateway_run() -> Result<()> {
+        let one_host = || pim_fleet::FleetConfig {
+            hosts: 1,
+            ..fleet_cfg(pim_fault::HostFaultPlan::none())
+        };
+        for factor in [1.0, 10.0] {
+            let cfg = small_cfg().scaled(factor);
+            let dev = Device::with_backend(one_host().chip, pypim_core::BackendKind::Functional)?;
+            let gateway = run(&dev.serve(one_host().serve), &cfg)?;
+            let fleet = run_fleet(&pim_fleet::Fleet::new(one_host())?, &cfg)?;
+
+            // The fleet's cycle 0: the clock once the run's sessions are
+            // placed (a fresh device's is 0).
+            let probe = pim_fleet::Fleet::new(one_host())?;
+            let lanes = cfg.classes.len() * cfg.sessions_per_class;
+            let _placed = (0..lanes)
+                .map(|_| probe.session())
+                .collect::<Result<Vec<_>>>()?;
+            let start = probe.tick_now();
+            assert!(start > 0, "placement rides the hop");
+
+            assert_eq!(
+                gateway.completed_in_horizon < gateway.injected,
+                factor > 1.0,
+                "x1 sits under the knee, x10 past it"
+            );
+            assert_eq!(fleet.injected, gateway.injected, "x{factor}");
+            assert_eq!(fleet.completed, gateway.completed, "x{factor}");
+            assert_eq!(
+                fleet.completed_in_horizon, gateway.completed_in_horizon,
+                "x{factor}"
+            );
+            assert_eq!((fleet.failed, gateway.failed), (0, 0), "x{factor}");
+            assert_eq!(fleet.latency, gateway.latency, "x{factor}");
+            assert_eq!(fleet.end_cycle - start, gateway.end_cycle, "x{factor}");
+            assert_eq!(fleet.reissued, 0);
+        }
+        Ok(())
+    }
+
     #[test]
     fn fleet_run_leader_kill_fails_over_and_still_completes() -> Result<()> {
         let fault = pim_fault::HostFaultPlan::none().crash_at(0, 100_000);
@@ -252,19 +353,18 @@ mod tests {
         base.horizon_cycles = 150_000;
         base.window_cycles = 30_000;
         base.drain = false;
-        let sweep = latency_vs_load_fleet(
-            || {
-                pim_fleet::Fleet::new(fleet_cfg(
-                    pim_fault::HostFaultPlan::none().crash_at(0, 50_000),
-                ))
-            },
-            &base,
-            &[0.5, 1.0],
-        )?;
-        assert_eq!(sweep.points.len(), 2);
-        assert!(sweep.knee_rps > 0.0);
-        assert!(sweep.points.iter().all(|p| p.failovers == 1));
-        assert!(sweep.failover_p99_cycles > 0);
+        // Two operating points, each on a fresh fleet so the fault
+        // schedule and the queues restart.
+        let mut reports = Vec::new();
+        for factor in [0.5, 1.0] {
+            let fault = pim_fault::HostFaultPlan::none().crash_at(0, 50_000);
+            let fleet = pim_fleet::Fleet::new(fleet_cfg(fault))?;
+            reports.push(run_fleet(&fleet, &base.scaled(factor))?);
+        }
+        assert!(reports[0].offered_rps < reports[1].offered_rps);
+        assert!(reports.iter().any(|r| r.achieved_rps > 0.0), "no knee");
+        assert!(reports.iter().all(|r| r.fleet.failovers == 1));
+        assert!(reports.iter().any(|r| r.failover_cycles.p99 > 0));
         Ok(())
     }
 

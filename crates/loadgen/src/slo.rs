@@ -299,10 +299,10 @@ fn queue_wait_diverges(report: &RunReport) -> bool {
         .filter(|h| h.count > 0)
         .map(|h| h.p99)
         .collect();
-    let Some(&first) = p99s.iter().find(|&&p| p > 0) else {
+    let (Some(&first), Some(&last)) = (p99s.iter().find(|&&p| p > 0), p99s.last()) else {
         return false;
     };
-    p99s.len() >= 3 && *p99s.last().expect("nonempty") >= first.saturating_mul(4)
+    p99s.len() >= 3 && last >= first.saturating_mul(4)
 }
 
 /// Sweeps offered load across `factors` (each point is `base` with every
@@ -373,7 +373,7 @@ pub fn latency_vs_load(
         .min_by(|a, b| {
             let da = (a.achieved_rps - 0.7 * peak).abs();
             let db = (b.achieved_rps - 0.7 * peak).abs();
-            da.partial_cmp(&db).expect("finite rates")
+            da.total_cmp(&db)
         })
         .map_or(0, |p| p.p99_cycles);
 

@@ -140,8 +140,8 @@ pub use pim_telemetry as telemetry;
 
 pub use pim_arch::{PimConfig, RangeMask};
 pub use pim_cluster::{
-    ClusterStats, Combine, CrossingMove, GatherTicket, GlobalWrite, Interconnect,
-    InterconnectConfig, JobSet, JobTicket, MoveCoalescer, PimCluster, ShardPlan, TrafficStats,
+    ClusterStats, CrossingMove, GatherTicket, GlobalWrite, Interconnect, InterconnectConfig,
+    JobSet, JobTicket, MoveCoalescer, PimCluster, ShardPlan, TrafficStats,
 };
 pub use pim_fleet::{Fleet, FleetConfig, FleetSession, FleetStats, Lease, LeaseStore};
 pub use pim_serve::{

@@ -8,7 +8,7 @@
 
 use futures::executor::{block_on, block_on_timeout};
 use proptest::prelude::*;
-use pypim::fleet::{Fleet, FleetConfig};
+use pypim::fleet::{Fleet, FleetConfig, MAX_REISSUES};
 use pypim::loadgen::{run_fleet, ArrivalProfile, ClassSpec, LoadgenConfig, RequestShape};
 use pypim::{
     ClusterClient, ErrorClass, HostFault, HostFaultPlan, HostFaultProfile, PimConfig, Result,
@@ -145,6 +145,34 @@ fn leader_kill_report_is_bit_identical_across_runs() {
     assert_eq!(a.latency.p99, b.latency.p99);
     assert_eq!(a.failover_cycles.p99, b.failover_cycles.p99);
     assert_eq!(a.windows, b.windows, "window series must be identical");
+}
+
+// ---------------------------------------------------------------------
+// The re-issue budget: losing every host ends the run, typed
+// ---------------------------------------------------------------------
+
+#[test]
+fn losing_every_host_mid_load_resolves_every_arrival() {
+    let plan = HostFaultPlan::none()
+        .crash_at(0, 100_000)
+        .crash_at(1, 120_000);
+    let fleet = Fleet::new(fleet_cfg(2, plan)).unwrap();
+    let report = run_fleet(&fleet, &open_loop_cfg(31)).unwrap();
+    assert_eq!(fleet.live_hosts(), 0);
+    assert_eq!(report.fleet.failovers, 2);
+    assert!(report.completed > 0, "the hosts served until they died");
+    assert!(report.failed > 0, "arrivals after the last crash must fail");
+    assert_eq!(
+        report.completed + report.failed,
+        report.injected,
+        "every arrival resolves — the run returned, nothing leaked"
+    );
+    assert!(
+        report.reissued <= u64::from(MAX_REISSUES) * report.injected,
+        "{} re-issues for {} arrivals",
+        report.reissued,
+        report.injected
+    );
 }
 
 // ---------------------------------------------------------------------
