@@ -1,9 +1,10 @@
 //! The sharded execution engine: one host-driver + simulated-chip pair per
-//! shard, each on its own worker thread, fed through batched job channels.
-//! This file holds the cluster itself — options, construction, the job
-//! channels and their supervision hook; the submodules hold the tickets
-//! clients wait on, the recovery journal, the worker loop, the one
-//! routing-and-submission path, and the statistics.
+//! shard, fed batched jobs — over a channel to the shard's own worker
+//! thread, or run on the submitting thread ([`PimCluster::inline`]). This
+//! file holds the cluster itself — options, construction, the job
+//! transports and their supervision hook; the submodules hold the tickets
+//! clients wait on, the recovery journal, the shard state and its one job
+//! executor, the one routing-and-submission path, and the statistics.
 
 mod journal;
 mod stats;
@@ -15,7 +16,6 @@ pub use journal::RecoveryConfig;
 pub use stats::{ClusterStats, ShardStats};
 pub use submit::{GlobalLoc, GlobalWrite, TaggedBatch};
 pub use tickets::{GatherTicket, JobSet, JobTicket};
-pub use worker::execute_segment;
 
 use crate::{ClusterError, Interconnect, InterconnectConfig, ShardPlan};
 use journal::{Control, ShardJournal};
@@ -28,7 +28,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{channel, Sender};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
-use worker::{spawn_worker, Job};
+use worker::{run_job, spawn_worker, Job, ShardState};
 
 /// Which [`Backend`](pim_arch::Backend) implementation each shard runs — uniform across the
 /// cluster or selected per shard. Mixed clusters are fully supported: the
@@ -107,15 +107,39 @@ impl Default for ClusterOptions {
     }
 }
 
-/// One shard worker's supervision state. Behind a `Mutex` so the
-/// supervisor can swap in a respawned worker from any client thread
+/// One shard's supervision state: how jobs reach the shard right now —
+/// the worker's channel and thread, or, on the caller-thread transport,
+/// the [`ShardState`] itself (a job then runs under this slot's lock).
+/// Neither a channel nor a state: the shard is down. Behind a `Mutex` so
+/// the supervisor can swap in a rebuilt shard from any client thread
 /// ([`PimCluster::send`] detects death and revives in place).
+#[derive(Default)]
 struct WorkerSlot {
     tx: Option<Sender<Job>>,
     handle: Option<JoinHandle<()>>,
+    state: Option<ShardState>,
 }
 
 impl WorkerSlot {
+    /// Hands `job` to the shard over whichever transport is up, giving it
+    /// back when the shard is down.
+    fn deliver(&mut self, job: Job) -> Result<(), Job> {
+        if let Some(state) = &mut self.state {
+            if let Err(crashed) = run_job(state, job) {
+                // The shard goes down before the crashed job's reply
+                // guard reports it, as on the threaded transport.
+                self.state = None;
+                drop(crashed);
+            }
+            return Ok(());
+        }
+        match &self.tx {
+            // `SendError` hands the unsent job back.
+            Some(tx) => tx.send(job).map_err(|failed| failed.0),
+            None => Err(job),
+        }
+    }
+
     /// Joins the worker thread, if there is one and it is not the calling
     /// thread. A worker's completion wake (or a crashing worker's
     /// completion guards) can run a client's follow-up work on the worker
@@ -135,10 +159,13 @@ impl WorkerSlot {
 /// A sharded multi-chip PIM execution engine.
 ///
 /// `N` shards, each a [`Driver`] over its own chip backend (bit-accurate
-/// simulator or vectorized functional backend, per [`ShardBackends`])
-/// running on a dedicated worker thread, present one flat address space of
-/// `N × crossbars` warps. Logical instructions addressed to global warps are
-/// split along shard boundaries (see [`ShardPlan`]) and stream to all
+/// simulator or vectorized functional backend, per [`ShardBackends`]),
+/// present one flat address space of `N × crossbars` warps. A shard runs
+/// its jobs on a dedicated worker thread ([`new`](PimCluster::new),
+/// [`with_options`](PimCluster::with_options)) or on whichever thread
+/// submits them ([`inline`](PimCluster::inline)); routing, journaling,
+/// fault injection and recovery are the same code on both. Logical
+/// instructions addressed to global warps are split along shard boundaries (see [`ShardPlan`]) and stream to all
 /// affected shards concurrently; inter-warp moves that cross a chip
 /// boundary go over a modeled chip-to-chip [`Interconnect`]: crossing word
 /// pairs are batched into one message per `(source, destination)` shard
@@ -147,7 +174,8 @@ impl WorkerSlot {
 /// drain rule; see the crate-level docs).
 ///
 /// All methods take `&self`; the cluster may be driven from many client
-/// threads at once (each shard serializes its own job queue).
+/// threads at once (each shard serializes its own jobs: a FIFO channel, or
+/// its slot lock).
 ///
 /// # Example
 ///
@@ -177,10 +205,15 @@ pub struct PimCluster {
     logical_cfg: PimConfig,
     interconnect: Interconnect,
     workers: Vec<Mutex<WorkerSlot>>,
+    /// Caller-thread transport: a shard's state lives in its slot and jobs
+    /// run at [`send`](PimCluster::send) instead of on a worker thread.
+    inline: bool,
     /// Per-shard checkpoint + replay journals; `None` when recovery is
     /// disabled (no snapshot memory, no journaling work).
     journals: Vec<Option<Arc<Mutex<ShardJournal>>>>,
     telemetry: Telemetry,
+    /// Each shard's `shard-{i}` trace track (a revived shard keeps its own).
+    shard_tracks: Vec<TrackHandle>,
     /// Trace track of host-staged interconnect bursts.
     ic_track: TrackHandle,
     /// `cluster.jobs_inflight` — macro jobs queued to or executing on
@@ -242,65 +275,95 @@ impl PimCluster {
         shards: usize,
         options: ClusterOptions,
     ) -> Result<Self, ClusterError> {
-        let ClusterOptions {
-            mode,
-            interconnect: icfg,
-            telemetry,
-            recovery,
-            fault,
-            backends,
-        } = options;
+        PimCluster::build(cfg, shards, options, false)
+    }
+
+    /// [`with_options`](PimCluster::with_options) without the threads: a
+    /// job runs on the thread that submits it, before the submission
+    /// returns, so every ticket is born complete and shards execute in the
+    /// order the scheduler launches them. One client thread therefore
+    /// replays to the same counters and memory image every time, seeded
+    /// faults included; shards no longer overlap on the wall clock, and
+    /// modeled cycles are the threaded cluster's.
+    ///
+    /// # Errors
+    ///
+    /// See [`with_options`](PimCluster::with_options).
+    pub fn inline(
+        cfg: PimConfig,
+        shards: usize,
+        options: ClusterOptions,
+    ) -> Result<Self, ClusterError> {
+        PimCluster::build(cfg, shards, options, true)
+    }
+
+    fn build(
+        cfg: PimConfig,
+        shards: usize,
+        options: ClusterOptions,
+        inline: bool,
+    ) -> Result<Self, ClusterError> {
+        let (icfg, telemetry) = (options.interconnect, options.telemetry);
         icfg.validate()
             .map_err(|reason| ClusterError::InvalidInterconnect { reason })?;
-        let plan = ShardPlan::new(&cfg, shards)?;
-        let backend_kinds = backends.resolve(shards)?;
-        let logical_cfg = cfg.clone().with_crossbars(cfg.crossbars * shards);
-        let shared_cache = RoutineCache::new();
-        let mut workers = Vec::with_capacity(shards);
-        let mut journals = Vec::with_capacity(shards);
-        for (shard, &kind) in backend_kinds.iter().enumerate() {
-            let backend = AnyBackend::new(kind, cfg.clone()).map_err(|e| ClusterError::Shard {
-                shard,
-                source: DriverError::from(e),
-            })?;
-            let driver = Driver::with_cache(backend, mode, shared_cache.share());
-            let journal = recovery
-                .enabled
-                .then(|| Arc::new(Mutex::new(ShardJournal::new(&driver))));
-            let (tx, handle) = spawn_worker(
-                shard,
-                driver,
-                &telemetry,
-                journal.clone(),
-                fault.clone(),
-                recovery.clone(),
-            )?;
-            workers.push(Mutex::new(WorkerSlot {
-                tx: Some(tx),
-                handle: Some(handle),
-            }));
-            journals.push(journal);
-        }
-        let ic_track = telemetry.track("cluster/interconnect");
-        let jobs_inflight = telemetry.metrics().gauge("cluster.jobs_inflight");
-        Ok(PimCluster {
-            plan,
+        let mut cluster = PimCluster {
+            plan: ShardPlan::new(&cfg, shards)?,
+            backend_kinds: options.backends.resolve(shards)?,
+            logical_cfg: cfg.clone().with_crossbars(cfg.crossbars * shards),
             shard_cfg: cfg,
-            logical_cfg,
             interconnect: Interconnect::new(icfg),
-            workers,
-            journals,
+            workers: Vec::with_capacity(shards),
+            inline,
+            journals: Vec::with_capacity(shards),
+            shard_tracks: (0..shards)
+                .map(|shard| telemetry.track(&format!("shard-{shard}")))
+                .collect(),
+            ic_track: telemetry.track("cluster/interconnect"),
+            jobs_inflight: telemetry.metrics().gauge("cluster.jobs_inflight"),
             telemetry,
-            ic_track,
-            jobs_inflight,
-            mode,
-            shared_cache,
-            recovery,
-            fault,
-            backend_kinds,
+            mode: options.mode,
+            shared_cache: RoutineCache::new(),
+            recovery: options.recovery,
+            fault: options.fault,
             restarts: AtomicU64::new(0),
             replayed: AtomicU64::new(0),
-        })
+        };
+        for shard in 0..shards {
+            let backend = AnyBackend::new(cluster.backend_kinds[shard], cluster.shard_cfg.clone())
+                .map_err(|e| ClusterError::Shard {
+                    shard,
+                    source: DriverError::from(e),
+                })?;
+            let driver = Driver::with_cache(backend, cluster.mode, cluster.shared_cache.share());
+            let journal = (cluster.recovery.enabled)
+                .then(|| Arc::new(Mutex::new(ShardJournal::new(&driver))));
+            cluster.journals.push(journal);
+            let slot = cluster.boot(shard, driver)?;
+            cluster.workers.push(Mutex::new(slot));
+        }
+        Ok(cluster)
+    }
+
+    /// Puts `driver` to work as shard `shard` on this cluster's transport:
+    /// its [`ShardState`] goes into the returned slot, or to a freshly
+    /// spawned worker thread. Construction and revival both end here.
+    fn boot(&self, shard: usize, driver: Driver<AnyBackend>) -> Result<WorkerSlot, ClusterError> {
+        let state = ShardState {
+            shard,
+            driver,
+            track: self.shard_tracks[shard].clone(),
+            journal: self.journals[shard].clone(),
+            fault: self.fault.clone(),
+            recovery: self.recovery.clone(),
+        };
+        let mut slot = WorkerSlot::default();
+        if self.inline {
+            slot.state = Some(state);
+        } else {
+            let (tx, handle) = spawn_worker(state)?;
+            (slot.tx, slot.handle) = (Some(tx), Some(handle));
+        }
+        Ok(slot)
     }
 
     /// The telemetry handle this cluster records into (disabled by default;
@@ -336,29 +399,21 @@ impl PimCluster {
         &self.logical_cfg
     }
 
-    /// Queues one job to a shard worker, reviving the worker first if it
-    /// died. The fast path is one uncontended lock and a channel send; the
-    /// supervisor only runs when a send fails (the worker's receiver is
-    /// gone — it crashed or was fault-injected to crash).
+    /// Hands one job to a shard — queued to its worker thread, or run here
+    /// and now on the caller-thread transport — reviving the shard first if
+    /// it is down (crashed, or fault-injected to crash). The fast path is
+    /// one uncontended lock and a channel send, or the job itself.
     fn send(&self, shard: usize, job: Job) -> Result<(), ClusterError> {
         let slot = self.workers.get(shard).ok_or(ClusterError::ShardIndex {
             shard,
             shards: self.workers.len(),
         })?;
         let mut slot = slot.lock().unwrap_or_else(|e| e.into_inner());
-        let job = match &slot.tx {
-            // `SendError` hands the unsent job back; recover it for the
-            // retry after revival.
-            Some(tx) => match tx.send(job) {
-                Ok(()) => return Ok(()),
-                Err(failed) => failed.0,
-            },
-            None => job,
+        let Err(job) = slot.deliver(job) else {
+            return Ok(());
         };
         self.revive(&mut slot, shard)?;
-        let tx = slot.tx.as_ref();
-        tx.ok_or(ClusterError::WorkerCrashed { shard })?
-            .send(job)
+        slot.deliver(job)
             .map_err(|_| ClusterError::WorkerCrashed { shard })
     }
 

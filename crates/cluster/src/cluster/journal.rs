@@ -1,7 +1,6 @@
 //! Crash recovery: each shard's checkpoint + bounded replay journal, and
-//! the supervisor that rebuilds a dead worker from them.
+//! the supervisor that rebuilds a dead shard from them.
 
-use super::worker::spawn_worker;
 use super::{PimCluster, WorkerSlot};
 use crate::ClusterError;
 use pim_arch::{Backend, MicroOp};
@@ -182,10 +181,11 @@ impl ShardJournal {
 }
 
 impl PimCluster {
-    /// Respawns a dead shard worker: reaps the old thread, rebuilds the
-    /// shard simulator from the journal's checkpoint, replays the journal
-    /// suffix, re-checkpoints, and spawns a fresh worker thread. Called
-    /// with the shard's slot lock held.
+    /// Brings a dead shard back: reaps the old thread (if it had one),
+    /// rebuilds the shard simulator from the journal's checkpoint, replays
+    /// the journal suffix, re-checkpoints, and puts the rebuilt driver back
+    /// on the cluster's transport ([`PimCluster::boot`]) — a fresh worker
+    /// thread, or the slot itself. Called with the shard's slot lock held.
     ///
     /// # Errors
     ///
@@ -214,16 +214,7 @@ impl PimCluster {
             driver
         };
         driver.invalidate_masks();
-        let (tx, handle) = spawn_worker(
-            shard,
-            driver,
-            &self.telemetry,
-            Some(journal),
-            self.fault.clone(),
-            self.recovery.clone(),
-        )?;
-        slot.tx = Some(tx);
-        slot.handle = Some(handle);
+        *slot = self.boot(shard, driver)?;
         self.restarts.fetch_add(1, Ordering::Relaxed);
         Ok(())
     }

@@ -186,10 +186,15 @@ impl PimCluster {
     /// Whether [`submit_batch`](PimCluster::submit_batch) returns with this
     /// batch still streaming (`true`) or blocks the caller on host-staged
     /// transfers because it contains a chip-crossing move (`false`; the
-    /// returned [`JobSet`] is then ready on its first poll). Invalid
-    /// batches report `true` — their submission fails fast without
-    /// executing anything.
+    /// returned [`JobSet`] is then ready on its first poll). Nothing
+    /// streams on the caller-thread transport
+    /// ([`inline`](PimCluster::inline)): every batch has executed when its
+    /// submission returns. Invalid batches report `true` — their
+    /// submission fails fast without executing anything.
     pub fn batch_streams_async(&self, instrs: &[Instruction]) -> bool {
+        if self.inline {
+            return false;
+        }
         if self.validate_batch(instrs).is_err() {
             return true;
         }
@@ -239,7 +244,7 @@ impl PimCluster {
         for (request, instrs) in batches {
             let mut crossed = false;
             for instr in instrs {
-                let cross = self.split_local(instr, &mut parts);
+                let cross = self.split_local(instr, &mut parts)?;
                 crossed |= cross.is_some();
                 if !coalescer.is_empty() && !cross.as_ref().is_some_and(|mv| coalescer.accepts(mv))
                 {
@@ -267,23 +272,26 @@ impl PimCluster {
     /// returns the chip-crossing remainder of a `MoveWarps`, if any. Every
     /// instruction splits along its warp mask alone: a piece is the
     /// instruction itself, addressed to one shard's local warps
-    /// ([`rebased`]).
+    /// ([`rebased`]). A read has no place in a batch (`validate_batch`
+    /// refuses it before anything is routed): [`ClusterError::Protocol`].
     fn split_local(
         &self,
         instr: &Instruction,
         parts: &mut Vec<(usize, Instruction)>,
-    ) -> Option<CrossingMove> {
-        let piece = |&(shard, warps): &(usize, RangeMask)| (shard, rebased(instr, warps));
-        match instr {
+    ) -> Result<Option<CrossingMove>, ClusterError> {
+        let piece = |(shard, warps): (usize, RangeMask)| (shard, rebased(instr, warps));
+        Ok(match instr {
             Instruction::Read { .. } => {
-                unreachable!("every public entry runs validate_batch, which rejects reads, first")
+                return Err(ClusterError::Protocol {
+                    reason: "a read reached batch routing".into(),
+                })
             }
             Instruction::RType { target, .. } | Instruction::Write { target, .. } => {
-                parts.extend(self.plan.split_warps(&target.warps).iter().map(piece));
+                parts.extend(self.plan.split_warps(&target.warps).map(piece));
                 None
             }
             Instruction::MoveRows { warps, .. } => {
-                parts.extend(self.plan.split_warps(warps).iter().map(piece));
+                parts.extend(self.plan.split_warps(warps).map(piece));
                 None
             }
             Instruction::MoveWarps {
@@ -295,10 +303,10 @@ impl PimCluster {
                 dist,
             } => {
                 let route = self.plan.route_move_warps(warps, *dist);
-                parts.extend(route.local.iter().map(piece));
+                parts.extend(route.local.iter().copied().map(piece));
                 CrossingMove::new(route, warps, *dist, *src, *dst, *row_src, *row_dst)
             }
-        }
+        })
     }
 
     /// Flushes the coalescer's current (non-empty) run: one barrier over
@@ -451,8 +459,9 @@ impl PimCluster {
     /// Returns addressing or shard errors (on submission failure nothing is
     /// partially observable — reads have no side effects).
     pub fn submit_gather(&self, locs: &[GlobalLoc]) -> Result<GatherTicket, ClusterError> {
+        let share = locs.len().div_ceil(self.shards());
         let mut per: Vec<(Vec<usize>, Vec<Instruction>)> = (0..self.shards())
-            .map(|_| (Vec::new(), Vec::new()))
+            .map(|_| (Vec::with_capacity(share), Vec::with_capacity(share)))
             .collect();
         for (i, &(warp, row, reg)) in locs.iter().enumerate() {
             let shard = self.shard_of(warp)?;
@@ -488,15 +497,25 @@ impl PimCluster {
     ///
     /// Returns addressing or shard errors.
     pub fn submit_scatter(&self, writes: &[GlobalWrite]) -> Result<JobSet, ClusterError> {
-        let mut sched = BatchScheduler::new(self);
+        // Tensors stripe evenly across chips, so an even share is the
+        // likely size of each shard's job (and the exact one on one chip).
+        let share = writes.len().div_ceil(self.shards());
+        let mut per: Vec<Vec<Instruction>> = (0..self.shards())
+            .map(|_| Vec::with_capacity(share))
+            .collect();
         for w in writes {
-            let cell = Instruction::Write {
+            per[self.shard_of(w.warp)?].push(Instruction::Write {
                 reg: w.reg,
                 value: w.value,
                 target: ThreadRange::single(self.plan.local_warp(w.warp), w.row),
-            };
-            sched.enqueue(self.shard_of(w.warp)?, RequestId::UNTAGGED, cell);
+            });
         }
-        sched.finish()
+        let mut tickets = Vec::new();
+        for (shard, instrs) in per.into_iter().enumerate() {
+            if !instrs.is_empty() {
+                tickets.push(self.submit(shard, instrs)?);
+            }
+        }
+        Ok(JobSet::new(tickets))
     }
 }

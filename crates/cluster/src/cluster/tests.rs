@@ -1,5 +1,6 @@
 use super::*;
 use crate::TrafficStats;
+use crate::{FaultPlan, FaultProfile};
 use pim_arch::RangeMask;
 use pim_isa::{DType, Instruction, RegOp, ThreadRange};
 use std::future::Future;
@@ -817,4 +818,111 @@ fn modeled_latency_includes_link_cycles() {
         stats.critical_path_cycles() + stats.traffic.link_cycles
     );
     assert!(stats.traffic.link_cycles > 0);
+}
+
+/// One run, on a fresh 4-shard caller-thread cluster with recovery on, of a
+/// fixed program — scatter, a chip-crossing `MoveWarps`, shard-local
+/// arithmetic — under one seeded fault schedule (a worker crash, a stall,
+/// and a link outage over the first 25 000 modeled cycles). Every step is
+/// retried until it succeeds, the clock jumping 20 000 cycles after a
+/// failure as a gateway's backoff would. Returns every outcome in order,
+/// the cluster's counters, and the memory image.
+fn faulted_inline_run() -> (Vec<Result<(), ClusterError>>, String, Vec<u32>) {
+    let profile = FaultProfile {
+        shards: 4,
+        max_stall_cycles: 512,
+        link_drops: 0,
+        link_corruptions: 0,
+        job_horizon: 6,
+        ..FaultProfile::default()
+    };
+    let plan = FaultPlan::from_seed(0x5EED, &profile).drop_window(0, 25_000);
+    let injector = Arc::new(FaultInjector::new(plan, 4));
+    let telemetry = Telemetry::recording();
+    let c = PimCluster::inline(
+        PimConfig::small().with_crossbars(4),
+        4,
+        ClusterOptions {
+            telemetry: telemetry.clone(),
+            fault: Some(Arc::clone(&injector)),
+            ..ClusterOptions::default()
+        },
+    )
+    .unwrap();
+    let all = ThreadRange::all(c.logical_config());
+    let seed: Vec<GlobalWrite> = (0..16)
+        .map(|w| GlobalWrite::new(w, 0, 0, 100 + w))
+        .collect();
+    let crossing = [Instruction::MoveWarps {
+        src: 0,
+        dst: 3,
+        row_src: 0,
+        row_dst: 1,
+        warps: RangeMask::new(8, 15, 1).unwrap(),
+        dist: -8,
+    }];
+    let local = [
+        Instruction::Write {
+            reg: 1,
+            value: 5,
+            target: all,
+        },
+        Instruction::RType {
+            op: RegOp::Add,
+            dtype: DType::Int32,
+            dst: 2,
+            srcs: [0, 1, 0],
+            target: all,
+        },
+    ];
+    let mut outcomes = Vec::new();
+    let mut step = |run: &dyn Fn() -> Result<(), ClusterError>| {
+        for _ in 0..6 {
+            outcomes.push(run());
+            if outcomes.last().is_some_and(Result::is_ok) {
+                return;
+            }
+            telemetry.advance_clock(telemetry.now() + 20_000);
+        }
+        panic!("a step never succeeded: {outcomes:?}");
+    };
+    step(&|| c.scatter(&seed));
+    step(&|| c.execute_batch(&crossing));
+    for _ in 0..4 {
+        step(&|| c.execute_batch(&local));
+    }
+    let fired = injector.stats();
+    assert_eq!(
+        (fired.worker_crashes, fired.worker_stalls),
+        (1, 1),
+        "the whole schedule must fire: {fired:?}"
+    );
+    assert!(fired.link_dropped >= 1, "{fired:?}");
+    let locs: Vec<GlobalLoc> = (0..16)
+        .flat_map(|w| (0..2).flat_map(move |row| (0..4).map(move |reg| (w, row, reg))))
+        .collect();
+    let image = c.gather(&locs).unwrap();
+    (outcomes, format!("{:?}", c.stats().unwrap()), image)
+}
+
+#[test]
+fn inline_cluster_replays_a_fault_schedule_identically() {
+    // On the caller-thread transport shards run in the order the scheduler
+    // launches them, so a faulted run is a function of its seed: the same
+    // typed errors at the same steps, the same per-shard profiler, issued
+    // and cache counters, traffic, restarts, replayed instructions, and the
+    // same memory — twice.
+    let first = faulted_inline_run();
+    assert!(first
+        .0
+        .iter()
+        .any(|r| matches!(r, Err(ClusterError::WorkerCrashed { .. }))));
+    assert!(first
+        .0
+        .iter()
+        .any(|r| matches!(r, Err(ClusterError::LinkFault { .. }))));
+    assert!(first.1.contains("worker_restarts: 1"), "{}", first.1);
+    // The crossing move landed: warp w + 8's seed word on warp w.
+    assert_eq!(first.2[4 + 3], 108);
+    assert_eq!(faulted_inline_run(), first);
 }

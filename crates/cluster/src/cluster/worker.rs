@@ -1,6 +1,10 @@
-//! The shard worker: the job protocol, the thread that owns one chip's
-//! driver, and the tagged-segment executor it shares with the single-chip
-//! device.
+//! The shard worker: the job protocol, the state one shard owns
+//! ([`ShardState`]), and [`run_job`], the one executor of that protocol.
+//! A job reaches `run_job` over a channel drained by the shard's own
+//! thread ([`spawn_worker`]), or by a direct call on the submitting
+//! thread, under the shard's slot lock
+//! ([`PimCluster::inline`](super::PimCluster::inline)). Journal, fault
+//! consultation and drop-guard completion are the same code either way.
 
 use super::journal::{Control, JournalEntry, RecoveryConfig, ShardJournal};
 use super::stats::ShardStats;
@@ -11,8 +15,8 @@ use pim_driver::{Driver, DriverError};
 use pim_fault::{FaultInjector, WorkerFault};
 use pim_func::AnyBackend;
 use pim_isa::Instruction;
-use pim_telemetry::{RequestId, RequestStats, Telemetry, TrackHandle};
-use std::sync::mpsc::{channel, Receiver, Sender};
+use pim_telemetry::{RequestId, RequestStats, TrackHandle};
+use std::sync::mpsc::{channel, Sender};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 
@@ -42,27 +46,49 @@ pub(super) enum Job {
     },
 }
 
-/// Spawns one shard worker thread over `driver`, returning its job
-/// channel and join handle. Used both at construction and by the
-/// supervisor when it respawns a crashed worker.
+/// Everything one shard owns: its chip's driver, its `shard-{i}` trace
+/// track, and its handles on the recovery journal and the fault schedule
+/// ([`PimCluster::boot`](super::PimCluster) builds it, at construction and
+/// on revival). Lives on the worker thread, or in the shard's slot on the
+/// caller-thread transport.
+pub(super) struct ShardState {
+    pub(super) shard: usize,
+    pub(super) driver: Driver<AnyBackend>,
+    pub(super) track: TrackHandle,
+    pub(super) journal: Option<Arc<Mutex<ShardJournal>>>,
+    pub(super) fault: Option<Arc<FaultInjector>>,
+    pub(super) recovery: RecoveryConfig,
+}
+
+/// Spawns one shard worker thread over `state`, returning its job channel
+/// and join handle.
 ///
 /// # Errors
 ///
 /// [`RecoveryFailed`](ClusterError::RecoveryFailed) when the OS refuses a
 /// thread.
 pub(super) fn spawn_worker(
-    shard: usize,
-    driver: Driver<AnyBackend>,
-    telemetry: &Telemetry,
-    journal: Option<Arc<Mutex<ShardJournal>>>,
-    fault: Option<Arc<FaultInjector>>,
-    recovery: RecoveryConfig,
+    mut state: ShardState,
 ) -> Result<(Sender<Job>, JoinHandle<()>), ClusterError> {
-    let track = telemetry.track(&format!("shard-{shard}"));
+    let shard = state.shard;
     let (tx, rx) = channel();
     let handle = std::thread::Builder::new()
         .name(format!("pim-shard-{shard}"))
-        .spawn(move || run_worker(shard, driver, rx, track, journal, fault, recovery))
+        .spawn(move || {
+            while let Ok(job) = rx.recv() {
+                if let Err(crashed) = run_job(&mut state, job) {
+                    // The channel closes (taking every queued job with
+                    // it) *before* the crashed job's reply guard delivers
+                    // the error, so a client that retries the instant it
+                    // sees `WorkerCrashed` hits the send-failure (revive)
+                    // path deterministically instead of racing a
+                    // half-dead queue.
+                    drop(rx);
+                    drop(crashed);
+                    return;
+                }
+            }
+        })
         .map_err(|e| ClusterError::RecoveryFailed {
             shard,
             reason: format!("cannot spawn the shard worker thread: {e}"),
@@ -71,27 +97,24 @@ pub(super) fn spawn_worker(
 }
 
 /// Executes one request's instruction segment on `driver`, appending one
-/// result per instruction to `out` — the unit of attribution shared by the
-/// shard workers (`track` = `shard-{i}`) and the single-chip device
-/// (`chip-0`). When telemetry is recording, the chip's own profiler cycle
-/// counter is the track's timeline: the segment becomes an `exec` span
-/// covering exactly the cycles its instructions consumed, the global clock
-/// advances past it, and the cycles attribute to `request`. Gated on one
-/// relaxed load when telemetry is disabled.
+/// result per instruction to `out` — the unit of attribution on every
+/// device, one chip or many (`track` = `shard-{i}`). When telemetry is
+/// recording, the chip's own profiler cycle counter is the track's
+/// timeline: the segment becomes an `exec` span covering exactly the
+/// cycles its instructions consumed, the global clock advances past it,
+/// and the cycles attribute to `request`. Gated on one relaxed load when
+/// telemetry is disabled.
 ///
 /// # Errors
 ///
 /// Fails on the first erroring instruction ([`Driver::execute_many`]);
 /// nothing is recorded for a failed segment.
-// Inlined so the worker loop keeps `execute_many` in one body, as it had
-// before this function was shared (out of line: ~2 % on `serve_crossing`).
-#[inline]
-pub fn execute_segment<O: Extend<Option<u32>>>(
+fn execute_segment(
     driver: &mut Driver<AnyBackend>,
     track: &TrackHandle,
     request: RequestId,
     instrs: &[Instruction],
-    out: &mut O,
+    out: &mut Vec<Option<u32>>,
 ) -> Result<(), DriverError> {
     let recording = track.is_enabled();
     let before = if recording {
@@ -131,127 +154,111 @@ pub fn execute_segment<O: Extend<Option<u32>>>(
     Ok(())
 }
 
-/// Consults the fault injector before an executable job. An injected
-/// crash makes the worker exit without executing (the job's completion
-/// drop guard delivers [`ClusterError::WorkerCrashed`], exactly as a real
-/// worker death would); a stall charges modeled cycles before execution.
-/// Returns `true` when the worker must die.
-fn injected_crash(
-    fault: &Option<Arc<FaultInjector>>,
-    shard: usize,
-    driver: &mut Driver<AnyBackend>,
-) -> bool {
-    match fault.as_ref().and_then(|f| f.worker_fault(shard)) {
-        Some(WorkerFault::Crash) => true,
-        Some(WorkerFault::Stall { cycles }) => {
-            driver.backend_mut().stall(cycles);
-            false
+/// Runs one job on its shard, replying through the job's own handle.
+///
+/// # Errors
+///
+/// Hands an executable job back, untouched, when the fault schedule
+/// crashes the shard on it — behaviorally identical to the worker
+/// panicking there. The caller must take the shard down (close its
+/// channel, or drop its state) *before* dropping the job, whose reply
+/// guard then delivers [`ClusterError::WorkerCrashed`].
+pub(super) fn run_job(state: &mut ShardState, job: Job) -> Result<(), Job> {
+    // The fault hook, before an executable job: a stall charges modeled
+    // cycles ahead of execution; a crash takes the shard down without
+    // executing, exactly as a real worker death would.
+    if matches!(job, Job::Macro { .. } | Job::Micro { .. }) {
+        let fault = state.fault.as_ref();
+        match fault.and_then(|f| f.worker_fault(state.shard)) {
+            Some(WorkerFault::Crash) => return Err(job),
+            Some(WorkerFault::Stall { cycles }) => state.driver.backend_mut().stall(cycles),
+            None => {}
         }
-        None => false,
     }
-}
-
-#[allow(clippy::needless_pass_by_value)]
-fn run_worker(
-    shard: usize,
-    mut driver: Driver<AnyBackend>,
-    rx: Receiver<Job>,
-    track: TrackHandle,
-    journal: Option<Arc<Mutex<ShardJournal>>>,
-    fault: Option<Arc<FaultInjector>>,
-    recovery: RecoveryConfig,
-) {
-    while let Ok(job) = rx.recv() {
-        match job {
-            Job::Macro { segments, reply } => {
-                // Fault hook: an injected crash drops `reply` (and every
-                // queued job behind it) on the floor — behaviorally
-                // identical to the worker thread panicking here. The
-                // channel closes *before* the reply guard delivers the
-                // error, so a client that retries the instant it sees
-                // `WorkerCrashed` hits the send-failure (revive) path
-                // deterministically instead of racing a half-dead queue.
-                if injected_crash(&fault, shard, &mut driver) {
-                    drop(rx);
-                    return;
-                }
-                let mut out = Vec::with_capacity(segments.iter().map(|(_, i)| i.len()).sum());
-                // Segment boundaries exist only for attribution; a failed
-                // segment ends the job.
-                let executed = segments
-                    .iter()
-                    .try_for_each(|(request, instrs)| {
-                        execute_segment(&mut driver, &track, *request, instrs, &mut out)
-                    })
-                    .map_err(|source| ClusterError::Shard { shard, source });
-                // Journal before replying: once the caller sees success,
-                // the state that produced it must be recoverable.
-                if let Some(journal) = &journal {
-                    let mut j = journal.lock().unwrap_or_else(|e| e.into_inner());
-                    if executed.is_ok() {
-                        for (_, instrs) in segments {
-                            if !instrs.is_empty() {
-                                let weight = instrs.len();
-                                j.record(JournalEntry::Instrs(instrs), weight);
-                            }
+    let ShardState {
+        shard,
+        driver,
+        track,
+        journal,
+        recovery,
+        ..
+    } = state;
+    let shard = *shard;
+    match job {
+        Job::Macro { segments, reply } => {
+            let mut out = Vec::with_capacity(segments.iter().map(|(_, i)| i.len()).sum());
+            // Segment boundaries exist only for attribution; a failed
+            // segment ends the job.
+            let executed = segments
+                .iter()
+                .try_for_each(|(request, instrs)| {
+                    execute_segment(driver, track, *request, instrs, &mut out)
+                })
+                .map_err(|source| ClusterError::Shard { shard, source });
+            // Journal before replying: once the caller sees success,
+            // the state that produced it must be recoverable.
+            if let Some(journal) = journal {
+                let mut j = journal.lock().unwrap_or_else(|e| e.into_inner());
+                if executed.is_ok() {
+                    for (_, instrs) in segments {
+                        if !instrs.is_empty() {
+                            let weight = instrs.len();
+                            j.record(JournalEntry::Instrs(instrs), weight);
                         }
-                        j.maybe_checkpoint(&driver, &recovery);
-                    } else {
-                        // The job died partway; a fresh snapshot absorbs
-                        // whatever state exists instead of trying to
-                        // journal a partial effect.
-                        j.checkpoint(&driver);
                     }
+                    j.maybe_checkpoint(driver, recovery);
+                } else {
+                    // The job died partway; a fresh snapshot absorbs
+                    // whatever state exists instead of trying to
+                    // journal a partial effect.
+                    j.checkpoint(driver);
                 }
-                reply.complete(executed.map(|()| out));
             }
-            Job::Micro { ops, reply } => {
-                if injected_crash(&fault, shard, &mut driver) {
-                    drop(rx);
-                    return;
-                }
-                let result =
-                    driver
-                        .backend_mut()
-                        .execute_batch(&ops)
-                        .map_err(|e| ClusterError::Shard {
-                            shard,
-                            source: DriverError::from(e),
-                        });
-                // Raw micro-operations may have changed the stored masks
-                // behind the driver's mask-elision cache.
-                driver.invalidate_masks();
-                if let Some(journal) = &journal {
-                    // A failed micro batch rolled back completely
-                    // (`execute_batch` is transactional), so only
-                    // successes are journaled.
-                    if result.is_ok() {
-                        let mut j = journal.lock().unwrap_or_else(|e| e.into_inner());
-                        let weight = ops.len();
-                        j.record(JournalEntry::Micro(ops), weight);
-                        j.maybe_checkpoint(&driver, &recovery);
-                    }
-                }
-                let _ = reply.send(result);
-            }
-            Job::Stats { reply } => {
-                let (cache_hits, cache_misses) = driver.cache_stats();
-                let _ = reply.send(ShardStats {
-                    shard,
-                    profiler: driver.backend().profiler().clone(),
-                    issued: driver.issued(),
-                    cache_hits,
-                    cache_misses,
-                });
-            }
-            Job::Control { op, reply } => {
-                op.apply(&mut driver);
-                if let Some(journal) = &journal {
+            reply.complete(executed.map(|()| out));
+        }
+        Job::Micro { ops, reply } => {
+            let result =
+                driver
+                    .backend_mut()
+                    .execute_batch(&ops)
+                    .map_err(|e| ClusterError::Shard {
+                        shard,
+                        source: DriverError::from(e),
+                    });
+            // Raw micro-operations may have changed the stored masks
+            // behind the driver's mask-elision cache.
+            driver.invalidate_masks();
+            if let Some(journal) = journal {
+                // A failed micro batch rolled back completely
+                // (`execute_batch` is transactional), so only
+                // successes are journaled.
+                if result.is_ok() {
                     let mut j = journal.lock().unwrap_or_else(|e| e.into_inner());
-                    j.record(JournalEntry::Control(op), 0);
+                    let weight = ops.len();
+                    j.record(JournalEntry::Micro(ops), weight);
+                    j.maybe_checkpoint(driver, recovery);
                 }
-                let _ = reply.send(());
             }
+            let _ = reply.send(result);
+        }
+        Job::Stats { reply } => {
+            let (cache_hits, cache_misses) = driver.cache_stats();
+            let _ = reply.send(ShardStats {
+                shard,
+                profiler: driver.backend().profiler().clone(),
+                issued: driver.issued(),
+                cache_hits,
+                cache_misses,
+            });
+        }
+        Job::Control { op, reply } => {
+            op.apply(driver);
+            if let Some(journal) = journal {
+                let mut j = journal.lock().unwrap_or_else(|e| e.into_inner());
+                j.record(JournalEntry::Control(op), 0);
+            }
+            let _ = reply.send(());
         }
     }
+    Ok(())
 }

@@ -4,8 +4,13 @@
 //! PIM chips — each a [`pim_driver::Driver`] over its own chip backend,
 //! the bit-accurate [`pim_sim::PimSimulator`] or the vectorized
 //! functional [`pim_func::FuncBackend`], selected per shard through
-//! [`ShardBackends`] — run on dedicated worker threads behind batched job
-//! channels and present one flat address space of `N × crossbars` warps.
+//! [`ShardBackends`] — take batched jobs and present one flat address
+//! space of `N × crossbars` warps. The jobs have two transports and one
+//! executor: a channel to the shard's dedicated worker thread
+//! ([`PimCluster::with_options`]), or a direct call on the submitting
+//! thread ([`PimCluster::inline`]: shards run in launch order, so one
+//! client thread replays to the same counters and memory every time,
+//! seeded faults included — a single-chip `Device` is one such shard).
 //!
 //! The paper (conf_micro_LeitersdorfRK24) models a *single* memory chip
 //! behind the micro-operation interface; this crate composes many of them
@@ -59,8 +64,9 @@
 //!   [`ClusterStats`] — the observability behind the §V-B "driver is not
 //!   the bottleneck" claim at cluster scale.
 //!
-//! The development library (`pypim-core`) builds on this crate:
-//! `Device::cluster(cfg, shards)` runs every tensor program unchanged on
+//! The development library (`pypim-core`) builds on this crate alone:
+//! `Device::new(cfg)` is one inline shard, `Device::cluster(cfg, shards)`
+//! is `shards` threaded ones, and every tensor program runs unchanged on
 //! 1 or N chips with bit-identical results.
 //!
 //! # Example
@@ -103,8 +109,8 @@ mod plan;
 pub(crate) mod sched;
 
 pub use cluster::{
-    execute_segment, ClusterOptions, ClusterStats, GatherTicket, GlobalLoc, GlobalWrite, JobSet,
-    JobTicket, PimCluster, RecoveryConfig, ShardBackends, ShardStats, TaggedBatch,
+    ClusterOptions, ClusterStats, GatherTicket, GlobalLoc, GlobalWrite, JobSet, JobTicket,
+    PimCluster, RecoveryConfig, ShardBackends, ShardStats, TaggedBatch,
 };
 pub use coalesce::{CrossingMove, MoveCoalescer};
 pub use error::{ClusterError, ErrorClass, LinkFaultKind};

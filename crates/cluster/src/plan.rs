@@ -127,20 +127,17 @@ impl ShardPlan {
             .collect()
     }
 
-    /// Splits a global warp mask into `(shard, local mask)` pairs, covering
-    /// exactly the same warp set. Shards the mask does not touch are absent.
-    pub fn split_warps(&self, mask: &RangeMask) -> Vec<(usize, RangeMask)> {
-        let c = self.crossbars as u32;
+    /// Splits a global warp mask into `(shard, local mask)` pairs in shard
+    /// order, covering exactly the same warp set. Shards the mask does not
+    /// touch are absent.
+    pub fn split_warps(&self, mask: &RangeMask) -> impl Iterator<Item = (usize, RangeMask)> {
+        let (c, mask) = (self.crossbars as u32, *mask);
         let first = (mask.start() / c) as usize;
         let last = ((mask.stop() / c) as usize).min(self.shards - 1);
-        let mut out = Vec::with_capacity(last.saturating_sub(first) + 1);
-        for shard in first..=last {
+        (first..=last).filter_map(move |shard| {
             let lo = shard as u32 * c;
-            if let Some(local) = intersect_rebase(mask, lo, lo + c) {
-                out.push((shard, local));
-            }
-        }
-        out
+            intersect_rebase(&mask, lo, lo + c).map(|local| (shard, local))
+        })
     }
 
     /// Partitions a logical `MoveWarps` (global warp mask + uniform
@@ -265,7 +262,7 @@ mod tests {
     fn dense_mask_splits_per_shard() {
         let p = plan4();
         let m = RangeMask::dense(0, 16).unwrap();
-        let parts = p.split_warps(&m);
+        let parts: Vec<_> = p.split_warps(&m).collect();
         assert_eq!(parts.len(), 4);
         for (s, local) in parts {
             assert_eq!(local.start(), 0);
@@ -278,7 +275,7 @@ mod tests {
         let p = plan4();
         // Warps {1, 4, 7, 10, 13}: shards 0..=3.
         let m = RangeMask::strided(1, 5, 3).unwrap();
-        let parts = p.split_warps(&m);
+        let parts: Vec<_> = p.split_warps(&m).collect();
         let mut covered = Vec::new();
         for (s, local) in &parts {
             assert_eq!(local.step(), 3);

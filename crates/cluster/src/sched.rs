@@ -27,21 +27,21 @@ use pim_telemetry::RequestId;
 
 /// Per-shard dependency tracker driving one submission: pending (not yet
 /// submitted) instruction segments, each carrying the [`RequestId`] its
-/// modeled cycles attribute to, plus in-flight (submitted, not yet awaited)
-/// job tickets for every shard.
+/// modeled cycles attribute to, plus the in-flight (submitted, not yet
+/// awaited) job tickets of all shards in launch order — each knows its
+/// shard.
 pub(crate) struct BatchScheduler<'c> {
     cluster: &'c PimCluster,
     pending: Vec<Vec<(RequestId, Vec<Instruction>)>>,
-    inflight: Vec<Vec<JobTicket>>,
+    inflight: Vec<JobTicket>,
 }
 
 impl<'c> BatchScheduler<'c> {
     pub(crate) fn new(cluster: &'c PimCluster) -> Self {
-        let shards = cluster.shards();
         BatchScheduler {
             cluster,
-            pending: vec![Vec::new(); shards],
-            inflight: (0..shards).map(|_| Vec::new()).collect(),
+            pending: vec![Vec::new(); cluster.shards()],
+            inflight: Vec::new(),
         }
     }
 
@@ -63,17 +63,18 @@ impl<'c> BatchScheduler<'c> {
             return Ok(());
         }
         let segments = std::mem::take(&mut self.pending[shard]);
-        let ticket = self.cluster.submit_segments(shard, segments)?;
-        self.inflight[shard].push(ticket);
+        self.inflight
+            .push(self.cluster.submit_segments(shard, segments)?);
         Ok(())
     }
 
     /// Blocks until everything submitted to `shard` so far has executed.
     fn wait(&mut self, shard: usize) -> Result<(), ClusterError> {
-        for ticket in std::mem::take(&mut self.inflight[shard]) {
-            ticket.wait()?;
-        }
-        Ok(())
+        let (done, rest) = std::mem::take(&mut self.inflight)
+            .into_iter()
+            .partition(|t| t.shard() == shard);
+        self.inflight = rest;
+        Vec::into_iter(done).try_for_each(|t| t.wait().map(drop))
     }
 
     /// The drain rule. `touched[s]` marks shards the upcoming cross-chip
@@ -110,7 +111,9 @@ impl<'c> BatchScheduler<'c> {
         touched
             .iter()
             .enumerate()
-            .filter(|&(s, &t)| t && !(self.pending[s].is_empty() && self.inflight[s].is_empty()))
+            .filter(|&(s, &t)| {
+                t && !(self.pending[s].is_empty() && self.inflight.iter().all(|j| j.shard() != s))
+            })
             .count() as u64
     }
 
@@ -126,6 +129,6 @@ impl<'c> BatchScheduler<'c> {
         for shard in 0..self.pending.len() {
             self.launch(shard)?;
         }
-        Ok(JobSet::new(self.inflight.into_iter().flatten()))
+        Ok(JobSet::new(self.inflight))
     }
 }

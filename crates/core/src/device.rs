@@ -4,54 +4,39 @@ use crate::{CoreError, Result};
 use parking_lot::Mutex;
 use pim_arch::PimConfig;
 use pim_cluster::{
-    execute_segment, ClusterOptions, ClusterStats, GatherTicket, GlobalWrite, JobSet, PimCluster,
-    TaggedBatch,
+    ClusterOptions, ClusterStats, GatherTicket, GlobalWrite, JobSet, PimCluster, RecoveryConfig,
+    ShardBackends, ShardPlan, TaggedBatch,
 };
-use pim_driver::{Driver, ParallelismMode};
-use pim_func::{AnyBackend, BackendKind};
+use pim_driver::ParallelismMode;
+use pim_func::BackendKind;
 use pim_isa::{DType, Instruction};
 use pim_sim::Profiler;
-use pim_telemetry::{MetricsSnapshot, MetricsSource, Telemetry, TrackHandle};
+use pim_telemetry::{MetricsSnapshot, MetricsSource, Telemetry};
 use std::future::Future;
 use std::pin::Pin;
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 use std::task::{Context, Poll};
 
-/// The execution engine behind a device: a single simulated chip driven
-/// in-process, or a sharded multi-chip cluster (`pim-cluster`).
-pub(crate) enum Engine {
-    Single(Box<Mutex<Driver<AnyBackend>>>),
-    Cluster(Box<PimCluster>),
-}
-
 pub(crate) struct DeviceInner {
-    pub(crate) engine: Engine,
+    /// The one execution engine, and the owner of the device's geometry and
+    /// telemetry handle: a single chip is a 1-shard cluster whose jobs run
+    /// on the calling thread ([`PimCluster::inline`]).
+    pub(crate) cluster: PimCluster,
     pub(crate) mem: Mutex<MemoryManager>,
-    pub(crate) cfg: PimConfig,
-    /// The device's telemetry handle (disabled by default; shared with the
-    /// cluster's shard workers when cluster-backed).
-    pub(crate) telemetry: Telemetry,
-    /// The `chip-0` trace track of a single-chip device, registered by its
-    /// first tagged submission.
-    chip_track: OnceLock<TrackHandle>,
 }
 
 /// An in-flight non-read instruction batch submitted through
 /// [`Device::submit_instrs`]: a blocking handle ([`wait`](StepTicket::wait))
-/// and a pollable [`Future`] in one. On a cluster device the per-shard jobs
-/// stream concurrently and the shard workers wake the registered waker on
-/// completion; a single-chip device, and a batch whose chip-crossing moves
-/// were staged through the host, has finished by the time the ticket
-/// exists, and the ticket is born ready.
+/// and a pollable [`Future`] in one. On a [`Device::cluster`] device the
+/// per-shard jobs stream concurrently and the shard workers wake the
+/// registered waker on completion; on a single-chip device, and for a batch
+/// whose chip-crossing moves were staged through the host, the work has
+/// finished by the time the ticket exists and its first wait or poll
+/// returns at once.
 #[derive(Debug)]
 pub struct StepTicket(JobSet);
 
 impl StepTicket {
-    /// A completed submission.
-    pub fn ready() -> Self {
-        StepTicket(JobSet::ready())
-    }
-
     /// Blocks until the batch completes.
     ///
     /// # Errors
@@ -72,7 +57,7 @@ impl Future for StepTicket {
 
 /// An in-flight bulk read submitted through [`Device::submit_reads`];
 /// yields the values in input order. Like [`StepTicket`], both blocking and
-/// pollable; single-chip devices read inline and return a ready ticket.
+/// pollable; on a single-chip device the reads ran during submission.
 #[derive(Debug)]
 pub struct ReadTicket(GatherTicket);
 
@@ -95,21 +80,20 @@ impl Future for ReadTicket {
     }
 }
 
-/// Where the per-instruction results of [`Driver::execute_many`] go on a
-/// single chip: the words of the reads are kept, the `None` of every other
-/// instruction is dropped (a batch without reads allocates nothing).
-#[derive(Default)]
-struct ReadWords(Vec<u32>);
-
-impl Extend<Option<u32>> for ReadWords {
-    fn extend<T: IntoIterator<Item = Option<u32>>>(&mut self, results: T) {
-        self.0.extend(results.into_iter().flatten());
-    }
-}
-
 /// A handle to a PIM memory: the entry point of the development library
-/// (§V-A), owning the host driver, the bit-accurate simulator behind it,
-/// and the dynamic memory manager.
+/// (§V-A), owning the host driver, the simulated chip behind it, and the
+/// dynamic memory manager.
+///
+/// There is one road from a tensor operation to a chip: every device is a
+/// [`PimCluster`]. [`Device::new`] and its `with_*` siblings build one shard
+/// whose jobs run on the calling thread — no worker thread, no recovery
+/// journal, results complete when the call returns; [`Device::cluster`]
+/// builds `N` shards on worker threads. So on a single chip too,
+/// [`Device::cluster_stats`] is `Some`, [`Device::metrics_snapshot`]
+/// carries `cluster.*`, the trace track is `shard-0`, every submission
+/// (uploads and read-backs included) records an `exec` span and advances
+/// the modeled clock while telemetry records, and a chip-level failure is a
+/// [`CoreError::Cluster`].
 ///
 /// Cloning is cheap (shared handle). Tensors keep their device alive.
 ///
@@ -142,7 +126,7 @@ pub struct Device {
 impl std::fmt::Debug for Device {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Device")
-            .field("config", &self.inner.cfg)
+            .field("config", self.config())
             .field("placement", &self.placement)
             .finish()
     }
@@ -185,28 +169,27 @@ impl Device {
         Device::with_backend_mode(cfg, kind, ParallelismMode::default())
     }
 
-    /// Creates a device with explicit backend and driver parallelism mode.
+    /// Creates a device with explicit backend and driver parallelism mode:
+    /// one chip, run on the calling thread.
     ///
     /// # Errors
     ///
-    /// Returns an error if `cfg` fails validation.
+    /// Returns an error ([`CoreError::Cluster`]) if `cfg` fails validation.
     pub fn with_backend_mode(
         cfg: PimConfig,
         kind: BackendKind,
         mode: ParallelismMode,
     ) -> Result<Self> {
-        let backend = AnyBackend::new(kind, cfg.clone()).map_err(pim_driver::DriverError::from)?;
-        let driver = Driver::with_mode(backend, mode);
-        Ok(Device {
-            inner: Arc::new(DeviceInner {
-                engine: Engine::Single(Box::new(Mutex::new(driver))),
-                mem: Mutex::new(MemoryManager::new(&cfg)),
-                cfg,
-                telemetry: Telemetry::disabled(),
-                chip_track: OnceLock::new(),
-            }),
-            placement: None,
-        })
+        let options = ClusterOptions {
+            mode,
+            recovery: RecoveryConfig {
+                enabled: false,
+                ..RecoveryConfig::default()
+            },
+            backends: ShardBackends::Uniform(kind),
+            ..ClusterOptions::default()
+        };
+        Ok(Device::over(PimCluster::inline(cfg, 1, options)?, None))
     }
 
     /// Creates a device backed by a sharded multi-chip cluster: `shards`
@@ -242,63 +225,62 @@ impl Device {
         shards: usize,
         options: ClusterOptions,
     ) -> Result<Self> {
-        let telemetry = Telemetry::disabled();
         let cluster = PimCluster::with_options(
             cfg,
             shards,
             ClusterOptions {
-                telemetry: telemetry.clone(),
+                telemetry: Telemetry::disabled(),
                 ..options
             },
         )?;
-        let logical = cluster.logical_config().clone();
         // Thread the shard geometry into the allocator: stripes that fit
         // one chip get chip-local placement, so small tensors' operations
         // never touch the interconnect.
-        let mut mem = MemoryManager::new(&logical);
-        mem.set_shard_plan(Some(*cluster.plan()));
-        Ok(Device {
+        let plan = *cluster.plan();
+        Ok(Device::over(cluster, Some(plan)))
+    }
+
+    /// The device over `cluster`; `plan` is the chip geometry the allocator
+    /// places by, if any.
+    fn over(cluster: PimCluster, plan: Option<ShardPlan>) -> Self {
+        let mut mem = MemoryManager::new(cluster.logical_config());
+        mem.set_shard_plan(plan);
+        Device {
             inner: Arc::new(DeviceInner {
-                engine: Engine::Cluster(Box::new(cluster)),
+                cluster,
                 mem: Mutex::new(mem),
-                cfg: logical,
-                telemetry,
-                chip_track: OnceLock::new(),
             }),
             placement: None,
-        })
+        }
     }
 
     /// The device's telemetry handle: the modeled-clock trace recorder plus
     /// the metrics registry. Disabled — zero-cost and bit-identical — by
-    /// default; flip on with [`Telemetry::set_enabled`]. Cluster-backed
-    /// devices share the handle with their shard workers, so enabling it
-    /// here starts recording per-shard execution spans and interconnect
-    /// bursts.
+    /// default; flip on with [`Telemetry::set_enabled`]. The handle is
+    /// shared with the device's shards, so enabling it here starts
+    /// recording per-shard execution spans (`shard-{i}` tracks) and
+    /// interconnect bursts.
     pub fn telemetry(&self) -> &Telemetry {
-        &self.inner.telemetry
+        self.inner.cluster.telemetry()
     }
 
     /// One unified [`MetricsSnapshot`] across every layer this device owns:
     /// the telemetry registry's instruments (e.g. the serving gateway's
-    /// `serve.*` histograms) plus the simulator profiler (`sim.*`) and —
-    /// when cluster-backed — the cluster and interconnect counters
-    /// (`cluster.*`).
+    /// `serve.*` histograms) plus the simulator profiler (`sim.*`), the
+    /// cluster and interconnect counters (`cluster.*`, one shard for a
+    /// single chip) and the fault injector's (`fault.*`) when one is
+    /// installed.
     ///
     /// # Errors
     ///
     /// Returns the shard's failure if a cluster shard worker thread has
     /// died and could not be revived (see [`Device::cluster_stats`]).
     pub fn metrics_snapshot(&self) -> Result<MetricsSnapshot> {
-        let mut snap = self.inner.telemetry.metrics().snapshot();
-        match &self.inner.engine {
-            Engine::Single(d) => d.lock().backend().profiler().fill_metrics(&mut snap),
-            Engine::Cluster(c) => {
-                c.stats()?.fill_metrics(&mut snap);
-                if let Some(inj) = c.fault_injector() {
-                    inj.fill_metrics(&mut snap);
-                }
-            }
+        let cluster = &self.inner.cluster;
+        let mut snap = cluster.telemetry().metrics().snapshot();
+        cluster.stats()?.fill_metrics(&mut snap);
+        if let Some(inj) = cluster.fault_injector() {
+            inj.fill_metrics(&mut snap);
         }
         Ok(snap)
     }
@@ -306,22 +288,20 @@ impl Device {
     /// The device geometry (for a cluster: the aggregate geometry across
     /// all shards).
     pub fn config(&self) -> &PimConfig {
-        &self.inner.cfg
+        self.inner.cluster.logical_config()
     }
 
     /// Number of chips backing this device (1 unless built with
     /// [`Device::cluster`]).
     pub fn shards(&self) -> usize {
-        match &self.inner.engine {
-            Engine::Single(_) => 1,
-            Engine::Cluster(c) => c.shards(),
-        }
+        self.inner.cluster.shards()
     }
 
-    /// Per-shard telemetry when this device is cluster-backed, `None` for a
-    /// single-chip device. Includes the interconnect's traffic counters
+    /// Per-shard telemetry — always `Some`: a single-chip device reports
+    /// its one shard. Includes the interconnect's traffic counters
     /// ([`ClusterStats::traffic`]): cross-chip messages/words, modeled link
-    /// cycles, barriers hit and shard queues drained.
+    /// cycles, barriers hit and shard queues drained (all zero on one
+    /// chip).
     ///
     /// # Errors
     ///
@@ -330,10 +310,7 @@ impl Device {
     /// revived — zeroed telemetry would silently misreport a broken
     /// cluster.
     pub fn cluster_stats(&self) -> Result<Option<ClusterStats>> {
-        match &self.inner.engine {
-            Engine::Single(_) => Ok(None),
-            Engine::Cluster(c) => Ok(Some(c.stats()?)),
-        }
+        Ok(Some(self.inner.cluster.stats()?))
     }
 
     /// Whether two handles refer to the same device.
@@ -390,10 +367,7 @@ impl Device {
     /// Returns the shard's failure if a cluster shard worker thread has
     /// died and could not be revived (see [`Device::cluster_stats`]).
     pub fn profiler(&self) -> Result<Profiler> {
-        match &self.inner.engine {
-            Engine::Single(d) => Ok(d.lock().backend().profiler().clone()),
-            Engine::Cluster(c) => Ok(c.stats()?.merged_profiler()),
-        }
+        Ok(self.inner.cluster.stats()?.merged_profiler())
     }
 
     /// PIM cycles consumed so far.
@@ -414,15 +388,7 @@ impl Device {
     /// Returns the shard's failure if a cluster shard worker thread has
     /// died and could not be revived.
     pub fn reset_profiler(&self) -> Result<()> {
-        match &self.inner.engine {
-            Engine::Single(d) => {
-                let mut d = d.lock();
-                d.backend_mut().reset_profiler();
-                d.reset_cache_stats();
-                Ok(())
-            }
-            Engine::Cluster(c) => Ok(c.reset_profilers()?),
-        }
+        Ok(self.inner.cluster.reset_profilers()?)
     }
 
     /// Enables/disables the backend's strict stateful-logic checking
@@ -434,13 +400,7 @@ impl Device {
     /// Returns the shard's failure if a cluster shard worker thread has
     /// died and could not be revived.
     pub fn set_strict(&self, strict: bool) -> Result<()> {
-        match &self.inner.engine {
-            Engine::Single(d) => {
-                d.lock().backend_mut().set_strict(strict);
-                Ok(())
-            }
-            Engine::Cluster(c) => Ok(c.set_strict(strict)?),
-        }
+        Ok(self.inner.cluster.set_strict(strict)?)
     }
 
     /// Routine-cache statistics `(hits, misses)` of the host driver (for a
@@ -451,10 +411,7 @@ impl Device {
     /// Returns the shard's failure if a cluster shard worker thread has
     /// died and could not be revived (see [`Device::cluster_stats`]).
     pub fn cache_stats(&self) -> Result<(u64, u64)> {
-        match &self.inner.engine {
-            Engine::Single(d) => Ok(d.lock().cache_stats()),
-            Engine::Cluster(c) => Ok(c.stats()?.cache_stats()),
-        }
+        Ok(self.inner.cluster.stats()?.cache_stats())
     }
 
     /// Driver-issued cycle counters (logic vs total) — the theoretical-PIM
@@ -466,10 +423,7 @@ impl Device {
     /// Returns the shard's failure if a cluster shard worker thread has
     /// died and could not be revived (see [`Device::cluster_stats`]).
     pub fn issued(&self) -> Result<pim_driver::IssuedCycles> {
-        match &self.inner.engine {
-            Engine::Single(d) => Ok(d.lock().issued()),
-            Engine::Cluster(c) => Ok(c.stats()?.issued()),
-        }
+        Ok(self.inner.cluster.stats()?.issued())
     }
 
     /// Resets both the simulator profiler and the driver's issued-cycle
@@ -480,78 +434,31 @@ impl Device {
     /// Returns the shard's failure if a cluster shard worker thread has
     /// died and could not be revived.
     pub fn reset_counters(&self) -> Result<()> {
-        match &self.inner.engine {
-            Engine::Single(d) => {
-                let mut d = d.lock();
-                d.backend_mut().reset_profiler();
-                d.reset_cache_stats();
-                d.reset_issued();
-                Ok(())
-            }
-            Engine::Cluster(c) => {
-                c.reset_profilers()?;
-                c.reset_issued()?;
-                Ok(())
-            }
-        }
+        self.inner.cluster.reset_profilers()?;
+        Ok(self.inner.cluster.reset_issued()?)
     }
 
     /// Executes one macro-instruction on the device.
     pub(crate) fn exec(&self, instr: &Instruction) -> Result<Option<u32>> {
-        match &self.inner.engine {
-            Engine::Single(d) => Ok(d.lock().execute(instr)?),
-            Engine::Cluster(c) => Ok(c.execute(instr)?),
-        }
+        Ok(self.inner.cluster.execute(instr)?)
     }
 
-    /// Executes a sequence of non-read macro-instructions. On a cluster the
-    /// whole batch is split per shard up front and streams to all shards
-    /// concurrently (one job per shard between cross-chip barriers).
+    /// Executes a sequence of non-read macro-instructions: the whole batch
+    /// is split per shard up front and streams to all shards concurrently
+    /// (one job per shard between cross-chip barriers).
     pub(crate) fn exec_batch(&self, instrs: &[Instruction]) -> Result<()> {
-        match &self.inner.engine {
-            Engine::Single(d) => Ok(d.lock().execute_many(instrs, &mut ReadWords::default())?),
-            Engine::Cluster(c) => Ok(c.execute_batch(instrs)?),
-        }
+        Ok(self.inner.cluster.execute_batch(instrs)?)
     }
 
     /// Reads many `(warp, row, register)` locations, returning values in
-    /// input order. Cluster-backed devices gather with one concurrent job
-    /// per shard.
+    /// input order — one job per involved shard.
     pub(crate) fn read_many(&self, locs: &[(u32, u32, u8)]) -> Result<Vec<u32>> {
-        match &self.inner.engine {
-            Engine::Single(d) => {
-                let reads =
-                    locs.iter()
-                        .map(|&(warp, row, reg)| Instruction::Read { reg, warp, row });
-                let mut words = ReadWords(Vec::with_capacity(locs.len()));
-                d.lock().execute_many(reads, &mut words)?;
-                // A read without a word is a backend that broke the read
-                // protocol; report it as such.
-                if words.0.len() != locs.len() {
-                    return Err(CoreError::Protocol {
-                        reason: format!("{} reads returned {} words", locs.len(), words.0.len()),
-                    });
-                }
-                Ok(words.0)
-            }
-            Engine::Cluster(c) => Ok(c.gather(locs)?),
-        }
+        Ok(self.inner.cluster.gather(locs)?)
     }
 
-    /// Writes many [`GlobalWrite`] cells. Cluster-backed devices scatter
-    /// with one concurrent job per shard.
+    /// Writes many [`GlobalWrite`] cells — one job per involved shard.
     pub(crate) fn write_many(&self, writes: &[GlobalWrite]) -> Result<()> {
-        match &self.inner.engine {
-            Engine::Single(d) => {
-                let cells = writes.iter().map(|w| Instruction::Write {
-                    reg: w.reg,
-                    value: w.value,
-                    target: pim_isa::ThreadRange::single(w.warp, w.row),
-                });
-                Ok(d.lock().execute_many(cells, &mut ReadWords::default())?)
-            }
-            Engine::Cluster(c) => Ok(c.scatter(writes)?),
-        }
+        Ok(self.inner.cluster.scatter(writes)?)
     }
 
     /// Submits a batch of non-read macro-instructions *without waiting*,
@@ -569,20 +476,8 @@ impl Device {
     /// validation errors; deferred shard errors surface when the ticket is
     /// waited or awaited.
     pub fn submit_instrs(&self, instrs: &[Instruction]) -> Result<StepTicket> {
-        if instrs.iter().any(|i| matches!(i, Instruction::Read { .. })) {
-            return Err(CoreError::Protocol {
-                reason: "read instructions cannot be submitted asynchronously \
-                         (use submit_reads)"
-                    .into(),
-            });
-        }
-        match &self.inner.engine {
-            Engine::Single(d) => {
-                d.lock().execute_many(instrs, &mut ReadWords::default())?;
-                Ok(StepTicket::ready())
-            }
-            Engine::Cluster(c) => Ok(StepTicket(c.submit_batch(instrs)?)),
-        }
+        refuse_reads(instrs)?;
+        Ok(StepTicket(self.inner.cluster.submit_batch(instrs)?))
     }
 
     /// Submits request-tagged instruction batches *without waiting* — the
@@ -600,44 +495,18 @@ impl Device {
     /// validation errors; deferred shard errors surface when the ticket is
     /// waited or awaited.
     pub fn submit_tagged(&self, batches: &[TaggedBatch]) -> Result<StepTicket> {
-        if batches
-            .iter()
-            .flat_map(|b| b.instrs.iter())
-            .any(|i| matches!(i, Instruction::Read { .. }))
-        {
-            return Err(CoreError::Protocol {
-                reason: "read instructions cannot be submitted asynchronously \
-                         (use submit_reads)"
-                    .into(),
-            });
-        }
-        match &self.inner.engine {
-            Engine::Single(d) => {
-                let track = self
-                    .inner
-                    .chip_track
-                    .get_or_init(|| self.inner.telemetry.track("chip-0"));
-                let mut d = d.lock();
-                let mut sink = ReadWords::default();
-                for b in batches {
-                    execute_segment(&mut d, track, b.request, &b.instrs, &mut sink)?;
-                }
-                Ok(StepTicket::ready())
-            }
-            Engine::Cluster(c) => Ok(StepTicket(c.submit_batch_tagged(batches)?)),
-        }
+        refuse_reads(batches.iter().flat_map(|b| b.instrs.iter()))?;
+        Ok(StepTicket(self.inner.cluster.submit_batch_tagged(batches)?))
     }
 
     /// Whether [`submit_instrs`](Device::submit_instrs) would stream this
     /// batch asynchronously (`true`) or block the calling thread until it
-    /// has executed (`false`: single-chip devices always, cluster batches
-    /// with chip-crossing moves). The serving gateway uses this to keep
-    /// blocking submissions off shard-worker threads.
+    /// has executed (`false`: single-chip devices always — their one shard
+    /// runs on the calling thread — and cluster batches with chip-crossing
+    /// moves). The serving gateway uses this to keep blocking submissions
+    /// off shard-worker threads.
     pub fn instrs_stream_async(&self, instrs: &[Instruction]) -> bool {
-        match &self.inner.engine {
-            Engine::Single(_) => false,
-            Engine::Cluster(c) => c.batch_streams_async(instrs),
-        }
+        self.inner.cluster.batch_streams_async(instrs)
     }
 
     /// Submits a bulk read of `(warp, row, register)` locations *without
@@ -649,10 +518,7 @@ impl Device {
     /// Returns addressing errors; deferred shard errors surface on
     /// wait/await.
     pub fn submit_reads(&self, locs: &[(u32, u32, u8)]) -> Result<ReadTicket> {
-        Ok(ReadTicket(match &self.inner.engine {
-            Engine::Single(_) => GatherTicket::ready(self.read_many(locs)?),
-            Engine::Cluster(c) => c.submit_gather(locs)?,
-        }))
+        Ok(ReadTicket(self.inner.cluster.submit_gather(locs)?))
     }
 
     /// Allocates an uninitialized tensor of `capacity` elements (rounded up
@@ -668,7 +534,7 @@ impl Device {
                 what: "zero-length tensor".into(),
             });
         }
-        let rows = self.inner.cfg.rows;
+        let rows = self.config().rows;
         let warps = capacity.div_ceil(rows) as u32;
         let stripe = self.inner.mem.lock().alloc(warps, near, self.placement)?;
         Ok(Tensor::from_stripe(
@@ -790,6 +656,21 @@ impl Device {
     }
 }
 
+/// Reads return data and have their own entry point.
+fn refuse_reads<'a>(instrs: impl IntoIterator<Item = &'a Instruction>) -> Result<()> {
+    if instrs
+        .into_iter()
+        .any(|i| matches!(i, Instruction::Read { .. }))
+    {
+        return Err(CoreError::Protocol {
+            reason: "read instructions cannot be submitted asynchronously \
+                     (use submit_reads)"
+                .into(),
+        });
+    }
+    Ok(())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -845,6 +726,31 @@ mod tests {
     fn invalid_config_is_rejected() {
         let mut cfg = PimConfig::small();
         cfg.partitions = 8;
-        assert!(Device::new(cfg).is_err());
+        let err = Device::new(cfg).unwrap_err();
+        // Refused by the one-shard cluster under the device; still fatal.
+        assert!(matches!(err, CoreError::Cluster(_)), "{err:?}");
+        assert_eq!(err.class(), pim_cluster::ErrorClass::Fatal);
+    }
+
+    #[test]
+    fn a_single_chip_is_a_one_shard_cluster() {
+        let d = Device::new(PimConfig::small()).unwrap();
+        d.telemetry().set_enabled(true);
+        // An untagged fill and an upload: both reach the chip as cluster
+        // jobs, so both record `exec` spans on `shard-0` and move the
+        // modeled clock, exactly as on a `Device::cluster` device.
+        let _ = d.full_i32(4, 3).unwrap();
+        let after_fill = d.telemetry().now();
+        assert!(after_fill > 0);
+        let _ = d.from_slice_i32(&[1, 2, 3]).unwrap();
+        assert!(d.telemetry().now() > after_fill);
+        let tracks = d.telemetry().recorder().tracks();
+        let names: Vec<&str> = tracks.iter().map(|(name, ..)| name.as_str()).collect();
+        assert_eq!(names, ["shard-0", "cluster/interconnect"]);
+        assert_eq!(tracks[0].1.len(), 2, "one exec span per submission");
+
+        assert_eq!(d.cluster_stats().unwrap().unwrap().shards.len(), 1);
+        let metrics = d.metrics_snapshot().unwrap().to_json();
+        assert!(metrics.contains("\"cluster.shards\""), "{metrics}");
     }
 }

@@ -7,7 +7,9 @@
 //! The stack underneath: tensor calls become ISA macro-instructions
 //! (`pim-isa`), the host driver (`pim-driver`) lowers them to gate-level
 //! micro-operation sequences, and the bit-accurate simulator (`pim-sim`)
-//! plays the role of the PIM chip. The library adds what the paper's
+//! plays the role of the PIM chip. There is one road down: every [`Device`]
+//! submits to a `pim-cluster` `PimCluster` — one shard run on the calling
+//! thread for [`Device::new`], `N` on worker threads for [`Device::cluster`]. The library adds what the paper's
 //! Python layer adds: dynamic warp-aligned memory management, tensor views
 //! (`x[::2]`) that map onto the microarchitecture's range masks, automatic
 //! move-based operand alignment, logarithmic reduction, bitonic sorting,

@@ -173,6 +173,9 @@ mod tests {
             .map(|w| w.counter("loadgen.injected"))
             .sum();
         assert_eq!(sum, report.injected);
+        // One chip is one shard: its utilization is sampled like any other.
+        let counters = gateway.telemetry().recorder().counter_tracks();
+        assert!(counters.iter().any(|(name, ..)| name == "shard0/util"));
         Ok(())
     }
 

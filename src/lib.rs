@@ -13,9 +13,11 @@
 //! * [`driver`] — host driver translating macro-instructions into
 //!   micro-operations (gate-level AritPIM arithmetic, IEEE-754 floats).
 //! * [`cluster`] — sharded multi-chip execution engine: `N` driver+chip
-//!   pairs on worker threads behind one flat address space, with batched
-//!   job submission (blocking *and* pollable — job tickets are futures)
-//!   and cross-shard gather/scatter/reduce.
+//!   pairs behind one flat address space — each on its own worker thread,
+//!   or all on the submitting thread, which is how a single-chip
+//!   [`Device`] runs — with batched job submission (blocking *and*
+//!   pollable — job tickets are futures) and cross-shard
+//!   gather/scatter/reduce.
 //! * [`serve`] — async multi-client serving gateway: one host thread
 //!   drives many in-flight client sessions, each with its own placement
 //!   window, through an admission controller that coalesces their steps
@@ -67,10 +69,11 @@
 //!
 //! # Sharded quickstart
 //!
-//! [`Device::cluster`] swaps the single simulated chip for a sharded
-//! multi-chip cluster (`pim-cluster`): the same tensor program runs
-//! unchanged — and bit-identically — while element-parallel work fans out
-//! across one worker thread per chip. The device is `Send + Sync`, so many
+//! [`Device::new`] is a one-shard cluster run on the calling thread;
+//! [`Device::cluster`] makes it `N` chips (`pim-cluster`), each on its own
+//! worker thread: the same tensor program runs unchanged — and
+//! bit-identically — while element-parallel work fans out across the
+//! chips. The device is `Send + Sync`, so many
 //! client threads can serve requests against one cluster concurrently (see
 //! `examples/cluster_serve.rs`).
 //!

@@ -586,3 +586,83 @@ fn execute_batch_protocol_rejects_reads_on_both_engines() {
             .is_err());
     }
 }
+
+#[test]
+fn inline_and_threaded_single_shard_agree() {
+    // `Device::new` is itself a (caller-thread) cluster, so one chip is
+    // held to a reference that shares no routing code: the instruction
+    // stream of a tensor program — upload, R-type ops, a row move, a warp
+    // move, read-back — on `Device::new`, on a threaded 1-shard
+    // `Device::cluster`, and on a bare driver over the simulator.
+    use pypim::driver::Driver;
+    use pypim::isa::{DType, Instruction, RegOp, ThreadRange};
+    use pypim::sim::PimSimulator;
+    use pypim::RangeMask;
+
+    let cfg = PimConfig::small();
+    let all = ThreadRange::all(&cfg);
+    let data = &int_inputs(512);
+    let upload = (0..4u32).flat_map(|warp| {
+        (0..64u32).flat_map(move |row| {
+            (0..2u8).map(move |reg| Instruction::Write {
+                reg,
+                value: data[(warp * 128 + row * 2 + u32::from(reg)) as usize] as u32,
+                target: ThreadRange::single(warp, row),
+            })
+        })
+    });
+    let rtype = |op, dst, srcs| Instruction::RType {
+        op,
+        dtype: DType::Int32,
+        dst,
+        srcs,
+        target: all,
+    };
+    let program: Vec<Instruction> = upload
+        .chain([
+            rtype(RegOp::Add, 2, [0, 1, 0]),
+            rtype(RegOp::Mul, 3, [2, 0, 0]),
+            Instruction::MoveRows {
+                src: 3,
+                dst: 4,
+                src_rows: RangeMask::new(0, 31, 1).unwrap(),
+                dst_rows: RangeMask::new(32, 63, 1).unwrap(),
+                warps: RangeMask::new(0, 3, 1).unwrap(),
+            },
+            Instruction::MoveWarps {
+                src: 4,
+                dst: 5,
+                row_src: 40,
+                row_dst: 7,
+                warps: RangeMask::new(0, 3, 1).unwrap(),
+                dist: 4,
+            },
+            rtype(RegOp::Sub, 6, [5, 1, 0]),
+        ])
+        .collect();
+    let cells: Vec<(u32, u32, u8)> = (0..8u32)
+        .flat_map(|w| (0..64u32).flat_map(move |row| (0..7u8).map(move |reg| (w, row, reg))))
+        .collect();
+
+    let on_device = |dev: Device| {
+        dev.submit_instrs(&program).unwrap().wait().unwrap();
+        let image = dev.submit_reads(&cells).unwrap().wait().unwrap();
+        (image, dev.cycles().unwrap(), dev.issued().unwrap())
+    };
+    let mut bare = Driver::new(PimSimulator::new(cfg.clone()).unwrap());
+    bare.execute_many(&program, &mut Vec::new()).unwrap();
+    let mut words = Vec::new();
+    let reads = cells
+        .iter()
+        .map(|&(warp, row, reg)| Instruction::Read { reg, warp, row });
+    bare.execute_many(reads, &mut words).unwrap();
+    let reference = (
+        words.into_iter().flatten().collect::<Vec<u32>>(),
+        bare.backend().profiler().cycles,
+        bare.issued(),
+    );
+    assert!(reference.0.iter().filter(|&&w| w != 0).count() > 1000);
+
+    assert_eq!(on_device(Device::new(cfg.clone()).unwrap()), reference);
+    assert_eq!(on_device(Device::cluster(cfg, 1).unwrap()), reference);
+}

@@ -37,6 +37,23 @@ fn faulty_device(plan: FaultPlan, recovery: RecoveryConfig) -> (Device, Arc<Faul
     (dev, injector)
 }
 
+/// The same faulty cluster on each transport — shard worker threads, then
+/// the caller's thread — each with its own injector over `plan`.
+fn both_transports(
+    plan: &FaultPlan,
+    recovery: &RecoveryConfig,
+) -> [(PimCluster, Arc<FaultInjector>); 2] {
+    [PimCluster::with_options, PimCluster::inline].map(|build| {
+        let injector = Arc::new(FaultInjector::new(plan.clone(), SHARDS));
+        let options = ClusterOptions {
+            recovery: recovery.clone(),
+            fault: Some(Arc::clone(&injector)),
+            ..ClusterOptions::default()
+        };
+        (build(cfg(), SHARDS, options).unwrap(), injector)
+    })
+}
+
 /// The serving request used throughout: `sum(x * 2 + x)`, one read at the
 /// very end (reads bypass the gateway's retry machinery, so the fault
 /// schedules below target the execution phase).
@@ -150,44 +167,35 @@ fn crash_recover_scenario(recovery: RecoveryConfig) {
         .collect();
 
     // Shard 0's second executable job (the RType batch) crashes its worker.
-    let injector = Arc::new(FaultInjector::new(FaultPlan::none().crash_at(0, 1), SHARDS));
-    let cluster = PimCluster::with_options(
-        cfg(),
-        SHARDS,
-        ClusterOptions {
-            recovery,
-            fault: Some(Arc::clone(&injector)),
-            ..ClusterOptions::default()
-        },
-    )
-    .unwrap();
-    let r = all(&cluster);
-    cluster.execute_batch(&batch1(r)).unwrap();
+    for (cluster, injector) in both_transports(&FaultPlan::none().crash_at(0, 1), &recovery) {
+        let r = all(&cluster);
+        cluster.execute_batch(&batch1(r)).unwrap();
 
-    let err = cluster.execute_batch(&batch2(r)).unwrap_err();
-    assert!(
-        matches!(err, ClusterError::WorkerCrashed { shard: 0 }),
-        "expected typed crash error, got {err:?}"
-    );
-    assert_eq!(err.class(), ErrorClass::Transient);
+        let err = cluster.execute_batch(&batch2(r)).unwrap_err();
+        assert!(
+            matches!(err, ClusterError::WorkerCrashed { shard: 0 }),
+            "expected typed crash error, got {err:?}"
+        );
+        assert_eq!(err.class(), ErrorClass::Transient);
 
-    // Retry: the send path respawns the worker from checkpoint+journal,
-    // so batch 1's writes are intact and the retried batch completes.
-    cluster.execute_batch(&batch2(r)).unwrap();
-    let got: Vec<Option<u32>> = (0..8)
-        .map(|w| {
-            cluster
-                .execute(&Instruction::Read {
-                    reg: 2,
-                    warp: w,
-                    row: 3,
-                })
-                .unwrap()
-        })
-        .collect();
-    assert_eq!(got, expected, "post-recovery state diverged");
-    assert_eq!(injector.stats().worker_crashes, 1);
-    assert_eq!(cluster.stats().unwrap().worker_restarts, 1);
+        // Retry: the send path respawns the worker from checkpoint+journal,
+        // so batch 1's writes are intact and the retried batch completes.
+        cluster.execute_batch(&batch2(r)).unwrap();
+        let got: Vec<Option<u32>> = (0..8)
+            .map(|w| {
+                cluster
+                    .execute(&Instruction::Read {
+                        reg: 2,
+                        warp: w,
+                        row: 3,
+                    })
+                    .unwrap()
+            })
+            .collect();
+        assert_eq!(got, expected, "post-recovery state diverged");
+        assert_eq!(injector.stats().worker_crashes, 1);
+        assert_eq!(cluster.stats().unwrap().worker_restarts, 1);
+    }
 }
 
 #[test]
@@ -233,70 +241,74 @@ fn journal_replay_restores_a_scatter_bit_identically() {
 
     // Shard 0's second job — its half of the gather — crashes the worker;
     // no checkpoint in between, so recovery is pure replay of the scatter.
-    let injector = Arc::new(FaultInjector::new(FaultPlan::none().crash_at(0, 1), SHARDS));
-    let cluster = PimCluster::with_options(
-        cfg,
-        SHARDS,
-        ClusterOptions {
-            recovery: RecoveryConfig {
-                checkpoint_max_instructions: usize::MAX,
-                checkpoint_interval_cycles: u64::MAX,
-                ..RecoveryConfig::default()
-            },
-            fault: Some(injector),
-            ..ClusterOptions::default()
-        },
-    )
-    .unwrap();
-    cluster.scatter(&writes).unwrap();
-    let err = cluster.gather(&locs).unwrap_err();
-    assert!(
-        matches!(err, ClusterError::WorkerCrashed { shard: 0 }),
-        "{err:?}"
-    );
-    let got = cluster.gather(&locs).unwrap();
-    assert_eq!(got, (0..cells.len()).map(word).collect::<Vec<_>>());
-    let stats = cluster.stats().unwrap();
-    assert_eq!(stats.worker_restarts, 1);
-    assert_eq!(stats.replayed_instructions, on_shard_0);
+    let pure_replay = RecoveryConfig {
+        checkpoint_max_instructions: usize::MAX,
+        checkpoint_interval_cycles: u64::MAX,
+        ..RecoveryConfig::default()
+    };
+    for (cluster, _) in both_transports(&FaultPlan::none().crash_at(0, 1), &pure_replay) {
+        cluster.scatter(&writes).unwrap();
+        let err = cluster.gather(&locs).unwrap_err();
+        assert!(
+            matches!(err, ClusterError::WorkerCrashed { shard: 0 }),
+            "{err:?}"
+        );
+        let got = cluster.gather(&locs).unwrap();
+        assert_eq!(got, (0..cells.len()).map(word).collect::<Vec<_>>());
+        let stats = cluster.stats().unwrap();
+        assert_eq!(stats.worker_restarts, 1);
+        assert_eq!(stats.replayed_instructions, on_shard_0);
+    }
 }
 
 #[test]
 fn recovery_disabled_turns_crashes_into_permanent_disconnects() {
-    let injector = Arc::new(FaultInjector::new(FaultPlan::none().crash_at(0, 0), SHARDS));
-    let cluster = PimCluster::with_options(
-        cfg(),
-        SHARDS,
-        ClusterOptions {
-            recovery: RecoveryConfig {
-                enabled: false,
-                ..RecoveryConfig::default()
-            },
-            fault: Some(injector),
-            ..ClusterOptions::default()
-        },
-    )
-    .unwrap();
-    let r = ThreadRange::all(cluster.logical_config());
-    let batch = vec![Instruction::Write {
-        reg: 0,
-        value: 7,
-        target: r,
-    }];
-    assert!(cluster.execute_batch(&batch).is_err());
-    // Without a journal there is nothing to respawn from: the shard stays
-    // down, but errors remain typed — no panics, no hangs.
-    let err = cluster.execute_batch(&batch).unwrap_err();
-    assert!(
-        matches!(
-            err,
-            ClusterError::Disconnected { .. } | ClusterError::WorkerCrashed { .. }
-        ),
-        "{err:?}"
-    );
-    // Stats need every worker alive; with shard 0 permanently down they
-    // error, typed, rather than hang.
-    assert!(cluster.stats().is_err());
+    let off = RecoveryConfig {
+        enabled: false,
+        ..RecoveryConfig::default()
+    };
+    for (cluster, _) in both_transports(&FaultPlan::none().crash_at(0, 0), &off) {
+        let r = ThreadRange::all(cluster.logical_config());
+        let batch = vec![Instruction::Write {
+            reg: 0,
+            value: 7,
+            target: r,
+        }];
+        assert!(cluster.execute_batch(&batch).is_err());
+        // Without a journal there is nothing to respawn from: the shard
+        // stays down, but errors remain typed — no panics, no hangs.
+        let err = cluster.execute_batch(&batch).unwrap_err();
+        assert!(
+            matches!(
+                err,
+                ClusterError::Disconnected { .. } | ClusterError::WorkerCrashed { .. }
+            ),
+            "{err:?}"
+        );
+        // Stats need every worker alive; with shard 0 permanently down
+        // they error, typed, rather than hang.
+        assert!(cluster.stats().is_err());
+    }
+}
+
+#[test]
+fn a_stall_charges_its_cycles_on_either_transport() {
+    // Shard 0's first executable job stalls 500 modeled cycles; both shards
+    // then run the same fill, so the stall is the whole difference.
+    let stalled = FaultPlan::none().stall_at(0, 0, 500);
+    for (cluster, injector) in both_transports(&stalled, &RecoveryConfig::default()) {
+        let target = ThreadRange::all(cluster.logical_config());
+        cluster
+            .execute(&Instruction::Write {
+                reg: 0,
+                value: 7,
+                target,
+            })
+            .unwrap();
+        let shards = cluster.stats().unwrap().shards;
+        assert_eq!(shards[0].profiler.cycles, shards[1].profiler.cycles + 500);
+        assert_eq!(injector.stats().stall_cycles, 500);
+    }
 }
 
 // ---------------------------------------------------------------------
