@@ -1,4 +1,64 @@
-use crate::{ArchError, MicroOp, PimConfig, PreparedBatch};
+use crate::{ArchError, MicroOp, PimConfig, PreparedBatch, RangeMask, RegId, RowId};
+
+/// A run of single-cell accesses to register `reg` under the stored
+/// crossbar mask: `values[i]` written to row `rows[i]`, or (`None`) each
+/// row read in turn. The stored row mask selects `rows[0]`, so the run
+/// stands for the access of `rows[0]`, then for every further cell a
+/// single-row [`MicroOp::RowMask`] if its row differs from the one before,
+/// then its [`MicroOp::Write`] or [`MicroOp::Read`].
+#[derive(Debug, Clone, Copy)]
+pub struct CellRun<'a> {
+    /// Intra-partition (register) index of every cell.
+    pub reg: RegId,
+    /// The row of each cell, in access order.
+    pub rows: &'a [RowId],
+    /// One word per row to write; `None` reads.
+    pub values: Option<&'a [u32]>,
+}
+
+impl CellRun<'_> {
+    /// The single-row masks the run stands for.
+    pub fn row_changes(&self) -> u64 {
+        self.rows
+            .windows(2)
+            .filter(|pair| pair[0] != pair[1])
+            .count() as u64
+    }
+
+    /// Executes the micro-operations the run stands for, one by one.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ArchError::Protocol`] before anything runs unless a write
+    /// brings one value per row, else the first failing operation's error.
+    pub fn expand<B: Backend + ?Sized>(
+        &self,
+        backend: &mut B,
+        out: &mut Vec<u32>,
+    ) -> Result<(), ArchError> {
+        let (rows, values) = (self.rows, self.values);
+        if let Some(values) = values.filter(|v| v.len() != rows.len()) {
+            let reason = format!(
+                "a run of {} rows brings {} values",
+                rows.len(),
+                values.len()
+            );
+            return Err(ArchError::Protocol { reason });
+        }
+        for (i, &row) in rows.iter().enumerate() {
+            if i > 0 && row != rows[i - 1] {
+                backend.execute(&MicroOp::RowMask(RangeMask::single(row)))?;
+            }
+            let index = self.reg;
+            let access = values.map_or(MicroOp::Read { index }, |values| MicroOp::Write {
+                index,
+                value: values[i],
+            });
+            out.extend(backend.execute(&access)?);
+        }
+        Ok(())
+    }
+}
 
 /// The execution side of the micro-operation interface — implemented by the
 /// physical chip, by the bit-accurate simulator ([`pim-sim`]), and by the
@@ -48,27 +108,20 @@ pub trait Backend {
         Ok(())
     }
 
-    /// Executes a batch that may contain reads, appending the word each
-    /// [`MicroOp::Read`] returns to `out` in stream order — the bulk form
-    /// of a host upload or read-back, where every word is a mask operation
-    /// plus one access. The default loops over [`execute`](Self::execute),
-    /// which is always correct but stops at the first failing operation
-    /// with the earlier ones applied. A backend overrides it to treat the
-    /// stream as a whole, as [`execute_batch`](Self::execute_batch) does
-    /// (`pim-sim` accepts or refuses it atomically and applies runs of
-    /// single-row accesses as block operations); each read must still find
-    /// masks that select a single row of a single crossbar at its point of
-    /// the stream.
+    /// Executes a run of single-cell accesses — the bulk form of a host
+    /// upload or read-back — appending the word of each read to `out`. The
+    /// meaning of a run **is** this default body, [`CellRun::expand`]: one
+    /// [`execute`](Self::execute) per micro-operation, stopping at the first
+    /// failing one with the earlier ones applied. A backend overrides it
+    /// only to reach the same cells, stored masks and counters faster
+    /// (`pim-sim` refuses a bad run whole, charges it in closed form and
+    /// applies the cells of one plane word as one block).
     ///
     /// # Errors
     ///
-    /// Returns an error on the first failing operation; `out` then holds
-    /// the reads that completed before it.
-    fn execute_reading(&mut self, ops: &[MicroOp], out: &mut Vec<u32>) -> Result<(), ArchError> {
-        for op in ops {
-            out.extend(self.execute(op)?);
-        }
-        Ok(())
+    /// Returns the error of the first failing operation.
+    fn access(&mut self, run: &CellRun<'_>, out: &mut Vec<u32>) -> Result<(), ArchError> {
+        run.expand(self, out)
     }
 
     /// Replays a batch that was validated once when it was prepared. The
@@ -99,31 +152,5 @@ pub trait Backend {
             self.execute(&crate::encode::decode(w)?)?;
         }
         Ok(())
-    }
-}
-
-impl<B: Backend + ?Sized> Backend for &mut B {
-    fn config(&self) -> &PimConfig {
-        (**self).config()
-    }
-
-    fn execute(&mut self, op: &MicroOp) -> Result<Option<u32>, ArchError> {
-        (**self).execute(op)
-    }
-
-    fn execute_batch(&mut self, ops: &[MicroOp]) -> Result<(), ArchError> {
-        (**self).execute_batch(ops)
-    }
-
-    fn execute_reading(&mut self, ops: &[MicroOp], out: &mut Vec<u32>) -> Result<(), ArchError> {
-        (**self).execute_reading(ops, out)
-    }
-
-    fn execute_prepared(&mut self, batch: &PreparedBatch) -> Result<(), ArchError> {
-        (**self).execute_prepared(batch)
-    }
-
-    fn stream(&mut self, words: &[u64]) -> Result<(), ArchError> {
-        (**self).stream(words)
     }
 }

@@ -140,8 +140,11 @@ fn bench_simulator(c: &mut Criterion) {
 /// word), the row transfer of a shift (one `MoveRows` whose 511 row
 /// pairs overlap) and one direction of a distance-1 compare-exchange (one
 /// `MoveRows` from the 256 odd rows to the 256 even rows: disjoint strided
-/// sets). All three reach the simulator as runs its batch executor applies
-/// in block form.
+/// sets). The first reaches the simulator as one run per warp and kind
+/// (`Backend::access`), the other two as runs its batch executor applies
+/// in block form. `upload_readback_16` is the short end of the first: two
+/// 16-word uploads to two registers and one 16-word read-back on 8 x 64,
+/// where the fixed cost of a run is what is measured.
 fn bench_row_access(c: &mut Criterion) {
     let cfg = PimConfig::small().with_crossbars(16).with_rows(512);
     let mut group = c.benchmark_group("simulator");
@@ -165,6 +168,33 @@ fn bench_row_access(c: &mut Criterion) {
         b.iter(|| {
             results.clear();
             driver.execute_many(&instrs, &mut results).unwrap();
+        });
+    });
+
+    let short: Vec<Instruction> = [Some(0), Some(1), None]
+        .into_iter()
+        .flat_map(|write| {
+            (0..16).map(move |row| match write {
+                Some(reg) => Instruction::Write {
+                    reg,
+                    value: row * 3 + 1,
+                    target: ThreadRange::single(5, row),
+                },
+                None => Instruction::Read {
+                    reg: 1,
+                    warp: 5,
+                    row,
+                },
+            })
+        })
+        .collect();
+    let small = PimConfig::small().with_crossbars(8).with_rows(64);
+    let mut short_driver = Driver::new(PimSimulator::new(small).unwrap());
+    group.throughput(Throughput::Elements(short.len() as u64));
+    group.bench_function("upload_readback_16", |b| {
+        b.iter(|| {
+            results.clear();
+            short_driver.execute_many(&short, &mut results).unwrap();
         });
     });
 

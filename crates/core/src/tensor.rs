@@ -101,6 +101,22 @@ impl Tensor {
         ((t / rows) as u32, (t % rows) as u32)
     }
 
+    /// `(warp, row)` of every element, in order: [`warp_row`](Self::warp_row)
+    /// stepped by the stride, so a whole-tensor walk divides once.
+    fn cells(&self) -> impl Iterator<Item = (u32, u32)> {
+        let rows = self.device().config().rows;
+        let (step_warps, step_rows) = (self.stride / rows, self.stride % rows);
+        let (mut warp, mut row) = (self.thread(0) / rows, self.thread(0) % rows);
+        (0..self.len).map(move |_| {
+            let cell = (warp as u32, row as u32);
+            (warp, row) = (warp + step_warps, row + step_rows);
+            if row >= rows {
+                (warp, row) = (warp + 1, row - rows);
+            }
+            cell
+        })
+    }
+
     /// Whether `self` and `other` occupy exactly the same threads
     /// (element-for-element), which is the condition for direct parallel
     /// operation.
@@ -344,36 +360,20 @@ impl Tensor {
     ///
     /// Panics unless `values` yields exactly one word per element.
     pub fn plan_store(&self, values: impl IntoIterator<Item = u32>) -> Vec<Instruction> {
-        let instrs: Vec<Instruction> = values
-            .into_iter()
-            .enumerate()
-            .map(|(i, bits)| {
-                let (warp, row) = self.warp_row(i);
-                Instruction::Write {
-                    reg: self.reg(),
-                    value: bits,
-                    target: ThreadRange::single(warp, row),
-                }
-            })
-            .collect();
-        assert_eq!(
-            instrs.len(),
-            self.len,
-            "plan_store requires exactly one value per element"
-        );
-        instrs
+        let reg = self.reg();
+        self.zip_cells(values, |(warp, row), value| Instruction::Write {
+            reg,
+            value,
+            target: ThreadRange::single(warp, row),
+        })
     }
 
     /// The `(warp, row, register)` location of every element, in order —
     /// the read side of the planning API (feed to
     /// [`Device::submit_reads`](crate::Device::submit_reads)).
     pub fn element_locs(&self) -> Vec<(u32, u32, u8)> {
-        (0..self.len)
-            .map(|i| {
-                let (warp, row) = self.warp_row(i);
-                (warp, row, self.reg())
-            })
-            .collect()
+        let reg = self.reg();
+        self.cells().map(|(warp, row)| (warp, row, reg)).collect()
     }
 
     /// Broadcast-writes `bits` to every element. The ranges go out as one
@@ -385,20 +385,27 @@ impl Tensor {
     /// Writes the whole view from an iterator of raw words (exactly one
     /// value per element, in order) as a single bulk scatter.
     pub(crate) fn store_raw(&self, values: impl IntoIterator<Item = u32>) -> Result<()> {
-        let writes: Vec<pim_cluster::GlobalWrite> = values
-            .into_iter()
-            .enumerate()
-            .map(|(i, bits)| {
-                let (warp, row) = self.warp_row(i);
-                pim_cluster::GlobalWrite::new(warp, row, self.reg(), bits)
-            })
-            .collect();
-        assert_eq!(
-            writes.len(),
-            self.len,
-            "store_raw requires exactly one value per element"
+        let reg = self.reg();
+        let write = |(warp, row), bits| pim_cluster::GlobalWrite::new(warp, row, reg, bits);
+        self.device().write_many(&self.zip_cells(values, write))
+    }
+
+    /// One `T` per element from its cell and its word; panics unless
+    /// `values` yields exactly one word per element (`zip` stops at the
+    /// last cell, so a word left over is one too many).
+    fn zip_cells<T>(
+        &self,
+        values: impl IntoIterator<Item = u32>,
+        f: impl Fn((u32, u32), u32) -> T,
+    ) -> Vec<T> {
+        let mut values = values.into_iter();
+        let cells = self.cells().zip(values.by_ref());
+        let out: Vec<T> = cells.map(|(cell, word)| f(cell, word)).collect();
+        assert!(
+            out.len() == self.len && values.next().is_none(),
+            "a store requires exactly one value per element"
         );
-        self.device().write_many(&writes)
+        out
     }
 
     /// Float element access (`x[4]`).
@@ -507,6 +514,33 @@ mod tests {
             }
         }
         out
+    }
+
+    /// The stepped walk is `warp_row(i)` for every view shape: dense across
+    /// warps, strides below, equal to and above the row count — and a store
+    /// takes exactly one value per cell, neither fewer nor more.
+    #[test]
+    fn cells_step_like_warp_row_and_stores_count_their_values() {
+        let d = dev(8, 16);
+        let t = d.zeros_i32(100).unwrap();
+        for (start, step) in [(0, 1), (3, 1), (5, 3), (1, 16), (2, 23), (7, 40)] {
+            let v = t.slice_step(start, 100, step).unwrap();
+            let walked: Vec<_> = v.cells().collect();
+            let indexed: Vec<_> = (0..v.len()).map(|i| v.warp_row(i)).collect();
+            assert_eq!(walked, indexed, "[{start}::{step}]");
+            let locs = v.element_locs();
+            assert!(locs.iter().map(|&(w, r, _)| (w, r)).eq(walked));
+            for wrong in [v.len() - 1, v.len() + 1] {
+                let planned = std::panic::catch_unwind(|| v.plan_store(0..wrong as u32));
+                let stored = std::panic::catch_unwind(|| v.store_raw(0..wrong as u32));
+                assert!(planned.is_err() && stored.is_err(), "{wrong} values");
+            }
+            v.store_raw(0..v.len() as u32).unwrap();
+            assert_eq!(
+                v.to_raw_vec().unwrap(),
+                (0..v.len() as u32).collect::<Vec<_>>()
+            );
+        }
     }
 
     #[test]

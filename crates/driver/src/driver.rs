@@ -1,16 +1,11 @@
 use crate::cache::{RoutineCache, RoutineKey};
 use crate::{DriverError, RoutineStats};
-use pim_arch::{encode, htree, Backend, MicroOp, MoveOp, PimConfig, RangeMask, RegId, VGate};
-use pim_isa::{DType, Instruction, RegOp};
+use pim_arch::{
+    encode, htree, Backend, CellRun, MicroOp, MoveOp, PimConfig, RangeMask, RegId, VGate, XbId,
+};
+use pim_isa::{DType, Instruction, RegOp, ThreadRange};
 use std::borrow::Borrow;
 use std::collections::HashMap;
-
-/// Cells (single-thread writes and reads) lowered into one micro-operation
-/// batch by [`Driver::execute_many`] before it goes to the backend: several
-/// plane words' worth of rows, so a backend sees whole runs, while the
-/// batch buffer (allocated with the driver) stays at 15 KB however long
-/// the upload is.
-const CELLS_PER_BATCH: usize = 256;
 
 /// Which arithmetic implementation the driver compiles where both exist
 /// (§II-B): bit-serial element-parallel or bit-parallel element-parallel
@@ -87,10 +82,11 @@ pub struct Driver<B> {
     /// micro-operation source, so it can elide redundant mask operations).
     cur_xb: Option<RangeMask>,
     cur_rows: Option<RangeMask>,
-    /// The cells [`execute_many`](Self::execute_many) has lowered but not
-    /// yet handed to the backend, and the words its reads returned (both
-    /// reused across calls).
-    cells: Vec<MicroOp>,
+    /// The run [`execute_many`](Self::execute_many) is collecting — the row
+    /// of each cell and, for an upload, its word — and the words its reads
+    /// returned (all reused across calls).
+    run_rows: Vec<u32>,
+    run_values: Vec<u32>,
     read_words: Vec<u32>,
     /// The micro-operations of the `MoveRows` being executed (reused across
     /// calls; see [`lower_move_rows`](Self::lower_move_rows)).
@@ -111,8 +107,9 @@ impl<B: Backend> Driver<B> {
             encoded_cache: HashMap::new(),
             cur_xb: None,
             cur_rows: None,
-            cells: Vec::with_capacity(3 * CELLS_PER_BATCH),
-            read_words: Vec::with_capacity(CELLS_PER_BATCH),
+            run_rows: Vec::new(),
+            run_values: Vec::new(),
+            read_words: Vec::new(),
             move_ops: Vec::new(),
         }
     }
@@ -211,29 +208,22 @@ impl<B: Backend> Driver<B> {
         warps: Option<RangeMask>,
         rows: Option<RangeMask>,
     ) -> Result<u64, DriverError> {
-        let mut ops: [MicroOp; 2] = [
-            MicroOp::Read { index: 0 }, // placeholder, never sent
-            MicroOp::Read { index: 0 },
-        ];
-        let mut n = 0;
-        if let Some(w) = warps {
-            if self.cur_xb != Some(w) {
-                ops[n] = MicroOp::XbMask(w);
-                n += 1;
-                self.cur_xb = Some(w);
-            }
+        let warps = warps.filter(|w| self.cur_xb.replace(*w) != Some(*w));
+        let rows = rows.filter(|r| self.cur_rows.replace(*r) != Some(*r));
+        let stale = [warps.map(MicroOp::XbMask), rows.map(MicroOp::RowMask)];
+        for op in stale.iter().flatten() {
+            self.backend.execute(op)?;
         }
-        if let Some(r) = rows {
-            if self.cur_rows != Some(r) {
-                ops[n] = MicroOp::RowMask(r);
-                n += 1;
-                self.cur_rows = Some(r);
-            }
-        }
-        if n > 0 {
-            self.backend.execute_batch(&ops[..n])?;
-        }
-        Ok(n as u64)
+        Ok(stale.iter().flatten().count() as u64)
+    }
+
+    /// Issues one `Write` or `Read` behind the masks of `at`.
+    fn access_at(&mut self, at: ThreadRange, op: &MicroOp) -> Result<Option<u32>, DriverError> {
+        let masks = self.set_masks(Some(at.warps), Some(at.rows))?;
+        let word = self.backend.execute(op)?;
+        self.issued.logic += 1;
+        self.issued.total += 1 + masks;
+        Ok(word)
     }
 
     fn routine_key(&self, op: RegOp, dtype: DType, dst: RegId, srcs: &[RegId; 3]) -> RoutineKey {
@@ -274,24 +264,12 @@ impl<B: Backend> Driver<B> {
                 Ok(None)
             }
             Instruction::Write { reg, value, target } => {
-                let masks = self.set_masks(Some(target.warps), Some(target.rows))?;
-                self.backend.execute(&MicroOp::Write {
-                    index: *reg,
-                    value: *value,
-                })?;
-                self.issued.logic += 1;
-                self.issued.total += 1 + masks;
-                Ok(None)
+                let (index, value) = (*reg, *value);
+                self.access_at(*target, &MicroOp::Write { index, value })
             }
             Instruction::Read { reg, warp, row } => {
-                let masks = self.set_masks(
-                    Some(RangeMask::single(*warp)),
-                    Some(RangeMask::single(*row)),
-                )?;
-                let v = self.backend.execute(&MicroOp::Read { index: *reg })?;
-                self.issued.logic += 1;
-                self.issued.total += 1 + masks;
-                Ok(v)
+                let target = ThreadRange::single(*warp, *row);
+                self.access_at(target, &MicroOp::Read { index: *reg })
             }
             Instruction::MoveRows {
                 src,
@@ -323,24 +301,15 @@ impl<B: Backend> Driver<B> {
                 dist,
             } => {
                 let masks = self.set_masks(Some(*warps), None)?;
-                self.backend.execute(&MicroOp::Move(MoveOp {
+                let mv = MoveOp {
                     dist: *dist,
                     row_src: *row_src,
                     row_dst: *row_dst,
                     index_src: *src,
                     index_dst: *dst,
-                }))?;
-                let plan = htree::plan_move(
-                    warps,
-                    &MoveOp {
-                        dist: *dist,
-                        row_src: *row_src,
-                        row_dst: *row_dst,
-                        index_src: *src,
-                        index_dst: *dst,
-                    },
-                    &self.cfg,
-                )?;
+                };
+                self.backend.execute(&MicroOp::Move(mv))?;
+                let plan = htree::plan_move(warps, &mv, &self.cfg)?;
                 // H-tree serialization is intrinsic to the communication
                 // pattern, so it belongs to the theoretical baseline too.
                 self.issued.logic += plan.cycles;
@@ -401,17 +370,16 @@ impl<B: Backend> Driver<B> {
     /// Executes a sequence of macro-instructions, appending one result per
     /// instruction to `out` (the word for an [`Instruction::Read`], `None`
     /// otherwise; a `Vec`, or a sink that keeps only what the caller
-    /// wants) — [`execute`](Self::execute) in a loop, except that every
-    /// run of single-thread writes and reads (a host upload or read-back)
-    /// reaches the backend as one micro-operation batch through
-    /// [`Backend::execute_reading`] instead of one call per mask and per
-    /// access. The micro-operations, the elided masks and
-    /// [`issued`](Self::issued) are exactly those of the loop.
+    /// wants) — [`execute`](Self::execute) in a loop, except that a run of
+    /// single-thread writes, or of reads, of one register of one warp (a
+    /// host upload or read-back) reaches the backend as one [`CellRun`]
+    /// through [`Backend::access`]. The micro-operations it stands for, the
+    /// elided masks and [`issued`](Self::issued) are exactly the loop's.
     ///
     /// # Errors
     ///
     /// Fails on the first erroring instruction, with the instructions
-    /// before it executed; see [`execute`](Self::execute). A batch the
+    /// before it executed; see [`execute`](Self::execute). A run the
     /// backend refuses counts nothing towards `issued`.
     pub fn execute_many<I, O>(&mut self, instrs: I, out: &mut O) -> Result<(), DriverError>
     where
@@ -419,91 +387,91 @@ impl<B: Backend> Driver<B> {
         I::Item: Borrow<Instruction>,
         O: Extend<Option<u32>>,
     {
-        let mut pending = IssuedCycles::default();
+        let mut run = None;
         for instr in instrs {
             let instr = instr.borrow();
             let cell = match instr {
-                Instruction::Write { reg, value, target } if target.len() == 1 => Some((
-                    *target,
-                    MicroOp::Write {
-                        index: *reg,
-                        value: *value,
-                    },
-                )),
-                Instruction::Read { reg, warp, row } => Some((
-                    pim_isa::ThreadRange::single(*warp, *row),
-                    MicroOp::Read { index: *reg },
-                )),
+                // The masks of a run are `single(..)`: a one-thread range
+                // spelt with another step keeps its own spelling.
+                Instruction::Write { reg, value, target } => {
+                    let (warp, row) = (target.warps.start(), target.rows.start());
+                    let cell = Some(((*reg, warp, true), row, *value));
+                    cell.filter(|_| *target == ThreadRange::single(warp, row))
+                }
+                Instruction::Read { reg, warp, row } => Some(((*reg, *warp, false), *row, 0)),
                 _ => None,
             };
             // An invalid cell ends the run like any other instruction;
-            // `execute` then reports it.
-            let cell = cell.filter(|_| instr.validate(&self.cfg).is_ok());
-            let Some((target, access)) = cell else {
-                self.flush_cells(&mut pending, out)?;
+            // `execute` then reports it. Only the row is new in a cell that
+            // extends the run (the whole check cost 3.5 ns a cell).
+            let cell = cell.filter(|&(key, row, _)| match run == Some(key) {
+                true => (row as usize) < self.cfg.rows,
+                false => instr.validate(&self.cfg).is_ok(),
+            });
+            let Some((key, row, value)) = cell else {
+                self.issue_run(run.take(), out)?;
                 out.extend([self.execute(instr)?]);
                 continue;
             };
-            // The masks, elided as `set_masks` elides them (written out
-            // here: handing the pair back by value cost 7 ns a cell).
-            let before = self.cells.len();
-            if self.cur_xb != Some(target.warps) {
-                self.cells.push(MicroOp::XbMask(target.warps));
-                self.cur_xb = Some(target.warps);
+            if run != Some(key) {
+                self.issue_run(run.replace(key), out)?;
+                self.run_rows.clear();
+                self.run_values.clear();
             }
-            if self.cur_rows != Some(target.rows) {
-                self.cells.push(MicroOp::RowMask(target.rows));
-                self.cur_rows = Some(target.rows);
-            }
-            self.cells.push(access);
-            pending.logic += 1;
-            pending.total += (self.cells.len() - before) as u64;
-            if pending.logic as usize == CELLS_PER_BATCH {
-                self.flush_cells(&mut pending, out)?;
+            self.run_rows.push(row);
+            if key.2 {
+                self.run_values.push(value);
             }
         }
-        self.flush_cells(&mut pending, out)
+        self.issue_run(run, out)
     }
 
-    /// Hands the lowered cells to the backend as one batch, counts them as
-    /// issued and appends their results to `out`. If the backend refuses
-    /// the batch, the masks it holds are no longer known.
-    fn flush_cells(
+    /// Hands the collected run — `(register, warp, is a write)` — to the
+    /// backend behind the masks of its first cell, counts it as issued and
+    /// appends its results to `out`. If the backend refuses the run, the
+    /// masks it holds are no longer known.
+    fn issue_run(
         &mut self,
-        pending: &mut IssuedCycles,
+        run: Option<(RegId, XbId, bool)>,
         out: &mut impl Extend<Option<u32>>,
     ) -> Result<(), DriverError> {
-        if self.cells.is_empty() {
+        let Some((reg, warp, write)) = run else {
+            return Ok(());
+        };
+        let (lead, cells) = (self.run_rows[0], self.run_rows.len());
+        if cells == 1 {
+            // A lone cell is the instruction it came from (a crossing copy
+            // is all lone cells: a run's fixed cost showed there).
+            let (index, value) = (reg, write.then(|| self.run_values[0]));
+            let access = value.map_or(MicroOp::Read { index }, |value| MicroOp::Write {
+                index,
+                value,
+            });
+            out.extend([self.access_at(ThreadRange::single(warp, lead), &access)?]);
             return Ok(());
         }
+        let masks = self.set_masks(Some(RangeMask::single(warp)), Some(RangeMask::single(lead)))?;
+        let rows = &self.run_rows;
+        let values = write.then_some(&self.run_values[..]);
+        let run = CellRun { reg, rows, values };
         self.read_words.clear();
-        let done = self
-            .backend
-            .execute_reading(&self.cells, &mut self.read_words);
-        let reads = self
-            .cells
-            .iter()
-            .filter(|op| matches!(op, MicroOp::Read { .. }))
-            .count();
-        let answered = self.read_words.len();
-        let done = done.and_then(|()| match answered == reads {
-            true => Ok(()),
-            false => Err(pim_arch::ArchError::Protocol {
-                reason: format!("backend answered {reads} reads with {answered} words"),
-            }),
-        });
+        let mut done = self.backend.access(&run, &mut self.read_words);
+        let (reads, answered) = (if write { 0 } else { cells }, self.read_words.len());
+        if done.is_ok() && answered != reads {
+            let reason = format!("backend answered {reads} reads with {answered} words");
+            done = Err(pim_arch::ArchError::Protocol { reason });
+        }
         if let Err(e) = done {
-            self.cells.clear();
             self.invalidate_masks();
             return Err(e.into());
         }
-        let mut words = self.read_words.iter();
-        out.extend(self.cells.drain(..).filter_map(|op| match op {
-            MicroOp::Write { .. } => Some(None),
-            MicroOp::Read { .. } => Some(words.next().copied()),
-            _ => None,
-        }));
-        self.issued += std::mem::take(pending);
+        self.cur_rows = Some(RangeMask::single(rows[cells - 1]));
+        self.issued.logic += cells as u64;
+        self.issued.total += cells as u64 + run.row_changes() + masks;
+        match write {
+            true => out.extend(std::iter::repeat_n(None, cells)),
+            false => out.extend(self.read_words.iter().copied().map(Some)),
+        }
         Ok(())
     }
 
@@ -598,7 +566,7 @@ impl<B: Backend> Driver<B> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pim_isa::{DType, RegOp, ThreadRange};
+    use pim_isa::{DType, RegOp};
     use pim_sim::PimSimulator;
 
     fn driver() -> Driver<PimSimulator> {
@@ -890,7 +858,7 @@ mod tests {
     #[test]
     fn execute_many_chunks_long_runs_and_stops_at_a_bad_instruction() {
         let cell = |i: u32| (i * 7 / 64 % 16, i * 7 % 64);
-        let mut instrs: Vec<Instruction> = (0..2 * CELLS_PER_BATCH as u32 + 300)
+        let mut instrs: Vec<Instruction> = (0..812)
             .map(|i| {
                 let (warp, row) = cell(i);
                 Instruction::Write {
@@ -900,7 +868,7 @@ mod tests {
                 }
             })
             .collect();
-        instrs.extend((0..CELLS_PER_BATCH as u32 + 9).map(|i| {
+        instrs.extend((0..265).map(|i| {
             let (warp, row) = cell(i);
             Instruction::Read { reg: 1, warp, row }
         }));

@@ -521,13 +521,12 @@ impl Fleet {
             .filter(|&h| st.hosts[h].eligible(now))
             .collect();
         order.sort_by_key(|&h| (st.hosts[h].gateway.active_sessions(), h));
-        if order.is_empty() {
-            return Err(CoreError::Overloaded {
-                session: usize::MAX,
-                depth: 0,
-            });
-        }
-        let mut last_err = None;
+        // The answer when no host is eligible; a host that refuses the
+        // session replaces it with its own reason.
+        let mut refusal = CoreError::Overloaded {
+            session: usize::MAX,
+            depth: 0,
+        };
         for h in order {
             match st.hosts[h].gateway.open_session() {
                 Ok(client) => {
@@ -559,10 +558,10 @@ impl Fleet {
                         slot,
                     });
                 }
-                Err(e) => last_err = Some(e),
+                Err(e) => refusal = e,
             }
         }
-        Err(last_err.expect("non-empty placement order"))
+        Err(refusal)
     }
 
     /// The current leadership lease, if one was granted.

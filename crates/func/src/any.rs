@@ -1,5 +1,5 @@
 use crate::{FuncBackend, FuncSnapshot};
-use pim_arch::{ArchError, Backend, MicroOp, PimConfig, PreparedBatch};
+use pim_arch::{ArchError, Backend, CellRun, MicroOp, PimConfig, PreparedBatch};
 use pim_sim::{PimSimulator, Profiler, SimSnapshot};
 
 /// Selects which [`Backend`] implementation executes a chip's
@@ -181,10 +181,10 @@ impl Backend for AnyBackend {
         }
     }
 
-    fn execute_reading(&mut self, ops: &[MicroOp], out: &mut Vec<u32>) -> Result<(), ArchError> {
+    fn access(&mut self, run: &CellRun<'_>, out: &mut Vec<u32>) -> Result<(), ArchError> {
         match self {
-            AnyBackend::Sim(s) => s.execute_reading(ops, out),
-            AnyBackend::Func(f) => f.execute_reading(ops, out),
+            AnyBackend::Sim(s) => s.access(run, out),
+            AnyBackend::Func(f) => f.access(run, out),
         }
     }
 
@@ -192,13 +192,6 @@ impl Backend for AnyBackend {
         match self {
             AnyBackend::Sim(s) => s.execute_prepared(batch),
             AnyBackend::Func(f) => f.execute_prepared(batch),
-        }
-    }
-
-    fn stream(&mut self, words: &[u64]) -> Result<(), ArchError> {
-        match self {
-            AnyBackend::Sim(s) => s.stream(words),
-            AnyBackend::Func(f) => f.stream(words),
         }
     }
 }

@@ -1,19 +1,27 @@
-//! The batch executor of the bit-accurate simulator applies runs of
-//! micro-operations in block form: vertical `NOT`s that move a dense or
+//! The bit-accurate simulator applies two kinds of runs in block form.
+//!
+//! Its batch executor recognises vertical `NOT`s that move a dense or
 //! strided row set by a uniform shift (each behind its own `INIT1`, or bare
 //! after one horizontal `INIT` of the destination rows — the two shapes
-//! `MoveRows` lowers to), and single-row writes or reads that walk the rows
-//! of one plane word. This suite feeds it random batches salted with such runs —
-//! well-formed, cut short, interrupted and illegal ones — and holds the
-//! batch entry points (`execute_batch`, `execute_reading`) equal to
-//! op-by-op `execute`: cells, stored masks, `Profiler`, returned reads and
-//! error values, with strict checking on and off, and against the
-//! functional backend.
+//! `MoveRows` lowers to). The first suite feeds `execute_batch` random
+//! batches salted with such runs and with uploads — well-formed, cut short,
+//! interrupted and illegal ones — and holds it equal to op-by-op `execute`:
+//! cells, stored masks, `Profiler` and error values, with strict checking
+//! on and off, and against the functional backend.
+//!
+//! An upload or a read-back arrives as a run already (`Backend::access`),
+//! and a run means the micro-operations it expands to. The second suite
+//! holds the simulator's block form to that expansion and to the functional
+//! backend (which keeps the trait default): cells, stored masks, `Profiler`,
+//! returned reads and error values — and a run the block form refuses
+//! changes nothing.
 //!
 //! Rows per crossbar default to 160 (two and a half plane words) and follow
 //! `PIM_ORACLE_ROWS` when set; CI runs the suite a second time at 96.
 
-use pim_arch::{ArchError, Backend, GateKind, HLogic, MicroOp, PimConfig, RangeMask, VGate};
+use pim_arch::{
+    ArchError, Backend, CellRun, GateKind, HLogic, MicroOp, PimConfig, RangeMask, VGate,
+};
 use pim_func::{AnyBackend, BackendKind};
 use pim_sim::Profiler;
 use proptest::prelude::*;
@@ -24,6 +32,8 @@ const XBS: u32 = 4;
 const REGS: u8 = 4;
 
 type Seed = (u8, u8, u8, u8, u8, u8, u8);
+/// One way of running something on a chip, appending what it reads.
+type Act<'a> = &'a dyn Fn(&mut dyn Backend, &mut Vec<u32>) -> Result<(), ArchError>;
 
 fn cfg() -> PimConfig {
     let rows = std::env::var("PIM_ORACLE_ROWS").map_or(160, |rows| {
@@ -153,11 +163,10 @@ fn transfer_run(cfg: &PimConfig, seed: Seed, ops: &mut Vec<MicroOp>) {
     }
 }
 
-/// A candidate upload (`read == false`) or read-back run: a crossbar mask,
-/// then `cells` single-row accesses of one register walking up or down from
-/// row `a`, broken in the middle by `flaw`. A read-back under a crossbar
-/// mask that is not single violates the read protocol.
-fn access_run(cfg: &PimConfig, seed: Seed, read: bool, ops: &mut Vec<MicroOp>) {
+/// A candidate upload as a batch carries it: a crossbar mask, then `cells`
+/// single-row writes of one register walking up or down from row `a`,
+/// broken in the middle by `flaw`.
+fn upload(cfg: &PimConfig, seed: Seed, ops: &mut Vec<MicroOp>) {
     let (_, a, b, c, d, flaw, f) = seed;
     let rows = cfg.rows as i64;
     let step = if c % 4 == 0 { -1 } else { 1 };
@@ -170,7 +179,7 @@ fn access_run(cfg: &PimConfig, seed: Seed, read: bool, ops: &mut Vec<MicroOp>) {
     let cells = [1, 2, 5, 64, 100][b as usize % 5];
     for k in 0..cells {
         let mut index_k = index;
-        if k == cells / 2 {
+        if k == cells / 2 && (0..rows).contains(&row) {
             match flaw % 8 {
                 0 => ops.push(foreign(cfg, seed)),
                 1 => index_k = (index + 1) % REGS,
@@ -184,12 +193,9 @@ fn access_run(cfg: &PimConfig, seed: Seed, read: bool, ops: &mut Vec<MicroOp>) {
             break;
         }
         ops.push(single_row(row));
-        ops.push(match read ^ (k == cells / 2 && flaw % 8 == 5) {
-            true => MicroOp::Read { index: index_k },
-            false => MicroOp::Write {
-                index: index_k,
-                value: 0x9E37_79B9u32.wrapping_mul(k as u32 + a as u32),
-            },
+        ops.push(MicroOp::Write {
+            index: index_k,
+            value: 0x9E37_79B9u32.wrapping_mul(k as u32 + a as u32),
         });
         row += step;
     }
@@ -201,8 +207,7 @@ fn batch(cfg: &PimConfig, seeds: &[Seed]) -> Vec<MicroOp> {
         match seed.0 % 8 {
             0 | 1 => ops.push(foreign(cfg, seed)),
             2..=4 => transfer_run(cfg, seed, &mut ops),
-            5 => access_run(cfg, seed, false, &mut ops),
-            _ => access_run(cfg, seed, true, &mut ops),
+            _ => upload(cfg, seed, &mut ops),
         }
     }
     ops
@@ -280,10 +285,7 @@ fn serially(
 fn batched(
     ops: &[MicroOp],
 ) -> impl FnOnce(&mut dyn Backend, &mut Vec<u32>) -> Result<(), ArchError> + '_ {
-    move |chip, reads| match ops.iter().any(|op| matches!(op, MicroOp::Read { .. })) {
-        true => chip.execute_reading(ops, reads),
-        false => chip.execute_batch(ops),
-    }
+    move |chip, _| chip.execute_batch(ops)
 }
 
 fn sim(cfg: &PimConfig, strict: bool) -> AnyBackend {
@@ -303,44 +305,109 @@ proptest! {
         let ops = batch(&cfg, &seeds);
         let func = || AnyBackend::new(BackendKind::Functional, cfg.clone()).unwrap();
 
-        // Without strict checking only the read protocol can refuse an
-        // operation. Op by op the stream then stops there; a batch is
-        // refused whole and leaves the simulator as it was.
+        // Without strict checking nothing refuses a valid operation.
         let loose = outcome(sim(&cfg, false), serially(&ops));
-        let untouched = outcome(sim(&cfg, false), |_, _| Ok(()));
-        for strict in [false, true] {
-            let batch = outcome(sim(&cfg, strict), batched(&ops));
-            match &loose.result {
-                Err(refusal) => {
-                    prop_assert!(matches!(refusal, ArchError::Protocol { .. }));
-                    prop_assert_eq!(&batch.result, &loose.result);
-                    prop_assert!(batch.reads.is_empty());
-                    prop_assert!(batch.cells == untouched.cells, "a refused batch changed cells or masks");
-                    prop_assert_eq!(&batch.profiler, &untouched.profiler);
-                }
-                Ok(()) if !strict => prop_assert!(batch == loose, "batch and op-by-op diverge"),
-                // A strict failure stops both at the same operation, with
-                // the same cells, masks and reads; the batch was charged
-                // whole when it was accepted.
-                Ok(()) => {
-                    let serial = outcome(sim(&cfg, true), serially(&ops));
-                    prop_assert_eq!(&batch.result, &serial.result);
-                    prop_assert_eq!(&batch.reads, &serial.reads);
-                    prop_assert!(batch.cells == serial.cells, "strict batch and op-by-op diverge");
-                    if serial.result.is_ok() {
-                        prop_assert_eq!(&batch.profiler, &serial.profiler);
-                        prop_assert!(serial == loose);
-                    }
-                }
-            }
+        prop_assert_eq!(&loose.result, &Ok(()));
+        prop_assert!(outcome(sim(&cfg, false), batched(&ops)) == loose, "batch and op-by-op diverge");
+        // A strict failure stops both at the same operation, with the same
+        // cells and masks; the batch was charged whole when it was accepted.
+        let batch = outcome(sim(&cfg, true), batched(&ops));
+        let serial = outcome(sim(&cfg, true), serially(&ops));
+        prop_assert_eq!(&batch.result, &serial.result);
+        prop_assert!(batch.cells == serial.cells, "strict batch and op-by-op diverge");
+        if serial.result.is_ok() {
+            prop_assert_eq!(&batch.profiler, &serial.profiler);
+            prop_assert!(serial == loose);
         }
 
-        // The functional backend: the same reads, cells and counters both
-        // ways; a stream it refuses stops at the refused operation.
-        let func_serial = outcome(func(), serially(&ops));
-        prop_assert!(func_serial == loose, "functional backend diverges from the simulator");
-        if loose.result.is_ok() {
-            prop_assert!(outcome(func(), batched(&ops)) == loose);
+        // The functional backend: the same cells and counters both ways.
+        prop_assert!(outcome(func(), serially(&ops)) == loose, "functional backend diverges from the simulator");
+        prop_assert!(outcome(func(), batched(&ops)) == loose);
+    }
+
+    /// A run is its expansion. Over four geometries, either kind, row lists
+    /// stitched from segments (up, down, strided, a row repeated, plane
+    /// words crossed back and forth, a single cell, one row out of range),
+    /// a register or a value count that is wrong now and then, and stored
+    /// masks that keep the run's contract (one crossbar or several, the row
+    /// mask on `rows[0]`) or break it: the simulator's `access`, the
+    /// expansion executed op by op on a second simulator, and the
+    /// functional backend (the trait default) return the same `Result` and
+    /// the same words and leave the same cells, stored masks and
+    /// `Profiler`. A run the block form refuses changed nothing.
+    #[test]
+    fn a_run_is_its_expansion(
+        segments in proptest::collection::vec(any::<(u8, u8, u8)>(), 1..5),
+        (geometry, reg, read, flaw, at) in any::<(u8, u8, bool, u8, u8)>(),
+        (xb_shape, row_shape, salt) in any::<(u8, u8, u32)>(),
+    ) {
+        let (xbs, rows) = [(XBS, cfg().rows as u32), (1, 64), (2, 96), (3, 200)][geometry as usize % 4];
+        let cfg = PimConfig::small().with_crossbars(xbs as usize).with_rows(rows as usize);
+
+        let mut run_rows = Vec::new();
+        for &(start, len, style) in &segments {
+            let start = i64::from(start) * 3 % i64::from(rows);
+            let len = [1, 1, 2, 5, 40, 70, 130][len as usize % 7];
+            let step = [1, -1, 0, 2, -3, 7, 64, -64][style as usize % 8];
+            let walk = (0..len).map(|k| start + k * step);
+            run_rows.extend(walk.take_while(|row| (0..i64::from(rows)).contains(row)).map(|row| row as u32));
+        }
+        if flaw % 8 == 0 {
+            let at = at as usize % run_rows.len();
+            run_rows[at] = rows + u32::from(at as u8 % 3);
+        }
+        let mut values: Vec<u32> = (0..run_rows.len() as u32)
+            .map(|i| 0x9E37_79B9u32.wrapping_mul(i ^ salt))
+            .collect();
+        match flaw % 16 {
+            1 => values.truncate(values.len() - 1),
+            9 => values.push(salt),
+            _ => {}
+        }
+        let run = CellRun {
+            reg: if flaw % 16 == 2 { cfg.regs as u8 } else { reg % REGS },
+            rows: &run_rows,
+            values: (!read).then_some(&values[..]),
+        };
+
+        let lead = run_rows[0].min(rows - 1);
+        let xb_mask = match xb_shape % 8 {
+            0 => RangeMask::dense(0, xbs).unwrap(),
+            1 => RangeMask::new(0, (xbs - 1) / 2 * 2, 2).unwrap(),
+            shape => RangeMask::single(u32::from(shape) % xbs),
+        };
+        let row_mask = match row_shape % 8 {
+            0 => RangeMask::single((lead + 1 + u32::from(row_shape)) % rows),
+            1 => RangeMask::dense(0, rows).unwrap(),
+            2 => RangeMask::strided(lead % 4, 1 + (rows - 1 - lead % 4) / 4, 4).unwrap(),
+            _ => RangeMask::single(lead),
+        };
+        let kept = row_mask == RangeMask::single(run_rows[0]);
+        let masks = [MicroOp::XbMask(xb_mask), MicroOp::RowMask(row_mask)];
+
+        // What `act` leaves behind on a chip of `kind` that holds the masks.
+        let under_masks = |kind, act: Act<'_>| {
+            outcome(AnyBackend::new(kind, cfg.clone()).unwrap(), |chip, reads| {
+                chip.execute_batch(&masks).unwrap();
+                act(chip, reads)
+            })
+        };
+        let block = under_masks(BackendKind::BitAccurate, &|chip, reads| chip.access(&run, reads));
+        let serial = under_masks(BackendKind::BitAccurate, &|chip, reads| run.expand(chip, reads));
+        let func = under_masks(BackendKind::Functional, &|chip, reads| chip.access(&run, reads));
+        prop_assert!(func == serial, "functional backend diverges from the expansion");
+        prop_assert_eq!(&block.result, &serial.result);
+        if serial.result.is_ok() || !kept {
+            prop_assert!(block == serial, "block form and expansion diverge");
+        } else {
+            let untouched = under_masks(BackendKind::BitAccurate, &|_, _| Ok(()));
+            prop_assert!(block.reads.is_empty());
+            prop_assert!(block.cells == untouched.cells, "a refused run changed cells or masks");
+            prop_assert_eq!(&block.profiler, &untouched.profiler);
+        }
+        let addressed = run_rows.len() == values.len() || read;
+        if read && addressed && flaw % 16 != 2 && !(xb_mask.is_single() && row_mask.is_single()) {
+            prop_assert!(matches!(block.result, Err(ArchError::Protocol { .. })), "{:?}", block.result);
         }
     }
 }

@@ -430,7 +430,7 @@ impl GatewayInner {
         if from_worker {
             let crossing = take
                 .iter()
-                .any(|&s| !st.queues[s].front().expect("non-empty queue").streams_async);
+                .any(|&s| st.queues[s].front().is_some_and(|b| !b.streams_async));
             if crossing {
                 st.stats.deferred += 1;
                 let wakers = take
@@ -442,7 +442,7 @@ impl GatewayInner {
         }
         let batches: Vec<PendingBatch> = take
             .iter()
-            .map(|&s| st.queues[s].pop_front().expect("non-empty queue"))
+            .filter_map(|&s| st.queues[s].pop_front())
             .collect();
         st.rr = (st.rr + 1) % n;
         st.inflight += 1;

@@ -38,8 +38,9 @@ pub(crate) const LANE: usize = u64::BITS as usize;
 ///   dense or strided row set by a uniform shift are one masked,
 ///   complemented funnel shift per plane (`transfer_rows`).
 ///
-/// `PimSimulator`'s batch executor recognises the runs; a lone word, a
-/// `Move` and everything else still gather or scatter.
+/// `PimSimulator` is handed the first kind as a run and recognises the
+/// second in a batch; a lone word, a `Move` and everything else still
+/// gather or scatter.
 ///
 /// Horizontal gates have one kernel, [`apply_gate`](Self::apply_gate), over
 /// a gate resolved into its planes ([`ReplayRecord`]): a prepared routine

@@ -24,18 +24,16 @@
 //!   number of bits in either format. Word-granular operations (`Write`,
 //!   `Read`, `Move`, vertical gates) cross the layout: one word is one bit
 //!   in each of a register's 32 planes. Alone, such an operation gathers or
-//!   scatters 32 plane words. In a tensor program they come in **runs** — an
-//!   upload or read-back is a single-row mask plus one `Write`/`Read` per
-//!   word, a row move is a vertical `NOT` per row (behind its own `INIT1`
-//!   when source and destination rows overlap) — and the
-//!   batch entry points ([`execute_batch`](pim_arch::Backend::execute_batch),
-//!   [`execute_reading`](pim_arch::Backend::execute_reading)) apply a run in
-//!   its block form once the whole stream is validated and charged
-//!   operation by operation: the accesses to rows of one plane word become
-//!   a 64 x 64 bit-matrix transpose between word format and planes, the
-//!   transfers of a dense or strided row set one masked complemented shift
-//!   per plane. An operation outside a run, a run of one and a shift whose
-//!   serial order matters take the per-operation path; cells, masks,
+//!   scatters 32 plane words. In a tensor program they come in **runs**,
+//!   and a run has a block form: an upload or a read-back arrives as one
+//!   ([`access`](pim_arch::Backend::access)) and is checked whole, charged
+//!   in closed form and applied one plane word at a time, 64 rows to a
+//!   64 x 64 bit-matrix transpose between word format and planes; the
+//!   vertical `NOT`s of a row move (each behind its own `INIT1` when source
+//!   and destination rows overlap) are recognised inside
+//!   [`execute_batch`](pim_arch::Backend::execute_batch) and become one
+//!   masked complemented shift per plane. A lone operation and a shift
+//!   whose serial order matters take the per-operation path; cells, masks,
 //!   profiler and errors are the same either way.
 //! * **Logic**: every horizontal gate, under every mask, is one kernel
 //!   ([`Crossbars::apply_gate`]) — `out[w] &= !((a[w] | b[w]) & m[w])` over

@@ -1,6 +1,9 @@
-use crate::crossbar::LANE;
 use crate::{charge_batch, charge_op, Crossbars, Profiler, Selection};
-use pim_arch::{ArchError, Backend, MicroOp, PimConfig, PreparedBatch, RangeMask, RegId, VGate};
+use pim_arch::{
+    ArchError, Backend, CellRun, MicroOp, PimConfig, PreparedBatch, RangeMask, RegId, VGate,
+};
+
+mod access;
 
 /// The bit-accurate digital PIM simulator (§VI) — a drop-in replacement for
 /// a physical chip behind the [`Backend`] micro-operation interface.
@@ -190,21 +193,19 @@ impl PimSimulator {
     }
 
     /// Validates and charges a whole stream against the mask state each
-    /// operation will run under; with `reads`, a read must find both masks
-    /// single at its point of the stream. The stored masks are not touched
-    /// and the profiler rolls back on a rejection, so a refused stream
-    /// leaves the simulator exactly as it was.
-    fn accept(&mut self, ops: &[MicroOp], reads: bool) -> Result<(), ArchError> {
+    /// operation will run under; a read has no place in one. The stored
+    /// masks are not touched and the profiler rolls back on a rejection, so
+    /// a refused stream leaves the simulator exactly as it was.
+    fn accept(&mut self, ops: &[MicroOp]) -> Result<(), ArchError> {
         let (mut xb_mask, mut row_mask) = (self.xb_mask, self.row_mask);
         let profiler0 = self.profiler.clone();
         for op in ops {
             let checked = op
                 .validate(&self.cfg)
                 .and_then(|()| match op {
-                    MicroOp::Read { .. } if !reads => Err(ArchError::Protocol {
+                    MicroOp::Read { .. } => Err(ArchError::Protocol {
                         reason: "read operations cannot be batched".into(),
                     }),
-                    MicroOp::Read { .. } => check_read_masks(&xb_mask, &row_mask),
                     _ => Ok(()),
                 })
                 .and_then(|()| charge_op(&mut self.profiler, op, &xb_mask, &row_mask, &self.cfg));
@@ -221,26 +222,19 @@ impl PimSimulator {
         Ok(())
     }
 
-    /// Applies an accepted stream in order, appending what its reads return
-    /// to `out`. The two accesses that cross the plane layout arrive in
-    /// runs, and a run at the head of the remaining stream is applied in
-    /// its block form; every other operation — and every run too short or
-    /// too irregular to have one — goes through [`apply`](Self::apply).
-    fn run_blocks(&mut self, ops: &[MicroOp], out: &mut Vec<u32>) -> Result<(), ArchError> {
+    /// Applies an accepted stream in order. The vertical `NOT`s of a row
+    /// move arrive in runs, and a run at the head of the remaining stream
+    /// is applied in its block form; every other operation — and every run
+    /// too short or too irregular to have one — goes through
+    /// [`apply`](Self::apply).
+    fn run_blocks(&mut self, ops: &[MicroOp]) -> Result<(), ArchError> {
         let mut rest = ops;
         while let Some(op) = rest.first() {
-            let run = match op {
-                MicroOp::LogicV { .. } => self.transfer_run(rest),
-                MicroOp::RowMask(_) => self.access_run(rest, out),
-                _ => None,
-            };
-            match run {
-                Some(covered) => rest = &rest[covered..],
-                None => {
-                    out.extend(self.apply(op)?);
-                    rest = &rest[1..];
-                }
+            let covered = self.transfer_run(rest);
+            if covered.is_none() {
+                self.apply(op)?;
             }
+            rest = &rest[covered.unwrap_or(1)..];
         }
         Ok(())
     }
@@ -300,55 +294,6 @@ impl PimSimulator {
             .transfer_rows(reg as usize, &self.run_sel, shift as isize, init);
         Some(width * count)
     }
-
-    /// Applies the upload or read-back run at the head of `ops`, returning
-    /// the operations it covered: two or more cells — a single-row mask
-    /// followed by a `Write` (or a `Read`) of one register — whose rows
-    /// share a plane word. The writes are one transposed store into the
-    /// crossbars of the stored crossbar mask, the reads one transposed
-    /// gather from the single crossbar it selects (checked when the stream
-    /// was accepted). The row mask ends at the last cell's row, as it would
-    /// cell by cell.
-    fn access_run(&mut self, ops: &[MicroOp], out: &mut Vec<u32>) -> Option<usize> {
-        let (row0, head) = access_cell(ops)?;
-        let cells = || {
-            ops.chunks_exact(2)
-                .map_while(access_cell)
-                .take_while(|&(row, access)| {
-                    row / LANE == row0 / LANE
-                        && match (head, access) {
-                            (MicroOp::Write { index: a, .. }, MicroOp::Write { index: b, .. })
-                            | (MicroOp::Read { index: a }, MicroOp::Read { index: b }) => a == b,
-                            _ => false,
-                        }
-                })
-        };
-        let (count, last) = cells().fold((0, row0), |(count, _), (row, _)| (count + 1, row));
-        if count < 2 {
-            return None;
-        }
-        match *head {
-            MicroOp::Write { index, .. } => {
-                let (mut values, mut written) = ([0; LANE], 0);
-                for (row, access) in cells() {
-                    if let MicroOp::Write { value, .. } = access {
-                        values[row % LANE] = u64::from(*value);
-                        written |= 1 << (row % LANE);
-                    }
-                }
-                self.cells
-                    .write_rows(index as usize, row0 / LANE, values, written, &self.xb_mask);
-            }
-            MicroOp::Read { index } => {
-                let xb = self.xb_mask.start() as usize;
-                let values = self.cells.read_rows(xb, row0 / LANE, index as usize);
-                out.extend(cells().map(|(row, _)| values[row % LANE] as u32));
-            }
-            _ => return None,
-        }
-        (self.row_mask, self.sel_stale) = (RangeMask::single(last as u32), true);
-        Some(2 * count)
-    }
 }
 
 /// The read protocol (§III-B): a read answers with one word, so the masks
@@ -395,19 +340,6 @@ fn transfer(ops: &[MicroOp], init: bool) -> Option<(i64, i64, RegId)> {
     }
 }
 
-/// `(row, access)` when `ops` starts with one cell of an upload or a
-/// read-back: a single-row mask, then the `Write` or `Read` under it.
-fn access_cell(ops: &[MicroOp]) -> Option<(usize, &MicroOp)> {
-    match ops {
-        [MicroOp::RowMask(m), access @ (MicroOp::Write { .. } | MicroOp::Read { .. }), ..]
-            if m.is_single() =>
-        {
-            Some((m.start() as usize, access))
-        }
-        _ => None,
-    }
-}
-
 impl Backend for PimSimulator {
     fn config(&self) -> &PimConfig {
         &self.cfg
@@ -426,13 +358,19 @@ impl Backend for PimSimulator {
     }
 
     fn execute_batch(&mut self, ops: &[MicroOp]) -> Result<(), ArchError> {
-        self.accept(ops, false)?;
-        self.run_blocks(ops, &mut Vec::new())
+        self.accept(ops)?;
+        self.run_blocks(ops)
     }
 
-    fn execute_reading(&mut self, ops: &[MicroOp], out: &mut Vec<u32>) -> Result<(), ArchError> {
-        self.accept(ops, true)?;
-        self.run_blocks(ops, out)
+    fn access(&mut self, run: &CellRun<'_>, out: &mut Vec<u32>) -> Result<(), ArchError> {
+        // The block form starts from the mask the run's contract promises,
+        // one value to a row; any other run is what its expansion does.
+        let counted = run.values.is_none_or(|v| v.len() == run.rows.len());
+        let lead = run.rows.first().map(|&row| RangeMask::single(row));
+        match counted && lead == Some(self.row_mask) {
+            true => self.access_block(run, out),
+            false => run.expand(self, out),
+        }
     }
 
     fn execute_prepared(&mut self, batch: &PreparedBatch) -> Result<(), ArchError> {
@@ -676,63 +614,73 @@ mod tests {
     }
 
     #[test]
-    fn reading_batch_uploads_and_reads_back_in_runs() {
-        // 80 rows of one crossbar written and read back (downwards) in one
-        // stream, crossing the plane-word boundary at row 64: same words,
+    fn a_run_uploads_and_reads_back_across_plane_words() {
+        // 80 rows of one crossbar written and read back (downwards) as two
+        // runs, crossing the plane-word boundary at row 64: same words,
         // same counters and same final masks as op by op.
         let cfg = PimConfig::small().with_rows(96);
         let value = |row: u32| 0x9E37_79B9u32.wrapping_mul(row + 1);
-        let mut ops = vec![MicroOp::XbMask(RangeMask::single(2))];
-        for row in 10..90 {
-            ops.push(MicroOp::RowMask(RangeMask::single(row)));
-            ops.push(MicroOp::Write {
-                index: 3,
-                value: value(row),
-            });
-        }
-        for row in (10..90).rev() {
-            ops.push(MicroOp::RowMask(RangeMask::single(row)));
-            ops.push(MicroOp::Read { index: 3 });
-        }
-        let mut batch = PimSimulator::new(cfg.clone()).unwrap();
-        let mut words = Vec::new();
-        batch.execute_reading(&ops, &mut words).unwrap();
-        assert_eq!(words, (10..90).rev().map(value).collect::<Vec<_>>());
+        let up: Vec<u32> = (10..90).collect();
+        let down: Vec<u32> = up.iter().rev().copied().collect();
+        let values: Vec<u32> = up.iter().map(|&row| value(row)).collect();
+        let runs = [(&up, Some(&values[..])), (&down, None)];
+        let mut block = PimSimulator::new(cfg.clone()).unwrap();
         let mut serial = PimSimulator::new(cfg).unwrap();
-        for op in &ops {
-            serial.execute(op).unwrap();
+        let (mut words, mut serial_words) = (Vec::new(), Vec::new());
+        for sim in [&mut block, &mut serial] {
+            sim.execute(&MicroOp::XbMask(RangeMask::single(2))).unwrap();
         }
-        for sim in [&mut batch, &mut serial] {
+        for (rows, values) in runs {
+            let run = CellRun {
+                reg: 3,
+                rows,
+                values,
+            };
+            for sim in [&mut block, &mut serial] {
+                sim.execute(&MicroOp::RowMask(RangeMask::single(rows[0])))
+                    .unwrap();
+            }
+            block.access(&run, &mut words).unwrap();
+            run.expand(&mut serial, &mut serial_words).unwrap();
+        }
+        assert_eq!(
+            words,
+            down.iter().map(|&row| value(row)).collect::<Vec<_>>()
+        );
+        assert_eq!(words, serial_words);
+        for sim in [&mut block, &mut serial] {
             sim.execute(&MicroOp::Write { index: 4, value: 1 }).unwrap();
         }
-        assert_eq!(batch.cells, serial.cells);
-        assert_eq!(batch.profiler(), serial.profiler());
-        assert_eq!((batch.peek(2, 10, 4), batch.peek(2, 11, 4)), (1, 0));
+        assert_eq!(block.cells, serial.cells);
+        assert_eq!(block.profiler(), serial.profiler());
+        assert_eq!((block.peek(2, 10, 4), block.peek(2, 11, 4)), (1, 0));
     }
 
     #[test]
-    fn reading_batch_with_an_unaddressed_read_is_refused_whole() {
+    fn a_run_with_an_unaddressed_read_is_refused_whole() {
         let mut s = sim();
+        s.execute_batch(&[
+            MicroOp::XbMask(RangeMask::dense(0, 2).unwrap()),
+            MicroOp::RowMask(RangeMask::single(0)),
+        ])
+        .unwrap();
         let before = (s.cells.clone(), s.profiler().clone());
         let mut words = Vec::new();
-        let err = s
-            .execute_reading(
-                &[
-                    MicroOp::XbMask(RangeMask::dense(0, 2).unwrap()),
-                    MicroOp::RowMask(RangeMask::single(0)),
-                    MicroOp::Write { index: 0, value: 7 },
-                    MicroOp::RowMask(RangeMask::single(1)),
-                    MicroOp::Read { index: 0 },
-                ],
-                &mut words,
-            )
-            .unwrap_err();
+        let run = CellRun {
+            reg: 0,
+            rows: &[0, 1],
+            values: None,
+        };
+        let err = s.access(&run, &mut words).unwrap_err();
         assert!(matches!(err, ArchError::Protocol { .. }), "{err}");
         assert!(words.is_empty());
         assert_eq!((&s.cells, s.profiler()), (&before.0, &before.1));
-        // The masks still cover the whole memory.
+        // The masks still select row 0 of the first two crossbars.
         s.execute(&MicroOp::Write { index: 0, value: 7 }).unwrap();
-        assert_eq!((s.peek(0, 0, 0), s.peek(15, 63, 0)), (7, 7));
+        assert_eq!(
+            (s.peek(1, 0, 0), s.peek(1, 1, 0), s.peek(2, 0, 0)),
+            (7, 0, 0)
+        );
     }
 
     #[test]

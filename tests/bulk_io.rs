@@ -1,6 +1,7 @@
-//! Bulk host I/O takes one path — `Driver::execute_many` lowers every run
-//! of single-thread writes and reads into one micro-operation batch — and
-//! that path must be indistinguishable from issuing the instructions one
+//! Bulk host I/O takes one path — `Driver::execute_many` hands every run
+//! of single-thread writes, or of reads, of one register of one warp to
+//! the backend as one `CellRun` — and that path must be
+//! indistinguishable from issuing the instructions one
 //! by one: the same result words, the same `Driver::issued`, the same
 //! `Profiler`, on one chip (both backends) and through the shard workers of
 //! a uniform and a mixed cluster.
