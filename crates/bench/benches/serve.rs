@@ -35,7 +35,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, SampleS
 use futures::executor::block_on;
 use futures::future::join_all;
 use pim_arch::PimConfig;
-use pim_cluster::{BackendKind, ClusterOptions, RecoveryConfig, ShardBackends};
+use pim_cluster::{ClusterOptions, RecoveryConfig};
 use pim_fault::{FaultInjector, FaultPlan};
 use pim_serve::{ClusterClient, DeviceServeExt, ServeConfig};
 use pim_telemetry::Histogram;
@@ -173,34 +173,6 @@ fn bench_serve(c: &mut Criterion) {
         let stats = dev.cluster_stats().unwrap().unwrap();
         let gw_modeled_s = stats.modeled_latency_cycles() as f64 / clock_hz;
 
-        // --- The identical gateway workload on functional-backend shards
-        //     (`pim-func`): bit-identical results and identical modeled
-        //     cycles by construction (backend_equivalence tests), so the
-        //     modeled `gateway_func` row must match `gateway` — what moves
-        //     is the wall-clock row, which measures how much faster the
-        //     host can turn the same modeled machine.
-        let func_dev = Device::cluster_with_options(
-            shard_cfg(),
-            SHARDS,
-            ClusterOptions {
-                backends: ShardBackends::Uniform(BackendKind::Functional),
-                ..ClusterOptions::default()
-            },
-        )
-        .unwrap();
-        let func_gateway = func_dev.serve(ServeConfig {
-            session_warps,
-            ..ServeConfig::default()
-        });
-        let func_clients: Vec<ClusterClient> = (0..sessions)
-            .map(|_| func_gateway.session().unwrap())
-            .collect();
-        run_gateway(&func_clients, elems); // warm routine caches
-        func_dev.reset_counters().unwrap();
-        run_gateway(&func_clients, elems);
-        let func_stats = func_dev.cluster_stats().unwrap().unwrap();
-        let func_modeled_s = func_stats.modeled_latency_cycles() as f64 / clock_hz;
-
         // --- The same workload, one request at a time, blocking API.
         let seq_dev = cluster_dev();
         run_sequential(&seq_dev, 1, elems); // warm routine caches
@@ -253,23 +225,6 @@ fn bench_serve(c: &mut Criterion) {
             BenchmarkId::new("gateway", format!("{sessions}-sessions")),
             gw_modeled_s,
             Some(Throughput::Elements(requests)),
-        );
-        group.report_metric(
-            BenchmarkId::new("gateway_func", format!("{sessions}-sessions")),
-            func_modeled_s,
-            Some(Throughput::Elements(requests)),
-        );
-        // Two separate runs: which session's batch a shard saw last is a
-        // thread race and decides a mask elision (232 634 vs 232 636), so
-        // the row is held to pimbench's 1 % `serve_*` spread, not to the cycle.
-        let (func_cycles, cycles) = (
-            func_stats.modeled_latency_cycles(),
-            stats.modeled_latency_cycles(),
-        );
-        assert!(
-            func_cycles.abs_diff(cycles) * 100 <= cycles,
-            "functional shards must model the same latency as bit-accurate, up to the \
-             interleaving of sessions on a shard (1 %): {func_cycles} vs {cycles} cycles"
         );
         group.report_metric(
             BenchmarkId::new("sequential", format!("{sessions}-sessions")),
@@ -358,11 +313,6 @@ fn bench_serve(c: &mut Criterion) {
             |b, _| b.iter(|| run_gateway(&clients, elems)),
         );
         group.bench_with_input(
-            BenchmarkId::new("wall_gateway_func", format!("{sessions}-sessions")),
-            &sessions,
-            |b, _| b.iter(|| run_gateway(&func_clients, elems)),
-        );
-        group.bench_with_input(
             BenchmarkId::new("wall_sequential", format!("{sessions}-sessions")),
             &sessions,
             |b, _| b.iter(|| run_sequential(&seq_dev, sessions, elems)),
@@ -372,7 +322,7 @@ fn bench_serve(c: &mut Criterion) {
 }
 
 /// Open-loop latency-vs-load sweep (`pim-loadgen`): seeded Poisson
-/// traffic against a fresh single-chip functional-backend gateway per
+/// traffic against a fresh single-chip gateway per
 /// operating point, walking offered load from well under to well past the
 /// service's knee. Rows:
 ///
@@ -388,17 +338,13 @@ fn bench_serve(c: &mut Criterion) {
 /// Single-chip execution is inline and deterministic, so these rows are
 /// stable across runs of the same code — modeled values, not wall noise.
 fn bench_open_loop(c: &mut Criterion) {
-    use pim_func::BackendKind;
     use pim_loadgen::{
         latency_vs_load, run, ArrivalProfile, ClassSpec, LoadgenConfig, RequestShape, SloConfig,
         MODELED_CYCLES_PER_SEC,
     };
 
     let make_gateway = || -> Result<pim_serve::Gateway> {
-        let dev = Device::with_backend(
-            PimConfig::small().with_crossbars(8),
-            BackendKind::Functional,
-        )?;
+        let dev = Device::new(PimConfig::small().with_crossbars(8))?;
         Ok(dev.serve(ServeConfig {
             max_queue_depth: 0, // open loop: overload must queue, not reject
             ..ServeConfig::default()
@@ -502,7 +448,7 @@ fn bench_open_loop(c: &mut Criterion) {
 ///   detection latency (modeled seconds from a host's last heartbeat to
 ///   the lapse being declared); the headline is the p99.
 ///
-/// Hosts are single-chip functional-backend gateways, so execution is
+/// Hosts are single-chip gateways, so execution is
 /// inline and the rows replay bit-identically from the seed.
 fn bench_fleet(c: &mut Criterion) {
     use pim_fault::HostFaultPlan;

@@ -49,11 +49,11 @@ fn bench_hlogic(c: &mut Criterion) {
     group.finish();
 }
 
-/// The identical micro-op streams on the vectorized functional backend
+/// The identical micro-op streams on the word-array reference
 /// (`pim-func`): same geometry, same batches, same masks as the `hlogic`
 /// and `simulator` groups, so `func/*` vs `hlogic/*`/`simulator/*` rows in
-/// BENCH_simulator.json measure the word-level fast path directly against
-/// the bit-accurate kernel.
+/// BENCH_simulator.json time the reference against the engine — the
+/// kernel-level record of why every chip runs on planes.
 fn bench_func(c: &mut Criterion) {
     let cfg = PimConfig::small().with_crossbars(64).with_rows(256);
     let ops = hlogic_ops(&cfg, 256);

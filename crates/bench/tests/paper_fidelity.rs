@@ -18,10 +18,10 @@
 
 use pim_bench::{distance_summary, figure13_suite, quick_config, run_workload, Workload};
 use pim_isa::{DType, RegOp};
-use pypim_core::{BackendKind, Device, ParallelismMode};
+use pypim_core::{Device, ParallelismMode};
 
-/// Holds one FP sort, bit-serial, on a fresh 16 x 256 device of either
-/// backend under `ceiling` cycles and to its exact measured and theoretical
+/// Holds one FP sort, bit-serial, on a fresh 16 x 256 device under
+/// `ceiling` cycles and to its exact measured and theoretical
 /// (pure-logic) cycles. Moving a number is a deliberate act: update it
 /// together with the `figure13` table in ROADMAP.md. The ceilings are what
 /// matters if the exact values are ever re-recorded: before cells were
@@ -29,18 +29,11 @@ use pypim_core::{BackendKind, Device, ParallelismMode};
 /// (9.2 % and 8.6 % from theory), and shifting the whole tensor both ways in
 /// every stage costs 208 021 and 364 415 (26 % and 31 %).
 fn hold_sort(n: usize, ceiling: u64, cycles: u64, theory: u64) {
-    for kind in [BackendKind::BitAccurate, BackendKind::Functional] {
-        let dev = Device::with_backend_mode(quick_config(), kind, ParallelismMode::BitSerial)
-            .expect("device");
-        let r = run_workload(&dev, Workload::Sort(n), 0).expect("sort");
-        assert!(r.measured_cycles <= ceiling, "{} cycles", r.measured_cycles);
-        assert!(r.distance_from_theory() <= 0.09, "{:?}", r);
-        assert_eq!(
-            (r.measured_cycles, r.theoretical_cycles),
-            (cycles, theory),
-            "{kind:?}"
-        );
-    }
+    let dev = Device::with_mode(quick_config(), ParallelismMode::BitSerial).expect("device");
+    let r = run_workload(&dev, Workload::Sort(n), 0).expect("sort");
+    assert!(r.measured_cycles <= ceiling, "{} cycles", r.measured_cycles);
+    assert!(r.distance_from_theory() <= 0.09, "{:?}", r);
+    assert_eq!((r.measured_cycles, r.theoretical_cycles), (cycles, theory));
 }
 
 #[test]

@@ -22,7 +22,8 @@ use journal::{Control, ShardJournal};
 use pim_arch::{MicroOp, PimConfig};
 use pim_driver::{Driver, DriverError, ParallelismMode, RoutineCache};
 use pim_fault::FaultInjector;
-use pim_func::{AnyBackend, BackendKind};
+use pim_func::BackendKind;
+use pim_sim::PimSimulator;
 use pim_telemetry::{Gauge, Telemetry, TrackHandle};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{channel, Sender};
@@ -30,40 +31,18 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use worker::{run_job, spawn_worker, Job, ShardState};
 
-/// Which [`Backend`](pim_arch::Backend) implementation each shard runs — uniform across the
-/// cluster or selected per shard. Mixed clusters are fully supported: the
-/// shared cost model keeps modeled cycles identical either way, so a
-/// deployment can, say, keep one bit-accurate shard as a strictness
-/// canary while the rest serve on the fast functional backend.
+/// Read by nothing: every shard runs [`PimSimulator`]. The name and its
+/// one variant stay for `benchmark/src/workload/ladder.rs`, which still
+/// fills [`ClusterOptions::backends`] with it.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ShardBackends {
-    /// Every shard runs the same backend kind.
+    /// The only value.
     Uniform(BackendKind),
-    /// One entry per shard, indexed by shard. The length must equal the
-    /// cluster's shard count.
-    PerShard(Vec<BackendKind>),
 }
 
 impl Default for ShardBackends {
     fn default() -> Self {
         ShardBackends::Uniform(BackendKind::BitAccurate)
-    }
-}
-
-impl ShardBackends {
-    /// The backend kind of every shard, indexed by shard.
-    fn resolve(self, shards: usize) -> Result<Vec<BackendKind>, ClusterError> {
-        match self {
-            ShardBackends::Uniform(kind) => Ok(vec![kind; shards]),
-            ShardBackends::PerShard(kinds) if kinds.len() == shards => Ok(kinds),
-            ShardBackends::PerShard(kinds) => Err(ClusterError::Protocol {
-                reason: format!(
-                    "per-shard backend list has {} entries for {} shards",
-                    kinds.len(),
-                    shards
-                ),
-            }),
-        }
     }
 }
 
@@ -90,7 +69,7 @@ pub struct ClusterOptions {
     /// the injector hooks are never consulted — zero cost, bit-identical
     /// to a build without the fault machinery.
     pub fault: Option<Arc<FaultInjector>>,
-    /// Backend selection per shard (bit-accurate by default).
+    /// Never read; see [`ShardBackends`].
     pub backends: ShardBackends,
 }
 
@@ -158,10 +137,10 @@ impl WorkerSlot {
 
 /// A sharded multi-chip PIM execution engine.
 ///
-/// `N` shards, each a [`Driver`] over its own chip backend (bit-accurate
-/// simulator or vectorized functional backend, per [`ShardBackends`]),
-/// present one flat address space of `N × crossbars` warps. A shard runs
-/// its jobs on a dedicated worker thread ([`new`](PimCluster::new),
+/// `N` shards, each a [`Driver`] over its own chip ([`PimSimulator`],
+/// strict checking on), present one flat address space of
+/// `N × crossbars` warps. A shard runs its jobs on a dedicated worker
+/// thread ([`new`](PimCluster::new),
 /// [`with_options`](PimCluster::with_options)) or on whichever thread
 /// submits them ([`inline`](PimCluster::inline)); routing, journaling,
 /// fault injection and recovery are the same code on both. Logical
@@ -223,9 +202,6 @@ pub struct PimCluster {
     shared_cache: RoutineCache,
     recovery: RecoveryConfig,
     fault: Option<Arc<FaultInjector>>,
-    /// The backend kind each shard runs (fixed at construction; revival
-    /// rebuilds the same kind).
-    backend_kinds: Vec<BackendKind>,
     /// Workers respawned after a crash.
     restarts: AtomicU64,
     /// Instructions replayed from journals during recovery.
@@ -308,7 +284,6 @@ impl PimCluster {
             .map_err(|reason| ClusterError::InvalidInterconnect { reason })?;
         let mut cluster = PimCluster {
             plan: ShardPlan::new(&cfg, shards)?,
-            backend_kinds: options.backends.resolve(shards)?,
             logical_cfg: cfg.clone().with_crossbars(cfg.crossbars * shards),
             shard_cfg: cfg,
             interconnect: Interconnect::new(icfg),
@@ -329,8 +304,8 @@ impl PimCluster {
             replayed: AtomicU64::new(0),
         };
         for shard in 0..shards {
-            let backend = AnyBackend::new(cluster.backend_kinds[shard], cluster.shard_cfg.clone())
-                .map_err(|e| ClusterError::Shard {
+            let backend =
+                PimSimulator::new(cluster.shard_cfg.clone()).map_err(|e| ClusterError::Shard {
                     shard,
                     source: DriverError::from(e),
                 })?;
@@ -347,7 +322,7 @@ impl PimCluster {
     /// Puts `driver` to work as shard `shard` on this cluster's transport:
     /// its [`ShardState`] goes into the returned slot, or to a freshly
     /// spawned worker thread. Construction and revival both end here.
-    fn boot(&self, shard: usize, driver: Driver<AnyBackend>) -> Result<WorkerSlot, ClusterError> {
+    fn boot(&self, shard: usize, driver: Driver<PimSimulator>) -> Result<WorkerSlot, ClusterError> {
         let state = ShardState {
             shard,
             driver,

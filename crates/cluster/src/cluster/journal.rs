@@ -5,8 +5,8 @@ use super::{PimCluster, WorkerSlot};
 use crate::ClusterError;
 use pim_arch::{Backend, MicroOp};
 use pim_driver::{Driver, IssuedCycles, ParallelismMode, RoutineCache};
-use pim_func::{AnyBackend, AnySnapshot};
 use pim_isa::Instruction;
+use pim_sim::{PimSimulator, SimSnapshot};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
@@ -14,7 +14,7 @@ use std::sync::Arc;
 /// workers, and how often each worker checkpoints its simulator state.
 ///
 /// Between checkpoints the worker keeps a bounded journal of executed
-/// jobs; recovery restores the last backend snapshot ([`AnySnapshot`])
+/// jobs; recovery restores the last backend snapshot ([`SimSnapshot`])
 /// and replays the journal suffix, so a crash costs bounded replay
 /// latency instead of a dead cluster. Checkpointing is host-side only — it
 /// never touches modeled state, so modeled cycle counts are bit-identical
@@ -68,7 +68,7 @@ pub(super) enum Control {
 }
 
 impl Control {
-    pub(super) fn apply(self, driver: &mut Driver<AnyBackend>) {
+    pub(super) fn apply(self, driver: &mut Driver<PimSimulator>) {
         match self {
             Control::SetStrict(strict) => driver.backend_mut().set_strict(strict),
             Control::ResetProfiler => {
@@ -87,7 +87,7 @@ impl Control {
 /// (which appends and periodically re-checkpoints) and the supervisor
 /// (which restores from it on revival).
 pub(super) struct ShardJournal {
-    snapshot: AnySnapshot,
+    snapshot: SimSnapshot,
     issued: IssuedCycles,
     /// Profiler cycles at snapshot time (checkpoint-interval baseline).
     snapshot_cycles: u64,
@@ -98,7 +98,7 @@ pub(super) struct ShardJournal {
 
 impl ShardJournal {
     /// A journal whose checkpoint is the driver's current state.
-    pub(super) fn new(driver: &Driver<AnyBackend>) -> Self {
+    pub(super) fn new(driver: &Driver<PimSimulator>) -> Self {
         ShardJournal {
             snapshot: driver.backend().snapshot(),
             issued: driver.issued(),
@@ -116,12 +116,12 @@ impl ShardJournal {
 
     /// Re-checkpoints: captures the driver's current state as the new
     /// snapshot and clears the log.
-    pub(super) fn checkpoint(&mut self, driver: &Driver<AnyBackend>) {
+    pub(super) fn checkpoint(&mut self, driver: &Driver<PimSimulator>) {
         *self = ShardJournal::new(driver);
     }
 
     /// Re-checkpoints if the journal outgrew the configured bounds.
-    pub(super) fn maybe_checkpoint(&mut self, driver: &Driver<AnyBackend>, rc: &RecoveryConfig) {
+    pub(super) fn maybe_checkpoint(&mut self, driver: &Driver<PimSimulator>, rc: &RecoveryConfig) {
         let cycles = driver.backend().profiler().cycles;
         if self.logged_instrs >= rc.checkpoint_max_instructions
             || cycles.saturating_sub(self.snapshot_cycles) >= rc.checkpoint_interval_cycles
@@ -136,10 +136,10 @@ impl ShardJournal {
     /// instructions/micro-operations replayed.
     fn replay(
         &self,
-        mut backend: AnyBackend,
+        mut backend: PimSimulator,
         mode: ParallelismMode,
         cache: RoutineCache,
-    ) -> Result<(Driver<AnyBackend>, u64), String> {
+    ) -> Result<(Driver<PimSimulator>, u64), String> {
         backend.restore(&self.snapshot);
         let mut driver = Driver::with_cache(backend, mode, cache);
         driver.restore_issued(self.issued);
@@ -200,8 +200,8 @@ impl PimCluster {
             _ => return Err(ClusterError::Disconnected { shard }),
         };
         let failed = |reason: String| ClusterError::RecoveryFailed { shard, reason };
-        let backend = AnyBackend::new(self.backend_kinds[shard], self.shard_cfg.clone())
-            .map_err(|e| failed(e.to_string()))?;
+        let backend =
+            PimSimulator::new(self.shard_cfg.clone()).map_err(|e| failed(e.to_string()))?;
         let mut driver = {
             let mut j = journal.lock().unwrap_or_else(|e| e.into_inner());
             let (driver, replayed) = j

@@ -207,6 +207,88 @@ fn micro_batch_rejects_reads_on_shard_path() {
         .unwrap();
 }
 
+/// Every chip that serves checks the stateful-logic discipline, whatever
+/// label its options carry and whichever transport runs it: a raw batch
+/// that fires a `NOR` onto cells no `INIT1` armed is refused with the
+/// bare simulator's typed error — fatal, so nothing retries and nothing is
+/// revived — the gate having changed no cell. The journal takes a
+/// checkpoint instead of the batch (the write ahead of the gate did land),
+/// the shard serves the next batch, and a crash after that replays only
+/// what came after the refusal, onto the state the refusal left.
+#[test]
+fn strict_is_enforced_on_the_chips_that_serve() {
+    use pim_arch::{GateKind, HLogic};
+    let cfg = PimConfig::small().with_crossbars(4);
+    let options = |backends| ClusterOptions {
+        backends,
+        fault: Some(Arc::new(FaultInjector::new(
+            FaultPlan::none().crash_at(2, 4),
+            4,
+        ))),
+        ..ClusterOptions::default()
+    };
+    let labelled = || options(ShardBackends::Uniform(BackendKind::Functional));
+    let clusters = [
+        PimCluster::with_options(cfg.clone(), 4, options(ShardBackends::default())),
+        PimCluster::with_options(cfg.clone(), 4, labelled()),
+        PimCluster::inline(cfg.clone(), 4, labelled()),
+    ];
+    let nor_into_2 = MicroOp::LogicH(HLogic::parallel(GateKind::Nor, 0, 1, 2, &cfg).unwrap());
+    let arm_2 = MicroOp::LogicH(HLogic::init_reg(true, 2, &cfg).unwrap());
+    let write = |index, value| MicroOp::Write { index, value };
+    // A gather leaves the stored masks on the last cell it read.
+    let everywhere = [
+        MicroOp::XbMask(RangeMask::dense(0, 4).unwrap()),
+        MicroOp::RowMask(RangeMask::dense(0, 64).unwrap()),
+    ];
+    let under_full_masks = |ops: &[MicroOp]| [&everywhere[..], ops].concat();
+    // Three threads of shard 2, `regs` of each.
+    let cells = |c: &PimCluster, regs: std::ops::Range<u8>| {
+        let threads = [(8, 0), (9, 17), (11, 63)];
+        let locs = threads
+            .iter()
+            .flat_map(|&(warp, row)| regs.clone().map(move |reg| (warp, row, reg)));
+        c.gather(&locs.collect::<Vec<_>>()).unwrap()
+    };
+    let mut refusals = Vec::new();
+    for c in clusters.map(Result::unwrap) {
+        c.execute_micro_batch(2, vec![write(0, 0x0F0F_0F0F)])
+            .unwrap();
+        let refused = c
+            .execute_micro_batch(2, vec![write(3, 7), nor_into_2.clone()])
+            .unwrap_err();
+        assert_eq!(refused.class(), crate::ErrorClass::Fatal);
+        match &refused {
+            ClusterError::Shard {
+                shard: 2,
+                source: DriverError::Arch(pim_arch::ArchError::Protocol { reason }),
+            } => assert!(reason.contains("not initialized to 1"), "{reason}"),
+            other => panic!("unexpected error {other:?}"),
+        }
+        refusals.push(refused);
+        assert_eq!(cells(&c, 2..4), [0, 7].repeat(3));
+        assert_eq!(c.worker_restarts(), 0);
+
+        let served = under_full_masks(&[arm_2.clone(), nor_into_2.clone()]);
+        c.execute_micro_batch(2, served).unwrap();
+        // The scheduled crash, then the retry that revives the shard: the
+        // six reads and the four operations since the refusal are replayed.
+        let crashed = c.execute_micro_batch(2, vec![write(4, 9)]).unwrap_err();
+        assert!(
+            matches!(crashed, ClusterError::WorkerCrashed { shard: 2 }),
+            "{crashed:?}"
+        );
+        c.execute_micro_batch(2, under_full_masks(&[write(4, 9)]))
+            .unwrap();
+        assert_eq!((c.worker_restarts(), c.replayed_instructions()), (1, 10));
+        assert_eq!(
+            cells(&c, 0..5),
+            [0x0F0F_0F0F, 0, 0xF0F0_F0F0, 7, 9].repeat(3)
+        );
+    }
+    assert!(refusals.iter().all(|refused| *refused == refusals[0]));
+}
+
 #[test]
 fn batch_rejects_macro_reads() {
     let c = cluster4();

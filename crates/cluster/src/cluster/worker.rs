@@ -13,8 +13,8 @@ use crate::ClusterError;
 use pim_arch::{Backend, MicroOp};
 use pim_driver::{Driver, DriverError};
 use pim_fault::{FaultInjector, WorkerFault};
-use pim_func::AnyBackend;
 use pim_isa::Instruction;
+use pim_sim::PimSimulator;
 use pim_telemetry::{RequestId, RequestStats, TrackHandle};
 use std::sync::mpsc::{channel, Sender};
 use std::sync::{Arc, Mutex};
@@ -53,7 +53,7 @@ pub(super) enum Job {
 /// caller-thread transport.
 pub(super) struct ShardState {
     pub(super) shard: usize,
-    pub(super) driver: Driver<AnyBackend>,
+    pub(super) driver: Driver<PimSimulator>,
     pub(super) track: TrackHandle,
     pub(super) journal: Option<Arc<Mutex<ShardJournal>>>,
     pub(super) fault: Option<Arc<FaultInjector>>,
@@ -110,7 +110,7 @@ pub(super) fn spawn_worker(
 /// Fails on the first erroring instruction ([`Driver::execute_many`]);
 /// nothing is recorded for a failed segment.
 fn execute_segment(
-    driver: &mut Driver<AnyBackend>,
+    driver: &mut Driver<PimSimulator>,
     track: &TrackHandle,
     request: RequestId,
     instrs: &[Instruction],
@@ -229,14 +229,17 @@ pub(super) fn run_job(state: &mut ShardState, job: Job) -> Result<(), Job> {
             // behind the driver's mask-elision cache.
             driver.invalidate_masks();
             if let Some(journal) = journal {
-                // A failed micro batch rolled back completely
-                // (`execute_batch` is transactional), so only
-                // successes are journaled.
+                let mut j = journal.lock().unwrap_or_else(|e| e.into_inner());
                 if result.is_ok() {
-                    let mut j = journal.lock().unwrap_or_else(|e| e.into_inner());
                     let weight = ops.len();
                     j.record(JournalEntry::Micro(ops), weight);
                     j.maybe_checkpoint(driver, recovery);
+                } else {
+                    // Refused at validation, the batch changed nothing; one
+                    // that broke the strict discipline stopped at the
+                    // offending gate, charged whole. As for a macro job, a
+                    // fresh snapshot absorbs whichever state exists.
+                    j.checkpoint(driver);
                 }
             }
             let _ = reply.send(result);

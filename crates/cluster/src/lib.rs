@@ -1,16 +1,15 @@
 //! # pim-cluster
 //!
 //! A sharded multi-chip execution engine for the PyPIM stack: `N` simulated
-//! PIM chips — each a [`pim_driver::Driver`] over its own chip backend,
-//! the bit-accurate [`pim_sim::PimSimulator`] or the vectorized
-//! functional [`pim_func::FuncBackend`], selected per shard through
-//! [`ShardBackends`] — take batched jobs and present one flat address
-//! space of `N × crossbars` warps. The jobs have two transports and one
-//! executor: a channel to the shard's dedicated worker thread
-//! ([`PimCluster::with_options`]), or a direct call on the submitting
-//! thread ([`PimCluster::inline`]: shards run in launch order, so one
-//! client thread replays to the same counters and memory every time,
-//! seeded faults included — a single-chip `Device` is one such shard).
+//! PIM chips — each a [`pim_driver::Driver`] over its own
+//! [`pim_sim::PimSimulator`], strict checking on — take batched jobs and
+//! present one flat address space of `N × crossbars` warps. The jobs have
+//! two transports and one executor: a channel to the shard's dedicated
+//! worker thread ([`PimCluster::with_options`]), or a direct call on the
+//! submitting thread ([`PimCluster::inline`]: shards run in launch order,
+//! so one client thread replays to the same counters and memory every
+//! time, seeded faults included — a single-chip `Device` is one such
+//! shard).
 //!
 //! The paper (conf_micro_LeitersdorfRK24) models a *single* memory chip
 //! behind the micro-operation interface; this crate composes many of them
@@ -119,6 +118,6 @@ pub use pim_fault::{
     FaultInjector, FaultPlan, FaultProfile, FaultStats, HostFault, HostFaultPlan, HostFaultProfile,
     LinkFault, LinkWindow, WorkerFault,
 };
-pub use pim_func::{AnyBackend, BackendKind};
+pub use pim_func::BackendKind;
 pub use pim_telemetry::{RequestId, RequestStats, Telemetry, TelemetryConfig};
 pub use plan::{MoveRoute, ShardPlan};

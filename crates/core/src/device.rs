@@ -5,7 +5,7 @@ use parking_lot::Mutex;
 use pim_arch::PimConfig;
 use pim_cluster::{
     ClusterOptions, ClusterStats, GatherTicket, GlobalWrite, JobSet, PimCluster, RecoveryConfig,
-    ShardBackends, ShardPlan, TaggedBatch,
+    ShardPlan, TaggedBatch,
 };
 use pim_driver::ParallelismMode;
 use pim_func::BackendKind;
@@ -143,53 +143,46 @@ impl Device {
         Device::with_mode(cfg, ParallelismMode::default())
     }
 
-    /// Creates a device with an explicit driver parallelism mode (and the
-    /// default bit-accurate backend).
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if `cfg` fails validation.
-    pub fn with_mode(cfg: PimConfig, mode: ParallelismMode) -> Result<Self> {
-        Device::with_backend_mode(cfg, BackendKind::default(), mode)
-    }
-
-    /// Creates a device over an explicit execution backend: the
-    /// bit-accurate [`pim_sim::PimSimulator`]
-    /// ([`BackendKind::BitAccurate`]) or the vectorized functional
-    /// backend [`pim_func::FuncBackend`] ([`BackendKind::Functional`]).
-    /// Both execute the same micro-operation streams with identical
-    /// results and identical modeled-cycle accounting; the functional
-    /// backend trades per-gate fidelity (strict stateful-logic checking,
-    /// per-partition gate simulation) for word-level speed.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if `cfg` fails validation.
-    pub fn with_backend(cfg: PimConfig, kind: BackendKind) -> Result<Self> {
-        Device::with_backend_mode(cfg, kind, ParallelismMode::default())
-    }
-
-    /// Creates a device with explicit backend and driver parallelism mode:
-    /// one chip, run on the calling thread.
+    /// Creates a device with an explicit driver parallelism mode: one
+    /// chip, run on the calling thread.
     ///
     /// # Errors
     ///
     /// Returns an error ([`CoreError::Cluster`]) if `cfg` fails validation.
-    pub fn with_backend_mode(
-        cfg: PimConfig,
-        kind: BackendKind,
-        mode: ParallelismMode,
-    ) -> Result<Self> {
+    pub fn with_mode(cfg: PimConfig, mode: ParallelismMode) -> Result<Self> {
         let options = ClusterOptions {
             mode,
             recovery: RecoveryConfig {
                 enabled: false,
                 ..RecoveryConfig::default()
             },
-            backends: ShardBackends::Uniform(kind),
             ..ClusterOptions::default()
         };
         Ok(Device::over(PimCluster::inline(cfg, 1, options)?, None))
+    }
+
+    /// [`Device::new`]; `kind` selects nothing. Spelt by
+    /// `benchmark/src/workload/{serve,loadgen}.rs`.
+    ///
+    /// # Errors
+    ///
+    /// See [`Device::with_mode`].
+    pub fn with_backend(cfg: PimConfig, _kind: BackendKind) -> Result<Self> {
+        Device::new(cfg)
+    }
+
+    /// [`Device::with_mode`]; `kind` selects nothing. Spelt by
+    /// `benchmark/src/workload/{serve,tensor}.rs`.
+    ///
+    /// # Errors
+    ///
+    /// See [`Device::with_mode`].
+    pub fn with_backend_mode(
+        cfg: PimConfig,
+        _kind: BackendKind,
+        mode: ParallelismMode,
+    ) -> Result<Self> {
+        Device::with_mode(cfg, mode)
     }
 
     /// Creates a device backed by a sharded multi-chip cluster: `shards`
@@ -210,9 +203,8 @@ impl Device {
     /// the chip-to-chip interconnect model (its link width/latency set the
     /// modeled cycle cost of cross-chip transfers, surfaced through
     /// [`Device::cluster_stats`] as [`ClusterStats::traffic`]), crash
-    /// recovery ([`pim_cluster::RecoveryConfig`]), deterministic fault
-    /// injection (`ClusterOptions::fault`) and per-shard backend selection
-    /// (`ClusterOptions::backends`, see [`pim_cluster::ShardBackends`]).
+    /// recovery ([`pim_cluster::RecoveryConfig`]) and deterministic fault
+    /// injection (`ClusterOptions::fault`).
     /// The options' telemetry handle is replaced by the device's own (the
     /// device owns the unified modeled-clock/metrics surface).
     ///
@@ -391,9 +383,8 @@ impl Device {
         Ok(self.inner.cluster.reset_profilers()?)
     }
 
-    /// Enables/disables the backend's strict stateful-logic checking
-    /// (enforced by the bit-accurate simulator; recorded but not enforced
-    /// by the functional backend).
+    /// Enables/disables every chip's strict stateful-logic checking (on by
+    /// default).
     ///
     /// # Errors
     ///

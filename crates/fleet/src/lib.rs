@@ -68,7 +68,7 @@ use pim_arch::PimConfig;
 use pim_cluster::{Interconnect, InterconnectConfig};
 use pim_serve::DeviceServeExt;
 use pim_telemetry::{Counter, Histogram, MetricsSnapshot, RequestId, Telemetry, TrackHandle};
-use pypim_core::{BackendKind, CoreError, Device, ErrorClass, Result};
+use pypim_core::{CoreError, Device, ErrorClass, Result};
 use std::future::Future;
 use std::pin::Pin;
 use std::sync::Arc;
@@ -89,8 +89,8 @@ pub const MAX_REISSUES: u32 = 8;
 /// Fleet geometry, timing, and fault schedule.
 #[derive(Debug, Clone)]
 pub struct FleetConfig {
-    /// Serving hosts to build (each a functional-backend single-chip
-    /// device behind its own gateway). Ignored by
+    /// Serving hosts to build (each a single-chip device behind its own
+    /// gateway). Ignored by
     /// [`Fleet::with_hosts`], which takes the hosts ready-made.
     pub hosts: usize,
     /// Chip configuration of each default host device.
@@ -418,7 +418,7 @@ impl std::fmt::Debug for Fleet {
 
 impl Fleet {
     /// Builds a fleet of [`FleetConfig::hosts`] default hosts: each a
-    /// single-chip functional-backend [`Device`] behind its own gateway,
+    /// single-chip [`Device`] behind its own gateway,
     /// so execution is inline and deterministic on the polling thread.
     ///
     /// # Errors
@@ -428,7 +428,7 @@ impl Fleet {
         cfg.validate()?;
         let mut hosts: Vec<Box<dyn GatewayHost + Send + Sync>> = Vec::with_capacity(cfg.hosts);
         for _ in 0..cfg.hosts {
-            let dev = Device::with_backend(cfg.chip.clone(), BackendKind::Functional)?;
+            let dev = Device::new(cfg.chip.clone())?;
             hosts.push(Box::new(dev.serve(cfg.serve)));
         }
         Fleet::with_hosts(cfg, hosts)

@@ -1,19 +1,19 @@
-use crate::{FuncBackend, FuncSnapshot};
-use pim_arch::{ArchError, Backend, CellRun, MicroOp, PimConfig, PreparedBatch};
-use pim_sim::{PimSimulator, Profiler, SimSnapshot};
+//! Names `benchmark/` still spells from when a chip's engine was a
+//! run-time choice. Every chip runs [`PimSimulator`]; nothing here selects
+//! anything, and each item goes once the benchmark file its comment names
+//! stops spelling it (ROADMAP, "Benchmark-only debts").
 
-/// Selects which [`Backend`] implementation executes a chip's
-/// micro-operation stream. Threaded through `ClusterOptions` (per shard)
-/// and `Device` constructors.
+use pim_arch::{ArchError, Backend, CellRun, MicroOp, PimConfig, PreparedBatch};
+use pim_sim::PimSimulator;
+
+/// A label, not a selection: both values build the same chip. Spelt by
+/// `benchmark/src/workload/{tensor,serve,loadgen,ladder}.rs`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum BackendKind {
-    /// The bit-accurate simulator ([`PimSimulator`]): models the stateful
-    /// logic cell-by-cell and enforces the strict discipline. The default.
+    /// Row name `sim`.
     #[default]
     BitAccurate,
-    /// The vectorized functional backend ([`FuncBackend`]): identical
-    /// architectural results and modeled cycles, much faster, no strict
-    /// discipline checking.
+    /// Row name `func`.
     Functional,
 }
 
@@ -27,171 +27,45 @@ impl BackendKind {
     }
 }
 
-/// A concrete runtime-selected backend: one enum wrapping the two
-/// implementations so drivers, shard workers and journals hold a single
-/// type while the kind varies per chip.
+/// [`PimSimulator`] under the name
+/// `benchmark/src/workload/{tensor,serve}.rs` construct their ladder
+/// drivers with.
 #[derive(Debug)]
-pub enum AnyBackend {
-    /// Bit-accurate simulator.
-    Sim(PimSimulator),
-    /// Vectorized functional backend.
-    Func(FuncBackend),
-}
-
-/// Snapshot of an [`AnyBackend`] — carries the kind so restores are
-/// checked against the live backend.
-#[derive(Debug, Clone)]
-pub enum AnySnapshot {
-    /// Snapshot of a bit-accurate simulator.
-    Sim(SimSnapshot),
-    /// Snapshot of a functional backend.
-    Func(FuncSnapshot),
-}
+pub struct AnyBackend(pub PimSimulator);
 
 impl AnyBackend {
-    /// Creates a backend of the requested kind.
+    /// A [`PimSimulator`] of geometry `cfg`, whatever `kind` says.
     ///
     /// # Errors
     ///
     /// Returns [`ArchError::InvalidConfig`] if `cfg` fails validation.
-    pub fn new(kind: BackendKind, cfg: PimConfig) -> Result<Self, ArchError> {
-        Ok(match kind {
-            BackendKind::BitAccurate => AnyBackend::Sim(PimSimulator::new(cfg)?),
-            BackendKind::Functional => AnyBackend::Func(FuncBackend::new(cfg)?),
-        })
-    }
-
-    /// Which implementation this is.
-    pub fn kind(&self) -> BackendKind {
-        match self {
-            AnyBackend::Sim(_) => BackendKind::BitAccurate,
-            AnyBackend::Func(_) => BackendKind::Functional,
-        }
-    }
-
-    /// The profiling counters accumulated so far.
-    pub fn profiler(&self) -> &Profiler {
-        match self {
-            AnyBackend::Sim(s) => s.profiler(),
-            AnyBackend::Func(f) => f.profiler(),
-        }
-    }
-
-    /// Resets the profiling counters.
-    pub fn reset_profiler(&mut self) {
-        match self {
-            AnyBackend::Sim(s) => s.reset_profiler(),
-            AnyBackend::Func(f) => f.reset_profiler(),
-        }
-    }
-
-    /// Enables or disables strict stateful-logic checking. Enforced only
-    /// by the bit-accurate simulator; the functional backend stores the
-    /// flag without checking.
-    pub fn set_strict(&mut self, strict: bool) {
-        match self {
-            AnyBackend::Sim(s) => s.set_strict(strict),
-            AnyBackend::Func(f) => f.set_strict(strict),
-        }
-    }
-
-    /// The stored strict flag.
-    pub fn strict(&self) -> bool {
-        match self {
-            AnyBackend::Sim(s) => s.strict(),
-            AnyBackend::Func(f) => f.strict(),
-        }
-    }
-
-    /// Charges `cycles` modeled cycles without executing anything.
-    pub fn stall(&mut self, cycles: u64) {
-        match self {
-            AnyBackend::Sim(s) => s.stall(cycles),
-            AnyBackend::Func(f) => f.stall(cycles),
-        }
-    }
-
-    /// Direct state inspection for tests: the word at `(xb, row, reg)`.
-    pub fn peek(&self, xb: usize, row: usize, reg: usize) -> u32 {
-        match self {
-            AnyBackend::Sim(s) => s.peek(xb, row, reg),
-            AnyBackend::Func(f) => f.peek(xb, row, reg),
-        }
-    }
-
-    /// Direct state mutation for tests; see [`peek`](AnyBackend::peek).
-    pub fn poke(&mut self, xb: usize, row: usize, reg: usize, value: u32) {
-        match self {
-            AnyBackend::Sim(s) => s.poke(xb, row, reg, value),
-            AnyBackend::Func(f) => f.poke(xb, row, reg, value),
-        }
-    }
-
-    /// Captures the complete architectural state.
-    pub fn snapshot(&self) -> AnySnapshot {
-        match self {
-            AnyBackend::Sim(s) => AnySnapshot::Sim(s.snapshot()),
-            AnyBackend::Func(f) => AnySnapshot::Func(f.snapshot()),
-        }
-    }
-
-    /// Restores a snapshot taken from a backend of the same kind and
-    /// geometry.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the snapshot kind does not match the live backend — a
-    /// logic error in checkpoint bookkeeping, never a data-dependent
-    /// condition.
-    pub fn restore(&mut self, snap: &AnySnapshot) {
-        match (self, snap) {
-            (AnyBackend::Sim(s), AnySnapshot::Sim(snap)) => s.restore(snap),
-            (AnyBackend::Func(f), AnySnapshot::Func(snap)) => f.restore(snap),
-            (live, snap) => panic!(
-                "snapshot kind mismatch: live backend is {:?} but snapshot is {}",
-                live.kind(),
-                match snap {
-                    AnySnapshot::Sim(_) => "sim",
-                    AnySnapshot::Func(_) => "func",
-                }
-            ),
-        }
+    pub fn new(_kind: BackendKind, cfg: PimConfig) -> Result<Self, ArchError> {
+        PimSimulator::new(cfg).map(AnyBackend)
     }
 }
 
+/// Every entry point [`PimSimulator`] overrides is forwarded: a missing
+/// one would fall back to the trait default and silently lose its block
+/// path (`crates/func/tests/equivalence.rs` holds all five to the bare
+/// simulator).
 impl Backend for AnyBackend {
     fn config(&self) -> &PimConfig {
-        match self {
-            AnyBackend::Sim(s) => s.config(),
-            AnyBackend::Func(f) => f.config(),
-        }
+        self.0.config()
     }
 
     fn execute(&mut self, op: &MicroOp) -> Result<Option<u32>, ArchError> {
-        match self {
-            AnyBackend::Sim(s) => s.execute(op),
-            AnyBackend::Func(f) => f.execute(op),
-        }
+        self.0.execute(op)
     }
 
     fn execute_batch(&mut self, ops: &[MicroOp]) -> Result<(), ArchError> {
-        match self {
-            AnyBackend::Sim(s) => s.execute_batch(ops),
-            AnyBackend::Func(f) => f.execute_batch(ops),
-        }
+        self.0.execute_batch(ops)
     }
 
     fn access(&mut self, run: &CellRun<'_>, out: &mut Vec<u32>) -> Result<(), ArchError> {
-        match self {
-            AnyBackend::Sim(s) => s.access(run, out),
-            AnyBackend::Func(f) => f.access(run, out),
-        }
+        self.0.access(run, out)
     }
 
     fn execute_prepared(&mut self, batch: &PreparedBatch) -> Result<(), ArchError> {
-        match self {
-            AnyBackend::Sim(s) => s.execute_prepared(batch),
-            AnyBackend::Func(f) => f.execute_prepared(batch),
-        }
+        self.0.execute_prepared(batch)
     }
 }

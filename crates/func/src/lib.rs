@@ -1,12 +1,15 @@
 //! # pim-func
 //!
-//! A *functional* backend for the PyPIM micro-operation interface
-//! ([`pim_arch::Backend`]): it produces the same architectural state and
-//! the same modeled-cycle totals as the bit-accurate simulator
-//! ([`pim_sim::PimSimulator`]), but computes them with plain vectorized
-//! host code instead of simulating the stateful-logic discipline.
+//! The word-array *reference implementation* of the PyPIM micro-operation
+//! interface ([`pim_arch::Backend`]): [`FuncBackend`] produces the same
+//! architectural state and the same modeled-cycle totals as the engine
+//! every chip runs on ([`pim_sim::PimSimulator`]), computed independently
+//! — plain vectorized host code over 32-bit words, no bit planes, no
+//! stateful-logic discipline. Nothing serves on it; the differential
+//! oracle (`crates/func/tests`, `tests/backend_equivalence.rs`) holds the
+//! engine to it.
 //!
-//! Three things make it fast:
+//! How it executes:
 //!
 //! * **Row-pair packing** — cell state lives in one flat `Vec<u64>` where
 //!   each word packs *two* adjacent rows of one register of one crossbar
@@ -32,16 +35,15 @@
 //!   per operation: one closed-form [`pim_sim::charge_batch`], the
 //!   precomputed elision plan when the masks are full.
 //!
-//! What the functional backend does **not** do: enforce the stateful-logic
-//! strict discipline (output cells of `NOT`/`NOR` holding 1 when the gate
-//! fires). The strict flag is carried (and snapshotted) for interface
-//! compatibility, but no check runs — validate driver routines against
-//! [`pim_sim::PimSimulator`] in strict mode, then serve with `pim-func`.
+//! What the reference does **not** do: enforce the stateful-logic strict
+//! discipline (output cells of `NOT`/`NOR` holding 1 when the gate fires).
+//! The strict flag is carried (and snapshotted) for interface
+//! compatibility, but no check runs — the engine checks, on every chip.
 //! See `crates/func/README.md` for the full guarantee table.
 //!
-//! [`AnyBackend`] packages the two implementations behind one concrete
-//! type so that drivers, shard workers and snapshots can select a backend
-//! per chip at runtime ([`BackendKind`]).
+//! [`AnyBackend`] and [`BackendKind`] are names `benchmark/` still spells
+//! from when the engine was a run-time choice; both build a
+//! [`pim_sim::PimSimulator`].
 //!
 //! # Example
 //!
@@ -63,5 +65,5 @@
 mod any;
 mod backend;
 
-pub use any::{AnyBackend, AnySnapshot, BackendKind};
+pub use any::{AnyBackend, BackendKind};
 pub use backend::{FuncBackend, FuncSnapshot};

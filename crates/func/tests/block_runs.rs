@@ -7,12 +7,12 @@
 //! batches salted with such runs and with uploads — well-formed, cut short,
 //! interrupted and illegal ones — and holds it equal to op-by-op `execute`:
 //! cells, stored masks, `Profiler` and error values, with strict checking
-//! on and off, and against the functional backend.
+//! on and off, and against the word-array reference (`FuncBackend`).
 //!
 //! An upload or a read-back arrives as a run already (`Backend::access`),
 //! and a run means the micro-operations it expands to. The second suite
-//! holds the simulator's block form to that expansion and to the functional
-//! backend (which keeps the trait default): cells, stored masks, `Profiler`,
+//! holds the simulator's block form to that expansion and to the reference
+//! (which keeps the trait default): cells, stored masks, `Profiler`,
 //! returned reads and error values — and a run the block form refuses
 //! changes nothing.
 //!
@@ -22,8 +22,8 @@
 use pim_arch::{
     ArchError, Backend, CellRun, GateKind, HLogic, MicroOp, PimConfig, RangeMask, VGate,
 };
-use pim_func::{AnyBackend, BackendKind};
-use pim_sim::Profiler;
+use pim_func::FuncBackend;
+use pim_sim::{PimSimulator, Profiler};
 use proptest::prelude::*;
 
 const XBS: u32 = 4;
@@ -244,8 +244,32 @@ struct Outcome {
     profiler: Profiler,
 }
 
+/// What [`outcome`] inspects on either implementation.
+trait Chip: Backend {
+    fn profiler(&self) -> &Profiler;
+    fn peek(&self, xb: usize, row: usize, reg: usize) -> u32;
+}
+
+impl Chip for PimSimulator {
+    fn profiler(&self) -> &Profiler {
+        self.profiler()
+    }
+    fn peek(&self, xb: usize, row: usize, reg: usize) -> u32 {
+        self.peek(xb, row, reg)
+    }
+}
+
+impl Chip for FuncBackend {
+    fn profiler(&self) -> &Profiler {
+        self.profiler()
+    }
+    fn peek(&self, xb: usize, row: usize, reg: usize) -> u32 {
+        self.peek(xb, row, reg)
+    }
+}
+
 fn outcome(
-    mut chip: AnyBackend,
+    mut chip: impl Chip,
     run: impl FnOnce(&mut dyn Backend, &mut Vec<u32>) -> Result<(), ArchError>,
 ) -> Outcome {
     let cfg = chip.config().clone();
@@ -288,10 +312,18 @@ fn batched(
     move |chip, _| chip.execute_batch(ops)
 }
 
-fn sim(cfg: &PimConfig, strict: bool) -> AnyBackend {
-    let mut sim = AnyBackend::new(BackendKind::BitAccurate, cfg.clone()).unwrap();
+fn sim(cfg: &PimConfig, strict: bool) -> PimSimulator {
+    let mut sim = PimSimulator::new(cfg.clone()).unwrap();
     sim.set_strict(strict);
     sim
+}
+
+/// What `act` leaves behind on `chip` once it holds `masks`.
+fn under_masks(chip: impl Chip, masks: &[MicroOp], act: Act<'_>) -> Outcome {
+    outcome(chip, |chip, reads| {
+        chip.execute_batch(masks).unwrap();
+        act(chip, reads)
+    })
 }
 
 proptest! {
@@ -303,7 +335,7 @@ proptest! {
     ) {
         let cfg = cfg();
         let ops = batch(&cfg, &seeds);
-        let func = || AnyBackend::new(BackendKind::Functional, cfg.clone()).unwrap();
+        let func = || FuncBackend::new(cfg.clone()).unwrap();
 
         // Without strict checking nothing refuses a valid operation.
         let loose = outcome(sim(&cfg, false), serially(&ops));
@@ -320,8 +352,8 @@ proptest! {
             prop_assert!(serial == loose);
         }
 
-        // The functional backend: the same cells and counters both ways.
-        prop_assert!(outcome(func(), serially(&ops)) == loose, "functional backend diverges from the simulator");
+        // The reference: the same cells and counters both ways.
+        prop_assert!(outcome(func(), serially(&ops)) == loose, "the reference diverges from the simulator");
         prop_assert!(outcome(func(), batched(&ops)) == loose);
     }
 
@@ -332,7 +364,7 @@ proptest! {
     /// masks that keep the run's contract (one crossbar or several, the row
     /// mask on `rows[0]`) or break it: the simulator's `access`, the
     /// expansion executed op by op on a second simulator, and the
-    /// functional backend (the trait default) return the same `Result` and
+    /// reference (the trait default) return the same `Result` and
     /// the same words and leave the same cells, stored masks and
     /// `Profiler`. A run the block form refuses changed nothing.
     #[test]
@@ -385,22 +417,18 @@ proptest! {
         let kept = row_mask == RangeMask::single(run_rows[0]);
         let masks = [MicroOp::XbMask(xb_mask), MicroOp::RowMask(row_mask)];
 
-        // What `act` leaves behind on a chip of `kind` that holds the masks.
-        let under_masks = |kind, act: Act<'_>| {
-            outcome(AnyBackend::new(kind, cfg.clone()).unwrap(), |chip, reads| {
-                chip.execute_batch(&masks).unwrap();
-                act(chip, reads)
-            })
-        };
-        let block = under_masks(BackendKind::BitAccurate, &|chip, reads| chip.access(&run, reads));
-        let serial = under_masks(BackendKind::BitAccurate, &|chip, reads| run.expand(chip, reads));
-        let func = under_masks(BackendKind::Functional, &|chip, reads| chip.access(&run, reads));
-        prop_assert!(func == serial, "functional backend diverges from the expansion");
+        let sim = || PimSimulator::new(cfg.clone()).unwrap();
+        let block = under_masks(sim(), &masks, &|chip, reads| chip.access(&run, reads));
+        let serial = under_masks(sim(), &masks, &|chip, reads| run.expand(chip, reads));
+        let func = under_masks(FuncBackend::new(cfg.clone()).unwrap(), &masks, &|chip, reads| {
+            chip.access(&run, reads)
+        });
+        prop_assert!(func == serial, "the reference diverges from the expansion");
         prop_assert_eq!(&block.result, &serial.result);
         if serial.result.is_ok() || !kept {
             prop_assert!(block == serial, "block form and expansion diverge");
         } else {
-            let untouched = under_masks(BackendKind::BitAccurate, &|_, _| Ok(()));
+            let untouched = under_masks(sim(), &masks, &|_, _| Ok(()));
             prop_assert!(block.reads.is_empty());
             prop_assert!(block.cells == untouched.cells, "a refused run changed cells or masks");
             prop_assert_eq!(&block.profiler, &untouched.profiler);

@@ -1,9 +1,10 @@
-//! Differential oracle: the functional backend must produce bit-identical
-//! architectural state and identical profiling counters to the
-//! bit-accurate simulator for the same micro-operation stream — both
-//! op-by-op and batched (where dead-store elimination runs). Replaying a
-//! `PreparedBatch` must in turn be indistinguishable from `execute_batch`
-//! of the same operations: image, masks and every profiler counter.
+//! Differential oracle: the engine (`PimSimulator`) and the word-array
+//! reference (`FuncBackend`) must produce bit-identical architectural
+//! state and identical profiling counters for the same micro-operation
+//! stream — both op-by-op and batched (where dead-store elimination runs).
+//! Replaying a `PreparedBatch` must in turn be indistinguishable from
+//! `execute_batch` of the same operations: image, masks and every profiler
+//! counter.
 
 use pim_arch::{
     Backend, ColAddr, GateKind, HLogic, MicroOp, MoveOp, PimConfig, PreparedBatch, RangeMask, VGate,
@@ -543,34 +544,101 @@ fn snapshot_restore_roundtrip() {
     assert_eq!(func.profiler().ops.write, 1);
 }
 
+/// `AnyBackend` is a name for `PimSimulator`: the same stream through each
+/// of the five `Backend` entry points ends in the same reads, cells, stored
+/// masks and `Profiler` on both. Two refusals tell a forward from the trait
+/// default it would otherwise fall back to — a batch with a bad operation
+/// and a run with a row past the end change nothing on the simulator, where
+/// the defaults (an `execute` loop, the run's expansion) apply what comes
+/// before the flaw. A dropped `execute_prepared` forward costs only time.
 #[test]
-fn any_backend_selects_and_snapshots() {
-    let cfg = PimConfig::small();
-    let mut any = AnyBackend::new(BackendKind::Functional, cfg.clone()).unwrap();
-    assert_eq!(any.kind(), BackendKind::Functional);
-    assert_eq!(any.kind().name(), "func");
-    any.execute(&MicroOp::Write {
-        index: 1,
-        value: 0xCAFE,
-    })
+fn the_shim_is_the_simulator_through_every_entry_point() {
+    let cfg = PimConfig::small().with_rows(96);
+    let rows: Vec<u32> = (3..83).collect();
+    let words: Vec<u32> = rows
+        .iter()
+        .map(|r| 0x9E37_79B9u32.wrapping_mul(r + 1))
+        .collect();
+    let mut past_end = rows.clone();
+    past_end[40] = 96;
+    let routine = PreparedBatch::new(
+        vec![
+            MicroOp::LogicH(HLogic::init_reg(true, 2, &cfg).unwrap()),
+            MicroOp::LogicH(HLogic::parallel(GateKind::Nor, 0, 1, 2, &cfg).unwrap()),
+        ],
+        &cfg,
+    )
     .unwrap();
-    let snap = any.snapshot();
-    any.poke(0, 0, 1, 0);
-    any.restore(&snap);
-    assert_eq!(any.peek(0, 0, 1), 0xCAFE);
+    let shift: Vec<MicroOp> = (0..40)
+        .flat_map(|row| {
+            [VGate::Init1, VGate::Not].map(|gate| MicroOp::LogicV {
+                gate,
+                row_in: row + 3,
+                row_out: row + 50,
+                index: 3,
+            })
+        })
+        .collect();
 
-    let sim = AnyBackend::new(BackendKind::BitAccurate, cfg).unwrap();
-    assert_eq!(sim.kind(), BackendKind::BitAccurate);
-    assert_eq!(BackendKind::default(), BackendKind::BitAccurate);
-}
-
-#[test]
-#[should_panic(expected = "snapshot kind mismatch")]
-fn mismatched_snapshot_kind_panics() {
-    let cfg = PimConfig::small();
-    let mut sim = AnyBackend::new(BackendKind::BitAccurate, cfg.clone()).unwrap();
-    let func = AnyBackend::new(BackendKind::Functional, cfg).unwrap();
-    sim.restore(&func.snapshot());
+    let drive = |chip: &mut dyn Backend| {
+        let run = |rows, values| pim_arch::CellRun {
+            reg: 1,
+            rows,
+            values,
+        };
+        let on_first_row = |chip: &mut dyn Backend| {
+            let mask = MicroOp::RowMask(RangeMask::single(rows[0]));
+            assert_eq!(chip.execute(&mask), Ok(None));
+        };
+        let mut reads = Vec::new();
+        assert_eq!(chip.config(), &cfg);
+        chip.execute(&MicroOp::XbMask(RangeMask::single(5)))
+            .unwrap();
+        on_first_row(chip);
+        chip.access(&run(&rows, Some(&words)), &mut reads).unwrap();
+        // The upload left the row mask on its last row; a run starts on its first.
+        on_first_row(chip);
+        let flawed = run(&past_end, Some(&[0; 80]));
+        assert!(chip.access(&flawed, &mut reads).is_err());
+        chip.execute_batch(&shift).unwrap();
+        let flawed = [7, 99].map(|index| MicroOp::Write { index, value: 7 });
+        assert!(chip.execute_batch(&flawed).is_err());
+        chip.execute_prepared(&routine).unwrap();
+        on_first_row(chip);
+        chip.access(&run(&rows, None), &mut reads).unwrap();
+        reads
+    };
+    let mut sim = PimSimulator::new(cfg.clone()).unwrap();
+    let mut shim = AnyBackend::new(BackendKind::Functional, cfg.clone()).unwrap();
+    let want = drive(&mut sim);
+    assert_eq!(want, words, "the read-back returns the upload");
+    assert_eq!(drive(&mut shim), want);
+    assert_eq!(shim.0.profiler(), sim.profiler());
+    // A write under the final masks makes them visible in the image.
+    let marker = MicroOp::Write {
+        index: 4,
+        value: 0xA5A5_5A5A,
+    };
+    sim.execute(&marker).unwrap();
+    shim.execute(&marker).unwrap();
+    for xb in 0..cfg.crossbars {
+        for row in 0..cfg.rows {
+            for reg in 0..cfg.regs {
+                assert_eq!(
+                    shim.0.peek(xb, row, reg),
+                    sim.peek(xb, row, reg),
+                    "xb {xb} row {row} reg {reg}"
+                );
+            }
+        }
+    }
+    // Neither refusal left a mark: the flawed run's cells hold the first
+    // upload, the flawed batch's first write never landed.
+    assert_eq!(sim.peek(5, past_end[0] as usize, 1), words[0]);
+    assert_eq!(sim.peek(5, rows[0] as usize, 7), 0);
+    assert!(shim.0.strict(), "the chips that serve check the discipline");
+    assert_eq!(BackendKind::Functional.name(), "func");
+    assert_eq!(BackendKind::default().name(), "sim");
 }
 
 #[test]

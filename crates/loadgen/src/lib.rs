@@ -296,7 +296,7 @@ mod tests {
         };
         for factor in [1.0, 10.0] {
             let cfg = small_cfg().scaled(factor);
-            let dev = Device::with_backend(one_host().chip, pypim_core::BackendKind::Functional)?;
+            let dev = Device::new(one_host().chip)?;
             let gateway = run(&dev.serve(one_host().serve), &cfg)?;
             let fleet = run_fleet(&pim_fleet::Fleet::new(one_host())?, &cfg)?;
 

@@ -1,7 +1,7 @@
 //! The shared micro-operation cost model.
 //!
 //! Every backend — the bit-accurate [`PimSimulator`](crate::PimSimulator)
-//! and the vectorized functional backend (`pim-func`) — charges modeled
+//! and the word-array reference it is tested against (`pim-func`) — charges modeled
 //! cycles through [`charge_op`], so `Profiler` totals, telemetry
 //! attribution and deadline semantics are identical regardless of how the
 //! data movement is actually computed on the host. [`charge_batch`] is its

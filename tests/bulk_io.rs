@@ -3,16 +3,14 @@
 //! the backend as one `CellRun` — and that path must be
 //! indistinguishable from issuing the instructions one
 //! by one: the same result words, the same `Driver::issued`, the same
-//! `Profiler`, on one chip (both backends) and through the shard workers of
-//! a uniform and a mixed cluster.
+//! `Profiler`, on one chip and through the shard workers of a cluster.
 
 use proptest::prelude::*;
 use pypim::arch::{PimConfig, RangeMask};
 use pypim::cluster::{GlobalWrite, PimCluster};
 use pypim::driver::Driver;
-use pypim::func::{AnyBackend, BackendKind};
 use pypim::isa::{DType, Instruction, RegOp, ThreadRange};
-use pypim::{ClusterOptions, ShardBackends};
+use pypim::sim::PimSimulator;
 
 /// 96 rows: one and a half plane words per crossbar, so access runs end at
 /// a word boundary, at the crossbar's last row and mid-word.
@@ -56,7 +54,7 @@ fn word(i: usize) -> u32 {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// One chip, both backends: uploads and read-backs interleaved with a
+    /// One chip: uploads and read-backs interleaved with a
     /// broadcast write and an R-type instruction (which go through
     /// `execute` inside the same call).
     #[test]
@@ -89,30 +87,28 @@ proptest! {
             instrs.extend(cells.iter().map(|&(warp, row)| Instruction::Read { reg, warp, row }));
             instrs.extend(cells.iter().rev().map(|&(warp, row)| Instruction::Read { reg: 3, warp, row }));
         }
-        for kind in [BackendKind::BitAccurate, BackendKind::Functional] {
-            let driver = || Driver::new(AnyBackend::new(kind, cfg.clone()).unwrap());
-            let (mut bulk, mut looped) = (driver(), driver());
-            let mut got = Vec::new();
-            bulk.execute_many(&instrs, &mut got).unwrap();
-            let want: Vec<Option<u32>> =
-                instrs.iter().map(|i| looped.execute(i).unwrap()).collect();
-            prop_assert_eq!(&got, &want);
-            prop_assert_eq!(bulk.issued(), looped.issued());
-            prop_assert_eq!(bulk.backend().profiler(), looped.backend().profiler());
-            for xb in 0..cfg.crossbars {
-                for row in 0..cfg.rows {
-                    for reg in 0..4 {
-                        prop_assert_eq!(
-                            bulk.backend().peek(xb, row, reg),
-                            looped.backend().peek(xb, row, reg)
-                        );
-                    }
+        let driver = || Driver::new(PimSimulator::new(cfg.clone()).unwrap());
+        let (mut bulk, mut looped) = (driver(), driver());
+        let mut got = Vec::new();
+        bulk.execute_many(&instrs, &mut got).unwrap();
+        let want: Vec<Option<u32>> =
+            instrs.iter().map(|i| looped.execute(i).unwrap()).collect();
+        prop_assert_eq!(&got, &want);
+        prop_assert_eq!(bulk.issued(), looped.issued());
+        prop_assert_eq!(bulk.backend().profiler(), looped.backend().profiler());
+        for xb in 0..cfg.crossbars {
+            for row in 0..cfg.rows {
+                for reg in 0..4 {
+                    prop_assert_eq!(
+                        bulk.backend().peek(xb, row, reg),
+                        looped.backend().peek(xb, row, reg)
+                    );
                 }
             }
         }
     }
 
-    /// Two shards, uniform and mixed: `scatter`/`gather` (one segment per
+    /// Two shards: `scatter`/`gather` (one segment per
     /// shard, batched by the shard worker) against the same cells issued
     /// one instruction at a time.
     #[test]
@@ -120,39 +116,31 @@ proptest! {
         patterns in proptest::collection::vec(any::<(u16, u16, u8)>(), 1..4),
     ) {
         let cfg = chip();
-        for backends in [
-            ShardBackends::Uniform(BackendKind::BitAccurate),
-            ShardBackends::PerShard(vec![BackendKind::Functional, BackendKind::BitAccurate]),
-        ] {
-            let cluster = || {
-                let options = ClusterOptions { backends: backends.clone(), ..ClusterOptions::default() };
-                PimCluster::with_options(cfg.clone(), 2, options).unwrap()
-            };
-            let (bulk, single) = (cluster(), cluster());
-            for &seed in &patterns {
-                let cells = pattern(&cfg, 2 * cfg.crossbars as u32, seed);
-                let writes: Vec<GlobalWrite> = cells
-                    .iter()
-                    .enumerate()
-                    .map(|(i, &(warp, row))| GlobalWrite::new(warp, row, 1, word(i)))
-                    .collect();
-                bulk.scatter(&writes).unwrap();
-                for (i, &cell) in cells.iter().enumerate() {
-                    single.execute(&write(1, cell, word(i))).unwrap();
-                }
-                let locs: Vec<_> = cells.iter().map(|&(warp, row)| (warp, row, 1)).collect();
-                let got = bulk.gather(&locs).unwrap();
-                let want: Vec<u32> = locs
-                    .iter()
-                    .map(|&(warp, row, reg)| {
-                        single.execute(&Instruction::Read { reg, warp, row }).unwrap().unwrap()
-                    })
-                    .collect();
-                prop_assert_eq!(got, want);
+        let cluster = || PimCluster::new(cfg.clone(), 2).unwrap();
+        let (bulk, single) = (cluster(), cluster());
+        for &seed in &patterns {
+            let cells = pattern(&cfg, 2 * cfg.crossbars as u32, seed);
+            let writes: Vec<GlobalWrite> = cells
+                .iter()
+                .enumerate()
+                .map(|(i, &(warp, row))| GlobalWrite::new(warp, row, 1, word(i)))
+                .collect();
+            bulk.scatter(&writes).unwrap();
+            for (i, &cell) in cells.iter().enumerate() {
+                single.execute(&write(1, cell, word(i))).unwrap();
             }
-            let (bulk, single) = (bulk.stats().unwrap(), single.stats().unwrap());
-            prop_assert_eq!(bulk.issued(), single.issued());
-            prop_assert_eq!(bulk.merged_profiler(), single.merged_profiler());
+            let locs: Vec<_> = cells.iter().map(|&(warp, row)| (warp, row, 1)).collect();
+            let got = bulk.gather(&locs).unwrap();
+            let want: Vec<u32> = locs
+                .iter()
+                .map(|&(warp, row, reg)| {
+                    single.execute(&Instruction::Read { reg, warp, row }).unwrap().unwrap()
+                })
+                .collect();
+            prop_assert_eq!(got, want);
         }
+        let (bulk, single) = (bulk.stats().unwrap(), single.stats().unwrap());
+        prop_assert_eq!(bulk.issued(), single.issued());
+        prop_assert_eq!(bulk.merged_profiler(), single.merged_profiler());
     }
 }
