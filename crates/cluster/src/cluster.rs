@@ -121,8 +121,8 @@ impl WorkerSlot {
 
     /// Joins the worker thread, if there is one and it is not the calling
     /// thread. A worker's completion wake (or a crashing worker's
-    /// completion guards) can run a client's follow-up work on the worker
-    /// itself — the serving gateway pumps there, and may drop the last
+    /// completion guards) runs a client's waker on the worker itself — the
+    /// serving gateway finishes a group there, which may drop the last
     /// handle onto the cluster — and joining oneself deadlocks. Such a
     /// thread is past its last touch of shard state and exits once the
     /// caller returns, so detaching it is safe.

@@ -183,29 +183,6 @@ impl PimCluster {
         self.submit_routed(batches.iter().map(|b| (b.request, b.instrs.as_slice())))
     }
 
-    /// Whether [`submit_batch`](PimCluster::submit_batch) returns with this
-    /// batch still streaming (`true`) or blocks the caller on host-staged
-    /// transfers because it contains a chip-crossing move (`false`; the
-    /// returned [`JobSet`] is then ready on its first poll). Nothing
-    /// streams on the caller-thread transport
-    /// ([`inline`](PimCluster::inline)): every batch has executed when its
-    /// submission returns. Invalid batches report `true` — their
-    /// submission fails fast without executing anything.
-    pub fn batch_streams_async(&self, instrs: &[Instruction]) -> bool {
-        if self.inline {
-            return false;
-        }
-        if self.validate_batch(instrs).is_err() {
-            return true;
-        }
-        instrs.iter().all(|i| match i {
-            Instruction::MoveWarps { warps, dist, .. } => {
-                self.plan.route_move_warps(warps, *dist).cross.is_empty()
-            }
-            _ => true,
-        })
-    }
-
     /// Validates a whole non-read batch before anything is queued: a
     /// validation or protocol error must mean *nothing* ran (a mid-batch
     /// failure would otherwise leave earlier instructions applied on some

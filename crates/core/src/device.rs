@@ -459,7 +459,9 @@ impl Device {
     /// streams; a batch with chip-crossing moves (which the host stages
     /// behind scheduler barriers) and every batch on a single-chip device
     /// has executed when the call returns, and its ticket is ready — with
-    /// identical semantics.
+    /// identical semantics. Since the call may block on shard jobs, it
+    /// belongs on a client thread, never inside a ticket's waker (which
+    /// runs on the shard worker that completed the job).
     ///
     /// # Errors
     ///
@@ -488,16 +490,6 @@ impl Device {
     pub fn submit_tagged(&self, batches: &[TaggedBatch]) -> Result<StepTicket> {
         refuse_reads(batches.iter().flat_map(|b| b.instrs.iter()))?;
         Ok(StepTicket(self.inner.cluster.submit_batch_tagged(batches)?))
-    }
-
-    /// Whether [`submit_instrs`](Device::submit_instrs) would stream this
-    /// batch asynchronously (`true`) or block the calling thread until it
-    /// has executed (`false`: single-chip devices always — their one shard
-    /// runs on the calling thread — and cluster batches with chip-crossing
-    /// moves). The serving gateway uses this to keep blocking submissions
-    /// off shard-worker threads.
-    pub fn instrs_stream_async(&self, instrs: &[Instruction]) -> bool {
-        self.inner.cluster.batch_streams_async(instrs)
     }
 
     /// Submits a bulk read of `(warp, row, register)` locations *without

@@ -361,15 +361,6 @@ impl FaultInjector {
     }
 
     /// Advances the staged-burst counter and returns the fault scheduled
-    /// for this burst by **index**, if any. Cycle-window schedules are not
-    /// consulted — use [`link_fault_at`](FaultInjector::link_fault_at)
-    /// when the modeled clock is available.
-    pub fn link_fault(&self) -> Option<LinkFault> {
-        let idx = self.bursts.fetch_add(1, Ordering::Relaxed);
-        self.count_link(self.plan.link.get(&idx).copied())
-    }
-
-    /// Advances the staged-burst counter and returns the fault scheduled
     /// for this burst, consulting both the by-index schedule and the
     /// cycle-window schedules against modeled cycle `now`. Called by the
     /// cluster's transfer path once per `(src, dst)` message group,
@@ -384,10 +375,6 @@ impl FaultInjector {
                 .find(|w| w.contains(now))
                 .map(|w| w.fault)
         });
-        self.count_link(fault)
-    }
-
-    fn count_link(&self, fault: Option<LinkFault>) -> Option<LinkFault> {
         match fault {
             Some(LinkFault::Drop) => {
                 self.link_dropped.fetch_add(1, Ordering::Relaxed);
@@ -654,10 +641,10 @@ mod tests {
         assert_eq!(inj.worker_fault(1), None);
         assert_eq!(inj.worker_fault(1), Some(WorkerFault::Crash));
         // Bursts: 0, 1 (drop), 2, 3 (corrupt).
-        assert_eq!(inj.link_fault(), None);
-        assert_eq!(inj.link_fault(), Some(LinkFault::Drop));
-        assert_eq!(inj.link_fault(), None);
-        assert_eq!(inj.link_fault(), Some(LinkFault::Corrupt));
+        assert_eq!(inj.link_fault_at(0), None);
+        assert_eq!(inj.link_fault_at(0), Some(LinkFault::Drop));
+        assert_eq!(inj.link_fault_at(0), None);
+        assert_eq!(inj.link_fault_at(0), Some(LinkFault::Corrupt));
         let stats = inj.stats();
         assert_eq!(stats.worker_crashes, 1);
         assert_eq!(stats.worker_stalls, 1);
@@ -709,9 +696,14 @@ mod tests {
 
     #[test]
     fn by_index_link_fault_ignores_windows() {
-        let inj = FaultInjector::new(FaultPlan::none().drop_window(0, u64::MAX), 1);
-        assert_eq!(inj.link_fault(), None, "index-only path must skip windows");
-        assert_eq!(inj.link_fault_at(0), Some(LinkFault::Drop));
+        // A by-index fault fires whatever the clock reads; a window only
+        // inside its cycles.
+        let plan = FaultPlan::none().corrupt_burst(1).drop_window(100, 200);
+        let inj = FaultInjector::new(plan, 1);
+        assert_eq!(inj.link_fault_at(0), None);
+        assert_eq!(inj.link_fault_at(0), Some(LinkFault::Corrupt));
+        assert_eq!(inj.link_fault_at(150), Some(LinkFault::Drop));
+        assert_eq!(inj.link_fault_at(250), None);
     }
 
     #[test]

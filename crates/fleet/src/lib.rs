@@ -47,7 +47,7 @@
 //! let session = fleet.session()?;
 //! let sum = block_on(session.run(|client| {
 //!     Box::pin(async move {
-//!         let x = client.upload_f32(&[1.0, 2.0, 3.0, 4.0]).await?;
+//!         let x = client.step(|p| p.upload_f32(&[1.0, 2.0, 3.0, 4.0])).await?;
 //!         client.sum_f32(&x).await
 //!     })
 //! }))?;
@@ -811,10 +811,10 @@ mod tests {
 
     async fn request(client: &ClusterClient, n: usize, seed: f32) -> Result<f32> {
         let data: Vec<f32> = (0..n).map(|i| seed + i as f32).collect();
-        let x = client.upload_f32(&data).await?;
-        let y = client.full_f32(n, 2.0).await?;
-        let xy = client.mul(&x, &y).await?;
-        let z = client.add(&xy, &x).await?;
+        let x = client.step(|p| p.upload_f32(&data)).await?;
+        let y = client.step(|p| p.full_f32(n, 2.0)).await?;
+        let xy = client.step(|p| p.mul(&x, &y)).await?;
+        let z = client.step(|p| p.add(&xy, &x)).await?;
         client.sum_f32(&z).await
     }
 

@@ -152,16 +152,6 @@ pub struct RunReport {
     pub windows: Vec<WindowSample>,
 }
 
-impl RunReport {
-    /// Fraction of offered load achieved within the horizon.
-    pub fn goodput_ratio(&self) -> f64 {
-        if self.injected == 0 {
-            return 1.0;
-        }
-        self.completed_in_horizon as f64 / self.injected as f64
-    }
-}
-
 /// The condvar parker doubling as the polling loop's waker: shard workers
 /// wake it through the futures' registered wakers; the driver parks with
 /// a short timeout so a missed wake only costs the timeout.

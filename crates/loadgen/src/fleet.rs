@@ -61,16 +61,6 @@ pub struct FleetRunReport {
     pub windows: Vec<WindowSample>,
 }
 
-impl FleetRunReport {
-    /// Fraction of offered load achieved within the horizon.
-    pub fn goodput_ratio(&self) -> f64 {
-        if self.injected == 0 {
-            return 1.0;
-        }
-        self.completed_in_horizon as f64 / self.injected as f64
-    }
-}
-
 /// One fleet lane: the placement plus the replay template built against
 /// its *current* client, rebuilt whenever the placement generation moves.
 struct Lane {

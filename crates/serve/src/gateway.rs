@@ -5,10 +5,12 @@
 //! instruction batches into its own queue; the *pump* drains those queues
 //! fairly (round-robin, at most one batch per session per group), coalesces
 //! what it takes into one shared submission, and keeps a bounded number of
-//! such groups in flight. There is no background thread: pumping happens
-//! cooperatively on whichever thread polls a request future or completes a
-//! shard job, so a single `block_on(join_all(requests))` host thread drives
-//! the whole gateway.
+//! such groups in flight. There is no background thread, and only client
+//! threads submit: pumping happens on whichever thread polls a request
+//! future, so a single `block_on(join_all(requests))` host thread drives
+//! the whole gateway. A shard worker that completes a group only finishes
+//! it and wakes the clients waiting on queued batches — a submission may
+//! block on a chip-crossing move, which a worker must never wait for.
 //!
 //! Safety of coalescing: sessions allocate in disjoint placement windows
 //! (see [`MemoryManager::reserve_window`](pypim_core::MemoryManager)), so
@@ -83,10 +85,6 @@ impl BatchSlot {
 struct PendingBatch {
     instrs: Vec<Instruction>,
     slot: Arc<BatchSlot>,
-    /// Whether the batch streams asynchronously (no chip-crossing moves),
-    /// computed once at enqueue time off the state lock — the pump's
-    /// worker-wake path consults this on every completion.
-    streams_async: bool,
     /// Request identity the batch's modeled cycles, cross-chip words, and
     /// queue wait are attributed to (`s{session}.r{seq}`).
     request: RequestId,
@@ -119,8 +117,8 @@ pub struct GatewayStats {
     pub max_coalesced: u64,
     /// Most groups ever in flight at once.
     pub peak_inflight: u64,
-    /// Groups deferred from a shard-worker thread to a client thread
-    /// because they contained chip-crossing moves (which execute inline).
+    /// Always 0: a shard worker never submits, so nothing is deferred to a
+    /// client thread. Kept because `benchmark/` still reads the field.
     pub deferred: u64,
     /// Sessions opened so far.
     pub sessions: u64,
@@ -141,7 +139,6 @@ impl MetricsSource for GatewayStats {
         snap.set_counter("serve.groups", self.groups);
         snap.set_counter("serve.batches", self.batches);
         snap.set_counter("serve.instructions", self.instructions);
-        snap.set_counter("serve.deferred", self.deferred);
         snap.set_counter("serve.sessions", self.sessions);
         snap.set_counter("serve.retries", self.retries);
         snap.set_counter("serve.deadline_misses", self.deadline_misses);
@@ -152,28 +149,34 @@ impl MetricsSource for GatewayStats {
     }
 }
 
+/// One session's row of the gateway table.
+#[derive(Default)]
+struct SessionSlot {
+    queue: VecDeque<PendingBatch>,
+    /// Request sequence counter. Monotonic across session churn (a reused
+    /// slot keeps counting), so a `RequestId` is never reissued within one
+    /// gateway.
+    seq: u32,
+    /// Placement window the open session still holds; `None` once the
+    /// session closed or was evicted (the window is released then).
+    window: Option<PlacementHint>,
+    /// Evicted under memory pressure: queued batches were failed with
+    /// [`CoreError::Evicted`] and further admissions are refused until the
+    /// client drops and the slot is recycled.
+    evicted: bool,
+    /// Recycle generation; in-flight batches of a closed session compare
+    /// against it so a retry never lands in a stranger's queue.
+    generation: u64,
+    /// Modeled-clock reading of the session's latest admission — the
+    /// recency signal of the eviction policy.
+    last_active: u64,
+}
+
 #[derive(Default)]
 struct State {
-    queues: Vec<VecDeque<PendingBatch>>,
-    /// Per-queue-slot request sequence counters. Monotonic across session
-    /// churn (a reused slot keeps counting), so a `RequestId` is never
-    /// reissued within one gateway.
-    seqs: Vec<u32>,
-    /// Placement window each open session still holds; `None` once the
-    /// session closed or was evicted (the window is released then).
-    windows: Vec<Option<PlacementHint>>,
-    /// Slots evicted under memory pressure: queued batches were failed
-    /// with [`CoreError::Evicted`] and further admissions are refused
-    /// until the client drops and the slot is recycled.
-    evicted: Vec<bool>,
-    /// Per-slot recycle generation; in-flight batches of a closed session
-    /// compare against it so a retry never lands in a stranger's queue.
-    gens: Vec<u64>,
-    /// Modeled-clock reading of each session's latest admission — the
-    /// recency signal of the eviction policy.
-    last_active: Vec<u64>,
-    /// Queue slots of closed sessions, reused by the next `add_session`
-    /// so a long-running gateway with session churn stays bounded.
+    sessions: Vec<SessionSlot>,
+    /// Slots of closed sessions, reused by the next `add_session` so a
+    /// long-running gateway with session churn stays bounded.
     free_slots: Vec<usize>,
     /// Round-robin cursor over session queues.
     rr: usize,
@@ -204,19 +207,6 @@ pub(crate) struct GatewayInner {
     state: Mutex<State>,
 }
 
-/// What one pump iteration popped.
-enum Popped {
-    /// A group to submit (batches removed from their queues).
-    Submit(Vec<PendingBatch>),
-    /// The head group needs inline execution (chip-crossing moves) but the
-    /// pumping thread is a shard worker that must not block on its own
-    /// queue; the batches stay queued and these client wakers re-pump from
-    /// a safe thread.
-    Defer(Vec<Waker>),
-    /// Nothing to do (no pending work or no in-flight budget).
-    Idle,
-}
-
 impl GatewayInner {
     /// Registers a new session queue (reusing a closed session's slot when
     /// one is free), returning its id. The gateway takes custody of the
@@ -225,23 +215,15 @@ impl GatewayInner {
         let now = self.dev.telemetry().now();
         let mut st = self.state.lock();
         st.stats.sessions += 1;
-        match st.free_slots.pop() {
-            Some(id) => {
-                st.windows[id] = Some(window);
-                st.evicted[id] = false;
-                st.last_active[id] = now;
-                id
-            }
-            None => {
-                st.queues.push(VecDeque::new());
-                st.seqs.push(0);
-                st.windows.push(Some(window));
-                st.evicted.push(false);
-                st.gens.push(0);
-                st.last_active.push(now);
-                st.queues.len() - 1
-            }
-        }
+        let id = st.free_slots.pop().unwrap_or_else(|| {
+            st.sessions.push(SessionSlot::default());
+            st.sessions.len() - 1
+        });
+        let slot = &mut st.sessions[id];
+        slot.window = Some(window);
+        slot.evicted = false;
+        slot.last_active = now;
+        id
     }
 
     /// Closes a session: releases its placement window (unless eviction
@@ -253,11 +235,12 @@ impl GatewayInner {
     pub(crate) fn remove_session(&self, session: usize) {
         let (window, orphans) = {
             let mut st = self.state.lock();
-            let orphans: Vec<PendingBatch> = st.queues[session].drain(..).collect();
-            self.queue_depth.add(-(orphans.len() as i64));
-            st.gens[session] += 1;
             st.free_slots.push(session);
-            (st.windows[session].take(), orphans)
+            let slot = &mut st.sessions[session];
+            let orphans: Vec<PendingBatch> = slot.queue.drain(..).collect();
+            self.queue_depth.add(-(orphans.len() as i64));
+            slot.generation += 1;
+            (slot.window.take(), orphans)
         };
         if let Some(w) = window {
             self.dev.release_placement(w);
@@ -277,14 +260,15 @@ impl GatewayInner {
     pub(crate) fn evict_slot(&self, session: usize) {
         let (window, dropped) = {
             let mut st = self.state.lock();
-            if st.evicted[session] {
+            if st.sessions[session].evicted {
                 return;
             }
-            st.evicted[session] = true;
             st.stats.evicted += 1;
-            let dropped: Vec<PendingBatch> = st.queues[session].drain(..).collect();
+            let slot = &mut st.sessions[session];
+            slot.evicted = true;
+            let dropped: Vec<PendingBatch> = slot.queue.drain(..).collect();
             self.queue_depth.add(-(dropped.len() as i64));
-            (st.windows[session].take(), dropped)
+            (slot.window.take(), dropped)
         };
         if let Some(w) = window {
             self.dev.release_placement(w);
@@ -299,73 +283,54 @@ impl GatewayInner {
     /// placement window — the eviction victim under memory pressure.
     pub(crate) fn lru_session(&self) -> Option<usize> {
         let st = self.state.lock();
-        (0..st.queues.len())
-            .filter(|&s| st.windows[s].is_some())
-            .min_by_key(|&s| st.last_active[s])
+        (0..st.sessions.len())
+            .filter(|&s| st.sessions[s].window.is_some())
+            .min_by_key(|&s| st.sessions[s].last_active)
     }
 
     /// Enqueues one client batch and returns the future resolving when the
-    /// gateway has executed it.
-    pub(crate) fn enqueue(
-        self: &Arc<Self>,
-        session: usize,
-        instrs: Vec<Instruction>,
-    ) -> ExecFuture {
-        self.enqueue_with_deadline(session, instrs, None)
-    }
-
-    /// Like [`enqueue`](GatewayInner::enqueue), with `deadline_cycles`
-    /// overriding [`ServeConfig::deadline_cycles`] for this batch
-    /// (modeled cycles from admission; `Some(0)` disables the deadline).
+    /// gateway has executed it; [`ServeConfig::deadline_cycles`] stamps its
+    /// deadline.
     ///
     /// Admission can fail fast: an evicted session gets
     /// [`CoreError::Evicted`], a full session queue gets
     /// [`CoreError::Overloaded`] — both resolve through the returned
     /// future without touching the device.
-    pub(crate) fn enqueue_with_deadline(
+    pub(crate) fn enqueue(
         self: &Arc<Self>,
         session: usize,
         instrs: Vec<Instruction>,
-        deadline_cycles: Option<u64>,
     ) -> ExecFuture {
         let slot = Arc::new(BatchSlot::default());
         if instrs.is_empty() {
             slot.complete(Ok(()), self.dev.telemetry().now());
             return ExecFuture::new(Arc::clone(self), slot);
         }
-        // Route classification happens here, off the state lock, so
-        // the pump never re-validates batches on the completion path.
-        let streams_async = self.dev.instrs_stream_async(&instrs);
         let enqueued_at = self.dev.telemetry().now();
-        let deadline = match deadline_cycles.unwrap_or(self.cfg.deadline_cycles) {
+        let deadline = match self.cfg.deadline_cycles {
             0 => None,
             d => Some(enqueued_at.saturating_add(d)),
         };
         let rejected = {
             let mut st = self.state.lock();
-            if st.evicted[session] {
+            let depth = st.sessions[session].queue.len();
+            if st.sessions[session].evicted {
                 Some(CoreError::Evicted { session })
-            } else if self.cfg.max_queue_depth > 0
-                && st.queues[session].len() >= self.cfg.max_queue_depth
-            {
+            } else if self.cfg.max_queue_depth > 0 && depth >= self.cfg.max_queue_depth {
                 st.stats.rejected_overload += 1;
-                Some(CoreError::Overloaded {
-                    session,
-                    depth: st.queues[session].len(),
-                })
+                Some(CoreError::Overloaded { session, depth })
             } else {
-                st.last_active[session] = enqueued_at;
-                let seq = st.seqs[session];
-                st.seqs[session] = seq.wrapping_add(1);
-                let session_gen = st.gens[session];
-                st.queues[session].push_back(PendingBatch {
+                let s = &mut st.sessions[session];
+                s.last_active = enqueued_at;
+                let seq = s.seq;
+                s.seq = seq.wrapping_add(1);
+                s.queue.push_back(PendingBatch {
                     instrs,
                     slot: Arc::clone(&slot),
-                    streams_async,
                     request: RequestId::new(session as u32, seq),
                     enqueued_at,
                     session,
-                    session_gen,
+                    session_gen: s.generation,
                     deadline,
                     attempts: 0,
                 });
@@ -379,21 +344,17 @@ impl GatewayInner {
         ExecFuture::new(Arc::clone(self), slot)
     }
 
-    /// Pops the next coalesced group under the state lock (or decides to
-    /// defer/idle). `from_worker` marks calls arriving from a shard-worker
-    /// wake: those threads must never run an inline (chip-crossing)
-    /// submission, because blocking a worker on a job queued to itself
-    /// deadlocks the shard.
-    /// Returns batches whose deadline has passed (to fail outside the
-    /// lock) alongside the pump decision.
-    fn pop_group(&self, from_worker: bool) -> (Vec<PendingBatch>, Popped) {
+    /// Pops the next coalesced group under the state lock, or `None` when
+    /// there is no pending work or no in-flight budget. Returns batches
+    /// whose deadline has passed (to fail outside the lock) alongside it.
+    fn pop_group(&self) -> (Vec<PendingBatch>, Option<Vec<PendingBatch>>) {
         let now = self.dev.telemetry().now();
         let mut st = self.state.lock();
         // Deadline sweep: expired batches leave their queues before group
         // formation, whatever the in-flight budget says — they must not
         // consume device time.
         let mut expired: Vec<PendingBatch> = Vec::new();
-        for q in &mut st.queues {
+        for q in st.sessions.iter_mut().map(|s| &mut s.queue) {
             let mut i = 0;
             while i < q.len() {
                 if q[i].deadline.is_some_and(|d| now > d) {
@@ -406,44 +367,22 @@ impl GatewayInner {
         st.stats.deadline_misses += expired.len() as u64;
         self.queue_depth.add(-(expired.len() as i64));
         if st.inflight >= self.cfg.max_inflight {
-            return (expired, Popped::Idle);
+            return (expired, None);
         }
-        let n = st.queues.len();
-        if n == 0 {
-            return (expired, Popped::Idle);
-        }
+        let n = st.sessions.len();
         // Fair draining: scan sessions round-robin from the cursor, taking
         // at most one batch per session.
-        let mut take: Vec<usize> = Vec::new();
+        let mut batches: Vec<PendingBatch> = Vec::new();
         for k in 0..n {
-            if take.len() >= self.cfg.max_coalesce {
+            if batches.len() >= self.cfg.max_coalesce {
                 break;
             }
             let s = (st.rr + k) % n;
-            if !st.queues[s].is_empty() {
-                take.push(s);
-            }
+            batches.extend(st.sessions[s].queue.pop_front());
         }
-        if take.is_empty() {
-            return (expired, Popped::Idle);
+        if batches.is_empty() {
+            return (expired, None);
         }
-        if from_worker {
-            let crossing = take
-                .iter()
-                .any(|&s| st.queues[s].front().is_some_and(|b| !b.streams_async));
-            if crossing {
-                st.stats.deferred += 1;
-                let wakers = take
-                    .iter()
-                    .filter_map(|&s| st.queues[s].front().and_then(|b| b.slot.take_waker()))
-                    .collect();
-                return (expired, Popped::Defer(wakers));
-            }
-        }
-        let batches: Vec<PendingBatch> = take
-            .iter()
-            .filter_map(|&s| st.queues[s].pop_front())
-            .collect();
         st.rr = (st.rr + 1) % n;
         st.inflight += 1;
         self.queue_depth.add(-(batches.len() as i64));
@@ -453,16 +392,15 @@ impl GatewayInner {
         st.stats.instructions += batches.iter().map(|b| b.instrs.len() as u64).sum::<u64>();
         st.stats.max_coalesced = st.stats.max_coalesced.max(batches.len() as u64);
         st.stats.peak_inflight = st.stats.peak_inflight.max(st.inflight as u64);
-        (expired, Popped::Submit(batches))
+        (expired, Some(batches))
     }
 
     /// Drains session queues into coalesced in-flight submissions until the
-    /// in-flight budget is exhausted or no work is pending. Runs on client
-    /// poll threads (`from_worker = false`) and on shard-worker completion
-    /// wakes (`from_worker = true`).
-    pub(crate) fn pump(self: &Arc<Self>, from_worker: bool) {
+    /// in-flight budget is exhausted or no work is pending. Runs only on
+    /// client poll threads: a submission may block on a chip-crossing move.
+    pub(crate) fn pump(self: &Arc<Self>) {
         loop {
-            let (expired, popped) = self.pop_group(from_worker);
+            let (expired, popped) = self.pop_group();
             if !expired.is_empty() {
                 let now = self.dev.telemetry().now();
                 for b in expired {
@@ -471,59 +409,69 @@ impl GatewayInner {
                         .complete(Err(CoreError::DeadlineExceeded { deadline, now }), now);
                 }
             }
-            match popped {
-                Popped::Idle => return,
-                Popped::Defer(wakers) => {
-                    for w in wakers {
-                        w.wake();
-                    }
-                    return;
+            let Some(mut batches) = popped else {
+                return;
+            };
+            let recording = self.track.is_enabled();
+            let now = self.dev.telemetry().now();
+            let mut tagged = Vec::with_capacity(batches.len());
+            for b in &mut batches {
+                if recording {
+                    let wait = now.saturating_sub(b.enqueued_at);
+                    self.queue_wait.record(wait);
+                    self.track.record_complete(
+                        "queue",
+                        b.enqueued_at,
+                        wait,
+                        b.request,
+                        Some(("instructions", b.instrs.len() as u64)),
+                    );
+                    self.dev.telemetry().attribute(
+                        b.request,
+                        RequestStats {
+                            queue_wait: wait,
+                            ..Default::default()
+                        },
+                    );
                 }
-                Popped::Submit(mut batches) => {
-                    let recording = self.track.is_enabled();
-                    let now = self.dev.telemetry().now();
-                    let mut tagged = Vec::with_capacity(batches.len());
-                    for b in &mut batches {
-                        if recording {
-                            let wait = now.saturating_sub(b.enqueued_at);
-                            self.queue_wait.record(wait);
-                            self.track.record_complete(
-                                "queue",
-                                b.enqueued_at,
-                                wait,
-                                b.request,
-                                Some(("instructions", b.instrs.len() as u64)),
-                            );
-                            self.dev.telemetry().attribute(
-                                b.request,
-                                RequestStats {
-                                    queue_wait: wait,
-                                    ..Default::default()
-                                },
-                            );
-                        }
-                        tagged.push(TaggedBatch {
-                            request: b.request,
-                            instrs: std::mem::take(&mut b.instrs),
-                        });
-                    }
-                    if recording {
-                        self.group_size.record(tagged.len() as u64);
-                    }
-                    let submitted = self.dev.submit_tagged(&tagged);
-                    // The instruction plans move back into their batches:
-                    // a transient shard failure retries them as-is, with
-                    // no re-planning and no clone on the happy path.
-                    for (b, t) in batches.iter_mut().zip(tagged) {
-                        b.instrs = t.instrs;
-                    }
-                    match submitted {
-                        Err(e) => self.finish_group(batches, Err(e)),
-                        Ok(ticket) => Group::attach(Arc::clone(self), ticket, batches),
-                    }
-                    // Loop: budget may allow another group.
-                }
+                tagged.push(TaggedBatch {
+                    request: b.request,
+                    instrs: std::mem::take(&mut b.instrs),
+                });
             }
+            if recording {
+                self.group_size.record(tagged.len() as u64);
+            }
+            let submitted = self.dev.submit_tagged(&tagged);
+            // The instruction plans move back into their batches: a
+            // transient shard failure retries them as-is, with no
+            // re-planning and no clone on the happy path.
+            for (b, t) in batches.iter_mut().zip(tagged) {
+                b.instrs = t.instrs;
+            }
+            match submitted {
+                Err(e) => self.finish_group(batches, Err(e)),
+                Ok(ticket) => Group::attach(Arc::clone(self), ticket, batches),
+            }
+            // Loop: budget may allow another group.
+        }
+    }
+
+    /// Wakes every client waiting on a queued batch, so one of them pumps
+    /// into the budget a finished group freed. Every registered waker, not
+    /// just the queue heads': a session may await only its last
+    /// submission, leaving the batches ahead of it with none.
+    fn wake_queued(&self) {
+        let wakers: Vec<Waker> = {
+            let st = self.state.lock();
+            st.sessions
+                .iter()
+                .flat_map(|s| &s.queue)
+                .filter_map(|b| b.slot.take_waker())
+                .collect()
+        };
+        for w in wakers {
+            w.wake();
         }
     }
 
@@ -532,9 +480,8 @@ impl GatewayInner {
     /// fault) re-enqueues members that still have retry budget at the
     /// front of their session queues, charging an exponential backoff to
     /// the modeled clock; a missed deadline overrides any outcome.
-    /// Deliberately does *not* pump — the caller decides (the pump loop
-    /// continues by itself; a worker wake pumps explicitly after
-    /// completion).
+    /// Deliberately does *not* pump — the pump loop continues by itself,
+    /// and a worker wake only wakes the queued clients.
     fn finish_group(&self, batches: Vec<PendingBatch>, result: Result<()>) {
         let now = self.dev.telemetry().now();
         let transient = matches!(&result, Err(e) if e.class() == ErrorClass::Transient);
@@ -552,8 +499,8 @@ impl GatewayInner {
                     ));
                 } else if transient
                     && b.attempts < self.cfg.max_retries
-                    && b.session_gen == st.gens[b.session]
-                    && !st.evicted[b.session]
+                    && b.session_gen == st.sessions[b.session].generation
+                    && !st.sessions[b.session].evicted
                 {
                     b.attempts += 1;
                     st.stats.retries += 1;
@@ -566,7 +513,7 @@ impl GatewayInner {
                         .telemetry()
                         .advance_clock(now.saturating_add(backoff));
                     let session = b.session;
-                    st.queues[session].push_front(b);
+                    st.sessions[session].queue.push_front(b);
                     self.queue_depth.add(1);
                 } else {
                     deliver.push((b.slot, result.clone()));
@@ -590,8 +537,8 @@ impl GatewayInner {
 
 /// Drives one in-flight coalesced submission: registered as the waker of
 /// the submission's shard tickets, it re-polls them on every shard
-/// completion and, once all are done, delivers the outcome and pumps the
-/// next group.
+/// completion and, once all are done, delivers the outcome and wakes the
+/// clients that will submit the next group.
 struct Group {
     gw: Arc<GatewayInner>,
     inner: Mutex<Option<(StepTicket, Vec<PendingBatch>)>>,
@@ -634,10 +581,10 @@ impl Group {
 impl Wake for Group {
     fn wake(self: Arc<Self>) {
         // Runs on the shard-worker thread that completed a ticket: finish
-        // the group if it is done, then pump follow-up work (never inline
-        // crossing batches from here — see `pop_group`).
+        // the group if it is done, then hand the freed budget to the
+        // clients — a worker never submits (see the module docs).
         if self.try_complete() {
-            self.gw.pump(true);
+            self.gw.wake_queued();
         }
     }
 }
@@ -678,7 +625,7 @@ impl Future for ExecFuture {
         // Register before pumping: a group completing on a worker thread
         // between the check above and the pump below must find the waker.
         self.slot.set_waker(cx.waker());
-        self.gw.pump(false);
+        self.gw.pump();
         if let Some(result) = self.slot.take_done() {
             return Poll::Ready(result);
         }
@@ -841,7 +788,7 @@ impl Gateway {
     /// theirs). The load signal a multi-host router balances on.
     pub fn active_sessions(&self) -> usize {
         let st = self.inner.state.lock();
-        st.windows.iter().filter(|w| w.is_some()).count()
+        st.sessions.iter().filter(|s| s.window.is_some()).count()
     }
 }
 
@@ -864,10 +811,6 @@ pub trait GatewayHost {
     /// Sessions currently open (the router's load signal).
     fn active_sessions(&self) -> usize;
 
-    /// Evicts a session by id: its queued work fails with
-    /// [`CoreError::Evicted`] and further admissions are refused.
-    fn evict_session(&self, session: usize);
-
     /// The host's telemetry handle (modeled clock, metrics registry).
     fn telemetry(&self) -> &Telemetry;
 
@@ -886,10 +829,6 @@ impl GatewayHost for Gateway {
 
     fn active_sessions(&self) -> usize {
         Gateway::active_sessions(self)
-    }
-
-    fn evict_session(&self, session: usize) {
-        Gateway::evict_session(self, session);
     }
 
     fn telemetry(&self) -> &Telemetry {
@@ -917,10 +856,10 @@ mod tests {
 
     async fn request(client: &ClusterClient, n: usize, seed: f32) -> Result<f32> {
         let data: Vec<f32> = (0..n).map(|i| seed + i as f32).collect();
-        let x = client.upload_f32(&data).await?;
-        let y = client.full_f32(n, 2.0).await?;
-        let xy = client.mul(&x, &y).await?;
-        let z = client.add(&xy, &x).await?;
+        let x = client.step(|p| p.upload_f32(&data)).await?;
+        let y = client.step(|p| p.full_f32(n, 2.0)).await?;
+        let xy = client.step(|p| p.mul(&x, &y)).await?;
+        let z = client.step(|p| p.add(&xy, &x)).await?;
         client.sum_f32(&z).await
     }
 
@@ -954,7 +893,7 @@ mod tests {
         assert_eq!(gw.stats().sessions, 20);
         // Session churn must not grow the queue table: every closed
         // session's slot is recycled.
-        assert_eq!(gw.inner.state.lock().queues.len(), 1);
+        assert_eq!(gw.inner.state.lock().sessions.len(), 1);
     }
 
     #[test]
@@ -1067,22 +1006,42 @@ mod tests {
     }
 
     #[test]
-    fn queued_batch_expires_at_pump_time() {
+    fn awaiting_only_the_last_of_many_submissions_finishes() {
+        // Six batches on one session, only the last awaited: its poll fills
+        // the budget of 4, and the unpolled fifth heads the queue with no
+        // waker. A worker finishing a group must still reach the sixth.
         let gw = dev4().serve(ServeConfig::default());
         let client = gw.session().unwrap();
-        // Deadline 10 cycles from a clock at 0; blow past it before the
+        let mut futs: Vec<ExecFuture> = (0..6)
+            .map(|_| client.submit(store_batch(&client)))
+            .collect();
+        let last = futs.pop().unwrap();
+        futures::executor::block_on_timeout(last, std::time::Duration::from_secs(20))
+            .expect("the last submission hung")
+            .unwrap();
+        for f in futs {
+            block_on(f).unwrap();
+        }
+    }
+
+    #[test]
+    fn queued_batch_expires_at_pump_time() {
+        let gw = dev4().serve(ServeConfig {
+            deadline_cycles: 500,
+            ..ServeConfig::default()
+        });
+        let client = gw.session().unwrap();
+        // Deadline 500 cycles from a clock at 0; blow past it before the
         // first poll ever pumps.
-        let fut = gw
-            .inner
-            .enqueue_with_deadline(client.id(), store_batch(&client), Some(10));
+        let fut = gw.inner.enqueue(client.id(), store_batch(&client));
         gw.telemetry().advance_clock(1_000);
         let err = block_on(fut).unwrap_err();
         assert!(
-            matches!(err, CoreError::DeadlineExceeded { deadline: 10, now } if now >= 1_000),
+            matches!(err, CoreError::DeadlineExceeded { deadline: 500, now } if now >= 1_000),
             "{err:?}"
         );
         assert_eq!(gw.stats().deadline_misses, 1);
-        // A deadline-free batch still runs.
+        // A batch admitted now meets its deadline and still runs.
         block_on(client.exec(store_batch(&client))).unwrap();
     }
 
@@ -1174,9 +1133,9 @@ mod tests {
             gw.inner
                 .state
                 .lock()
-                .queues
+                .sessions
                 .iter()
-                .map(|q| q.len())
+                .map(|s| s.queue.len())
                 .sum::<usize>(),
             0
         );

@@ -26,14 +26,15 @@
 //! Results are **bit-identical** to serving every client sequentially
 //! through the synchronous tensor API: sessions touch disjoint stripes
 //! (their instructions commute), each session awaits its steps in program
-//! order, and the async ops replay the exact synchronous instruction plans
+//! order, and request plans replay the exact synchronous instruction plans
 //! (`tests/serve_contract.rs`).
 //!
-//! Beyond stepwise ops, a [`RequestPlan`] fuses a whole request — uploads,
+//! A [`RequestPlan`] is the one op vocabulary: [`ClusterClient::step`]
+//! runs one op as a one-step plan (as below), and a plan built with
+//! [`ClusterClient::plan`] fuses a whole request — uploads,
 //! element-parallel ops, every reduction level — into **one** submission
-//! plus one read, collapsing a request's ~2·log n admission round trips
-//! (something the blocking tensor API structurally cannot do, since it
-//! must execute-and-wait per op).
+//! plus one read (something the blocking tensor API structurally cannot
+//! do, since it must execute-and-wait per op).
 //!
 //! # Example
 //!
@@ -45,10 +46,10 @@
 //! use pypim_core::{Device, Result};
 //!
 //! async fn request(client: &ClusterClient, data: &[f32]) -> Result<f32> {
-//!     let x = client.upload_f32(data).await?;
-//!     let y = client.full_f32(data.len(), 2.0).await?;
-//!     let xy = client.mul(&x, &y).await?;
-//!     let z = client.add(&xy, &x).await?;
+//!     let x = client.step(|p| p.upload_f32(data)).await?;
+//!     let y = client.step(|p| p.full_f32(data.len(), 2.0)).await?;
+//!     let xy = client.step(|p| p.mul(&x, &y)).await?;
+//!     let z = client.step(|p| p.add(&xy, &x)).await?;
 //!     client.sum_f32(&z).await // sum(x * 2 + x)
 //! }
 //!
@@ -108,8 +109,7 @@ pub struct ServeConfig {
     /// Default per-batch deadline in modeled cycles from admission;
     /// batches still queued (or completing) past it resolve with
     /// [`pypim_core::CoreError::DeadlineExceeded`]. `0` disables
-    /// deadlines (per-request deadlines via
-    /// [`ClusterClient::exec_with_deadline`] still apply).
+    /// deadlines.
     pub deadline_cycles: u64,
     /// When the warp space is exhausted, evict the least-recently-active
     /// session (its pending batches fail with

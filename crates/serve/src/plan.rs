@@ -1,19 +1,21 @@
-//! Fused request pipelines: a [`RequestPlan`] accumulates the instruction
-//! stream of a whole request — uploads, element-parallel ops, every level
-//! of a reduction — and submits it as **one** gateway batch, collapsing a
+//! Request pipelines: a [`RequestPlan`] accumulates the instruction stream
+//! of a request — uploads, element-parallel ops, every level of a
+//! reduction — and submits it as **one** gateway batch, collapsing a
 //! request's ~2·log n admission round trips into a single submission plus
-//! one read.
+//! one read. It is the serving layer's one op vocabulary: a stepwise
+//! program runs each op as a one-step plan
+//! ([`ClusterClient::step`]).
 //!
 //! This is the structural advantage the planning API buys the gateway over
 //! the blocking tensor library: the blocking API must execute-and-wait per
 //! op (each result might be read next), while a session that declares its
 //! whole request up front lets dependent instructions ride one shard-FIFO
 //! stream. Fusing preserves bit-identical semantics: the instructions and
-//! their order are exactly the stepwise ones, and every data dependency in
-//! a session window is same-warp (element-wise ops) or same-shard
-//! (intra-window moves), which the per-shard FIFO job channels order
-//! correctly. A plan that would need a chip-crossing move still works —
-//! the submission falls back to inline barrier-aware execution.
+//! their order are exactly the synchronous library's, and every data
+//! dependency in a session window is same-warp (element-wise ops) or
+//! same-shard (intra-window moves), which the per-shard FIFO job channels
+//! order correctly. A plan that needs a chip-crossing move still works:
+//! its submission stages the transfer on the submitting client thread.
 //!
 //! Memory discipline: planned tensors allocate at *plan* time, and
 //! intermediate stripes freed during planning may be reused by *later*
@@ -30,7 +32,8 @@ use pypim_core::{identity_bits, plan_copy, CoreError, Result, Tensor};
 
 /// An unsubmitted request pipeline on one session (see the module docs).
 /// Build it with [`ClusterClient::plan`], chain ops, then
-/// [`run`](RequestPlan::run) once.
+/// [`run`](RequestPlan::run) once — or let [`ClusterClient::step`] do all
+/// three for one op.
 ///
 /// Plans on one session must be run in the order they were built: a later
 /// plan's allocations may recycle stripes an earlier unsubmitted plan
@@ -39,7 +42,16 @@ use pypim_core::{identity_bits, plan_copy, CoreError, Result, Tensor};
 /// before building the next — the normal pattern — get this for free).
 pub struct RequestPlan<'c> {
     client: &'c ClusterClient,
-    instrs: Vec<Instruction>,
+    pub(crate) instrs: Vec<Instruction>,
+}
+
+/// The error of a move no instruction plan expresses.
+fn no_plan() -> CoreError {
+    CoreError::Misaligned {
+        what: "this layout's moves cannot be planned; use the stepwise \
+               `ClusterClient::copy` / `reduce_raw`"
+            .into(),
+    }
 }
 
 impl<'c> RequestPlan<'c> {
@@ -106,17 +118,36 @@ impl<'c> RequestPlan<'c> {
         Ok(t)
     }
 
-    /// Plans an element-parallel binary operation. Operands must be
-    /// thread-aligned (tensors of one session built over the same length
-    /// are); use the stepwise [`ClusterClient::binary`] for layouts that
-    /// need the move-based alignment fallback.
+    /// Plans copying `src` into `dst` when a move plan exists; `false`
+    /// (nothing planned) otherwise.
+    pub(crate) fn try_copy(&mut self, src: &Tensor, dst: &Tensor) -> Result<bool> {
+        let planned = plan_copy(src, dst)?;
+        let found = planned.is_some();
+        self.instrs.extend(planned.into_iter().flatten());
+        Ok(found)
+    }
+
+    /// Plans an element-parallel binary operation. A misaligned right-hand
+    /// side is first moved next to the left one (the library's alignment
+    /// fallback, planned).
     ///
     /// # Errors
     ///
-    /// Fails on shape/dtype/device mismatches, misalignment, or allocation
-    /// errors.
+    /// Fails on shape/dtype/device mismatches or allocation errors;
+    /// [`CoreError::Misaligned`] when the alignment move has no
+    /// instruction plan (use the stepwise [`ClusterClient::copy`] into
+    /// [`Tensor::empty_aligned`] there).
     pub fn binary(&mut self, op: RegOp, lhs: &Tensor, rhs: &Tensor) -> Result<Tensor> {
-        let (out, instrs) = lhs.plan_binary(op, rhs)?;
+        let (out, instrs) = match lhs.plan_binary(op, rhs) {
+            Err(CoreError::Misaligned { .. }) => {
+                let aligned = lhs.empty_aligned(rhs.dtype())?;
+                if !self.try_copy(rhs, &aligned)? {
+                    return Err(no_plan());
+                }
+                lhs.plan_binary(op, &aligned)?
+            }
+            planned => planned?,
+        };
         self.instrs.extend(instrs);
         Ok(out)
     }
@@ -153,39 +184,50 @@ impl<'c> RequestPlan<'c> {
     /// Plans the whole logarithmic reduction of `t` with `op` (`Add` or
     /// `Mul`), returning the one-element result tensor to read after
     /// [`run`](RequestPlan::run). Same compact-then-halve loop as the
-    /// stepwise reduction — identical instructions, identical float
+    /// synchronous reduction — identical instructions, identical float
     /// combine order.
     ///
     /// # Errors
     ///
-    /// Returns [`CoreError::Misaligned`] for layouts whose alignment moves
-    /// have no instruction plan (use the stepwise
-    /// [`ClusterClient::reduce_raw`] there), plus allocation errors.
+    /// Returns [`CoreError::Misaligned`] for layouts whose compaction has
+    /// no instruction plan (use [`ClusterClient::reduce_raw`] there), plus
+    /// allocation errors.
     pub fn reduce(&mut self, t: &Tensor, op: RegOp) -> Result<Tensor> {
+        let c = self.padded(t, op)?;
+        if !self.try_copy(t, &c.slice(0, t.len())?)? {
+            return Err(no_plan());
+        }
+        self.halve(c, op)
+    }
+
+    /// Plans the fresh power-of-two tensor a reduction of `t` compacts
+    /// into, filled with `op`'s identity (the synchronous
+    /// `compact_with_padding` fills first, then copies the data prefix).
+    pub(crate) fn padded(&mut self, t: &Tensor, op: RegOp) -> Result<Tensor> {
         assert!(
             matches!(op, RegOp::Add | RegOp::Mul),
             "reduction requires an associative ALU operation"
         );
-        let no_plan = || CoreError::Misaligned {
-            what: "this layout's alignment moves cannot be planned; use the \
-                   stepwise reduction"
-                .into(),
-        };
-        let n2 = t.len().next_power_of_two();
-        let c = self.client.device().uninit(n2, t.dtype())?;
+        let c = self
+            .client
+            .device()
+            .uninit(t.len().next_power_of_two(), t.dtype())?;
         self.instrs
             .extend(c.plan_fill(identity_bits(op, t.dtype())));
-        let prefix = c.slice(0, t.len())?;
-        self.instrs
-            .extend(plan_copy(t, &prefix)?.ok_or_else(no_plan)?);
-        let mut cur = c;
+        Ok(c)
+    }
+
+    /// Plans halving the compacted `cur` down to one element: each level
+    /// moves the upper half next to the lower and combines them.
+    pub(crate) fn halve(&mut self, mut cur: Tensor, op: RegOp) -> Result<Tensor> {
         while cur.len() > 1 {
             let half = cur.len() / 2;
             let lo = cur.slice(0, half)?;
             let hi = cur.slice(half, cur.len())?;
             let hi_aligned = lo.empty_aligned(hi.dtype())?;
-            self.instrs
-                .extend(plan_copy(&hi, &hi_aligned)?.ok_or_else(no_plan)?);
+            if !self.try_copy(&hi, &hi_aligned)? {
+                return Err(no_plan());
+            }
             let (combined, bin) = lo.plan_binary(op, &hi_aligned)?;
             self.instrs.extend(bin);
             // Dropping the previous level's stripes here lets later plan
@@ -221,5 +263,30 @@ impl ClusterClient {
     /// Starts a fused request pipeline (see [`RequestPlan`]).
     pub fn plan(&self) -> RequestPlan<'_> {
         RequestPlan::new(self)
+    }
+
+    /// Runs one op as a one-step plan: `build` plans it, the plan runs,
+    /// and what `build` returned comes back —
+    /// `client.step(|p| p.add(&x, &y)).await?` is `x + y`, executed.
+    ///
+    /// Unlike the synchronous `&x + &y`, an element-wise step never reads
+    /// through the host: a right-hand side no move plan can align with
+    /// `x` (a strided view spanning partial warps) is refused with
+    /// [`CoreError::Misaligned`]. Align it first with
+    /// `let y2 = x.empty_aligned(y.dtype())?; client.copy(&y, &y2).await?;`
+    /// and step on `y2`.
+    ///
+    /// # Errors
+    ///
+    /// Fails with `build`'s planning error (nothing runs then) or the
+    /// run's validation and shard errors.
+    pub async fn step<T>(
+        &self,
+        build: impl FnOnce(&mut RequestPlan<'_>) -> Result<T>,
+    ) -> Result<T> {
+        let mut plan = self.plan();
+        let out = build(&mut plan)?;
+        plan.run().await?;
+        Ok(out)
     }
 }

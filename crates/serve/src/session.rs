@@ -1,18 +1,20 @@
 //! Client sessions: a [`ClusterClient`] is one caller's handle onto the
-//! gateway, owning a private placement window in the device's warp space
-//! and an async tensor-op vocabulary whose every step flows through the
-//! gateway's admission controller.
+//! gateway, owning a private placement window in the device's warp space.
+//! Every op that only emits instructions lives on
+//! [`RequestPlan`](crate::RequestPlan); the client keeps what needs the
+//! host to wait or read — running a batch or a plan, reads, the copy
+//! fallback, and reductions.
 //!
-//! The op set mirrors the synchronous tensor library step for step
-//! (uploads are per-element stores, elementwise ops are the same R-type
-//! plans, reductions run the same compact-then-halve loop), so a request
-//! served through the gateway produces **bit-identical** results to the
-//! same program run synchronously — `tests/serve_contract.rs` holds the
-//! stack to that.
+//! The plans are the synchronous tensor library's (uploads are
+//! per-element stores, elementwise ops are the same R-type plans,
+//! reductions run the same compact-then-halve loop), so a request served
+//! through the gateway produces **bit-identical** results to the same
+//! program run synchronously — `tests/serve_contract.rs` holds the stack to
+//! that.
 
 use crate::gateway::GatewayInner;
 use pim_isa::{DType, Instruction, RegOp};
-use pypim_core::{identity_bits, plan_copy, CoreError, Device, PlacementHint, Result, Tensor};
+use pypim_core::{plan_copy, CoreError, Device, PlacementHint, Result, Tensor};
 use std::sync::Arc;
 
 /// One client's session on the serving gateway.
@@ -102,29 +104,6 @@ impl ClusterClient {
         self.gw.enqueue(self.id, instrs)
     }
 
-    /// Like [`exec`](ClusterClient::exec), with a per-batch deadline of
-    /// `deadline_cycles` modeled cycles from admission (overriding
-    /// [`ServeConfig::deadline_cycles`](crate::ServeConfig); `0` disables
-    /// the deadline for this batch). A batch still queued — or finishing —
-    /// past its deadline resolves with
-    /// [`CoreError::DeadlineExceeded`].
-    ///
-    /// # Errors
-    ///
-    /// As [`exec`](ClusterClient::exec), plus
-    /// [`CoreError::DeadlineExceeded`], [`CoreError::Overloaded`] (full
-    /// session queue), and [`CoreError::Evicted`] (session evicted under
-    /// memory pressure).
-    pub async fn exec_with_deadline(
-        &self,
-        instrs: Vec<Instruction>,
-        deadline_cycles: u64,
-    ) -> Result<()> {
-        self.gw
-            .enqueue_with_deadline(self.id, instrs, Some(deadline_cycles))
-            .await
-    }
-
     /// Reads raw words at `(warp, row, register)` locations, in order.
     /// Reads bypass coalescing (they end a request's pipeline) but still
     /// stream asynchronously.
@@ -134,52 +113,6 @@ impl ClusterClient {
     /// Surfaces addressing and shard errors.
     pub async fn read_locs(&self, locs: &[(u32, u32, u8)]) -> Result<Vec<u32>> {
         self.gw.dev.submit_reads(locs)?.await
-    }
-
-    /// Uploads a float slice into a fresh session tensor.
-    ///
-    /// # Errors
-    ///
-    /// Fails on allocation or execution errors.
-    pub async fn upload_f32(&self, data: &[f32]) -> Result<Tensor> {
-        let t = self.dev.uninit(data.len(), DType::Float32)?;
-        self.exec(t.plan_store(data.iter().map(|v| v.to_bits())))
-            .await?;
-        Ok(t)
-    }
-
-    /// Uploads an int slice into a fresh session tensor.
-    ///
-    /// # Errors
-    ///
-    /// Fails on allocation or execution errors.
-    pub async fn upload_i32(&self, data: &[i32]) -> Result<Tensor> {
-        let t = self.dev.uninit(data.len(), DType::Int32)?;
-        self.exec(t.plan_store(data.iter().map(|v| *v as u32)))
-            .await?;
-        Ok(t)
-    }
-
-    /// A session tensor of `n` copies of `value` (float32).
-    ///
-    /// # Errors
-    ///
-    /// Fails on allocation or execution errors.
-    pub async fn full_f32(&self, n: usize, value: f32) -> Result<Tensor> {
-        let t = self.dev.uninit(n, DType::Float32)?;
-        self.exec(t.plan_fill(value.to_bits())).await?;
-        Ok(t)
-    }
-
-    /// A session tensor of `n` copies of `value` (int32).
-    ///
-    /// # Errors
-    ///
-    /// Fails on allocation or execution errors.
-    pub async fn full_i32(&self, n: usize, value: i32) -> Result<Tensor> {
-        let t = self.dev.uninit(n, DType::Int32)?;
-        self.exec(t.plan_fill(value as u32)).await?;
-        Ok(t)
     }
 
     /// Copies `src` into `dst` (same length, any layouts): the planned move
@@ -199,114 +132,29 @@ impl ClusterClient {
         }
     }
 
-    /// Element-parallel binary operation; a misaligned right-hand side is
-    /// first copied next to the left one (the library's alignment
-    /// fallback, run through the gateway).
-    ///
-    /// # Errors
-    ///
-    /// Fails on shape/dtype/device mismatches or execution errors.
-    pub async fn binary(&self, op: RegOp, lhs: &Tensor, rhs: &Tensor) -> Result<Tensor> {
-        let (out, instrs) = match lhs.plan_binary(op, rhs) {
-            Ok(planned) => planned,
-            Err(CoreError::Misaligned { .. }) => {
-                let aligned = lhs.empty_aligned(rhs.dtype())?;
-                self.copy(rhs, &aligned).await?;
-                lhs.plan_binary(op, &aligned)?
-            }
-            Err(e) => return Err(e),
-        };
-        self.exec(instrs).await?;
-        Ok(out)
-    }
-
-    /// Element-parallel unary operation.
-    ///
-    /// # Errors
-    ///
-    /// Fails on allocation or execution errors.
-    pub async fn unary(&self, op: RegOp, t: &Tensor) -> Result<Tensor> {
-        let (out, instrs) = t.plan_unary(op)?;
-        self.exec(instrs).await?;
-        Ok(out)
-    }
-
-    /// `lhs + rhs`.
-    ///
-    /// # Errors
-    ///
-    /// See [`binary`](ClusterClient::binary).
-    pub async fn add(&self, lhs: &Tensor, rhs: &Tensor) -> Result<Tensor> {
-        self.binary(RegOp::Add, lhs, rhs).await
-    }
-
-    /// `lhs * rhs`.
-    ///
-    /// # Errors
-    ///
-    /// See [`binary`](ClusterClient::binary).
-    pub async fn mul(&self, lhs: &Tensor, rhs: &Tensor) -> Result<Tensor> {
-        self.binary(RegOp::Mul, lhs, rhs).await
-    }
-
     /// Logarithmic-time reduction with `op` (`Add` or `Mul`) — the same
     /// compact-then-halve loop as the synchronous
-    /// [`Tensor::reduce_raw`](pypim_core::Tensor), every step awaited
-    /// through the gateway, so the combine order (and therefore every
-    /// float rounding) is identical.
+    /// [`Tensor::reduce_raw`](pypim_core::Tensor), so the combine order
+    /// (and therefore every float rounding) is identical. One run carries
+    /// the padded compaction and every halving level; a layout whose
+    /// compaction has no move plan (a strided view such as `t.even()`) is
+    /// compacted through [`copy`](ClusterClient::copy) first, after the
+    /// pad fill has run.
     ///
     /// # Errors
     ///
     /// Fails on allocation, movement, or execution errors.
     pub async fn reduce_raw(&self, t: &Tensor, op: RegOp) -> Result<u32> {
-        assert!(
-            matches!(op, RegOp::Add | RegOp::Mul),
-            "reduction requires an associative ALU operation"
-        );
-        // Compact to a power-of-two dense layout padded with the identity.
-        // The pad fill and the data copy ride one submission when a move
-        // plan exists: the instruction order matches the synchronous
-        // `compact_with_padding` exactly (fill first, copy after), and
-        // dependent cells share warps, so shard-FIFO execution preserves
-        // the order — one admission cycle instead of two.
-        let n2 = t.len().next_power_of_two();
-        let c = self.dev.uninit(n2, t.dtype())?;
+        let mut plan = self.plan();
+        let c = plan.padded(t, op)?;
         let prefix = c.slice(0, t.len())?;
-        let mut instrs = c.plan_fill(identity_bits(op, t.dtype()));
-        match plan_copy(t, &prefix)? {
-            Some(plan) => {
-                instrs.extend(plan);
-                self.exec(instrs).await?;
-            }
-            None => {
-                self.exec(instrs).await?;
-                self.copy(t, &prefix).await?;
-            }
+        if !plan.try_copy(t, &prefix)? {
+            self.exec(std::mem::take(&mut plan.instrs)).await?;
+            self.copy(t, &prefix).await?;
         }
-        // Halve: align the upper half with the lower, combine in parallel.
-        // Each level's align-move and combine fuse into one submission the
-        // same way.
-        let mut cur = c;
-        while cur.len() > 1 {
-            let half = cur.len() / 2;
-            let lo = cur.slice(0, half)?;
-            let hi = cur.slice(half, cur.len())?;
-            let hi_aligned = lo.empty_aligned(hi.dtype())?;
-            cur = match plan_copy(&hi, &hi_aligned)? {
-                Some(mut plan) => {
-                    let (combined, bin) = lo.plan_binary(op, &hi_aligned)?;
-                    plan.extend(bin);
-                    self.exec(plan).await?;
-                    combined
-                }
-                None => {
-                    self.copy(&hi, &hi_aligned).await?;
-                    self.binary(op, &lo, &hi_aligned).await?
-                }
-            };
-        }
-        let locs = cur.element_locs();
-        Ok(self.read_locs(&locs).await?[0])
+        let out = plan.halve(c, op)?;
+        plan.run().await?;
+        Ok(self.read_locs(&out.element_locs()).await?[0])
     }
 
     /// Sum of all elements (float32).

@@ -35,9 +35,9 @@ const REQUESTS_PER_CLIENT: usize = 2;
 /// The per-request program: the paper's Figure 12 function plus a
 /// logarithmic reduction — `sum(x * y + x)` — as a *fused* pipeline: the
 /// upload, both element-parallel ops, and every reduction level ride one
-/// gateway submission, leaving a single read at the end. (The stepwise
-/// session API — `client.mul(&x, &y).await` etc. — serves the same
-/// programs one op per submission.)
+/// gateway submission, leaving a single read at the end. (A stepwise
+/// program — `client.step(|p| p.mul(&x, &y)).await` etc. — runs the same
+/// ops one plan per submission.)
 async fn serve_request(client: &ClusterClient, values: &[f32]) -> Result<f32> {
     let mut plan = client.plan();
     let x = plan.upload_f32(values)?;

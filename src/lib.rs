@@ -118,9 +118,9 @@
 //!     .collect::<Result<_>>()?;
 //!
 //! let sums = block_on(join_all(clients.iter().map(|client| async move {
-//!     let x = client.upload_f32(&[1.0, 2.0, 3.0]).await?;
-//!     let y = client.full_f32(3, 2.0).await?;
-//!     let z = client.mul(&x, &y).await?;
+//!     let x = client.step(|p| p.upload_f32(&[1.0, 2.0, 3.0])).await?;
+//!     let y = client.step(|p| p.full_f32(3, 2.0)).await?;
+//!     let z = client.step(|p| p.mul(&x, &y)).await?;
 //!     client.sum_f32(&z).await
 //! })));
 //! for s in sums {

@@ -529,10 +529,11 @@ mod one_path {
             }
         }
 
-        /// The gateway's rule that a shard-worker wake never runs a blocking
-        /// submission rests on `batch_streams_async`: whenever it says
-        /// `false`, the submission has finished by the time it returns, so
-        /// the first poll — with a waker nobody will ever fire — is ready.
+        /// A batch with a chip-crossing move is staged on the submitting
+        /// thread (which is why only client threads submit through the
+        /// gateway): it has finished by the time its submission returns,
+        /// so the first poll — with a waker nobody will ever fire — is
+        /// ready.
         #[test]
         fn a_batch_that_does_not_stream_is_ready_on_its_first_poll(
             raw in proptest::collection::vec(
@@ -555,14 +556,13 @@ mod one_path {
                 }],
             });
             for b in &batches {
-                let streams = cluster.batch_streams_async(&b.instrs);
-                prop_assert_eq!(streams, crossing_pairs(&cluster, &b.instrs) == 0);
+                let crossing = crossing_pairs(&cluster, &b.instrs) > 0;
                 let mut set = cluster.submit_batch_tagged(std::slice::from_ref(b)).unwrap();
-                if streams {
-                    set.wait().unwrap();
-                } else {
+                if crossing {
                     let mut cx = Context::from_waker(Waker::noop());
                     prop_assert_eq!(Pin::new(&mut set).poll(&mut cx), Poll::Ready(Ok(())));
+                } else {
+                    set.wait().unwrap();
                 }
             }
         }

@@ -59,10 +59,10 @@ fn both_transports(
 /// schedules below target the execution phase).
 async fn request(client: &ClusterClient, n: usize, seed: f32) -> Result<f32> {
     let data: Vec<f32> = (0..n).map(|i| seed + i as f32 * 0.25).collect();
-    let x = client.upload_f32(&data).await?;
-    let y = client.full_f32(n, 2.0).await?;
-    let xy = client.mul(&x, &y).await?;
-    let z = client.add(&xy, &x).await?;
+    let x = client.step(|p| p.upload_f32(&data)).await?;
+    let y = client.step(|p| p.full_f32(n, 2.0)).await?;
+    let xy = client.step(|p| p.mul(&x, &y)).await?;
+    let z = client.step(|p| p.add(&xy, &x)).await?;
     client.sum_f32(&z).await
 }
 
@@ -408,7 +408,7 @@ fn retry_budget_exhaustion_surfaces_the_typed_error() {
 /// are placement- and order-independent.
 async fn crossing_request(client: &ClusterClient, seed: f32) -> Result<f32> {
     let data: Vec<f32> = (0..512).map(|i| seed + (i % 16) as f32 * 0.25).collect();
-    let x = client.upload_f32(&data).await?;
+    let x = client.step(|p| p.upload_f32(&data)).await?;
     client.sum_f32(&x).await
 }
 
@@ -556,7 +556,8 @@ proptest! {
             max_stall_cycles: 512,
             link_drops: 1,
             link_corruptions: 1,
-            job_horizon: 24,
+            // Six jobs a request: every fault lands within the first three.
+            job_horizon: 16,
             burst_horizon: 4,
         };
         let plan = FaultPlan::from_seed(seed, &profile);

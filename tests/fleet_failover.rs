@@ -34,10 +34,10 @@ fn fleet_cfg(hosts: usize, fault: HostFaultPlan) -> FleetConfig {
 /// representable values, so the result's bits are placement-independent.
 async fn request(client: &ClusterClient, n: usize, seed: f32) -> Result<f32> {
     let data: Vec<f32> = (0..n).map(|i| seed + i as f32 * 0.25).collect();
-    let x = client.upload_f32(&data).await?;
-    let y = client.full_f32(n, 2.0).await?;
-    let xy = client.mul(&x, &y).await?;
-    let z = client.add(&xy, &x).await?;
+    let x = client.step(|p| p.upload_f32(&data)).await?;
+    let y = client.step(|p| p.full_f32(n, 2.0)).await?;
+    let xy = client.step(|p| p.mul(&x, &y)).await?;
+    let z = client.step(|p| p.add(&xy, &x)).await?;
     client.sum_f32(&z).await
 }
 

@@ -27,11 +27,11 @@ fn payload(cid: usize, req: usize, elems: usize) -> Vec<f32> {
 
 /// The async request program: `sum(-(x * y) + x)` over the gateway.
 async fn request_async(client: &ClusterClient, values: &[f32]) -> Result<f32> {
-    let x = client.upload_f32(values).await?;
-    let y = client.full_f32(values.len(), 1.5).await?;
-    let xy = client.mul(&x, &y).await?;
-    let neg = client.unary(RegOp::Neg, &xy).await?;
-    let z = client.add(&neg, &x).await?;
+    let x = client.step(|p| p.upload_f32(values)).await?;
+    let y = client.step(|p| p.full_f32(values.len(), 1.5)).await?;
+    let xy = client.step(|p| p.mul(&x, &y)).await?;
+    let neg = client.step(|p| p.unary(RegOp::Neg, &xy)).await?;
+    let z = client.step(|p| p.add(&neg, &x)).await?;
     client.sum_f32(&z).await
 }
 
@@ -148,10 +148,10 @@ fn gateway_int_pipeline_matches_sync() {
     let client = gateway.session().unwrap();
     let data: Vec<i32> = (0..64).map(|i| i * 3 - 50).collect();
     let (async_vec, async_sum) = block_on(async {
-        let t = client.upload_i32(&data).await?;
-        let u = client.full_i32(data.len(), 7).await?;
-        let v = client.mul(&t, &u).await?;
-        let w = client.add(&v, &t).await?;
+        let t = client.step(|p| p.upload_i32(&data)).await?;
+        let u = client.step(|p| p.full_i32(data.len(), 7)).await?;
+        let v = client.step(|p| p.mul(&t, &u)).await?;
+        let w = client.step(|p| p.add(&v, &t)).await?;
         Ok::<_, pypim::CoreError>((client.to_vec_i32(&w).await?, client.sum_i32(&w).await?))
     })
     .unwrap();
@@ -164,26 +164,140 @@ fn gateway_int_pipeline_matches_sync() {
     assert_eq!(async_sum, w.sum_i32().unwrap());
 }
 
+fn bits(v: Vec<f32>) -> Vec<u32> {
+    v.into_iter().map(f32::to_bits).collect()
+}
+
 #[test]
 fn gateway_handles_misaligned_operands_like_sync() {
-    // Views force the alignment fallback (a copy) inside the gateway; the
-    // values must still match the sync path bit-for-bit.
+    // Views force the alignment move, planned inside `RequestPlan::binary`;
+    // the element-wise result and its sum must match the sync path
+    // bit-for-bit.
     let gateway = cluster_dev().serve(ServeConfig::default());
     let client = gateway.session().unwrap();
     let data: Vec<f32> = (0..64).map(|i| 0.7 + i as f32 * 0.11).collect();
-    let got = block_on(async {
-        let t = client.upload_f32(&data).await?;
+    let (got, got_sum) = block_on(async {
+        let t = client.step(|p| p.upload_f32(&data)).await?;
         let even = t.even()?;
         let odd = t.odd()?;
-        let s = client.add(&even, &odd).await?;
-        client.sum_f32(&s).await
+        let s = client.step(|p| p.add(&even, &odd)).await?;
+        Ok::<_, pypim::CoreError>((client.to_vec_f32(&s).await?, client.sum_f32(&s).await?))
     })
     .unwrap();
 
     let sync_dev = cluster_dev();
     let t = sync_dev.from_slice_f32(&data).unwrap();
     let s = (&t.even().unwrap() + &t.odd().unwrap()).unwrap();
-    assert_eq!(got.to_bits(), s.sum_f32().unwrap().to_bits());
+    assert_eq!(bits(got), bits(s.to_vec_f32().unwrap()));
+    assert_eq!(got_sum.to_bits(), s.sum_f32().unwrap().to_bits());
+}
+
+#[test]
+fn an_operand_with_no_move_plan_is_aligned_through_copy() {
+    // `t.even()` of 96 elements is strided over one and a half warps, so
+    // no move plan aligns it with a dense `a`: the step refuses, and
+    // `empty_aligned` + `copy` (the host read-then-store) aligns it
+    // instead, matching sync bit-for-bit.
+    let gateway = cluster_dev().serve(ServeConfig::default());
+    let client = gateway.session().unwrap();
+    let data: Vec<f32> = (0..96).map(|i| 0.4 + i as f32 * 0.13).collect();
+    let got = block_on(async {
+        let t = client.step(|p| p.upload_f32(&data)).await?;
+        let a = client.step(|p| p.full_f32(48, 1.25)).await?;
+        let b = t.even()?;
+        let err = client.step(|p| p.add(&a, &b)).await.unwrap_err();
+        assert!(
+            matches!(err, pypim::CoreError::Misaligned { .. }),
+            "{err:?}"
+        );
+        let b_aligned = a.empty_aligned(b.dtype())?;
+        client.copy(&b, &b_aligned).await?;
+        let s = client.step(|p| p.add(&a, &b_aligned)).await?;
+        client.to_vec_f32(&s).await
+    })
+    .unwrap();
+
+    let sync_dev = cluster_dev();
+    let t = sync_dev.from_slice_f32(&data).unwrap();
+    let a = sync_dev.full_f32(48, 1.25).unwrap();
+    let s = (&a + &t.even().unwrap()).unwrap();
+    assert_eq!(bits(got), bits(s.to_vec_f32().unwrap()));
+}
+
+/// One round of a crossing-heavy request: the upload lands in the lower
+/// half of the session's window, a copy moves it into the upper half
+/// across a chip boundary, and `sum(u * u + u)` reduces it there.
+async fn crossing_request(client: &ClusterClient, window: &Tensor, values: &[f32]) -> Result<f32> {
+    let half = window.len() / 2;
+    let lower = window.slice(0, half)?;
+    let upper = window.slice(half, window.len())?;
+    client
+        .exec(lower.plan_store(values.iter().map(|v| v.to_bits())))
+        .await?;
+    client.copy(&lower, &upper).await?;
+    let uu = client.step(|p| p.mul(&upper, &upper)).await?;
+    let z = client.step(|p| p.add(&uu, &upper)).await?;
+    client.sum_f32(&z).await
+}
+
+#[test]
+fn crossing_sessions_on_a_threaded_cluster_match_sync_and_never_defer() {
+    const CLIENTS: usize = 2;
+    const ROUNDS: usize = 3;
+    const WARPS: u32 = 6; // windows 0..6 and 6..12 straddle the chips of 4 warps
+
+    let gateway = cluster_dev().serve(ServeConfig::default());
+    let rows = gateway.device().config().rows;
+    let clients: Vec<ClusterClient> = (0..CLIENTS)
+        .map(|_| gateway.session_with_warps(WARPS).unwrap())
+        .collect();
+    for c in &clients {
+        let w = c.window();
+        assert_ne!(w.warp_start / 4, (w.warp_start + w.warps - 1) / 4, "{w:?}");
+    }
+    let windows: Vec<Tensor> = clients
+        .iter()
+        .map(|c| {
+            c.device()
+                .uninit(WARPS as usize * rows, pypim::isa::DType::Float32)
+        })
+        .collect::<Result<_>>()
+        .unwrap();
+    let values = |cid: usize, round: usize| payload(cid, round, WARPS as usize * rows / 2);
+
+    let run = join_all(clients.iter().zip(&windows).enumerate().map(
+        |(cid, (client, window))| async move {
+            let mut bits = Vec::new();
+            for round in 0..ROUNDS {
+                let sum = crossing_request(client, window, &values(cid, round)).await?;
+                bits.push(sum.to_bits());
+            }
+            Ok::<_, pypim::CoreError>(bits)
+        },
+    ));
+    let got: Vec<u32> =
+        futures::executor::block_on_timeout(run, std::time::Duration::from_secs(60))
+            .expect("a crossing interleaving hung")
+            .into_iter()
+            .flat_map(|o| o.unwrap())
+            .collect();
+
+    let sync_dev = cluster_dev();
+    let reference: Vec<u32> = (0..CLIENTS)
+        .flat_map(|cid| (0..ROUNDS).map(move |round| (cid, round)))
+        .map(|(cid, round)| {
+            let u = sync_dev.from_slice_f32(&values(cid, round)).unwrap();
+            let uu = (&u * &u).unwrap();
+            let z = (&uu + &u).unwrap();
+            z.sum_f32().unwrap().to_bits()
+        })
+        .collect();
+    assert_eq!(got, reference, "crossing sessions diverged from sync");
+    let traffic = gateway.device().cluster_stats().unwrap().unwrap().traffic;
+    assert!(traffic.cross_words > 0, "no chip-crossing move ran");
+    // Inert: nothing increments `deferred` any more (it stays for
+    // `benchmark/`); the timeout above is what guards against a hang.
+    assert_eq!(gateway.stats().deferred, 0);
 }
 
 /// Stripes of a tensor, as a window for overlap checks.
@@ -233,7 +347,8 @@ proptest! {
         let held: Vec<(usize, Tensor)> = block_on(join_all(
             clients.iter().enumerate().flat_map(|(i, client)| {
                 (0..tensors_per_session).map(move |k| async move {
-                    (i, client.full_f32(elems, k as f32).await.unwrap())
+                    let t = client.step(|p| p.full_f32(elems, k as f32)).await;
+                    (i, t.unwrap())
                 })
             }),
         ));
