@@ -187,6 +187,16 @@ impl ReplayRecord {
     pub fn armed(&self) -> bool {
         self.flags & ARMED != 0
     }
+
+    /// Whether the record is one `NOT`/`NOR` gate whose strict check a
+    /// replay may skip: armed, or any such gate when `strict` is off — the
+    /// gates a bit-plane engine replays in its tight loop.
+    #[inline]
+    pub fn plain(&self, strict: bool) -> bool {
+        // Gate codes 2 (`NOT`) and 3 (`NOR`) are the ones with bit 1 set.
+        let need = 2 | if strict { ARMED } else { 0 };
+        self.gates == 1 && self.flags & need == need
+    }
 }
 
 /// Resolves a validated batch into its replay records and proves what it
@@ -522,6 +532,17 @@ mod tests {
         let batch = PreparedBatch::new(ops, &c).unwrap();
         let armed: Vec<bool> = batch.records().iter().map(ReplayRecord::armed).collect();
         assert_eq!(armed, [false, true, false]);
+        // Plain: a lone NOT/NOR, armed unless strict is off — never an INIT
+        // or a 32-gate NOR.
+        let plain = |batch: &PreparedBatch, strict| -> Vec<bool> {
+            batch.records().iter().map(|r| r.plain(strict)).collect()
+        };
+        assert_eq!(plain(&batch, true), [false, true, false]);
+        assert_eq!(plain(&batch, false), [false, true, false]);
+        let unarmed = vec![serial(GateKind::Not), serial(GateKind::Init1)];
+        let unarmed = PreparedBatch::new(unarmed, &c).unwrap();
+        assert_eq!(plain(&unarmed, true), [false, false]);
+        assert_eq!(plain(&unarmed, false), [true, false]);
         let serial = batch.records()[1];
         assert_eq!(
             (serial.kind(), serial.out(), serial.inputs(), serial.gates()),

@@ -116,16 +116,20 @@ fn bench_simulator(c: &mut Criterion) {
         b.iter(|| sim.execute_prepared(&routine.batch).unwrap());
     });
     // Prepared replay of a long bit-serial routine (FP mul, ~11.5 k
-    // micro-ops, strict on) at the two ends of the selection size: one
-    // plane word per gate, where a row is the fixed per-op cost of the
-    // replay loop, and `tensor_sim`'s 128 words, where it is the word cost.
-    for (name, xbs, rows) in [
-        ("prepared_fp_mul_1x64", 1, 64),
-        ("prepared_fp_mul_16x512", 16, 512),
+    // micro-ops, strict on) under three selections: one plane word per
+    // gate, where a row is the fixed per-op cost of the replay loop; a
+    // two-crossbar window of a 4 x 64 chip (two plane words, `serve_fused`'s
+    // shape); and `tensor_sim`'s 128 words, where it is the word cost.
+    for (name, xbs, rows, window) in [
+        ("prepared_fp_mul_1x64", 1, 64, 1),
+        ("prepared_fp_mul_2x64", 4, 64, 2),
+        ("prepared_fp_mul_16x512", 16, 512, 16),
     ] {
         let cfg = PimConfig::small().with_crossbars(xbs).with_rows(rows);
         let routine = prepared(&cfg, RegOp::Mul, DType::Float32);
         let mut sim = PimSimulator::new(cfg).unwrap();
+        let window = RangeMask::dense(0, window).unwrap();
+        sim.execute(&MicroOp::XbMask(window)).unwrap();
         group.throughput(Throughput::Elements(routine.batch.ops().len() as u64));
         group.bench_function(name, |b| {
             b.iter(|| sim.execute_prepared(&routine.batch).unwrap());

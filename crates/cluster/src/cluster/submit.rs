@@ -281,7 +281,7 @@ impl PimCluster {
             } => {
                 let route = self.plan.route_move_warps(warps, *dist);
                 parts.extend(route.local.iter().copied().map(piece));
-                CrossingMove::new(route, warps, *dist, *src, *dst, *row_src, *row_dst)
+                CrossingMove::new(route, warps, *dist, *src, *dst, *row_src, *row_dst)?
             }
         })
     }

@@ -44,8 +44,8 @@
 //! another instruction kind, a different distance, a hazard — flushes the
 //! run first, so instruction-stream order is preserved around every merge.
 
-use crate::{MoveRoute, ShardPlan};
-use pim_arch::RangeMask;
+use crate::{ClusterError, MoveRoute, ShardPlan};
+use pim_arch::{ArchError, RangeMask};
 use std::collections::HashMap;
 
 /// The cells one side of a `MoveWarps` touches: one register/row across a
@@ -96,10 +96,10 @@ impl CrossingMove {
     /// (`warps`/`dist` addressed in global warp space) from its route.
     /// `None` when the move does not cross a chip boundary.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if a destination warp falls outside `u32` range — validated
-    /// moves keep every destination inside the logical geometry.
+    /// [`ClusterError::Invalid`] if the destination warps leave the warp
+    /// space — which validation rules out for every move that reaches here.
     pub fn new(
         route: MoveRoute,
         warps: &RangeMask,
@@ -108,15 +108,16 @@ impl CrossingMove {
         dst: u8,
         row_src: u32,
         row_dst: u32,
-    ) -> Option<CrossingMove> {
+    ) -> Result<Option<CrossingMove>, ClusterError> {
         if route.cross.is_empty() {
-            return None;
+            return Ok(None);
         }
-        let dst_start = u32::try_from(i64::from(warps.start()) + i64::from(dist))
-            .expect("validated move destinations stay in range");
-        let dst_warps = RangeMask::strided(dst_start, warps.len() as u32, warps.step())
-            .expect("shifting a valid mask by a validated distance keeps it valid");
-        Some(CrossingMove {
+        let dst_start = i64::from(warps.start()) + i64::from(dist);
+        let dst_start = u32::try_from(dst_start).map_err(|_| ArchError::InvalidMove {
+            reason: format!("destination warp {dst_start} is outside the warp space"),
+        })?;
+        let dst_warps = RangeMask::strided(dst_start, warps.len() as u32, warps.step())?;
+        Ok(Some(CrossingMove {
             route,
             dist,
             reads: CellRange {
@@ -129,7 +130,7 @@ impl CrossingMove {
                 row: row_dst,
                 warps: dst_warps,
             },
-        })
+        }))
     }
 
     /// The crossing `(source, destination)` global warp pairs.
@@ -276,6 +277,7 @@ mod tests {
     ) -> CrossingMove {
         let route = plan.route_move_warps(&warps, dist);
         CrossingMove::new(route, &warps, dist, src, dst, row_src, row_dst)
+            .unwrap()
             .expect("test move must cross")
     }
 
@@ -284,7 +286,20 @@ mod tests {
         let p = plan4();
         let warps = RangeMask::new(0, 1, 1).unwrap();
         let route = p.route_move_warps(&warps, 1); // stays on shard 0
-        assert!(CrossingMove::new(route, &warps, 1, 0, 1, 0, 0).is_none());
+        let built = CrossingMove::new(route, &warps, 1, 0, 1, 0, 0);
+        assert!(built.unwrap().is_none());
+    }
+
+    #[test]
+    fn a_move_off_the_warp_space_is_a_typed_error() {
+        // Unvalidated: warp 0 - 1 has no destination.
+        let (p, warps) = (plan4(), RangeMask::single(0));
+        let route = p.route_move_warps(&warps, -1);
+        let err = CrossingMove::new(route, &warps, -1, 0, 1, 0, 0).unwrap_err();
+        assert!(
+            matches!(err, ClusterError::Invalid(ArchError::InvalidMove { .. })),
+            "{err}"
+        );
     }
 
     #[test]

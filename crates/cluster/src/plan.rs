@@ -196,10 +196,11 @@ impl ShardPlan {
         } else {
             stop
         };
-        let native = (first <= last && first <= stop && last >= start).then(|| {
-            RangeMask::new(first as u32, last as u32, local.step())
-                .expect("same-step sub-progression of a valid mask is valid")
-        });
+        // `first` and `last` are elements of `local`, so `new` cannot refuse
+        // them; were it to, every warp would take the (correct) crossing path.
+        let native = (first <= last && first <= stop && last >= start)
+            .then(|| RangeMask::new(first as u32, last as u32, local.step()).ok())
+            .flatten();
         let mut cross = Vec::new();
         for w in local.iter() {
             let w = w as i64;
@@ -225,7 +226,8 @@ fn intersect_rebase(mask: &RangeMask, lo: u32, hi: u32) -> Option<RangeMask> {
     }
     let last = stop.min(hi - 1);
     let count = (last - first) / step + 1;
-    Some(RangeMask::strided(first - lo, count, step).expect("subset of a valid mask is valid"))
+    // `strided` refuses only a zero count or step: neither occurs here.
+    RangeMask::strided(first - lo, count, step).ok()
 }
 
 #[cfg(test)]

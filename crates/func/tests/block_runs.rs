@@ -16,13 +16,23 @@
 //! returned reads and error values — and a run the block form refuses
 //! changes nothing.
 //!
+//! A cached routine replays gate by gate, in a loop specialised once per
+//! batch to the width of the selection's word spans. The third suite
+//! replays the routines the driver compiles under a selection of every
+//! shape that loop tells apart and holds the result to the reference:
+//! cells of every register and `Profiler`; and a gate the batch does not
+//! prove is still checked under strict mode, before it changes anything.
+//!
 //! Rows per crossbar default to 160 (two and a half plane words) and follow
 //! `PIM_ORACLE_ROWS` when set; CI runs the suite a second time at 96.
 
 use pim_arch::{
-    ArchError, Backend, CellRun, GateKind, HLogic, MicroOp, PimConfig, RangeMask, VGate,
+    ArchError, Backend, CellRun, ColAddr, GateKind, HLogic, MicroOp, PimConfig, PreparedBatch,
+    RangeMask, VGate,
 };
+use pim_driver::{routines, ParallelismMode};
 use pim_func::FuncBackend;
+use pim_isa::{DType, RegOp};
 use pim_sim::{PimSimulator, Profiler};
 use proptest::prelude::*;
 
@@ -244,10 +254,11 @@ struct Outcome {
     profiler: Profiler,
 }
 
-/// What [`outcome`] inspects on either implementation.
+/// What the suites inspect and seed on either implementation.
 trait Chip: Backend {
     fn profiler(&self) -> &Profiler;
     fn peek(&self, xb: usize, row: usize, reg: usize) -> u32;
+    fn poke(&mut self, xb: usize, row: usize, reg: usize, value: u32);
 }
 
 impl Chip for PimSimulator {
@@ -257,6 +268,9 @@ impl Chip for PimSimulator {
     fn peek(&self, xb: usize, row: usize, reg: usize) -> u32 {
         self.peek(xb, row, reg)
     }
+    fn poke(&mut self, xb: usize, row: usize, reg: usize, value: u32) {
+        self.poke(xb, row, reg, value)
+    }
 }
 
 impl Chip for FuncBackend {
@@ -265,6 +279,9 @@ impl Chip for FuncBackend {
     }
     fn peek(&self, xb: usize, row: usize, reg: usize) -> u32 {
         self.peek(xb, row, reg)
+    }
+    fn poke(&mut self, xb: usize, row: usize, reg: usize, value: u32) {
+        self.poke(xb, row, reg, value)
     }
 }
 
@@ -437,5 +454,224 @@ proptest! {
         if read && addressed && flaw % 16 != 2 && !(xb_mask.is_single() && row_mask.is_single()) {
             prop_assert!(matches!(block.result, Err(ArchError::Protocol { .. })), "{:?}", block.result);
         }
+    }
+}
+
+/// Every selection shape prepared replay tells apart, as `(what, chip,
+/// crossbar mask, row mask)`: word spans of 1, 2, 4 and 8 words (the
+/// fixed-width bodies) and of other widths (the slice body), each with one
+/// start and with several — and a wide span, strided rows and crossbars, a
+/// single row. The first six follow `PIM_ORACLE_ROWS`.
+fn replay_shapes() -> Vec<(&'static str, PimConfig, RangeMask, RangeMask)> {
+    let rows = cfg().rows as u32;
+    let chip = |xbs: usize, rows: usize| PimConfig::small().with_crossbars(xbs).with_rows(rows);
+    let dense = |start, stop| RangeMask::dense(start, stop).unwrap();
+    let strided = |start, count, step| RangeMask::strided(start, count, step).unwrap();
+    vec![
+        ("one word", cfg(), RangeMask::single(1), dense(3, 40)),
+        (
+            "a single row",
+            cfg(),
+            RangeMask::single(XBS - 1),
+            RangeMask::single(rows - 1),
+        ),
+        ("the whole chip", cfg(), dense(0, XBS), dense(0, rows)),
+        (
+            "partial rows on several crossbars",
+            cfg(),
+            dense(0, XBS),
+            dense(10, 60),
+        ),
+        (
+            "strided rows",
+            cfg(),
+            dense(1, 3),
+            strided(1, (rows - 1) / 3, 3),
+        ),
+        ("strided crossbars", cfg(), strided(0, 2, 2), dense(0, rows)),
+        (
+            "merged spans of 2 words",
+            chip(8, 64),
+            dense(0, 2),
+            dense(0, 64),
+        ),
+        (
+            "merged spans of 4 words",
+            chip(8, 64),
+            dense(2, 6),
+            dense(0, 64),
+        ),
+        (
+            "merged spans of 8 words",
+            chip(8, 64),
+            dense(0, 8),
+            dense(0, 64),
+        ),
+        (
+            "1 word on strided crossbars",
+            chip(8, 64),
+            strided(1, 4, 2),
+            dense(0, 64),
+        ),
+        (
+            "2 words on several crossbars",
+            chip(4, 512),
+            dense(0, 4),
+            dense(0, 128),
+        ),
+        (
+            "4 words on several crossbars",
+            chip(4, 512),
+            dense(1, 4),
+            dense(64, 320),
+        ),
+        (
+            "8 words on strided crossbars",
+            chip(4, 512),
+            strided(0, 2, 2),
+            dense(0, 512),
+        ),
+        (
+            "5 words of strided rows",
+            chip(4, 512),
+            dense(0, 4),
+            strided(100, 86, 3),
+        ),
+        (
+            "a wide span: 16 x 512",
+            chip(16, 512),
+            dense(0, 16),
+            dense(0, 512),
+        ),
+    ]
+}
+
+/// `chip` with distinct contents in every cell, under the two masks.
+fn seeded<C: Chip>(mut chip: C, xb_mask: RangeMask, row_mask: RangeMask) -> C {
+    let cfg = chip.config().clone();
+    for (xb, row, reg) in every_cell(&cfg) {
+        let at = ((xb * cfg.rows + row) * cfg.regs + reg) as u32;
+        chip.poke(
+            xb,
+            row,
+            reg,
+            0x9E37_79B9u32.wrapping_mul(at + 1).rotate_left(at % 32),
+        );
+    }
+    chip.execute_batch(&[MicroOp::XbMask(xb_mask), MicroOp::RowMask(row_mask)])
+        .unwrap();
+    chip
+}
+
+fn every_cell(cfg: &PimConfig) -> impl Iterator<Item = (usize, usize, usize)> {
+    let (rows, regs) = (cfg.rows, cfg.regs);
+    (0..cfg.crossbars)
+        .flat_map(move |xb| (0..rows).flat_map(move |row| (0..regs).map(move |reg| (xb, row, reg))))
+}
+
+/// Every register of every row of every crossbar.
+fn image(chip: &impl Chip) -> Vec<u32> {
+    every_cell(chip.config())
+        .map(|(xb, row, reg)| chip.peek(xb, row, reg))
+        .collect()
+}
+
+/// `r2 = r0 op r1` as the driver's routine cache holds it.
+fn routine(cfg: &PimConfig, op: RegOp, dtype: DType) -> PreparedBatch {
+    let routine = routines::compile_rtype(cfg, ParallelismMode::BitSerial, op, dtype, 2, &[0, 1]);
+    routine.unwrap().prepare(cfg).unwrap().batch
+}
+
+/// The routines of int add / mul / `<` and fp add / mul, replayed by the
+/// simulator (strict on and off) under every selection shape, leave the
+/// cells of every register and the `Profiler` the reference leaves.
+#[test]
+fn prepared_replay_matches_the_reference_on_every_selection_shape() {
+    let programs = [
+        (RegOp::Add, DType::Int32),
+        (RegOp::Mul, DType::Int32),
+        (RegOp::Lt, DType::Int32),
+        (RegOp::Add, DType::Float32),
+        (RegOp::Mul, DType::Float32),
+    ];
+    for (what, cfg, xb_mask, row_mask) in replay_shapes() {
+        let start = seeded(sim(&cfg, true), xb_mask, row_mask).snapshot();
+        for (op, dtype) in programs {
+            let batch = routine(&cfg, op, dtype);
+            let reference = FuncBackend::new(cfg.clone()).unwrap();
+            let mut reference = seeded(reference, xb_mask, row_mask);
+            reference.execute_prepared(&batch).unwrap();
+            let cells = image(&reference);
+            for strict in [true, false] {
+                let mut chip = sim(&cfg, strict);
+                chip.restore(&start);
+                chip.set_strict(strict);
+                chip.execute_prepared(&batch).unwrap();
+                let case = format!("{what}: {op} {dtype}, strict {strict}");
+                assert!(image(&chip) == cells, "{case}: cells differ");
+                assert_eq!(chip.profiler(), reference.profiler(), "{case}");
+            }
+        }
+    }
+}
+
+/// [`seeded`], with register `reg` holding 1 in every cell but bit `part`
+/// of the last row the masks select in the last crossbar they select.
+fn holed<C: Chip>(chip: C, xb_mask: RangeMask, row_mask: RangeMask, reg: u8, part: u8) -> C {
+    let mut chip = seeded(chip, xb_mask, row_mask);
+    let cfg = chip.config().clone();
+    for (xb, row, _) in every_cell(&cfg).filter(|&(.., at)| at == reg as usize) {
+        chip.poke(xb, row, reg as usize, u32::MAX);
+    }
+    let (xb, row) = (xb_mask.stop() as usize, row_mask.stop() as usize);
+    chip.poke(xb, row, reg as usize, !(1 << part));
+    chip
+}
+
+/// Under strict checking, a `NOR` the batch does not prove (no `INIT1` of
+/// the batch set its output) is checked when its turn comes, between two
+/// routines' runs of proved gates: under every selection shape the replay
+/// stops there with the error the op-by-op path gives, naming the row of
+/// the one selected output cell that holds 0, with every operation before
+/// it applied and none after.
+#[test]
+fn an_unproved_gate_is_checked_between_replayed_runs() {
+    let (reg, part) = (5, 7);
+    for (what, cfg, xb_mask, row_mask) in replay_shapes() {
+        let col = |reg| ColAddr::new(part, reg);
+        let nor = HLogic::serial(GateKind::Nor, col(0), col(1), col(reg), &cfg).unwrap();
+        let before = routine(&cfg, RegOp::Add, DType::Int32);
+        let after = routine(&cfg, RegOp::Mul, DType::Float32);
+        let ops: Vec<MicroOp> = (before.ops().iter().cloned())
+            .chain([MicroOp::LogicH(nor)])
+            .chain(after.ops().iter().cloned())
+            .collect();
+        let batch = PreparedBatch::new(ops.clone(), &cfg).unwrap();
+        let refused = Err(ArchError::Protocol {
+            reason: format!(
+                "stateful Nor gate in row {} writes to partition bits {:#010x} of register {reg} \
+                 that were not initialized to 1",
+                row_mask.stop(),
+                1u32 << part
+            ),
+        });
+
+        let mut replay = holed(sim(&cfg, true), xb_mask, row_mask, reg, part);
+        assert_eq!(replay.execute_prepared(&batch), refused, "{what}");
+        let mut serial = holed(sim(&cfg, true), xb_mask, row_mask, reg, part);
+        let stepped = ops.iter().try_for_each(|op| serial.execute(op).map(drop));
+        assert_eq!(stepped, refused, "{what}: op by op");
+        let reference = FuncBackend::new(cfg.clone()).unwrap();
+        let mut reference = holed(reference, xb_mask, row_mask, reg, part);
+        reference.execute_prepared(&before).unwrap();
+        let cells = image(&replay);
+        assert!(
+            cells == image(&serial),
+            "{what}: replay and op by op diverge"
+        );
+        assert!(
+            cells == image(&reference),
+            "{what}: not exactly the operations before"
+        );
     }
 }

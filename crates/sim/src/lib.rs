@@ -35,24 +35,26 @@
 //!   masked complemented shift per plane. A lone operation and a shift
 //!   whose serial order matters take the per-operation path; cells, masks,
 //!   profiler and errors are the same either way.
-//! * **Logic**: every horizontal gate, under every mask, is one kernel
-//!   ([`Crossbars::apply_gate`]) — `out[w] &= !((a[w] | b[w]) & m[w])` over
-//!   the plane words of each concurrent gate. The stored masks are lowered
-//!   once per mask operation into word spans plus a row bit pattern
-//!   ([`Selection`]); a strided row mask is only a different pattern, and a
-//!   dense crossbar mask over whole crossbars is one contiguous span, so a
-//!   whole-tensor gate is a flat loop LLVM autovectorizes — the host
-//!   exploits the row-parallelism the chip executes in a single cycle.
-//!   The kernel takes a gate *resolved* into its planes
-//!   ([`pim_arch::ReplayRecord`]). A cached routine
-//!   ([`execute_prepared`](pim_arch::Backend::execute_prepared)) carries
-//!   its records, so its replay is one closed-form charge, one lowered
-//!   selection and a loop over 8-byte records; every other path resolves
-//!   the `HLogic` on the fly and lands in the same kernel. Operations
-//!   execute one after another on the calling thread, over the selected
-//!   crossbars only: with so little data per operation a thread hand-off
-//!   would cost more than the operation (the paper's CUDA kernel has no
-//!   CPU counterpart here).
+//! * **Logic**: every horizontal gate, under every mask, is one `NOT`/`NOR`
+//!   body — `out[w] &= !((a[w] | b[w]) & m[w])` over the plane words of
+//!   each concurrent gate. The stored masks are lowered once per mask
+//!   operation into word spans plus a row bit pattern ([`Selection`]); a
+//!   strided row mask is only a different pattern, and a dense crossbar
+//!   mask over whole crossbars is one contiguous span, so a whole-tensor
+//!   gate is a flat loop LLVM autovectorizes — the host exploits the
+//!   row-parallelism the chip executes in a single cycle. A cached routine
+//!   ([`execute_prepared`](pim_arch::Backend::execute_prepared)) carries its
+//!   gates resolved into planes ([`pim_arch::ReplayRecord`]): its replay is
+//!   one closed-form charge, one lowered selection and
+//!   [`Crossbars::replay_plain`], which matches the span width once per run
+//!   of proved single gates rather than once per gate (FP mul: 3.9 ns a gate
+//!   on one plane word, 6.5 ns on `serve_fused`'s two-crossbar window, 71 ns
+//!   on 16 x 512; 6.6, 11.2 and 81 ns with a dispatch per record). Every
+//!   other path lands in the same body through [`Crossbars::apply_gate`].
+//!   Operations execute one after another on the calling thread, over the
+//!   selected crossbars only: with so little data per operation a thread
+//!   hand-off would cost more than the operation (the paper's CUDA kernel
+//!   has no CPU counterpart here).
 //!
 //! A *strict mode* (default on) additionally checks the stateful-logic
 //! discipline: every `NOT`/`NOR` output cell must hold logical 1 when the

@@ -388,15 +388,22 @@ impl Backend for PimSimulator {
             &self.cfg,
         )?;
         self.lower_selection();
-        for (i, record) in batch.records().iter().enumerate() {
-            if record.is_gate() {
-                let check = self.strict && !record.armed();
-                self.cells.apply_gate(record, &self.sel, check)?;
-            } else {
-                self.apply(&batch.ops()[i])?;
+        // Runs of plain gates go through the replay loop; the record that
+        // ends a run is applied alone, checked if strict and unproved.
+        let (ops, records, strict) = (batch.ops(), batch.records(), self.strict);
+        let mut at = 0;
+        loop {
+            at += self.cells.replay_plain(&records[at..], &self.sel, strict);
+            match records.get(at) {
+                None => return Ok(()),
+                Some(gate) if gate.is_gate() => {
+                    self.cells
+                        .apply_gate(gate, &self.sel, strict && !gate.armed())?
+                }
+                Some(_) => self.apply(&ops[at]).map(drop)?,
             }
+            at += 1;
         }
-        Ok(())
     }
 }
 

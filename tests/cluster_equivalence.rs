@@ -313,11 +313,11 @@ proptest! {
         let a = CrossingMove::new(
             plan.route_move_warps(&a_mask, a_dist),
             &a_mask, a_dist, a_src, a_dst, a_row_src, a_row_dst,
-        );
+        ).unwrap();
         let b = CrossingMove::new(
             plan.route_move_warps(&b_mask, b_dist),
             &b_mask, b_dist, b_src, b_dst, b_row_src, b_row_dst,
-        );
+        ).unwrap();
         let (Some(a), Some(b)) = (a, b) else {
             return Ok(()); // one of the moves stayed on-chip: nothing to merge
         };
