@@ -280,11 +280,6 @@ impl MemoryManager {
         }
     }
 
-    /// Active window reservations (for telemetry and tests).
-    pub fn reserved_windows(&self) -> &[PlacementHint] {
-        &self.reserved
-    }
-
     /// Allocates a stripe of `warps` warps.
     ///
     /// Preference order without a placement hint: the exact window of

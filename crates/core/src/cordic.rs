@@ -40,13 +40,13 @@ impl Tensor {
     pub fn sin_cos(&self) -> Result<(Tensor, Tensor)> {
         self.expect_dtype(DType::Float32)?;
         let atans = atan_table();
-        let zero = self.alloc_result(DType::Float32)?;
-        zero.fill_raw(0.0f32.to_bits())?;
-        let mut x = self.alloc_result(DType::Float32)?;
-        x.fill_raw(cordic_gain().to_bits())?;
+        // x starts as the gain, y as zero, z as θ (an aligned copy).
+        let (zero, mut x, mut z) = self.device().step(|p| {
+            let zero = p.full_like(self, DType::Float32, 0.0f32.to_bits())?;
+            let x = p.full_like(self, DType::Float32, cordic_gain().to_bits())?;
+            Ok((zero, x, p.moved(self, self)?))
+        })?;
         let mut y = zero.clone();
-        // z starts as θ (copy through an aligned materialization).
-        let mut z = crate::movement::materialize_like(self, self)?;
         for (i, &a) in atans.iter().enumerate().take(CORDIC_ITERS) {
             let pow = 2.0f32.powi(-(i as i32));
             let d_pos = z.ge(&zero)?;

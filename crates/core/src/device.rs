@@ -567,7 +567,7 @@ impl Device {
     ///
     /// Returns [`CoreError::OutOfMemory`] when no stripe is free.
     pub fn zeros_f32(&self, n: usize) -> Result<Tensor> {
-        self.full_raw(n, DType::Float32, 0)
+        self.step(|p| p.full_f32(n, 0.0))
     }
 
     /// A tensor of `n` zeros (int32).
@@ -576,7 +576,7 @@ impl Device {
     ///
     /// Returns [`CoreError::OutOfMemory`] when no stripe is free.
     pub fn zeros_i32(&self, n: usize) -> Result<Tensor> {
-        self.full_raw(n, DType::Int32, 0)
+        self.step(|p| p.full_i32(n, 0))
     }
 
     /// A tensor of `n` copies of `value` (float32).
@@ -585,7 +585,7 @@ impl Device {
     ///
     /// Returns [`CoreError::OutOfMemory`] when no stripe is free.
     pub fn full_f32(&self, n: usize, value: f32) -> Result<Tensor> {
-        self.full_raw(n, DType::Float32, value.to_bits())
+        self.step(|p| p.full_f32(n, value))
     }
 
     /// A tensor of `n` copies of `value` (int32).
@@ -594,13 +594,7 @@ impl Device {
     ///
     /// Returns [`CoreError::OutOfMemory`] when no stripe is free.
     pub fn full_i32(&self, n: usize, value: i32) -> Result<Tensor> {
-        self.full_raw(n, DType::Int32, value as u32)
-    }
-
-    pub(crate) fn full_raw(&self, n: usize, dtype: DType, bits: u32) -> Result<Tensor> {
-        let t = self.empty(n, dtype, None)?;
-        t.fill_raw(bits)?;
-        Ok(t)
+        self.step(|p| p.full_i32(n, value))
     }
 
     /// A tensor initialized from a float slice — `pim.from_numpy`.

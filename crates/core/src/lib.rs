@@ -47,6 +47,7 @@ mod error;
 mod minmax;
 mod movement;
 mod ops;
+mod plan;
 mod reduce;
 mod scan;
 mod sort;
@@ -62,7 +63,7 @@ pub use pim_cluster::{
     HostFaultProfile, LinkFaultKind, LinkWindow, RecoveryConfig, ShardBackends,
 };
 pub use pim_func::BackendKind;
-pub use reduce::identity_bits;
+pub use plan::{identity_bits, Plan};
 pub use tensor::Tensor;
 
 pub use pim_cluster::TaggedBatch;

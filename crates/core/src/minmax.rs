@@ -3,22 +3,18 @@
 //! comparison and multiplexer operations (a compare-and-select is exactly
 //! one half of the bitonic network's compare-and-swap).
 
-use crate::movement;
 use crate::tensor::Tensor;
 use crate::Result;
 use pim_isa::DType;
 
-fn neutral_min_bits(dtype: DType) -> u32 {
-    match dtype {
-        DType::Int32 => i32::MAX as u32,
-        DType::Float32 => f32::INFINITY.to_bits(),
-    }
-}
-
-fn neutral_max_bits(dtype: DType) -> u32 {
-    match dtype {
-        DType::Int32 => i32::MIN as u32,
-        DType::Float32 => f32::NEG_INFINITY.to_bits(),
+/// The pad a maximum (`want_max`) or minimum reduction ignores: the word
+/// every value beats.
+pub(crate) fn neutral_bits(want_max: bool, dtype: DType) -> u32 {
+    match (want_max, dtype) {
+        (true, DType::Int32) => i32::MIN as u32,
+        (true, DType::Float32) => f32::NEG_INFINITY.to_bits(),
+        (false, DType::Int32) => i32::MAX as u32,
+        (false, DType::Float32) => f32::INFINITY.to_bits(),
     }
 }
 
@@ -31,8 +27,7 @@ impl Tensor {
     ///
     /// Fails on shape/dtype/device mismatches.
     pub fn max_elem(&self, rhs: &Tensor) -> Result<Tensor> {
-        let gt = self.gt(rhs)?;
-        gt.select(self, rhs)
+        self.device().step(|p| p.extreme(true, self, rhs))
     }
 
     /// Element-wise minimum of two tensors.
@@ -41,30 +36,17 @@ impl Tensor {
     ///
     /// Fails on shape/dtype/device mismatches.
     pub fn min_elem(&self, rhs: &Tensor) -> Result<Tensor> {
-        let lt = self.lt(rhs)?;
-        lt.select(self, rhs)
+        self.device().step(|p| p.extreme(false, self, rhs))
     }
 
     fn reduce_extreme(&self, want_max: bool) -> Result<u32> {
+        let pad = neutral_bits(want_max, self.dtype);
         let n2 = self.len().next_power_of_two();
-        let pad = if want_max {
-            neutral_max_bits(self.dtype)
-        } else {
-            neutral_min_bits(self.dtype)
-        };
-        let mut t = movement::compact_with_padding(self, n2, pad)?;
-        while t.len() > 1 {
-            let half = t.len() / 2;
-            let lo = t.slice(0, half)?;
-            let hi = t.slice(half, t.len())?;
-            let hi_aligned = movement::materialize_like(&hi, &lo)?;
-            t = if want_max {
-                lo.max_elem(&hi_aligned)?
-            } else {
-                lo.min_elem(&hi_aligned)?
-            };
-        }
-        t.get_raw(0)
+        let out = self.device().step(|p| {
+            let t = p.compact(self, n2, pad)?;
+            p.halve(t, |p, lo, hi| p.extreme(want_max, lo, hi))
+        })?;
+        out.get_raw(0)
     }
 
     /// Maximum element (float32) via logarithmic reduction.

@@ -75,8 +75,8 @@ fn warp_phases(cfg: &PimConfig, warps: RangeMask, dist: i32) -> Result<Option<Ve
 ///
 /// Returns `Ok(None)` when no move-based plan exists (pathological strides,
 /// strided views spanning partial warps, in-place overlapping copies);
-/// callers fall back to element-by-element read/write, which cannot be
-/// expressed as a non-read instruction batch.
+/// callers fall back to reading `src` back and storing its words, which
+/// cannot be expressed as a non-read instruction batch.
 ///
 /// # Errors
 ///
@@ -151,28 +151,14 @@ pub fn plan_copy(src: &Tensor, dst: &Tensor) -> Result<Option<Vec<Instruction>>>
 }
 
 /// Copies `src`'s elements into `dst` (same length, any layouts): executes
-/// the [`plan_copy`] fast paths as one batch, falling back to
-/// element-by-element read/write for layouts no move plan covers.
+/// the [`plan_copy`] fast paths as one batch, falling back to a read-back
+/// and one store per element for layouts no move plan covers.
 ///
 /// # Errors
 ///
 /// Fails on shape or device mismatches.
 pub fn copy(src: &Tensor, dst: &Tensor) -> Result<()> {
-    match plan_copy(src, dst)? {
-        Some(plan) => {
-            if plan.is_empty() {
-                return Ok(());
-            }
-            src.device().exec_batch(&plan)
-        }
-        None => {
-            // Fallback: element-by-element.
-            for i in 0..src.len() {
-                dst.set_raw(i, src.get_raw(i)?)?;
-            }
-            Ok(())
-        }
-    }
+    src.device().step(|p| p.copy_into(src, dst))
 }
 
 /// Builds a tensor aligned with `like` holding `src`'s values — the
@@ -182,27 +168,19 @@ pub fn copy(src: &Tensor, dst: &Tensor) -> Result<()> {
 ///
 /// Fails on allocation or movement errors.
 pub fn materialize_like(src: &Tensor, like: &Tensor) -> Result<Tensor> {
-    let out = like.alloc_result(src.dtype())?;
-    copy(src, &out)?;
-    Ok(out)
+    like.device().step(|p| p.moved(src, like))
 }
 
 /// Compacts a view into a fresh dense tensor of capacity
-/// `capacity >= src.len()` (offset 0, stride 1, own warp window), padding
-/// elements `src.len()..capacity` with `pad_bits`. The workhorse of the
-/// reduction and sorting algorithms, which want power-of-two dense inputs.
+/// `capacity >= src.len()` padded with `pad_bits` (a one-step plan: the pad
+/// fills everything, then the data prefix is copied over it). The
+/// workhorse of the sorting and scan algorithms, which want dense inputs.
 ///
 /// # Errors
 ///
 /// Fails on allocation or movement errors.
 pub fn compact_with_padding(src: &Tensor, capacity: usize, pad_bits: u32) -> Result<Tensor> {
-    assert!(capacity >= src.len());
-    let out = src.device().empty(capacity, src.dtype(), None)?;
-    // Pad first (covers everything), then overwrite the data prefix.
-    out.fill_raw(pad_bits)?;
-    let prefix = out.slice(0, src.len())?;
-    copy(src, &prefix)?;
-    Ok(out)
+    src.device().step(|p| p.compact(src, capacity, pad_bits))
 }
 
 /// Element-shifted view materialization: returns a tensor `r` aligned with
@@ -224,7 +202,7 @@ pub fn shifted(t: &Tensor, dist: i64) -> Result<Tensor> {
         });
     }
     let n = t.len() as i64;
-    let out = t.alloc_result(t.dtype())?;
+    let out = t.empty_aligned(t.dtype())?;
     let d = dist;
     if d.abs() >= n {
         return Ok(out);
@@ -281,7 +259,7 @@ pub fn exchange(t: &Tensor, j: usize, low: &Tensor) -> Result<Tensor> {
         let dn = shifted(t, -(j as i64))?;
         return low.select(&up, &dn);
     }
-    let out = t.alloc_result(t.dtype())?;
+    let out = t.empty_aligned(t.dtype())?;
     let mut plan = Vec::new();
     for range in &ranges {
         let (j, blocks) = (j as u32, (range.rows.len() / (2 * j)) as u32);
@@ -411,7 +389,7 @@ mod tests {
     fn copy_same_threads_uses_register_transfer() {
         let d = dev();
         let a = d.from_slice_i32(&(0..16).collect::<Vec<_>>()).unwrap();
-        let b = a.alloc_result(a.dtype()).unwrap();
+        let b = a.empty_aligned(a.dtype()).unwrap();
         d.reset_counters().unwrap();
         copy(&a, &b).unwrap();
         // Thread-local register copy: no moves at all.
@@ -484,7 +462,7 @@ mod tests {
         let t = d.zeros_i32(32).unwrap();
         let plan = |half: usize| {
             let hi = t.slice(half, 2 * half).unwrap();
-            let out = t.slice(0, half).unwrap().alloc_result(t.dtype()).unwrap();
+            let out = t.slice(0, half).unwrap().empty_aligned(t.dtype()).unwrap();
             (plan_copy(&hi, &out).unwrap().unwrap(), t.reg(), out.reg())
         };
         let dense = |lo, hi| RangeMask::dense(lo, hi).unwrap();
@@ -524,7 +502,7 @@ mod tests {
         let d = dev();
         let cfg = d.config().clone();
         let t = d.zeros_i32(32).unwrap();
-        let u = t.alloc_result(t.dtype()).unwrap();
+        let u = t.empty_aligned(t.dtype()).unwrap();
         for len in [1, 5, 8, 13] {
             for a in 0..=32 - len {
                 for b in 0..=32 - len {

@@ -1,45 +1,25 @@
 //! Element-parallel tensor operations: operator overloading (the Rust
 //! equivalent of the library's Python `__add__`/`__mul__` bindings), the
-//! comparison/miscellaneous methods, and the automatic alignment fallback
-//! that copies a misaligned operand next to the other one (§V-A "Dynamic
-//! Memory Management").
+//! comparison/miscellaneous methods. Each op is a one-step
+//! [`Plan`](crate::Plan), which owns the lowering — including the automatic
+//! alignment fallback that copies a misaligned operand next to the other
+//! one (§V-A "Dynamic Memory Management").
 
-use crate::movement;
 use crate::tensor::Tensor;
-use crate::{CoreError, Result};
+use crate::Result;
 use pim_isa::{DType, Instruction, RegOp};
 use std::ops::{Add, Div, Mul, Neg, Rem, Sub};
 
 impl Tensor {
-    fn check_binary(&self, rhs: &Tensor) -> Result<()> {
-        if !self.device().same_device(rhs.device()) {
-            return Err(CoreError::DeviceMismatch);
-        }
-        if self.len() != rhs.len() {
-            return Err(CoreError::ShapeMismatch {
-                lhs: self.len(),
-                rhs: rhs.len(),
-            });
-        }
-        Ok(())
-    }
-
-    /// Returns `rhs` if it already occupies the same threads as `self`,
-    /// otherwise copies it into a fresh stripe aligned with `self` — the
-    /// library's fall-back routine for misaligned operands.
-    pub(crate) fn aligned_operand(&self, rhs: &Tensor) -> Result<Tensor> {
-        if self.aligned_with(rhs) {
-            Ok(rhs.clone())
-        } else {
-            let out = self.alloc_result(rhs.dtype())?;
-            movement::copy(rhs, &out)?;
-            Ok(out)
-        }
-    }
-
-    /// Allocates a result tensor occupying exactly the same threads as
-    /// `self` (same warp window, offset, and stride, fresh register).
-    pub(crate) fn alloc_result(&self, dtype: DType) -> Result<Tensor> {
+    /// Allocates an *uninitialized* tensor thread-aligned with `self` (same
+    /// warp window, offset, and stride, fresh register) — where every
+    /// element-parallel result lands.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CoreError::OutOfMemory`](crate::CoreError::OutOfMemory) when
+    /// every register of the window is occupied.
+    pub fn empty_aligned(&self, dtype: DType) -> Result<Tensor> {
         let t = self
             .device()
             .empty_like_window(self.alloc.stripe, dtype, self.len())?;
@@ -49,19 +29,6 @@ impl Tensor {
             len: self.len(),
             ..t
         })
-    }
-
-    /// Allocates an *uninitialized* tensor thread-aligned with `self` (same
-    /// warp window, offset, and stride, fresh register) — the public
-    /// counterpart of the internal result allocation, for callers that plan
-    /// and submit their own instructions (the async serving path).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError::OutOfMemory`] when every register of the window
-    /// is occupied.
-    pub fn empty_aligned(&self, dtype: DType) -> Result<Tensor> {
-        self.alloc_result(dtype)
     }
 
     /// The R-type instructions applying `op` over this view's thread
@@ -85,86 +52,16 @@ impl Tensor {
             .collect()
     }
 
-    /// Issues an R-type operation over this view's thread ranges as one
-    /// batch, so sharded devices run all chips concurrently.
-    pub(crate) fn issue_rtype(
-        &self,
-        op: RegOp,
-        dtype: DType,
-        dst: u8,
-        srcs: [u8; 3],
-    ) -> Result<()> {
-        self.device()
-            .exec_batch(&self.rtype_instrs(op, dtype, dst, srcs))
-    }
-
-    /// Plans an element-parallel binary operation without executing it:
-    /// allocates the result tensor (thread-aligned with `self`) and returns
-    /// it together with the instructions that compute it — the async
-    /// serving path submits those itself. Unlike [`binary`](Tensor::binary),
-    /// no implicit alignment copy is run: misaligned operands are an error.
-    ///
-    /// # Errors
-    ///
-    /// Fails on shape/dtype/device mismatches, on misaligned operands
-    /// ([`CoreError::Misaligned`]), or allocation failure.
-    pub fn plan_binary(&self, op: RegOp, rhs: &Tensor) -> Result<(Tensor, Vec<Instruction>)> {
-        self.check_binary(rhs)?;
-        if self.dtype() != rhs.dtype() {
-            return Err(CoreError::DTypeMismatch {
-                what: format!("{} vs {}", self.dtype(), rhs.dtype()),
-            });
-        }
-        if !self.aligned_with(rhs) {
-            return Err(CoreError::Misaligned {
-                what: "plan_binary requires thread-aligned operands (copy the \
-                       right-hand side next to the left first)"
-                    .into(),
-            });
-        }
-        let out_dtype = if op.is_comparison() {
-            DType::Int32
-        } else {
-            self.dtype()
-        };
-        let out = self.alloc_result(out_dtype)?;
-        let instrs = self.rtype_instrs(op, self.dtype(), out.reg(), [self.reg(), rhs.reg(), 0]);
-        Ok((out, instrs))
-    }
-
-    /// Plans an element-parallel unary operation without executing it (see
-    /// [`plan_binary`](Tensor::plan_binary)).
-    ///
-    /// # Errors
-    ///
-    /// Fails on allocation failure.
-    pub fn plan_unary(&self, op: RegOp) -> Result<(Tensor, Vec<Instruction>)> {
-        let out = self.alloc_result(self.dtype())?;
-        let instrs = self.rtype_instrs(op, self.dtype(), out.reg(), [self.reg(), 0, 0]);
-        Ok((out, instrs))
-    }
-
-    /// Element-parallel binary operation.
+    /// Element-parallel binary operation: a one-step
+    /// [`Plan::binary`](crate::Plan::binary), so a misaligned right-hand
+    /// side is moved next to `self` first (through the host where no move
+    /// plan exists).
     ///
     /// # Errors
     ///
     /// Fails on shape/dtype/device mismatches or unsupported operations.
     pub fn binary(&self, op: RegOp, rhs: &Tensor) -> Result<Tensor> {
-        self.check_binary(rhs)?;
-        if self.dtype() != rhs.dtype() {
-            return Err(CoreError::DTypeMismatch {
-                what: format!("{} vs {}", self.dtype(), rhs.dtype()),
-            });
-        }
-        let rhs = self.aligned_operand(rhs)?;
-        let out_dtype = if op.is_comparison() {
-            DType::Int32
-        } else {
-            self.dtype()
-        };
-        let out = self.alloc_result(out_dtype)?;
-        self.issue_rtype(op, self.dtype(), out.reg(), [self.reg(), rhs.reg(), 0])?;
-        Ok(out)
+        self.device().step(|p| p.binary(op, self, rhs))
     }
 
     /// Element-parallel binary operation against a broadcast scalar (raw
@@ -174,9 +71,7 @@ impl Tensor {
     ///
     /// See [`binary`](Tensor::binary).
     pub fn binary_scalar(&self, op: RegOp, bits: u32) -> Result<Tensor> {
-        let scalar = self.alloc_result(self.dtype())?;
-        scalar.fill_raw(bits)?;
-        self.binary(op, &scalar)
+        self.device().step(|p| p.binary_scalar(op, self, bits))
     }
 
     /// Element-parallel unary operation.
@@ -185,9 +80,7 @@ impl Tensor {
     ///
     /// Fails on unsupported operations.
     pub fn unary(&self, op: RegOp) -> Result<Tensor> {
-        let out = self.alloc_result(self.dtype())?;
-        self.issue_rtype(op, self.dtype(), out.reg(), [self.reg(), 0, 0])?;
-        Ok(out)
+        self.device().step(|p| p.unary(op, self))
     }
 
     /// `self < rhs` as an int32 0/1 tensor.
@@ -314,23 +207,7 @@ impl Tensor {
     ///
     /// Fails on shape/dtype/device mismatches.
     pub fn select(&self, a: &Tensor, b: &Tensor) -> Result<Tensor> {
-        self.check_binary(a)?;
-        self.check_binary(b)?;
-        if a.dtype() != b.dtype() {
-            return Err(CoreError::DTypeMismatch {
-                what: format!("{} vs {}", a.dtype(), b.dtype()),
-            });
-        }
-        let a = self.aligned_operand(a)?;
-        let b = self.aligned_operand(b)?;
-        let out = self.alloc_result(a.dtype())?;
-        self.issue_rtype(
-            RegOp::Mux,
-            a.dtype(),
-            out.reg(),
-            [self.reg(), a.reg(), b.reg()],
-        )?;
-        Ok(out)
+        self.device().step(|p| p.select(self, a, b))
     }
 }
 
@@ -377,59 +254,25 @@ impl Neg for &Tensor {
 }
 
 /// Scalar right-hand sides: `&x * 2.0f32`, `&x + 1i32`.
-impl Mul<f32> for &Tensor {
-    type Output = Result<Tensor>;
+macro_rules! impl_scalar_op {
+    ($trait:ident, $method:ident, $op:expr, $ty:ty, $dtype:expr, $bits:expr) => {
+        impl $trait<$ty> for &Tensor {
+            type Output = Result<Tensor>;
 
-    fn mul(self, rhs: f32) -> Result<Tensor> {
-        self.expect_dtype(DType::Float32)?;
-        self.binary_scalar(RegOp::Mul, rhs.to_bits())
-    }
+            fn $method(self, rhs: $ty) -> Result<Tensor> {
+                self.expect_dtype($dtype)?;
+                self.binary_scalar($op, $bits(rhs))
+            }
+        }
+    };
 }
 
-impl Add<f32> for &Tensor {
-    type Output = Result<Tensor>;
-
-    fn add(self, rhs: f32) -> Result<Tensor> {
-        self.expect_dtype(DType::Float32)?;
-        self.binary_scalar(RegOp::Add, rhs.to_bits())
-    }
-}
-
-impl Sub<f32> for &Tensor {
-    type Output = Result<Tensor>;
-
-    fn sub(self, rhs: f32) -> Result<Tensor> {
-        self.expect_dtype(DType::Float32)?;
-        self.binary_scalar(RegOp::Sub, rhs.to_bits())
-    }
-}
-
-impl Mul<i32> for &Tensor {
-    type Output = Result<Tensor>;
-
-    fn mul(self, rhs: i32) -> Result<Tensor> {
-        self.expect_dtype(DType::Int32)?;
-        self.binary_scalar(RegOp::Mul, rhs as u32)
-    }
-}
-
-impl Add<i32> for &Tensor {
-    type Output = Result<Tensor>;
-
-    fn add(self, rhs: i32) -> Result<Tensor> {
-        self.expect_dtype(DType::Int32)?;
-        self.binary_scalar(RegOp::Add, rhs as u32)
-    }
-}
-
-impl Sub<i32> for &Tensor {
-    type Output = Result<Tensor>;
-
-    fn sub(self, rhs: i32) -> Result<Tensor> {
-        self.expect_dtype(DType::Int32)?;
-        self.binary_scalar(RegOp::Sub, rhs as u32)
-    }
-}
+impl_scalar_op!(Mul, mul, RegOp::Mul, f32, DType::Float32, f32::to_bits);
+impl_scalar_op!(Add, add, RegOp::Add, f32, DType::Float32, f32::to_bits);
+impl_scalar_op!(Sub, sub, RegOp::Sub, f32, DType::Float32, f32::to_bits);
+impl_scalar_op!(Mul, mul, RegOp::Mul, i32, DType::Int32, i32::cast_unsigned);
+impl_scalar_op!(Add, add, RegOp::Add, i32, DType::Int32, i32::cast_unsigned);
+impl_scalar_op!(Sub, sub, RegOp::Sub, i32, DType::Int32, i32::cast_unsigned);
 
 #[cfg(test)]
 mod tests {
@@ -466,9 +309,10 @@ mod tests {
         let d = dev();
         let a = d.from_slice_i32(&[1, 2]).unwrap();
         let b = d.from_slice_i32(&[3, 4]).unwrap();
-        let aligned = a.aligned_operand(&b).unwrap();
-        // Same stripe (no copy): same register.
-        assert_eq!(aligned.reg(), b.reg());
+        // Already on the same threads: no copy, one R-type over one range.
+        let mut plan = crate::Plan::new(&d);
+        plan.add(&a, &b).unwrap();
+        assert_eq!(plan.len(), 1);
     }
 
     #[test]

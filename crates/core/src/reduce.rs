@@ -4,55 +4,20 @@
 //! half (intra-warp `MoveRows` or distributed inter-warp `MoveWarps`,
 //! parallel across pairs) and one element-parallel operation combines them.
 
-use crate::movement;
 use crate::tensor::Tensor;
 use crate::Result;
 use pim_isa::{DType, RegOp};
 
-/// The identity element of an associative reduction (`Add` or `Mul`), as
-/// the raw word reductions pad with — shared by the synchronous reduction
-/// here and the serving layer's async/fused reductions, so the padding
-/// (and therefore every rounding) cannot drift between them.
-///
-/// # Panics
-///
-/// Panics for non-reduction operations.
-pub fn identity_bits(op: RegOp, dtype: DType) -> u32 {
-    match (op, dtype) {
-        (RegOp::Add, DType::Int32) => 0,
-        (RegOp::Add, DType::Float32) => 0.0f32.to_bits(),
-        (RegOp::Mul, DType::Int32) => 1,
-        (RegOp::Mul, DType::Float32) => 1.0f32.to_bits(),
-        _ => unreachable!("reduction supports add and mul"),
-    }
-}
-
 impl Tensor {
     /// Reduces the tensor with `op` (`Add` or `Mul`) in `O(log n)` parallel
-    /// steps, returning the raw result word.
+    /// steps, returning the raw result word: one
+    /// [`Plan::reduce`](crate::Plan::reduce).
     ///
     /// # Errors
     ///
     /// Fails on allocation or movement errors.
     pub fn reduce_raw(&self, op: RegOp) -> Result<u32> {
-        assert!(
-            matches!(op, RegOp::Add | RegOp::Mul),
-            "reduction requires an associative ALU operation"
-        );
-        let n2 = self.len().next_power_of_two();
-        let mut t = movement::compact_with_padding(self, n2, identity_bits(op, self.dtype))?;
-        while t.len() > 1 {
-            let half = t.len() / 2;
-            let lo = t.slice(0, half)?;
-            let hi = t.slice(half, t.len())?;
-            // Align the upper half with the lower half (log-reduction move).
-            let hi_aligned = movement::materialize_like(&hi, &lo)?;
-            let combined = lo.binary(op, &hi_aligned)?;
-            // Keep the combined half dense for the next level: the result
-            // is aligned with `lo`, i.e. dense from the stripe start.
-            t = combined;
-        }
-        t.get_raw(0)
+        self.device().step(|p| p.reduce(self, op))?.get_raw(0)
     }
 
     /// Sum of all elements (float32) via logarithmic reduction — Figure 12's

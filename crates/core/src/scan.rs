@@ -5,8 +5,8 @@
 
 use crate::movement;
 use crate::tensor::Tensor;
-use crate::{CoreError, Result};
-use pim_isa::{DType, RegOp};
+use crate::{identity_bits, CoreError, Result};
+use pim_isa::RegOp;
 
 impl Tensor {
     /// Inclusive prefix scan with `op` (`Add` or `Mul`):
@@ -22,13 +22,7 @@ impl Tensor {
                 what: format!("scan requires add or mul, got {op}"),
             });
         }
-        let identity = match (op, self.dtype) {
-            (RegOp::Add, DType::Int32) => 0u32,
-            (RegOp::Add, DType::Float32) => 0.0f32.to_bits(),
-            (RegOp::Mul, DType::Int32) => 1,
-            (RegOp::Mul, DType::Float32) => 1.0f32.to_bits(),
-            _ => unreachable!(),
-        };
+        let identity = identity_bits(op, self.dtype);
         let n = self.len();
         // Dense working copy (shifts require an unsliced layout).
         let mut t = movement::compact_with_padding(self, n, identity)?;
@@ -37,9 +31,10 @@ impl Tensor {
             // prev[i] = t[i - d]; lanes below d must contribute the
             // identity, so overwrite them after the shift.
             let prev = movement::shifted(&t, -(d as i64))?;
-            let head = prev.slice(0, d)?;
-            head.fill_raw_pub(identity)?;
-            t = t.binary(op, &prev)?;
+            t = self.device().step(|p| {
+                p.fill(&prev.slice(0, d)?, identity);
+                p.binary(op, &t, &prev)
+            })?;
             d *= 2;
         }
         Ok(t)

@@ -32,17 +32,11 @@
 //! `R` `MoveWarps` per H-tree phase for a whole-warp distance — and select
 //! the half of each that `zj` names.
 
+use crate::minmax::neutral_bits;
 use crate::movement;
 use crate::tensor::Tensor;
 use crate::Result;
 use pim_isa::DType;
-
-fn pad_max_bits(dtype: DType) -> u32 {
-    match dtype {
-        DType::Int32 => i32::MAX as u32,
-        DType::Float32 => f32::INFINITY.to_bits(),
-    }
-}
 
 impl Tensor {
     /// Returns an ascending-sorted copy of the tensor (bitonic network,
@@ -57,7 +51,7 @@ impl Tensor {
     pub fn sorted(&self) -> Result<Tensor> {
         let n = self.len();
         let n2 = n.next_power_of_two();
-        let mut t = movement::compact_with_padding(self, n2, pad_max_bits(self.dtype()))?;
+        let mut t = movement::compact_with_padding(self, n2, neutral_bits(false, self.dtype()))?;
         if n2 == 1 {
             return Ok(t);
         }

@@ -307,17 +307,6 @@ impl Tensor {
         Ok(())
     }
 
-    /// Broadcast-writes a raw word to every element of this view (one
-    /// write instruction per thread range — the ISA's range-repeated write
-    /// for constants).
-    ///
-    /// # Errors
-    ///
-    /// Propagates write failures.
-    pub fn fill_raw_pub(&self, bits: u32) -> Result<()> {
-        self.fill_raw(bits)
-    }
-
     /// Broadcast-writes a float to every element of this view.
     ///
     /// # Errors
@@ -336,21 +325,6 @@ impl Tensor {
     pub fn fill_i32(&self, v: i32) -> Result<()> {
         self.expect_dtype(DType::Int32)?;
         self.fill_raw(v as u32)
-    }
-
-    /// The write instructions that broadcast `bits` to every element of
-    /// this view (one per thread range — the ISA's range-repeated write for
-    /// constants), for callers that batch or submit work themselves (the
-    /// async serving path).
-    pub fn plan_fill(&self, bits: u32) -> Vec<Instruction> {
-        self.thread_ranges()
-            .into_iter()
-            .map(|target| Instruction::Write {
-                reg: self.reg(),
-                value: bits,
-                target,
-            })
-            .collect()
     }
 
     /// The write instructions that store one raw word per element, in
@@ -378,8 +352,11 @@ impl Tensor {
 
     /// Broadcast-writes `bits` to every element. The ranges go out as one
     /// batch so sharded devices fill all chips concurrently.
-    pub(crate) fn fill_raw(&self, bits: u32) -> Result<()> {
-        self.device().exec_batch(&self.plan_fill(bits))
+    fn fill_raw(&self, bits: u32) -> Result<()> {
+        self.device().step(|p| {
+            p.fill(self, bits);
+            Ok(())
+        })
     }
 
     /// Writes the whole view from an iterator of raw words (exactly one
@@ -478,7 +455,12 @@ impl Tensor {
         Ok(self.to_raw_vec()?.into_iter().map(|v| v as i32).collect())
     }
 
-    pub(crate) fn expect_dtype(&self, dtype: DType) -> Result<()> {
+    /// Checks that the tensor holds `dtype`.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CoreError::DTypeMismatch`] otherwise.
+    pub fn expect_dtype(&self, dtype: DType) -> Result<()> {
         if self.dtype == dtype {
             Ok(())
         } else {

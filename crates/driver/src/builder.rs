@@ -374,6 +374,8 @@ impl<'c> CircuitBuilder<'c> {
     /// Panics if `c` is not a live scratch cell (double free or foreign
     /// address) — these are driver bugs, not runtime conditions.
     pub fn release(&mut self, c: ColAddr) {
+        // Cannot fire: routine bodies release only cells this builder
+        // handed out, and `routines::tests` compiles every body.
         let i = self
             .scratch_index(c)
             .expect("release of a non-scratch cell");
@@ -438,6 +440,8 @@ impl<'c> CircuitBuilder<'c> {
     ///
     /// Panics if `reg` is not a reserved scratch register.
     pub fn release_reg(&mut self, reg: RegId) {
+        // Cannot fire: routine bodies release only registers `alloc_reg`
+        // returned, and `routines::tests` compiles every body.
         let i = (reg as usize)
             .checked_sub(self.cfg.user_regs)
             .filter(|&i| i < self.reserved.len())

@@ -14,7 +14,7 @@
 
 use pim_isa::{DType, Instruction, RegOp};
 use pim_serve::ClusterClient;
-use pypim_core::{plan_copy, Result, Tensor};
+use pypim_core::{Result, Tensor};
 
 /// Which kind of request a traffic class issues. The shapes stress
 /// different parts of the stack: pure element-parallel work, fused
@@ -67,17 +67,14 @@ impl Template {
     /// Fails on allocation/planning errors (e.g. a session window too
     /// small for the shape's tensors).
     pub fn build(client: &ClusterClient, shape: RequestShape, elems: usize) -> Result<Template> {
-        let dev = client.device();
         match shape {
             RequestShape::Elementwise => {
-                let x = dev.uninit(elems, DType::Int32)?;
-                let y = dev.uninit(elems, DType::Int32)?;
-                let mut instrs = x.plan_fill(3);
-                instrs.extend(y.plan_fill(4));
-                let (out, add) = x.plan_binary(RegOp::Add, &y)?;
-                instrs.extend(add);
+                let mut plan = client.plan();
+                let x = plan.full_i32(elems, 3)?;
+                let y = plan.full_i32(elems, 4)?;
+                let out = plan.add(&x, &y)?;
                 Ok(Template {
-                    instrs,
+                    instrs: plan.into_instrs(),
                     _live: vec![x, y, out],
                 })
             }
@@ -107,17 +104,16 @@ impl Template {
                 // crosses partitions. Layouts with no planned move for
                 // the copy fall back to fill-only (still a valid, lighter
                 // request; the class name keeps reports honest).
-                let t = dev.uninit(elems * 2, DType::Int32)?;
+                let t = client.device().uninit(elems * 2, DType::Int32)?;
                 let lo = t.slice(0, elems)?;
                 let hi = t.slice(elems, elems * 2)?;
-                let mut instrs = lo.plan_fill(9);
-                if let Some(mv) = plan_copy(&lo, &hi)? {
-                    instrs.extend(mv);
-                } else {
-                    instrs.extend(hi.plan_fill(9));
+                let mut plan = client.plan();
+                plan.fill(&lo, 9);
+                if !plan.copy(&lo, &hi)? {
+                    plan.fill(&hi, 9);
                 }
                 Ok(Template {
-                    instrs,
+                    instrs: plan.into_instrs(),
                     _live: vec![t],
                 })
             }

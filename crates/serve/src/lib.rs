@@ -26,10 +26,11 @@
 //! Results are **bit-identical** to serving every client sequentially
 //! through the synchronous tensor API: sessions touch disjoint stripes
 //! (their instructions commute), each session awaits its steps in program
-//! order, and request plans replay the exact synchronous instruction plans
-//! (`tests/serve_contract.rs`).
+//! order, and request plans are the blocking ops' own lowering,
+//! [`pypim_core::Plan`] (`tests/serve_contract.rs`).
 //!
-//! A [`RequestPlan`] is the one op vocabulary: [`ClusterClient::step`]
+//! A [`RequestPlan`] — that plan bound to a session — is the one op
+//! vocabulary: [`ClusterClient::step`]
 //! runs one op as a one-step plan (as below), and a plan built with
 //! [`ClusterClient::plan`] fuses a whole request — uploads,
 //! element-parallel ops, every reduction level — into **one** submission

@@ -5,16 +5,14 @@
 //! host to wait or read — running a batch or a plan, reads, the copy
 //! fallback, and reductions.
 //!
-//! The plans are the synchronous tensor library's (uploads are
-//! per-element stores, elementwise ops are the same R-type plans,
-//! reductions run the same compact-then-halve loop), so a request served
-//! through the gateway produces **bit-identical** results to the same
-//! program run synchronously — `tests/serve_contract.rs` holds the stack to
-//! that.
+//! The plans are [`pypim_core::Plan`]s, the lowering the blocking tensor
+//! ops run too, so a request served through the gateway produces
+//! **bit-identical** results to the same program run synchronously —
+//! `tests/serve_contract.rs` holds the stack to that.
 
 use crate::gateway::GatewayInner;
 use pim_isa::{DType, Instruction, RegOp};
-use pypim_core::{plan_copy, CoreError, Device, PlacementHint, Result, Tensor};
+use pypim_core::{plan_copy, Device, PlacementHint, Result, Tensor};
 use std::sync::Arc;
 
 /// One client's session on the serving gateway.
@@ -116,8 +114,8 @@ impl ClusterClient {
     }
 
     /// Copies `src` into `dst` (same length, any layouts): the planned move
-    /// fast paths when one exists, a read-modify-write fallback otherwise —
-    /// value-identical to the synchronous [`pypim_core::copy`].
+    /// when one exists, else a read-back and the stores of its values — the
+    /// instructions of the blocking [`pypim_core::copy`], in its order.
     ///
     /// # Errors
     ///
@@ -132,14 +130,11 @@ impl ClusterClient {
         }
     }
 
-    /// Logarithmic-time reduction with `op` (`Add` or `Mul`) — the same
-    /// compact-then-halve loop as the synchronous
-    /// [`Tensor::reduce_raw`](pypim_core::Tensor), so the combine order
-    /// (and therefore every float rounding) is identical. One run carries
-    /// the padded compaction and every halving level; a layout whose
-    /// compaction has no move plan (a strided view such as `t.even()`) is
-    /// compacted through [`copy`](ClusterClient::copy) first, after the
-    /// pad fill has run.
+    /// Logarithmic-time reduction with `op` (`Add` or `Mul`): one run of
+    /// [`Plan::reduce`](pypim_core::Plan::reduce), except that a layout
+    /// whose compaction has no move plan (`t.even()`) is compacted through
+    /// [`copy`](ClusterClient::copy) once the pad fill has run — as the
+    /// blocking `Tensor::reduce_raw` does.
     ///
     /// # Errors
     ///
@@ -148,11 +143,12 @@ impl ClusterClient {
         let mut plan = self.plan();
         let c = plan.padded(t, op)?;
         let prefix = c.slice(0, t.len())?;
-        if !plan.try_copy(t, &prefix)? {
-            self.exec(std::mem::take(&mut plan.instrs)).await?;
+        if !plan.copy(t, &prefix)? {
+            plan.run().await?;
             self.copy(t, &prefix).await?;
+            plan = self.plan();
         }
-        let out = plan.halve(c, op)?;
+        let out = plan.halve(c, |p, lo, hi| p.binary(op, lo, hi))?;
         plan.run().await?;
         Ok(self.read_locs(&out.element_locs()).await?[0])
     }
@@ -163,11 +159,7 @@ impl ClusterClient {
     ///
     /// Fails for non-float tensors or on reduction errors.
     pub async fn sum_f32(&self, t: &Tensor) -> Result<f32> {
-        if t.dtype() != DType::Float32 {
-            return Err(CoreError::DTypeMismatch {
-                what: format!("expected float32, tensor holds {}", t.dtype()),
-            });
-        }
+        t.expect_dtype(DType::Float32)?;
         Ok(f32::from_bits(self.reduce_raw(t, RegOp::Add).await?))
     }
 
@@ -177,11 +169,7 @@ impl ClusterClient {
     ///
     /// Fails for non-int tensors or on reduction errors.
     pub async fn sum_i32(&self, t: &Tensor) -> Result<i32> {
-        if t.dtype() != DType::Int32 {
-            return Err(CoreError::DTypeMismatch {
-                what: format!("expected int32, tensor holds {}", t.dtype()),
-            });
-        }
+        t.expect_dtype(DType::Int32)?;
         Ok(self.reduce_raw(t, RegOp::Add).await? as i32)
     }
 
@@ -191,11 +179,7 @@ impl ClusterClient {
     ///
     /// Fails for non-float tensors or on read errors.
     pub async fn to_vec_f32(&self, t: &Tensor) -> Result<Vec<f32>> {
-        if t.dtype() != DType::Float32 {
-            return Err(CoreError::DTypeMismatch {
-                what: format!("expected float32, tensor holds {}", t.dtype()),
-            });
-        }
+        t.expect_dtype(DType::Float32)?;
         let bits = self.read_locs(&t.element_locs()).await?;
         Ok(bits.into_iter().map(f32::from_bits).collect())
     }
@@ -206,11 +190,7 @@ impl ClusterClient {
     ///
     /// Fails for non-int tensors or on read errors.
     pub async fn to_vec_i32(&self, t: &Tensor) -> Result<Vec<i32>> {
-        if t.dtype() != DType::Int32 {
-            return Err(CoreError::DTypeMismatch {
-                what: format!("expected int32, tensor holds {}", t.dtype()),
-            });
-        }
+        t.expect_dtype(DType::Int32)?;
         let bits = self.read_locs(&t.element_locs()).await?;
         Ok(bits.into_iter().map(|b| b as i32).collect())
     }

@@ -7,7 +7,9 @@ use futures::executor::block_on;
 use futures::future::join_all;
 use proptest::prelude::*;
 use pypim::serve::ClusterClient;
-use pypim::{Device, DeviceServeExt, PimConfig, PlacementHint, RegOp, Result, ServeConfig, Tensor};
+use pypim::{
+    DType, Device, DeviceServeExt, PimConfig, PlacementHint, RegOp, Result, ServeConfig, Tensor,
+};
 
 const SHARDS: usize = 4;
 
@@ -170,7 +172,7 @@ fn bits(v: Vec<f32>) -> Vec<u32> {
 
 #[test]
 fn gateway_handles_misaligned_operands_like_sync() {
-    // Views force the alignment move, planned inside `RequestPlan::binary`;
+    // Views force the alignment move, planned inside `Plan::binary`;
     // the element-wise result and its sum must match the sync path
     // bit-for-bit.
     let gateway = cluster_dev().serve(ServeConfig::default());
@@ -369,5 +371,134 @@ proptest! {
                 }
             }
         }
+    }
+}
+
+/// A program of the blocking-versus-session cost check below.
+#[derive(Clone, Copy, Debug)]
+enum Program {
+    /// `a op b` on dense operands of one dtype.
+    Binary(RegOp, DType),
+    /// `-a` (float).
+    Neg,
+    /// `a + b[3..]`: the right-hand side sits three threads off `a`, and a
+    /// move plan aligns it.
+    Shifted,
+    /// The whole reduction of dense `a` with `op` (float).
+    Reduce(RegOp),
+    /// `sum(a[::2])`: no move plan compacts the view, so both paths copy
+    /// it through the host.
+    EvenSum,
+}
+
+/// Elements per operand: three warps and a partial fourth.
+const ELEMS: usize = 200;
+
+impl Program {
+    fn dtype(self) -> DType {
+        match self {
+            Program::Binary(_, dtype) => dtype,
+            _ => DType::Float32,
+        }
+    }
+
+    /// Raw words of operand `salt` (`ELEMS + 3` of them, for the shift).
+    fn words(self, salt: usize) -> Vec<u32> {
+        (0..ELEMS + 3)
+            .map(|i| match self.dtype() {
+                DType::Int32 => ((i * 37 + salt * 11) % 97) as u32,
+                DType::Float32 => (0.3 + (i + salt * 7) as f32 * 0.17).to_bits(),
+            })
+            .collect()
+    }
+
+    fn run_blocking(self, dev: &Device) -> Result<Vec<u32>> {
+        let [a, b] = [1, 2].map(|salt| {
+            let words = self.words(salt);
+            match self.dtype() {
+                DType::Int32 => {
+                    dev.from_slice_i32(&words.iter().map(|&w| w as i32).collect::<Vec<_>>())
+                }
+                DType::Float32 => {
+                    dev.from_slice_f32(&words.into_iter().map(f32::from_bits).collect::<Vec<_>>())
+                }
+            }
+        });
+        let (a, b) = (a?.slice(0, ELEMS)?, b?);
+        dev.reset_counters()?;
+        let out = match self {
+            Program::Binary(op, _) => a.binary(op, &b.slice(0, ELEMS)?)?,
+            Program::Neg => (-&a)?,
+            Program::Shifted => (&a + &b.slice(3, ELEMS + 3)?)?,
+            Program::Reduce(op) => return Ok(vec![a.reduce_raw(op)?]),
+            Program::EvenSum => return Ok(vec![a.even()?.reduce_raw(RegOp::Add)?]),
+        };
+        out.to_raw_vec()
+    }
+
+    async fn run_session(self, client: &ClusterClient) -> Result<Vec<u32>> {
+        let mut upload = client.plan();
+        let [a, b] = [1, 2].map(|salt| {
+            let words = self.words(salt);
+            match self.dtype() {
+                DType::Int32 => {
+                    upload.upload_i32(&words.iter().map(|&w| w as i32).collect::<Vec<_>>())
+                }
+                DType::Float32 => {
+                    upload.upload_f32(&words.into_iter().map(f32::from_bits).collect::<Vec<_>>())
+                }
+            }
+        });
+        let (a, b) = (a?.slice(0, ELEMS)?, b?);
+        upload.run().await?;
+        client.device().reset_counters()?;
+        let out = match self {
+            Program::Binary(op, _) => {
+                client
+                    .step(|p| p.binary(op, &a, &b.slice(0, ELEMS)?))
+                    .await?
+            }
+            Program::Neg => client.step(|p| p.unary(RegOp::Neg, &a)).await?,
+            Program::Shifted => client.step(|p| p.add(&a, &b.slice(3, ELEMS + 3)?)).await?,
+            Program::Reduce(op) => return Ok(vec![client.reduce_raw(&a, op).await?]),
+            Program::EvenSum => return Ok(vec![client.reduce_raw(&a.even()?, RegOp::Add).await?]),
+        };
+        client.read_locs(&out.element_locs()).await
+    }
+}
+
+#[test]
+fn blocking_ops_and_session_plans_cost_the_same() {
+    // Each program runs on two fresh chips: through the blocking API, and
+    // through one gateway session whose window covers the whole chip (as
+    // pimbench plans its programs' instruction streams). Both lower through
+    // one `Plan`, so results, issued cycles and modeled cycles match.
+    let cfg = PimConfig::small().with_crossbars(4);
+    let mut programs = vec![Program::Neg, Program::Shifted, Program::EvenSum];
+    for dtype in [DType::Int32, DType::Float32] {
+        for op in [RegOp::Add, RegOp::Mul, RegOp::Lt] {
+            programs.push(Program::Binary(op, dtype));
+        }
+    }
+    programs.extend([Program::Reduce(RegOp::Add), Program::Reduce(RegOp::Mul)]);
+    let cost = |dev: &Device| (dev.issued().unwrap(), dev.profiler().unwrap().cycles);
+    for program in programs {
+        let dev = Device::new(cfg.clone()).unwrap();
+        let want = program.run_blocking(&dev).unwrap();
+        let want_cost = cost(&dev);
+
+        let gateway = Device::new(cfg.clone()).unwrap().serve(ServeConfig {
+            session_warps: cfg.crossbars as u32,
+            ..ServeConfig::default()
+        });
+        let client = gateway.session().unwrap();
+        let got = block_on(program.run_session(&client)).unwrap();
+        assert_eq!(got, want, "{program:?}: result bits");
+        assert_eq!(
+            cost(gateway.device()),
+            want_cost,
+            "{program:?}: issued, cycles"
+        );
+        assert!(want_cost.1 > 0, "{program:?} ran nothing");
     }
 }
