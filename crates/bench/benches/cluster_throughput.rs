@@ -1,7 +1,7 @@
 //! Sharded-cluster element throughput: the same element-parallel workload
 //! on 1, 2, and 4 chips. Per-shard geometry is fixed, so the tensor grows
-//! with the shard count — ideal scaling is constant wall time per
-//! invocation, i.e. element-throughput proportional to the shard count.
+//! with the shard count. Every shard's job runs on the calling thread, so
+//! host time grows with it too; the chips overlap on the modeled clock.
 //!
 //! Besides the criterion groups, the bench prints an explicit 4-vs-1 shard
 //! scaling summary with per-shard issued-cycle and routine-cache telemetry
@@ -54,15 +54,11 @@ fn bench_cluster(c: &mut Criterion) {
 /// Manual 4-vs-1 shard measurement with telemetry, printed after the
 /// criterion groups.
 ///
-/// Shard workers are OS threads, so the achievable element-throughput
-/// speedup is `min(shards, host cores)`: a 4-shard cluster needs 4 cores
-/// to show its ~4x; on fewer cores the workers time-slice and the ratio
-/// degrades toward 1x (with only per-shard queueing overhead on top).
+/// The shards' jobs run one after another on the calling thread, so host
+/// element-throughput stays near 1x across shard counts: the ratio is
+/// what the sharding layer costs. The chips' parallelism shows in the
+/// per-shard chip cycles, on the modeled clock.
 fn scaling_summary() {
-    let cores = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    println!("\nhost parallelism: {cores} core(s); ideal 4-shard speedup = min(4, cores)");
     let reps = 20;
     let mut rates = Vec::new();
     for shards in [1usize, 4] {
@@ -101,19 +97,8 @@ fn scaling_summary() {
             }
         }
     }
-    let speedup = rates[1] / rates[0];
-    println!("\n== element-throughput scaling, 4 shards vs 1: {speedup:.2}x ==");
-    if cores < 4 {
-        // 4 workers time-slicing on `cores` core(s): the interesting
-        // number is how little the sharding layer costs, not the speedup.
-        println!(
-            "   ({cores}-core host serializes the shard workers; \
-             sharding overhead vs perfect time-slicing: {:.1}%)\n",
-            (1.0 / speedup.max(f64::EPSILON) - 1.0).max(0.0) * 100.0 / 4.0
-        );
-    } else {
-        println!();
-    }
+    let ratio = rates[1] / rates[0];
+    println!("\n== host element-throughput, 4 shards vs 1: {ratio:.2}x ==\n");
 }
 
 /// Cross-shard move staging: a 32-warp chip-crossing `MoveWarps`, staged as
@@ -141,8 +126,8 @@ fn bench_move_cross(c: &mut Criterion) {
 
 /// Dependency-aware drain: a mixed batch interleaving heavy element work on
 /// shards 2/3 with chip-crossing moves between shards 0/1. Only the touched
-/// shards (0, 1) drain at each crossing move — shards 2/3 stream their
-/// queued work concurrently with the transfers.
+/// shards (0, 1) drain at each crossing move — shards 2/3 are launched, and
+/// their results checked only when the batch ends.
 fn bench_move_mixed(c: &mut Criterion) {
     const SEGMENTS: u64 = 6;
     let rows = RangeMask::dense(0, 8).unwrap();
@@ -173,9 +158,7 @@ fn bench_move_mixed(c: &mut Criterion) {
     });
     group.finish();
     // The scheduler telemetry behind the row: how many shard queues the
-    // crossing-move barriers drained. The transfer/compute overlap itself
-    // only shows in wall time when the host has spare cores for the
-    // untouched shards' workers; the counters read the same on any host.
+    // crossing-move barriers drained.
     let cluster = PimCluster::new(shard_cfg(), 4).unwrap();
     cluster.execute_batch(&batch).unwrap();
     let t = cluster.stats().unwrap().traffic;

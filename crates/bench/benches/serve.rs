@@ -1,18 +1,16 @@
 //! Serving-gateway throughput: the same multi-client request workload
-//! driven (a) concurrently through the `pim-serve` gateway — one host
-//! thread, every session in flight at once, each fused request pipeline in
-//! its own chip-local placement window — and (b) sequentially, one request
-//! at a time through the blocking tensor API.
+//! driven (a) through the `pim-serve` gateway — one host thread, every
+//! session's requests interleaved, each fused request pipeline in its own
+//! chip-local placement window — and (b) sequentially, one request at a
+//! time through the blocking tensor API.
 //!
 //! The headline numbers are **modeled-clock** (`PimConfig::clock_hz`,
 //! 300 MHz): requests/s against the cluster's modeled end-to-end latency
 //! (`ClusterStats::modeled_latency_cycles` — the busiest chip plus link
-//! cycles). Under the model the chips genuinely run in parallel, so
-//! concurrent chip-local sessions finish in ~1/shards the cycles of a
-//! sequential client that drives one chip at a time; the wall-clock groups
-//! (`wall_*`) track host overhead and show real speedups only on hosts
-//! with enough cores to run the shard workers concurrently (see the
-//! cluster bench's scaling note).
+//! cycles). Under the model the chips run in parallel, so interleaved
+//! chip-local sessions finish in ~1/shards the cycles of a sequential
+//! client that drives one chip at a time; the wall-clock groups (`wall_*`)
+//! track host overhead (every shard job runs on the calling thread).
 //!
 //! Per-request modeled latency percentiles (p50/p99) model all requests
 //! arriving at once: request `j` of the `R` hosted on a chip whose run
@@ -23,11 +21,12 @@
 //! every latency entry now has real tail fields, not a collapsed point.
 //!
 //! The `degraded_crash` group reruns the gateway workload under a
-//! deterministic 1-shard-crash fault schedule (`pim-fault`): shard 0's
-//! worker is killed mid-stream after one request has committed, respawned
-//! from checkpoint+journal (the replayed suffix is charged to the shard's
+//! deterministic 1-shard-crash fault schedule (`pim-fault`): shard 0
+//! crashes mid-stream after one request has committed, is revived from
+//! checkpoint+journal (the replayed suffix is charged to the shard's
 //! modeled clock), and the gateway's retry machinery re-submits the
-//! failed batches. Its modeled requests/s against the fault-free
+//! failed batches. Every row but `wall_*` is a function of the code: two
+//! runs agree on every modeled value. Its modeled requests/s against the fault-free
 //! `gateway` row quantifies the throughput cost of one crash-and-recover
 //! cycle.
 
@@ -81,7 +80,7 @@ fn request_sync(dev: &Device, values: &[f32]) -> Result<f32> {
     z.sum_f32()
 }
 
-/// Serves `sessions x REQUESTS_PER_SESSION` requests concurrently through
+/// Serves `sessions x REQUESTS_PER_SESSION` requests, interleaved, through
 /// the gateway.
 fn run_gateway(clients: &[ClusterClient], elems: usize) {
     block_on(join_all(clients.iter().enumerate().map(
@@ -159,7 +158,7 @@ fn bench_serve(c: &mut Criterion) {
         let elems = session_warps as usize * dev.config().rows;
         let requests = (sessions * REQUESTS_PER_SESSION) as u64;
 
-        // --- Concurrent serving through the gateway (fused pipelines,
+        // --- Interleaved serving through the gateway (fused pipelines,
         //     chip-local session windows).
         let gateway = dev.serve(ServeConfig {
             session_warps,
@@ -182,11 +181,11 @@ fn bench_serve(c: &mut Criterion) {
         let seq_modeled_s = seq_stats.modeled_latency_cycles() as f64 / clock_hz;
 
         // --- Degraded mode: the identical gateway workload under a
-        //     deterministic 1-shard-crash schedule — shard 0's worker dies
-        //     on its third job (the second request's fused exec batch, a
+        //     deterministic 1-shard-crash schedule — shard 0 crashes on its
+        //     third job (the second request's fused exec batch, a
         //     retryable gateway submission; by then the first request has
-        //     committed, so the respawn replays a real journal suffix),
-        //     the supervisor rebuilds it from checkpoint+journal, and the
+        //     committed, so the revival replays a real journal suffix),
+        //     its next job rebuilds it from checkpoint+journal, and the
         //     gateway retries the failed batches. The gap to the
         //     fault-free `gateway` row is the recovery tax — the replayed
         //     span is charged to the shard's modeled clock.
@@ -237,7 +236,8 @@ fn bench_serve(c: &mut Criterion) {
             Some(Throughput::Elements(requests)),
         );
 
-        // Modeled per-request latency percentiles under full concurrency.
+        // Modeled per-request latency percentiles, every request arriving
+        // at once.
         // Map each session to the chip hosting its window, count requests
         // per chip, then spread each chip's cycles over its requests.
         let mut hosted = [0usize; SHARDS];
@@ -304,8 +304,8 @@ fn bench_serve(c: &mut Criterion) {
             None,
         );
 
-        // --- Wall-clock trajectory (host-bound; shard workers need real
-        //     cores to overlap — see the module docs).
+        // --- Wall-clock trajectory (host-bound: every shard job runs on
+        //     this thread).
         group.throughput(Throughput::Elements(requests));
         group.bench_with_input(
             BenchmarkId::new("wall_gateway", format!("{sessions}-sessions")),

@@ -15,8 +15,9 @@
 //!   regressions are actionable (tolerance 2.0, i.e. 3× worse fails);
 //! * `open_loop_*` rows come from seeded modeled-clock sweeps whose knee
 //!   detection quantizes to the swept factors (tolerance 0.4);
-//! * remaining `serve` rows are modeled-clock with mild scheduling
-//!   nondeterminism from the threaded cluster (tolerance 0.2).
+//! * remaining `serve` rows are modeled-clock (tolerance 0.2; they are
+//!   exact run to run, but a deliberate modeled move has no way yet to
+//!   declare itself to this gate).
 //!
 //! New rows in the fresh report pass (they have no baseline yet); rows
 //! *missing* from the fresh report fail — a silently vanished benchmark

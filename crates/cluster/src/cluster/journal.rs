@@ -1,19 +1,18 @@
 //! Crash recovery: each shard's checkpoint + bounded replay journal, and
-//! the supervisor that rebuilds a dead shard from them.
+//! the revival that rebuilds a dead shard from them.
 
-use super::{PimCluster, WorkerSlot};
+use super::PimCluster;
 use crate::ClusterError;
 use pim_arch::{Backend, MicroOp};
 use pim_driver::{Driver, IssuedCycles, ParallelismMode, RoutineCache};
 use pim_isa::Instruction;
 use pim_sim::{PimSimulator, SimSnapshot};
 use std::sync::atomic::Ordering;
-use std::sync::Arc;
 
-/// Shard crash-recovery policy: whether the supervisor respawns dead
-/// workers, and how often each worker checkpoints its simulator state.
+/// Shard crash-recovery policy: whether a crashed shard is revived, and
+/// how often each shard checkpoints its simulator state.
 ///
-/// Between checkpoints the worker keeps a bounded journal of executed
+/// Between checkpoints each shard keeps a bounded journal of executed
 /// jobs; recovery restores the last backend snapshot ([`SimSnapshot`])
 /// and replays the journal suffix, so a crash costs bounded replay
 /// latency instead of a dead cluster. Checkpointing is host-side only — it
@@ -21,10 +20,9 @@ use std::sync::Arc;
 /// with recovery on or off.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RecoveryConfig {
-    /// Respawn crashed workers on the next submission (on by default).
-    /// When off, a dead worker leaves the shard permanently
-    /// [`Disconnected`](ClusterError::Disconnected) — the pre-supervision
-    /// behavior.
+    /// Revive a crashed shard on its next job (on by default). When off,
+    /// a crash leaves the shard permanently
+    /// [`Disconnected`](ClusterError::Disconnected).
     pub enabled: bool,
     /// Take a fresh checkpoint once the shard has modeled at least this
     /// many cycles since the last one.
@@ -45,8 +43,8 @@ impl Default for RecoveryConfig {
     }
 }
 
-/// One recoverable unit of shard work, recorded by the worker after it
-/// executed successfully. Replaying the journal (in order, on top of the
+/// One recoverable unit of shard work, recorded after it executed
+/// successfully. Replaying the journal (in order, on top of the
 /// checkpoint snapshot) reproduces the shard state at crash time.
 pub(super) enum JournalEntry {
     /// Macro instructions of one executed job (read results are
@@ -57,7 +55,7 @@ pub(super) enum JournalEntry {
     Control(Control),
 }
 
-/// A control operation on one shard's driver. The live worker and journal
+/// A control operation on one shard's driver. The live shard and journal
 /// replay apply it through the same function, so a recovered shard cannot
 /// drift from one that never crashed.
 #[derive(Debug, Clone, Copy)]
@@ -83,9 +81,8 @@ impl Control {
     }
 }
 
-/// A shard's checkpoint + bounded replay log, shared between the worker
-/// (which appends and periodically re-checkpoints) and the supervisor
-/// (which restores from it on revival).
+/// A shard's checkpoint + bounded replay log: its jobs append and
+/// periodically re-checkpoint, and revival restores from it.
 pub(super) struct ShardJournal {
     snapshot: SimSnapshot,
     issued: IssuedCycles,
@@ -181,41 +178,34 @@ impl ShardJournal {
 }
 
 impl PimCluster {
-    /// Brings a dead shard back: reaps the old thread (if it had one),
-    /// rebuilds the shard simulator from the journal's checkpoint, replays
-    /// the journal suffix, re-checkpoints, and puts the rebuilt driver back
-    /// on the cluster's transport ([`PimCluster::boot`]) — a fresh worker
-    /// thread, or the slot itself. Called with the shard's slot lock held.
+    /// Brings a dead shard back: rebuilds its simulator from the journal's
+    /// checkpoint, replays the journal suffix, re-checkpoints, and returns
+    /// the rebuilt driver for the shard's slot. Called with the shard's
+    /// slot lock held.
     ///
     /// # Errors
     ///
     /// [`Disconnected`](ClusterError::Disconnected) when recovery is
-    /// disabled; [`RecoveryFailed`](ClusterError::RecoveryFailed) when
-    /// replay fails or the OS refuses a thread (the shard stays down).
-    pub(super) fn revive(&self, slot: &mut WorkerSlot, shard: usize) -> Result<(), ClusterError> {
-        slot.tx = None;
-        slot.reap();
-        let journal = match &self.journals[shard] {
-            Some(j) if self.recovery.enabled => Arc::clone(j),
-            _ => return Err(ClusterError::Disconnected { shard }),
-        };
+    /// disabled (no journal); [`RecoveryFailed`](ClusterError::RecoveryFailed)
+    /// when replay fails (the shard stays down).
+    pub(super) fn revive(
+        &self,
+        journal: Option<&mut ShardJournal>,
+        shard: usize,
+    ) -> Result<Driver<PimSimulator>, ClusterError> {
+        let journal = journal.ok_or(ClusterError::Disconnected { shard })?;
         let failed = |reason: String| ClusterError::RecoveryFailed { shard, reason };
         let backend =
             PimSimulator::new(self.shard_cfg.clone()).map_err(|e| failed(e.to_string()))?;
-        let mut driver = {
-            let mut j = journal.lock().unwrap_or_else(|e| e.into_inner());
-            let (driver, replayed) = j
-                .replay(backend, self.mode, self.shared_cache.share())
-                .map_err(failed)?;
-            self.replayed.fetch_add(replayed, Ordering::Relaxed);
-            // Fold the replayed suffix into a fresh checkpoint so a second
-            // crash never replays the same work twice.
-            j.checkpoint(&driver);
-            driver
-        };
+        let (mut driver, replayed) = journal
+            .replay(backend, self.mode, self.shared_cache.share())
+            .map_err(failed)?;
+        self.replayed.fetch_add(replayed, Ordering::Relaxed);
+        // Fold the replayed suffix into a fresh checkpoint so a second
+        // crash never replays the same work twice.
+        journal.checkpoint(&driver);
         driver.invalidate_masks();
-        *slot = self.boot(shard, driver)?;
         self.restarts.fetch_add(1, Ordering::Relaxed);
-        Ok(())
+        Ok(driver)
     }
 }

@@ -3,8 +3,6 @@
 //! moves, barrier, transfer, launch — plus the host-staged transfer itself
 //! and the bulk gather/scatter it is built from.
 
-use super::tickets::{Completion, GatherTicket, JobSet, JobTicket};
-use super::worker::Job;
 use super::PimCluster;
 use crate::coalesce::{CrossingMove, MoveCoalescer};
 use crate::sched::BatchScheduler;
@@ -52,9 +50,28 @@ impl GlobalWrite {
     }
 }
 
+/// The outcome of one submission ([`PimCluster::submit_batch`]): every
+/// shard job it launched ran before the call returned, and
+/// [`wait`](JobSet::wait) reports the first error among them, in launch
+/// order.
+#[derive(Debug)]
+#[must_use = "a submission's shard errors surface only through `wait`"]
+pub struct JobSet(pub(crate) Result<(), ClusterError>);
+
+impl JobSet {
+    /// The submission's outcome.
+    ///
+    /// # Errors
+    ///
+    /// Returns the first shard error.
+    pub fn wait(self) -> Result<(), ClusterError> {
+        self.0
+    }
+}
+
 /// One client batch tagged with the request it belongs to — the unit the
 /// serving gateway submits through [`PimCluster::submit_batch_tagged`] so
-/// shard workers can attribute their modeled cycles to the request.
+/// shard jobs can attribute their modeled cycles to the request.
 #[derive(Debug, Clone)]
 pub struct TaggedBatch {
     /// The request this batch executes for ([`RequestId::UNTAGGED`] for
@@ -81,37 +98,6 @@ fn rebased(instr: &Instruction, warps: RangeMask) -> Instruction {
 }
 
 impl PimCluster {
-    /// Submits a batch of *local* (shard-addressed) macro-instructions to
-    /// one shard and returns immediately; many submissions to different
-    /// shards (or the same shard) proceed concurrently.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ClusterError::ShardIndex`] or
-    /// [`ClusterError::Disconnected`]; execution errors surface from
-    /// [`JobTicket::wait`].
-    pub fn submit(
-        &self,
-        shard: usize,
-        instrs: Vec<Instruction>,
-    ) -> Result<JobTicket, ClusterError> {
-        self.submit_segments(shard, vec![(RequestId::UNTAGGED, instrs)])
-    }
-
-    /// Submits one shard job of per-request instruction segments (a
-    /// coalesced gateway group carries several requests in one job); each
-    /// segment's execution span and modeled cycles record against its
-    /// request when telemetry is enabled.
-    pub(crate) fn submit_segments(
-        &self,
-        shard: usize,
-        segments: Vec<(RequestId, Vec<Instruction>)>,
-    ) -> Result<JobTicket, ClusterError> {
-        let (reply, ticket) = Completion::open(shard, &self.jobs_inflight);
-        self.send(shard, Job::Macro { segments, reply })?;
-        Ok(ticket)
-    }
-
     /// Executes one *logical* macro-instruction addressed in global warp
     /// space, splitting it across the affected shards and blocking until
     /// all of them finish. Returns the value for [`Instruction::Read`].
@@ -135,8 +121,7 @@ impl PimCluster {
         }
     }
 
-    /// Executes a sequence of non-read logical instructions and blocks
-    /// until every shard finished:
+    /// Executes a sequence of non-read logical instructions:
     /// [`submit_batch`](PimCluster::submit_batch)`(instrs)?.wait()`.
     ///
     /// # Errors
@@ -147,22 +132,21 @@ impl PimCluster {
         self.submit_batch(instrs)?.wait()
     }
 
-    /// Submits a batch of non-read logical instructions *without waiting*.
-    /// Consecutive instructions accumulate into per-shard queues and one
-    /// job per involved shard goes in flight, observable through the
-    /// returned [`JobSet`]. An inter-warp move that crosses a chip
-    /// boundary is staged through the host before the call returns: it
-    /// drains only the shards it touches (source + destination warp
-    /// owners), while every untouched shard keeps streaming its queued
-    /// instructions concurrently with the transfer (the drain rule; see
-    /// the crate-level docs), and the batch that staged it has completed
-    /// when the call returns — its [`JobSet`] is already ready.
+    /// Submits a batch of non-read logical instructions. Consecutive
+    /// instructions accumulate into per-shard queues, and one job per
+    /// involved shard runs before the call returns; the returned
+    /// [`JobSet`] holds the first shard error. An inter-warp move that
+    /// crosses a chip boundary is staged through the host: it drains only
+    /// the shards it touches (source + destination warp owners), while
+    /// every untouched shard's queue is launched as a job of its own just
+    /// before the transfer (the drain rule; see the crate-level docs).
     ///
     /// # Errors
     ///
     /// Returns [`ClusterError::Protocol`] for reads (which return data and
     /// must go through [`execute`](PimCluster::execute)), plus validation
-    /// and shard errors. Nothing runs if validation fails.
+    /// errors and shards that cannot take a job. Nothing runs if
+    /// validation fails.
     pub fn submit_batch(&self, instrs: &[Instruction]) -> Result<JobSet, ClusterError> {
         self.submit_routed(std::iter::once((RequestId::UNTAGGED, instrs)))
     }
@@ -170,10 +154,11 @@ impl PimCluster {
     /// [`submit_batch`](PimCluster::submit_batch) over request-tagged
     /// batches — the serving gateway's submission path. Per-shard work
     /// keeps batch order but carries each batch's [`RequestId`] as a
-    /// worker-side segment, so execution spans and modeled cycles attribute
-    /// to the request that caused them (even inside a coalesced group), and
-    /// each batch's transfers attribute to its own request. A batch that
-    /// staged a transfer completes before the next one is routed.
+    /// segment of the shard's job, so execution spans and modeled cycles
+    /// attribute to the request that caused them (even inside a coalesced
+    /// group), and each batch's transfers attribute to its own request. A
+    /// batch that staged a transfer completes before the next one is
+    /// routed.
     ///
     /// # Errors
     ///
@@ -207,7 +192,7 @@ impl PimCluster {
     /// is enqueued, so shard-visible effects keep instruction-stream order.
     /// A run never spans two batches (each transfer attributes to its own
     /// request), and a batch that staged a transfer is drained before the
-    /// next is routed. What is still in flight at the end is the result.
+    /// next is routed. The jobs launched last hold the result.
     fn submit_routed<'a>(
         &self,
         batches: impl Iterator<Item = (RequestId, &'a [Instruction])> + Clone,
@@ -417,25 +402,14 @@ impl PimCluster {
     }
 
     /// Reads many global `(warp, row, register)` locations, one shard job
-    /// per involved shard, all in flight concurrently. Results come back in
-    /// input order.
+    /// per involved shard, in shard order. Results come back in input
+    /// order.
     ///
     /// # Errors
     ///
-    /// Returns addressing or shard errors.
+    /// Returns addressing or shard errors: the first, in shard order,
+    /// once every involved shard has run its job.
     pub fn gather(&self, locs: &[GlobalLoc]) -> Result<Vec<u32>, ClusterError> {
-        self.submit_gather(locs)?.wait()
-    }
-
-    /// Submits the per-shard read jobs of a gather *without waiting*; the
-    /// returned [`GatherTicket`] reassembles values in input order when
-    /// waited or awaited.
-    ///
-    /// # Errors
-    ///
-    /// Returns addressing or shard errors (on submission failure nothing is
-    /// partially observable — reads have no side effects).
-    pub fn submit_gather(&self, locs: &[GlobalLoc]) -> Result<GatherTicket, ClusterError> {
         let share = locs.len().div_ceil(self.shards());
         let mut per: Vec<(Vec<usize>, Vec<Instruction>)> = (0..self.shards())
             .map(|_| (Vec::with_capacity(share), Vec::with_capacity(share)))
@@ -449,31 +423,27 @@ impl PimCluster {
                 row,
             });
         }
-        let mut parts = Vec::new();
+        let mut out = vec![0u32; locs.len()];
+        let mut outcome = Ok(());
         for (shard, (indices, instrs)) in per.into_iter().enumerate() {
             if !instrs.is_empty() {
-                parts.push((indices, self.submit(shard, instrs)?));
+                let reply = self.run_segments(shard, untagged(instrs))?;
+                if outcome.is_ok() {
+                    outcome = reply.and_then(|values| place(&mut out, indices, values));
+                }
             }
         }
-        Ok(GatherTicket::new(parts, locs.len()))
+        outcome.map(|()| out)
     }
 
-    /// Writes many [`GlobalWrite`] cells, one shard job per involved shard,
-    /// all in flight concurrently.
+    /// Writes many [`GlobalWrite`] cells, one shard job per involved
+    /// shard, in shard order.
     ///
     /// # Errors
     ///
-    /// Returns addressing or shard errors.
+    /// Returns addressing or shard errors: the first, in shard order,
+    /// once every involved shard has run its job.
     pub fn scatter(&self, writes: &[GlobalWrite]) -> Result<(), ClusterError> {
-        self.submit_scatter(writes)?.wait()
-    }
-
-    /// Submits the per-shard write jobs of a scatter *without waiting*.
-    ///
-    /// # Errors
-    ///
-    /// Returns addressing or shard errors.
-    pub fn submit_scatter(&self, writes: &[GlobalWrite]) -> Result<JobSet, ClusterError> {
         // Tensors stripe evenly across chips, so an even share is the
         // likely size of each shard's job (and the exact one on one chip).
         let share = writes.len().div_ceil(self.shards());
@@ -487,12 +457,46 @@ impl PimCluster {
                 target: ThreadRange::single(self.plan.local_warp(w.warp), w.row),
             });
         }
-        let mut tickets = Vec::new();
+        let mut outcome = Ok(());
         for (shard, instrs) in per.into_iter().enumerate() {
             if !instrs.is_empty() {
-                tickets.push(self.submit(shard, instrs)?);
+                let reply = self.run_segments(shard, untagged(instrs))?;
+                if outcome.is_ok() {
+                    outcome = reply.map(drop);
+                }
             }
         }
-        Ok(JobSet::new(tickets))
+        outcome
     }
+}
+
+/// One untagged segment: a job for work outside any request.
+fn untagged(instrs: Vec<Instruction>) -> Vec<(RequestId, Vec<Instruction>)> {
+    vec![(RequestId::UNTAGGED, instrs)]
+}
+
+/// Deposits one shard's read values at their input positions. A shard
+/// that came back short or with holes is a typed
+/// [`Protocol`](ClusterError::Protocol) error for the caller, never a
+/// panic.
+fn place(
+    out: &mut [u32],
+    indices: Vec<usize>,
+    values: Vec<Option<u32>>,
+) -> Result<(), ClusterError> {
+    if values.len() != indices.len() {
+        return Err(ClusterError::Protocol {
+            reason: format!(
+                "gather returned {} values for {} reads",
+                values.len(),
+                indices.len()
+            ),
+        });
+    }
+    for (i, v) in indices.into_iter().zip(values) {
+        out[i] = v.ok_or_else(|| ClusterError::Protocol {
+            reason: "gather read returned no value".into(),
+        })?;
+    }
+    Ok(())
 }

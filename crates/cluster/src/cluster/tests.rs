@@ -1,11 +1,8 @@
 use super::*;
 use crate::TrafficStats;
 use crate::{FaultPlan, FaultProfile};
-use pim_arch::RangeMask;
+use pim_arch::{MicroOp, RangeMask};
 use pim_isa::{DType, Instruction, RegOp, ThreadRange};
-use std::future::Future;
-use std::pin::Pin;
-use std::task::{Context, Poll};
 
 /// 4 chips x 4 crossbars x 64 rows.
 fn cluster4() -> PimCluster {
@@ -166,32 +163,6 @@ fn partially_crossing_move_splits_at_boundary() {
 }
 
 #[test]
-fn submit_streams_concurrently() {
-    let c = cluster4();
-    // One pending batch per shard before any wait.
-    let tickets: Vec<JobTicket> = (0..4)
-        .map(|s| {
-            c.submit(
-                s,
-                vec![Instruction::Write {
-                    reg: 0,
-                    value: s as u32,
-                    target: ThreadRange::single(0, 0),
-                }],
-            )
-            .unwrap()
-        })
-        .collect();
-    for t in tickets {
-        t.wait().unwrap();
-    }
-    let vals = c
-        .gather(&[(0, 0, 0), (4, 0, 0), (8, 0, 0), (12, 0, 0)])
-        .unwrap();
-    assert_eq!(vals, vec![0, 1, 2, 3]);
-}
-
-#[test]
 fn micro_batch_rejects_reads_on_shard_path() {
     // The Backend::execute_batch protocol holds through the cluster.
     let c = cluster4();
@@ -208,7 +179,7 @@ fn micro_batch_rejects_reads_on_shard_path() {
 }
 
 /// Every chip that serves checks the stateful-logic discipline, whatever
-/// label its options carry and whichever transport runs it: a raw batch
+/// label its options carry: a raw batch
 /// that fires a `NOR` onto cells no `INIT1` armed is refused with the
 /// bare simulator's typed error — fatal, so nothing retries and nothing is
 /// revived — the gate having changed no cell. The journal takes a
@@ -231,7 +202,6 @@ fn strict_is_enforced_on_the_chips_that_serve() {
     let clusters = [
         PimCluster::with_options(cfg.clone(), 4, options(ShardBackends::default())),
         PimCluster::with_options(cfg.clone(), 4, labelled()),
-        PimCluster::inline(cfg.clone(), 4, labelled()),
     ];
     let nor_into_2 = MicroOp::LogicH(HLogic::parallel(GateKind::Nor, 0, 1, 2, &cfg).unwrap());
     let arm_2 = MicroOp::LogicH(HLogic::init_reg(true, 2, &cfg).unwrap());
@@ -497,7 +467,7 @@ fn invalid_logical_instruction_rejected() {
         })
         .unwrap_err();
     assert!(matches!(err, ClusterError::Invalid(_)));
-    let err = c.submit(9, vec![]).unwrap_err();
+    let err = c.execute_micro_batch(9, vec![]).unwrap_err();
     assert!(matches!(
         err,
         ClusterError::ShardIndex {
@@ -533,62 +503,7 @@ fn single_shard_cluster_behaves_like_one_chip() {
 fn cluster_is_send_and_sync() {
     fn assert_send_sync<T: Send + Sync>() {}
     assert_send_sync::<PimCluster>();
-    assert_send_sync::<JobTicket>();
     assert_send_sync::<JobSet>();
-    assert_send_sync::<GatherTicket>();
-}
-
-/// Polls a future once with a flag-setting waker, returning the result
-/// if ready plus whether the waker has fired so far.
-fn poll_once<F: Future + Unpin>(
-    fut: &mut F,
-    fired: &Arc<std::sync::atomic::AtomicBool>,
-) -> Option<F::Output> {
-    struct Flag(Arc<std::sync::atomic::AtomicBool>);
-    impl std::task::Wake for Flag {
-        fn wake(self: Arc<Self>) {
-            self.0.store(true, std::sync::atomic::Ordering::SeqCst);
-        }
-    }
-    let waker = std::task::Waker::from(Arc::new(Flag(Arc::clone(fired))));
-    let mut cx = Context::from_waker(&waker);
-    match Pin::new(fut).poll(&mut cx) {
-        Poll::Ready(out) => Some(out),
-        Poll::Pending => None,
-    }
-}
-
-#[test]
-fn ticket_future_wakes_on_completion() {
-    let c = cluster4();
-    let fired = Arc::new(std::sync::atomic::AtomicBool::new(false));
-    let mut ticket = c
-        .submit(
-            1,
-            vec![Instruction::Write {
-                reg: 0,
-                value: 77,
-                target: ThreadRange::single(0, 0),
-            }],
-        )
-        .unwrap();
-    // Poll until ready; completion must fire the registered waker
-    // rather than being silently dropped (no spinning needed in real
-    // executors — this loop only tolerates the race where the job
-    // finishes before the first poll registers a waker).
-    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
-    let result = loop {
-        if let Some(r) = poll_once(&mut ticket, &fired) {
-            break r;
-        }
-        while !fired.load(std::sync::atomic::Ordering::SeqCst) {
-            assert!(std::time::Instant::now() < deadline, "waker never fired");
-            std::thread::yield_now();
-        }
-        fired.store(false, std::sync::atomic::Ordering::SeqCst);
-    };
-    assert_eq!(result.unwrap(), vec![None]);
-    assert_eq!(c.gather(&[(4, 0, 0)]).unwrap(), vec![77]);
 }
 
 #[test]
@@ -624,7 +539,7 @@ fn submit_batch_streams_local_instructions() {
 fn submit_batch_crossing_move_executes_inline() {
     let c = cluster4();
     c.scatter(&[GlobalWrite::new(8, 2, 0, 555)]).unwrap();
-    let mut sub = c
+    let sub = c
         .submit_batch(&[Instruction::MoveWarps {
             src: 0,
             dst: 1,
@@ -634,11 +549,10 @@ fn submit_batch_crossing_move_executes_inline() {
             dist: -8,
         }])
         .unwrap();
-    // Crossing moves need host staging: the submission completed
-    // before returning, so its first poll is ready.
-    let fired = Arc::new(std::sync::atomic::AtomicBool::new(false));
-    assert_eq!(poll_once(&mut sub, &fired), Some(Ok(())));
+    // Crossing moves need host staging; the transfer has landed by the
+    // time the submission returns.
     assert_eq!(c.gather(&[(0, 2, 1)]).unwrap(), vec![555]);
+    assert_eq!(sub.wait(), Ok(()));
 }
 
 #[test]
@@ -647,23 +561,13 @@ fn submit_gather_and_scatter_roundtrip_async() {
     let writes: Vec<GlobalWrite> = (0..16)
         .map(|w| GlobalWrite::new(w, 1, 3, 900 + w))
         .collect();
-    c.submit_scatter(&writes).unwrap().wait().unwrap();
-    let locs: Vec<GlobalLoc> = (0..16).map(|w| (w, 1, 3)).collect();
-    // Drive the gather ticket as a future to completion.
-    let fired = Arc::new(std::sync::atomic::AtomicBool::new(false));
-    let mut ticket = c.submit_gather(&locs).unwrap();
-    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
-    let values = loop {
-        if let Some(r) = poll_once(&mut ticket, &fired) {
-            break r.unwrap();
-        }
-        assert!(
-            std::time::Instant::now() < deadline,
-            "gather never completed"
-        );
-        std::thread::yield_now();
-    };
-    assert_eq!(values, (900..916).collect::<Vec<u32>>());
+    c.scatter(&writes).unwrap();
+    // Gathered out of shard order, the values come back in input order.
+    let locs: Vec<GlobalLoc> = (0..16).rev().map(|w| (w, 1, 3)).collect();
+    assert_eq!(
+        c.gather(&locs).unwrap(),
+        (900..916).rev().collect::<Vec<u32>>()
+    );
 }
 
 #[test]
@@ -902,7 +806,7 @@ fn modeled_latency_includes_link_cycles() {
     assert!(stats.traffic.link_cycles > 0);
 }
 
-/// One run, on a fresh 4-shard caller-thread cluster with recovery on, of a
+/// One run, on a fresh 4-shard cluster with recovery on, of a
 /// fixed program — scatter, a chip-crossing `MoveWarps`, shard-local
 /// arithmetic — under one seeded fault schedule (a worker crash, a stall,
 /// and a link outage over the first 25 000 modeled cycles). Every step is
@@ -921,7 +825,7 @@ fn faulted_inline_run() -> (Vec<Result<(), ClusterError>>, String, Vec<u32>) {
     let plan = FaultPlan::from_seed(0x5EED, &profile).drop_window(0, 25_000);
     let injector = Arc::new(FaultInjector::new(plan, 4));
     let telemetry = Telemetry::recording();
-    let c = PimCluster::inline(
+    let c = PimCluster::with_options(
         PimConfig::small().with_crossbars(4),
         4,
         ClusterOptions {
@@ -989,8 +893,8 @@ fn faulted_inline_run() -> (Vec<Result<(), ClusterError>>, String, Vec<u32>) {
 
 #[test]
 fn inline_cluster_replays_a_fault_schedule_identically() {
-    // On the caller-thread transport shards run in the order the scheduler
-    // launches them, so a faulted run is a function of its seed: the same
+    // Shards run in the order the scheduler launches them, on the calling
+    // thread, so a faulted run is a function of its seed: the same
     // typed errors at the same steps, the same per-shard profiler, issued
     // and cache counters, traffic, restarts, replayed instructions, and the
     // same memory — twice.
@@ -1007,4 +911,76 @@ fn inline_cluster_replays_a_fault_schedule_identically() {
     // The crossing move landed: warp w + 8's seed word on warp w.
     assert_eq!(first.2[4 + 3], 108);
     assert_eq!(faulted_inline_run(), first);
+}
+
+impl PimCluster {
+    /// A shard job with a bug: it writes `value` into register 0, row 0
+    /// of local warp 0, then panics before finishing.
+    fn run_poisoned(&self, shard: usize, value: u32) -> Result<(), ClusterError> {
+        self.run_on(shard, true, |driver, _| {
+            let write = Instruction::Write {
+                reg: 0,
+                value,
+                target: ThreadRange::single(0, 0),
+            };
+            driver
+                .execute_many(&[write], &mut Vec::new())
+                .map_err(|source| ClusterError::Shard { shard, source })?;
+            panic!("poisoned shard job");
+        })?
+    }
+}
+
+#[test]
+fn a_panicking_job_crashes_its_shard_and_is_revived() {
+    let cfg = PimConfig::small().with_crossbars(4);
+    // Warp 8 is shard 2's local warp 0, where the poisoned job writes.
+    let write_7 = [GlobalWrite::new(8, 0, 0, 7)];
+    let locs: Vec<GlobalLoc> = (0..16).map(|w| (w, 0, 0)).collect();
+    // The same program twice on a 4-shard cluster with recovery on: seed
+    // every warp, then write 7 on shard 2 — once through the poisoned job
+    // and again as the retry, or just once.
+    let run = |poisoned: bool| {
+        let c = PimCluster::new(cfg.clone(), 4).unwrap();
+        let seed: Vec<GlobalWrite> = (0..16).map(|w| GlobalWrite::new(w, 0, 0, w)).collect();
+        c.scatter(&seed).unwrap();
+        if poisoned {
+            let crashed = c.run_poisoned(2, 7).unwrap_err();
+            assert_eq!(crashed, ClusterError::WorkerCrashed { shard: 2 });
+            assert!(c.slots.iter().all(|slot| !slot.is_poisoned()));
+            // Down, not gone: the next job revives the shard.
+            assert!(c.slots[2].lock().unwrap().driver.is_none());
+        }
+        c.scatter(&write_7).unwrap();
+        (c.gather(&locs).unwrap(), c.worker_restarts())
+    };
+    let (image, restarts) = run(true);
+    assert_eq!(restarts, 1);
+    assert_eq!((image.clone(), 0), run(false));
+    assert_eq!(image[8], 7);
+
+    // Recovery off: the crash is reported the same way, and the shard then
+    // answers its permanent error while the others keep serving.
+    let c = PimCluster::with_options(
+        cfg,
+        4,
+        ClusterOptions {
+            recovery: RecoveryConfig {
+                enabled: false,
+                ..RecoveryConfig::default()
+            },
+            ..ClusterOptions::default()
+        },
+    )
+    .unwrap();
+    assert_eq!(
+        c.run_poisoned(2, 7),
+        Err(ClusterError::WorkerCrashed { shard: 2 })
+    );
+    assert_eq!(
+        c.scatter(&write_7),
+        Err(ClusterError::Disconnected { shard: 2 })
+    );
+    assert_eq!(c.scatter(&[GlobalWrite::new(4, 0, 0, 9)]), Ok(()));
+    assert_eq!(c.worker_restarts(), 0);
 }

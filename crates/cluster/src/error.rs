@@ -7,8 +7,8 @@ use std::fmt;
 /// (`ClusterError::class`, `CoreError::class`).
 ///
 /// * [`Transient`](ErrorClass::Transient) — the operation failed for a
-///   reason that may not recur (worker crash mid-job, dropped or corrupted
-///   interconnect message). Safe to retry after the supervisor recovers;
+///   reason that may not recur (shard crash mid-job, dropped or corrupted
+///   interconnect message). Safe to retry: the next job revives the shard;
 ///   the serving gateway retries these with exponential backoff.
 /// * [`Overload`](ErrorClass::Overload) — the system is out of a bounded
 ///   resource (queue depth, memory). Retrying immediately will fail again;
@@ -82,18 +82,19 @@ pub enum ClusterError {
         /// Number of shards in the cluster.
         shards: usize,
     },
-    /// A shard worker thread is gone (its channel is closed).
+    /// A shard is down and recovery is off: a crash dropped its state and
+    /// there is no journal to revive it from.
     Disconnected {
-        /// Shard whose worker disconnected.
+        /// Shard that is down.
         shard: usize,
     },
-    /// A shard worker died (crashed or was fault-injected to crash) while
-    /// the job was queued or in flight. The job did not complete; the
-    /// supervisor respawns the worker and restores its state, so a retry
-    /// is expected to succeed — this is the cluster's canonical
-    /// [`Transient`](ErrorClass::Transient) error.
+    /// A shard crashed (fault-injected, or its job panicked) instead of
+    /// completing the job, and its state was dropped. The next job revives
+    /// the shard from its journal, so a retry is expected to succeed —
+    /// this is the cluster's canonical [`Transient`](ErrorClass::Transient)
+    /// error.
     WorkerCrashed {
-        /// Shard whose worker crashed.
+        /// Shard that crashed.
         shard: usize,
     },
     /// An interconnect message burst was lost or failed its integrity
@@ -108,9 +109,8 @@ pub enum ClusterError {
         /// Detected failure mode.
         kind: LinkFaultKind,
     },
-    /// The supervisor could not start a shard worker or restore a crashed
-    /// one (the OS refused a thread, or checkpoint replay failed). The
-    /// shard stays down; this is fatal for the cluster.
+    /// A crashed shard could not be restored (checkpoint replay failed).
+    /// The shard stays down; this is fatal for the cluster.
     RecoveryFailed {
         /// Shard that could not be started or recovered.
         shard: usize,
@@ -129,9 +129,8 @@ impl ClusterError {
     /// The retry class of this error — see [`ErrorClass`].
     pub fn class(&self) -> ErrorClass {
         match self {
-            // A disconnected or crashed worker is respawned by the
-            // supervisor on the next submission, and a faulted transfer
-            // left intact state behind: all safe to retry.
+            // A crashed shard is revived by the next job, and a faulted
+            // transfer left intact state behind: all safe to retry.
             ClusterError::Disconnected { .. }
             | ClusterError::WorkerCrashed { .. }
             | ClusterError::LinkFault { .. } => ErrorClass::Transient,
@@ -155,13 +154,10 @@ impl fmt::Display for ClusterError {
                 write!(f, "shard index {shard} out of range for {shards} shards")
             }
             ClusterError::Disconnected { shard } => {
-                write!(f, "shard {shard} worker disconnected")
+                write!(f, "shard {shard} is down (recovery is off)")
             }
             ClusterError::WorkerCrashed { shard } => {
-                write!(
-                    f,
-                    "shard {shard} worker crashed (transient: retry after recovery)"
-                )
+                write!(f, "shard {shard} crashed (transient: retry after recovery)")
             }
             ClusterError::LinkFault {
                 src_shard,

@@ -80,9 +80,9 @@ pub struct TrafficStats {
     /// Crossing moves that forced shard queues to drain.
     pub barriers: u64,
     /// Shard queues those barriers actually drained: shards inside the
-    /// barrier's scope (the crossing pairs' owners) that had pending or
-    /// in-flight work to wait for. A barrier hitting only idle shards
-    /// drains zero queues.
+    /// barrier's scope (the crossing pairs' owners) that had pending work
+    /// or unchecked job results. A barrier hitting only idle shards drains
+    /// zero queues.
     pub drained_queues: u64,
     /// Coalesced runs flushed with at least two crossing moves — each one
     /// a group of per-move barriers/transfers collapsed into a single

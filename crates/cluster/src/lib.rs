@@ -3,13 +3,15 @@
 //! A sharded multi-chip execution engine for the PyPIM stack: `N` simulated
 //! PIM chips — each a [`pim_driver::Driver`] over its own
 //! [`pim_sim::PimSimulator`], strict checking on — take batched jobs and
-//! present one flat address space of `N × crossbars` warps. The jobs have
-//! two transports and one executor: a channel to the shard's dedicated
-//! worker thread ([`PimCluster::with_options`]), or a direct call on the
-//! submitting thread ([`PimCluster::inline`]: shards run in launch order,
-//! so one client thread replays to the same counters and memory every
-//! time, seeded faults included — a single-chip `Device` is one such
-//! shard).
+//! present one flat address space of `N × crossbars` warps. There is one
+//! transport: a job runs on the thread that submits it, under its shard's
+//! lock, and has finished when the submission returns. Shards run in
+//! launch order, so one client thread replays to the same counters and
+//! memory every time, seeded faults included (a single-chip `Device` is a
+//! one-shard cluster). As in the paper's host driver, all parallelism is
+//! the memory's own and lives on the modeled clock: the chips of one
+//! submission execute concurrently in the model
+//! ([`ClusterStats::critical_path_cycles`]), not on host threads.
 //!
 //! The paper (conf_micro_LeitersdorfRK24) models a *single* memory chip
 //! behind the micro-operation interface; this crate composes many of them
@@ -18,31 +20,29 @@
 //! * [`ShardPlan`] — partitions the flat warp/element range across shards.
 //!   Every ISA mask is an arithmetic progression, so a logical thread range
 //!   splits into at most one local range per shard.
-//! * [`PimCluster::submit`]/[`JobTicket::wait`] — batched job submission:
-//!   many macro-instruction batches stream to all shards concurrently, from
-//!   any number of client threads.
 //! * [`PimCluster::submit_batch`] — the one routing path for logical
 //!   instructions ([`execute`](PimCluster::execute),
 //!   [`execute_batch`](PimCluster::execute_batch) and
 //!   [`submit_batch_tagged`](PimCluster::submit_batch_tagged) are thin calls
 //!   into it): validate, split per shard, coalesce crossing moves, barrier,
 //!   transfer, launch. Moves within a chip stay native; moves crossing a
-//!   chip boundary go over the modeled [`Interconnect`]. What is still in
-//!   flight when the call returns is a [`JobSet`].
+//!   chip boundary go over the modeled [`Interconnect`]. The first error
+//!   of the jobs it ran is its [`JobSet`].
 //! * [`Interconnect`]/[`InterconnectConfig`] — the chip-to-chip link model:
 //!   crossing word pairs travel as one message per
 //!   `(source, destination)` shard pair (one gathered read burst + one
 //!   scattered write burst), each charged
 //!   `latency + ceil(words × 32 / link_bits)` link cycles into
 //!   [`TrafficStats`].
-//! * Dependency-aware scheduling — **the drain rule**: a crossing move
-//!   drains only the shards owning its crossing source/destination warps
-//!   (their queued work is submitted and awaited before the transfer);
-//!   every untouched shard's queue is launched asynchronously and keeps
-//!   streaming *during* the transfer. This is sound because the H-tree
-//!   move rule keeps a move's source and destination warp sets disjoint,
-//!   and each shard's job channel is FIFO — concurrent work can only live
-//!   on shards whose cells the transfer neither reads nor writes.
+//! * Dependency-aware scheduling — **the drain rule**, which sets where
+//!   each shard's jobs begin and end: a crossing move drains only the
+//!   shards owning its crossing source/destination warps (their queued
+//!   work runs, and its results are checked, before the transfer); every
+//!   untouched shard's queue is launched as a job of its own just before
+//!   the transfer, its results checked only when the submission ends.
+//!   This is sound because the H-tree move rule keeps a move's source and
+//!   destination warp sets disjoint — a launched shard holds no cell the
+//!   transfer reads or writes.
 //! * [`MoveCoalescer`] — cross-chip move coalescing, the last stage of the
 //!   **movement → coalescer → interconnect pipeline**. The movement layer
 //!   (`pypim-core`'s `movement` module) lowers a tensor shift onto one
@@ -64,9 +64,10 @@
 //!   the bottleneck" claim at cluster scale.
 //!
 //! The development library (`pypim-core`) builds on this crate alone:
-//! `Device::new(cfg)` is one inline shard, `Device::cluster(cfg, shards)`
-//! is `shards` threaded ones, and every tensor program runs unchanged on
-//! 1 or N chips with bit-identical results.
+//! `Device::new(cfg)` is one shard with recovery off,
+//! `Device::cluster(cfg, shards)` is `shards` of them with recovery on, and
+//! every tensor program runs unchanged on 1 or N chips with bit-identical
+//! results.
 //!
 //! # Example
 //!
@@ -80,7 +81,7 @@
 //! let cluster = PimCluster::new(PimConfig::small().with_crossbars(4), 4)?;
 //! let all = ThreadRange::all(cluster.logical_config());
 //!
-//! // One logical instruction fans out to all four chips concurrently.
+//! // One logical instruction fans out to all four chips.
 //! cluster.execute_batch(&[
 //!     Instruction::Write { reg: 0, value: 30, target: all },
 //!     Instruction::Write { reg: 1, value: 12, target: all },
@@ -108,8 +109,8 @@ mod plan;
 pub(crate) mod sched;
 
 pub use cluster::{
-    ClusterOptions, ClusterStats, GatherTicket, GlobalLoc, GlobalWrite, JobSet, JobTicket,
-    PimCluster, RecoveryConfig, ShardBackends, ShardStats, TaggedBatch,
+    ClusterOptions, ClusterStats, GlobalLoc, GlobalWrite, JobSet, PimCluster, RecoveryConfig,
+    ShardBackends, ShardStats, TaggedBatch,
 };
 pub use coalesce::{CrossingMove, MoveCoalescer};
 pub use error::{ClusterError, ErrorClass, LinkFaultKind};

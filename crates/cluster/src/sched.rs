@@ -1,39 +1,39 @@
 //! Dependency-aware shard scheduling for the cluster's one batch path
 //! ([`PimCluster::submit_batch`]): per-shard dependency tracking instead of
-//! a global barrier at every crossing `MoveWarps`.
+//! a global barrier at every crossing `MoveWarps`. It decides where each
+//! shard's jobs begin and end.
 //!
 //! * Shard-local instructions accumulate in per-shard *pending* queues, one
 //!   segment per request.
 //! * A crossing move *drains* only the shards it touches — the owners of
 //!   its crossing source and destination warps, as reported by
 //!   [`ShardPlan::route_move_warps`](crate::ShardPlan::route_move_warps) —
-//!   i.e. their pending queues are submitted and every one of their
-//!   in-flight jobs is awaited before the host stages the transfer.
-//! * Untouched shards are *launched* instead: their pending queues are
-//!   submitted without waiting, so those chips keep streaming queued work
-//!   concurrently with the cross-chip transfer.
-//! * With no crossing move nothing is launched until the end, and what is
-//!   then in flight — one job per involved shard — is the submission's
-//!   [`JobSet`].
+//!   i.e. their pending queues run as jobs and every one of their job
+//!   results is checked before the host stages the transfer.
+//! * Untouched shards are *launched* instead: their pending queues run as
+//!   jobs too, but their results are checked only at the end, as a
+//!   barrier-free submission's are.
+//! * With no crossing move nothing is launched until the end, and the
+//!   first error among the jobs then launched — one per involved shard —
+//!   is the submission's [`JobSet`].
 //!
-//! This is safe because the H-tree move rule guarantees a `MoveWarps`'
-//! source and destination warp sets are disjoint, and every shard's job
-//! channel is FIFO: work racing with the transfer lives entirely on shards
-//! whose warps the transfer does not read or write.
+//! Launching an untouched shard at a barrier is sound because the H-tree
+//! move rule guarantees a `MoveWarps`' source and destination warp sets
+//! are disjoint: its queued work touches no cell the transfer reads or
+//! writes.
 
-use crate::{ClusterError, JobSet, JobTicket, PimCluster};
+use crate::{ClusterError, JobSet, PimCluster};
 use pim_isa::Instruction;
 use pim_telemetry::RequestId;
 
 /// Per-shard dependency tracker driving one submission: pending (not yet
-/// submitted) instruction segments, each carrying the [`RequestId`] its
-/// modeled cycles attribute to, plus the in-flight (submitted, not yet
-/// awaited) job tickets of all shards in launch order — each knows its
-/// shard.
+/// run) instruction segments, each carrying the [`RequestId`] its modeled
+/// cycles attribute to, plus the outcomes of launched jobs not yet
+/// checked, in launch order, each with its shard.
 pub(crate) struct BatchScheduler<'c> {
     cluster: &'c PimCluster,
     pending: Vec<Vec<(RequestId, Vec<Instruction>)>>,
-    inflight: Vec<JobTicket>,
+    launched: Vec<(usize, Result<(), ClusterError>)>,
 }
 
 impl<'c> BatchScheduler<'c> {
@@ -41,12 +41,12 @@ impl<'c> BatchScheduler<'c> {
         BatchScheduler {
             cluster,
             pending: vec![Vec::new(); cluster.shards()],
-            inflight: Vec::new(),
+            launched: Vec::new(),
         }
     }
 
     /// Queues one shard-local instruction of `request`, extending the
-    /// shard's last segment or opening one; nothing is submitted yet.
+    /// shard's last segment or opening one; nothing runs yet.
     /// Inlined: a scatter calls it once per word from another module.
     #[inline]
     pub(crate) fn enqueue(&mut self, shard: usize, request: RequestId, instr: Instruction) {
@@ -56,36 +56,36 @@ impl<'c> BatchScheduler<'c> {
         }
     }
 
-    /// Submits a shard's pending segments as one job without waiting, so
-    /// the shard streams it concurrently with whatever the host does next.
+    /// Runs a shard's pending segments as one job, keeping its outcome
+    /// for later (a batch job's values are all `None`).
     fn launch(&mut self, shard: usize) -> Result<(), ClusterError> {
         if self.pending[shard].is_empty() {
             return Ok(());
         }
         let segments = std::mem::take(&mut self.pending[shard]);
-        self.inflight
-            .push(self.cluster.submit_segments(shard, segments)?);
+        let reply = self.cluster.run_segments(shard, segments)?;
+        self.launched.push((shard, reply.map(drop)));
         Ok(())
     }
 
-    /// Blocks until everything submitted to `shard` so far has executed.
+    /// Checks every result `shard` has produced so far, in launch order.
     fn wait(&mut self, shard: usize) -> Result<(), ClusterError> {
-        let (done, rest) = std::mem::take(&mut self.inflight)
+        let (done, rest) = std::mem::take(&mut self.launched)
             .into_iter()
-            .partition(|t| t.shard() == shard);
-        self.inflight = rest;
-        Vec::into_iter(done).try_for_each(|t| t.wait().map(drop))
+            .partition(|(s, _)| *s == shard);
+        self.launched = rest;
+        Vec::into_iter(done).try_for_each(|(_, outcome)| outcome)
     }
 
     /// The drain rule. `touched[s]` marks shards the upcoming cross-chip
-    /// transfer reads from or writes to: their queues are submitted and
-    /// awaited (the transfer must observe their effects, and FIFO job
-    /// channels alone cannot order the *gather* against pending work on
-    /// destination-only shards). Every untouched shard is merely launched
-    /// and keeps streaming during the transfer.
+    /// transfer reads from or writes to: their queues run and their
+    /// results are checked (the transfer must observe their effects).
+    /// Every untouched shard's queue runs as a job of its own, checked
+    /// only when the submission finishes.
     pub(crate) fn barrier(&mut self, touched: &[bool]) -> Result<(), ClusterError> {
         debug_assert_eq!(touched.len(), self.pending.len());
-        // Launch untouched shards first: their work overlaps the drain.
+        // Untouched shards launch first: the job order every recorded
+        // fault schedule and modeled clock was taken in.
         for (shard, &t) in touched.iter().enumerate() {
             if !t {
                 self.launch(shard)?;
@@ -104,15 +104,15 @@ impl<'c> BatchScheduler<'c> {
         Ok(())
     }
 
-    /// Number of shards with pending or in-flight work among `touched` —
-    /// the queues a [`barrier`](BatchScheduler::barrier) on that set would
-    /// actually drain (telemetry).
+    /// Number of shards with pending work or unchecked results among
+    /// `touched` — the queues a [`barrier`](BatchScheduler::barrier) on that
+    /// set would actually drain (telemetry).
     pub(crate) fn busy(&self, touched: &[bool]) -> u64 {
         touched
             .iter()
             .enumerate()
             .filter(|&(s, &t)| {
-                t && !(self.pending[s].is_empty() && self.inflight.iter().all(|j| j.shard() != s))
+                t && !(self.pending[s].is_empty() && self.launched.iter().all(|(j, _)| *j != s))
             })
             .count() as u64
     }
@@ -123,12 +123,13 @@ impl<'c> BatchScheduler<'c> {
         self.barrier(&vec![true; self.pending.len()])
     }
 
-    /// Submits every pending queue and hands back everything still in
-    /// flight — the end of the submission.
+    /// Runs every pending queue and hands back the first error among the
+    /// unchecked results — the end of the submission.
     pub(crate) fn finish(mut self) -> Result<JobSet, ClusterError> {
         for shard in 0..self.pending.len() {
             self.launch(shard)?;
         }
-        Ok(JobSet::new(self.inflight))
+        let first_error = self.launched.into_iter().try_for_each(|(_, r)| r);
+        Ok(JobSet(first_error))
     }
 }

@@ -4,40 +4,33 @@ use crate::{CoreError, Result};
 use parking_lot::Mutex;
 use pim_arch::PimConfig;
 use pim_cluster::{
-    ClusterOptions, ClusterStats, GatherTicket, GlobalWrite, JobSet, PimCluster, RecoveryConfig,
-    ShardPlan, TaggedBatch,
+    ClusterOptions, ClusterStats, GlobalWrite, JobSet, PimCluster, RecoveryConfig, ShardPlan,
+    TaggedBatch,
 };
 use pim_driver::ParallelismMode;
 use pim_func::BackendKind;
 use pim_isa::{DType, Instruction};
 use pim_sim::Profiler;
 use pim_telemetry::{MetricsSnapshot, MetricsSource, Telemetry};
-use std::future::Future;
-use std::pin::Pin;
 use std::sync::Arc;
-use std::task::{Context, Poll};
 
 pub(crate) struct DeviceInner {
     /// The one execution engine, and the owner of the device's geometry and
-    /// telemetry handle: a single chip is a 1-shard cluster whose jobs run
-    /// on the calling thread ([`PimCluster::inline`]).
+    /// telemetry handle: a single chip is a 1-shard cluster.
     pub(crate) cluster: PimCluster,
     pub(crate) mem: Mutex<MemoryManager>,
 }
 
-/// An in-flight non-read instruction batch submitted through
-/// [`Device::submit_instrs`]: a blocking handle ([`wait`](StepTicket::wait))
-/// and a pollable [`Future`] in one. On a [`Device::cluster`] device the
-/// per-shard jobs stream concurrently and the shard workers wake the
-/// registered waker on completion; on a single-chip device, and for a batch
-/// whose chip-crossing moves were staged through the host, the work has
-/// finished by the time the ticket exists and its first wait or poll
-/// returns at once.
+/// The outcome of a non-read instruction batch run through
+/// [`Device::submit_instrs`]: the batch has executed by the time the
+/// ticket exists, and [`wait`](StepTicket::wait) reports its first shard
+/// error.
 #[derive(Debug)]
+#[must_use = "a batch's shard errors surface only through `wait`"]
 pub struct StepTicket(JobSet);
 
 impl StepTicket {
-    /// Blocks until the batch completes.
+    /// The batch's outcome.
     ///
     /// # Errors
     ///
@@ -47,48 +40,15 @@ impl StepTicket {
     }
 }
 
-impl Future for StepTicket {
-    type Output = Result<()>;
-
-    fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<Self::Output> {
-        Pin::new(&mut self.get_mut().0).poll(cx).map(|r| Ok(r?))
-    }
-}
-
-/// An in-flight bulk read submitted through [`Device::submit_reads`];
-/// yields the values in input order. Like [`StepTicket`], both blocking and
-/// pollable; on a single-chip device the reads ran during submission.
-#[derive(Debug)]
-pub struct ReadTicket(GatherTicket);
-
-impl ReadTicket {
-    /// Blocks until every read completes.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first shard error.
-    pub fn wait(self) -> Result<Vec<u32>> {
-        Ok(self.0.wait()?)
-    }
-}
-
-impl Future for ReadTicket {
-    type Output = Result<Vec<u32>>;
-
-    fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<Self::Output> {
-        Pin::new(&mut self.get_mut().0).poll(cx).map(|r| Ok(r?))
-    }
-}
-
 /// A handle to a PIM memory: the entry point of the development library
 /// (§V-A), owning the host driver, the simulated chip behind it, and the
 /// dynamic memory manager.
 ///
 /// There is one road from a tensor operation to a chip: every device is a
-/// [`PimCluster`]. [`Device::new`] and its `with_*` siblings build one shard
-/// whose jobs run on the calling thread — no worker thread, no recovery
-/// journal, results complete when the call returns; [`Device::cluster`]
-/// builds `N` shards on worker threads. So on a single chip too,
+/// [`PimCluster`], whose jobs run on the calling thread and complete when
+/// the call returns. [`Device::new`] and its `with_*` siblings build one
+/// shard with no recovery journal; [`Device::cluster`] builds `N` shards
+/// that a crash cannot take down for good. So on a single chip too,
 /// [`Device::cluster_stats`] is `Some`, [`Device::metrics_snapshot`]
 /// carries `cluster.*`, the trace track is `shard-0`, every submission
 /// (uploads and read-backs included) records an `exec` span and advances
@@ -144,7 +104,7 @@ impl Device {
     }
 
     /// Creates a device with an explicit driver parallelism mode: one
-    /// chip, run on the calling thread.
+    /// chip, recovery off.
     ///
     /// # Errors
     ///
@@ -158,7 +118,10 @@ impl Device {
             },
             ..ClusterOptions::default()
         };
-        Ok(Device::over(PimCluster::inline(cfg, 1, options)?, None))
+        Ok(Device::over(
+            PimCluster::with_options(cfg, 1, options)?,
+            None,
+        ))
     }
 
     /// [`Device::new`]; `kind` selects nothing. Spelt by
@@ -189,7 +152,9 @@ impl Device {
     /// simulated chips of geometry `cfg`, presented as one memory with
     /// `shards × cfg.crossbars` warps. Every tensor program runs unchanged
     /// — and bit-identically — on 1 or N chips; element-parallel work fans
-    /// out across the shard workers concurrently.
+    /// out as one job per shard, the shards' cycles overlapping on the
+    /// modeled clock. Recovery is on: a crashed shard is revived from its
+    /// journal by its next job.
     ///
     /// # Errors
     ///
@@ -265,8 +230,8 @@ impl Device {
     ///
     /// # Errors
     ///
-    /// Returns the shard's failure if a cluster shard worker thread has
-    /// died and could not be revived (see [`Device::cluster_stats`]).
+    /// Returns the shard's failure if a shard crashed and could not be
+    /// revived (see [`Device::cluster_stats`]).
     pub fn metrics_snapshot(&self) -> Result<MetricsSnapshot> {
         let cluster = &self.inner.cluster;
         let mut snap = cluster.telemetry().metrics().snapshot();
@@ -298,7 +263,7 @@ impl Device {
     /// # Errors
     ///
     /// Returns the shard's failure ([`CoreError::Cluster`], classified by
-    /// [`CoreError::class`]) if a worker thread has died and could not be
+    /// [`CoreError::class`]) if a shard crashed and could not be
     /// revived — zeroed telemetry would silently misreport a broken
     /// cluster.
     pub fn cluster_stats(&self) -> Result<Option<ClusterStats>> {
@@ -356,8 +321,8 @@ impl Device {
     ///
     /// # Errors
     ///
-    /// Returns the shard's failure if a cluster shard worker thread has
-    /// died and could not be revived (see [`Device::cluster_stats`]).
+    /// Returns the shard's failure if a shard crashed and could not be
+    /// revived (see [`Device::cluster_stats`]).
     pub fn profiler(&self) -> Result<Profiler> {
         Ok(self.inner.cluster.stats()?.merged_profiler())
     }
@@ -377,8 +342,8 @@ impl Device {
     ///
     /// # Errors
     ///
-    /// Returns the shard's failure if a cluster shard worker thread has
-    /// died and could not be revived.
+    /// Returns the shard's failure if a shard crashed and could not be
+    /// revived.
     pub fn reset_profiler(&self) -> Result<()> {
         Ok(self.inner.cluster.reset_profilers()?)
     }
@@ -388,8 +353,8 @@ impl Device {
     ///
     /// # Errors
     ///
-    /// Returns the shard's failure if a cluster shard worker thread has
-    /// died and could not be revived.
+    /// Returns the shard's failure if a shard crashed and could not be
+    /// revived.
     pub fn set_strict(&self, strict: bool) -> Result<()> {
         Ok(self.inner.cluster.set_strict(strict)?)
     }
@@ -399,8 +364,8 @@ impl Device {
     ///
     /// # Errors
     ///
-    /// Returns the shard's failure if a cluster shard worker thread has
-    /// died and could not be revived (see [`Device::cluster_stats`]).
+    /// Returns the shard's failure if a shard crashed and could not be
+    /// revived (see [`Device::cluster_stats`]).
     pub fn cache_stats(&self) -> Result<(u64, u64)> {
         Ok(self.inner.cluster.stats()?.cache_stats())
     }
@@ -411,8 +376,8 @@ impl Device {
     ///
     /// # Errors
     ///
-    /// Returns the shard's failure if a cluster shard worker thread has
-    /// died and could not be revived (see [`Device::cluster_stats`]).
+    /// Returns the shard's failure if a shard crashed and could not be
+    /// revived (see [`Device::cluster_stats`]).
     pub fn issued(&self) -> Result<pim_driver::IssuedCycles> {
         Ok(self.inner.cluster.stats()?.issued())
     }
@@ -422,8 +387,8 @@ impl Device {
     ///
     /// # Errors
     ///
-    /// Returns the shard's failure if a cluster shard worker thread has
-    /// died and could not be revived.
+    /// Returns the shard's failure if a shard crashed and could not be
+    /// revived.
     pub fn reset_counters(&self) -> Result<()> {
         self.inner.cluster.reset_profilers()?;
         Ok(self.inner.cluster.reset_issued()?)
@@ -435,15 +400,19 @@ impl Device {
     }
 
     /// Executes a sequence of non-read macro-instructions: the whole batch
-    /// is split per shard up front and streams to all shards concurrently
-    /// (one job per shard between cross-chip barriers).
+    /// is split per shard up front, one job per shard between cross-chip
+    /// barriers.
     pub(crate) fn exec_batch(&self, instrs: &[Instruction]) -> Result<()> {
         Ok(self.inner.cluster.execute_batch(instrs)?)
     }
 
     /// Reads many `(warp, row, register)` locations, returning values in
     /// input order — one job per involved shard.
-    pub(crate) fn read_many(&self, locs: &[(u32, u32, u8)]) -> Result<Vec<u32>> {
+    ///
+    /// # Errors
+    ///
+    /// Returns addressing and shard errors.
+    pub fn read_many(&self, locs: &[(u32, u32, u8)]) -> Result<Vec<u32>> {
         Ok(self.inner.cluster.gather(locs)?)
     }
 
@@ -452,56 +421,38 @@ impl Device {
         Ok(self.inner.cluster.scatter(writes)?)
     }
 
-    /// Submits a batch of non-read macro-instructions *without waiting*,
-    /// returning a [`StepTicket`] that is both a blocking handle and a
-    /// pollable future — the primitive the async serving gateway coalesces
-    /// client work onto. On a cluster the batch splits per shard and
-    /// streams; a batch with chip-crossing moves (which the host stages
-    /// behind scheduler barriers) and every batch on a single-chip device
-    /// has executed when the call returns, and its ticket is ready — with
-    /// identical semantics. Since the call may block on shard jobs, it
-    /// belongs on a client thread, never inside a ticket's waker (which
-    /// runs on the shard worker that completed the job).
+    /// Runs a batch of non-read macro-instructions: the batch splits into
+    /// one job per involved shard (more across chip-crossing moves, which
+    /// the host stages behind scheduler barriers), and every job has run
+    /// when the call returns. The returned [`StepTicket`] holds the first
+    /// shard error.
     ///
     /// # Errors
     ///
     /// Returns [`CoreError::Protocol`] for read instructions, plus
-    /// validation errors; deferred shard errors surface when the ticket is
-    /// waited or awaited.
+    /// validation errors and shards that cannot take a job.
     pub fn submit_instrs(&self, instrs: &[Instruction]) -> Result<StepTicket> {
         refuse_reads(instrs)?;
         Ok(StepTicket(self.inner.cluster.submit_batch(instrs)?))
     }
 
-    /// Submits request-tagged instruction batches *without waiting* — the
-    /// attribution-aware variant of [`submit_instrs`](Device::submit_instrs)
-    /// the serving gateway coalesces client requests onto. Each
-    /// [`TaggedBatch`] carries the [`RequestId`] its modeled cycles,
+    /// Runs request-tagged instruction batches — the attribution-aware
+    /// variant of [`submit_instrs`](Device::submit_instrs) that the
+    /// serving gateway runs a coalesced group through. Each
+    /// [`TaggedBatch`] carries the
+    /// [`RequestId`](pim_telemetry::RequestId) its modeled cycles,
     /// instruction counts, cross-chip words and trace spans are attributed
-    /// to; execution results are bit-identical to submitting the
+    /// to; execution results are bit-identical to running the
     /// concatenated instructions untagged, whether or not telemetry is
     /// recording.
     ///
     /// # Errors
     ///
     /// Returns [`CoreError::Protocol`] for read instructions, plus
-    /// validation errors; deferred shard errors surface when the ticket is
-    /// waited or awaited.
-    pub fn submit_tagged(&self, batches: &[TaggedBatch]) -> Result<StepTicket> {
+    /// validation and shard errors.
+    pub fn exec_tagged(&self, batches: &[TaggedBatch]) -> Result<()> {
         refuse_reads(batches.iter().flat_map(|b| b.instrs.iter()))?;
-        Ok(StepTicket(self.inner.cluster.submit_batch_tagged(batches)?))
-    }
-
-    /// Submits a bulk read of `(warp, row, register)` locations *without
-    /// waiting* (see [`submit_instrs`](Device::submit_instrs)); the
-    /// [`ReadTicket`] yields values in input order.
-    ///
-    /// # Errors
-    ///
-    /// Returns addressing errors; deferred shard errors surface on
-    /// wait/await.
-    pub fn submit_reads(&self, locs: &[(u32, u32, u8)]) -> Result<ReadTicket> {
-        Ok(ReadTicket(self.inner.cluster.submit_gather(locs)?))
+        Ok(self.inner.cluster.submit_batch_tagged(batches)?.wait()?)
     }
 
     /// Allocates an uninitialized tensor of `capacity` elements (rounded up
@@ -640,8 +591,8 @@ fn refuse_reads<'a>(instrs: impl IntoIterator<Item = &'a Instruction>) -> Result
         .any(|i| matches!(i, Instruction::Read { .. }))
     {
         return Err(CoreError::Protocol {
-            reason: "read instructions cannot be submitted asynchronously \
-                     (use submit_reads)"
+            reason: "read instructions return data and cannot be batched \
+                     (use read_many)"
                 .into(),
         });
     }

@@ -8,8 +8,9 @@
 //! (`pim-isa`), the host driver (`pim-driver`) lowers them to gate-level
 //! micro-operation sequences, and the bit-accurate simulator (`pim-sim`)
 //! plays the role of the PIM chip. There is one road down: every [`Device`]
-//! submits to a `pim-cluster` `PimCluster` — one shard run on the calling
-//! thread for [`Device::new`], `N` on worker threads for [`Device::cluster`]. The library adds what the paper's
+//! submits to a `pim-cluster` `PimCluster` — one shard for [`Device::new`],
+//! `N` for [`Device::cluster`], every job run on the calling thread. The
+//! library adds what the paper's
 //! Python layer adds: dynamic warp-aligned memory management, tensor views
 //! (`x[::2]`) that map onto the microarchitecture's range masks, automatic
 //! move-based operand alignment, logarithmic reduction, bitonic sorting,
@@ -55,7 +56,7 @@ mod tensor;
 
 pub use alloc::{MemoryManager, PlacementHint, Stripe};
 pub use cordic::CORDIC_ITERS;
-pub use device::{Device, ReadTicket, StepTicket};
+pub use device::{Device, StepTicket};
 pub use error::{CoreError, Result};
 pub use movement::{compact_with_padding, copy, exchange, materialize_like, plan_copy, shifted};
 pub use pim_cluster::{

@@ -344,14 +344,14 @@ impl Tensor {
 
     /// The `(warp, row, register)` location of every element, in order —
     /// the read side of the planning API (feed to
-    /// [`Device::submit_reads`](crate::Device::submit_reads)).
+    /// [`Device::read_many`](crate::Device::read_many)).
     pub fn element_locs(&self) -> Vec<(u32, u32, u8)> {
         let reg = self.reg();
         self.cells().map(|(warp, row)| (warp, row, reg)).collect()
     }
 
     /// Broadcast-writes `bits` to every element. The ranges go out as one
-    /// batch so sharded devices fill all chips concurrently.
+    /// batch, one job per chip.
     fn fill_raw(&self, bits: u32) -> Result<()> {
         self.device().step(|p| {
             p.fill(self, bits);

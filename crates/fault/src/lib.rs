@@ -1,9 +1,9 @@
 //! # pim-fault
 //!
 //! **Deterministic fault injection** for the PyPIM cluster: a seeded
-//! schedule of shard-worker crashes, worker stalls (modeled cycles), and
+//! schedule of shard crashes, shard stalls (modeled cycles), and
 //! interconnect message drops/corruption, consumed by `pim-cluster`'s
-//! shard workers and transfer path through an `Option<Arc<FaultInjector>>`
+//! shard jobs and transfer path through an `Option<Arc<FaultInjector>>`
 //! hook — **zero-cost and bit-identical when absent**.
 //!
 //! Faults trigger on *logical* progress counters or on the **modeled
@@ -29,13 +29,12 @@
 //!
 //! What each fault means (the fault model — see `README.md`):
 //!
-//! * **Crash** — the shard worker thread exits before executing the job.
-//!   Every job queued to the shard (including the one that triggered the
-//!   crash) fails with a typed transient error; the cluster's supervisor
-//!   respawns the worker on the next submission and restores its state
-//!   from the last checkpoint plus the bounded replay log.
+//! * **Crash** — the shard's state is dropped before executing the job,
+//!   and the job fails with a typed transient error; the shard's next job
+//!   revives it, restoring its state from the last checkpoint plus the
+//!   bounded replay log.
 //! * **Stall** — the shard charges `cycles` extra modeled cycles before
-//!   executing the job (the worker is alive but slow). Data is unaffected;
+//!   executing the job (the shard is up but slow). Data is unaffected;
 //!   deadlines on the modeled clock observe the delay.
 //! * **Drop / Corrupt** — a staged interconnect burst is lost in flight /
 //!   fails its integrity check at the receiver. Either way *nothing* of
@@ -51,16 +50,16 @@ use rand::{Rng, SeedableRng};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// A fault injected into one shard worker, triggered by the index of the
+/// A fault injected into one shard, triggered by the index of the
 /// executable job (macro or micro batch) the shard receives.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum WorkerFault {
-    /// The worker thread exits without executing the job: every job queued
-    /// to the shard fails with a typed transient error and the supervisor
-    /// respawns the worker on the next submission.
+    /// The shard's state is dropped without executing the job: the job
+    /// fails with a typed transient error and the shard's next job revives
+    /// it.
     Crash,
-    /// The worker charges this many extra modeled cycles before executing
-    /// the job (alive but slow — data is unaffected).
+    /// The shard charges this many extra modeled cycles before executing
+    /// the job (up but slow — data is unaffected).
     Stall {
         /// Modeled cycles added to the shard's cycle counter.
         cycles: u64,
@@ -304,8 +303,8 @@ impl FaultStats {
 /// [`FaultPlan`] plus the per-shard job counters and the global burst
 /// counter that advance as the cluster makes progress.
 ///
-/// Thread-safe (`&self` everywhere — shard workers and the transfer path
-/// consult it concurrently). Wrap it in an `Arc` and hand it to
+/// Thread-safe (`&self` everywhere — the jobs of any client thread and
+/// the transfer path consult it). Wrap it in an `Arc` and hand it to
 /// `ClusterOptions::fault`; a cluster built without one pays nothing.
 #[derive(Debug)]
 pub struct FaultInjector {
@@ -342,8 +341,8 @@ impl FaultInjector {
     }
 
     /// Advances `shard`'s executable-job counter and returns the fault
-    /// scheduled for this job, if any. Called by the shard worker once per
-    /// macro/micro job, *before* execution.
+    /// scheduled for this job, if any. Called once per macro/micro job,
+    /// *before* execution.
     pub fn worker_fault(&self, shard: usize) -> Option<WorkerFault> {
         let idx = self.jobs.get(shard)?.fetch_add(1, Ordering::Relaxed);
         let fault = self.plan.worker.get(&(shard, idx)).copied();
@@ -401,9 +400,9 @@ impl FaultInjector {
 
 /// A fault injected into one serving **host** (a whole `PimCluster` +
 /// `Gateway` behind a fleet router), scheduled on the modeled clock. The
-/// host analogue of [`WorkerFault`]: where a worker fault kills one shard
-/// thread inside a cluster, a host fault takes the entire host out of the
-/// fleet's routing plane.
+/// host analogue of [`WorkerFault`]: where a worker fault drops one
+/// shard's state inside a cluster, a host fault takes the entire host out
+/// of the fleet's routing plane.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum HostFault {
     /// The host dies permanently: its lease lapses, its sessions are

@@ -1,13 +1,12 @@
-//! Lease-based leader election over a shared lease store.
+//! Lease-based leader election over one in-process lease store.
 //!
 //! The fleet's coordination primitive is deliberately tiny: one lease,
 //! held by at most one host at a time, renewed by heartbeats on the
 //! modeled clock. A host that stops heartbeating (crash, stall,
 //! partition) lets the lease expire; the next eligible host to heartbeat
 //! acquires it under a bumped epoch. There is no consensus round —
-//! correctness rests on the store being the single arbiter, which the
-//! in-process implementation trivially is and which an external
-//! coordination service would be behind the same trait.
+//! correctness rests on the store being the single arbiter, which a
+//! mutex-guarded slot trivially is.
 
 use parking_lot::Mutex;
 
@@ -24,26 +23,9 @@ pub struct Lease {
     pub epoch: u64,
 }
 
-/// The shared arbiter of the fleet's single leadership lease.
-///
-/// Implementations must be linearizable per call: two racing
-/// `try_acquire` calls must agree on one winner. The in-process
-/// [`InProcessLeaseStore`] satisfies this with a mutex; an RPC-backed
-/// store would satisfy it at its service boundary — the elector does not
-/// care which, so a network hop can slot in without touching the fleet.
-pub trait LeaseStore: Send + Sync {
-    /// One heartbeat from `candidate` at modeled cycle `now`: renews the
-    /// lease if `candidate` already holds it, acquires it if it is free
-    /// or expired, and otherwise leaves it alone. Returns the lease as
-    /// of after the call, whoever holds it.
-    fn try_acquire(&self, candidate: usize, now: u64, ttl: u64) -> Lease;
-
-    /// The current lease, if one was ever granted (it may be expired).
-    fn current(&self) -> Option<Lease>;
-}
-
-/// The in-process lease store: a mutex-guarded slot. The fleet's default
-/// arbiter when every host lives in one process.
+/// The arbiter of the fleet's single leadership lease: a mutex-guarded
+/// slot, so two racing [`try_acquire`](InProcessLeaseStore::try_acquire)
+/// calls agree on one winner.
 #[derive(Debug, Default)]
 pub struct InProcessLeaseStore {
     state: Mutex<Option<Lease>>,
@@ -54,10 +36,12 @@ impl InProcessLeaseStore {
     pub fn new() -> Self {
         InProcessLeaseStore::default()
     }
-}
 
-impl LeaseStore for InProcessLeaseStore {
-    fn try_acquire(&self, candidate: usize, now: u64, ttl: u64) -> Lease {
+    /// One heartbeat from `candidate` at modeled cycle `now`: renews the
+    /// lease if `candidate` already holds it, acquires it if it is free
+    /// or expired, and otherwise leaves it alone. Returns the lease as
+    /// of after the call, whoever holds it.
+    pub fn try_acquire(&self, candidate: usize, now: u64, ttl: u64) -> Lease {
         let mut state = self.state.lock();
         let next = match *state {
             // Renewal: the holder extends its own lease, same epoch.
@@ -84,7 +68,8 @@ impl LeaseStore for InProcessLeaseStore {
         next
     }
 
-    fn current(&self) -> Option<Lease> {
+    /// The current lease, if one was ever granted (it may be expired).
+    pub fn current(&self) -> Option<Lease> {
         *self.state.lock()
     }
 }

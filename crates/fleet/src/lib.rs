@@ -11,13 +11,11 @@
 //! would, and keeps the whole thing on the modeled clock so every
 //! election and every failover replays bit-identically:
 //!
-//! * **Leader election** ([`LeaseStore`], [`Lease`]) — hosts heartbeat a
-//!   shared lease every [`FleetConfig::heartbeat_cycles`]; whoever holds
-//!   it is leader. A host that stops heartbeating lets the lease expire
-//!   ([`FleetConfig::lease_ttl_cycles`]), and the next eligible
-//!   heartbeat acquires it under a bumped epoch. The store is a trait:
-//!   the in-process mutex arbiter ships here, an RPC-backed one can slot
-//!   in without touching the router.
+//! * **Leader election** ([`InProcessLeaseStore`], [`Lease`]) — hosts
+//!   heartbeat a shared lease every [`FleetConfig::heartbeat_cycles`];
+//!   whoever holds it is leader. A host that stops heartbeating lets the
+//!   lease expire ([`FleetConfig::lease_ttl_cycles`]), and the next
+//!   eligible heartbeat acquires it under a bumped epoch.
 //! * **Host faults** ([`pim_fault::HostFaultPlan`]) — seeded crash /
 //!   stall / partition schedules on the modeled clock, fired by
 //!   [`Fleet::tick_now`]. A crashed or lapsed host's sessions are
@@ -59,7 +57,7 @@
 
 mod lease;
 
-pub use lease::{InProcessLeaseStore, Lease, LeaseStore};
+pub use lease::{InProcessLeaseStore, Lease};
 pub use pim_fault::{HostFault, HostFaultPlan, HostFaultProfile};
 pub use pim_serve::{ClusterClient, GatewayHost, ServeConfig};
 
@@ -246,7 +244,7 @@ struct FleetInner {
     telemetry: Telemetry,
     /// The host-to-host interconnect tier.
     hop: Interconnect,
-    store: Box<dyn LeaseStore>,
+    store: InProcessLeaseStore,
     track: TrackHandle,
     leader_changes: Counter,
     failovers: Counter,
@@ -418,8 +416,7 @@ impl std::fmt::Debug for Fleet {
 
 impl Fleet {
     /// Builds a fleet of [`FleetConfig::hosts`] default hosts: each a
-    /// single-chip [`Device`] behind its own gateway,
-    /// so execution is inline and deterministic on the polling thread.
+    /// single-chip [`Device`] behind its own gateway.
     ///
     /// # Errors
     ///
@@ -455,7 +452,7 @@ impl Fleet {
         let metrics = telemetry.metrics();
         let inner = FleetInner {
             hop: Interconnect::new(cfg.hop),
-            store: Box::new(InProcessLeaseStore::new()),
+            store: InProcessLeaseStore::new(),
             track,
             leader_changes: metrics.counter("fleet.leader_changes"),
             failovers: metrics.counter("fleet.failovers"),
@@ -617,7 +614,7 @@ impl Fleet {
     ///
     /// # Errors
     ///
-    /// Returns a host's failure if one of its shard workers died
+    /// Returns a host's failure if one of its shards crashed
     /// unrecoverably.
     pub fn metrics_snapshot(&self) -> Result<MetricsSnapshot> {
         let mut snap = self.inner.telemetry.metrics().snapshot();

@@ -16,9 +16,7 @@ use pim_telemetry::{
 use pypim_core::{CoreError, Result};
 use std::future::Future;
 use std::pin::Pin;
-use std::sync::{Condvar, Mutex};
-use std::task::{Context, Poll, Wake, Waker};
-use std::time::Duration;
+use std::task::{Context, Poll, Waker};
 
 /// Modeled cycles per modeled second in every `*_rps` figure — the trace
 /// export's 1 cycle = 1 µs convention, so a profile rate of `n` reads as
@@ -152,43 +150,6 @@ pub struct RunReport {
     pub windows: Vec<WindowSample>,
 }
 
-/// The condvar parker doubling as the polling loop's waker: shard workers
-/// wake it through the futures' registered wakers; the driver parks with
-/// a short timeout so a missed wake only costs the timeout.
-struct Parker {
-    flag: Mutex<bool>,
-    cv: Condvar,
-}
-
-impl Parker {
-    fn new() -> Self {
-        Parker {
-            flag: Mutex::new(false),
-            cv: Condvar::new(),
-        }
-    }
-
-    fn park_timeout(&self, dur: Duration) {
-        let mut notified = self.flag.lock().unwrap_or_else(|e| e.into_inner());
-        if !*notified {
-            let (guard, _) = self
-                .cv
-                .wait_timeout(notified, dur)
-                .unwrap_or_else(|e| e.into_inner());
-            notified = guard;
-        }
-        *notified = false;
-    }
-}
-
-impl Wake for Parker {
-    fn wake(self: std::sync::Arc<Self>) {
-        let mut notified = self.flag.lock().unwrap_or_else(|e| e.into_inner());
-        *notified = true;
-        self.cv.notify_one();
-    }
-}
-
 /// What the open loop drives. A **lane** is one (class, session) slot: a
 /// session on the target plus the replay template bound to it; the loop
 /// opens `classes × sessions_per_class` of them, numbered in that order,
@@ -311,9 +272,9 @@ pub(crate) fn drive<T: LoadTarget>(target: &mut T, cfg: &LoadgenConfig) -> Resul
     sampler.watch_histogram("loadgen.latency_cycles", &latency_h);
     sampler.watch_histogram(target.histogram(), &own_h);
 
-    let parker = std::sync::Arc::new(Parker::new());
-    let waker = Waker::from(parker.clone());
-    let mut cx = Context::from_waker(&waker);
+    // Every poll runs the gateway's pump to completion on this thread, so
+    // nothing is ever woken from elsewhere.
+    let mut cx = Context::from_waker(Waker::noop());
 
     let start = target.begin()?;
     let horizon_end = start + cfg.horizon_cycles;
@@ -376,9 +337,9 @@ pub(crate) fn drive<T: LoadTarget>(target: &mut T, cfg: &LoadgenConfig) -> Resul
             break; // Abandon outstanding work: saturated sweep points end.
         }
 
-        // Sweep the in-flight set in admission order (crate docs). On a
-        // single chip each poll executes queued groups inline, so this
-        // sweep both advances the modeled clock and retires requests.
+        // Sweep the in-flight set in admission order (crate docs). A poll
+        // pumps queued groups to completion, so this sweep both advances
+        // the modeled clock and retires requests.
         let mut progressed = false;
         let mut i = 0;
         while i < pending.len() {
@@ -435,10 +396,15 @@ pub(crate) fn drive<T: LoadTarget>(target: &mut T, cfg: &LoadgenConfig) -> Resul
         }
 
         if !progressed {
-            // Cluster-only path: work is on shard threads and nothing
-            // retired this sweep. Park until a completion wakes us (or a
-            // short timeout guards against a missed wake).
-            parker.park_timeout(Duration::from_micros(200));
+            // The first poll of a sweep pumps every queued batch of its
+            // gateway, so some request always resolves; one that did not
+            // would wait forever.
+            return Err(CoreError::Protocol {
+                reason: format!(
+                    "open loop: a sweep over {} pending requests retired none",
+                    pending.len()
+                ),
+            });
         }
     }
 
@@ -474,9 +440,8 @@ pub(crate) fn drive<T: LoadTarget>(target: &mut T, cfg: &LoadgenConfig) -> Resul
 struct GatewayTarget<'a> {
     gateway: &'a Gateway,
     lanes: Vec<(ClusterClient, Template)>,
-    /// Gauge tracks recorded at each window close.
+    /// Gauge track recorded at each window close.
     queue_depth: CounterHandle,
-    in_flight: CounterHandle,
     /// Per shard: its utilization track and its profiler cycles when the
     /// last window closed (the run's start for the first).
     shards: Vec<(CounterHandle, u64)>,
@@ -541,8 +506,6 @@ impl LoadTarget for GatewayTarget<'_> {
         let metrics = self.telemetry().metrics();
         self.queue_depth
             .record(at, metrics.gauge("serve.queue_depth").get() as f64);
-        self.in_flight
-            .record(at, metrics.gauge("serve.in_flight").get() as f64);
         if let Some(stats) = self.gateway.device().cluster_stats()? {
             // A window closes late when an execution jump crosses its
             // boundary, so the share is of the cycles it really spanned.
@@ -580,7 +543,6 @@ pub fn run(gateway: &Gateway, cfg: &LoadgenConfig) -> Result<RunReport> {
         gateway,
         lanes: Vec::new(),
         queue_depth: telemetry.counter_track("serve/queue_depth"),
-        in_flight: telemetry.counter_track("serve/in_flight"),
         shards: Vec::new(),
         prev_at: 0,
     };

@@ -42,21 +42,19 @@
 //!
 //! The in-flight set is swept in **admission order**, for every target: a
 //! re-issued attempt joins at the back and a finished one leaves without
-//! reordering the rest. On a single chip a poll executes queued groups
-//! inline, so the sweep order decides which request a tied modeled cycle
+//! reordering the rest. A poll executes queued groups on the driving
+//! thread, so the sweep order decides which request a tied modeled cycle
 //! is charged to; oldest-first is the order a FIFO server retires
 //! requests in, and it keeps a report a function of the seed alone.
 //!
 //! ## Determinism
 //!
 //! Arrival schedules are materialized from the seed before the run
-//! starts, and on **single-chip** devices (a gateway over one, or a fleet
-//! of default hosts) every future resolves inline on the driving thread
-//! and the modeled clock advances only through execution and the loop's
-//! idle jumps — so the same seed (plus, for a fleet, the same fault
-//! schedule) produces bit-identical reports, the SLO JSON included.
-//! Multi-chip clusters execute on worker threads: reports there are
-//! statistically stable, not bit-reproducible.
+//! starts, every future resolves on the driving thread — on one chip or a
+//! cluster of them — and the modeled clock advances only through
+//! execution and the loop's idle jumps, so the same seed (plus, for a
+//! fleet, the same fault schedule) produces bit-identical reports, the
+//! SLO JSON included.
 //!
 //! ## Zero cost when unused
 //!

@@ -3,14 +3,13 @@
 //!
 //! Clients never talk to the device directly. Each session enqueues
 //! instruction batches into its own queue; the *pump* drains those queues
-//! fairly (round-robin, at most one batch per session per group), coalesces
-//! what it takes into one shared submission, and keeps a bounded number of
-//! such groups in flight. There is no background thread, and only client
-//! threads submit: pumping happens on whichever thread polls a request
-//! future, so a single `block_on(join_all(requests))` host thread drives
-//! the whole gateway. A shard worker that completes a group only finishes
-//! it and wakes the clients waiting on queued batches — a submission may
-//! block on a chip-crossing move, which a worker must never wait for.
+//! fairly (round-robin, at most one batch per session per group),
+//! coalesces what it takes into one shared submission, runs it, and
+//! delivers the outcome, group after group until the queues are empty.
+//! There is no background thread: pumping happens on whichever client
+//! thread polls a request future, so a single `block_on(join_all(requests))`
+//! host thread drives the whole gateway. Coalescing merges the batches
+//! admitted between two pumps.
 //!
 //! Safety of coalescing: sessions allocate in disjoint placement windows
 //! (see [`MemoryManager::reserve_window`](pypim_core::MemoryManager)), so
@@ -26,14 +25,14 @@ use pim_telemetry::{
     Gauge, Histogram, MetricsSnapshot, MetricsSource, RequestId, RequestStats, Telemetry,
     TrackHandle,
 };
-use pypim_core::{CoreError, Device, ErrorClass, PlacementHint, Result, StepTicket, TaggedBatch};
+use pypim_core::{CoreError, Device, ErrorClass, PlacementHint, Result, TaggedBatch};
 use std::collections::VecDeque;
 use std::future::Future;
 use std::pin::Pin;
 use std::sync::Arc;
-use std::task::{Context, Poll, Wake, Waker};
+use std::task::{Context, Poll, Waker};
 
-/// Completion slot shared between one client batch's [`ExecFuture`] and the
+/// Outcome slot shared between one client batch's [`ExecFuture`] and the
 /// gateway (which fills it when the batch's group finishes).
 #[derive(Debug, Default)]
 pub(crate) struct BatchSlot {
@@ -61,10 +60,6 @@ impl BatchSlot {
 
     fn set_waker(&self, waker: &Waker) {
         self.state.lock().waker = Some(waker.clone());
-    }
-
-    fn take_waker(&self) -> Option<Waker> {
-        self.state.lock().waker.take()
     }
 
     fn complete(&self, result: Result<()>, at: u64) {
@@ -115,10 +110,12 @@ pub struct GatewayStats {
     pub instructions: u64,
     /// Most client batches ever coalesced into one submission.
     pub max_coalesced: u64,
-    /// Most groups ever in flight at once.
+    /// Always 1 once a group has run (0 before): a group completes inside
+    /// the pump that submits it. Kept because `benchmark/` still reads the
+    /// field.
     pub peak_inflight: u64,
-    /// Always 0: a shard worker never submits, so nothing is deferred to a
-    /// client thread. Kept because `benchmark/` still reads the field.
+    /// Always 0: nothing is deferred from one thread to another. Kept
+    /// because `benchmark/` still reads the field.
     pub deferred: u64,
     /// Sessions opened so far.
     pub sessions: u64,
@@ -180,8 +177,6 @@ struct State {
     free_slots: Vec<usize>,
     /// Round-robin cursor over session queues.
     rr: usize,
-    /// Coalesced submissions currently in flight.
-    inflight: usize,
     stats: GatewayStats,
 }
 
@@ -201,9 +196,6 @@ pub(crate) struct GatewayInner {
     /// (enqueue, pop, expiry, retry re-enqueue, session teardown/eviction),
     /// so a point-in-time snapshot or counter track sees real occupancy.
     queue_depth: Gauge,
-    /// `serve.in_flight` — client batches inside coalesced submissions
-    /// currently executing on the device.
-    in_flight: Gauge,
     state: Mutex<State>,
 }
 
@@ -345,14 +337,13 @@ impl GatewayInner {
     }
 
     /// Pops the next coalesced group under the state lock, or `None` when
-    /// there is no pending work or no in-flight budget. Returns batches
-    /// whose deadline has passed (to fail outside the lock) alongside it.
+    /// there is no pending work. Returns batches whose deadline has passed
+    /// (to fail outside the lock) alongside it.
     fn pop_group(&self) -> (Vec<PendingBatch>, Option<Vec<PendingBatch>>) {
         let now = self.dev.telemetry().now();
         let mut st = self.state.lock();
         // Deadline sweep: expired batches leave their queues before group
-        // formation, whatever the in-flight budget says — they must not
-        // consume device time.
+        // formation — they must not consume device time.
         let mut expired: Vec<PendingBatch> = Vec::new();
         for q in st.sessions.iter_mut().map(|s| &mut s.queue) {
             let mut i = 0;
@@ -366,9 +357,6 @@ impl GatewayInner {
         }
         st.stats.deadline_misses += expired.len() as u64;
         self.queue_depth.add(-(expired.len() as i64));
-        if st.inflight >= self.cfg.max_inflight {
-            return (expired, None);
-        }
         let n = st.sessions.len();
         // Fair draining: scan sessions round-robin from the cursor, taking
         // at most one batch per session.
@@ -384,21 +372,19 @@ impl GatewayInner {
             return (expired, None);
         }
         st.rr = (st.rr + 1) % n;
-        st.inflight += 1;
         self.queue_depth.add(-(batches.len() as i64));
-        self.in_flight.add(batches.len() as i64);
         st.stats.groups += 1;
         st.stats.batches += batches.len() as u64;
         st.stats.instructions += batches.iter().map(|b| b.instrs.len() as u64).sum::<u64>();
         st.stats.max_coalesced = st.stats.max_coalesced.max(batches.len() as u64);
-        st.stats.peak_inflight = st.stats.peak_inflight.max(st.inflight as u64);
+        st.stats.peak_inflight = 1;
         (expired, Some(batches))
     }
 
-    /// Drains session queues into coalesced in-flight submissions until the
-    /// in-flight budget is exhausted or no work is pending. Runs only on
-    /// client poll threads: a submission may block on a chip-crossing move.
-    pub(crate) fn pump(self: &Arc<Self>) {
+    /// Drains session queues into coalesced submissions, running each and
+    /// delivering its outcome, until no work is pending. Runs on whichever
+    /// client thread polls.
+    pub(crate) fn pump(&self) {
         loop {
             let (expired, popped) = self.pop_group();
             if !expired.is_empty() {
@@ -442,54 +428,28 @@ impl GatewayInner {
             if recording {
                 self.group_size.record(tagged.len() as u64);
             }
-            let submitted = self.dev.submit_tagged(&tagged);
+            let result = self.dev.exec_tagged(&tagged);
             // The instruction plans move back into their batches: a
             // transient shard failure retries them as-is, with no
             // re-planning and no clone on the happy path.
             for (b, t) in batches.iter_mut().zip(tagged) {
                 b.instrs = t.instrs;
             }
-            match submitted {
-                Err(e) => self.finish_group(batches, Err(e)),
-                Ok(ticket) => Group::attach(Arc::clone(self), ticket, batches),
-            }
-            // Loop: budget may allow another group.
+            self.finish_group(batches, result);
         }
     }
 
-    /// Wakes every client waiting on a queued batch, so one of them pumps
-    /// into the budget a finished group freed. Every registered waker, not
-    /// just the queue heads': a session may await only its last
-    /// submission, leaving the batches ahead of it with none.
-    fn wake_queued(&self) {
-        let wakers: Vec<Waker> = {
-            let st = self.state.lock();
-            st.sessions
-                .iter()
-                .flat_map(|s| &s.queue)
-                .filter_map(|b| b.slot.take_waker())
-                .collect()
-        };
-        for w in wakers {
-            w.wake();
-        }
-    }
-
-    /// Delivers a finished group's outcome to its member batches and frees
-    /// its in-flight budget. A transient failure (worker crash, link
-    /// fault) re-enqueues members that still have retry budget at the
-    /// front of their session queues, charging an exponential backoff to
-    /// the modeled clock; a missed deadline overrides any outcome.
-    /// Deliberately does *not* pump — the pump loop continues by itself,
-    /// and a worker wake only wakes the queued clients.
+    /// Delivers a finished group's outcome to its member batches. A
+    /// transient failure (shard crash, link fault) re-enqueues members
+    /// that still have retry budget at the front of their session queues,
+    /// charging an exponential backoff to the modeled clock; a missed
+    /// deadline overrides any outcome.
     fn finish_group(&self, batches: Vec<PendingBatch>, result: Result<()>) {
         let now = self.dev.telemetry().now();
         let transient = matches!(&result, Err(e) if e.class() == ErrorClass::Transient);
         let mut deliver: Vec<(Arc<BatchSlot>, Result<()>)> = Vec::with_capacity(batches.len());
         {
             let mut st = self.state.lock();
-            st.inflight -= 1;
-            self.in_flight.add(-(batches.len() as i64));
             for mut b in batches {
                 if let Some(d) = b.deadline.filter(|&d| now > d) {
                     st.stats.deadline_misses += 1;
@@ -535,66 +495,10 @@ impl GatewayInner {
     }
 }
 
-/// Drives one in-flight coalesced submission: registered as the waker of
-/// the submission's shard tickets, it re-polls them on every shard
-/// completion and, once all are done, delivers the outcome and wakes the
-/// clients that will submit the next group.
-struct Group {
-    gw: Arc<GatewayInner>,
-    inner: Mutex<Option<(StepTicket, Vec<PendingBatch>)>>,
-}
-
-impl Group {
-    fn attach(gw: Arc<GatewayInner>, ticket: StepTicket, batches: Vec<PendingBatch>) {
-        let group = Arc::new(Group {
-            gw,
-            inner: Mutex::new(Some((ticket, batches))),
-        });
-        // First poll registers the group as the tickets' waker (or
-        // completes immediately for ready tickets).
-        group.try_complete();
-    }
-
-    /// Polls the submission; on completion delivers results. Returns
-    /// whether the group finished.
-    fn try_complete(self: &Arc<Self>) -> bool {
-        let mut guard = self.inner.lock();
-        let Some((mut ticket, batches)) = guard.take() else {
-            return false; // already completed by another wake
-        };
-        let waker = Waker::from(Arc::clone(self));
-        let mut cx = Context::from_waker(&waker);
-        match Pin::new(&mut ticket).poll(&mut cx) {
-            Poll::Pending => {
-                *guard = Some((ticket, batches));
-                false
-            }
-            Poll::Ready(result) => {
-                drop(guard);
-                self.gw.finish_group(batches, result);
-                true
-            }
-        }
-    }
-}
-
-impl Wake for Group {
-    fn wake(self: Arc<Self>) {
-        // Runs on the shard-worker thread that completed a ticket: finish
-        // the group if it is done, then hand the freed budget to the
-        // clients — a worker never submits (see the module docs).
-        if self.try_complete() {
-            self.gw.wake_queued();
-        }
-    }
-}
-
 /// Future of one client batch moving through the gateway: registers its
 /// waker, pumps cooperatively, and resolves when the batch's coalesced
-/// group has executed. Groups pipeline rather than barrier: a session can
-/// run ahead of its peers as long as in-flight budget remains, and
-/// coalescing happens whenever multiple sessions' steps are queued at pump
-/// time (always under budget pressure).
+/// group has executed. A session can run ahead of its peers, and the
+/// batches of every session queued at pump time share groups.
 pub struct ExecFuture {
     gw: Arc<GatewayInner>,
     slot: Arc<BatchSlot>,
@@ -622,8 +526,9 @@ impl Future for ExecFuture {
         if let Some(result) = self.slot.take_done() {
             return Poll::Ready(result);
         }
-        // Register before pumping: a group completing on a worker thread
-        // between the check above and the pump below must find the waker.
+        // Register before pumping: a group that another client thread's
+        // pump completes between the check above and the pump below must
+        // find the waker.
         self.slot.set_waker(cx.waker());
         self.gw.pump();
         if let Some(result) = self.slot.take_done() {
@@ -651,15 +556,14 @@ impl std::fmt::Debug for Gateway {
 }
 
 impl Gateway {
-    /// Builds a gateway over `dev` (typically a [`Device::cluster`] — a
-    /// single-chip device works too, executing submissions inline).
+    /// Builds a gateway over `dev` (typically a [`Device::cluster`]; a
+    /// single-chip device works too).
     pub fn new(dev: Device, cfg: ServeConfig) -> Gateway {
         let telemetry = dev.telemetry();
         let track = telemetry.track("gateway/admission");
         let queue_wait = telemetry.metrics().histogram("serve.queue_wait_cycles");
         let group_size = telemetry.metrics().histogram("serve.group_batches");
         let queue_depth = telemetry.metrics().gauge("serve.queue_depth");
-        let in_flight = telemetry.metrics().gauge("serve.in_flight");
         Gateway {
             inner: Arc::new(GatewayInner {
                 dev,
@@ -668,7 +572,6 @@ impl Gateway {
                 queue_wait,
                 group_size,
                 queue_depth,
-                in_flight,
                 state: Mutex::new(State::default()),
             }),
         }
@@ -744,14 +647,14 @@ impl Gateway {
         self.inner.evict_slot(session);
     }
 
-    /// Telemetry of the admission controller (coalescing and in-flight
-    /// depth).
+    /// Telemetry of the admission controller (groups, coalescing, retries,
+    /// admission refusals).
     pub fn stats(&self) -> GatewayStats {
         self.inner.stats()
     }
 
     /// The telemetry handle shared by the gateway, the device, and (for a
-    /// cluster) every shard worker. `gw.telemetry().set_enabled(true)`
+    /// cluster) every shard. `gw.telemetry().set_enabled(true)`
     /// starts recording admission spans, shard execution slices,
     /// interconnect bursts, and per-request attribution — all on the
     /// modeled clock.
@@ -767,8 +670,8 @@ impl Gateway {
     ///
     /// # Errors
     ///
-    /// Returns the shard's failure if a cluster shard worker thread has
-    /// died and could not be revived.
+    /// Returns the shard's failure if a shard crashed and could not be
+    /// revived.
     pub fn metrics_snapshot(&self) -> Result<MetricsSnapshot> {
         let mut snap = self.inner.dev.metrics_snapshot()?;
         self.stats().fill_metrics(&mut snap);
@@ -818,7 +721,7 @@ pub trait GatewayHost {
     ///
     /// # Errors
     ///
-    /// Returns the shard's failure if a worker thread died unrecoverably.
+    /// Returns the shard's failure if a shard crashed unrecoverably.
     fn metrics_snapshot(&self) -> Result<MetricsSnapshot>;
 }
 
@@ -897,47 +800,24 @@ mod tests {
     }
 
     #[test]
-    fn backpressure_bounds_inflight_groups() {
-        let gw = dev4().serve(ServeConfig {
-            max_inflight: 2,
-            ..ServeConfig::default()
-        });
-        let clients: Vec<ClusterClient> =
-            (0..6).map(|_| gw.session_with_warps(2).unwrap()).collect();
-        let results = block_on(join_all(clients.iter().map(|c| request(c, 16, 1.0))));
-        for r in results {
-            assert_eq!(r.unwrap(), expect(16, 1.0));
-        }
-        let stats = gw.stats();
-        assert!(stats.groups > 0);
-        assert!(
-            stats.peak_inflight <= 2,
-            "budget exceeded: {} in flight",
-            stats.peak_inflight
-        );
-    }
-
-    #[test]
-    fn budget_pressure_coalesces_batches() {
-        // With a single in-flight slot, batches of the waiting sessions
-        // accumulate and must go out as one coalesced submission.
-        let gw = dev4().serve(ServeConfig {
-            max_inflight: 1,
-            ..ServeConfig::default()
-        });
+    fn batches_admitted_between_pumps_coalesce() {
+        let gw = dev4().serve(ServeConfig::default());
         let clients: Vec<ClusterClient> =
             (0..4).map(|_| gw.session_with_warps(2).unwrap()).collect();
-        let results = block_on(join_all(clients.iter().map(|c| request(c, 8, 2.0))));
-        for r in results {
-            assert_eq!(r.unwrap(), expect(8, 2.0));
+        // Admission without polling: nothing runs until a poll pumps, and
+        // that pump takes every queued batch in one group.
+        let futs: Vec<ExecFuture> = clients.iter().map(|c| c.submit(store_batch(c))).collect();
+        assert_eq!(gw.stats().groups, 0);
+        for r in block_on(join_all(futs)) {
+            r.unwrap();
         }
         let stats = gw.stats();
-        assert!(
-            stats.max_coalesced >= 2,
-            "no coalescing observed: {stats:?}"
+        assert_eq!(
+            (stats.groups, stats.batches, stats.max_coalesced),
+            (1, 4, 4),
+            "{stats:?}"
         );
         assert_eq!(stats.peak_inflight, 1);
-        assert!(stats.batches >= stats.groups);
     }
 
     #[test]
@@ -1007,9 +887,9 @@ mod tests {
 
     #[test]
     fn awaiting_only_the_last_of_many_submissions_finishes() {
-        // Six batches on one session, only the last awaited: its poll fills
-        // the budget of 4, and the unpolled fifth heads the queue with no
-        // waker. A worker finishing a group must still reach the sixth.
+        // Six batches on one session, only the last awaited: the five
+        // ahead of it hold no waker, and its poll must still pump them all
+        // (one per group, in admission order) and then itself.
         let gw = dev4().serve(ServeConfig::default());
         let client = gw.session().unwrap();
         let mut futs: Vec<ExecFuture> = (0..6)
@@ -1072,18 +952,15 @@ mod tests {
     fn depth_and_inflight_gauges_track_queue_occupancy() {
         let gw = dev4().serve(ServeConfig::default());
         let depth = gw.telemetry().metrics().gauge("serve.queue_depth");
-        let in_flight = gw.telemetry().metrics().gauge("serve.in_flight");
         let client = gw.session().unwrap();
-        // Admission without polling: batches sit queued, nothing in flight.
+        // Admission without polling: batches sit queued.
         let f1 = gw.inner.enqueue(client.id(), store_batch(&client));
         let f2 = gw.inner.enqueue(client.id(), store_batch(&client));
         assert_eq!(depth.get(), 2);
-        assert_eq!(in_flight.get(), 0);
         block_on(f1).unwrap();
         block_on(f2).unwrap();
-        // Everything executed: both gauges are back to zero.
+        // Everything executed: the gauge is back to zero.
         assert_eq!(depth.get(), 0);
-        assert_eq!(in_flight.get(), 0);
         // A cancelled future's orphaned batch leaves the gauge on session
         // teardown, and a rejected admission never touches it.
         let gw2 = dev4().serve(ServeConfig {

@@ -1,27 +1,26 @@
 //! # pim-serve
 //!
 //! An **async multi-client serving gateway** over the PyPIM stack: the
-//! subsystem that lets *one host thread* keep many client requests in
-//! flight against a sharded [`Device::cluster`] — the end-to-end
-//! host-to-PIM serving story of the paper (conf_micro_LeitersdorfRK24)
-//! scaled from one program to heavy multi-user traffic.
+//! subsystem that lets *one host thread* serve many client sessions
+//! against a sharded [`Device::cluster`] — the end-to-end host-to-PIM
+//! serving story of the paper (conf_micro_LeitersdorfRK24) scaled from one
+//! program to heavy multi-user traffic. Like the paper's host driver, the
+//! gateway is one sequential translator: a group runs to completion on
+//! the thread that pumps it, and the parallelism is the chips' own, on the
+//! modeled clock.
 //!
-//! Three mechanisms compose:
+//! Two mechanisms compose:
 //!
-//! * **Pollable completion** — cluster job tickets are futures
-//!   ([`pim_cluster::JobTicket`]): a shard worker wakes the registered
-//!   waker the instant a batch finishes, so nothing spins and nothing
-//!   blocks between submissions.
 //! * **Admission control and coalescing** — every session step enters a
-//!   per-session queue; the gateway drains the queues fairly (round-robin)
-//!   and coalesces steps from many sessions into one shared device
-//!   submission, keeping a bounded number of such groups in flight
-//!   (backpressure). See [`ServeConfig`].
+//!   per-session queue; the pump (run by whichever client polls) drains
+//!   the queues fairly (round-robin) and coalesces the steps of every
+//!   session admitted since the last pump into one shared device
+//!   submission, group after group. See [`ServeConfig`].
 //! * **Per-client placement** — each session reserves a private warp
 //!   window ([`pypim_core::PlacementHint`]); its tensors, results, and
 //!   temporaries allocate there, so concurrent requests never exhaust a
 //!   shared window's registers and chip-local windows keep whole requests
-//!   on one shard. No in-flight bound is needed for memory safety anymore.
+//!   on one shard.
 //!
 //! Results are **bit-identical** to serving every client sequentially
 //! through the synchronous tensor API: sessions touch disjoint stripes
@@ -60,7 +59,7 @@
 //! let clients: Vec<ClusterClient> =
 //!     (0..4).map(|_| gateway.session()).collect::<Result<_>>()?;
 //!
-//! // One host thread drives all four requests concurrently.
+//! // One host thread drives all four requests, interleaved.
 //! let results = block_on(join_all(
 //!     clients.iter().map(|c| request(c, &[1.0, 2.0, 3.0, 4.0])),
 //! ));
@@ -86,9 +85,6 @@ use pypim_core::Device;
 /// Tuning of the gateway's admission controller.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ServeConfig {
-    /// Maximum coalesced submissions in flight at once (backpressure:
-    /// further client batches queue).
-    pub max_inflight: usize,
     /// Maximum client batches coalesced into one submission (at most one
     /// per session — fairness is round-robin).
     pub max_coalesce: usize,
@@ -99,7 +95,7 @@ pub struct ServeConfig {
     /// fail fast with [`pypim_core::CoreError::Overloaded`]. `0` means
     /// unbounded.
     pub max_queue_depth: usize,
-    /// Times a batch that failed with a *transient* error (worker crash,
+    /// Times a batch that failed with a *transient* error (shard crash,
     /// link fault — see [`pypim_core::ErrorClass::Transient`]) is retried
     /// before the error surfaces to the client.
     pub max_retries: u32,
@@ -122,7 +118,6 @@ pub struct ServeConfig {
 impl Default for ServeConfig {
     fn default() -> Self {
         ServeConfig {
-            max_inflight: 4,
             max_coalesce: 8,
             session_warps: 0,
             max_queue_depth: 64,

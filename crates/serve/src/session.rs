@@ -103,14 +103,14 @@ impl ClusterClient {
     }
 
     /// Reads raw words at `(warp, row, register)` locations, in order.
-    /// Reads bypass coalescing (they end a request's pipeline) but still
-    /// stream asynchronously.
+    /// Reads bypass coalescing (they end a request's pipeline) and run at
+    /// once.
     ///
     /// # Errors
     ///
     /// Surfaces addressing and shard errors.
     pub async fn read_locs(&self, locs: &[(u32, u32, u8)]) -> Result<Vec<u32>> {
-        self.gw.dev.submit_reads(locs)?.await
+        self.gw.dev.read_many(locs)
     }
 
     /// Copies `src` into `dst` (same length, any layouts): the planned move

@@ -5,7 +5,7 @@
 //! load directly: one `"M"` (metadata) event naming each track as a thread
 //! of a single `pim` process, one `"X"` (complete) event per recorded
 //! span, and one `"C"` (counter) event per counter-track sample — Perfetto
-//! renders those as value-over-time counter tracks (queue depth, in-flight,
+//! renders those as value-over-time counter tracks (queue depth,
 //! utilization) alongside the span timelines. Timestamps are microseconds
 //! by convention; we map **1 modeled cycle = 1 µs**, so the viewer's time
 //! axis reads directly in modeled cycles.

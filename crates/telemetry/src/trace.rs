@@ -2,13 +2,13 @@
 //! attribution.
 //!
 //! The stack's notion of time is modeled PIM cycles, not wall time: each
-//! shard worker's profiler counts the cycles its chip consumed, and the
+//! shard's profiler counts the cycles its chip consumed, and the
 //! interconnect charges link cycles per burst. The [`TraceRecorder`] keeps
-//! one ring buffer per *track* (one per shard worker, plus
-//! gateway/admission/interconnect tracks); a worker records complete spans
-//! stamped with its own cycle counter and advances the recorder's global
-//! modeled clock, which host-side tracks (gateway admission, interconnect
-//! bursts) stamp from. The timelines are therefore per-track monotonic and
+//! one ring buffer per *track* (one per shard, plus
+//! gateway/admission/interconnect tracks); a shard job records complete
+//! spans stamped with its chip's cycle counter and advances the recorder's
+//! global modeled clock, which host-side tracks (gateway admission,
+//! interconnect bursts) stamp from. The timelines are therefore per-track monotonic and
 //! globally aligned to within the chips-run-in-parallel model's skew.
 //!
 //! Every span carries a [`RequestId`], so a finished trace attributes
@@ -90,39 +90,81 @@ pub struct TraceEvent {
     pub detail: Option<(&'static str, u64)>,
 }
 
-pub(crate) struct TrackBuf {
-    pub(crate) events: VecDeque<TraceEvent>,
-    pub(crate) dropped: u64,
-}
-
-pub(crate) struct Track {
-    pub(crate) name: String,
-    pub(crate) buf: Mutex<TrackBuf>,
-}
-
-pub(crate) struct CounterBuf {
-    pub(crate) samples: VecDeque<(u64, f64)>,
-    pub(crate) dropped: u64,
-}
-
-pub(crate) struct CounterTrack {
-    pub(crate) name: String,
-    pub(crate) buf: Mutex<CounterBuf>,
-}
-
 /// One counter track's snapshot: `(name, (ts, value) samples, dropped)`.
 pub type CounterTrackSnapshot = (String, Vec<(u64, f64)>, u64);
 
+/// One named ring buffer and the count of records it dropped.
+struct Track<T> {
+    name: String,
+    buf: Mutex<(VecDeque<T>, u64)>,
+}
+
+/// A registry of tracks of one record type — span tracks hold
+/// [`TraceEvent`]s, counter tracks `(ts, value)` samples — each a ring
+/// buffer that drops its oldest record beyond the recorder's capacity.
+struct Tracks<T>(RwLock<Vec<Track<T>>>);
+
+impl<T> Default for Tracks<T> {
+    fn default() -> Self {
+        Tracks(RwLock::new(Vec::new()))
+    }
+}
+
+impl<T: Copy> Tracks<T> {
+    /// Registers (or finds) the track named `name`, returning its index.
+    fn register(&self, name: &str) -> u32 {
+        let mut tracks = self.0.write().unwrap_or_else(|e| e.into_inner());
+        if let Some(i) = tracks.iter().position(|t| t.name == name) {
+            return i as u32;
+        }
+        tracks.push(Track {
+            name: name.to_string(),
+            buf: Mutex::new((VecDeque::new(), 0)),
+        });
+        tracks.len() as u32 - 1
+    }
+
+    fn record(&self, track: u32, item: T, capacity: usize) {
+        let tracks = self.0.read().unwrap_or_else(|e| e.into_inner());
+        let Some(t) = tracks.get(track as usize) else {
+            return;
+        };
+        let mut buf = t.buf.lock().unwrap_or_else(|e| e.into_inner());
+        let (items, dropped) = &mut *buf;
+        if items.len() >= capacity {
+            items.pop_front();
+            *dropped += 1;
+        }
+        items.push_back(item);
+    }
+
+    /// `(name, records, dropped count)` of every track.
+    fn snapshot(&self) -> Vec<(String, Vec<T>, u64)> {
+        let tracks = self.0.read().unwrap_or_else(|e| e.into_inner());
+        tracks
+            .iter()
+            .map(|t| {
+                let buf = t.buf.lock().unwrap_or_else(|e| e.into_inner());
+                (t.name.clone(), buf.0.iter().copied().collect(), buf.1)
+            })
+            .collect()
+    }
+
+    fn clear(&self) {
+        let tracks = self.0.read().unwrap_or_else(|e| e.into_inner());
+        for t in tracks.iter() {
+            *t.buf.lock().unwrap_or_else(|e| e.into_inner()) = (VecDeque::new(), 0);
+        }
+    }
+}
+
 /// Ring-buffered span storage, one buffer per track, plus counter tracks
-/// (timestamped scalar samples — queue depth, in-flight, utilization) that
-/// export as Perfetto counter tracks next to the span tracks. Tracks are
-/// meant to be owned by one recording thread each (a shard worker records
-/// only onto its own track), so the per-track mutex is uncontended in
-/// steady state.
+/// (timestamped scalar samples — queue depth, utilization) that export as
+/// Perfetto counter tracks next to the span tracks.
 #[derive(Default)]
 pub struct TraceRecorder {
-    pub(crate) tracks: RwLock<Vec<Track>>,
-    pub(crate) counters: RwLock<Vec<CounterTrack>>,
+    tracks: Tracks<TraceEvent>,
+    counters: Tracks<(u64, f64)>,
     capacity: usize,
 }
 
@@ -137,118 +179,37 @@ impl std::fmt::Debug for TraceRecorder {
 impl TraceRecorder {
     fn with_capacity(capacity: usize) -> Self {
         TraceRecorder {
-            tracks: RwLock::new(Vec::new()),
-            counters: RwLock::new(Vec::new()),
             capacity,
+            ..TraceRecorder::default()
         }
     }
 
     /// Registers (or finds) the track named `name`, returning its id.
     pub fn register_track(&self, name: &str) -> TrackId {
-        let mut tracks = self.tracks.write().unwrap_or_else(|e| e.into_inner());
-        if let Some(i) = tracks.iter().position(|t| t.name == name) {
-            return TrackId(i as u32);
-        }
-        tracks.push(Track {
-            name: name.to_string(),
-            buf: Mutex::new(TrackBuf {
-                events: VecDeque::new(),
-                dropped: 0,
-            }),
-        });
-        TrackId(tracks.len() as u32 - 1)
-    }
-
-    fn record(&self, track: TrackId, event: TraceEvent) {
-        let tracks = self.tracks.read().unwrap_or_else(|e| e.into_inner());
-        let Some(t) = tracks.get(track.0 as usize) else {
-            return;
-        };
-        let mut buf = t.buf.lock().unwrap_or_else(|e| e.into_inner());
-        if buf.events.len() >= self.capacity {
-            buf.events.pop_front();
-            buf.dropped += 1;
-        }
-        buf.events.push_back(event);
+        TrackId(self.tracks.register(name))
     }
 
     /// Registers (or finds) the counter track named `name`.
     pub fn register_counter_track(&self, name: &str) -> CounterId {
-        let mut counters = self.counters.write().unwrap_or_else(|e| e.into_inner());
-        if let Some(i) = counters.iter().position(|t| t.name == name) {
-            return CounterId(i as u32);
-        }
-        counters.push(CounterTrack {
-            name: name.to_string(),
-            buf: Mutex::new(CounterBuf {
-                samples: VecDeque::new(),
-                dropped: 0,
-            }),
-        });
-        CounterId(counters.len() as u32 - 1)
+        CounterId(self.counters.register(name))
     }
 
-    fn record_counter(&self, id: CounterId, ts: u64, value: f64) {
-        let counters = self.counters.read().unwrap_or_else(|e| e.into_inner());
-        let Some(t) = counters.get(id.0 as usize) else {
-            return;
-        };
-        let mut buf = t.buf.lock().unwrap_or_else(|e| e.into_inner());
-        if buf.samples.len() >= self.capacity {
-            buf.samples.pop_front();
-            buf.dropped += 1;
-        }
-        buf.samples.push_back((ts, value));
+    /// Snapshot of every track: `(track name, events, dropped count)`.
+    pub fn tracks(&self) -> Vec<(String, Vec<TraceEvent>, u64)> {
+        self.tracks.snapshot()
     }
 
     /// Snapshot of every counter track:
     /// `(name, (ts, value) samples, dropped count)`.
     pub fn counter_tracks(&self) -> Vec<CounterTrackSnapshot> {
-        let counters = self.counters.read().unwrap_or_else(|e| e.into_inner());
-        counters
-            .iter()
-            .map(|t| {
-                let buf = t.buf.lock().unwrap_or_else(|e| e.into_inner());
-                (
-                    t.name.clone(),
-                    buf.samples.iter().copied().collect(),
-                    buf.dropped,
-                )
-            })
-            .collect()
-    }
-
-    /// Snapshot of every track: `(track name, events, dropped count)`.
-    pub fn tracks(&self) -> Vec<(String, Vec<TraceEvent>, u64)> {
-        let tracks = self.tracks.read().unwrap_or_else(|e| e.into_inner());
-        tracks
-            .iter()
-            .map(|t| {
-                let buf = t.buf.lock().unwrap_or_else(|e| e.into_inner());
-                (
-                    t.name.clone(),
-                    buf.events.iter().copied().collect(),
-                    buf.dropped,
-                )
-            })
-            .collect()
+        self.counters.snapshot()
     }
 
     /// Discards every recorded event and counter sample (track
     /// registrations are kept).
     pub fn clear(&self) {
-        let tracks = self.tracks.read().unwrap_or_else(|e| e.into_inner());
-        for t in tracks.iter() {
-            let mut buf = t.buf.lock().unwrap_or_else(|e| e.into_inner());
-            buf.events.clear();
-            buf.dropped = 0;
-        }
-        let counters = self.counters.read().unwrap_or_else(|e| e.into_inner());
-        for t in counters.iter() {
-            let mut buf = t.buf.lock().unwrap_or_else(|e| e.into_inner());
-            buf.samples.clear();
-            buf.dropped = 0;
-        }
+        self.tracks.clear();
+        self.counters.clear();
     }
 }
 
@@ -264,7 +225,7 @@ pub struct CounterId(pub(crate) u32);
 /// request by the spans recorded against its [`RequestId`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RequestStats {
-    /// Shard-worker execution cycles attributed to this request.
+    /// Shard execution cycles attributed to this request.
     pub cycles: u64,
     /// Cross-chip words this request's moves sent over the interconnect.
     pub cross_words: u64,
@@ -498,9 +459,9 @@ impl TrackHandle {
         &self.telemetry
     }
 
-    /// Records a complete span with explicit modeled-clock timestamps —
-    /// the shard-worker path, where the chip's own cycle counter is the
-    /// timeline. No-op when disabled.
+    /// Records a complete span with explicit modeled-clock timestamps (a
+    /// shard's span is stamped from its chip's own cycle counter). No-op
+    /// when disabled.
     pub fn record_complete(
         &self,
         name: &'static str,
@@ -512,32 +473,17 @@ impl TrackHandle {
         if !self.is_enabled() {
             return;
         }
-        self.telemetry.inner.recorder.record(
-            self.track,
-            TraceEvent {
-                name,
-                ts,
-                dur,
-                request,
-                detail,
-            },
-        );
-    }
-
-    /// Opens a span on the global modeled clock, closed (and recorded)
-    /// when the guard drops — the host-side path (gateway admission).
-    /// Returns a no-op guard when disabled.
-    pub fn span(&self, name: &'static str, request: RequestId) -> SpanGuard {
-        SpanGuard {
-            track: self.clone(),
+        let recorder = &self.telemetry.inner.recorder;
+        let event = TraceEvent {
             name,
+            ts,
+            dur,
             request,
-            start: if self.is_enabled() {
-                Some(self.telemetry.now())
-            } else {
-                None
-            },
-        }
+            detail,
+        };
+        recorder
+            .tracks
+            .record(self.track.0, event, recorder.capacity);
     }
 }
 
@@ -559,47 +505,10 @@ impl CounterHandle {
         if !self.is_enabled() {
             return;
         }
-        self.telemetry
-            .inner
-            .recorder
-            .record_counter(self.counter, ts, value);
-    }
-
-    /// Records `value` at the current global modeled clock.
-    pub fn record_now(&self, value: f64) {
-        if !self.is_enabled() {
-            return;
-        }
-        let now = self.telemetry.now();
-        self.telemetry
-            .inner
-            .recorder
-            .record_counter(self.counter, now, value);
-    }
-}
-
-/// Guard of an open [`TrackHandle::span`]; records the span on drop.
-#[derive(Debug)]
-pub struct SpanGuard {
-    track: TrackHandle,
-    name: &'static str,
-    request: RequestId,
-    /// `None` when recording was disabled at open time (no-op guard).
-    start: Option<u64>,
-}
-
-impl Drop for SpanGuard {
-    fn drop(&mut self) {
-        if let Some(start) = self.start {
-            let end = self.track.telemetry.now();
-            self.track.record_complete(
-                self.name,
-                start,
-                end.saturating_sub(start),
-                self.request,
-                None,
-            );
-        }
+        let recorder = &self.telemetry.inner.recorder;
+        recorder
+            .counters
+            .record(self.counter.0, (ts, value), recorder.capacity);
     }
 }
 
@@ -626,7 +535,6 @@ mod tests {
         let t = Telemetry::disabled();
         let track = t.track("shard-0");
         track.record_complete("exec", 0, 10, RequestId::new(0, 0), None);
-        drop(track.span("queued", RequestId::new(0, 1)));
         t.attribute(
             RequestId::new(0, 0),
             RequestStats {
@@ -685,19 +593,6 @@ mod tests {
     }
 
     #[test]
-    fn span_guard_uses_global_clock() {
-        let t = Telemetry::recording();
-        let track = t.track("gateway");
-        t.advance_clock(10);
-        let span = track.span("queued", RequestId::new(0, 0));
-        t.advance_clock(35);
-        drop(span);
-        let events = &t.recorder().tracks()[0].1;
-        assert_eq!(events.len(), 1);
-        assert_eq!((events[0].ts, events[0].dur), (10, 25));
-    }
-
-    #[test]
     fn ring_buffer_drops_oldest() {
         let t = Telemetry::new(TelemetryConfig {
             track_events: 2,
@@ -728,8 +623,7 @@ mod tests {
         let t = Telemetry::recording();
         let depth = t.counter_track("gateway/queue_depth");
         depth.record(100, 3.0);
-        t.advance_clock(250);
-        depth.record_now(5.0);
+        depth.record(250, 5.0);
         // Registration is idempotent; recording through a second handle
         // lands on the same track.
         t.counter_track("gateway/queue_depth").record(300, 2.0);

@@ -1,12 +1,12 @@
 //! Request serving on a sharded multi-chip cluster through the `pim-serve`
-//! gateway: one host thread drives every client's requests concurrently —
+//! gateway: one host thread drives every client's requests, interleaved —
 //! no thread per client, no semaphore bounding in-flight work.
 //!
 //! Each client session owns a private placement window in the warp space
-//! (`Gateway::session`), so concurrent requests allocate in disjoint
+//! (`Gateway::session`), so interleaved requests allocate in disjoint
 //! stripes and the window-exhaustion failure mode that used to require a
-//! `MAX_IN_FLIGHT` admission bound is structurally gone; the gateway's
-//! in-flight budget is batching backpressure, not a memory-safety valve.
+//! `MAX_IN_FLIGHT` admission bound is structurally gone; the steps of
+//! every session waiting at a pump share one device submission.
 //!
 //! Observability: telemetry is switched on for the serving run, so the
 //! wrap-up is one unified `MetricsSnapshot` across every layer (`serve.*`
@@ -119,7 +119,7 @@ fn main() -> Result<()> {
     let sampler = RefCell::new(sampler);
     let gw = &gateway;
 
-    // One host thread drives all clients' requests concurrently.
+    // One host thread drives all clients' requests, interleaved.
     let start = Instant::now();
     let outcomes: Vec<Result<(f32, Vec<Duration>)>> =
         block_on(join_all(clients.iter().enumerate().map(|(cid, client)| {
@@ -177,7 +177,7 @@ fn main() -> Result<()> {
     );
     println!(
         "per-request latency: p50 {:.1} ms, p90 {:.1} ms, p99 {:.1} ms \
-         (concurrent requests overlap, so sums exceed wall time)",
+         (interleaved requests overlap, so sums exceed wall time)",
         percentile(&latencies, 0.50).as_secs_f64() * 1e3,
         percentile(&latencies, 0.90).as_secs_f64() * 1e3,
         percentile(&latencies, 0.99).as_secs_f64() * 1e3,
@@ -187,8 +187,8 @@ fn main() -> Result<()> {
     // p50/p99/p999 tails), cluster.* traffic, sim.* profiler counters.
     println!("\n{}", gateway.metrics_snapshot()?.render());
 
-    // The windowed view of the same run: batch throughput, queue
-    // depth/in-flight at each window close, and the *windowed* queue-wait
+    // The windowed view of the same run: batch throughput, queue depth
+    // at each window close, and the *windowed* queue-wait
     // tail (each window's p99 over only that window's submissions, not
     // the run-cumulative figure above).
     println!("windowed time series ({WINDOW_CYCLES}-cycle windows, 1 cycle = 1 us modeled):");
@@ -197,7 +197,7 @@ fn main() -> Result<()> {
         sampler.borrow().render_table(
             MODELED_CYCLES_PER_SEC,
             &["serve.batches"],
-            &["serve.queue_depth", "serve.in_flight"],
+            &["serve.queue_depth"],
             &["serve.queue_wait_cycles"],
         )
     );

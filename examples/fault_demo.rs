@@ -1,11 +1,12 @@
-//! Deterministic fault-injection demo: a seeded fault schedule (worker
+//! Deterministic fault-injection demo: a seeded fault schedule (shard
 //! crashes + stalls on one shard) runs under a multi-request serving
-//! workload, the supervisor respawns the crashed shard worker from its
-//! checkpoint+journal, and the gateway's retry machinery absorbs the
-//! transient failures — every request still returns the fault-free answer.
+//! workload; a crash drops the shard's state, the next job revives the
+//! shard from its checkpoint+journal, and the gateway's retry machinery
+//! absorbs the transient failures — every request still returns the
+//! fault-free answer.
 //!
-//! The example self-checks the recovery counters (faults fired, workers
-//! respawned, batches retried, values bit-identical to a clean run) and
+//! The example self-checks the recovery counters (faults fired, shards
+//! revived, batches retried, values bit-identical to a clean run) and
 //! writes the unified [`MetricsSnapshot`] JSON to the path given as the
 //! first argument (default `target/fault_demo_metrics.json`) — the CI
 //! fault smoke step validates that file.
@@ -109,14 +110,14 @@ fn main() -> Result<()> {
         fstats.stall_cycles
     );
     println!(
-        "workers respawned: {}, instructions replayed: {}, gateway retries: {}",
+        "shards revived: {}, instructions replayed: {}, gateway retries: {}",
         cstats.worker_restarts, cstats.replayed_instructions, gstats.retries
     );
     assert!(fstats.injected() >= 1, "no fault fired: {fstats:?}");
     assert!(fstats.worker_crashes >= 1, "no crash fired: {fstats:?}");
     assert!(
         cstats.worker_restarts >= 1,
-        "crash fired but no worker was respawned"
+        "crash fired but no shard was revived"
     );
     assert!(
         gstats.retries >= 1,

@@ -3,17 +3,17 @@
 //! past and below its capacity, and the run produces every observability
 //! artifact the `pim-loadgen` harness knows how to make:
 //!
-//! * the windowed time series (throughput / queue depth / in-flight /
-//!   windowed latency tails), printed as a table;
+//! * the windowed time series (throughput / queue depth / windowed
+//!   latency tails), printed as a table;
 //! * the machine-readable `SloReport` JSON (per-window error-budget burn
 //!   against a latency target), written to `target/loadgen_slo.json`;
 //! * a Perfetto trace with counter tracks (`serve/queue_depth`,
-//!   `serve/in_flight`) next to the execution slices, written to
+//!   `shard0/util`) next to the execution slices, written to
 //!   `target/loadgen_trace.json`.
 //!
-//! The example self-checks the determinism contract: on a single-chip
-//! device the whole run executes inline on the driving thread, so a second
-//! run from the same seed must produce bit-identical SLO JSON.
+//! The example self-checks the determinism contract: the whole run
+//! executes on the driving thread, so a second run from the same seed must
+//! produce bit-identical SLO JSON.
 //!
 //! Run with: `cargo run --release --example loadgen_demo`
 
@@ -98,7 +98,7 @@ fn main() -> Result<()> {
             &report.windows,
             MODELED_CYCLES_PER_SEC,
             &["loadgen.injected", "loadgen.completed"],
-            &["serve.queue_depth", "serve.in_flight"],
+            &["serve.queue_depth"],
             &["loadgen.latency_cycles", "serve.queue_wait_cycles"],
         )
     );

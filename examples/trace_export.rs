@@ -1,13 +1,13 @@
 //! Perfetto trace export of one served workload: run a crossing request
 //! mix through the `pim-serve` gateway with telemetry recording, then dump
 //! a Chrome trace-event JSON (`chrome://tracing` / https://ui.perfetto.dev)
-//! with one track per shard worker plus the gateway admission and
+//! with one track per shard plus the gateway admission and
 //! interconnect tracks — every slice tagged with the `RequestId` it is
 //! attributed to, on the modeled clock (1 cycle rendered as 1 µs).
 //!
 //! The example self-checks the attribution story end to end: at least one
 //! request's span tree must cover its gateway admission span, a shard
-//! worker execution slice, and a cross-chip interconnect burst, all
+//! execution slice, and a cross-chip interconnect burst, all
 //! carrying the same id.
 //!
 //! Run with: `cargo run --release --example trace_export [output.json]`

@@ -13,11 +13,9 @@
 //! * [`driver`] — host driver translating macro-instructions into
 //!   micro-operations (gate-level AritPIM arithmetic, IEEE-754 floats).
 //! * [`cluster`] — sharded multi-chip execution engine: `N` driver+chip
-//!   pairs behind one flat address space — each on its own worker thread,
-//!   or all on the submitting thread, which is how a single-chip
-//!   [`Device`] runs — with batched job submission (blocking *and*
-//!   pollable — job tickets are futures) and cross-shard
-//!   gather/scatter/reduce.
+//!   pairs behind one flat address space (a single-chip [`Device`] is
+//!   one), with batched jobs run on the submitting thread, chips that
+//!   overlap on the modeled clock, and cross-shard gather/scatter.
 //! * [`serve`] — async multi-client serving gateway: one host thread
 //!   drives many in-flight client sessions, each with its own placement
 //!   window, through an admission controller that coalesces their steps
@@ -69,13 +67,12 @@
 //!
 //! # Sharded quickstart
 //!
-//! [`Device::new`] is a one-shard cluster run on the calling thread;
-//! [`Device::cluster`] makes it `N` chips (`pim-cluster`), each on its own
-//! worker thread: the same tensor program runs unchanged — and
-//! bit-identically — while element-parallel work fans out across the
-//! chips. The device is `Send + Sync`, so many
-//! client threads can serve requests against one cluster concurrently (see
-//! `examples/cluster_serve.rs`).
+//! [`Device::new`] is a one-shard cluster; [`Device::cluster`] makes it `N`
+//! chips (`pim-cluster`): the same tensor program runs unchanged — and
+//! bit-identically — while element-parallel work fans out as one job per
+//! chip, the chips' cycles overlapping on the modeled clock. Jobs run on
+//! the calling thread; the device is `Send + Sync`, so many client threads
+//! can share one cluster (see `examples/cluster_serve.rs`).
 //!
 //! ```
 //! use pypim::{Device, PimConfig};
@@ -87,7 +84,7 @@
 //!
 //! let x = dev.from_slice_f32(&[1.5; 1024])?;
 //! let y = dev.full_f32(1024, 2.0)?;
-//! let z = (&x * &y)?; // each chip multiplies its slice concurrently
+//! let z = (&x * &y)?; // each chip multiplies its slice
 //! assert_eq!(z.sum_f32()?, 3072.0);
 //!
 //! // Per-shard telemetry: chip cycles, issued cycles, cache hit rates.
@@ -101,9 +98,10 @@
 //!
 //! [`DeviceServeExt::serve`] puts an async gateway in front of the
 //! cluster: each client opens a [`ClusterClient`] session with a private
-//! placement window, and one `block_on(join_all(…))` host thread keeps
-//! every request in flight at once — no thread per client, no in-flight
-//! bound to protect the allocator (see `examples/cluster_serve.rs`).
+//! placement window, and one `block_on(join_all(…))` host thread drives
+//! every request at once — no thread per client, and the steps of every
+//! session waiting at a pump share one submission (see
+//! `examples/cluster_serve.rs`).
 //!
 //! ```
 //! use futures::executor::block_on;
@@ -143,10 +141,10 @@ pub use pim_telemetry as telemetry;
 
 pub use pim_arch::{PimConfig, RangeMask};
 pub use pim_cluster::{
-    ClusterStats, CrossingMove, GatherTicket, GlobalWrite, Interconnect, InterconnectConfig,
-    JobSet, JobTicket, MoveCoalescer, PimCluster, ShardPlan, TrafficStats,
+    ClusterStats, CrossingMove, GlobalWrite, Interconnect, InterconnectConfig, JobSet,
+    MoveCoalescer, PimCluster, ShardPlan, TrafficStats,
 };
-pub use pim_fleet::{Fleet, FleetConfig, FleetSession, FleetStats, Lease, LeaseStore};
+pub use pim_fleet::{Fleet, FleetConfig, FleetSession, FleetStats, Lease};
 pub use pim_serve::{
     ClusterClient, DeviceServeExt, Gateway, GatewayHost, GatewayStats, ServeConfig,
 };

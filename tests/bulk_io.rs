@@ -3,7 +3,7 @@
 //! the backend as one `CellRun` — and that path must be
 //! indistinguishable from issuing the instructions one
 //! by one: the same result words, the same `Driver::issued`, the same
-//! `Profiler`, on one chip and through the shard workers of a cluster.
+//! `Profiler`, on one chip and through the shards of a cluster.
 
 use proptest::prelude::*;
 use pypim::arch::{PimConfig, RangeMask};
@@ -109,7 +109,7 @@ proptest! {
     }
 
     /// Two shards: `scatter`/`gather` (one segment per
-    /// shard, batched by the shard worker) against the same cells issued
+    /// shard, batched by the shard's job) against the same cells issued
     /// one instruction at a time.
     #[test]
     fn scatter_gather_equal_single_instructions(

@@ -353,9 +353,6 @@ mod one_path {
     use pypim::{
         ClusterOptions, PimCluster, PimConfig, RangeMask, RequestId, TaggedBatch, Telemetry,
     };
-    use std::future::Future;
-    use std::pin::Pin;
-    use std::task::{Context, Poll, Waker};
 
     const WINDOW: u32 = 5;
     /// Registers the batches use: 0 and 1 are seeded, all four are compared.
@@ -529,11 +526,10 @@ mod one_path {
             }
         }
 
-        /// A batch with a chip-crossing move is staged on the submitting
-        /// thread (which is why only client threads submit through the
-        /// gateway): it has finished by the time its submission returns,
-        /// so the first poll — with a waker nobody will ever fire — is
-        /// ready.
+        /// Every batch — one with a chip-crossing move or not — has run by
+        /// the time its submission returns: before its outcome is even
+        /// looked at, the memory image equals a chip that executed the
+        /// same instructions.
         #[test]
         fn a_batch_that_does_not_stream_is_ready_on_its_first_poll(
             raw in proptest::collection::vec(
@@ -555,15 +551,17 @@ mod one_path {
                     dist: 1,
                 }],
             });
+            let mut chip = Driver::new(PimSimulator::new(PimConfig::small()).unwrap());
             for b in &batches {
-                let crossing = crossing_pairs(&cluster, &b.instrs) > 0;
-                let mut set = cluster.submit_batch_tagged(std::slice::from_ref(b)).unwrap();
-                if crossing {
-                    let mut cx = Context::from_waker(Waker::noop());
-                    prop_assert_eq!(Pin::new(&mut set).poll(&mut cx), Poll::Ready(Ok(())));
-                } else {
-                    set.wait().unwrap();
-                }
+                let set = cluster.submit_batch_tagged(std::slice::from_ref(b)).unwrap();
+                chip.execute_many(&b.instrs, &mut Vec::new()).unwrap();
+                let reference: Vec<u32> = cells()
+                    .map(|(warp, row, reg)| {
+                        chip.execute(&Instruction::Read { reg, warp, row }).unwrap().unwrap()
+                    })
+                    .collect();
+                prop_assert_eq!(&image(&cluster), &reference, "{}", b.request);
+                prop_assert_eq!(set.wait(), Ok(()));
             }
         }
     }
@@ -589,11 +587,12 @@ fn execute_batch_protocol_rejects_reads_on_both_engines() {
 
 #[test]
 fn inline_and_threaded_single_shard_agree() {
-    // `Device::new` is itself a (caller-thread) cluster, so one chip is
-    // held to a reference that shares no routing code: the instruction
-    // stream of a tensor program — upload, R-type ops, a row move, a warp
-    // move, read-back — on `Device::new`, on a threaded 1-shard
-    // `Device::cluster`, and on a bare driver over the simulator.
+    // `Device::new` is itself a cluster, so one chip is held to a
+    // reference that shares no routing code: the instruction stream of a
+    // tensor program — upload, R-type ops, a row move, a warp move,
+    // read-back — on `Device::new` (recovery off), on a 1-shard
+    // `Device::cluster` (recovery on, journaling every job), and on a bare
+    // driver over the simulator.
     use pypim::driver::Driver;
     use pypim::isa::{DType, Instruction, RegOp, ThreadRange};
     use pypim::sim::PimSimulator;
@@ -646,7 +645,7 @@ fn inline_and_threaded_single_shard_agree() {
 
     let on_device = |dev: Device| {
         dev.submit_instrs(&program).unwrap().wait().unwrap();
-        let image = dev.submit_reads(&cells).unwrap().wait().unwrap();
+        let image = dev.read_many(&cells).unwrap();
         (image, dev.cycles().unwrap(), dev.issued().unwrap())
     };
     let mut bare = Driver::new(PimSimulator::new(cfg.clone()).unwrap());

@@ -1,8 +1,8 @@
 //! Fault injection and recovery, end to end: a seeded fault schedule
 //! against the sharded cluster must never hang and never silently corrupt
 //! — every request either completes bit-identical to a fault-free run or
-//! resolves to a typed error — and the supervisor's checkpoint+replay
-//! respawn restores shard state so post-crash work is bit-identical.
+//! resolves to a typed error — and checkpoint+replay revival restores
+//! shard state so post-crash work is bit-identical.
 
 use futures::executor::{block_on, block_on_timeout};
 use proptest::prelude::*;
@@ -37,21 +37,18 @@ fn faulty_device(plan: FaultPlan, recovery: RecoveryConfig) -> (Device, Arc<Faul
     (dev, injector)
 }
 
-/// The same faulty cluster on each transport — shard worker threads, then
-/// the caller's thread — each with its own injector over `plan`.
-fn both_transports(
-    plan: &FaultPlan,
-    recovery: &RecoveryConfig,
-) -> [(PimCluster, Arc<FaultInjector>); 2] {
-    [PimCluster::with_options, PimCluster::inline].map(|build| {
-        let injector = Arc::new(FaultInjector::new(plan.clone(), SHARDS));
-        let options = ClusterOptions {
-            recovery: recovery.clone(),
-            fault: Some(Arc::clone(&injector)),
-            ..ClusterOptions::default()
-        };
-        (build(cfg(), SHARDS, options).unwrap(), injector)
-    })
+/// A faulty cluster with its own injector over `plan`.
+fn faulty_cluster(plan: FaultPlan, recovery: RecoveryConfig) -> (PimCluster, Arc<FaultInjector>) {
+    let injector = Arc::new(FaultInjector::new(plan, SHARDS));
+    let options = ClusterOptions {
+        recovery,
+        fault: Some(Arc::clone(&injector)),
+        ..ClusterOptions::default()
+    };
+    (
+        PimCluster::with_options(cfg(), SHARDS, options).unwrap(),
+        injector,
+    )
 }
 
 /// The serving request used throughout: `sum(x * 2 + x)`, one read at the
@@ -116,12 +113,12 @@ fn empty_injector_and_recovery_are_bit_identical_to_plain_cluster() {
 }
 
 // ---------------------------------------------------------------------
-// Supervision: typed error, respawn, checkpoint+replay
+// Recovery: typed error, revival, checkpoint+replay
 // ---------------------------------------------------------------------
 
 /// Runs the cluster-level crash/recover scenario under `recovery`:
 /// batch 1 commits, batch 2 dies with a typed transient error, the retry
-/// lands on the respawned worker, and the final reads are bit-identical
+/// lands on the revived shard, and the final reads are bit-identical
 /// to a fault-free run.
 fn crash_recover_scenario(recovery: RecoveryConfig) {
     let all = |c: &PimCluster| ThreadRange::all(c.logical_config());
@@ -166,36 +163,35 @@ fn crash_recover_scenario(recovery: RecoveryConfig) {
         })
         .collect();
 
-    // Shard 0's second executable job (the RType batch) crashes its worker.
-    for (cluster, injector) in both_transports(&FaultPlan::none().crash_at(0, 1), &recovery) {
-        let r = all(&cluster);
-        cluster.execute_batch(&batch1(r)).unwrap();
+    // Shard 0's second executable job (the RType batch) crashes the shard.
+    let (cluster, injector) = faulty_cluster(FaultPlan::none().crash_at(0, 1), recovery);
+    let r = all(&cluster);
+    cluster.execute_batch(&batch1(r)).unwrap();
 
-        let err = cluster.execute_batch(&batch2(r)).unwrap_err();
-        assert!(
-            matches!(err, ClusterError::WorkerCrashed { shard: 0 }),
-            "expected typed crash error, got {err:?}"
-        );
-        assert_eq!(err.class(), ErrorClass::Transient);
+    let err = cluster.execute_batch(&batch2(r)).unwrap_err();
+    assert!(
+        matches!(err, ClusterError::WorkerCrashed { shard: 0 }),
+        "expected typed crash error, got {err:?}"
+    );
+    assert_eq!(err.class(), ErrorClass::Transient);
 
-        // Retry: the send path respawns the worker from checkpoint+journal,
-        // so batch 1's writes are intact and the retried batch completes.
-        cluster.execute_batch(&batch2(r)).unwrap();
-        let got: Vec<Option<u32>> = (0..8)
-            .map(|w| {
-                cluster
-                    .execute(&Instruction::Read {
-                        reg: 2,
-                        warp: w,
-                        row: 3,
-                    })
-                    .unwrap()
-            })
-            .collect();
-        assert_eq!(got, expected, "post-recovery state diverged");
-        assert_eq!(injector.stats().worker_crashes, 1);
-        assert_eq!(cluster.stats().unwrap().worker_restarts, 1);
-    }
+    // Retry: the next job revives the shard from checkpoint+journal,
+    // so batch 1's writes are intact and the retried batch completes.
+    cluster.execute_batch(&batch2(r)).unwrap();
+    let got: Vec<Option<u32>> = (0..8)
+        .map(|w| {
+            cluster
+                .execute(&Instruction::Read {
+                    reg: 2,
+                    warp: w,
+                    row: 3,
+                })
+                .unwrap()
+        })
+        .collect();
+    assert_eq!(got, expected, "post-recovery state diverged");
+    assert_eq!(injector.stats().worker_crashes, 1);
+    assert_eq!(cluster.stats().unwrap().worker_restarts, 1);
 }
 
 #[test]
@@ -239,26 +235,25 @@ fn journal_replay_restores_a_scatter_bit_identically() {
     assert!(on_shard_0 > 64 && on_shard_0 < 150);
     let locs: Vec<_> = cells.iter().map(|&(warp, row)| (warp, row, 1)).collect();
 
-    // Shard 0's second job — its half of the gather — crashes the worker;
+    // Shard 0's second job — its half of the gather — crashes the shard;
     // no checkpoint in between, so recovery is pure replay of the scatter.
     let pure_replay = RecoveryConfig {
         checkpoint_max_instructions: usize::MAX,
         checkpoint_interval_cycles: u64::MAX,
         ..RecoveryConfig::default()
     };
-    for (cluster, _) in both_transports(&FaultPlan::none().crash_at(0, 1), &pure_replay) {
-        cluster.scatter(&writes).unwrap();
-        let err = cluster.gather(&locs).unwrap_err();
-        assert!(
-            matches!(err, ClusterError::WorkerCrashed { shard: 0 }),
-            "{err:?}"
-        );
-        let got = cluster.gather(&locs).unwrap();
-        assert_eq!(got, (0..cells.len()).map(word).collect::<Vec<_>>());
-        let stats = cluster.stats().unwrap();
-        assert_eq!(stats.worker_restarts, 1);
-        assert_eq!(stats.replayed_instructions, on_shard_0);
-    }
+    let (cluster, _) = faulty_cluster(FaultPlan::none().crash_at(0, 1), pure_replay);
+    cluster.scatter(&writes).unwrap();
+    let err = cluster.gather(&locs).unwrap_err();
+    assert!(
+        matches!(err, ClusterError::WorkerCrashed { shard: 0 }),
+        "{err:?}"
+    );
+    let got = cluster.gather(&locs).unwrap();
+    assert_eq!(got, (0..cells.len()).map(word).collect::<Vec<_>>());
+    let stats = cluster.stats().unwrap();
+    assert_eq!(stats.worker_restarts, 1);
+    assert_eq!(stats.replayed_instructions, on_shard_0);
 }
 
 #[test]
@@ -267,28 +262,27 @@ fn recovery_disabled_turns_crashes_into_permanent_disconnects() {
         enabled: false,
         ..RecoveryConfig::default()
     };
-    for (cluster, _) in both_transports(&FaultPlan::none().crash_at(0, 0), &off) {
-        let r = ThreadRange::all(cluster.logical_config());
-        let batch = vec![Instruction::Write {
-            reg: 0,
-            value: 7,
-            target: r,
-        }];
-        assert!(cluster.execute_batch(&batch).is_err());
-        // Without a journal there is nothing to respawn from: the shard
-        // stays down, but errors remain typed — no panics, no hangs.
-        let err = cluster.execute_batch(&batch).unwrap_err();
-        assert!(
-            matches!(
-                err,
-                ClusterError::Disconnected { .. } | ClusterError::WorkerCrashed { .. }
-            ),
-            "{err:?}"
-        );
-        // Stats need every worker alive; with shard 0 permanently down
-        // they error, typed, rather than hang.
-        assert!(cluster.stats().is_err());
-    }
+    let (cluster, _) = faulty_cluster(FaultPlan::none().crash_at(0, 0), off);
+    let r = ThreadRange::all(cluster.logical_config());
+    let batch = vec![Instruction::Write {
+        reg: 0,
+        value: 7,
+        target: r,
+    }];
+    assert!(cluster.execute_batch(&batch).is_err());
+    // Without a journal there is nothing to revive from: the shard
+    // stays down, but errors remain typed — no panics, no hangs.
+    let err = cluster.execute_batch(&batch).unwrap_err();
+    assert!(
+        matches!(
+            err,
+            ClusterError::Disconnected { .. } | ClusterError::WorkerCrashed { .. }
+        ),
+        "{err:?}"
+    );
+    // Stats need every shard up; with shard 0 permanently down they
+    // error, typed, rather than hang.
+    assert!(cluster.stats().is_err());
 }
 
 #[test]
@@ -296,19 +290,122 @@ fn a_stall_charges_its_cycles_on_either_transport() {
     // Shard 0's first executable job stalls 500 modeled cycles; both shards
     // then run the same fill, so the stall is the whole difference.
     let stalled = FaultPlan::none().stall_at(0, 0, 500);
-    for (cluster, injector) in both_transports(&stalled, &RecoveryConfig::default()) {
-        let target = ThreadRange::all(cluster.logical_config());
-        cluster
-            .execute(&Instruction::Write {
-                reg: 0,
-                value: 7,
-                target,
-            })
-            .unwrap();
-        let shards = cluster.stats().unwrap().shards;
-        assert_eq!(shards[0].profiler.cycles, shards[1].profiler.cycles + 500);
-        assert_eq!(injector.stats().stall_cycles, 500);
-    }
+    let (cluster, injector) = faulty_cluster(stalled, RecoveryConfig::default());
+    let target = ThreadRange::all(cluster.logical_config());
+    cluster
+        .execute(&Instruction::Write {
+            reg: 0,
+            value: 7,
+            target,
+        })
+        .unwrap();
+    let shards = cluster.stats().unwrap().shards;
+    assert_eq!(shards[0].profiler.cycles, shards[1].profiler.cycles + 500);
+    assert_eq!(injector.stats().stall_cycles, 500);
+}
+
+// ---------------------------------------------------------------------
+// Determinism: a faulted serving run is a function of its seed
+// ---------------------------------------------------------------------
+
+/// One run of 8 gateway sessions, each issuing `sum(x * y + x)` as one
+/// fused batch plus one read, on a 4-shard cluster with recovery on and
+/// telemetry recording, under a seeded schedule of one shard crash and one
+/// stall. A request that resolves to a transient error is issued again.
+/// Returns every attempt's outcome and its batch's completion stamp, then
+/// the gateway's stats, the cluster's stats and the metrics JSON.
+#[allow(clippy::type_complexity)]
+fn seeded_gateway_run() -> (
+    Vec<(std::result::Result<u32, String>, Option<u64>)>,
+    pypim::GatewayStats,
+    String,
+    String,
+) {
+    const SESSIONS: usize = 8;
+    let profile = FaultProfile {
+        shards: 4,
+        single_shard: None,
+        worker_crashes: 1,
+        worker_stalls: 1,
+        max_stall_cycles: 512,
+        link_drops: 0,
+        link_corruptions: 0,
+        job_horizon: 3,
+        burst_horizon: 1,
+    };
+    let injector = Arc::new(FaultInjector::new(
+        FaultPlan::from_seed(0x0DE7, &profile),
+        4,
+    ));
+    let dev = Device::cluster_with_options(
+        cfg(),
+        4,
+        ClusterOptions {
+            fault: Some(Arc::clone(&injector)),
+            ..ClusterOptions::default()
+        },
+    )
+    .unwrap();
+    dev.telemetry().set_enabled(true);
+    let gw = dev.serve(ServeConfig {
+        session_warps: 2,
+        ..ServeConfig::default()
+    });
+    let clients: Vec<ClusterClient> = (0..SESSIONS).map(|_| gw.session().unwrap()).collect();
+    let attempts = block_on(futures::future::join_all(clients.iter().enumerate().map(
+        |(cid, client)| async move {
+            let values: Vec<f32> = (0..128)
+                .map(|i| ((cid * 31 + i) % 13) as f32 * 0.25)
+                .collect();
+            let mut attempts = Vec::new();
+            for _ in 0..4 {
+                let attempt = async {
+                    let mut plan = client.plan();
+                    let x = plan.upload_f32(&values)?;
+                    let y = plan.full_f32(values.len(), 2.0)?;
+                    let xy = plan.mul(&x, &y)?;
+                    let z = plan.add(&xy, &x)?;
+                    let s = plan.reduce(&z, RegOp::Add)?;
+                    let mut batch = client.submit(plan.into_instrs());
+                    let ran = (&mut batch).await;
+                    let done_at = batch.completed_at();
+                    let sum = match ran {
+                        Ok(()) => client.to_vec_f32(&s).await.map(|v| v[0].to_bits()),
+                        Err(e) => Err(e),
+                    };
+                    Ok::<_, pypim::CoreError>((sum, done_at))
+                };
+                let (sum, done_at) = attempt.await.unwrap();
+                let retry = matches!(&sum, Err(e) if e.class() == ErrorClass::Transient);
+                attempts.push((sum.map_err(|e| e.to_string()), done_at));
+                if !retry {
+                    break;
+                }
+            }
+            attempts
+        },
+    )));
+    let fired = injector.stats();
+    assert_eq!(
+        (fired.worker_crashes, fired.worker_stalls),
+        (1, 1),
+        "the whole schedule must fire: {fired:?}"
+    );
+    (
+        attempts.into_iter().flatten().collect(),
+        gw.stats(),
+        format!("{:?}", dev.cluster_stats().unwrap()),
+        gw.metrics_snapshot().unwrap().to_json(),
+    )
+}
+
+#[test]
+fn a_seeded_faulted_gateway_run_replays_identically() {
+    let first = seeded_gateway_run();
+    assert!(first.0.iter().all(|(_, at)| at.is_some()));
+    assert!(first.1.retries >= 1 || first.0.iter().any(|(r, _)| r.is_err()));
+    assert!(first.2.contains("worker_restarts: 1"), "{}", first.2);
+    assert_eq!(seeded_gateway_run(), first);
 }
 
 // ---------------------------------------------------------------------
@@ -318,7 +415,7 @@ fn a_stall_charges_its_cycles_on_either_transport() {
 #[test]
 fn gateway_retries_absorb_a_worker_crash_transparently() {
     // The first session's 4-warp window lands on shard 0; its second
-    // executable job (the fill batch) crashes the worker mid-request.
+    // executable job (the fill batch) crashes the shard mid-request.
     let (dev, injector) =
         faulty_device(FaultPlan::none().crash_at(0, 1), RecoveryConfig::default());
     let gw = dev.serve(ServeConfig::default());
@@ -397,7 +494,7 @@ fn retry_budget_exhaustion_surfaces_the_typed_error() {
 }
 
 // ---------------------------------------------------------------------
-// Combined schedules: worker crash overlapping a link-fault window
+// Combined schedules: shard crash overlapping a link-fault window
 // ---------------------------------------------------------------------
 
 /// A request whose reduction *must* cross the interconnect: 512 elements
@@ -422,8 +519,7 @@ fn crossing_reference_bits(seed: f32) -> u32 {
 
 #[test]
 fn crash_inside_corruption_window_is_absorbed_by_one_retry_budget() {
-    // Two overlapping fault sources: shard 0's worker crashes on its
-    // second job while every staged burst in the first 6 000 modeled
+    // Two overlapping fault sources: shard 0 crashes on its second job while every staged burst in the first 6 000 modeled
     // cycles corrupts (detected). Retry backoff advances the modeled
     // clock, so retries *walk the request out of the window* — one
     // generous budget absorbs both faults transparently.

@@ -4,7 +4,7 @@
 //!   gateway queue-wait p99 — the open-loop signature of unbounded queue
 //!   growth that a closed-loop harness cannot produce;
 //! * the same seed reproduces the SLO report bit-for-bit on a single-chip
-//!   device (inline execution, no worker threads);
+//!   device;
 //! * arrival schedules are pure functions of the seed.
 
 use pypim::loadgen::{

@@ -27,8 +27,7 @@ fn payload(cid: usize, req: usize, elems: usize, salt: u32) -> Vec<f32> {
 
 /// One fused request: `sum(x * y + x)`. With multi-chip session windows
 /// the reduction's warp moves cross chip boundaries, exercising the tagged
-/// inline (interconnect) path; chip-local windows exercise the streamed
-/// shard-worker path.
+/// interconnect path; chip-local windows keep every job on one shard.
 async fn request(client: &ClusterClient, values: &[f32]) -> Result<f32> {
     let mut plan = client.plan();
     let x = plan.upload_f32(values)?;
