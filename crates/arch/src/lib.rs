@@ -19,7 +19,7 @@
 //!   partition encoding (§III-D), including Table I per-partition opcodes and
 //!   expansion into individual gate instances for validation.
 //! * [`PreparedBatch`] — a micro-operation sequence validated once and
-//!   summarized (cost, dead stores) so backends can replay it cheaply.
+//!   summarized (cost, replay records) so backends can replay it cheaply.
 //! * [`encode`] — the concrete 64-bit wire format (Figure 5) with lossless
 //!   round-tripping.
 //! * [`htree`] — hierarchical H-tree addressing for distributed inter-crossbar
@@ -59,7 +59,7 @@ pub use error::ArchError;
 pub use hlogic::{ColAddr, GateInstance, GateKind, HLogic, PartitionOpcode};
 pub use mask::RangeMask;
 pub use microop::{MicroOp, MoveOp, VGate};
-pub use prepared::{plan_elisions, BatchCost, OpBits, PreparedBatch, ReplayRecord};
+pub use prepared::{BatchCost, PreparedBatch, ReplayRecord};
 
 /// Identifier of a crossbar array (a *warp* in ISA terms).
 pub type XbId = u32;

@@ -1,104 +1,6 @@
 use crate::{ArchError, GateKind, HLogic, MicroOp, MoveOp, PimConfig, WORD_BITS};
 use std::sync::OnceLock;
 
-/// One bit per operation of a batch: which operations a backend may skip.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct OpBits {
-    words: Vec<u64>,
-}
-
-impl OpBits {
-    /// All-clear bits for a batch of `len` operations.
-    pub fn new(len: usize) -> Self {
-        OpBits {
-            words: vec![0; len.div_ceil(64)],
-        }
-    }
-
-    /// Bit `i`. Out-of-range indices read as clear.
-    #[inline]
-    pub fn get(&self, i: usize) -> bool {
-        self.words
-            .get(i / 64)
-            .is_some_and(|w| w >> (i % 64) & 1 == 1)
-    }
-
-    /// Sets bit `i`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i` is beyond the length the bits were created for.
-    #[inline]
-    pub fn set(&mut self, i: usize) {
-        self.words[i / 64] |= 1 << (i % 64);
-    }
-
-    /// Number of set bits.
-    pub fn count(&self) -> usize {
-        self.words.iter().map(|w| w.count_ones() as usize).sum()
-    }
-}
-
-/// The backward dead-store walk over a validated, read-free batch.
-/// `full(i)` tells whether op `i` runs under whole-memory masks. An
-/// operation is marked when its only effect is a store to a register that
-/// is completely overwritten later in the batch before any read; skipping
-/// it changes no cell the batch leaves behind. Cost accounting covers the
-/// full stream regardless, so elision never moves a modeled cycle.
-pub fn plan_elisions(ops: &[MicroOp], full: impl Fn(usize) -> bool) -> OpBits {
-    let mut elide = OpBits::new(ops.len());
-    // dead[r]: every bit of register r (all crossbars/rows) is overwritten
-    // later in the batch before any operation reads it. `RegId` is a `u8`.
-    let mut dead = [false; 256];
-    for (i, op) in ops.iter().enumerate().rev() {
-        match op {
-            MicroOp::XbMask(_) | MicroOp::RowMask(_) => {}
-            MicroOp::Write { index, .. } => {
-                let r = *index as usize;
-                if dead[r] {
-                    elide.set(i);
-                } else if full(i) {
-                    dead[r] = true;
-                }
-            }
-            MicroOp::LogicH(l) => {
-                let out = l.out.offset as usize;
-                if dead[out] {
-                    elide.set(i);
-                    continue;
-                }
-                match l.gate {
-                    GateKind::Init0 | GateKind::Init1 => {
-                        if full(i) && l.out_bits() == u32::MAX {
-                            dead[out] = true;
-                        }
-                    }
-                    GateKind::Not => dead[l.in_a.offset as usize] = false,
-                    GateKind::Nor => {
-                        dead[l.in_a.offset as usize] = false;
-                        dead[l.in_b.offset as usize] = false;
-                    }
-                }
-            }
-            MicroOp::LogicV { index, .. } => {
-                // Writes one row (and NOT reads the same register); a
-                // single-row store never fully defines the register.
-                if dead[*index as usize] {
-                    elide.set(i);
-                }
-            }
-            MicroOp::Move(mv) => {
-                // Reads the source register; writes one row of the
-                // destination register (partial — does not define it).
-                dead[mv.index_src as usize] = false;
-                dead[mv.index_dst as usize] = false;
-            }
-            MicroOp::Read { .. } => unreachable!("reads rejected before planning"),
-        }
-    }
-    elide
-}
-
 /// One operation of a batch as a bit-plane engine replays it: a horizontal
 /// gate resolved into the planes it names, or — the default record — a
 /// marker that the operation at the same index of [`PreparedBatch::ops`] is
@@ -259,19 +161,16 @@ pub struct BatchCost {
 
 /// An immutable micro-operation sequence that was validated against one
 /// geometry exactly once, so a backend can replay it without re-checking,
-/// re-charging or re-planning each operation.
+/// re-charging or re-resolving each operation.
 ///
 /// The sequence holds no mask operation and no read: every operation runs
 /// under whatever masks the memory holds when the batch starts. That makes
-/// the cost a closed form ([`cost`](Self::cost)) and the dead-store plan
-/// for the whole-memory-mask case a constant
-/// ([`full_mask_elisions`](Self::full_mask_elisions)); under any other
-/// masks no store defines a whole register, so nothing is elidable.
+/// the cost a closed form ([`cost`](Self::cost)).
 ///
-/// Beyond the operations themselves the prepared form adds O(1) state plus
-/// one bit per operation — and, once a bit-plane backend has asked for
-/// them, the [`records`](Self::records): 8 bytes per operation, built on
-/// the first replay and never for a batch only word-level backends see.
+/// Beyond the operations themselves the prepared form adds O(1) state —
+/// and, once a bit-plane backend has asked for them, the
+/// [`records`](Self::records): 8 bytes per operation, built on the first
+/// replay and never for a batch only the reference sees.
 #[derive(Debug, Clone)]
 pub struct PreparedBatch {
     ops: Vec<MicroOp>,
@@ -279,7 +178,6 @@ pub struct PreparedBatch {
     /// against — the only configuration fields validation reads.
     geometry: [usize; 4],
     cost: BatchCost,
-    full_mask_elisions: OpBits,
     /// `resolve(ops)`, built on first use.
     records: OnceLock<Vec<ReplayRecord>>,
 }
@@ -333,12 +231,10 @@ impl PreparedBatch {
                 MicroOp::Move(mv) => cost.moves.push(*mv),
             }
         }
-        let full_mask_elisions = plan_elisions(&ops, |_| true);
         Ok(PreparedBatch {
             ops,
             geometry: geometry(cfg),
             cost,
-            full_mask_elisions,
             records: OnceLock::new(),
         })
     }
@@ -358,12 +254,6 @@ impl PreparedBatch {
     /// The mask-independent cost summary.
     pub fn cost(&self) -> &BatchCost {
         &self.cost
-    }
-
-    /// The dead stores of the batch when it runs under masks selecting
-    /// every row of every crossbar ([`plan_elisions`] with `full` always true).
-    pub fn full_mask_elisions(&self) -> &OpBits {
-        &self.full_mask_elisions
     }
 
     /// The operations as a bit-plane engine replays them, one record per
@@ -393,7 +283,7 @@ mod tests {
     }
 
     #[test]
-    fn summarizes_cost_and_plans_dead_stores() {
+    fn summarizes_cost() {
         let mv = MoveOp {
             dist: 4,
             row_src: 0,
@@ -402,8 +292,8 @@ mod tests {
             index_dst: 6,
         };
         let ops = vec![
-            init(3),                               // dead: register 3 is re-initialized before any read
-            MicroOp::Write { index: 3, value: 7 }, // dead too
+            init(3),
+            MicroOp::Write { index: 3, value: 7 },
             init(3),
             nor(0, 1, 3),
             MicroOp::LogicV {
@@ -426,11 +316,6 @@ mod tests {
                 moves: vec![mv],
             }
         );
-        let plan = batch.full_mask_elisions();
-        assert_eq!(plan.count(), 2);
-        assert!(plan.get(0) && plan.get(1) && !plan.get(2));
-        // Under partial masks no store defines a register: nothing elides.
-        assert_eq!(plan_elisions(&ops, |_| false).count(), 0);
     }
 
     #[test]

@@ -7,7 +7,6 @@ use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use pim_arch::{Backend, MicroOp, PimConfig, RangeMask};
 use pim_bench::hlogic_ops;
 use pim_driver::{routines, Driver, ParallelismMode, PreparedRoutine};
-use pim_func::FuncBackend;
 use pim_isa::{DType, Instruction, RegOp, ThreadRange};
 use pim_sim::PimSimulator;
 
@@ -46,48 +45,6 @@ fn bench_hlogic(c: &mut Criterion) {
             b.iter(|| sim.execute_batch(&batch).unwrap());
         });
     }
-    group.finish();
-}
-
-/// The identical micro-op streams on the word-array reference
-/// (`pim-func`): same geometry, same batches, same masks as the `hlogic`
-/// and `simulator` groups, so `func/*` vs `hlogic/*`/`simulator/*` rows in
-/// BENCH_simulator.json time the reference against the engine — the
-/// kernel-level record of why every chip runs on planes.
-fn bench_func(c: &mut Criterion) {
-    let cfg = PimConfig::small().with_crossbars(64).with_rows(256);
-    let ops = hlogic_ops(&cfg, 256);
-    let mut group = c.benchmark_group("func");
-    group.throughput(Throughput::Elements(ops.len() as u64));
-    let masks = [
-        ("dense", RangeMask::dense(0, cfg.rows as u32).unwrap()),
-        (
-            "strided",
-            RangeMask::new(0, cfg.rows as u32 - 2, 2).unwrap(),
-        ),
-        ("single_row", RangeMask::single(77)),
-    ];
-    for (name, row_mask) in masks {
-        let mut func = FuncBackend::new(cfg.clone()).unwrap();
-        let mut batch = vec![MicroOp::RowMask(row_mask)];
-        batch.extend(ops.iter().cloned());
-        group.bench_function(name, |b| {
-            b.iter(|| func.execute_batch(&batch).unwrap());
-        });
-    }
-    let routine = prepared(&cfg, RegOp::Add, DType::Int32);
-    // The same routine through both entry points: `int_add` pays the
-    // per-op validate/charge/plan prologue, `prepared_int_add` is how the
-    // driver replays a cached routine.
-    let ops = routine.batch.ops();
-    group.throughput(Throughput::Elements(ops.len() as u64));
-    let mut func = FuncBackend::new(cfg).unwrap();
-    group.bench_function("int_add", |b| {
-        b.iter(|| func.execute_batch(ops).unwrap());
-    });
-    group.bench_function("prepared_int_add", |b| {
-        b.iter(|| func.execute_prepared(&routine.batch).unwrap());
-    });
     group.finish();
 }
 
@@ -229,11 +186,5 @@ fn bench_row_access(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(
-    benches,
-    bench_simulator,
-    bench_hlogic,
-    bench_func,
-    bench_row_access
-);
+criterion_group!(benches, bench_simulator, bench_hlogic, bench_row_access);
 criterion_main!(benches);

@@ -120,5 +120,5 @@ pub use pim_fault::{
     LinkFault, LinkWindow, WorkerFault,
 };
 pub use pim_func::BackendKind;
-pub use pim_telemetry::{RequestId, RequestStats, Telemetry, TelemetryConfig};
+pub use pim_telemetry::{RequestId, RequestStats, Telemetry};
 pub use plan::{MoveRoute, ShardPlan};

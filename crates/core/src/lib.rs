@@ -70,9 +70,7 @@ pub use tensor::Tensor;
 pub use pim_cluster::TaggedBatch;
 pub use pim_driver::ParallelismMode;
 pub use pim_isa::{DType, RegOp};
-pub use pim_telemetry::{
-    MetricsSnapshot, MetricsSource, RequestId, RequestStats, Telemetry, TelemetryConfig,
-};
+pub use pim_telemetry::{MetricsSnapshot, MetricsSource, RequestId, RequestStats, Telemetry};
 
 impl From<Tensor> for Result<Tensor> {
     fn from(t: Tensor) -> Self {

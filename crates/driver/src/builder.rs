@@ -83,7 +83,7 @@ impl Routine {
 }
 
 /// A [`Routine`] as the [`RoutineCache`](crate::RoutineCache) holds it:
-/// validated, cost-summed and dead-store-planned once, ready for
+/// validated and cost-summed once, ready for
 /// [`Backend::execute_prepared`](pim_arch::Backend::execute_prepared)
 /// under any crossbar/row mask.
 #[derive(Debug, Clone)]

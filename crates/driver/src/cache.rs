@@ -31,12 +31,12 @@ pub struct RoutineKey {
 /// precompiled `Arc<PreparedRoutine>` — no gate-level compilation on the
 /// hot path, and nothing for a backend to redo either: a miss compiles the
 /// routine *and* prepares it ([`Routine::prepare`](crate::Routine::prepare):
-/// every operation validated against the geometry, the cost summed, the
-/// whole-memory dead stores planned), so a hit hands
+/// every operation validated against the geometry, the cost summed), so a
+/// hit hands
 /// [`Backend::execute_prepared`](pim_arch::Backend::execute_prepared) a
-/// batch it can replay without looking at any operation twice. The
+/// batch it can replay without validating any operation again. The
 /// prepared form owns the routine's operations (one copy) and adds O(1)
-/// plus one bit per operation.
+/// plus, once the engine has replayed it, 8 bytes per operation.
 ///
 /// The compiled-routine map lives behind an `Arc<RwLock<…>>`, so a cache
 /// can be [`share`d](RoutineCache::share) between many drivers: the

@@ -1,45 +1,29 @@
 //! # pim-func
 //!
-//! The word-array *reference implementation* of the PyPIM micro-operation
-//! interface ([`pim_arch::Backend`]): [`FuncBackend`] produces the same
-//! architectural state and the same modeled-cycle totals as the engine
-//! every chip runs on ([`pim_sim::PimSimulator`]), computed independently
-//! — plain vectorized host code over 32-bit words, no bit planes, no
-//! stateful-logic discipline. Nothing serves on it; the differential
-//! oracle (`crates/func/tests`, `tests/backend_equivalence.rs`) holds the
-//! engine to it.
+//! The *reference implementation* of the PyPIM micro-operation interface
+//! ([`pim_arch::Backend`]). [`FuncBackend`] is the contract written out:
+//! one `u32` per `(register, crossbar, row)`, and every operation applied
+//! to every cell it selects — a horizontal operation gate by gate, as
+//! [`pim_arch::HLogic::expand_gates`] lists its gates. Nothing serves on
+//! it. The differential oracle (`crates/func/tests`,
+//! `tests/backend_equivalence.rs`) holds the engine every chip runs on,
+//! [`pim_sim::PimSimulator`], to it.
 //!
-//! How it executes:
+//! [`Backend::execute`](pim_arch::Backend::execute) validates, charges
+//! through the shared cost model [`pim_sim::charge_op`], then applies.
+//! [`Backend::execute_batch`](pim_arch::Backend::execute_batch) is whole or
+//! nothing: it validates and charges every operation first, rolls the
+//! profiler back on a refusal, then applies. `access` and
+//! `execute_prepared` are the trait defaults: a run is its expansion, and a
+//! prepared batch is its operations.
 //!
-//! * **Row-pair packing** — cell state lives in one flat `Vec<u64>` where
-//!   each word packs *two* adjacent rows of one register of one crossbar
-//!   (low 32 bits = even row, high 32 bits = odd row). Whole-memory
-//!   horizontal gates become straight-line loops over contiguous `u64`
-//!   slices spanning *all* crossbars at once; the shift-mask-andnot gate
-//!   evaluation is applied to both packed rows per word operation.
-//! * **Segmented masks** — a row mask is lowered once per mask change
-//!   into at most three contiguous word-range segments with a constant
-//!   lane mask (dense masks → head half-pair, full middle, tail half-pair;
-//!   step-2 masks → one segment selecting a single 32-bit lane), so the
-//!   inner loops stay branch-free.
-//! * **Batch dead-store elimination** — [`Backend::execute_batch`] charges
-//!   every operation through the shared cost model first, then walks the
-//!   batch backward and skips stores whose output register is completely
-//!   overwritten later in the same batch before any read. Driver-generated
-//!   routines re-initialize their scratch registers before every gate, so
-//!   on arithmetic-heavy batches this removes most of the physical work
-//!   while the modeled cycles stay exactly those of the full stream.
-//! * **Prepared replay** — [`Backend::execute_prepared`] runs a
-//!   [`pim_arch::PreparedBatch`] (what the driver's routine cache holds)
-//!   through the same kernel loop without validating, charging or planning
-//!   per operation: one closed-form [`pim_sim::charge_batch`], the
-//!   precomputed elision plan when the masks are full.
-//!
-//! What the reference does **not** do: enforce the stateful-logic strict
-//! discipline (output cells of `NOT`/`NOR` holding 1 when the gate fires).
-//! The strict flag is carried (and snapshotted) for interface
-//! compatibility, but no check runs — the engine checks, on every chip.
-//! See `crates/func/README.md` for the full guarantee table.
+//! | Against the engine, for any operation stream             | `FuncBackend` |
+//! |-----------------------------------------------------------|---------------|
+//! | Cells of every register after an accepted op or batch     | identical     |
+//! | Accept / refuse, and the error (validation, H-tree plan, read protocol, batch rollback) | identical |
+//! | `Profiler` counters (cycles, gates, row-gates, moves)     | identical, by construction |
+//! | Stateful-logic strict checking                            | **none**: a gate onto a cell no `INIT1` armed overwrites it; the engine refuses it |
+//! | Host speed                                                | none sought: one cell at a time |
 //!
 //! [`AnyBackend`] and [`BackendKind`] are names `benchmark/` still spells
 //! from when the engine was a run-time choice; both build a
@@ -66,4 +50,4 @@ mod any;
 mod backend;
 
 pub use any::{AnyBackend, BackendKind};
-pub use backend::{FuncBackend, FuncSnapshot};
+pub use backend::FuncBackend;

@@ -7,7 +7,7 @@
 //! batches salted with such runs and with uploads — well-formed, cut short,
 //! interrupted and illegal ones — and holds it equal to op-by-op `execute`:
 //! cells, stored masks, `Profiler` and error values, with strict checking
-//! on and off, and against the word-array reference (`FuncBackend`).
+//! on and off, and against the reference (`FuncBackend`).
 //!
 //! An upload or a read-back arrives as a run already (`Backend::access`),
 //! and a run means the micro-operations it expands to. The second suite

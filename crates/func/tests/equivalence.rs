@@ -1,10 +1,9 @@
-//! Differential oracle: the engine (`PimSimulator`) and the word-array
-//! reference (`FuncBackend`) must produce bit-identical architectural
-//! state and identical profiling counters for the same micro-operation
-//! stream — both op-by-op and batched (where dead-store elimination runs).
-//! Replaying a `PreparedBatch` must in turn be indistinguishable from
-//! `execute_batch` of the same operations: image, masks and every profiler
-//! counter.
+//! Differential oracle: the engine (`PimSimulator`) and the reference
+//! (`FuncBackend`) must produce bit-identical architectural state and
+//! identical profiling counters for the same micro-operation stream — both
+//! op-by-op and batched. Replaying a `PreparedBatch` must in turn be
+//! indistinguishable from `execute_batch` of the same operations: image,
+//! masks and every profiler counter.
 
 use pim_arch::{
     Backend, ColAddr, GateKind, HLogic, MicroOp, MoveOp, PimConfig, PreparedBatch, RangeMask, VGate,
@@ -179,8 +178,8 @@ proptest! {
         assert_same_state(&sim, &func, &cfg);
     }
 
-    /// Batched execution (dead-store elimination active) leaves identical
-    /// state and identical modeled cycles to the simulator's batch path.
+    /// Batched execution leaves identical state and identical modeled
+    /// cycles to the simulator's batch path.
     #[test]
     fn batch_matches_simulator(
         seeds in proptest::collection::vec(any::<(u8, u8, u8, u8, u8, u8, u8)>(), 1..48),
@@ -204,10 +203,10 @@ proptest! {
         assert_same_state(&sim, &func, &cfg);
     }
 
-    /// Satellite: modeled-cycle accounting on randomized routine-shaped
-    /// mixes (init-gate-heavy streams like driver arithmetic emits, where
-    /// most stores are eliminated) still matches the simulator's profiler
-    /// exactly — elision must never change a charge.
+    /// Modeled-cycle accounting on randomized routine-shaped mixes
+    /// (init-gate-heavy streams like driver arithmetic emits, where most
+    /// stores are overwritten before anything reads them) matches the
+    /// simulator's profiler exactly.
     #[test]
     fn elided_batches_charge_identical_cycles(
         regs in proptest::collection::vec(0u8..8, 1..24),
@@ -339,8 +338,8 @@ proptest! {
         assert_prepared_replay_matches(&cfg, &replay_masks(&cfg, shape.0, shape.1, shape.2), body);
     }
 
-    /// Routine-shaped bodies where dead-store elimination fires under
-    /// whole-memory masks, replayed under every mask shape.
+    /// Routine-shaped bodies whose stores are overwritten before any read,
+    /// replayed under every mask shape.
     #[test]
     fn prepared_replay_matches_batch_where_stores_are_dead(
         regs in proptest::collection::vec(0u8..8, 1..24),
@@ -355,8 +354,6 @@ proptest! {
                 HLogic::parallel(GateKind::Nor, (r + 1) % 8, (r + 2) % 8, r, &cfg).unwrap(),
             ));
         }
-        let prepared = PreparedBatch::new(body.clone(), &cfg).unwrap();
-        prop_assert!(prepared.full_mask_elisions().count() >= regs.len());
         assert_prepared_replay_matches(&cfg, &replay_masks(&cfg, shape.0, shape.1, shape.2), body);
     }
 }
@@ -364,8 +361,8 @@ proptest! {
 #[test]
 fn prepared_elision_plan_is_not_applied_under_partial_masks() {
     // The vertical store lands in row 9 and the whole-register INIT that
-    // follows makes it dead — but only when the INIT covers row 9. Under a
-    // row mask that excludes it the store must run.
+    // follows overwrites it — but only when the INIT covers row 9. Under a
+    // row mask that excludes it the store must show.
     let cfg = PimConfig::small();
     let body = vec![
         MicroOp::LogicV {
@@ -376,8 +373,6 @@ fn prepared_elision_plan_is_not_applied_under_partial_masks() {
         },
         MicroOp::LogicH(HLogic::init_reg(true, 3, &cfg).unwrap()),
     ];
-    let prepared = PreparedBatch::new(body.clone(), &cfg).unwrap();
-    assert!(prepared.full_mask_elisions().get(0));
     for rows in [
         RangeMask::dense(0, cfg.rows as u32).unwrap(),
         RangeMask::dense(0, 8).unwrap(),
@@ -431,7 +426,7 @@ fn batch_prepared_for_another_geometry_is_never_trusted() {
 #[test]
 fn dead_store_elimination_preserves_final_state() {
     // 256 redundant init+nor rounds into one register: only the last
-    // round's effect is observable, and cycles still count all 512 ops.
+    // round's effect is observable, and cycles count all 512 ops.
     let cfg = PimConfig::small();
     let mut ops = Vec::new();
     for _ in 0..256 {
@@ -452,9 +447,8 @@ fn dead_store_elimination_preserves_final_state() {
 
 #[test]
 fn partial_masks_block_elision() {
-    // A full-memory init after a narrow write must NOT elide the write:
-    // the init is full (kills it), but reversed — the narrow write comes
-    // *after* the init here, so both must execute.
+    // A narrow write after a full-memory init: both must show, the write
+    // only in the one cell it selects.
     let cfg = PimConfig::small();
     let ops = vec![
         MicroOp::LogicH(HLogic::init_reg(false, 3, &cfg).unwrap()),
@@ -524,24 +518,6 @@ fn read_requires_single_masks() {
     let mut func = FuncBackend::new(cfg).unwrap();
     let err = func.execute(&MicroOp::Read { index: 0 }).unwrap_err();
     assert!(matches!(err, pim_arch::ArchError::Protocol { .. }));
-}
-
-#[test]
-fn snapshot_restore_roundtrip() {
-    let cfg = PimConfig::small();
-    let mut func = FuncBackend::new(cfg.clone()).unwrap();
-    func.execute(&MicroOp::Write {
-        index: 4,
-        value: 0x1234_5678,
-    })
-    .unwrap();
-    let snap = func.snapshot();
-    func.execute(&MicroOp::Write { index: 4, value: 0 })
-        .unwrap();
-    assert_eq!(func.peek(3, 9, 4), 0);
-    func.restore(&snap);
-    assert_eq!(func.peek(3, 9, 4), 0x1234_5678);
-    assert_eq!(func.profiler().ops.write, 1);
 }
 
 /// `AnyBackend` is a name for `PimSimulator`: the same stream through each
@@ -643,8 +619,7 @@ fn the_shim_is_the_simulator_through_every_entry_point() {
 
 #[test]
 fn odd_head_and_tail_row_segments_match() {
-    // Row masks that start/stop on odd boundaries exercise the half-pair
-    // segment lowering.
+    // Row masks that start and stop on odd rows, and strides of 1 to 3.
     let cfg = PimConfig::small();
     for (start, stop, step) in [
         (1, 9, 1),

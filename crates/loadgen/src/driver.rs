@@ -268,15 +268,16 @@ pub(crate) fn drive<T: LoadTarget>(target: &mut T, cfg: &LoadgenConfig) -> Resul
     let own_h = metrics.histogram(target.histogram());
     let (base_latency, base_own) = (latency_h.state(), own_h.state());
 
-    let mut sampler = WindowSampler::new(cfg.window_cycles);
-    sampler.watch_histogram("loadgen.latency_cycles", &latency_h);
-    sampler.watch_histogram(target.histogram(), &own_h);
-
     // Every poll runs the gateway's pump to completion on this thread, so
     // nothing is ever woken from elsewhere.
     let mut cx = Context::from_waker(Waker::noop());
 
     let start = target.begin()?;
+    // The series covers this run only: not an earlier run on the same
+    // target, nor the placement of this run's lanes.
+    let mut sampler = WindowSampler::new(cfg.window_cycles).starting_at(start, target.snapshot()?);
+    sampler.watch_histogram("loadgen.latency_cycles", &latency_h);
+    sampler.watch_histogram(target.histogram(), &own_h);
     let horizon_end = start + cfg.horizon_cycles;
     let mut pending: Vec<Pending<T::Stamp>> = Vec::new();
     let mut next = 0usize;

@@ -12,12 +12,12 @@
 //!
 //! * a [`RunReport`] — totals, whole-run latency/queue-wait summaries,
 //!   and the windowed time series ([`pim_telemetry::WindowSample`]s:
-//!   per-window throughput, queue depth, in-flight, retries, and real
-//!   windowed p50/p99/p999);
+//!   per-window throughput, queue depth, retries, and real windowed
+//!   p50/p99/p999) over the run's own cycles, from its first to its last;
 //! * an [`SloReport`] ([`run_slo`]) — per-window error-budget burn
 //!   against a latency target, as stable machine-readable JSON;
-//! * Perfetto counter tracks (queue depth, in-flight, per-shard
-//!   utilization) recorded into the device's [`pim_telemetry::Telemetry`]
+//! * Perfetto counter tracks (queue depth, per-shard utilization)
+//!   recorded into the device's [`pim_telemetry::Telemetry`]
 //!   at window boundaries, rendered by `export_chrome_trace`.
 //!
 //! [`latency_vs_load`] sweeps arrival-rate multipliers across fresh
@@ -231,6 +231,38 @@ mod tests {
             "first window {} above every other window of its run {second:?}",
             second[0]
         );
+        Ok(())
+    }
+
+    /// A run's window series starts at the run's first cycle and its
+    /// counters sum to the run's own totals: on a gateway that already ran
+    /// a load, and on a fleet whose placement phase advanced the clock.
+    #[test]
+    fn windows_cover_exactly_their_run() -> Result<()> {
+        fn check(start: u64, windows: &[pim_telemetry::WindowSample], totals: (u64, u64)) {
+            assert_eq!(windows.first().map(|w| w.start), Some(start), "{windows:?}");
+            let sum = |name| windows.iter().map(|w| w.counter(name)).sum::<u64>();
+            assert_eq!((sum("loadgen.injected"), sum("loadgen.completed")), totals);
+        }
+        let cfg = small_cfg();
+        let gateway = single_chip_gateway()?;
+        for _ in 0..2 {
+            let start = gateway.telemetry().now();
+            let report = run(&gateway, &cfg)?;
+            assert!(report.injected > 0);
+            check(start, &report.windows, (report.injected, report.completed));
+        }
+
+        let fleet = pim_fleet::Fleet::new(fleet_cfg(pim_fault::HostFaultPlan::none()))?;
+        let report = run_fleet(&fleet, &cfg)?;
+        // The run's first cycle: the clock once its sessions are placed.
+        let probe = pim_fleet::Fleet::new(fleet_cfg(pim_fault::HostFaultPlan::none()))?;
+        let _placed = (0..cfg.classes.len() * cfg.sessions_per_class)
+            .map(|_| probe.session())
+            .collect::<Result<Vec<_>>>()?;
+        let start = probe.tick_now();
+        assert!(start > 0, "placement rides the hop");
+        check(start, &report.windows, (report.injected, report.completed));
         Ok(())
     }
 

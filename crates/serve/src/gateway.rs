@@ -362,7 +362,7 @@ impl GatewayInner {
         // at most one batch per session.
         let mut batches: Vec<PendingBatch> = Vec::new();
         for k in 0..n {
-            if batches.len() >= self.cfg.max_coalesce {
+            if batches.len() >= crate::MAX_COALESCE {
                 break;
             }
             let s = (st.rr + k) % n;
@@ -949,7 +949,7 @@ mod tests {
     }
 
     #[test]
-    fn depth_and_inflight_gauges_track_queue_occupancy() {
+    fn depth_gauge_tracks_queue_occupancy() {
         let gw = dev4().serve(ServeConfig::default());
         let depth = gw.telemetry().metrics().gauge("serve.queue_depth");
         let client = gw.session().unwrap();

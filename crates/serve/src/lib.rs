@@ -15,7 +15,8 @@
 //!   per-session queue; the pump (run by whichever client polls) drains
 //!   the queues fairly (round-robin) and coalesces the steps of every
 //!   session admitted since the last pump into one shared device
-//!   submission, group after group. See [`ServeConfig`].
+//!   submission of at most eight batches, group after group.
+//!   See [`ServeConfig`].
 //! * **Per-client placement** — each session reserves a private warp
 //!   window ([`pypim_core::PlacementHint`]); its tensors, results, and
 //!   temporaries allocate there, so concurrent requests never exhaust a
@@ -82,12 +83,13 @@ pub use session::ClusterClient;
 
 use pypim_core::Device;
 
+/// Maximum client batches coalesced into one submission (at most one per
+/// session — fairness is round-robin).
+const MAX_COALESCE: usize = 8;
+
 /// Tuning of the gateway's admission controller.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ServeConfig {
-    /// Maximum client batches coalesced into one submission (at most one
-    /// per session — fairness is round-robin).
-    pub max_coalesce: usize,
     /// Warp-window size reserved per session; `0` sizes windows to an
     /// eighth of the device's warp space.
     pub session_warps: u32,
@@ -118,7 +120,6 @@ pub struct ServeConfig {
 impl Default for ServeConfig {
     fn default() -> Self {
         ServeConfig {
-            max_coalesce: 8,
             session_warps: 0,
             max_queue_depth: 64,
             max_retries: 2,

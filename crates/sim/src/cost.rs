@@ -1,10 +1,10 @@
 //! The shared micro-operation cost model.
 //!
 //! Every backend — the bit-accurate [`PimSimulator`](crate::PimSimulator)
-//! and the word-array reference it is tested against (`pim-func`) — charges modeled
-//! cycles through [`charge_op`], so `Profiler` totals, telemetry
-//! attribution and deadline semantics are identical regardless of how the
-//! data movement is actually computed on the host. [`charge_batch`] is its
+//! and the cell-by-cell reference it is tested against (`pim-func`) —
+//! charges modeled cycles through [`charge_op`], so `Profiler` totals,
+//! telemetry attribution and deadline semantics are identical regardless
+//! of how the cells are computed on the host. [`charge_batch`] is its
 //! closed form over a [`PreparedBatch`]: the same totals in one step (a
 //! proptest holds the two equal field for field).
 //!

@@ -29,6 +29,6 @@ pub use metrics::{
 };
 pub use series::{render_window_table, WindowSample, WindowSampler};
 pub use trace::{
-    CounterHandle, CounterId, RequestId, RequestStats, Telemetry, TelemetryConfig, TraceEvent,
-    TraceRecorder, TrackHandle, TrackId,
+    CounterHandle, CounterId, RequestId, RequestStats, Telemetry, TraceEvent, TraceRecorder,
+    TrackHandle, TrackId,
 };

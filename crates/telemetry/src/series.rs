@@ -106,6 +106,16 @@ impl WindowSampler {
         }
     }
 
+    /// The sampler with its first window opening at modeled cycle `start`
+    /// over `baseline`: counts already in `baseline` belong to no window,
+    /// and the first boundary is the first grid line after `start`.
+    pub fn starting_at(mut self, start: u64, baseline: MetricsSnapshot) -> Self {
+        self.last_end = start;
+        self.next_boundary = (start / self.window_cycles + 1) * self.window_cycles;
+        self.baseline = baseline;
+        self
+    }
+
     /// The configured window width in modeled cycles.
     pub fn window_cycles(&self) -> u64 {
         self.window_cycles

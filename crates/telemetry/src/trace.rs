@@ -101,7 +101,7 @@ struct Track<T> {
 
 /// A registry of tracks of one record type — span tracks hold
 /// [`TraceEvent`]s, counter tracks `(ts, value)` samples — each a ring
-/// buffer that drops its oldest record beyond the recorder's capacity.
+/// buffer that drops its oldest record beyond `TRACK_EVENTS`.
 struct Tracks<T>(RwLock<Vec<Track<T>>>);
 
 impl<T> Default for Tracks<T> {
@@ -124,14 +124,14 @@ impl<T: Copy> Tracks<T> {
         tracks.len() as u32 - 1
     }
 
-    fn record(&self, track: u32, item: T, capacity: usize) {
+    fn record(&self, track: u32, item: T) {
         let tracks = self.0.read().unwrap_or_else(|e| e.into_inner());
         let Some(t) = tracks.get(track as usize) else {
             return;
         };
         let mut buf = t.buf.lock().unwrap_or_else(|e| e.into_inner());
         let (items, dropped) = &mut *buf;
-        if items.len() >= capacity {
+        if items.len() >= TRACK_EVENTS {
             items.pop_front();
             *dropped += 1;
         }
@@ -158,32 +158,26 @@ impl<T: Copy> Tracks<T> {
     }
 }
 
+/// Records kept per track; a track drops its oldest record beyond this.
+const TRACK_EVENTS: usize = 65_536;
+
 /// Ring-buffered span storage, one buffer per track, plus counter tracks
 /// (timestamped scalar samples — queue depth, utilization) that export as
-/// Perfetto counter tracks next to the span tracks.
+/// Perfetto counter tracks next to the span tracks. Each track keeps its
+/// latest 65 536 records.
 #[derive(Default)]
 pub struct TraceRecorder {
     tracks: Tracks<TraceEvent>,
     counters: Tracks<(u64, f64)>,
-    capacity: usize,
 }
 
 impl std::fmt::Debug for TraceRecorder {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("TraceRecorder")
-            .field("capacity", &self.capacity)
-            .finish_non_exhaustive()
+        f.debug_struct("TraceRecorder").finish_non_exhaustive()
     }
 }
 
 impl TraceRecorder {
-    fn with_capacity(capacity: usize) -> Self {
-        TraceRecorder {
-            capacity,
-            ..TraceRecorder::default()
-        }
-    }
-
     /// Registers (or finds) the track named `name`, returning its id.
     pub fn register_track(&self, name: &str) -> TrackId {
         TrackId(self.tracks.register(name))
@@ -248,24 +242,6 @@ impl RequestStats {
     }
 }
 
-/// Tuning of a [`Telemetry`] handle.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TelemetryConfig {
-    /// Ring-buffer capacity per track (oldest events drop beyond it).
-    pub track_events: usize,
-    /// Whether recording starts armed.
-    pub enabled: bool,
-}
-
-impl Default for TelemetryConfig {
-    fn default() -> Self {
-        TelemetryConfig {
-            track_events: 65_536,
-            enabled: true,
-        }
-    }
-}
-
 struct TelemetryInner {
     enabled: AtomicBool,
     clock: AtomicU64,
@@ -302,31 +278,27 @@ impl Default for Telemetry {
 }
 
 impl Telemetry {
-    /// A handle with the given configuration.
-    pub fn new(cfg: TelemetryConfig) -> Self {
+    fn new(enabled: bool) -> Self {
         Telemetry {
             inner: Arc::new(TelemetryInner {
-                enabled: AtomicBool::new(cfg.enabled),
+                enabled: AtomicBool::new(enabled),
                 clock: AtomicU64::new(0),
-                recorder: TraceRecorder::with_capacity(cfg.track_events.max(1)),
+                recorder: TraceRecorder::default(),
                 metrics: MetricsRegistry::new(),
                 requests: Mutex::new(Vec::new()),
             }),
         }
     }
 
-    /// An armed handle with default capacity.
+    /// An armed handle.
     pub fn recording() -> Self {
-        Telemetry::new(TelemetryConfig::default())
+        Telemetry::new(true)
     }
 
     /// A no-op handle: recording is off (every record path is one relaxed
     /// atomic load) until [`set_enabled(true)`](Telemetry::set_enabled).
     pub fn disabled() -> Self {
-        Telemetry::new(TelemetryConfig {
-            enabled: false,
-            ..TelemetryConfig::default()
-        })
+        Telemetry::new(false)
     }
 
     /// Whether recording is armed.
@@ -473,7 +445,6 @@ impl TrackHandle {
         if !self.is_enabled() {
             return;
         }
-        let recorder = &self.telemetry.inner.recorder;
         let event = TraceEvent {
             name,
             ts,
@@ -481,9 +452,11 @@ impl TrackHandle {
             request,
             detail,
         };
-        recorder
+        self.telemetry
+            .inner
+            .recorder
             .tracks
-            .record(self.track.0, event, recorder.capacity);
+            .record(self.track.0, event);
     }
 }
 
@@ -505,10 +478,8 @@ impl CounterHandle {
         if !self.is_enabled() {
             return;
         }
-        let recorder = &self.telemetry.inner.recorder;
-        recorder
-            .counters
-            .record(self.counter.0, (ts, value), recorder.capacity);
+        let counters = &self.telemetry.inner.recorder.counters;
+        counters.record(self.counter.0, (ts, value));
     }
 }
 
@@ -594,19 +565,16 @@ mod tests {
 
     #[test]
     fn ring_buffer_drops_oldest() {
-        let t = Telemetry::new(TelemetryConfig {
-            track_events: 2,
-            enabled: true,
-        });
+        let t = Telemetry::recording();
         let track = t.track("a");
-        for i in 0..5u64 {
+        for i in 0..TRACK_EVENTS as u64 + 3 {
             track.record_complete("e", i, 1, RequestId::UNTAGGED, None);
         }
         let (_, events, dropped) = &t.recorder().tracks()[0];
-        assert_eq!(events.len(), 2);
+        assert_eq!(events.len(), TRACK_EVENTS);
         assert_eq!(*dropped, 3);
         assert_eq!(events[0].ts, 3);
-        assert_eq!(events[1].ts, 4);
+        assert_eq!(events[TRACK_EVENTS - 1].ts, TRACK_EVENTS as u64 + 2);
     }
 
     #[test]

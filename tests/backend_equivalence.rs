@@ -1,5 +1,5 @@
 //! The differential oracle at the driver layer. Every chip in the stack
-//! runs one engine, `PimSimulator`; `pim-func`'s word-array `FuncBackend`
+//! runs one engine, `PimSimulator`; `pim-func`'s cell-by-cell `FuncBackend`
 //! is the independent reference it is held to. So the two meet here, below
 //! `Device`: the same `Instruction` stream through `Driver::execute_many`
 //! on a `Driver<PimSimulator>` (strict checking on) and on a
