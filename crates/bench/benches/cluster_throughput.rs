@@ -12,7 +12,8 @@
 //! shard-local work with cross-chip transfers (only touched shards wait at
 //! a crossing move); `move_shift` a whole-memory shift whose decomposition
 //! the move coalescer merges into one barrier and one burst per shard pair,
-//! with its modeled link traffic recorded next to the wall time.
+//! with its modeled link traffic and chip cycles recorded next to the wall
+//! time.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use pim_arch::{MicroOp, PimConfig, RangeMask};
@@ -186,11 +187,13 @@ fn bench_move_shift(c: &mut Criterion) {
         let dist = (n / shards) as i64;
         let t = dev.arange_i32(n).unwrap();
         let moved = (n as i64 - dist) as u64;
-        // The link traffic of one shift, before the timed iterations add
-        // theirs.
+        // The link traffic and chip cycles of one shift, before the timed
+        // iterations add theirs.
         dev.reset_counters().unwrap();
         shifted(&t, dist).unwrap();
-        traffic.push((shards, moved, dev.cluster_stats().unwrap().unwrap().traffic));
+        let stats = dev.cluster_stats().unwrap().unwrap();
+        let cycles = stats.merged_profiler().cycles;
+        traffic.push((shards, moved, stats.traffic, cycles));
         group.throughput(Throughput::Elements(moved));
         group.bench_with_input(
             BenchmarkId::new("coalesced", format!("{shards}-shard")),
@@ -203,8 +206,10 @@ fn bench_move_shift(c: &mut Criterion) {
     // Written into the JSON report so the traffic is machine-checkable:
     // `link_seconds` is the modeled link time (throughput = moved elements
     // per modeled second); `messages` and `barriers` are raw counts stashed
-    // in the seconds field — they scale with shard pairs, not warp count.
-    for &(shards, moved, tr) in &traffic {
+    // in the seconds field — they scale with shard pairs, not warp count;
+    // `chip_cycles` is the merged profiler's (busiest chip's) cycle count,
+    // stashed the same way: what staging the shift costs the chips.
+    for &(shards, moved, tr, cycles) in &traffic {
         let id = |name: &str| BenchmarkId::new(name, format!("{shards}-shard"));
         group.report_metric(
             id("link_seconds_coalesced"),
@@ -213,9 +218,10 @@ fn bench_move_shift(c: &mut Criterion) {
         );
         group.report_metric(id("messages_coalesced"), tr.messages as f64, None);
         group.report_metric(id("barriers_coalesced"), tr.barriers as f64, None);
+        group.report_metric(id("chip_cycles_coalesced"), cycles as f64, None);
     }
     group.finish();
-    let (shards, _, tr) = traffic[traffic.len() - 1];
+    let (shards, _, tr, _) = traffic[traffic.len() - 1];
     println!(
         "\nmove_shift coalescer telemetry ({shards} shards, whole-memory shift): \
          {} messages, {} barriers, {} cross-chip words, {} modeled link \

@@ -233,12 +233,6 @@ impl PimCluster {
         &self.telemetry
     }
 
-    /// The modeled chip-to-chip interconnect (configuration and live
-    /// traffic counters).
-    pub fn interconnect(&self) -> &Interconnect {
-        &self.interconnect
-    }
-
     /// Number of shards (chips).
     pub fn shards(&self) -> usize {
         self.plan.shards()

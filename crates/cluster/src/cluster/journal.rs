@@ -29,7 +29,8 @@ pub struct RecoveryConfig {
     pub checkpoint_interval_cycles: u64,
     /// Take a fresh checkpoint once the journal holds this many
     /// instructions/micro-operations, whatever the cycle budget says —
-    /// this bounds both journal memory and worst-case replay latency.
+    /// this bounds both journal memory and worst-case replay latency. The
+    /// default, 1 024 (~40 KiB), is about a 4 x 64 chip's memory image.
     pub checkpoint_max_instructions: usize,
 }
 
@@ -38,7 +39,7 @@ impl Default for RecoveryConfig {
         RecoveryConfig {
             enabled: true,
             checkpoint_interval_cycles: 1_000_000,
-            checkpoint_max_instructions: 4096,
+            checkpoint_max_instructions: 1024,
         }
     }
 }

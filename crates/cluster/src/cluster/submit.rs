@@ -6,7 +6,7 @@
 use super::PimCluster;
 use crate::coalesce::{CrossingMove, MoveCoalescer};
 use crate::sched::BatchScheduler;
-use crate::{ClusterError, LinkFaultKind};
+use crate::{ClusterError, LinkFaultKind, MoveRoute};
 use pim_arch::RangeMask;
 use pim_fault::LinkFault;
 use pim_isa::{Instruction, ThreadRange};
@@ -203,20 +203,21 @@ impl PimCluster {
         let mut sched = BatchScheduler::new(self);
         let mut coalescer = MoveCoalescer::new();
         let mut parts: Vec<(usize, Instruction)> = Vec::new();
+        // What a `MoveWarps` routes its crossing pairs into.
+        let mut route = MoveRoute::default();
         for (request, instrs) in batches {
             let mut crossed = false;
             for instr in instrs {
-                let cross = self.split_local(instr, &mut parts)?;
-                crossed |= cross.is_some();
-                if !coalescer.is_empty() && !cross.as_ref().is_some_and(|mv| coalescer.accepts(mv))
-                {
+                let mv = self.split_local(instr, &mut parts, &mut route)?;
+                crossed |= mv.is_some();
+                if !coalescer.is_empty() && !mv.as_ref().is_some_and(|mv| coalescer.accepts(mv)) {
                     self.flush_run(&mut sched, &mut coalescer, request)?;
                 }
                 for (shard, part) in parts.drain(..) {
                     sched.enqueue(shard, request, part);
                 }
-                if let Some(mv) = cross {
-                    coalescer.push(mv);
+                if let Some(mv) = mv {
+                    route.cross = coalescer.push(mv);
                 }
             }
             if crossed {
@@ -231,15 +232,17 @@ impl PimCluster {
 
     /// Splits one validated logical instruction into its shard-local pieces
     /// (appended to `parts` as `(shard, local instruction)` pairs) and
-    /// returns the chip-crossing remainder of a `MoveWarps`, if any. Every
-    /// instruction splits along its warp mask alone: a piece is the
-    /// instruction itself, addressed to one shard's local warps
-    /// ([`rebased`]). A read has no place in a batch (`validate_batch`
-    /// refuses it before anything is routed): [`ClusterError::Protocol`].
+    /// returns the chip-crossing remainder of a `MoveWarps`, if any, its
+    /// pairs routed into the (empty) `route`. Every instruction splits
+    /// along its warp mask alone: a piece is the instruction itself,
+    /// addressed to one shard's local warps ([`rebased`]). A read has no
+    /// place in a batch (`validate_batch` refuses it before anything is
+    /// routed): [`ClusterError::Protocol`].
     fn split_local(
         &self,
         instr: &Instruction,
         parts: &mut Vec<(usize, Instruction)>,
+        route: &mut MoveRoute,
     ) -> Result<Option<CrossingMove>, ClusterError> {
         let piece = |(shard, warps): (usize, RangeMask)| (shard, rebased(instr, warps));
         Ok(match instr {
@@ -264,41 +267,43 @@ impl PimCluster {
                 warps,
                 dist,
             } => {
-                let route = self.plan.route_move_warps(warps, *dist);
-                parts.extend(route.local.iter().copied().map(piece));
+                self.plan
+                    .route_into(warps, *dist, &mut route.cross, |p| parts.push(piece(p)));
+                if route.cross.is_empty() {
+                    return Ok(None);
+                }
+                let route = std::mem::take(route);
                 CrossingMove::new(route, warps, *dist, *src, *dst, *row_src, *row_dst)?
             }
         })
     }
 
-    /// Flushes the coalescer's current (non-empty) run: one barrier over
-    /// the union of the shards the run touches, then one bulk transfer
-    /// staging every crossing pair of every member.
+    /// Flushes the coalescer's current (non-empty) run as one inter-chip
+    /// transfer over the modeled interconnect: one barrier over the union
+    /// of the shards the run touches, then the crossing pairs of *every*
+    /// member grouped into one message per `(source, destination)` shard
+    /// pair (one gathered read burst and one scattered write burst each,
+    /// their cycles accounted to [`TrafficStats`](crate::TrafficStats)).
+    ///
+    /// The words are staged warp-major: the gather reads its cells in
+    /// source `(warp, register, row)` order and the scatter writes in
+    /// destination order, so each chip receives runs of one register of
+    /// one warp (one [`CellRun`](pim_arch::CellRun) each, behind one
+    /// crossbar mask) rather than the members' row-by-row lone cells. The
+    /// reorder, like the gathers all preceding the scatters, is safe
+    /// because run members are cell-independent of each other
+    /// ([`MoveCoalescer::accepts`]) and each member's own source and
+    /// destination warp sets are disjoint (H-tree rule).
     fn flush_run(
         &self,
         sched: &mut BatchScheduler<'_>,
-        coalescer: &mut MoveCoalescer,
+        run: &mut MoveCoalescer,
         request: RequestId,
     ) -> Result<(), ClusterError> {
-        let run = coalescer.take();
-        let touched = MoveCoalescer::touched_shards(&run, &self.plan);
+        let touched = self.plan.touched_shards(run.pairs());
         self.interconnect.record_barrier(sched.busy(&touched));
         sched.barrier(&touched)?;
-        self.cross_transfer(&run, request)
-    }
-
-    /// Inter-chip transfer of one coalesced run over the modeled
-    /// interconnect: the crossing pairs of *every* member are concatenated
-    /// and grouped into one message per `(source, destination)` shard pair
-    /// — one gathered read burst and one scattered write burst each — with
-    /// every burst's cycle cost accounted to
-    /// [`TrafficStats`](crate::TrafficStats). All gathers precede all
-    /// scatters; this is safe because run members are cell-independent of
-    /// each other ([`MoveCoalescer::accepts`]) and each member's own source
-    /// and destination warp sets are disjoint (H-tree rule).
-    fn cross_transfer(&self, run: &[CrossingMove], request: RequestId) -> Result<(), ClusterError> {
-        let all: Vec<(u32, u32)> = run.iter().flat_map(|m| m.pairs().iter().copied()).collect();
-        let groups = self.interconnect.group(&self.plan, &all);
+        let groups = self.interconnect.group(&self.plan, run.pairs());
         if run.len() >= 2 {
             // Messages a per-move staging would have sent (each member's
             // distinct shard pairs), minus the merged transfer's. A scratch
@@ -306,10 +311,10 @@ impl PimCluster {
             // on the hot path.
             let mut distinct: Vec<(usize, usize)> = Vec::new();
             let per_move: usize = run
-                .iter()
-                .map(|m| {
+                .members()
+                .map(|(_, pairs)| {
                     distinct.clear();
-                    for &(s, d) in m.pairs() {
+                    for &(s, d) in pairs {
                         let key = (self.plan.shard_of_warp(s), self.plan.shard_of_warp(d));
                         if !distinct.contains(&key) {
                             distinct.push(key);
@@ -327,17 +332,25 @@ impl PimCluster {
             let cycles = self.interconnect.record_burst(words);
             self.record_burst_span(request, words, cycles);
         }
-        let locs: Vec<GlobalLoc> = run
-            .iter()
-            .flat_map(|m| m.pairs().iter().map(|&(s, _)| (s, m.row_src(), m.src())))
+        let mut cells: Vec<(GlobalLoc, GlobalLoc)> = run
+            .members()
+            .flat_map(|(mv, pairs)| {
+                let (r, w) = (mv.reads, mv.writes);
+                pairs
+                    .iter()
+                    .map(move |&(s, d)| ((s, r.row, r.reg), (d, w.row, w.reg)))
+            })
             .collect();
+        cells.sort_unstable_by_key(|&((warp, row, reg), _)| (warp, reg, row));
+        let locs: Vec<GlobalLoc> = cells.iter().map(|&(src, _)| src).collect();
         let values = self.gather(&locs)?;
-        let writes: Vec<GlobalWrite> = run
+        let mut writes: Vec<GlobalWrite> = cells
             .iter()
-            .flat_map(|m| m.pairs().iter().map(|&(_, d)| (d, m.row_dst(), m.dst())))
             .zip(values)
-            .map(|((d, row, reg), v)| GlobalWrite::new(d, row, reg, v))
+            .map(|(&(_, (d, row, reg)), v)| GlobalWrite::new(d, row, reg, v))
             .collect();
+        writes.sort_unstable_by_key(|w| (w.warp, w.reg, w.row));
+        run.clear();
         self.scatter(&writes)
     }
 

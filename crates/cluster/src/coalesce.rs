@@ -44,16 +44,18 @@
 //! another instruction kind, a different distance, a hazard — flushes the
 //! run first, so instruction-stream order is preserved around every merge.
 
-use crate::{ClusterError, MoveRoute, ShardPlan};
+use crate::{ClusterError, MoveRoute};
 use pim_arch::{ArchError, RangeMask};
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
+use std::ops::Range;
 
 /// The cells one side of a `MoveWarps` touches: one register/row across a
 /// warp mask.
-#[derive(Debug, Clone, PartialEq, Eq)]
-struct CellRange {
-    reg: u8,
-    row: u32,
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct CellRange {
+    pub(crate) reg: u8,
+    pub(crate) row: u32,
     warps: RangeMask,
 }
 
@@ -79,16 +81,16 @@ fn masks_overlap(a: &RangeMask, b: &RangeMask) -> bool {
     false
 }
 
-/// One routed chip-crossing `MoveWarps`: the route (crossing pairs +
-/// shard-local remainder), the move's register/row parameters, and the
-/// cell ranges the *whole* logical move reads and writes (the hazard
-/// footprint the coalescer checks).
+/// One routed chip-crossing `MoveWarps`: its crossing `(source,
+/// destination)` global warp pairs, its distance, and the cell ranges the
+/// *whole* logical move reads and writes (the hazard footprint the
+/// coalescer checks).
 #[derive(Debug, Clone)]
 pub struct CrossingMove {
-    route: MoveRoute,
+    pairs: Vec<(u32, u32)>,
     dist: i32,
-    reads: CellRange,
-    writes: CellRange,
+    pub(crate) reads: CellRange,
+    pub(crate) writes: CellRange,
 }
 
 impl CrossingMove {
@@ -117,78 +119,78 @@ impl CrossingMove {
             reason: format!("destination warp {dst_start} is outside the warp space"),
         })?;
         let dst_warps = RangeMask::strided(dst_start, warps.len() as u32, warps.step())?;
+        let cells = |reg, row, warps| CellRange { reg, row, warps };
         Ok(Some(CrossingMove {
-            route,
+            pairs: route.cross,
             dist,
-            reads: CellRange {
-                reg: src,
-                row: row_src,
-                warps: *warps,
-            },
-            writes: CellRange {
-                reg: dst,
-                row: row_dst,
-                warps: dst_warps,
-            },
+            reads: cells(src, row_src, *warps),
+            writes: cells(dst, row_dst, dst_warps),
         }))
     }
+}
 
-    /// The crossing `(source, destination)` global warp pairs.
-    pub fn pairs(&self) -> &[(u32, u32)] {
-        &self.route.cross
+/// FxHash-style hasher for the validated `(register, row)` bucket keys:
+/// SipHash cost more than the hazard check it guards.
+#[derive(Default)]
+struct KeyHasher(u64);
+
+impl Hasher for KeyHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 = (self.0.rotate_left(5) ^ u64::from(b)).wrapping_mul(0x517c_c1b7_2722_0a95);
+        }
     }
 
-    /// Source register of the move.
-    pub fn src(&self) -> u8 {
-        self.reads.reg
+    fn finish(&self) -> u64 {
+        self.0
     }
+}
 
-    /// Destination register of the move.
-    pub fn dst(&self) -> u8 {
-        self.writes.reg
-    }
+/// The run's warp masks on each `(register, row)`: the first inline, so
+/// only a second, different mask on the same key allocates.
+type Buckets = HashMap<(u8, u32), (RangeMask, Vec<RangeMask>), BuildHasherDefault<KeyHasher>>;
 
-    /// Source row of the move.
-    pub fn row_src(&self) -> u32 {
-        self.reads.row
+fn bucket_insert(buckets: &mut Buckets, cell: &CellRange) {
+    let (first, more) = buckets
+        .entry((cell.reg, cell.row))
+        .or_insert((cell.warps, Vec::new()));
+    // A second copy of a mask would change no answer.
+    if *first != cell.warps {
+        more.push(cell.warps);
     }
+}
 
-    /// Destination row of the move.
-    pub fn row_dst(&self) -> u32 {
-        self.writes.row
-    }
+fn bucket_intersects(buckets: &Buckets, cell: &CellRange) -> bool {
+    let Some((first, more)) = buckets.get(&(cell.reg, cell.row)) else {
+        return false;
+    };
+    std::iter::once(first)
+        .chain(more)
+        .any(|m| masks_overlap(m, &cell.warps))
 }
 
 /// The peephole itself: accumulates the current run of mergeable crossing
 /// moves while [`PimCluster::submit_batch`](crate::PimCluster::submit_batch)
-/// routes a batch, handing the whole run back for one bulk transfer when
-/// it breaks.
+/// routes a batch; the cluster stages the whole run as one bulk transfer
+/// when it breaks, then [`clear`](MoveCoalescer::clear)s it.
 ///
-/// Hazard lookups are bucketed in a map keyed by `(register, row)`, so
-/// accepting a move into a large run checks only the masks sharing its
-/// register and row — a whole-memory shift (distinct rows per member)
-/// coalesces its thousands of phase moves in linear time.
+/// Every member's crossing pairs are appended to one buffer and the move's
+/// own buffer goes back to the router, so a run allocates nothing per move
+/// once its buffers have grown. Hazard lookups are bucketed in a map keyed
+/// by `(register, row)` (a cheap hash; a bucket keeps its first warp mask
+/// inline), so accepting a move into a large run checks only the masks
+/// sharing its register and row — a whole-memory shift (distinct rows per
+/// member) coalesces its thousands of phase moves in linear time.
 #[derive(Debug, Default)]
 pub struct MoveCoalescer {
-    run: Vec<CrossingMove>,
-    dist: i32,
+    /// The run's members, each with the range of its pairs in `pairs`.
+    members: Vec<(CrossingMove, Range<usize>)>,
+    /// Every member's crossing pairs, in stream order.
+    pairs: Vec<(u32, u32)>,
     /// Read cell ranges of the run's members, keyed by `(reg, row)`.
-    reads: HashMap<(u8, u32), Vec<RangeMask>>,
+    reads: Buckets,
     /// Write cell ranges of the run's members, keyed by `(reg, row)`.
-    writes: HashMap<(u8, u32), Vec<RangeMask>>,
-}
-
-fn bucket_insert(buckets: &mut HashMap<(u8, u32), Vec<RangeMask>>, cell: &CellRange) {
-    buckets
-        .entry((cell.reg, cell.row))
-        .or_default()
-        .push(cell.warps);
-}
-
-fn bucket_intersects(buckets: &HashMap<(u8, u32), Vec<RangeMask>>, cell: &CellRange) -> bool {
-    buckets
-        .get(&(cell.reg, cell.row))
-        .is_some_and(|masks| masks.iter().any(|m| masks_overlap(m, &cell.warps)))
+    writes: Buckets,
 }
 
 impl MoveCoalescer {
@@ -199,66 +201,69 @@ impl MoveCoalescer {
 
     /// Whether the current run is empty.
     pub fn is_empty(&self) -> bool {
-        self.run.is_empty()
+        self.members.is_empty()
     }
 
     /// Crossing moves accumulated in the current run.
     pub fn len(&self) -> usize {
-        self.run.len()
+        self.members.len()
     }
 
     /// Whether `mv` may join the current run: any move starts an empty
     /// run; a non-empty run accepts moves with the run's distance that are
     /// cell-independent of every member (see the module docs).
     pub fn accepts(&self, mv: &CrossingMove) -> bool {
-        if self.run.is_empty() {
-            return true;
-        }
-        mv.dist == self.dist
-            && !bucket_intersects(&self.reads, &mv.writes)
-            && !bucket_intersects(&self.writes, &mv.reads)
-            && !bucket_intersects(&self.writes, &mv.writes)
+        self.members.first().is_none_or(|(first, _)| {
+            mv.dist == first.dist
+                && !bucket_intersects(&self.reads, &mv.writes)
+                && !bucket_intersects(&self.writes, &mv.reads)
+                && !bucket_intersects(&self.writes, &mv.writes)
+        })
     }
 
-    /// Appends `mv` to the current run.
+    /// Appends `mv` to the current run and returns its pair buffer,
+    /// emptied, for the next move to be routed into.
     ///
     /// # Panics
     ///
     /// Panics if [`accepts`](MoveCoalescer::accepts) is false for `mv` —
     /// merging a hazardous move would corrupt memory.
-    pub fn push(&mut self, mv: CrossingMove) {
+    pub fn push(&mut self, mut mv: CrossingMove) -> Vec<(u32, u32)> {
         assert!(self.accepts(&mv), "pushed a move the coalescer rejects");
-        if self.run.is_empty() {
-            self.dist = mv.dist;
-        }
         bucket_insert(&mut self.reads, &mv.reads);
         bucket_insert(&mut self.writes, &mv.writes);
-        self.run.push(mv);
+        let start = self.pairs.len();
+        self.pairs.append(&mut mv.pairs);
+        let pairs = std::mem::take(&mut mv.pairs);
+        self.members.push((mv, start..self.pairs.len()));
+        pairs
     }
 
-    /// Takes the current run (stream order), leaving the coalescer empty.
-    pub fn take(&mut self) -> Vec<CrossingMove> {
+    /// The crossing pairs of every member of the run, in stream order.
+    pub fn pairs(&self) -> &[(u32, u32)] {
+        &self.pairs
+    }
+
+    /// The run's members in stream order, each with its crossing pairs.
+    pub(crate) fn members(&self) -> impl Iterator<Item = (&CrossingMove, &[(u32, u32)])> {
+        self.members
+            .iter()
+            .map(|(mv, range)| (mv, &self.pairs[range.clone()]))
+    }
+
+    /// Empties the run, keeping the buffers' capacity.
+    pub fn clear(&mut self) {
+        self.members.clear();
+        self.pairs.clear();
         self.reads.clear();
         self.writes.clear();
-        std::mem::take(&mut self.run)
-    }
-
-    /// Union of the shards the run's crossing pairs touch — the scope of
-    /// the single barrier a merged run pays.
-    pub fn touched_shards(run: &[CrossingMove], plan: &ShardPlan) -> Vec<bool> {
-        let mut touched = vec![false; plan.shards()];
-        for mv in run {
-            for (shard, t) in mv.route.touched_shards(plan).into_iter().enumerate() {
-                touched[shard] = touched[shard] || t;
-            }
-        }
-        touched
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ShardPlan;
     use pim_arch::PimConfig;
 
     fn plan4() -> ShardPlan {
@@ -331,14 +336,16 @@ mod tests {
             c.push(m);
         }
         assert_eq!(c.len(), 8);
-        let run = c.take();
-        assert!(c.is_empty());
-        assert_eq!(run.len(), 8);
+        // Every member's eight pairs, in stream order.
+        assert_eq!(c.pairs().len(), 8 * 8);
+        assert_eq!(c.pairs()[..2], [(8, 0), (9, 1)]);
         // One barrier scope: shards 0..=3 all touched (src 2,3 / dst 0,1).
-        assert_eq!(
-            MoveCoalescer::touched_shards(&run, &p),
-            vec![true, true, true, true]
-        );
+        assert_eq!(p.touched_shards(c.pairs()), vec![true; 4]);
+        let members: Vec<usize> = c.members().map(|(_, pairs)| pairs.len()).collect();
+        assert_eq!(members, vec![8; 8]);
+        c.clear();
+        assert!(c.is_empty());
+        assert!(c.pairs().is_empty());
     }
 
     #[test]
@@ -381,6 +388,43 @@ mod tests {
         // independent.
         let disjoint = mv(&p, RangeMask::new(12, 15, 1).unwrap(), -8, 1, 3, 7, 7);
         assert!(c.accepts(&disjoint));
+    }
+
+    #[test]
+    fn a_second_range_on_a_key_is_checked() {
+        // 4 shards x 8 warps: a distance of 8 always crosses a chip.
+        let p = ShardPlan::new(&PimConfig::small().with_crossbars(8), 4).unwrap();
+        let mut c = MoveCoalescer::new();
+        // Two members on the same (register, row) keys with disjoint warp
+        // masks: both read (reg 0, row 0) and write (reg 1, row 0), so the
+        // second member's ranges sit behind the first's in their buckets.
+        c.push(mv(&p, RangeMask::new(8, 9, 1).unwrap(), 8, 0, 1, 0, 0));
+        let second = mv(&p, RangeMask::new(10, 11, 1).unwrap(), 8, 0, 1, 0, 0);
+        assert!(c.accepts(&second));
+        c.push(second);
+        // Each third move overlaps the second member alone (warp 10 is
+        // read by it, warp 18 written by it).
+        // Writes (1, 0, {18}): the second member's write range.
+        let write_write = mv(&p, RangeMask::single(10), 8, 2, 1, 5, 0);
+        assert!(
+            !c.accepts(&write_write),
+            "write-write with the second member"
+        );
+        // Reads (1, 0, {18}): what the second member's scatter still owes.
+        let reads_pending = mv(&p, RangeMask::single(18), 8, 1, 3, 0, 7);
+        assert!(
+            !c.accepts(&reads_pending),
+            "read-after-write on the second member"
+        );
+        // Writes (0, 0, {10}): what the second member's gather still reads.
+        let clobbers_read = mv(&p, RangeMask::single(2), 8, 2, 0, 5, 0);
+        assert!(
+            !c.accepts(&clobbers_read),
+            "write-after-read on the second member"
+        );
+        // The same shapes one warp past the run are independent.
+        let clear = mv(&p, RangeMask::single(12), 8, 2, 1, 5, 0);
+        assert!(c.accepts(&clear));
     }
 
     #[test]

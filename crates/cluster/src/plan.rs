@@ -16,7 +16,7 @@ use std::ops::Range;
 /// warp pairs that cross a chip boundary, as produced by
 /// [`ShardPlan::route_move_warps`]. Together they cover every
 /// `(source, destination)` pair of the logical move exactly once.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct MoveRoute {
     /// Shard-local sub-moves `(shard, local warp mask)` whose destinations
     /// stay on the same chip: these keep native single-cycle movement.
@@ -24,29 +24,6 @@ pub struct MoveRoute {
     /// Cross-shard `(source, destination)` global warp pairs: these go over
     /// the interconnect.
     pub cross: Vec<(u32, u32)>,
-}
-
-impl MoveRoute {
-    /// Marks the shards the crossing pairs touch — the owners of their
-    /// source and destination warps. This is exactly the set a
-    /// dependency-aware scheduler must drain before staging the transfer;
-    /// every other shard may keep streaming.
-    ///
-    /// Warps outside the plan's geometry are ignored: routing an
-    /// *unvalidated* move whose destinations fall off the cluster yields
-    /// pairs no shard owns (the cluster's execute paths validate against
-    /// the logical geometry before routing, so they never see such pairs).
-    pub fn touched_shards(&self, plan: &ShardPlan) -> Vec<bool> {
-        let mut touched = vec![false; plan.shards()];
-        for &(src, dst) in &self.cross {
-            for warp in [src, dst] {
-                if let Some(t) = touched.get_mut(plan.shard_of_warp(warp)) {
-                    *t = true;
-                }
-            }
-        }
-        touched
-    }
 }
 
 /// Partition of the cluster's flat element/warp range across shards.
@@ -142,73 +119,88 @@ impl ShardPlan {
 
     /// Partitions a logical `MoveWarps` (global warp mask + uniform
     /// distance) into shard-local native sub-moves and cross-shard warp
-    /// pairs. A sub-move that only partially crosses its shard boundary is
-    /// split at the boundary ([`ShardPlan::split_move`]): the in-shard part
-    /// stays a native single-cycle move; only the crossing warps go over
-    /// the interconnect.
+    /// pairs: [`route_into`](ShardPlan::route_into), collected.
     pub fn route_move_warps(&self, warps: &RangeMask, dist: i32) -> MoveRoute {
-        let mut local = Vec::new();
-        let mut cross = Vec::new();
-        for (shard, lmask) in self.split_warps(warps) {
-            let (native, crossing) = self.split_move(shard, &lmask, dist);
-            if let Some(mask) = native {
-                local.push((shard, mask));
-            }
-            cross.extend(crossing);
-        }
-        MoveRoute { local, cross }
+        let mut route = MoveRoute::default();
+        self.route_into(warps, dist, &mut route.cross, |part| route.local.push(part));
+        route
     }
 
-    /// Splits one shard's local sub-move at the chip boundary.
+    /// Routes a logical `MoveWarps` without allocating: each shard-local
+    /// native sub-move `(shard, local warp mask)` goes to `native`, in
+    /// shard order, and the crossing `(source, destination)` global warp
+    /// pairs are appended to `cross`.
     ///
-    /// Warps whose destination `w + dist` stays inside
+    /// A shard's sub-move that only partially crosses its shard boundary is
+    /// split there. Warps whose destination `w + dist` stays inside
     /// `[0, warps_per_shard)` keep native single-micro-op movement; because
     /// the in-shard condition is an interval in `w`, they form one
-    /// sub-progression of `local` (same step), so the native part is again
-    /// a single [`RangeMask`] — and a same-step subset of a valid H-tree
-    /// move pattern is itself valid. The remaining warps cross the chip
-    /// boundary and come back as global `(source, destination)` warp pairs
-    /// for host-mediated staging.
-    pub fn split_move(
+    /// sub-progression of the shard's mask (same step), so the native part
+    /// is again a single [`RangeMask`] — and a same-step subset of a valid
+    /// H-tree move pattern is itself valid. The remaining warps cross the
+    /// chip boundary and go over the interconnect.
+    pub fn route_into(
         &self,
-        shard: usize,
-        local: &RangeMask,
+        warps: &RangeMask,
         dist: i32,
-    ) -> (Option<RangeMask>, Vec<(u32, u32)>) {
-        let c = self.crossbars as i64;
-        let base = (shard * self.crossbars) as i64;
-        let dist = dist as i64;
-        let step = local.step() as i64;
-        let (start, stop) = (local.start() as i64, local.stop() as i64);
+        cross: &mut Vec<(u32, u32)>,
+        mut native: impl FnMut((usize, RangeMask)),
+    ) {
+        let (c, dist) = (self.crossbars as i64, i64::from(dist));
         // In-shard destinations: max(0, -dist) <= w <= min(c-1, c-1-dist).
-        let lo = 0i64.max(-dist);
-        let hi = (c - 1).min(c - 1 - dist);
-        // First/last mask elements inside [lo, hi] (operands of the
-        // round-up divisions are nonnegative in their branches).
-        let round_up = |x: i64| (x + step - 1) / step;
-        let first = if lo > start {
-            start + round_up(lo - start) * step
-        } else {
-            start
-        };
-        let last = if hi < stop {
-            stop - round_up(stop - hi) * step
-        } else {
-            stop
-        };
-        // `first` and `last` are elements of `local`, so `new` cannot refuse
-        // them; were it to, every warp would take the (correct) crossing path.
-        let native = (first <= last && first <= stop && last >= start)
-            .then(|| RangeMask::new(first as u32, last as u32, local.step()).ok())
-            .flatten();
-        let mut cross = Vec::new();
-        for w in local.iter() {
-            let w = w as i64;
-            if native.is_none() || w < first || w > last {
-                cross.push(((base + w) as u32, (base + w + dist) as u32));
+        let (lo, hi) = (0i64.max(-dist), (c - 1).min(c - 1 - dist));
+        for (shard, local) in self.split_warps(warps) {
+            let base = (shard * self.crossbars) as i64;
+            let step = i64::from(local.step());
+            let (start, stop) = (i64::from(local.start()), i64::from(local.stop()));
+            // First/last mask elements inside [lo, hi] (operands of the
+            // round-up divisions are nonnegative in their branches).
+            let round_up = |x: i64| (x + step - 1) / step;
+            let first = if lo > start {
+                start + round_up(lo - start) * step
+            } else {
+                start
+            };
+            let last = if hi < stop {
+                stop - round_up(stop - hi) * step
+            } else {
+                stop
+            };
+            // `first` and `last` are elements of `local`, so `new` cannot
+            // refuse them; were it to, every warp would take the (correct)
+            // crossing path.
+            let kept = (first <= last && first <= stop && last >= start)
+                .then(|| RangeMask::new(first as u32, last as u32, local.step()).ok())
+                .flatten();
+            if let Some(mask) = kept {
+                native((shard, mask));
+            }
+            for w in local.iter().map(i64::from) {
+                if kept.is_none() || w < first || w > last {
+                    cross.push(((base + w) as u32, (base + w + dist) as u32));
+                }
             }
         }
-        (native, cross)
+    }
+
+    /// Marks the shards owning the source and destination warps of
+    /// `pairs` — exactly the set a dependency-aware scheduler must drain
+    /// before staging their transfer; every other shard may keep streaming.
+    ///
+    /// Warps outside the plan's geometry are ignored: routing an
+    /// *unvalidated* move whose destinations fall off the cluster yields
+    /// pairs no shard owns (the cluster's execute paths validate against
+    /// the logical geometry before routing, so they never see such pairs).
+    pub fn touched_shards(&self, pairs: &[(u32, u32)]) -> Vec<bool> {
+        let mut touched = vec![false; self.shards];
+        for &(src, dst) in pairs {
+            for warp in [src, dst] {
+                if let Some(t) = touched.get_mut(self.shard_of_warp(warp)) {
+                    *t = true;
+                }
+            }
+        }
+        touched
     }
 }
 
@@ -290,52 +282,51 @@ mod tests {
 
     #[test]
     fn split_move_keeps_in_shard_prefix_native() {
-        let p = plan4(); // 4 shards x 4 warps
-                         // Shard 0, local warps {1, 2}, dist +2: warp 1 -> 3 stays on the
-                         // shard; warp 2 -> 4 crosses into shard 1.
-        let (native, cross) = p.split_move(0, &RangeMask::new(1, 2, 1).unwrap(), 2);
-        assert_eq!(native, Some(RangeMask::single(1)));
-        assert_eq!(cross, vec![(2, 4)]);
-        // Same shape on shard 2 reports global warp ids.
-        let (native, cross) = p.split_move(2, &RangeMask::new(1, 2, 1).unwrap(), 2);
-        assert_eq!(native, Some(RangeMask::single(1)));
-        assert_eq!(cross, vec![(10, 12)]);
+        // 4 shards x 4 warps. Warps {1, 2}, dist +2: warp 1 -> 3 stays on
+        // shard 0; warp 2 -> 4 crosses into shard 1.
+        let p = plan4();
+        let route = p.route_move_warps(&RangeMask::new(1, 2, 1).unwrap(), 2);
+        assert_eq!(route.local, vec![(0, RangeMask::single(1))]);
+        assert_eq!(route.cross, vec![(2, 4)]);
+        // Same shape on shard 2: local masks, global pair warp ids.
+        let route = p.route_move_warps(&RangeMask::new(9, 10, 1).unwrap(), 2);
+        assert_eq!(route.local, vec![(2, RangeMask::single(1))]);
+        assert_eq!(route.cross, vec![(10, 12)]);
     }
 
     #[test]
     fn split_move_negative_dist_keeps_suffix_native() {
         let p = plan4();
-        // Local warps {0..3}, dist -2: warps {2, 3} land in-shard, {0, 1}
-        // cross down into the previous shard.
-        let (native, cross) = p.split_move(1, &RangeMask::dense(0, 4).unwrap(), -2);
-        assert_eq!(native, Some(RangeMask::new(2, 3, 1).unwrap()));
-        assert_eq!(cross, vec![(4, 2), (5, 3)]);
+        // Shard 1's warps {4..7}, dist -2: warps {6, 7} land in-shard,
+        // {4, 5} cross down into shard 0.
+        let route = p.route_move_warps(&RangeMask::new(4, 7, 1).unwrap(), -2);
+        assert_eq!(route.local, vec![(1, RangeMask::new(2, 3, 1).unwrap())]);
+        assert_eq!(route.cross, vec![(4, 2), (5, 3)]);
     }
 
     #[test]
     fn split_move_all_native_and_all_cross() {
         let p = plan4();
-        let (native, cross) = p.split_move(0, &RangeMask::new(0, 1, 1).unwrap(), 2);
-        assert_eq!(native, Some(RangeMask::new(0, 1, 1).unwrap()));
-        assert!(cross.is_empty());
+        let route = p.route_move_warps(&RangeMask::new(0, 1, 1).unwrap(), 2);
+        assert_eq!(route.local, vec![(0, RangeMask::new(0, 1, 1).unwrap())]);
+        assert!(route.cross.is_empty());
         // |dist| >= warps_per_shard: nothing can stay native.
-        let (native, cross) = p.split_move(0, &RangeMask::new(0, 3, 1).unwrap(), 4);
-        assert_eq!(native, None);
-        assert_eq!(cross, vec![(0, 4), (1, 5), (2, 6), (3, 7)]);
+        let route = p.route_move_warps(&RangeMask::new(0, 3, 1).unwrap(), 4);
+        assert!(route.local.is_empty());
+        assert_eq!(route.cross, vec![(0, 4), (1, 5), (2, 6), (3, 7)]);
     }
 
     #[test]
     fn split_move_preserves_step() {
         // 8 warps per shard so a strided local mask fits.
         let p = ShardPlan::new(&PimConfig::small().with_crossbars(8), 2).unwrap();
-        // Local warps {1, 5} (step 4), dist +3: 1 -> 4 native, 5 -> 8
-        // crosses. The native sub-mask keeps the step-4 pattern.
-        let (native, cross) = p.split_move(0, &RangeMask::new(1, 5, 4).unwrap(), 3);
-        assert_eq!(native, Some(RangeMask::new(1, 1, 4).unwrap()));
-        assert_eq!(cross, vec![(5, 8)]);
-        let (native, cross) = p.split_move(1, &RangeMask::new(1, 5, 4).unwrap(), 3);
-        assert_eq!(native, Some(RangeMask::new(1, 1, 4).unwrap()));
-        assert_eq!(cross, vec![(13, 16)]);
+        // Warps {1, 5, 9, 13} (step 4), dist +3: 1 -> 4 and 9 -> 12 stay
+        // native; 5 -> 8 and 13 -> 16 cross. Each shard's native sub-mask
+        // keeps the step-4 pattern.
+        let route = p.route_move_warps(&RangeMask::new(1, 13, 4).unwrap(), 3);
+        let kept = RangeMask::new(1, 1, 4).unwrap();
+        assert_eq!(route.local, vec![(0, kept), (1, kept)]);
+        assert_eq!(route.cross, vec![(5, 8), (13, 16)]);
     }
 
     #[test]
@@ -344,10 +335,16 @@ mod tests {
         // the planning helper: warp 15 + 4 has no owner and is skipped.
         let p = plan4();
         let route = p.route_move_warps(&RangeMask::single(15), 4);
-        assert_eq!(route.touched_shards(&p), vec![false, false, false, true]);
+        assert_eq!(
+            p.touched_shards(&route.cross),
+            vec![false, false, false, true]
+        );
         // Negative overflow (warp 0 - 1 wraps in u32 space) likewise.
         let route = p.route_move_warps(&RangeMask::single(0), -1);
-        assert_eq!(route.touched_shards(&p), vec![true, false, false, false]);
+        assert_eq!(
+            p.touched_shards(&route.cross),
+            vec![true, false, false, false]
+        );
     }
 
     #[test]
@@ -439,7 +436,7 @@ mod tests {
             expect.sort_unstable();
             prop_assert_eq!(pairs, expect);
             // The touched-shard set is exactly the crossing pairs' owners.
-            let touched = route.touched_shards(&p);
+            let touched = p.touched_shards(&route.cross);
             for (s, t) in touched.iter().enumerate() {
                 let expect_touched = route.cross.iter().any(|&(src, dst)| {
                     p.shard_of_warp(src) == s || p.shard_of_warp(dst) == s

@@ -440,8 +440,8 @@ impl<B: Backend> Driver<B> {
         };
         let (lead, cells) = (self.run_rows[0], self.run_rows.len());
         if cells == 1 {
-            // A lone cell is the instruction it came from (a crossing copy
-            // is all lone cells: a run's fixed cost showed there).
+            // A lone cell is the instruction it came from: a run's fixed
+            // cost is not worth paying for one cell.
             let (index, value) = (reg, write.then(|| self.run_values[0]));
             let access = value.map_or(MicroOp::Read { index }, |value| MicroOp::Write {
                 index,

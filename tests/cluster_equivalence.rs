@@ -221,6 +221,49 @@ fn small_tensors_allocate_chip_local() {
     );
 }
 
+/// pimbench's `serve_crossing` copy on the cluster it runs on — 4 chips of
+/// 4 x 64, recovery on — is the 64-`MoveWarps` plan that moves warps 0-3
+/// (shard 0) onto warps 4-7 (shard 1). It lands the image one chip's copy
+/// does, and its staged transfer reaches each chip warp-major: a run of 64
+/// cells per warp behind one crossbar mask, not 256 lone cells with one
+/// mask each (512 masks, 1 152 chip cycles, a modeled latency of 648).
+#[test]
+fn a_crossing_copy_is_staged_warp_major() {
+    let copy = |dev: &Device| -> Result<(Vec<u32>, [u64; 4])> {
+        let window = dev.from_slice_i32(&int_inputs(512))?;
+        let (lower, upper) = (window.slice(0, 256)?, window.slice(256, 512)?);
+        let plan = pypim::plan_copy(&lower, &upper)?.expect("a move plan");
+        assert_eq!(plan.len(), 64, "one MoveWarps per row");
+        // The second copy is the steady state: every chip's masks are
+        // where the first one left them.
+        dev.submit_instrs(&plan)?.wait()?;
+        dev.reset_counters()?;
+        dev.submit_instrs(&plan)?.wait()?;
+        let stats = dev
+            .cluster_stats()?
+            .expect("every device reports its shards");
+        let merged = stats.merged_profiler();
+        let shape = [
+            merged.ops.xb_mask,
+            stats.total_cycles(),
+            merged.cycles,
+            stats.modeled_latency_cycles(),
+        ];
+        Ok((window.to_raw_vec()?, shape))
+    };
+    let (on_single, _) = copy(&single()).unwrap();
+    let (on_cluster, shape) = copy(&sharded()).unwrap();
+    assert_eq!(on_single, on_cluster, "the crossing copy diverged");
+    // Per chip, 4 warps x (1 crossbar mask + 1 row mask + 63 row changes
+    // + 64 accesses) = 516 cycles; the copy's one 256-word burst adds 72
+    // link cycles.
+    assert_eq!(
+        shape,
+        [8, 1032, 516, 588],
+        "crossbar masks, chip cycles (total, critical path), modeled latency"
+    );
+}
+
 proptest! {
     #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(5))]
 
