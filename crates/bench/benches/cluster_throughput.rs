@@ -16,8 +16,8 @@
 //! time.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use pim_arch::{MicroOp, PimConfig, RangeMask};
-use pim_bench::{hlogic_ops, random_ints};
+use pim_arch::{PimConfig, RangeMask};
+use pim_bench::random_ints;
 use pim_cluster::PimCluster;
 use pim_isa::{DType, Instruction, RegOp, ThreadRange};
 use pypim_core::{shifted, Device, Tensor};
@@ -236,43 +236,11 @@ fn bench_move_shift(c: &mut Criterion) {
     );
 }
 
-/// The horizontal-logic kernel through the shard micro-batch path: the
-/// same strict-safe INIT1+NOR mix as the simulator bench, pushed to all
-/// four shards in turn under a dense and a strided row mask.
-fn bench_hlogic(c: &mut Criterion) {
-    let cfg = shard_cfg();
-    let ops = hlogic_ops(&cfg, 256);
-    let shards = 4;
-    let cluster = PimCluster::new(cfg.clone(), shards).unwrap();
-    let mut group = c.benchmark_group("hlogic");
-    group.throughput(Throughput::Elements((ops.len() * shards) as u64));
-    let masks = [
-        ("dense", RangeMask::dense(0, cfg.rows as u32).unwrap()),
-        (
-            "strided",
-            RangeMask::new(0, cfg.rows as u32 - 2, 2).unwrap(),
-        ),
-    ];
-    for (name, row_mask) in masks {
-        let mut batch = vec![MicroOp::RowMask(row_mask)];
-        batch.extend(ops.iter().cloned());
-        group.bench_function(name, |b| {
-            b.iter(|| {
-                for shard in 0..shards {
-                    cluster.execute_micro_batch(shard, batch.clone()).unwrap();
-                }
-            });
-        });
-    }
-    group.finish();
-}
-
 criterion_group!(
     benches,
     bench_cluster,
     bench_move_cross,
     bench_move_mixed,
-    bench_move_shift,
-    bench_hlogic
+    bench_move_shift
 );
 criterion_main!(benches);

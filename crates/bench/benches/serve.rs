@@ -465,7 +465,6 @@ fn bench_fleet(c: &mut Criterion) {
             ..ServeConfig::default()
         },
         fault: HostFaultPlan::none().crash_at(0, 150_000),
-        ..FleetConfig::default()
     })
     .unwrap();
     let cfg = LoadgenConfig {

@@ -10,12 +10,12 @@ mod shard;
 mod stats;
 mod submit;
 
-pub use journal::RecoveryConfig;
+pub use journal::{RecoveryConfig, CHECKPOINT_INTERVAL_CYCLES, CHECKPOINT_MAX_INSTRUCTIONS};
 pub use stats::{ClusterStats, ShardStats};
 pub use submit::{GlobalLoc, GlobalWrite, JobSet, TaggedBatch};
 
 use crate::{ClusterError, Interconnect, InterconnectConfig, ShardPlan};
-use journal::{Control, ShardJournal};
+use journal::{JournalEntry, ShardJournal};
 use pim_arch::PimConfig;
 use pim_driver::{Driver, DriverError, ParallelismMode, RoutineCache};
 use pim_fault::FaultInjector;
@@ -142,7 +142,6 @@ pub struct PimCluster {
     ic_track: TrackHandle,
     mode: ParallelismMode,
     shared_cache: RoutineCache,
-    recovery: RecoveryConfig,
     fault: Option<Arc<FaultInjector>>,
     /// Shards revived after a crash.
     restarts: AtomicU64,
@@ -220,7 +219,6 @@ impl PimCluster {
             telemetry,
             mode: options.mode,
             shared_cache,
-            recovery: options.recovery,
             fault: options.fault,
             restarts: AtomicU64::new(0),
             replayed: AtomicU64::new(0),
@@ -264,8 +262,7 @@ impl PimCluster {
         self.restarts.load(Ordering::Relaxed)
     }
 
-    /// Instructions/micro-operations replayed from journals during
-    /// recovery so far.
+    /// Instructions replayed from journals during recovery so far.
     pub fn replayed_instructions(&self) -> u64 {
         self.replayed.load(Ordering::Relaxed)
     }
@@ -295,47 +292,22 @@ impl PimCluster {
         })
     }
 
-    /// Resets every shard simulator's profiling counters, along with the
-    /// interconnect's traffic counters and every shard driver's
-    /// routine-cache hit/miss telemetry (chip cycles, link cycles, and
-    /// cache hit rates bound the same measurement region; compiled
-    /// routines themselves are kept).
+    /// Starts a measurement region: resets every shard's counters — the
+    /// chip's profiler, the driver's routine-cache hit/miss telemetry and
+    /// issued cycles — and the interconnect's traffic counters (chip
+    /// cycles, link cycles and cache hit rates bound the same region;
+    /// compiled routines are kept). Journaled, so a revived shard has it.
     ///
     /// # Errors
     ///
     /// Returns [`ClusterError::Disconnected`] if a shard is down and
     /// recovery is off.
-    pub fn reset_profilers(&self) -> Result<(), ClusterError> {
+    pub fn reset_counters(&self) -> Result<(), ClusterError> {
         self.interconnect.reset();
-        self.control(Control::ResetProfiler)
-    }
-
-    /// Resets every shard driver's issued-cycle counters.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ClusterError::Disconnected`] if a shard is down and
-    /// recovery is off.
-    pub fn reset_issued(&self) -> Result<(), ClusterError> {
-        self.control(Control::ResetIssued)
-    }
-
-    /// Enables/disables strict stateful-logic checking on every shard.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ClusterError::Disconnected`] if a shard is down and
-    /// recovery is off.
-    pub fn set_strict(&self, strict: bool) -> Result<(), ClusterError> {
-        self.control(Control::SetStrict(strict))
-    }
-
-    /// Applies `op` on every shard (journaled, so a revived shard has it).
-    fn control(&self, op: Control) -> Result<(), ClusterError> {
         self.broadcast(|_, driver, journal| {
-            op.apply(driver);
+            journal::reset_counters(driver);
             if let Some(j) = journal {
-                j.record(journal::JournalEntry::Control(op), 0);
+                j.record(JournalEntry::Reset, 0);
             }
             Ok(())
         })?;

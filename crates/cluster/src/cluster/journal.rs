@@ -3,44 +3,41 @@
 
 use super::PimCluster;
 use crate::ClusterError;
-use pim_arch::{Backend, MicroOp};
 use pim_driver::{Driver, IssuedCycles, ParallelismMode, RoutineCache};
 use pim_isa::Instruction;
 use pim_sim::{PimSimulator, SimSnapshot};
 use std::sync::atomic::Ordering;
 
-/// Shard crash-recovery policy: whether a crashed shard is revived, and
-/// how often each shard checkpoints its simulator state.
+/// Take a fresh checkpoint once a shard has modeled at least this many
+/// cycles since the last one.
+pub const CHECKPOINT_INTERVAL_CYCLES: u64 = 1_000_000;
+
+/// Take a fresh checkpoint once a shard's journal holds this many
+/// instructions, whatever the cycle budget says — this bounds both journal
+/// memory and worst-case replay latency. 1 024 instructions (~40 KiB) is
+/// about a 4 x 64 chip's memory image.
+pub const CHECKPOINT_MAX_INSTRUCTIONS: usize = 1024;
+
+/// Shard crash-recovery policy: whether a crashed shard is revived.
 ///
 /// Between checkpoints each shard keeps a bounded journal of executed
-/// jobs; recovery restores the last backend snapshot ([`SimSnapshot`])
-/// and replays the journal suffix, so a crash costs bounded replay
-/// latency instead of a dead cluster. Checkpointing is host-side only — it
-/// never touches modeled state, so modeled cycle counts are bit-identical
-/// with recovery on or off.
+/// jobs ([`CHECKPOINT_INTERVAL_CYCLES`], [`CHECKPOINT_MAX_INSTRUCTIONS`]);
+/// recovery restores the last backend snapshot ([`SimSnapshot`]) and
+/// replays the journal suffix, so a crash costs bounded replay latency
+/// instead of a dead cluster. Checkpointing is host-side only — it never
+/// touches modeled state, so modeled cycle counts are bit-identical with
+/// recovery on or off.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RecoveryConfig {
     /// Revive a crashed shard on its next job (on by default). When off,
     /// a crash leaves the shard permanently
     /// [`Disconnected`](ClusterError::Disconnected).
     pub enabled: bool,
-    /// Take a fresh checkpoint once the shard has modeled at least this
-    /// many cycles since the last one.
-    pub checkpoint_interval_cycles: u64,
-    /// Take a fresh checkpoint once the journal holds this many
-    /// instructions/micro-operations, whatever the cycle budget says —
-    /// this bounds both journal memory and worst-case replay latency. The
-    /// default, 1 024 (~40 KiB), is about a 4 x 64 chip's memory image.
-    pub checkpoint_max_instructions: usize,
 }
 
 impl Default for RecoveryConfig {
     fn default() -> Self {
-        RecoveryConfig {
-            enabled: true,
-            checkpoint_interval_cycles: 1_000_000,
-            checkpoint_max_instructions: 1024,
-        }
+        RecoveryConfig { enabled: true }
     }
 }
 
@@ -51,35 +48,18 @@ pub(super) enum JournalEntry {
     /// Macro instructions of one executed job (read results are
     /// recomputed and discarded on replay).
     Instrs(Vec<Instruction>),
-    /// A raw micro-operation batch.
-    Micro(Vec<MicroOp>),
-    Control(Control),
+    /// A counter reset ([`reset_counters`]).
+    Reset,
 }
 
-/// A control operation on one shard's driver. The live shard and journal
-/// replay apply it through the same function, so a recovered shard cannot
-/// drift from one that never crashed.
-#[derive(Debug, Clone, Copy)]
-pub(super) enum Control {
-    SetStrict(bool),
-    ResetProfiler,
-    ResetIssued,
-}
-
-impl Control {
-    pub(super) fn apply(self, driver: &mut Driver<PimSimulator>) {
-        match self {
-            Control::SetStrict(strict) => driver.backend_mut().set_strict(strict),
-            Control::ResetProfiler => {
-                driver.backend_mut().reset_profiler();
-                // Hit/miss telemetry belongs to the same measurement
-                // region as the chip cycle counters; serving benchmarks
-                // must start from a clean slate.
-                driver.reset_cache_stats();
-            }
-            Control::ResetIssued => driver.reset_issued(),
-        }
-    }
+/// Starts a measurement region on one shard's driver: zeroes the chip's
+/// profiler, the routine-cache hit/miss telemetry (compiled routines are
+/// kept) and the issued-cycle counters. The live shard and journal replay
+/// both call it, so a recovered shard cannot drift from one that never
+/// crashed.
+pub(super) fn reset_counters(driver: &mut Driver<PimSimulator>) {
+    driver.backend_mut().reset_counters();
+    driver.reset_counters();
 }
 
 /// A shard's checkpoint + bounded replay log: its jobs append and
@@ -90,7 +70,7 @@ pub(super) struct ShardJournal {
     /// Profiler cycles at snapshot time (checkpoint-interval baseline).
     snapshot_cycles: u64,
     log: Vec<JournalEntry>,
-    /// Instructions + micro-operations in `log` (checkpoint-size bound).
+    /// Instructions in `log` (checkpoint-size bound).
     logged_instrs: usize,
 }
 
@@ -106,7 +86,7 @@ impl ShardJournal {
         }
     }
 
-    /// Appends one executed unit of `weight` instructions/micro-operations.
+    /// Appends one executed unit of `weight` instructions.
     pub(super) fn record(&mut self, entry: JournalEntry, weight: usize) {
         self.logged_instrs += weight;
         self.log.push(entry);
@@ -118,11 +98,11 @@ impl ShardJournal {
         *self = ShardJournal::new(driver);
     }
 
-    /// Re-checkpoints if the journal outgrew the configured bounds.
-    pub(super) fn maybe_checkpoint(&mut self, driver: &Driver<PimSimulator>, rc: &RecoveryConfig) {
+    /// Re-checkpoints if the journal outgrew its bounds.
+    pub(super) fn maybe_checkpoint(&mut self, driver: &Driver<PimSimulator>) {
         let cycles = driver.backend().profiler().cycles;
-        if self.logged_instrs >= rc.checkpoint_max_instructions
-            || cycles.saturating_sub(self.snapshot_cycles) >= rc.checkpoint_interval_cycles
+        if self.logged_instrs >= CHECKPOINT_MAX_INSTRUCTIONS
+            || cycles.saturating_sub(self.snapshot_cycles) >= CHECKPOINT_INTERVAL_CYCLES
         {
             self.checkpoint(driver);
         }
@@ -131,7 +111,7 @@ impl ShardJournal {
     /// Rebuilds the shard state at crash time on `backend`: restores the
     /// checkpoint, replays the log in order, and charges the replayed span
     /// a second time as a stall. Returns the driver and the number of
-    /// instructions/micro-operations replayed.
+    /// instructions replayed.
     fn replay(
         &self,
         mut backend: PimSimulator,
@@ -151,15 +131,7 @@ impl ShardJournal {
                         .map_err(|e| format!("replay failed: {e}"))?;
                     replayed += instrs.len() as u64;
                 }
-                JournalEntry::Micro(ops) => {
-                    driver
-                        .backend_mut()
-                        .execute_batch(ops)
-                        .map_err(|e| format!("replay failed: {e}"))?;
-                    driver.invalidate_masks();
-                    replayed += ops.len() as u64;
-                }
-                JournalEntry::Control(op) => op.apply(&mut driver),
+                JournalEntry::Reset => reset_counters(&mut driver),
             }
         }
         // Replay brings the profiler back to its pre-crash value, but on

@@ -8,7 +8,6 @@
 use super::journal::{JournalEntry, ShardJournal};
 use super::PimCluster;
 use crate::ClusterError;
-use pim_arch::{Backend, MicroOp};
 use pim_driver::{Driver, DriverError};
 use pim_fault::WorkerFault;
 use pim_isa::Instruction;
@@ -174,7 +173,7 @@ impl PimCluster {
                             j.record(JournalEntry::Instrs(instrs), weight);
                         }
                     }
-                    j.maybe_checkpoint(driver, &self.recovery);
+                    j.maybe_checkpoint(driver);
                 } else {
                     // The job died partway; a fresh snapshot absorbs
                     // whatever state exists instead of trying to journal
@@ -184,43 +183,5 @@ impl PimCluster {
             }
             executed.map(|()| out)
         })
-    }
-
-    /// Executes a batch of raw micro-operations on one shard through the
-    /// backend's [`pim_arch::Backend::execute_batch`] — the multi-chip
-    /// equivalent of direct micro-operation access. Subject to the same
-    /// protocol: batches must not contain reads.
-    ///
-    /// # Errors
-    ///
-    /// Returns shard and protocol errors.
-    pub fn execute_micro_batch(&self, shard: usize, ops: Vec<MicroOp>) -> Result<(), ClusterError> {
-        self.run_on(shard, true, |driver, journal| {
-            let result =
-                driver
-                    .backend_mut()
-                    .execute_batch(&ops)
-                    .map_err(|e| ClusterError::Shard {
-                        shard,
-                        source: DriverError::from(e),
-                    });
-            // Raw micro-operations may have changed the stored masks
-            // behind the driver's mask-elision cache.
-            driver.invalidate_masks();
-            if let Some(j) = journal {
-                if result.is_ok() {
-                    let weight = ops.len();
-                    j.record(JournalEntry::Micro(ops), weight);
-                    j.maybe_checkpoint(driver, &self.recovery);
-                } else {
-                    // Refused at validation, the batch changed nothing; one
-                    // that broke the strict discipline stopped at the
-                    // offending gate, charged whole. As for a macro job, a
-                    // fresh snapshot absorbs whichever state exists.
-                    j.checkpoint(driver);
-                }
-            }
-            result
-        })?
     }
 }

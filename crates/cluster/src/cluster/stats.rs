@@ -32,8 +32,8 @@ pub struct ClusterStats {
     pub traffic: TrafficStats,
     /// Shard workers the supervisor respawned after a crash.
     pub worker_restarts: u64,
-    /// Instructions/micro-operations replayed from journals during
-    /// recovery (the work between the last checkpoint and the crash).
+    /// Instructions replayed from journals during recovery (the work
+    /// between the last checkpoint and the crash).
     pub replayed_instructions: u64,
 }
 

@@ -7,7 +7,7 @@ use super::PimCluster;
 use crate::coalesce::{CrossingMove, MoveCoalescer};
 use crate::sched::BatchScheduler;
 use crate::{ClusterError, LinkFaultKind, MoveRoute};
-use pim_arch::RangeMask;
+use pim_arch::{ArchError, RangeMask};
 use pim_fault::LinkFault;
 use pim_isa::{Instruction, ThreadRange};
 use pim_telemetry::{RequestId, RequestStats};
@@ -402,14 +402,32 @@ impl PimCluster {
         Ok(())
     }
 
-    /// The shard owning global warp `warp`.
-    fn shard_of(&self, warp: u32) -> Result<usize, ClusterError> {
+    /// The shard owning the cell `(warp, row, reg)`, checked against the
+    /// logical geometry with plain comparisons. [`gather`](Self::gather)
+    /// and [`scatter`](Self::scatter) place every cell through it before
+    /// any job runs, so a refused cell fails the whole call and nothing
+    /// of it reaches a chip.
+    fn shard_of_cell(&self, (warp, row, reg): GlobalLoc) -> Result<usize, ClusterError> {
         let shard = self.plan.shard_of_warp(warp);
         if shard >= self.shards() {
             return Err(ClusterError::ShardIndex {
                 shard,
                 shards: self.shards(),
             });
+        }
+        let cfg = &self.logical_cfg;
+        let out_of_bounds = |what, value: u64, bound: usize| {
+            Err(ClusterError::Invalid(ArchError::AddressOutOfBounds {
+                what,
+                value,
+                bound: bound as u64,
+            }))
+        };
+        if row as usize >= cfg.rows {
+            return out_of_bounds("row", row.into(), cfg.rows);
+        }
+        if reg as usize >= cfg.user_regs {
+            return out_of_bounds("ISA register", reg.into(), cfg.user_regs);
         }
         Ok(shard)
     }
@@ -420,15 +438,16 @@ impl PimCluster {
     ///
     /// # Errors
     ///
-    /// Returns addressing or shard errors: the first, in shard order,
-    /// once every involved shard has run its job.
+    /// Returns an addressing error, before any job runs, for a cell
+    /// outside the logical geometry; otherwise the first shard error, in
+    /// shard order, once every involved shard has run its job.
     pub fn gather(&self, locs: &[GlobalLoc]) -> Result<Vec<u32>, ClusterError> {
         let share = locs.len().div_ceil(self.shards());
         let mut per: Vec<(Vec<usize>, Vec<Instruction>)> = (0..self.shards())
             .map(|_| (Vec::with_capacity(share), Vec::with_capacity(share)))
             .collect();
         for (i, &(warp, row, reg)) in locs.iter().enumerate() {
-            let shard = self.shard_of(warp)?;
+            let shard = self.shard_of_cell((warp, row, reg))?;
             per[shard].0.push(i);
             per[shard].1.push(Instruction::Read {
                 reg,
@@ -454,8 +473,9 @@ impl PimCluster {
     ///
     /// # Errors
     ///
-    /// Returns addressing or shard errors: the first, in shard order,
-    /// once every involved shard has run its job.
+    /// Returns an addressing error, before any job runs, for a cell
+    /// outside the logical geometry; otherwise the first shard error, in
+    /// shard order, once every involved shard has run its job.
     pub fn scatter(&self, writes: &[GlobalWrite]) -> Result<(), ClusterError> {
         // Tensors stripe evenly across chips, so an even share is the
         // likely size of each shard's job (and the exact one on one chip).
@@ -464,7 +484,7 @@ impl PimCluster {
             .map(|_| Vec::with_capacity(share))
             .collect();
         for w in writes {
-            per[self.shard_of(w.warp)?].push(Instruction::Write {
+            per[self.shard_of_cell(w.loc())?].push(Instruction::Write {
                 reg: w.reg,
                 value: w.value,
                 target: ThreadRange::single(self.plan.local_warp(w.warp), w.row),

@@ -1,7 +1,8 @@
 use super::*;
+use crate::RequestId;
 use crate::TrafficStats;
 use crate::{FaultPlan, FaultProfile};
-use pim_arch::{MicroOp, RangeMask};
+use pim_arch::RangeMask;
 use pim_isa::{DType, Instruction, RegOp, ThreadRange};
 
 /// 4 chips x 4 crossbars x 64 rows.
@@ -162,101 +163,108 @@ fn partially_crossing_move_splits_at_boundary() {
     assert_eq!(c.gather(&[(3, 0, 1), (4, 0, 1)]).unwrap(), vec![111, 222]);
 }
 
-#[test]
-fn micro_batch_rejects_reads_on_shard_path() {
-    // The Backend::execute_batch protocol holds through the cluster.
-    let c = cluster4();
-    let err = c
-        .execute_micro_batch(2, vec![MicroOp::Read { index: 0 }])
-        .unwrap_err();
-    assert!(
-        matches!(&err, ClusterError::Shard { shard: 2, .. }),
-        "unexpected error {err:?}"
-    );
-    // Non-read micro batches execute.
-    c.execute_micro_batch(2, vec![MicroOp::Write { index: 0, value: 5 }])
-        .unwrap();
-}
-
 /// Every chip that serves checks the stateful-logic discipline, whatever
-/// label its options carry: a raw batch
-/// that fires a `NOR` onto cells no `INIT1` armed is refused with the
-/// bare simulator's typed error — fatal, so nothing retries and nothing is
-/// revived — the gate having changed no cell. The journal takes a
-/// checkpoint instead of the batch (the write ahead of the gate did land),
-/// the shard serves the next batch, and a crash after that replays only
-/// what came after the refusal, onto the state the refusal left.
+/// label its options carry — a shard revived from its journal included.
 #[test]
 fn strict_is_enforced_on_the_chips_that_serve() {
-    use pim_arch::{GateKind, HLogic};
-    let cfg = PimConfig::small().with_crossbars(4);
-    let options = |backends| ClusterOptions {
-        backends,
-        fault: Some(Arc::new(FaultInjector::new(
-            FaultPlan::none().crash_at(2, 4),
-            4,
-        ))),
-        ..ClusterOptions::default()
-    };
-    let labelled = || options(ShardBackends::Uniform(BackendKind::Functional));
-    let clusters = [
-        PimCluster::with_options(cfg.clone(), 4, options(ShardBackends::default())),
-        PimCluster::with_options(cfg.clone(), 4, labelled()),
-    ];
-    let nor_into_2 = MicroOp::LogicH(HLogic::parallel(GateKind::Nor, 0, 1, 2, &cfg).unwrap());
-    let arm_2 = MicroOp::LogicH(HLogic::init_reg(true, 2, &cfg).unwrap());
-    let write = |index, value| MicroOp::Write { index, value };
-    // A gather leaves the stored masks on the last cell it read.
-    let everywhere = [
-        MicroOp::XbMask(RangeMask::dense(0, 4).unwrap()),
-        MicroOp::RowMask(RangeMask::dense(0, 64).unwrap()),
-    ];
-    let under_full_masks = |ops: &[MicroOp]| [&everywhere[..], ops].concat();
-    // Three threads of shard 2, `regs` of each.
-    let cells = |c: &PimCluster, regs: std::ops::Range<u8>| {
-        let threads = [(8, 0), (9, 17), (11, 63)];
-        let locs = threads
+    let strict = |c: &PimCluster| -> Vec<bool> {
+        c.slots
             .iter()
-            .flat_map(|&(warp, row)| regs.clone().map(move |reg| (warp, row, reg)));
-        c.gather(&locs.collect::<Vec<_>>()).unwrap()
+            .map(|slot| {
+                let slot = slot.lock().unwrap();
+                slot.driver.as_ref().is_some_and(|d| d.backend().strict())
+            })
+            .collect()
     };
-    let mut refusals = Vec::new();
-    for c in clusters.map(Result::unwrap) {
-        c.execute_micro_batch(2, vec![write(0, 0x0F0F_0F0F)])
-            .unwrap();
-        let refused = c
-            .execute_micro_batch(2, vec![write(3, 7), nor_into_2.clone()])
-            .unwrap_err();
-        assert_eq!(refused.class(), crate::ErrorClass::Fatal);
-        match &refused {
+    let labels = [
+        ShardBackends::default(),
+        ShardBackends::Uniform(BackendKind::Functional),
+    ];
+    for backends in labels {
+        let c = PimCluster::with_options(
+            PimConfig::small().with_crossbars(4),
+            4,
+            ClusterOptions {
+                backends,
+                fault: Some(Arc::new(FaultInjector::new(
+                    FaultPlan::none().crash_at(2, 0),
+                    4,
+                ))),
+                ..ClusterOptions::default()
+            },
+        )
+        .unwrap();
+        assert_eq!(strict(&c), [true; 4]);
+        let fill = [Instruction::Write {
+            reg: 0,
+            value: 1,
+            target: ThreadRange::all(c.logical_config()),
+        }];
+        assert_eq!(
+            c.execute_batch(&fill),
+            Err(ClusterError::WorkerCrashed { shard: 2 })
+        );
+        assert!(c.slots[2].lock().unwrap().driver.is_none());
+        c.execute_batch(&fill).unwrap();
+        assert_eq!(c.worker_restarts(), 1);
+        assert_eq!(strict(&c), [true; 4]);
+    }
+}
+
+/// A job its shard's driver refuses is fatal — nothing retries it and
+/// nothing is revived — and the shard serves on: the instruction ahead of
+/// the refused one did land, the journal takes a checkpoint instead of
+/// the job, the next job is served, and a crash after that replays only
+/// what came after the refusal, onto the state the refusal left.
+#[test]
+fn a_refused_job_is_fatal_and_its_shard_serves_on() {
+    let c = PimCluster::with_options(
+        PimConfig::small().with_crossbars(4),
+        4,
+        ClusterOptions {
+            fault: Some(Arc::new(FaultInjector::new(
+                FaultPlan::none().crash_at(2, 2),
+                4,
+            ))),
+            ..ClusterOptions::default()
+        },
+    )
+    .unwrap();
+    let write = |warp, value| Instruction::Write {
+        reg: 3,
+        value,
+        target: ThreadRange::single(warp, 17),
+    };
+    // Shard 2's job 0: local warp 5 is past its 4-warp chip, a job only
+    // the shard's own driver can refuse.
+    let refused = c
+        .run_segments(
+            2,
+            vec![(RequestId::UNTAGGED, vec![write(0, 7), write(5, 8)])],
+        )
+        .unwrap()
+        .unwrap_err();
+    assert_eq!(refused.class(), crate::ErrorClass::Fatal);
+    assert!(
+        matches!(
+            &refused,
             ClusterError::Shard {
                 shard: 2,
-                source: DriverError::Arch(pim_arch::ArchError::Protocol { reason }),
-            } => assert!(reason.contains("not initialized to 1"), "{reason}"),
-            other => panic!("unexpected error {other:?}"),
-        }
-        refusals.push(refused);
-        assert_eq!(cells(&c, 2..4), [0, 7].repeat(3));
-        assert_eq!(c.worker_restarts(), 0);
-
-        let served = under_full_masks(&[arm_2.clone(), nor_into_2.clone()]);
-        c.execute_micro_batch(2, served).unwrap();
-        // The scheduled crash, then the retry that revives the shard: the
-        // six reads and the four operations since the refusal are replayed.
-        let crashed = c.execute_micro_batch(2, vec![write(4, 9)]).unwrap_err();
-        assert!(
-            matches!(crashed, ClusterError::WorkerCrashed { shard: 2 }),
-            "{crashed:?}"
-        );
-        c.execute_micro_batch(2, under_full_masks(&[write(4, 9)]))
-            .unwrap();
-        assert_eq!((c.worker_restarts(), c.replayed_instructions()), (1, 10));
-        assert_eq!(
-            cells(&c, 0..5),
-            [0x0F0F_0F0F, 0, 0xF0F0_F0F0, 7, 9].repeat(3)
-        );
-    }
-    assert!(refusals.iter().all(|refused| *refused == refusals[0]));
+                source: DriverError::Arch(pim_arch::ArchError::AddressOutOfBounds { .. }),
+            }
+        ),
+        "{refused:?}"
+    );
+    assert_eq!(c.worker_restarts(), 0);
+    // Job 1 is served; job 2 is the scheduled crash, and its retry revives
+    // the shard, replaying job 1 alone.
+    c.scatter(&[GlobalWrite::new(9, 17, 3, 9)]).unwrap();
+    let crashed = c.scatter(&[GlobalWrite::new(10, 17, 3, 10)]);
+    assert_eq!(crashed, Err(ClusterError::WorkerCrashed { shard: 2 }));
+    c.scatter(&[GlobalWrite::new(10, 17, 3, 10)]).unwrap();
+    assert_eq!((c.worker_restarts(), c.replayed_instructions()), (1, 1));
+    let locs: Vec<GlobalLoc> = (8..12).map(|warp| (warp, 17, 3)).collect();
+    assert_eq!(c.gather(&locs).unwrap(), [7, 9, 10, 0]);
 }
 
 #[test]
@@ -270,46 +278,6 @@ fn batch_rejects_macro_reads() {
         }])
         .unwrap_err();
     assert!(matches!(err, ClusterError::Protocol { .. }));
-}
-
-#[test]
-fn micro_batch_does_not_poison_mask_elision() {
-    // Raw micro-operations change the stored masks behind the shard
-    // driver's back; the worker must invalidate the driver's
-    // mask-elision cache or later macro-instructions execute under
-    // stale masks.
-    let c = cluster4();
-    let all = ThreadRange::all(c.logical_config());
-    c.execute(&Instruction::Write {
-        reg: 0,
-        value: 1,
-        target: all,
-    })
-    .unwrap();
-    c.execute_micro_batch(
-        0,
-        vec![
-            MicroOp::XbMask(RangeMask::single(0)),
-            MicroOp::RowMask(RangeMask::single(0)),
-        ],
-    )
-    .unwrap();
-    c.execute(&Instruction::Write {
-        reg: 0,
-        value: 2,
-        target: all,
-    })
-    .unwrap();
-    // Without invalidation this read returns the stale value 1.
-    assert_eq!(
-        c.execute(&Instruction::Read {
-            reg: 0,
-            warp: 3,
-            row: 5
-        })
-        .unwrap(),
-        Some(2)
-    );
 }
 
 #[test]
@@ -361,7 +329,7 @@ fn stats_aggregate_cache_and_cycles() {
 }
 
 #[test]
-fn reset_profilers_clears_cache_telemetry() {
+fn reset_counters_clears_cache_telemetry() {
     let c = cluster4();
     let all = ThreadRange::all(c.logical_config());
     let add = Instruction::RType {
@@ -373,12 +341,15 @@ fn reset_profilers_clears_cache_telemetry() {
     };
     c.execute(&add).unwrap();
     assert_ne!(c.stats().unwrap().cache_stats(), (0, 0));
-    c.reset_profilers().unwrap();
+    c.reset_counters().unwrap();
+    let stats = c.stats().unwrap();
     assert_eq!(
-        c.stats().unwrap().cache_stats(),
+        stats.cache_stats(),
         (0, 0),
         "hit/miss telemetry must reset with the profilers"
     );
+    assert_eq!(stats.issued().total, 0);
+    assert_eq!(stats.total_cycles(), 0);
     // The compiled-routine map survives: re-running the same routine
     // hits on every shard, zero misses.
     c.execute(&add).unwrap();
@@ -467,11 +438,11 @@ fn invalid_logical_instruction_rejected() {
         })
         .unwrap_err();
     assert!(matches!(err, ClusterError::Invalid(_)));
-    let err = c.execute_micro_batch(9, vec![]).unwrap_err();
+    let err = c.gather(&[(0, 0, 0), (16, 0, 0)]).unwrap_err();
     assert!(matches!(
         err,
         ClusterError::ShardIndex {
-            shard: 9,
+            shard: 4,
             shards: 4
         }
     ));
@@ -570,6 +541,45 @@ fn submit_gather_and_scatter_roundtrip_async() {
     );
 }
 
+/// A `scatter` refuses a cell outside the logical geometry before any
+/// shard job runs, so the valid cells ahead of it keep their old words;
+/// a `gather` refuses it without running any job at all.
+#[test]
+fn a_refused_scatter_writes_nothing_and_a_refused_gather_runs_no_job() {
+    // 2 chips x 4 crossbars x 64 rows, 16 ISA registers.
+    let c = PimCluster::new(PimConfig::small().with_crossbars(4), 2).unwrap();
+    let old = [
+        GlobalWrite::new(1, 5, 0, 11),
+        GlobalWrite::new(6, 63, 15, 22),
+    ];
+    c.scatter(&old).unwrap();
+    let locs: Vec<GlobalLoc> = old.iter().map(GlobalWrite::loc).collect();
+    let reads = |c: &PimCluster| -> u64 {
+        let stats = c.stats().unwrap();
+        stats.shards.iter().map(|s| s.profiler.ops.read).sum()
+    };
+    for (bad, what) in [((5, 64, 0), "row"), ((6, 3, 20), "ISA register")] {
+        let news = [
+            GlobalWrite::new(1, 5, 0, 33),
+            GlobalWrite::new(6, 63, 15, 44),
+            GlobalWrite::new(bad.0, bad.1, bad.2, 55),
+        ];
+        let refused = c.scatter(&news).unwrap_err();
+        assert_eq!(c.gather(&locs).unwrap(), [11, 22], "{refused:?}");
+        assert!(
+            matches!(
+                refused,
+                ClusterError::Invalid(pim_arch::ArchError::AddressOutOfBounds { what: w, .. })
+                    if w == what
+            ),
+            "{refused:?}"
+        );
+        let before = reads(&c);
+        assert_eq!(c.gather(&[locs[0], bad, locs[1]]), Err(refused));
+        assert_eq!(reads(&c), before);
+    }
+}
+
 #[test]
 fn invalid_interconnect_rejected() {
     let options = ClusterOptions {
@@ -608,7 +618,7 @@ fn cross_move_records_traffic() {
     // Nothing was queued ahead of the move, so no queues drained.
     assert_eq!(t.drained_queues, 0);
     // Counters reset with the profilers (one measurement region).
-    c.reset_profilers().unwrap();
+    c.reset_counters().unwrap();
     assert_eq!(c.stats().unwrap().traffic, TrafficStats::default());
 }
 
@@ -965,10 +975,7 @@ fn a_panicking_job_crashes_its_shard_and_is_revived() {
         cfg,
         4,
         ClusterOptions {
-            recovery: RecoveryConfig {
-                enabled: false,
-                ..RecoveryConfig::default()
-            },
+            recovery: RecoveryConfig { enabled: false },
             ..ClusterOptions::default()
         },
     )

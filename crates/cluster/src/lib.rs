@@ -110,7 +110,8 @@ pub(crate) mod sched;
 
 pub use cluster::{
     ClusterOptions, ClusterStats, GlobalLoc, GlobalWrite, JobSet, PimCluster, RecoveryConfig,
-    ShardBackends, ShardStats, TaggedBatch,
+    ShardBackends, ShardStats, TaggedBatch, CHECKPOINT_INTERVAL_CYCLES,
+    CHECKPOINT_MAX_INSTRUCTIONS,
 };
 pub use coalesce::{CrossingMove, MoveCoalescer};
 pub use error::{ClusterError, ErrorClass, LinkFaultKind};

@@ -7,7 +7,6 @@
 //! fallback copy in the ops layer handles the misaligned remainder.
 
 use crate::{CoreError, Result};
-use pim_arch::PimConfig;
 use pim_cluster::ShardPlan;
 use std::collections::BTreeMap;
 
@@ -88,12 +87,6 @@ impl Intervals {
             self.free.insert(start + len, fs + fl - (start + len));
         }
         true
-    }
-
-    /// Claims the first free range of `len` warps.
-    fn claim_first(&mut self, len: u32) -> Option<u32> {
-        let start = self.free.iter().find(|(_, &l)| l >= len).map(|(&s, _)| s)?;
-        self.claim_exact(start, len).then_some(start)
     }
 
     /// Claims the first free range of `len` warps lying entirely within
@@ -198,36 +191,30 @@ pub struct MemoryManager {
     /// space — on a sharded device that naturally lands different clients
     /// on different chips.
     next_window: u32,
-    /// The cluster's shard geometry, when the device is sharded: stripes
+    /// The device's shard geometry (one shard on a single chip): stripes
     /// whose elements the data-parallel partition places on one chip
     /// ([`ShardPlan::partition_elements`]) prefer a warp range that never
     /// straddles a chip boundary, so operations on small tensors stay
     /// chip-local (zero interconnect traffic).
-    shard_plan: Option<ShardPlan>,
+    shard_plan: ShardPlan,
 }
 
 impl MemoryManager {
-    /// Creates a manager for `cfg` (one interval set per ISA register).
-    pub fn new(cfg: &PimConfig) -> Self {
+    /// Creates a manager for the warps of `plan`, with one interval set
+    /// per ISA register (`user_regs` of them).
+    pub fn new(plan: ShardPlan, user_regs: usize) -> Self {
+        let total_warps = plan.total_warps() as u32;
         MemoryManager {
-            per_reg: (0..cfg.user_regs)
-                .map(|_| Intervals::new(cfg.crossbars as u32))
+            per_reg: (0..user_regs)
+                .map(|_| Intervals::new(total_warps))
                 .collect(),
-            total_warps: cfg.crossbars as u32,
+            total_warps,
             last_window: None,
             reserved: Vec::new(),
             hint_last: Vec::new(),
             next_window: 0,
-            shard_plan: None,
+            shard_plan: plan,
         }
-    }
-
-    /// Threads the cluster's shard geometry into placement decisions (see
-    /// the [`shard_plan`](MemoryManager) field docs). Single-chip devices
-    /// leave it unset; [`alloc`](MemoryManager::alloc) then behaves
-    /// exactly as before.
-    pub fn set_shard_plan(&mut self, plan: Option<ShardPlan>) {
-        self.shard_plan = plan;
     }
 
     /// Reserves a `warps`-warp window for one client session: the window is
@@ -284,9 +271,9 @@ impl MemoryManager {
     ///
     /// Preference order without a placement hint: the exact window of
     /// `near` (so the new tensor is thread-aligned with the reference
-    /// tensor), then the most recent allocation window, then — on a
-    /// sharded device, for stripes that fit one chip — the first
-    /// chip-local range (never straddling a shard boundary), then first
+    /// tensor), then the most recent allocation window, then — for stripes
+    /// that fit one chip — the first chip-local range (never straddling a
+    /// shard boundary; on a single chip, plain first fit), then first
     /// fit.
     ///
     /// With a placement hint the search is: the `near` window, then the
@@ -371,16 +358,15 @@ impl MemoryManager {
         //    operations never touch the interconnect. Falls through to
         //    the spanning search when fragmentation leaves no chip-local
         //    range.
-        let chunk = self.shard_plan.as_ref().and_then(|p| {
-            let rows = p.threads_per_shard() / p.warps_per_shard();
-            let shards_spanned = p
-                .partition_elements(warps as usize * rows)
-                .into_iter()
-                .filter(|r| !r.is_empty())
-                .count();
-            (shards_spanned <= 1).then(|| p.warps_per_shard() as u32)
-        });
-        if let Some(chunk) = chunk {
+        let p = &self.shard_plan;
+        let rows = p.threads_per_shard() / p.warps_per_shard();
+        let shards_spanned = p
+            .partition_elements(warps as usize * rows)
+            .into_iter()
+            .filter(|r| !r.is_empty())
+            .count();
+        if shards_spanned <= 1 {
+            let chunk = p.warps_per_shard() as u32;
             for (reg, iv) in self.per_reg.iter_mut().enumerate() {
                 if let Some(start) = iv.claim_first_chunk_local(warps, chunk, &foreign) {
                     return Ok(self.note(reg, start, warps, hint));
@@ -388,17 +374,9 @@ impl MemoryManager {
             }
         }
         // 4. First fit across registers, never inside a foreign window.
-        if foreign.is_empty() {
-            for (reg, iv) in self.per_reg.iter_mut().enumerate() {
-                if let Some(start) = iv.claim_first(warps) {
-                    return Ok(self.note(reg, start, warps, hint));
-                }
-            }
-        } else {
-            for (reg, iv) in self.per_reg.iter_mut().enumerate() {
-                if let Some(start) = iv.claim_first_avoiding(warps, &foreign) {
-                    return Ok(self.note(reg, start, warps, hint));
-                }
+        for (reg, iv) in self.per_reg.iter_mut().enumerate() {
+            if let Some(start) = iv.claim_first_avoiding(warps, &foreign) {
+                return Ok(self.note(reg, start, warps, hint));
             }
         }
         Err(CoreError::OutOfMemory {
@@ -465,9 +443,11 @@ impl MemoryManager {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pim_arch::PimConfig;
 
+    /// One chip of 16 warps, 16 user regs.
     fn mgr() -> MemoryManager {
-        MemoryManager::new(&PimConfig::small()) // 16 warps, 16 user regs
+        MemoryManager::new(ShardPlan::new(&PimConfig::small(), 1).unwrap(), 16)
     }
 
     #[test]
@@ -577,15 +557,15 @@ mod tests {
     }
 
     /// 4 chips x 4 crossbars: the 16-warp geometry of `mgr()` with shard
-    /// boundaries at warps 4, 8, 12.
-    fn plan4x4() -> ShardPlan {
-        ShardPlan::new(&PimConfig::small().with_crossbars(4), 4).unwrap()
+    /// boundaries at warps 4, 8, 12, on `user_regs` registers.
+    fn mgr4x4(user_regs: usize) -> MemoryManager {
+        let plan = ShardPlan::new(&PimConfig::small().with_crossbars(4), 4).unwrap();
+        MemoryManager::new(plan, user_regs)
     }
 
     #[test]
     fn shard_local_placement_avoids_straddling() {
-        let mut m = mgr();
-        m.set_shard_plan(Some(plan4x4()));
+        let mut m = mgr4x4(16);
         let a = m.alloc(3, None, None).unwrap();
         assert_eq!((a.warp_start, a.reg), (0, 0));
         // Plain first fit would land at warp 3, straddling the chip
@@ -606,12 +586,7 @@ mod tests {
     fn shard_local_placement_falls_back_when_fragmented() {
         // One register, 16 warps: carve the free set down to [2, 6) — a
         // range holding no chip-local 3-warp stripe (blocks end at 4).
-        let mut m = MemoryManager::new(&{
-            let mut cfg = PimConfig::small();
-            cfg.user_regs = 1;
-            cfg
-        });
-        m.set_shard_plan(Some(plan4x4()));
+        let mut m = mgr4x4(1);
         let _a = m.alloc(2, None, None).unwrap(); // [0, 2)
         let b = m.alloc(2, None, None).unwrap(); // [2, 4)
         let c = m.alloc(2, None, None).unwrap(); // [4, 6)
@@ -626,8 +601,7 @@ mod tests {
 
     #[test]
     fn shard_local_placement_respects_reservations() {
-        let mut m = mgr();
-        m.set_shard_plan(Some(plan4x4()));
+        let mut m = mgr4x4(16);
         // A session reserves chip 0's window; unhinted allocations must
         // stay out of it *and* chip-local.
         let w = m.reserve_window(4).unwrap();

@@ -4,8 +4,7 @@ use crate::{CoreError, Result};
 use parking_lot::Mutex;
 use pim_arch::PimConfig;
 use pim_cluster::{
-    ClusterOptions, ClusterStats, GlobalWrite, JobSet, PimCluster, RecoveryConfig, ShardPlan,
-    TaggedBatch,
+    ClusterOptions, ClusterStats, GlobalWrite, JobSet, PimCluster, RecoveryConfig, TaggedBatch,
 };
 use pim_driver::ParallelismMode;
 use pim_func::BackendKind;
@@ -112,16 +111,10 @@ impl Device {
     pub fn with_mode(cfg: PimConfig, mode: ParallelismMode) -> Result<Self> {
         let options = ClusterOptions {
             mode,
-            recovery: RecoveryConfig {
-                enabled: false,
-                ..RecoveryConfig::default()
-            },
+            recovery: RecoveryConfig { enabled: false },
             ..ClusterOptions::default()
         };
-        Ok(Device::over(
-            PimCluster::with_options(cfg, 1, options)?,
-            None,
-        ))
+        Ok(Device::over(PimCluster::with_options(cfg, 1, options)?))
     }
 
     /// [`Device::new`]; `kind` selects nothing. Spelt by
@@ -190,18 +183,14 @@ impl Device {
                 ..options
             },
         )?;
-        // Thread the shard geometry into the allocator: stripes that fit
-        // one chip get chip-local placement, so small tensors' operations
-        // never touch the interconnect.
-        let plan = *cluster.plan();
-        Ok(Device::over(cluster, Some(plan)))
+        Ok(Device::over(cluster))
     }
 
-    /// The device over `cluster`; `plan` is the chip geometry the allocator
-    /// places by, if any.
-    fn over(cluster: PimCluster, plan: Option<ShardPlan>) -> Self {
-        let mut mem = MemoryManager::new(cluster.logical_config());
-        mem.set_shard_plan(plan);
+    /// The device over `cluster`. The allocator places by the cluster's
+    /// shard geometry: stripes that fit one chip get chip-local placement,
+    /// so small tensors' operations never touch the interconnect.
+    fn over(cluster: PimCluster) -> Self {
+        let mem = MemoryManager::new(*cluster.plan(), cluster.logical_config().user_regs);
         Device {
             inner: Arc::new(DeviceInner {
                 cluster,
@@ -336,29 +325,6 @@ impl Device {
         Ok(self.profiler()?.cycles)
     }
 
-    /// Resets the profiling counters, including the routine-cache hit/miss
-    /// telemetry (compiled routines are kept — a fresh measurement region
-    /// should not pay recompilation).
-    ///
-    /// # Errors
-    ///
-    /// Returns the shard's failure if a shard crashed and could not be
-    /// revived.
-    pub fn reset_profiler(&self) -> Result<()> {
-        Ok(self.inner.cluster.reset_profilers()?)
-    }
-
-    /// Enables/disables every chip's strict stateful-logic checking (on by
-    /// default).
-    ///
-    /// # Errors
-    ///
-    /// Returns the shard's failure if a shard crashed and could not be
-    /// revived.
-    pub fn set_strict(&self, strict: bool) -> Result<()> {
-        Ok(self.inner.cluster.set_strict(strict)?)
-    }
-
     /// Routine-cache statistics `(hits, misses)` of the host driver (for a
     /// cluster: summed over the per-shard drivers).
     ///
@@ -382,16 +348,18 @@ impl Device {
         Ok(self.inner.cluster.stats()?.issued())
     }
 
-    /// Resets both the simulator profiler and the driver's issued-cycle
-    /// counters (the start of a measurement region).
+    /// Starts a measurement region: resets the simulator profiler, the
+    /// routine-cache hit/miss telemetry (compiled routines are kept — a
+    /// fresh region should not pay recompilation), the driver's
+    /// issued-cycle counters and the interconnect's traffic counters
+    /// ([`PimCluster::reset_counters`]).
     ///
     /// # Errors
     ///
     /// Returns the shard's failure if a shard crashed and could not be
     /// revived.
     pub fn reset_counters(&self) -> Result<()> {
-        self.inner.cluster.reset_profilers()?;
-        Ok(self.inner.cluster.reset_issued()?)
+        Ok(self.inner.cluster.reset_counters()?)
     }
 
     /// Executes one macro-instruction on the device.

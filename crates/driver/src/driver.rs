@@ -161,13 +161,6 @@ impl<B: Backend> Driver<B> {
         self.cache.stats()
     }
 
-    /// Zeroes the routine-cache hit/miss telemetry (compiled routines are
-    /// kept) — part of starting a fresh measurement region alongside a
-    /// profiler reset.
-    pub fn reset_cache_stats(&mut self) {
-        self.cache.reset_stats();
-    }
-
     /// Forgets the masks the driver believes are stored in the memory.
     ///
     /// The driver elides redundant mask micro-operations because it is
@@ -187,9 +180,13 @@ impl<B: Backend> Driver<B> {
         self.issued
     }
 
-    /// Resets the issued-cycle counters.
-    pub fn reset_issued(&mut self) {
+    /// Starts the driver's side of a measurement region: zeroes the
+    /// issued-cycle counters and the routine-cache hit/miss telemetry
+    /// (compiled routines are kept). The backend's profiler is reset by
+    /// its owner.
+    pub fn reset_counters(&mut self) {
         self.issued = IssuedCycles::default();
+        self.cache.reset_stats();
     }
 
     /// Overwrites the issued-cycle counters with a previously captured
@@ -805,7 +802,7 @@ mod tests {
             let total = if overlap { 2 * pairs + 9 } else { pairs + 10 };
             // The second issue finds the crossbar mask already stored.
             for elided in [0, 1] {
-                d.reset_issued();
+                d.reset_counters();
                 d.execute(&mv).unwrap();
                 assert_eq!(d.issued().total, total - elided, "{mv:?}");
                 assert_eq!(d.issued().logic, pairs + 4);

@@ -51,7 +51,7 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// A fault injected into one shard, triggered by the index of the
-/// executable job (macro or micro batch) the shard receives.
+/// executable job (a batch of instructions) the shard receives.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum WorkerFault {
     /// The shard's state is dropped without executing the job: the job
@@ -108,8 +108,8 @@ impl LinkWindow {
 #[derive(Debug, Clone, Default)]
 pub struct FaultPlan {
     /// `(shard, job index) -> fault`. Job indices count the executable
-    /// jobs (macro/micro batches) a shard receives, starting at 0;
-    /// control-plane jobs (stats snapshots, profiler resets) do not
+    /// jobs (instruction batches) a shard receives, starting at 0;
+    /// control-plane jobs (stats snapshots, counter resets) do not
     /// advance the counter, so observability calls never shift a schedule.
     worker: HashMap<(usize, u64), WorkerFault>,
     /// `burst index -> fault`. Burst indices count the message groups the

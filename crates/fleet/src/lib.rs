@@ -12,10 +12,10 @@
 //! election and every failover replays bit-identically:
 //!
 //! * **Leader election** ([`InProcessLeaseStore`], [`Lease`]) — hosts
-//!   heartbeat a shared lease every [`FleetConfig::heartbeat_cycles`];
-//!   whoever holds it is leader. A host that stops heartbeating lets the
-//!   lease expire ([`FleetConfig::lease_ttl_cycles`]), and the next
-//!   eligible heartbeat acquires it under a bumped epoch.
+//!   heartbeat a shared lease every [`HEARTBEAT_CYCLES`]; whoever holds
+//!   it is leader. A host that stops heartbeating lets the lease expire
+//!   ([`LEASE_TTL_CYCLES`]), and the next eligible heartbeat acquires it
+//!   under a bumped epoch.
 //! * **Host faults** ([`pim_fault::HostFaultPlan`]) — seeded crash /
 //!   stall / partition schedules on the modeled clock, fired by
 //!   [`Fleet::tick_now`]. A crashed or lapsed host's sessions are
@@ -25,8 +25,8 @@
 //!   [`FleetSession::run`] and the open-loop driver alike.
 //! * **Host-to-host hop** — session placement and failover hand-off
 //!   traffic ride a second [`Interconnect`] tier with its own latency
-//!   and width ([`FleetConfig::hop`]), charged to the modeled clock and
-//!   surfaced as `fleet.hop_*` counters.
+//!   and width ([`HOP`]), charged to the modeled clock and surfaced as
+//!   `fleet.hop_*` counters.
 //! * **Observability** — `fleet.leader_changes`, `fleet.failovers`,
 //!   `fleet.orphaned_sessions`, `fleet.reissued` counters, a
 //!   `fleet.failover_cycles` detection-latency histogram, election and
@@ -84,7 +84,23 @@ const SESSION_STATE_WORDS: u64 = 64;
 /// schedules where every host dies in turn.
 pub const MAX_REISSUES: u32 = 8;
 
-/// Fleet geometry, timing, and fault schedule.
+/// Lease time-to-live in modeled cycles: a host that misses heartbeats for
+/// longer loses leadership, and its sessions fail over.
+pub const LEASE_TTL_CYCLES: u64 = 30_000;
+
+/// Heartbeat period in modeled cycles: a third of [`LEASE_TTL_CYCLES`], so
+/// one late beat never costs a host its lease.
+pub const HEARTBEAT_CYCLES: u64 = 10_000;
+
+/// Geometry of the host-to-host hop (second interconnect tier: placement,
+/// hand-off, and re-admission traffic): longer and narrower than the
+/// chip-to-chip tier — a rack-level link, not an on-board one.
+pub const HOP: InterconnectConfig = InterconnectConfig {
+    link_bits: 64,
+    latency: 64,
+};
+
+/// Fleet geometry, admission control, and fault schedule.
 #[derive(Debug, Clone)]
 pub struct FleetConfig {
     /// Serving hosts to build (each a single-chip device behind its own
@@ -95,16 +111,6 @@ pub struct FleetConfig {
     pub chip: PimConfig,
     /// Admission-control tuning of each host's gateway.
     pub serve: ServeConfig,
-    /// Lease time-to-live in modeled cycles: a host that misses
-    /// heartbeats for longer loses leadership, and its sessions fail
-    /// over.
-    pub lease_ttl_cycles: u64,
-    /// Heartbeat period in modeled cycles. Must be shorter than
-    /// [`lease_ttl_cycles`](FleetConfig::lease_ttl_cycles).
-    pub heartbeat_cycles: u64,
-    /// Geometry of the host-to-host hop (second interconnect tier:
-    /// placement, hand-off, and re-admission traffic).
-    pub hop: InterconnectConfig,
     /// Seeded host-level fault schedule fired on the modeled clock.
     pub fault: HostFaultPlan,
 }
@@ -115,14 +121,6 @@ impl Default for FleetConfig {
             hosts: 2,
             chip: PimConfig::small().with_crossbars(8),
             serve: ServeConfig::default(),
-            lease_ttl_cycles: 30_000,
-            heartbeat_cycles: 10_000,
-            // The host hop is longer and narrower than the chip-to-chip
-            // tier: a rack-level link, not an on-board one.
-            hop: InterconnectConfig {
-                link_bits: 64,
-                latency: 64,
-            },
             fault: HostFaultPlan::none(),
         }
     }
@@ -141,23 +139,6 @@ impl FleetConfig {
                 reason: "fleet needs at least one host".into(),
             });
         }
-        if self.heartbeat_cycles == 0 {
-            return Err(CoreError::Protocol {
-                reason: "heartbeat period must be at least one cycle".into(),
-            });
-        }
-        if self.lease_ttl_cycles <= self.heartbeat_cycles {
-            return Err(CoreError::Protocol {
-                reason: format!(
-                    "lease ttl ({}) must exceed the heartbeat period ({}) or \
-                     leadership flaps on every beat",
-                    self.lease_ttl_cycles, self.heartbeat_cycles
-                ),
-            });
-        }
-        self.hop
-            .validate()
-            .map_err(|reason| CoreError::Protocol { reason })?;
         Ok(())
     }
 }
@@ -304,14 +285,13 @@ impl FleetInner {
         // 2. Heartbeats, in host order (the tie-break that makes
         //    elections deterministic: the lowest eligible host index
         //    wins a free lease).
-        let ttl = self.cfg.lease_ttl_cycles;
         for (h, host) in st.hosts.iter_mut().enumerate() {
             if host.eligible(now) && now >= host.next_heartbeat {
                 host.last_heartbeat = now;
-                host.next_heartbeat = now + self.cfg.heartbeat_cycles;
+                host.next_heartbeat = now + HEARTBEAT_CYCLES;
                 host.failed_over = false;
                 self.heartbeats.inc();
-                let _ = self.store.try_acquire(h, now, ttl);
+                let _ = self.store.try_acquire(h, now, LEASE_TTL_CYCLES);
             }
         }
 
@@ -342,7 +322,7 @@ impl FleetInner {
         let lapsed: Vec<usize> = (0..st.hosts.len())
             .filter(|&h| {
                 let host = &st.hosts[h];
-                !host.failed_over && now > host.last_heartbeat.saturating_add(ttl)
+                !host.failed_over && now > host.last_heartbeat.saturating_add(LEASE_TTL_CYCLES)
             })
             .collect();
         for h in lapsed {
@@ -451,7 +431,7 @@ impl Fleet {
         let track = telemetry.track("fleet/control");
         let metrics = telemetry.metrics();
         let inner = FleetInner {
-            hop: Interconnect::new(cfg.hop),
+            hop: Interconnect::new(HOP),
             store: InProcessLeaseStore::new(),
             track,
             leader_changes: metrics.counter("fleet.leader_changes"),
@@ -831,12 +811,6 @@ mod tests {
 
     #[test]
     fn validate_rejects_degenerate_timing() {
-        assert!(Fleet::new(FleetConfig {
-            lease_ttl_cycles: 100,
-            heartbeat_cycles: 100,
-            ..tiny(2)
-        })
-        .is_err());
         assert!(Fleet::new(FleetConfig {
             hosts: 0,
             ..FleetConfig::default()

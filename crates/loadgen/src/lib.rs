@@ -147,6 +147,23 @@ mod tests {
         }
     }
 
+    /// Asserts a drained gateway holds nothing: no session is open, one
+    /// placement window spanning every warp can be reserved (and is
+    /// released), and every ISA register takes a full-memory tensor.
+    fn assert_nothing_leaked(gateway: &pim_serve::Gateway) -> Result<()> {
+        assert_eq!(gateway.active_sessions(), 0);
+        let dev = gateway.device();
+        let cfg = dev.config();
+        let window = dev.reserve_placement(cfg.crossbars as u32)?;
+        dev.release_placement(window);
+        let full = cfg.total_threads() as usize;
+        let tensors = (0..cfg.user_regs)
+            .map(|_| dev.uninit(full, pim_isa::DType::Int32))
+            .collect::<Result<Vec<_>>>()?;
+        assert_eq!(tensors.len(), cfg.user_regs);
+        Ok(())
+    }
+
     fn single_chip_gateway() -> Result<pim_serve::Gateway> {
         let dev = Device::new(PimConfig::small().with_crossbars(8))?;
         Ok(dev.serve(ServeConfig {
@@ -174,7 +191,7 @@ mod tests {
         // One chip is one shard: its utilization is sampled like any other.
         let counters = gateway.telemetry().recorder().counter_tracks();
         assert!(counters.iter().any(|(name, ..)| name == "shard0/util"));
-        Ok(())
+        assert_nothing_leaked(&gateway)
     }
 
     #[test]
@@ -275,7 +292,6 @@ mod tests {
                 ..ServeConfig::default()
             },
             fault,
-            ..pim_fleet::FleetConfig::default()
         }
     }
 

@@ -18,7 +18,7 @@
 //! so a session never has two batches in flight — results are bit-identical
 //! to running every client sequentially.
 
-use crate::{ClusterClient, ServeConfig};
+use crate::{ClusterClient, ServeConfig, RETRY_BACKOFF_CYCLES};
 use parking_lot::Mutex;
 use pim_isa::Instruction;
 use pim_telemetry::{
@@ -468,7 +468,7 @@ impl GatewayInner {
                     // no wall-clock wait, but the retry's queue span and
                     // any deadline see the delay.
                     let shift = (b.attempts - 1).min(32);
-                    let backoff = self.cfg.retry_backoff_cycles << shift;
+                    let backoff = RETRY_BACKOFF_CYCLES << shift;
                     self.dev
                         .telemetry()
                         .advance_clock(now.saturating_add(backoff));

@@ -87,6 +87,11 @@ use pypim_core::Device;
 /// session — fairness is round-robin).
 const MAX_COALESCE: usize = 8;
 
+/// Modeled-cycle backoff charged before a retry: the `n`-th retry of a
+/// batch advances the modeled clock by `RETRY_BACKOFF_CYCLES << (n - 1)`.
+/// No wall-clock time is spent.
+pub const RETRY_BACKOFF_CYCLES: u64 = 1_000;
+
 /// Tuning of the gateway's admission controller.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ServeConfig {
@@ -98,13 +103,10 @@ pub struct ServeConfig {
     /// unbounded.
     pub max_queue_depth: usize,
     /// Times a batch that failed with a *transient* error (shard crash,
-    /// link fault — see [`pypim_core::ErrorClass::Transient`]) is retried
-    /// before the error surfaces to the client.
+    /// link fault — see [`pypim_core::ErrorClass::Transient`]) is retried,
+    /// each after a [`RETRY_BACKOFF_CYCLES`] exponential backoff, before
+    /// the error surfaces to the client.
     pub max_retries: u32,
-    /// Modeled-cycle backoff charged before a retry; the `n`-th retry
-    /// advances the modeled clock by `retry_backoff_cycles << n`. No
-    /// wall-clock time is spent.
-    pub retry_backoff_cycles: u64,
     /// Default per-batch deadline in modeled cycles from admission;
     /// batches still queued (or completing) past it resolve with
     /// [`pypim_core::CoreError::DeadlineExceeded`]. `0` disables
@@ -123,7 +125,6 @@ impl Default for ServeConfig {
             session_warps: 0,
             max_queue_depth: 64,
             max_retries: 2,
-            retry_backoff_cycles: 1_000,
             deadline_cycles: 0,
             evict_on_pressure: false,
         }

@@ -93,7 +93,7 @@ impl PimSimulator {
     }
 
     /// Resets the profiling counters.
-    pub fn reset_profiler(&mut self) {
+    pub fn reset_counters(&mut self) {
         self.profiler.reset();
     }
 

@@ -247,7 +247,7 @@ impl HistogramSnapshot {
 /// bucket rather than pre-computed quantiles. Two states taken at
 /// different times diff with [`since`](HistogramState::since) into the
 /// samples recorded *between* them — the primitive behind windowed
-/// percentile series ([`crate::series`]).
+/// percentile series ([`WindowSampler`](crate::WindowSampler)).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct HistogramState {
     buckets: Box<[u64]>,
@@ -487,8 +487,9 @@ impl MetricsSnapshot {
     /// (instantaneous) value, and histogram `count`/`sum` are diffed while
     /// the quantile fields keep their *cumulative* values — summary
     /// snapshots cannot be diffed for percentiles. For true windowed
-    /// percentiles track the histogram through [`crate::series`], which
-    /// diffs full [`HistogramState`]s.
+    /// percentiles track the histogram through a
+    /// [`WindowSampler`](crate::WindowSampler), which diffs full
+    /// [`HistogramState`]s.
     pub fn since(&self, baseline: &MetricsSnapshot) -> MetricsSnapshot {
         let mut out = self.clone();
         for (k, v) in out.counters.iter_mut() {

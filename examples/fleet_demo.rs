@@ -55,7 +55,6 @@ fn main() -> Result<()> {
             ..ServeConfig::default()
         },
         fault: plan,
-        ..FleetConfig::default()
     })?;
     fleet.set_telemetry_enabled(true); // record election/failover spans
     let leader = fleet.leader().expect("initial election");

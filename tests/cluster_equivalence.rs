@@ -612,19 +612,26 @@ mod one_path {
 
 #[test]
 fn execute_batch_protocol_rejects_reads_on_both_engines() {
-    // The no-reads-in-batches protocol of Backend::execute_batch holds on
-    // the single chip and through the cluster shard path.
+    // The no-reads-in-batches protocol holds on the single chip's
+    // Backend::execute_batch and on the cluster's batch path.
     use pypim::arch::{Backend, MicroOp};
+    use pypim::isa::Instruction;
     use pypim::sim::PimSimulator;
 
     let mut sim = PimSimulator::new(PimConfig::small()).unwrap();
     assert!(sim.execute_batch(&[MicroOp::Read { index: 0 }]).is_err());
 
     let cluster = pypim::PimCluster::new(PimConfig::small().with_crossbars(4), 4).unwrap();
-    for shard in 0..4 {
-        assert!(cluster
-            .execute_micro_batch(shard, vec![MicroOp::Read { index: 0 }])
-            .is_err());
+    for warp in [0, 5, 10, 15] {
+        let read = Instruction::Read {
+            reg: 0,
+            warp,
+            row: 0,
+        };
+        assert!(matches!(
+            cluster.execute_batch(&[read]),
+            Err(pypim::cluster::ClusterError::Protocol { .. })
+        ));
     }
 }
 

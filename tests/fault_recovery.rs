@@ -6,7 +6,7 @@
 
 use futures::executor::{block_on, block_on_timeout};
 use proptest::prelude::*;
-use pypim::cluster::{ClusterError, PimCluster};
+use pypim::cluster::{ClusterError, PimCluster, CHECKPOINT_MAX_INSTRUCTIONS};
 use pypim::isa::{DType, Instruction, RegOp, ThreadRange};
 use pypim::serve::ClusterClient;
 use pypim::{
@@ -116,14 +116,20 @@ fn empty_injector_and_recovery_are_bit_identical_to_plain_cluster() {
 // Recovery: typed error, revival, checkpoint+replay
 // ---------------------------------------------------------------------
 
-/// Runs the cluster-level crash/recover scenario under `recovery`:
-/// batch 1 commits, batch 2 dies with a typed transient error, the retry
-/// lands on the revived shard, and the final reads are bit-identical
-/// to a fault-free run.
-fn crash_recover_scenario(recovery: RecoveryConfig) {
+/// Runs the cluster-level crash/recover scenario: batch 1 — its two
+/// fills led by `padding` single-cell writes to shard 0 — commits, batch 2
+/// dies with a typed transient error, the retry lands on the revived
+/// shard, and the final reads are bit-identical to a fault-free run.
+/// Returns the instructions the revival replayed.
+fn crash_recover_scenario(padding: u32) -> u64 {
     let all = |c: &PimCluster| ThreadRange::all(c.logical_config());
     let batch1 = |all: ThreadRange| {
-        vec![
+        let pad = (0..padding).map(|i| Instruction::Write {
+            reg: 3,
+            value: i,
+            target: ThreadRange::single(i % 4, i / 4 % 64),
+        });
+        pad.chain([
             Instruction::Write {
                 reg: 0,
                 value: 30,
@@ -134,7 +140,8 @@ fn crash_recover_scenario(recovery: RecoveryConfig) {
                 value: 12,
                 target: all,
             },
-        ]
+        ])
+        .collect::<Vec<_>>()
     };
     let batch2 = |all: ThreadRange| {
         vec![Instruction::RType {
@@ -164,7 +171,8 @@ fn crash_recover_scenario(recovery: RecoveryConfig) {
         .collect();
 
     // Shard 0's second executable job (the RType batch) crashes the shard.
-    let (cluster, injector) = faulty_cluster(FaultPlan::none().crash_at(0, 1), recovery);
+    let (cluster, injector) =
+        faulty_cluster(FaultPlan::none().crash_at(0, 1), RecoveryConfig::default());
     let r = all(&cluster);
     cluster.execute_batch(&batch1(r)).unwrap();
 
@@ -191,29 +199,90 @@ fn crash_recover_scenario(recovery: RecoveryConfig) {
         .collect();
     assert_eq!(got, expected, "post-recovery state diverged");
     assert_eq!(injector.stats().worker_crashes, 1);
-    assert_eq!(cluster.stats().unwrap().worker_restarts, 1);
+    let stats = cluster.stats().unwrap();
+    assert_eq!(stats.worker_restarts, 1);
+    stats.replayed_instructions
 }
 
 #[test]
 fn crash_recovers_bit_identically_from_default_checkpoints() {
-    crash_recover_scenario(RecoveryConfig::default());
+    // Batch 1 stays under both checkpoint budgets: the revival is pure
+    // replay of its two fills from the initial snapshot.
+    assert_eq!(crash_recover_scenario(0), 2);
 }
 
 #[test]
 fn crash_recovers_bit_identically_under_tight_checkpoint_bounds() {
-    // A tiny instruction bound forces a checkpoint between the batches,
-    // exercising snapshot-restore rather than pure journal replay.
-    crash_recover_scenario(RecoveryConfig {
-        checkpoint_max_instructions: 1,
-        ..RecoveryConfig::default()
-    });
-    // A huge bound forces the opposite: pure replay from the initial
-    // snapshot.
-    crash_recover_scenario(RecoveryConfig {
-        checkpoint_max_instructions: usize::MAX,
-        checkpoint_interval_cycles: u64::MAX,
-        ..RecoveryConfig::default()
-    });
+    // The instruction bound is fixed; batch 1 logs more instructions on
+    // shard 0 than it allows, so the shard checkpoints between the
+    // batches: the revival restores that snapshot and replays nothing.
+    let padding = CHECKPOINT_MAX_INSTRUCTIONS as u32 + 8;
+    assert_eq!(crash_recover_scenario(padding), 0);
+}
+
+#[test]
+fn a_counter_reset_replays_across_a_crash() {
+    // Execute, reset the counters, execute again; then shard 0 crashes on
+    // its next job, before its next checkpoint, and is revived from a
+    // journal that holds the reset between the two executions. The revived
+    // shard's issued cycles and operation counters equal a fault-free
+    // twin's (only its cycles differ: they carry the replay, charged as a
+    // stall), and the retried job leaves the twin's memory.
+    let twin = PimCluster::new(cfg(), SHARDS).unwrap();
+    let all = ThreadRange::all(twin.logical_config());
+    let fill = |reg, value| Instruction::Write {
+        reg,
+        value,
+        target: all,
+    };
+    let rtype = |op, dst, target| Instruction::RType {
+        op,
+        dtype: DType::Int32,
+        dst,
+        srcs: [dst - 1, 0, 0],
+        target,
+    };
+    let program = |c: &PimCluster| {
+        c.execute_batch(&[fill(0, 30), fill(1, 12)]).unwrap();
+        c.reset_counters().unwrap();
+        c.execute_batch(&[rtype(RegOp::Add, 2, all)]).unwrap();
+    };
+    // Shard 0 alone, so the crash stops no other shard's work.
+    let on_shard_0 = [rtype(
+        RegOp::Sub,
+        3,
+        ThreadRange::new(
+            pypim::RangeMask::new(0, 3, 1).unwrap(),
+            pypim::RangeMask::new(0, 63, 1).unwrap(),
+        ),
+    )];
+    program(&twin);
+    let (faulted, injector) =
+        faulty_cluster(FaultPlan::none().crash_at(0, 2), RecoveryConfig::default());
+    program(&faulted);
+    assert_eq!(
+        faulted.execute_batch(&on_shard_0),
+        Err(ClusterError::WorkerCrashed { shard: 0 })
+    );
+    assert_eq!(injector.stats().worker_crashes, 1);
+
+    // A stats snapshot revives the shard: pure replay of the fills, the
+    // reset and the add.
+    let (want, got) = (twin.stats().unwrap(), faulted.stats().unwrap());
+    assert_eq!((got.worker_restarts, got.replayed_instructions), (1, 3));
+    for (w, g) in want.shards.iter().zip(&got.shards) {
+        assert_eq!(g.issued, w.issued, "shard {}", w.shard);
+        assert_eq!(g.profiler.ops, w.profiler.ops, "shard {}", w.shard);
+    }
+    twin.execute_batch(&on_shard_0).unwrap();
+    faulted.execute_batch(&on_shard_0).unwrap();
+    let cells: Vec<(u32, u32, u8)> = (0..8u32)
+        .flat_map(|warp| (0..64u32).flat_map(move |row| (0..4u8).map(move |reg| (warp, row, reg))))
+        .collect();
+    assert_eq!(
+        faulted.gather(&cells).unwrap(),
+        twin.gather(&cells).unwrap()
+    );
 }
 
 #[test]
@@ -236,13 +305,9 @@ fn journal_replay_restores_a_scatter_bit_identically() {
     let locs: Vec<_> = cells.iter().map(|&(warp, row)| (warp, row, 1)).collect();
 
     // Shard 0's second job — its half of the gather — crashes the shard;
-    // no checkpoint in between, so recovery is pure replay of the scatter.
-    let pure_replay = RecoveryConfig {
-        checkpoint_max_instructions: usize::MAX,
-        checkpoint_interval_cycles: u64::MAX,
-        ..RecoveryConfig::default()
-    };
-    let (cluster, _) = faulty_cluster(FaultPlan::none().crash_at(0, 1), pure_replay);
+    // the scatter stays under both checkpoint budgets, so recovery is pure
+    // replay of it.
+    let (cluster, _) = faulty_cluster(FaultPlan::none().crash_at(0, 1), RecoveryConfig::default());
     cluster.scatter(&writes).unwrap();
     let err = cluster.gather(&locs).unwrap_err();
     assert!(
@@ -258,10 +323,7 @@ fn journal_replay_restores_a_scatter_bit_identically() {
 
 #[test]
 fn recovery_disabled_turns_crashes_into_permanent_disconnects() {
-    let off = RecoveryConfig {
-        enabled: false,
-        ..RecoveryConfig::default()
-    };
+    let off = RecoveryConfig { enabled: false };
     let (cluster, _) = faulty_cluster(FaultPlan::none().crash_at(0, 0), off);
     let r = ThreadRange::all(cluster.logical_config());
     let batch = vec![Instruction::Write {
@@ -519,15 +581,15 @@ fn crossing_reference_bits(seed: f32) -> u32 {
 
 #[test]
 fn crash_inside_corruption_window_is_absorbed_by_one_retry_budget() {
-    // Two overlapping fault sources: shard 0 crashes on its second job while every staged burst in the first 6 000 modeled
-    // cycles corrupts (detected). Retry backoff advances the modeled
-    // clock, so retries *walk the request out of the window* — one
-    // generous budget absorbs both faults transparently.
+    // Two overlapping fault sources: shard 0 crashes on its second job
+    // while every staged burst in the first 6 000 modeled cycles corrupts
+    // (detected). The exponential retry backoff (1 000 cycles, doubling)
+    // advances the modeled clock, so retries *walk the request out of the
+    // window* — one generous budget absorbs both faults transparently.
     let plan = FaultPlan::none().crash_at(0, 1).corrupt_window(0, 6_000);
     let (dev, injector) = faulty_device(plan, RecoveryConfig::default());
     let gw = dev.serve(ServeConfig {
         max_retries: 5,
-        retry_backoff_cycles: 3_000,
         ..ServeConfig::default()
     });
     // An 8-warp window spans both chips so reductions stage crossing
@@ -562,7 +624,6 @@ fn tight_budget_under_combined_schedule_stays_typed_then_drains() {
     let (dev, injector) = faulty_device(plan, RecoveryConfig::default());
     let gw = dev.serve(ServeConfig {
         max_retries: 1,
-        retry_backoff_cycles: 1_000,
         ..ServeConfig::default()
     });
     let client = gw.session_with_warps(8).unwrap();

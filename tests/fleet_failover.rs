@@ -11,8 +11,8 @@ use proptest::prelude::*;
 use pypim::fleet::{Fleet, FleetConfig, MAX_REISSUES};
 use pypim::loadgen::{run_fleet, ArrivalProfile, ClassSpec, LoadgenConfig, RequestShape};
 use pypim::{
-    ClusterClient, ErrorClass, HostFault, HostFaultPlan, HostFaultProfile, PimConfig, Result,
-    ServeConfig,
+    ClusterClient, DType, Device, DeviceServeExt, ErrorClass, Gateway, GatewayHost, HostFault,
+    HostFaultPlan, HostFaultProfile, PimConfig, Result, ServeConfig,
 };
 use std::collections::BTreeSet;
 use std::time::Duration;
@@ -26,7 +26,6 @@ fn fleet_cfg(hosts: usize, fault: HostFaultPlan) -> FleetConfig {
             ..ServeConfig::default()
         },
         fault,
-        ..FleetConfig::default()
     }
 }
 
@@ -102,10 +101,36 @@ fn fault_free_fleet_matches_single_host_bits() {
 // Leader kill mid-load: deterministic re-election and re-placement
 // ---------------------------------------------------------------------
 
+/// Asserts a drained gateway holds nothing: no session is open, one
+/// placement window spanning every warp can be reserved (and is
+/// released), and every ISA register takes a full-memory tensor.
+fn assert_nothing_leaked(gateway: &Gateway) {
+    assert_eq!(gateway.active_sessions(), 0);
+    let dev = gateway.device();
+    let cfg = dev.config();
+    let window = dev.reserve_placement(cfg.crossbars as u32).unwrap();
+    dev.release_placement(window);
+    let full = cfg.total_threads() as usize;
+    let tensors: Vec<_> = (0..cfg.user_regs)
+        .map(|_| dev.uninit(full, DType::Int32).unwrap())
+        .collect();
+    assert_eq!(tensors.len(), cfg.user_regs);
+}
+
 #[test]
 fn leader_kill_mid_load_reelects_and_replaces_orphans() {
     let plan = HostFaultPlan::none().crash_at(0, 150_000);
-    let fleet = Fleet::new(fleet_cfg(3, plan.clone())).unwrap();
+    let cfg = fleet_cfg(3, plan.clone());
+    // Hosts built from gateway clones, so every device stays reachable
+    // after the run.
+    let gateways: Vec<Gateway> = (0..cfg.hosts)
+        .map(|_| Device::new(cfg.chip.clone()).unwrap().serve(cfg.serve))
+        .collect();
+    let hosts = gateways
+        .iter()
+        .map(|g| Box::new(g.clone()) as Box<dyn GatewayHost + Send + Sync>)
+        .collect();
+    let fleet = Fleet::with_hosts(cfg, hosts).unwrap();
     assert_eq!(fleet.leader().unwrap().holder, 0, "host 0 leads at start");
 
     let report = run_fleet(&fleet, &open_loop_cfg(23)).unwrap();
@@ -131,6 +156,11 @@ fn leader_kill_mid_load_reelects_and_replaces_orphans() {
         "failover detection latency must be observable"
     );
     assert_eq!(fleet.live_hosts(), 2);
+    // The drained run left nothing behind on any host, the crashed one
+    // included.
+    for gateway in &gateways {
+        assert_nothing_leaked(gateway);
+    }
 }
 
 #[test]
