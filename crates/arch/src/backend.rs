@@ -1,4 +1,6 @@
-use crate::{ArchError, MicroOp, PimConfig, PreparedBatch, RangeMask, RegId, RowId};
+use crate::{
+    ArchError, GateKind, HLogic, MicroOp, PimConfig, PreparedBatch, RangeMask, RegId, RowId, VGate,
+};
 
 /// A run of single-cell accesses to register `reg` under the stored
 /// crossbar mask: `values[i]` written to row `rows[i]`, or (`None`) each
@@ -60,6 +62,116 @@ impl CellRun<'_> {
     }
 }
 
+/// A warp-parallel, thread-serial row move (Figure 11b) under the stored
+/// crossbar mask: register `src` of row `src_rows[k]` goes to register
+/// `dst` of row `dst_rows[k]` in every selected crossbar, through the first
+/// two scratch registers `t1` and `t2` ([`scratch`](Self::scratch)). Its
+/// meaning is [`expand`](Self::expand): the source register is
+/// complemented once for all source rows into `t1` (row mask + 2
+/// horizontal micro-ops), each row pair transfers through one vertical
+/// `NOT` inside `t1` (un-complementing in the process), and the value lands
+/// in the destination register through two more horizontal `NOT`s under
+/// the destination row mask (4 micro-ops). A vertical `NOT` needs its
+/// output row initialized, and the two shapes differ in who does that:
+///
+/// * **disjoint row sets** (no destination row is a source row): one
+///   horizontal `INIT` of `t1` under the destination row mask serves every
+///   pair, so the transfers are the bare `NOT`s — `pairs + 9`
+///   micro-operations;
+/// * **overlapping sets** (a uniform shift, equal strides): the
+///   destination rows of `t1` hold complements still to be read, so each
+///   pair initializes its own output row (`INIT1` + `NOT`), ordered so that
+///   every source row is read before a pair overwrites it —
+///   `2 * pairs + 8` micro-operations.
+///
+/// Theory counts one transfer per pair plus the complement chain
+/// (`pairs + 4`) for both.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct RowMove {
+    /// Source register.
+    pub src: RegId,
+    /// Destination register.
+    pub dst: RegId,
+    /// Source row of each pair.
+    pub src_rows: RangeMask,
+    /// Destination row of each pair.
+    pub dst_rows: RangeMask,
+}
+
+impl RowMove {
+    /// The two scratch registers `(t1, t2)` the move passes through: the
+    /// first two above the user registers.
+    pub fn scratch(cfg: &PimConfig) -> (RegId, RegId) {
+        let t1 = cfg.user_regs as RegId;
+        (t1, t1 + 1)
+    }
+
+    /// Whether the row sets are disjoint (the bare-`NOT` shape).
+    pub fn disjoint(&self) -> bool {
+        !self.src_rows.intersects(&self.dst_rows)
+    }
+
+    /// The micro-operations [`expand`](Self::expand) emits.
+    pub fn micro_ops(&self) -> u64 {
+        let pairs = self.src_rows.len() as u64;
+        match self.disjoint() {
+            true => pairs + 9,
+            false => 2 * pairs + 8,
+        }
+    }
+
+    /// Appends the micro-operations the move stands for to `ops`.
+    ///
+    /// # Errors
+    ///
+    /// Returns the error of a horizontal operation that does not exist in
+    /// `cfg` (a register out of range, or an input that is its own output);
+    /// nothing is appended then.
+    pub fn expand(&self, cfg: &PimConfig, ops: &mut Vec<MicroOp>) -> Result<(), ArchError> {
+        let (src, dst) = (self.src, self.dst);
+        let (src_rows, dst_rows) = (&self.src_rows, &self.dst_rows);
+        let (t1, t2) = Self::scratch(cfg);
+        let init = |reg| HLogic::init_reg(true, reg, cfg).map(MicroOp::LogicH);
+        let not =
+            |from, to| HLogic::parallel(GateKind::Not, from, from, to, cfg).map(MicroOp::LogicH);
+        let (init_t1, complement) = (init(t1)?, not(src, t1)?);
+        let tail = [init(t2)?, not(t1, t2)?, init(dst)?, not(t2, dst)?];
+        // t1 = !src on all source rows.
+        ops.extend([MicroOp::RowMask(*src_rows), init_t1.clone(), complement]);
+        // Vertical transfer per pair: t1[dst_row] = !t1[src_row] = value.
+        let disjoint = self.disjoint();
+        if disjoint {
+            ops.extend([MicroOp::RowMask(*dst_rows), init_t1]);
+        }
+        // When the row sets overlap, order the thread-serial transfers so
+        // each source row is read before any pair overwrites it: descending
+        // for an upward shift, ascending for a downward one.
+        let pairs = src_rows.len() as u32;
+        let upward = !disjoint && dst_rows.start() > src_rows.start();
+        for k in 0..pairs {
+            let k = if upward { pairs - 1 - k } else { k };
+            let row_in = src_rows.start() + k * src_rows.step();
+            let row_out = dst_rows.start() + k * dst_rows.step();
+            let gate = |gate| MicroOp::LogicV {
+                gate,
+                row_in,
+                row_out,
+                index: t1,
+            };
+            if !disjoint {
+                ops.push(gate(VGate::Init1));
+            }
+            ops.push(gate(VGate::Not));
+        }
+        // dst = !!t1 on all destination rows.
+        if !disjoint {
+            ops.push(MicroOp::RowMask(*dst_rows));
+        }
+        ops.extend(tail);
+        Ok(())
+    }
+}
+
 /// The execution side of the micro-operation interface — implemented by the
 /// physical chip, by the bit-accurate simulator ([`pim-sim`]), and by the
 /// driver-benchmark sink that reroutes operations to a memory buffer
@@ -68,6 +180,24 @@ impl CellRun<'_> {
 /// The host driver interacts with the memory *only* through this trait,
 /// which is what lets the simulator act as a drop-in replacement for a
 /// digital PIM chip (§VI).
+///
+/// Every entry point past [`execute`](Self::execute) means what its
+/// default body does with `execute`, and is kept for a reason a production
+/// caller has:
+///
+/// * [`access`](Self::access): an upload or a read-back reaches the chip as
+///   one run instead of a mask and an access per word;
+/// * [`move_rows`](Self::move_rows): the only way a row move skips its
+///   per-row lowering and the per-operation checks and charges of a batch;
+/// * [`execute_prepared`](Self::execute_prepared): a cached routine replays
+///   without being validated again;
+/// * [`execute_batch`](Self::execute_batch): refusal of a whole stream.
+///   Its production callers are the runs of warp moves
+///   `Driver::execute_many` forms and the fallback of a prepared batch
+///   whose geometry is not the chip's;
+/// * [`stream`](Self::stream): the wire form a production host driver
+///   sends; only `Driver::execute_streamed` calls it, for the
+///   driver-throughput benchmark.
 ///
 /// [`pim-sim`]: https://docs.rs/pim-sim
 pub trait Backend {
@@ -122,6 +252,24 @@ pub trait Backend {
     /// Returns the error of the first failing operation.
     fn access(&mut self, run: &CellRun<'_>, out: &mut Vec<u32>) -> Result<(), ArchError> {
         run.expand(self, out)
+    }
+
+    /// Executes a row move under the stored crossbar mask. The meaning of
+    /// a move **is** this default body: [`RowMove::expand`] handed to
+    /// [`execute_batch`](Self::execute_batch). It is the only way a row
+    /// move reaches a backend without being lowered to `pairs + 9` or
+    /// more micro-operations that are each validated and charged: a
+    /// backend overrides it only to reach the same cells, stored masks and
+    /// counters faster (`pim-sim` checks the move once, charges it in
+    /// closed form and applies it as one pass per register plane).
+    ///
+    /// # Errors
+    ///
+    /// See [`RowMove::expand`] and [`execute_batch`](Self::execute_batch).
+    fn move_rows(&mut self, mv: &RowMove) -> Result<(), ArchError> {
+        let mut ops = Vec::with_capacity(mv.micro_ops() as usize);
+        mv.expand(self.config(), &mut ops)?;
+        self.execute_batch(&ops)
     }
 
     /// Replays a batch that was validated once when it was prepared. The

@@ -53,7 +53,7 @@ mod prepared;
 pub mod encode;
 pub mod htree;
 
-pub use backend::{Backend, CellRun};
+pub use backend::{Backend, CellRun, RowMove};
 pub use config::PimConfig;
 pub use error::ArchError;
 pub use hlogic::{ColAddr, GateInstance, GateKind, HLogic, PartitionOpcode};

@@ -149,9 +149,24 @@ impl RangeMask {
         index >= self.start && index <= self.stop && (index - self.start).is_multiple_of(self.step)
     }
 
-    /// Whether this mask and `other` select a common index.
+    /// Whether this mask and `other` select a common index. Only the
+    /// window both masks span is searched, and two masks of one step
+    /// share an index there exactly when their starts differ by a multiple
+    /// of it.
     pub fn intersects(&self, other: &RangeMask) -> bool {
-        self.iter().any(|index| other.contains(index))
+        let (lo, hi) = (self.start.max(other.start), self.stop.min(other.stop));
+        if lo > hi {
+            return false;
+        }
+        if self.step == other.step {
+            return self.start.abs_diff(other.start).is_multiple_of(self.step);
+        }
+        let skip = (self.step - (lo - self.start) % self.step) % self.step;
+        lo.checked_add(skip).is_some_and(|first| {
+            (first..=hi)
+                .step_by(self.step as usize)
+                .any(|index| other.contains(index))
+        })
     }
 
     /// Iterates over the selected indices in ascending order.
@@ -325,6 +340,18 @@ mod tests {
             for i in m.iter() {
                 prop_assert!(m.contains(i));
             }
+        }
+
+        #[test]
+        fn intersects_means_a_common_index(
+            (a, b) in (0u32..100, 0u32..100),
+            (n, m) in (1u32..40, 1u32..40),
+            (p, q) in (1u32..10, 1u32..10),
+        ) {
+            let (x, y) = (RangeMask::strided(a, n, p).unwrap(), RangeMask::strided(b, m, q).unwrap());
+            let common = x.iter().any(|i| y.contains(i));
+            prop_assert_eq!(x.intersects(&y), common);
+            prop_assert_eq!(y.intersects(&x), common);
         }
 
         #[test]

@@ -101,9 +101,12 @@ fn bench_simulator(c: &mut Criterion) {
 /// word), the row transfer of a shift (one `MoveRows` whose 511 row
 /// pairs overlap) and one direction of a distance-1 compare-exchange (one
 /// `MoveRows` from the 256 odd rows to the 256 even rows: disjoint strided
-/// sets). The first reaches the simulator as one run per warp and kind
-/// (`Backend::access`), the other two as runs its batch executor applies
-/// in block form. `upload_readback_16` is the short end of the first: two
+/// sets), and the warp move of a reduction's first halving (a run of 512
+/// `MoveWarps`, one per row, over 8 warp pairs). The first reaches the
+/// simulator as one run per warp and kind (`Backend::access`), the two row
+/// moves as one `Backend::move_rows` each, the warp moves as one batch its
+/// executor applies as a plane copy. `upload_readback_16` is the short end
+/// of the first: two
 /// 16-word uploads to two registers and one 16-word read-back on 8 x 64,
 /// where the fixed cost of a run is what is measured.
 fn bench_row_access(c: &mut Criterion) {
@@ -182,6 +185,24 @@ fn bench_row_access(c: &mut Criterion) {
     group.throughput(Throughput::Elements(u64::from(rows) / 2));
     group.bench_function("move_rows_disjoint", |b| {
         b.iter(|| driver.execute(&exchange).unwrap());
+    });
+
+    let halving: Vec<Instruction> = (0..rows)
+        .map(|row| Instruction::MoveWarps {
+            src: 0,
+            dst: 1,
+            row_src: row,
+            row_dst: row,
+            warps: RangeMask::dense(8, 16).unwrap(),
+            dist: -8,
+        })
+        .collect();
+    group.throughput(Throughput::Elements(u64::from(rows) * 8));
+    group.bench_function("move_warps_run", |b| {
+        b.iter(|| {
+            results.clear();
+            driver.execute_many(&halving, &mut results).unwrap();
+        });
     });
     group.finish();
 }

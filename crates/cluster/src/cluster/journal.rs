@@ -1,6 +1,7 @@
 //! Crash recovery: each shard's checkpoint + bounded replay journal, and
 //! the revival that rebuilds a dead shard from them.
 
+use super::shard::CellJob;
 use super::PimCluster;
 use crate::ClusterError;
 use pim_driver::{Driver, IssuedCycles, ParallelismMode, RoutineCache};
@@ -48,6 +49,9 @@ pub(super) enum JournalEntry {
     /// Macro instructions of one executed job (read results are
     /// recomputed and discarded on replay).
     Instrs(Vec<Instruction>),
+    /// The cells of one executed scatter or gather job (read words are
+    /// recomputed and discarded on replay).
+    Cells(CellJob),
     /// A counter reset ([`reset_counters`]).
     Reset,
 }
@@ -86,7 +90,8 @@ impl ShardJournal {
         }
     }
 
-    /// Appends one executed unit of `weight` instructions.
+    /// Appends one executed unit of `weight` instructions (a cell of a
+    /// scatter or a gather weighs one, as the instruction it stands for).
     pub(super) fn record(&mut self, entry: JournalEntry, weight: usize) {
         self.logged_instrs += weight;
         self.log.push(entry);
@@ -123,13 +128,18 @@ impl ShardJournal {
         driver.restore_issued(self.issued);
         let checkpoint_cycles = driver.backend().profiler().cycles;
         let mut replayed = 0u64;
+        let failed = |e| format!("replay failed: {e}");
         for entry in &self.log {
             match entry {
                 JournalEntry::Instrs(instrs) => {
                     driver
                         .execute_many(instrs, &mut Vec::new())
-                        .map_err(|e| format!("replay failed: {e}"))?;
+                        .map_err(failed)?;
                     replayed += instrs.len() as u64;
+                }
+                JournalEntry::Cells(job) => {
+                    job.run(&mut driver, &mut Vec::new()).map_err(failed)?;
+                    replayed += job.cells() as u64;
                 }
                 JournalEntry::Reset => reset_counters(&mut driver),
             }

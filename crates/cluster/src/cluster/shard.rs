@@ -1,13 +1,15 @@
 //! One shard: its slot (the chip's driver while the shard is up, and the
 //! recovery journal that outlives a crash), [`PimCluster::run_on`] — the
-//! one point every job is delivered through — and the jobs that execute
-//! instructions. A job runs on the thread that submits it, under the
-//! slot's lock; journal, fault consultation and panic isolation are
-//! applied there once for every kind of job.
+//! one point every job is delivered through — and the jobs that execute:
+//! instruction segments, and the cells of a scatter or a gather. A job
+//! runs on the thread that submits it, under the slot's lock; journal,
+//! fault consultation and panic isolation are applied there once for
+//! every kind of job.
 
 use super::journal::{JournalEntry, ShardJournal};
 use super::PimCluster;
 use crate::ClusterError;
+use pim_arch::{CellRun, RegId, RowId, XbId};
 use pim_driver::{Driver, DriverError};
 use pim_fault::WorkerFault;
 use pim_isa::Instruction;
@@ -29,25 +31,88 @@ pub(super) struct ShardSlot {
     pub(super) journal: Option<ShardJournal>,
 }
 
-/// Executes one request's instruction segment on `driver`, appending one
-/// result per instruction to `out` — the unit of attribution on every
-/// device, one chip or many (`track` = `shard-{i}`). When telemetry is
-/// recording, the chip's own profiler cycle counter is the track's
-/// timeline: the segment becomes an `exec` span covering exactly the
-/// cycles its instructions consumed, the global clock advances past it,
-/// and the cycles attribute to `request`. Gated on one relaxed load when
-/// telemetry is disabled.
+/// One shard's part of a scatter or a gather: its cells in input order,
+/// cut into the runs [`Driver::execute_many`] would form from them — one
+/// local warp and register each — and handed to the driver run by run
+/// ([`Driver::issue_run`]) rather than as one instruction per cell.
+#[derive(Debug)]
+pub(super) struct CellJob {
+    /// `(warp, register, cells)` of each run, in order.
+    runs: Vec<(XbId, RegId, usize)>,
+    /// The row of every cell.
+    rows: Vec<RowId>,
+    /// The word of every cell of a scatter; `None` for a gather.
+    values: Option<Vec<u32>>,
+}
+
+impl CellJob {
+    /// An empty job with room for `cells` cells, writing or (`!write`)
+    /// reading.
+    pub(super) fn with_capacity(cells: usize, write: bool) -> Self {
+        CellJob {
+            runs: Vec::new(),
+            rows: Vec::with_capacity(cells),
+            values: write.then(|| Vec::with_capacity(cells)),
+        }
+    }
+
+    /// Appends one cell; `value` is `Some` exactly for a scatter's.
+    pub(super) fn push(&mut self, warp: XbId, reg: RegId, row: RowId, value: Option<u32>) {
+        match self.runs.last_mut() {
+            Some((w, r, cells)) if (*w, *r) == (warp, reg) => *cells += 1,
+            _ => self.runs.push((warp, reg, 1)),
+        }
+        self.rows.push(row);
+        if let (Some(values), Some(value)) = (&mut self.values, value) {
+            values.push(value);
+        }
+    }
+
+    /// The cells in the job.
+    pub(super) fn cells(&self) -> usize {
+        self.rows.len()
+    }
+
+    /// Executes the job on `driver`, appending the word of each read to
+    /// `words`.
+    ///
+    /// # Errors
+    ///
+    /// Fails on the first run the driver refuses, with the runs before it
+    /// executed.
+    pub(super) fn run(
+        &self,
+        driver: &mut Driver<PimSimulator>,
+        words: &mut Vec<u32>,
+    ) -> Result<(), DriverError> {
+        let mut at = 0;
+        for &(warp, reg, cells) in &self.runs {
+            let rows = &self.rows[at..at + cells];
+            let values = self.values.as_ref().map(|v| &v[at..at + cells]);
+            driver.issue_run(warp, &CellRun { reg, rows, values }, words)?;
+            at += cells;
+        }
+        Ok(())
+    }
+}
+
+/// Executes one unit of `request`'s work on `driver` — `instructions`
+/// instructions or cells — the unit of attribution on every device, one
+/// chip or many (`track` = `shard-{i}`). When telemetry is recording, the
+/// chip's own profiler cycle counter is the track's timeline: the unit
+/// becomes an `exec` span covering exactly the cycles it consumed, the
+/// global clock advances past it, and the cycles attribute to `request`.
+/// Gated on one relaxed load when telemetry is disabled.
 ///
 /// # Errors
 ///
-/// Fails on the first erroring instruction ([`Driver::execute_many`]);
-/// nothing is recorded for a failed segment.
-fn execute_segment(
+/// Returns `exec`'s error; nothing is recorded for a failed unit.
+fn execute_recorded(
     driver: &mut Driver<PimSimulator>,
     track: &TrackHandle,
     request: RequestId,
-    instrs: &[Instruction],
-    out: &mut Vec<Option<u32>>,
+    instructions: usize,
+    exec: impl FnOnce(&mut Driver<PimSimulator>) -> Result<(), DriverError>,
 ) -> Result<(), DriverError> {
     let recording = track.is_enabled();
     let before = if recording {
@@ -55,7 +120,7 @@ fn execute_segment(
     } else {
         0
     };
-    driver.execute_many(instrs, out)?;
+    exec(driver)?;
     if recording {
         let cycles = driver.backend().profiler().cycles.saturating_sub(before);
         let telemetry = track.telemetry();
@@ -63,10 +128,10 @@ fn execute_segment(
         // total: identical to charging absolute profiler cycles while the
         // clock only ever moved through execution, but when a driver has
         // jumped the clock ahead (open-loop load generation, retry backoff)
-        // the segment occupies `[now, now + cycles)` instead of charging
+        // the unit occupies `[now, now + cycles)` instead of charging
         // nothing.
         let start = telemetry.now().max(before);
-        let instructions = instrs.len() as u64;
+        let instructions = instructions as u64;
         track.record_complete(
             "exec",
             start,
@@ -85,6 +150,29 @@ fn execute_segment(
         );
     }
     Ok(())
+}
+
+/// Journals a job once it has run: what it executed, when it succeeded
+/// (once the caller sees success, the state that produced it must be
+/// recoverable), or a fresh checkpoint that absorbs whatever state a job
+/// that died partway left, instead of journaling a partial effect.
+fn settle(
+    journal: Option<&mut ShardJournal>,
+    driver: &Driver<PimSimulator>,
+    executed: bool,
+    entries: impl IntoIterator<Item = (JournalEntry, usize)>,
+) {
+    let Some(j) = journal else {
+        return;
+    };
+    if !executed {
+        j.checkpoint(driver);
+        return;
+    }
+    for (entry, weight) in entries {
+        j.record(entry, weight);
+    }
+    j.maybe_checkpoint(driver);
 }
 
 impl PimCluster {
@@ -160,28 +248,49 @@ impl PimCluster {
             let executed = segments
                 .iter()
                 .try_for_each(|(request, instrs)| {
-                    execute_segment(driver, track, *request, instrs, &mut out)
+                    execute_recorded(driver, track, *request, instrs.len(), |driver| {
+                        driver.execute_many(instrs, &mut out)
+                    })
                 })
                 .map_err(|source| ClusterError::Shard { shard, source });
-            // Journal before returning: once the caller sees success, the
-            // state that produced it must be recoverable.
-            if let Some(j) = journal {
-                if executed.is_ok() {
-                    for (_, instrs) in segments {
-                        if !instrs.is_empty() {
-                            let weight = instrs.len();
-                            j.record(JournalEntry::Instrs(instrs), weight);
-                        }
-                    }
-                    j.maybe_checkpoint(driver);
-                } else {
-                    // The job died partway; a fresh snapshot absorbs
-                    // whatever state exists instead of trying to journal
-                    // a partial effect.
-                    j.checkpoint(driver);
-                }
-            }
+            let entries = segments
+                .into_iter()
+                .filter(|(_, instrs)| !instrs.is_empty())
+                .map(|(_, instrs)| {
+                    let weight = instrs.len();
+                    (JournalEntry::Instrs(instrs), weight)
+                });
+            settle(journal, driver, executed.is_ok(), entries);
             executed.map(|()| out)
+        })
+    }
+
+    /// Runs one shard job of a scatter's or a gather's cells, outside any
+    /// request, and returns the words its reads returned, in order.
+    ///
+    /// # Errors
+    ///
+    /// See [`run_on`](PimCluster::run_on).
+    pub(super) fn run_cells(
+        &self,
+        shard: usize,
+        job: CellJob,
+    ) -> Result<Result<Vec<u32>, ClusterError>, ClusterError> {
+        self.run_on(shard, true, |driver, journal| {
+            let track = &self.shard_tracks[shard];
+            let cells = job.cells();
+            let mut words = Vec::with_capacity(if job.values.is_some() { 0 } else { cells });
+            let executed = execute_recorded(driver, track, RequestId::UNTAGGED, cells, |driver| {
+                job.run(driver, &mut words)
+            })
+            .map_err(|source| ClusterError::Shard { shard, source });
+            settle(
+                journal,
+                driver,
+                executed.is_ok(),
+                [(JournalEntry::Cells(job), cells)],
+            );
+            executed.map(|()| words)
         })
     }
 }

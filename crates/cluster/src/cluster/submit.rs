@@ -3,13 +3,14 @@
 //! moves, barrier, transfer, launch — plus the host-staged transfer itself
 //! and the bulk gather/scatter it is built from.
 
+use super::shard::CellJob;
 use super::PimCluster;
 use crate::coalesce::{CrossingMove, MoveCoalescer};
 use crate::sched::BatchScheduler;
 use crate::{ClusterError, LinkFaultKind, MoveRoute};
 use pim_arch::{ArchError, RangeMask};
 use pim_fault::LinkFault;
-use pim_isa::{Instruction, ThreadRange};
+use pim_isa::Instruction;
 use pim_telemetry::{RequestId, RequestStats};
 
 /// A global memory location: `(warp, row, register)` in cluster-wide warp
@@ -443,25 +444,30 @@ impl PimCluster {
     /// shard order, once every involved shard has run its job.
     pub fn gather(&self, locs: &[GlobalLoc]) -> Result<Vec<u32>, ClusterError> {
         let share = locs.len().div_ceil(self.shards());
-        let mut per: Vec<(Vec<usize>, Vec<Instruction>)> = (0..self.shards())
-            .map(|_| (Vec::with_capacity(share), Vec::with_capacity(share)))
+        let mut per: Vec<(Vec<usize>, CellJob)> = (0..self.shards())
+            .map(|_| {
+                (
+                    Vec::with_capacity(share),
+                    CellJob::with_capacity(share, false),
+                )
+            })
             .collect();
         for (i, &(warp, row, reg)) in locs.iter().enumerate() {
-            let shard = self.shard_of_cell((warp, row, reg))?;
-            per[shard].0.push(i);
-            per[shard].1.push(Instruction::Read {
-                reg,
-                warp: self.plan.local_warp(warp),
-                row,
-            });
+            let (indices, job) = &mut per[self.shard_of_cell((warp, row, reg))?];
+            indices.push(i);
+            job.push(self.plan.local_warp(warp), reg, row, None);
         }
         let mut out = vec![0u32; locs.len()];
         let mut outcome = Ok(());
-        for (shard, (indices, instrs)) in per.into_iter().enumerate() {
-            if !instrs.is_empty() {
-                let reply = self.run_segments(shard, untagged(instrs))?;
+        for (shard, (indices, job)) in per.into_iter().enumerate() {
+            if job.cells() > 0 {
+                let reply = self.run_cells(shard, job)?;
                 if outcome.is_ok() {
-                    outcome = reply.and_then(|values| place(&mut out, indices, values));
+                    outcome = reply.map(|words| {
+                        for (i, word) in indices.into_iter().zip(words) {
+                            out[i] = word;
+                        }
+                    });
                 }
             }
         }
@@ -480,20 +486,17 @@ impl PimCluster {
         // Tensors stripe evenly across chips, so an even share is the
         // likely size of each shard's job (and the exact one on one chip).
         let share = writes.len().div_ceil(self.shards());
-        let mut per: Vec<Vec<Instruction>> = (0..self.shards())
-            .map(|_| Vec::with_capacity(share))
+        let mut per: Vec<CellJob> = (0..self.shards())
+            .map(|_| CellJob::with_capacity(share, true))
             .collect();
         for w in writes {
-            per[self.shard_of_cell(w.loc())?].push(Instruction::Write {
-                reg: w.reg,
-                value: w.value,
-                target: ThreadRange::single(self.plan.local_warp(w.warp), w.row),
-            });
+            let warp = self.plan.local_warp(w.warp);
+            per[self.shard_of_cell(w.loc())?].push(warp, w.reg, w.row, Some(w.value));
         }
         let mut outcome = Ok(());
-        for (shard, instrs) in per.into_iter().enumerate() {
-            if !instrs.is_empty() {
-                let reply = self.run_segments(shard, untagged(instrs))?;
+        for (shard, job) in per.into_iter().enumerate() {
+            if job.cells() > 0 {
+                let reply = self.run_cells(shard, job)?;
                 if outcome.is_ok() {
                     outcome = reply.map(drop);
                 }
@@ -501,35 +504,4 @@ impl PimCluster {
         }
         outcome
     }
-}
-
-/// One untagged segment: a job for work outside any request.
-fn untagged(instrs: Vec<Instruction>) -> Vec<(RequestId, Vec<Instruction>)> {
-    vec![(RequestId::UNTAGGED, instrs)]
-}
-
-/// Deposits one shard's read values at their input positions. A shard
-/// that came back short or with holes is a typed
-/// [`Protocol`](ClusterError::Protocol) error for the caller, never a
-/// panic.
-fn place(
-    out: &mut [u32],
-    indices: Vec<usize>,
-    values: Vec<Option<u32>>,
-) -> Result<(), ClusterError> {
-    if values.len() != indices.len() {
-        return Err(ClusterError::Protocol {
-            reason: format!(
-                "gather returned {} values for {} reads",
-                values.len(),
-                indices.len()
-            ),
-        });
-    }
-    for (i, v) in indices.into_iter().zip(values) {
-        out[i] = v.ok_or_else(|| ClusterError::Protocol {
-            reason: "gather read returned no value".into(),
-        })?;
-    }
-    Ok(())
 }

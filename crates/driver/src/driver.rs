@@ -1,7 +1,7 @@
 use crate::cache::{RoutineCache, RoutineKey};
 use crate::{DriverError, RoutineStats};
 use pim_arch::{
-    encode, htree, Backend, CellRun, MicroOp, MoveOp, PimConfig, RangeMask, RegId, VGate, XbId,
+    encode, htree, Backend, CellRun, MicroOp, MoveOp, PimConfig, RangeMask, RegId, RowMove, XbId,
 };
 use pim_isa::{DType, Instruction, RegOp, ThreadRange};
 use std::borrow::Borrow;
@@ -88,10 +88,14 @@ pub struct Driver<B> {
     run_rows: Vec<u32>,
     run_values: Vec<u32>,
     read_words: Vec<u32>,
-    /// The micro-operations of the `MoveRows` being executed (reused across
-    /// calls; see [`lower_move_rows`](Self::lower_move_rows)).
+    /// The batch a run of `MoveWarps` goes out as (reused across runs).
     move_ops: Vec<MicroOp>,
 }
+
+/// The run of `MoveWarps` [`Driver::execute_many`] is collecting: the
+/// warps, the first move and how many follow it, each with both rows one
+/// further on.
+type MoveRun = (RangeMask, MoveOp, u32);
 
 impl<B: Backend> Driver<B> {
     /// Creates a driver over `backend` with the default (partition-enabled)
@@ -275,18 +279,29 @@ impl<B: Backend> Driver<B> {
                 dst_rows,
                 warps,
             } => {
-                self.lower_move_rows(*src, *dst, src_rows, dst_rows, warps)?;
-                // The crossbar mask comes first and goes out only when the
-                // memory holds another one.
-                let elide = usize::from(self.cur_xb == Some(*warps));
-                let ops = &self.move_ops[elide..];
-                self.backend.execute_batch(ops)?;
-                self.cur_xb = Some(*warps);
+                if self.cfg.scratch_regs() < 2 {
+                    return Err(DriverError::Unsupported {
+                        what: "row moves require at least 2 scratch registers".into(),
+                    });
+                }
+                let mv = RowMove {
+                    src: *src,
+                    dst: *dst,
+                    src_rows: *src_rows,
+                    dst_rows: *dst_rows,
+                };
+                // The crossbar mask goes out only when the memory holds
+                // another one.
+                let masks = self.set_masks(Some(*warps), None)?;
+                if let Err(e) = self.backend.move_rows(&mv) {
+                    self.invalidate_masks();
+                    return Err(e.into());
+                }
                 self.cur_rows = Some(*dst_rows);
                 // Theoretical: one vertical transfer per pair plus the
                 // horizontal complement chain.
                 self.issued.logic += src_rows.len() as u64 + 4;
-                self.issued.total += ops.len() as u64;
+                self.issued.total += mv.micro_ops() + masks;
                 Ok(None)
             }
             Instruction::MoveWarps {
@@ -367,24 +382,35 @@ impl<B: Backend> Driver<B> {
     /// Executes a sequence of macro-instructions, appending one result per
     /// instruction to `out` (the word for an [`Instruction::Read`], `None`
     /// otherwise; a `Vec`, or a sink that keeps only what the caller
-    /// wants) — [`execute`](Self::execute) in a loop, except that a run of
-    /// single-thread writes, or of reads, of one register of one warp (a
-    /// host upload or read-back) reaches the backend as one [`CellRun`]
-    /// through [`Backend::access`]. The micro-operations it stands for, the
-    /// elided masks and [`issued`](Self::issued) are exactly the loop's.
+    /// wants) — [`execute`](Self::execute) in a loop, except for two kinds
+    /// of run, each handed to the backend as one block:
+    ///
+    /// * single-thread writes, or reads, of one register of one warp (a
+    ///   host upload or read-back) go out as one [`CellRun`] through
+    ///   [`issue_run`](Self::issue_run);
+    /// * `MoveWarps` that share a warp mask, a distance and a register
+    ///   pair, each with both rows one past the one before (what a
+    ///   reduction's halving and a whole-warp shift emit), go out as one
+    ///   [`Backend::execute_batch`]: the crossbar mask if the memory holds
+    ///   another, then one `Move` per instruction.
+    ///
+    /// A run of one is the instruction it came from. The micro-operations
+    /// a run stands for, the elided masks and [`issued`](Self::issued) are
+    /// exactly the loop's.
     ///
     /// # Errors
     ///
     /// Fails on the first erroring instruction, with the instructions
     /// before it executed; see [`execute`](Self::execute). A run the
-    /// backend refuses counts nothing towards `issued`.
+    /// backend refuses counts nothing towards `issued` and leaves the
+    /// stored masks unknown to the driver.
     pub fn execute_many<I, O>(&mut self, instrs: I, out: &mut O) -> Result<(), DriverError>
     where
         I: IntoIterator,
         I::Item: Borrow<Instruction>,
         O: Extend<Option<u32>>,
     {
-        let mut run = None;
+        let (mut run, mut moves): (_, Option<MoveRun>) = (None, None);
         for instr in instrs {
             let instr = instr.borrow();
             let cell = match instr {
@@ -406,12 +432,15 @@ impl<B: Backend> Driver<B> {
                 false => instr.validate(&self.cfg).is_ok(),
             });
             let Some((key, row, value)) = cell else {
-                self.issue_run(run.take(), out)?;
-                out.extend([self.execute(instr)?]);
+                self.issue_cells(run.take(), out)?;
+                self.execute_other(instr, &mut moves, out)?;
                 continue;
             };
+            if moves.is_some() {
+                self.issue_moves(moves.take(), out)?;
+            }
             if run != Some(key) {
-                self.issue_run(run.replace(key), out)?;
+                self.issue_cells(run.replace(key), out)?;
                 self.run_rows.clear();
                 self.run_values.clear();
             }
@@ -420,14 +449,66 @@ impl<B: Backend> Driver<B> {
                 self.run_values.push(value);
             }
         }
-        self.issue_run(run, out)
+        self.issue_moves(moves, out)?;
+        self.issue_cells(run, out)
     }
 
-    /// Hands the collected run — `(register, warp, is a write)` — to the
-    /// backend behind the masks of its first cell, counts it as issued and
-    /// appends its results to `out`. If the backend refuses the run, the
-    /// masks it holds are no longer known.
-    fn issue_run(
+    /// The part of [`execute_many`](Self::execute_many) for an instruction
+    /// that is no cell of a run: a `MoveWarps` that extends the run of
+    /// moves `moves` joins it, a valid one starts a new run, and anything
+    /// else issues the run and executes. Out of the loop, so that the cells
+    /// of an upload do not pay for it.
+    fn execute_other(
+        &mut self,
+        instr: &Instruction,
+        moves: &mut Option<MoveRun>,
+        out: &mut impl Extend<Option<u32>>,
+    ) -> Result<(), DriverError> {
+        let Instruction::MoveWarps {
+            src,
+            dst,
+            row_src,
+            row_dst,
+            warps,
+            dist,
+        } = instr
+        else {
+            self.issue_moves(moves.take(), out)?;
+            out.extend([self.execute(instr)?]);
+            return Ok(());
+        };
+        let mv = MoveOp {
+            dist: *dist,
+            row_src: *row_src,
+            row_dst: *row_dst,
+            index_src: *src,
+            index_dst: *dst,
+        };
+        // Only the rows are new in a move that extends the run.
+        if let Some((at, first, n)) = moves {
+            let next = MoveOp {
+                row_src: first.row_src + *n,
+                row_dst: first.row_dst + *n,
+                ..*first
+            };
+            let rows = self.cfg.rows as u32;
+            if (*at, next) == (*warps, mv) && mv.row_src.max(mv.row_dst) < rows {
+                *n += 1;
+                return Ok(());
+            }
+        }
+        self.issue_moves(moves.take(), out)?;
+        match instr.validate(&self.cfg) {
+            Ok(()) => *moves = Some((*warps, mv, 1)),
+            Err(_) => out.extend([self.execute(instr)?]),
+        }
+        Ok(())
+    }
+
+    /// Issues the cells [`execute_many`](Self::execute_many) collected —
+    /// `(register, warp, is a write)` — and appends one result per cell to
+    /// `out`.
+    fn issue_cells(
         &mut self,
         run: Option<(RegId, XbId, bool)>,
         out: &mut impl Extend<Option<u32>>,
@@ -435,127 +516,145 @@ impl<B: Backend> Driver<B> {
         let Some((reg, warp, write)) = run else {
             return Ok(());
         };
-        let (lead, cells) = (self.run_rows[0], self.run_rows.len());
+        let rows = std::mem::take(&mut self.run_rows);
+        let values = std::mem::take(&mut self.run_values);
+        let mut words = std::mem::take(&mut self.read_words);
+        words.clear();
+        let run = CellRun {
+            reg,
+            rows: &rows,
+            values: write.then_some(&values[..]),
+        };
+        let done = self.issue_run(warp, &run, &mut words);
+        if done.is_ok() {
+            match write {
+                true => out.extend(std::iter::repeat_n(None, rows.len())),
+                false => out.extend(words.iter().copied().map(Some)),
+            }
+        }
+        (self.run_rows, self.run_values, self.read_words) = (rows, values, words);
+        done
+    }
+
+    /// Issues a run of single-cell accesses to warp `warp` (one register,
+    /// the rows in access order; see [`CellRun`]) and appends the word of
+    /// each read to `words` — the one way in for an upload or a read-back:
+    /// [`execute_many`](Self::execute_many) and a cluster's scatter and
+    /// gather jobs both call it. Two or more cells reach the backend as one
+    /// [`Backend::access`] behind the masks of the first cell; a lone cell
+    /// is the `Write` or `Read` instruction it stands for (a run's fixed
+    /// cost is not worth paying for one cell). Either way the elided masks
+    /// and [`issued`](Self::issued) are those of the instructions one by
+    /// one.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ArchError::Protocol`](pim_arch::ArchError::Protocol) for
+    /// a write that does not bring one value per row, and the backend's
+    /// error for a run it refuses. A refused run appends nothing, counts
+    /// nothing towards `issued` and leaves the stored masks unknown to the
+    /// driver.
+    pub fn issue_run(
+        &mut self,
+        warp: XbId,
+        run: &CellRun<'_>,
+        words: &mut Vec<u32>,
+    ) -> Result<(), DriverError> {
+        let before = words.len();
+        let done = self.access_run(warp, run, words);
+        if done.is_err() {
+            self.invalidate_masks();
+            words.truncate(before);
+        }
+        done
+    }
+
+    /// [`issue_run`](Self::issue_run) up to the clean-up of a refusal.
+    fn access_run(
+        &mut self,
+        warp: XbId,
+        run: &CellRun<'_>,
+        words: &mut Vec<u32>,
+    ) -> Result<(), DriverError> {
+        let (rows, cells) = (run.rows, run.rows.len());
+        let Some(&lead) = rows.first() else {
+            return Ok(());
+        };
+        if let Some(values) = run.values.filter(|v| v.len() != cells) {
+            let reason = format!("a run of {cells} rows brings {} values", values.len());
+            return Err(pim_arch::ArchError::Protocol { reason }.into());
+        }
         if cells == 1 {
-            // A lone cell is the instruction it came from: a run's fixed
-            // cost is not worth paying for one cell.
-            let (index, value) = (reg, write.then(|| self.run_values[0]));
-            let access = value.map_or(MicroOp::Read { index }, |value| MicroOp::Write {
-                index,
-                value,
-            });
-            out.extend([self.access_at(ThreadRange::single(warp, lead), &access)?]);
+            let index = run.reg;
+            let access = run
+                .values
+                .map_or(MicroOp::Read { index }, |values| MicroOp::Write {
+                    index,
+                    value: values[0],
+                });
+            words.extend(self.access_at(ThreadRange::single(warp, lead), &access)?);
             return Ok(());
         }
         let masks = self.set_masks(Some(RangeMask::single(warp)), Some(RangeMask::single(lead)))?;
-        let rows = &self.run_rows;
-        let values = write.then_some(&self.run_values[..]);
-        let run = CellRun { reg, rows, values };
-        self.read_words.clear();
-        let mut done = self.backend.access(&run, &mut self.read_words);
-        let (reads, answered) = (if write { 0 } else { cells }, self.read_words.len());
-        if done.is_ok() && answered != reads {
+        let before = words.len();
+        self.backend.access(run, words)?;
+        let (reads, answered) = match run.values {
+            Some(_) => (0, words.len() - before),
+            None => (cells, words.len() - before),
+        };
+        if answered != reads {
             let reason = format!("backend answered {reads} reads with {answered} words");
-            done = Err(pim_arch::ArchError::Protocol { reason });
-        }
-        if let Err(e) = done {
-            self.invalidate_masks();
-            return Err(e.into());
+            return Err(pim_arch::ArchError::Protocol { reason }.into());
         }
         self.cur_rows = Some(RangeMask::single(rows[cells - 1]));
         self.issued.logic += cells as u64;
         self.issued.total += cells as u64 + run.row_changes() + masks;
-        match write {
-            true => out.extend(std::iter::repeat_n(None, cells)),
-            false => out.extend(self.read_words.iter().copied().map(Some)),
-        }
         Ok(())
     }
 
-    /// Lowers a warp-parallel thread-serial move (Figure 11b) into
-    /// `self.move_ops`, crossbar mask first: the source register is
-    /// complemented once for all source rows into scratch register `t1`
-    /// (row mask + 2 horizontal micro-ops), each row pair transfers through
-    /// one vertical `NOT` inside `t1` (un-complementing in the process), and
-    /// the value lands in the destination register through two more
-    /// horizontal `NOT`s under the destination row mask (4 micro-ops). A
-    /// vertical `NOT` needs its output row initialized, and the two shapes
-    /// differ in who does that:
-    ///
-    /// * **disjoint row sets** (no destination row is a source row): one
-    ///   horizontal `INIT` of `t1` under the destination row mask serves
-    ///   every pair, so the transfers are the bare `NOT`s —
-    ///   `pairs + 10` micro-operations;
-    /// * **overlapping sets** (a uniform shift, equal strides): the
-    ///   destination rows of `t1` hold complements still to be read, so each
-    ///   pair initializes its own output row (`INIT1` + `NOT`), ordered so
-    ///   that every source row is read before a pair overwrites it —
-    ///   `2 * pairs + 9` micro-operations.
-    ///
-    /// Theory counts one transfer per pair plus the complement chain
-    /// (`pairs + 4`) for both.
-    fn lower_move_rows(
+    /// Issues the `MoveWarps` run [`execute_many`](Self::execute_many)
+    /// collected and appends one result per instruction to `out`.
+    fn issue_moves(
         &mut self,
-        src: u8,
-        dst: u8,
-        src_rows: &RangeMask,
-        dst_rows: &RangeMask,
-        warps: &RangeMask,
+        run: Option<MoveRun>,
+        out: &mut impl Extend<Option<u32>>,
     ) -> Result<(), DriverError> {
-        if self.cfg.scratch_regs() < 2 {
-            return Err(DriverError::Unsupported {
-                what: "row moves require at least 2 scratch registers".into(),
-            });
-        }
-        let cfg = &self.cfg;
-        let t1 = cfg.user_regs as u8;
-        let t2 = t1 + 1;
-        let init = |reg| pim_arch::HLogic::init_reg(true, reg, cfg).map(MicroOp::LogicH);
-        let not = |from, to| {
-            pim_arch::HLogic::parallel(pim_arch::GateKind::Not, from, from, to, cfg)
-                .map(MicroOp::LogicH)
+        let Some((warps, mv, n)) = run else {
+            return Ok(());
         };
-        let ops = &mut self.move_ops;
-        ops.clear();
-        ops.push(MicroOp::XbMask(*warps));
-        // t1 = !src on all source rows.
-        ops.push(MicroOp::RowMask(*src_rows));
-        ops.push(init(t1)?);
-        ops.push(not(src, t1)?);
-        // Vertical transfer per pair: t1[dst_row] = !t1[src_row] = value.
-        let disjoint = !src_rows.intersects(dst_rows);
-        if disjoint {
-            ops.push(MicroOp::RowMask(*dst_rows));
-            ops.push(init(t1)?);
+        if n == 1 {
+            out.extend([self.execute(&Instruction::MoveWarps {
+                src: mv.index_src,
+                dst: mv.index_dst,
+                row_src: mv.row_src,
+                row_dst: mv.row_dst,
+                warps,
+                dist: mv.dist,
+            })?]);
+            return Ok(());
         }
-        // When the row sets overlap, order the thread-serial transfers so
-        // each source row is read before any pair overwrites it: descending
-        // for an upward shift, ascending for a downward one.
-        let pairs = src_rows.len() as u32;
-        let upward = !disjoint && dst_rows.start() > src_rows.start();
-        for k in 0..pairs {
-            let k = if upward { pairs - 1 - k } else { k };
-            let row_in = src_rows.start() + k * src_rows.step();
-            let row_out = dst_rows.start() + k * dst_rows.step();
-            let gate = |gate| MicroOp::LogicV {
-                gate,
-                row_in,
-                row_out,
-                index: t1,
-            };
-            if !disjoint {
-                ops.push(gate(VGate::Init1));
-            }
-            ops.push(gate(VGate::Not));
+        let plan = htree::plan_move(&warps, &mv, &self.cfg)?;
+        let stale = self.cur_xb != Some(warps);
+        self.move_ops.clear();
+        self.move_ops
+            .extend(stale.then_some(MicroOp::XbMask(warps)));
+        self.move_ops.extend((0..n).map(|k| {
+            MicroOp::Move(MoveOp {
+                row_src: mv.row_src + k,
+                row_dst: mv.row_dst + k,
+                ..mv
+            })
+        }));
+        if let Err(e) = self.backend.execute_batch(&self.move_ops) {
+            self.invalidate_masks();
+            return Err(e.into());
         }
-        // dst = !!t1 on all destination rows.
-        if !disjoint {
-            ops.push(MicroOp::RowMask(*dst_rows));
-        }
-        ops.push(init(t2)?);
-        ops.push(not(t1, t2)?);
-        ops.push(init(dst)?);
-        ops.push(not(t2, dst)?);
+        self.cur_xb = Some(warps);
+        // Each move costs what `execute` charges it.
+        let cycles = plan.cycles * u64::from(n);
+        self.issued.logic += cycles;
+        self.issued.total += cycles + u64::from(stale);
+        out.extend(std::iter::repeat_n(None, n as usize));
         Ok(())
     }
 }
@@ -838,9 +937,14 @@ mod tests {
             RangeMask::dense(0, 8).unwrap(),
             RangeMask::dense(8, 16).unwrap(),
         );
-        d.lower_move_rows(0, 1, &low, &high, &RangeMask::single(0))
-            .unwrap();
-        let mut ops = d.move_ops.clone();
+        let mv = RowMove {
+            src: 0,
+            dst: 1,
+            src_rows: low,
+            dst_rows: high,
+        };
+        let mut ops = vec![MicroOp::XbMask(RangeMask::single(0))];
+        mv.expand(d.config(), &mut ops).unwrap();
         let init = 1 + ops
             .iter()
             .rposition(|op| matches!(op, MicroOp::RowMask(_)))

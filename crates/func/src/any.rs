@@ -3,7 +3,7 @@
 //! anything, and each item goes once the benchmark file its comment names
 //! stops spelling it (ROADMAP, "Benchmark-only debts").
 
-use pim_arch::{ArchError, Backend, CellRun, MicroOp, PimConfig, PreparedBatch};
+use pim_arch::{ArchError, Backend, CellRun, MicroOp, PimConfig, PreparedBatch, RowMove};
 use pim_sim::PimSimulator;
 
 /// A label, not a selection: both values build the same chip. Spelt by
@@ -46,7 +46,7 @@ impl AnyBackend {
 
 /// Every entry point [`PimSimulator`] overrides is forwarded: a missing
 /// one would fall back to the trait default and silently lose its block
-/// path (`crates/func/tests/equivalence.rs` holds all five to the bare
+/// path (`crates/func/tests/equivalence.rs` holds all six to the bare
 /// simulator).
 impl Backend for AnyBackend {
     fn config(&self) -> &PimConfig {
@@ -63,6 +63,10 @@ impl Backend for AnyBackend {
 
     fn access(&mut self, run: &CellRun<'_>, out: &mut Vec<u32>) -> Result<(), ArchError> {
         self.0.access(run, out)
+    }
+
+    fn move_rows(&mut self, mv: &RowMove) -> Result<(), ArchError> {
+        self.0.move_rows(mv)
     }
 
     fn execute_prepared(&mut self, batch: &PreparedBatch) -> Result<(), ArchError> {

@@ -1,23 +1,24 @@
-//! The bit-accurate simulator applies two kinds of runs in block form.
+//! The bit-accurate simulator applies four kinds of runs in block form.
 //!
-//! Its batch executor recognises vertical `NOT`s that move a dense or
-//! strided row set by a uniform shift (each behind its own `INIT1`, or bare
-//! after one horizontal `INIT` of the destination rows — the two shapes
-//! `MoveRows` lowers to). The first suite feeds `execute_batch` random
-//! batches salted with such runs and with uploads — well-formed, cut short,
-//! interrupted and illegal ones — and holds it equal to op-by-op `execute`:
-//! cells, stored masks, `Profiler` and error values, with strict checking
-//! on and off, and against the reference (`FuncBackend`).
+//! Its batch executor applies moves that advance both rows by one (what
+//! `Driver::execute_many` hands over for a run of `MoveWarps`) as one plane
+//! copy. The first suite feeds `execute_batch` random batches salted with
+//! such runs and with uploads — well-formed, cut short, interrupted and
+//! illegal ones — and holds it equal to op-by-op `execute`: cells, stored
+//! masks, `Profiler` and error values, with strict checking on and off, and
+//! against the reference (`FuncBackend`).
 //!
 //! An upload or a read-back arrives as a run already (`Backend::access`),
 //! and a run means the micro-operations it expands to. The second suite
 //! holds the simulator's block form to that expansion and to the reference
 //! (which keeps the trait default): cells, stored masks, `Profiler`,
 //! returned reads and error values — and a run the block form refuses
-//! changes nothing.
+//! changes nothing. A row move arrives whole too (`Backend::move_rows`),
+//! and the third suite holds it to its expansion the same way, scratch
+//! registers included.
 //!
 //! A cached routine replays gate by gate, in a loop specialised once per
-//! batch to the width of the selection's word spans. The third suite
+//! batch to the width of the selection's word spans. The last suite
 //! replays the routines the driver compiles under a selection of every
 //! shape that loop tells apart and holds the result to the reference:
 //! cells of every register and `Profiler`; and a gate the batch does not
@@ -27,8 +28,8 @@
 //! `PIM_ORACLE_ROWS` when set; CI runs the suite a second time at 96.
 
 use pim_arch::{
-    ArchError, Backend, CellRun, ColAddr, GateKind, HLogic, MicroOp, PimConfig, PreparedBatch,
-    RangeMask, VGate,
+    ArchError, Backend, CellRun, ColAddr, GateKind, HLogic, MicroOp, MoveOp, PimConfig,
+    PreparedBatch, RangeMask, RowMove, VGate,
 };
 use pim_driver::{routines, ParallelismMode};
 use pim_func::FuncBackend;
@@ -99,77 +100,62 @@ fn foreign(cfg: &PimConfig, (_, a, b, c, d, _, _): Seed) -> MicroOp {
     }
 }
 
-/// A candidate row-transfer run: `pairs` transfers from source row `s` to
-/// `s + shift`, advancing by `step`, clipped to the geometry — every
-/// vertical `NOT` behind the `INIT1` of its output row, or (`bare`) all of
-/// them behind one horizontal `INIT` under the destination row mask. `flaw`
-/// then breaks the run in the middle the ways a recogniser must notice, or
-/// leaves an output of a bare run uninitialized.
-fn transfer_run(cfg: &PimConfig, seed: Seed, ops: &mut Vec<MicroOp>) {
-    let (kind, a, b, c, d, flaw, f) = seed;
-    let rows = cfg.rows as i64;
-    let bare = kind / 8 % 2 == 1;
-    // Row by row, up or down, and the strides of a strided row set.
-    let step = [1, -1, 1, -1, 1, -1, 2, -3, 4, 8][c as usize % 10];
-    // Small shifts both ways (the overlapping cases, inside and outside
-    // the interval that makes serial and simultaneous differ) and large.
-    let shift = match b % 4 {
-        0 => 1 + (b as i64 / 4) % 5,
-        1 => -1 - (b as i64 / 4) % 5,
-        2 => 1 + b as i64 % (rows - 1),
-        _ => -1 - b as i64 % (rows - 1),
-    };
-    let reg = d % REGS;
-    let mut s = a as i64 * 7 % rows;
-    let pairs = [1, 2, 3, 70, 130][f as usize % 5];
-    let in_rows = |row: i64| (0..rows).contains(&row);
-    if bare && flaw % 8 != 5 {
-        // The outputs of the unbroken run — all but the last with flaw 4.
-        let fit = (0..pairs)
-            .take_while(|k| in_rows(s + k * step) && in_rows(s + k * step + shift))
-            .count() as i64;
-        let set = fit - i64::from(flaw % 8 == 4);
-        if set > 0 {
-            let lowest = (s + shift).min(s + shift + (fit - 1) * step);
-            let skipped = if step < 0 { fit - set } else { 0 };
-            let outputs = RangeMask::strided(
-                (lowest + skipped * step.abs()) as u32,
-                set as u32,
-                step.unsigned_abs() as u32,
-            );
-            ops.push(MicroOp::RowMask(outputs.unwrap()));
-            ops.push(MicroOp::LogicH(HLogic::init_reg(true, reg, cfg).unwrap()));
+/// A candidate run of moves as a batch carries it: a crossbar mask the
+/// moves are legal under, then `moves` moves of one register pair whose
+/// rows both advance by one from rows that need not start a plane word,
+/// clipped to the geometry — broken in the middle by `flaw`: an operation
+/// of another kind, another register, another distance, a row jump, the
+/// previous move again.
+fn move_run(cfg: &PimConfig, seed: Seed, ops: &mut Vec<MicroOp>) {
+    let (_, a, b, c, d, flaw, f) = seed;
+    let rows = cfg.rows;
+    // (sources, distance, another legal distance)
+    let (xb_mask, dist, other) = match c % 4 {
+        0 => (RangeMask::dense(0, 2).unwrap(), 2, 2),
+        1 => (RangeMask::dense(2, XBS).unwrap(), -2, -2),
+        _ => {
+            let xb = a as u32 % XBS;
+            let dists: Vec<i32> = (-(xb as i32)..(XBS - xb) as i32)
+                .filter(|&d| d != 0)
+                .collect();
+            let pick = |i: u8| dists[i as usize % dists.len()];
+            (RangeMask::single(xb), pick(b), pick(b / 3 + 1))
         }
-    }
-    for k in 0..pairs {
-        let (mut init, mut reg_k) = (s + shift, reg);
-        if k == pairs / 2 {
+    };
+    ops.push(MicroOp::XbMask(xb_mask));
+    let moves = [1, 2, 3, 64, 100][f as usize % 5];
+    let (index_src, index_dst) = (d % REGS, d / 4 % REGS);
+    let (mut row_src, mut row_dst) = (a as usize * 7 % rows, b as usize * 5 % rows);
+    for k in 0..moves {
+        let mut mv = MoveOp {
+            dist,
+            row_src: row_src as u32,
+            row_dst: row_dst as u32,
+            index_src,
+            index_dst,
+        };
+        if k == moves / 2 {
             match flaw % 8 {
-                0 => ops.push(foreign(cfg, seed)),
-                1 => reg_k = (reg + 1) % REGS,
-                2 => s += 2 * step, // row jump
-                3 => init = s,      // the INIT1 prepares another row
+                // An operation that keeps the crossbar mask.
+                0 => ops.push(match foreign(cfg, seed) {
+                    MicroOp::XbMask(_) => MicroOp::Write {
+                        index: c % REGS,
+                        value: 7,
+                    },
+                    op => op,
+                }),
+                1 => mv.index_dst = (index_dst + 1) % REGS,
+                2 => mv.dist = other,
+                3 => mv.row_src = (row_src as u32 + 2) % rows as u32,
+                4 => mv.row_dst = row_dst.saturating_sub(1) as u32,
                 _ => {}
             }
         }
-        if !in_rows(s) || !in_rows(s + shift) || !in_rows(init) {
+        if row_src.max(row_dst) >= rows {
             break;
         }
-        if !bare {
-            ops.push(MicroOp::LogicV {
-                gate: VGate::Init1,
-                row_in: s as u32,
-                row_out: init as u32,
-                index: reg_k,
-            });
-        }
-        ops.push(MicroOp::LogicV {
-            gate: VGate::Not,
-            row_in: s as u32,
-            row_out: (s + shift) as u32,
-            index: reg_k,
-        });
-        s += step;
+        ops.push(MicroOp::Move(mv));
+        (row_src, row_dst) = (row_src + 1, row_dst + 1);
     }
 }
 
@@ -216,7 +202,7 @@ fn batch(cfg: &PimConfig, seeds: &[Seed]) -> Vec<MicroOp> {
     for &seed in seeds {
         match seed.0 % 8 {
             0 | 1 => ops.push(foreign(cfg, seed)),
-            2..=4 => transfer_run(cfg, seed, &mut ops),
+            2..=4 => move_run(cfg, seed, &mut ops),
             _ => upload(cfg, seed, &mut ops),
         }
     }
@@ -453,6 +439,104 @@ proptest! {
         let addressed = run_rows.len() == values.len() || read;
         if read && addressed && flaw % 16 != 2 && !(xb_mask.is_single() && row_mask.is_single()) {
             prop_assert!(matches!(block.result, Err(ArchError::Protocol { .. })), "{:?}", block.result);
+        }
+    }
+}
+
+/// What a move left on `chip`: its result, the `Profiler`, then every cell
+/// of every register once a marker write has gone out under the final
+/// masks.
+fn settled(
+    mut chip: impl Chip,
+    result: Result<(), ArchError>,
+) -> (Result<(), ArchError>, Profiler, Vec<u32>) {
+    let profiler = chip.profiler().clone();
+    chip.execute(&MicroOp::Write {
+        index: REGS,
+        value: 0xA5A5_5A5A,
+    })
+    .unwrap();
+    (result, profiler, image(&chip))
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(192))]
+
+    /// A row move is its expansion. Over dense and strided row sets,
+    /// disjoint and overlapping, up and down, into another register and
+    /// back into the source one, under dense, strided and single crossbar
+    /// masks — and now and then sets of unequal steps or lengths, identical
+    /// sets, a row past the last, or a scratch register as source or
+    /// destination (moves the block form leaves to the expansion, or that
+    /// fail): the simulator's `move_rows`, the expansion handed to
+    /// `execute_batch` (the trait default) on a second simulator, and the
+    /// reference return the same `Result` and leave the same cells of every
+    /// register, scratch ones included, the same stored masks and the same
+    /// `Profiler`, with strict checking on — and so does the expansion op
+    /// by op, wherever it runs through.
+    #[test]
+    fn a_row_move_is_its_expansion(
+        (start, shift, count, step) in any::<(u8, u8, u8, u8)>(),
+        (regs, flaw, xb_shape, far) in any::<(u8, u8, u8, u16)>(),
+    ) {
+        let cfg = cfg();
+        let rows = cfg.rows as u32;
+        let step = [1, 1, 2, 3, 8][step as usize % 5];
+        let count = [1, 2, 5, 40, 70, rows][count as usize % 6].min((rows - 1) / step + 1);
+        let room = rows - (count - 1) * step;
+        let src_start = u32::from(start) % room;
+        // Near the source (overlapping when the shift is a multiple of the
+        // step), or anywhere.
+        let dst_start = match shift % 4 {
+            0 => src_start + 1 + u32::from(shift / 4) % 4,
+            1 => src_start.saturating_sub(1 + u32::from(shift / 4) % 4),
+            _ => u32::from(far) % room,
+        }
+        .min(room - 1);
+        let span = |start, count, step| RangeMask::strided(start, count, step).unwrap();
+        let (mut src_rows, mut dst_rows) = (span(src_start, count, step), span(dst_start, count, step));
+        let (t1, t2) = RowMove::scratch(&cfg);
+        let (mut src, mut dst) = (regs % REGS, if regs % 3 == 0 { regs % REGS } else { regs / 4 % REGS });
+        match flaw % 16 {
+            0 => dst_rows = span(dst_start.min(rows - 1 - (count - 1) * (step + 1) % rows), count, step + 1),
+            1 => dst_rows = src_rows,
+            2 if count > 1 => src_rows = span(src_start, count - 1, step),
+            3 => src_rows = span(rows - 1, 2, 1),
+            4 => src = t1,
+            5 => dst = t2,
+            6 => src = t2,
+            _ => {}
+        }
+        let mv = RowMove { src, dst, src_rows, dst_rows };
+        let xb_mask = match xb_shape % 5 {
+            0 => RangeMask::dense(0, XBS).unwrap(),
+            1 => RangeMask::strided(0, 2, 2).unwrap(),
+            2 => RangeMask::strided(1, 2, 2).unwrap(),
+            3 => RangeMask::dense(1, 3).unwrap(),
+            _ => RangeMask::single(u32::from(xb_shape) % XBS),
+        };
+        let all_rows = RangeMask::dense(0, rows).unwrap();
+        let expansion = || {
+            let mut ops = Vec::new();
+            mv.expand(&cfg, &mut ops).map(|()| ops)
+        };
+
+        let mut chip = seeded(sim(&cfg, true), xb_mask, all_rows);
+        let result = chip.move_rows(&mv);
+        let block = settled(chip, result);
+        let mut chip = seeded(sim(&cfg, true), xb_mask, all_rows);
+        let result = expansion().and_then(|ops| chip.execute_batch(&ops));
+        let batched = settled(chip, result);
+        let mut chip = seeded(FuncBackend::new(cfg.clone()).unwrap(), xb_mask, all_rows);
+        let result = chip.move_rows(&mv);
+        let reference = settled(chip, result);
+        prop_assert!(reference == batched, "the reference diverges from the expansion: {:?}", mv);
+        prop_assert_eq!(&block.0, &batched.0, "{:?}", mv);
+        prop_assert!(block == batched, "block form and expansion diverge: {:?}", mv);
+        if batched.0.is_ok() {
+            let mut chip = seeded(sim(&cfg, true), xb_mask, all_rows);
+            let result = expansion().and_then(|ops| ops.iter().try_for_each(|op| chip.execute(op).map(drop)));
+            prop_assert!(settled(chip, result) == batched, "op by op diverges: {:?}", mv);
         }
     }
 }

@@ -521,12 +521,13 @@ fn read_requires_single_masks() {
 }
 
 /// `AnyBackend` is a name for `PimSimulator`: the same stream through each
-/// of the five `Backend` entry points ends in the same reads, cells, stored
+/// of the six `Backend` entry points ends in the same reads, cells, stored
 /// masks and `Profiler` on both. Two refusals tell a forward from the trait
 /// default it would otherwise fall back to — a batch with a bad operation
 /// and a run with a row past the end change nothing on the simulator, where
 /// the defaults (an `execute` loop, the run's expansion) apply what comes
-/// before the flaw. A dropped `execute_prepared` forward costs only time.
+/// before the flaw. A dropped `execute_prepared` or `move_rows` forward
+/// costs only time.
 #[test]
 fn the_shim_is_the_simulator_through_every_entry_point() {
     let cfg = PimConfig::small().with_rows(96);
@@ -577,6 +578,14 @@ fn the_shim_is_the_simulator_through_every_entry_point() {
         let flawed = run(&past_end, Some(&[0; 80]));
         assert!(chip.access(&flawed, &mut reads).is_err());
         chip.execute_batch(&shift).unwrap();
+        let dense = |start, stop| RangeMask::dense(start, stop).unwrap();
+        chip.move_rows(&pim_arch::RowMove {
+            src: 1,
+            dst: 2,
+            src_rows: dense(3, 43),
+            dst_rows: dense(40, 80),
+        })
+        .unwrap();
         let flawed = [7, 99].map(|index| MicroOp::Write { index, value: 7 });
         assert!(chip.execute_batch(&flawed).is_err());
         chip.execute_prepared(&routine).unwrap();

@@ -6,14 +6,15 @@
 //! telemetry attribution and deadline semantics are identical regardless
 //! of how the cells are computed on the host. [`charge_batch`] is its
 //! closed form over a [`PreparedBatch`]: the same totals in one step (a
-//! proptest holds the two equal field for field).
+//! proptest holds the two equal field for field), and [`charge_row_move`]
+//! the one over a [`RowMove`]'s expansion.
 //!
 //! Under the microarchitectural model every micro-operation occupies one
 //! PIM clock cycle, except distributed moves whose transfers share H-tree
 //! links (those serialize; see [`pim_arch::htree::plan_move`]).
 
 use crate::Profiler;
-use pim_arch::{htree, ArchError, MicroOp, PimConfig, PreparedBatch, RangeMask};
+use pim_arch::{htree, ArchError, MicroOp, PimConfig, PreparedBatch, RangeMask, RowMove};
 
 /// Charges one micro-operation to `p` given the mask state in effect,
 /// returning the operation's cycle cost.
@@ -114,10 +115,38 @@ pub fn charge_batch(
     Ok(cycles)
 }
 
+/// Charges a row move to `p` under the crossbar mask it runs under,
+/// returning its cycle cost: exactly what folding [`charge_op`] over
+/// [`RowMove::expand`] charges. Every horizontal operation of the
+/// expansion is a whole-register one (one gate per partition): two under
+/// the source rows, the rest under the destination rows.
+pub fn charge_row_move(
+    p: &mut Profiler,
+    mv: &RowMove,
+    xb_mask: &RangeMask,
+    cfg: &PimConfig,
+) -> u64 {
+    let (pairs, xbs) = (mv.src_rows.len() as u64, xb_mask.len() as u64);
+    let (vertical, h_dst) = match mv.disjoint() {
+        true => (pairs, 5),
+        false => (2 * pairs, 4),
+    };
+    let (h_src, parts) = (2, cfg.partitions as u64);
+    let rows = h_src * mv.src_rows.len() as u64 + h_dst * mv.dst_rows.len() as u64;
+    p.ops.row_mask += 2;
+    p.ops.logic_h += h_src + h_dst;
+    p.ops.logic_v += vertical;
+    p.gates += parts * (h_src + h_dst) + vertical;
+    p.row_gates += (parts * rows + vertical) * xbs;
+    let cycles = mv.micro_ops();
+    p.cycles += cycles;
+    cycles
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pim_arch::{ColAddr, GateKind, HLogic, MoveOp, VGate};
+    use pim_arch::{ColAddr, GateKind, HLogic, MoveOp, RowMove, VGate};
     use proptest::prelude::*;
 
     #[test]
@@ -200,6 +229,43 @@ mod tests {
         })
         // A vertical NOT from a row onto itself is not an operation.
         .filter(|op| op.validate(cfg).is_ok())
+    }
+
+    proptest! {
+        /// `charge_row_move` is the closed form of folding `charge_op` over
+        /// the move's expansion: disjoint and overlapping row sets, dense
+        /// and strided, both directions, under any crossbar mask.
+        #[test]
+        fn charge_row_move_equals_folded_charge_op(
+            (start, shift, count, step) in any::<(u8, u8, u8, u8)>(),
+            xb in any::<(u8, u8)>(),
+        ) {
+            let cfg = PimConfig::small();
+            let step = 1 + u32::from(step) % 3;
+            let count = 1 + u32::from(count) % 20;
+            let start = u32::from(start) % (64 - (count - 1) * step);
+            let src_rows = RangeMask::strided(start, count, step).unwrap();
+            let dst_start = (start + 1 + u32::from(shift)) % (64 - (count - 1) * step);
+            let dst_rows = RangeMask::strided(dst_start, count, step).unwrap();
+            prop_assume!(src_rows != dst_rows);
+            let mv = RowMove { src: 0, dst: 1 + shift % 3, src_rows, dst_rows };
+            let xb_mask = RangeMask::strided(u32::from(xb.0) % 8, 1 + u32::from(xb.1) % 8, 1).unwrap();
+            let row_mask = RangeMask::single(3);
+            let mut ops = Vec::new();
+            mv.expand(&cfg, &mut ops).unwrap();
+            prop_assert_eq!(ops.len() as u64, mv.micro_ops());
+            let mut folded = Profiler::new();
+            let mut masks = (xb_mask, row_mask);
+            for op in &ops {
+                charge_op(&mut folded, op, &masks.0, &masks.1, &cfg).unwrap();
+                if let MicroOp::RowMask(m) = op {
+                    masks.1 = *m;
+                }
+            }
+            let mut closed = Profiler::new();
+            prop_assert_eq!(charge_row_move(&mut closed, &mv, &xb_mask, &cfg), folded.cycles);
+            prop_assert_eq!(closed, folded);
+        }
     }
 
     proptest! {

@@ -26,21 +26,27 @@ pub(crate) const LANE: usize = u64::BITS as usize;
 /// word-granular access (`Write`, `Read`, `Move`, vertical gates,
 /// [`word`](Self::word)): one word is one bit in each of a register's 32
 /// planes, a 32-plane gather or scatter. That price is paid per word only
-/// when a word comes alone. The two *other-direction* accesses of the array
-/// arrive in runs — an upload or a read-back walks the rows of a register, a
-/// row move walks row pairs — and a run has a block form over whole plane
-/// words:
+/// when a word comes alone. The *other-direction* accesses of the array
+/// arrive as blocks — an upload or a read-back walks the rows of a
+/// register, a row move walks row pairs, a reduction's warp moves walk the
+/// rows of a warp — and a block has its form over whole plane words:
 ///
 /// * rows of one plane word written or read one after another are a 64 x 64
 ///   bit-matrix transpose between the word format and 32 plane words
 ///   (`write_rows`, `read_rows`);
-/// * vertical `NOT`s (bare, or each behind its own `INIT1`) that move a
-///   dense or strided row set by a uniform shift are one masked,
-///   complemented funnel shift per plane (`transfer_rows`).
+/// * a row move — the source register complemented into a scratch
+///   register, each row pair transferred by a vertical `NOT`, and two more
+///   complements into the destination — is one pass per plane over the
+///   words of the two scratch registers and the destination, a funnel
+///   shift carrying the moved rows (`move_rows`);
+/// * moves whose rows both advance by one are one masked copy per plane
+///   from each source crossbar to its destination, whole words when the
+///   rows line up, a funnel shift otherwise (`move_run`).
 ///
-/// `PimSimulator` is handed the first kind as a run and recognises the
-/// second in a batch; a lone word, a `Move` and everything else still
-/// gather or scatter.
+/// `PimSimulator` is handed the first two as blocks (`Backend::access`,
+/// `Backend::move_rows`) and finds the third in a batch; a lone word, a
+/// lone `Move`, a lone vertical gate and everything else still gather or
+/// scatter.
 ///
 /// Horizontal gates have one `NOT`/`NOR` body, over gates resolved into
 /// their planes ([`ReplayRecord`]). A prepared routine's proved single
@@ -601,60 +607,156 @@ impl Crossbars {
         values
     }
 
-    /// Whether every cell `dst` selects in register `reg` holds 1 — what
-    /// strict mode asks of the outputs of a run of vertical `NOT`s before
-    /// [`transfer_rows`](Self::transfer_rows) may stand in for them.
-    pub(crate) fn rows_set(&self, reg: usize, dst: &Selection) -> bool {
-        self.reg_planes(reg)
-            .fold(0, |unset, plane| unset | dst.unset(plane))
-            == 0
+    /// Block form of [`RowMove::expand`](pim_arch::RowMove::expand) in
+    /// every crossbar of `xb_mask`, for a move whose row sets share their
+    /// step (or hold one row each): `regs` is `[src, t1, t2, dst]`. With
+    /// `moved[r] = old src[r - shift]` on the destination rows `B` and the
+    /// source rows `A`, the expansion leaves `t1 = moved` on `B`, `!src` on
+    /// `A` less `B`; `t2 = !moved` and `dst = moved` on `B`; every other
+    /// cell as it was. Per plane that is one pass over the words the row
+    /// sets touch in each crossbar — one span over whole neighbouring
+    /// crossbars, as in [`lower_masks`](Self::lower_masks) — with the
+    /// source words copied first, so `dst` may be `src` (`t1` and `t2` are
+    /// neither). A moved bit comes from its own crossbar: a source row
+    /// lies in the same span, and the bits a funnel shift pulls in from a
+    /// neighbour fall outside `B`.
+    ///
+    /// The caller has checked the move: registers and rows in the
+    /// geometry, equal lengths, a non-zero shift.
+    #[inline(never)]
+    pub(crate) fn move_rows(
+        &mut self,
+        regs: [usize; 4],
+        (src_rows, dst_rows): (&RangeMask, &RangeMask),
+        xb_mask: &RangeMask,
+        scratch: &mut Vec<u64>,
+    ) {
+        let (wpx, ps) = (self.wpx, self.plane_words());
+        let lo = src_rows.start().min(dst_rows.start()) as usize / LANE;
+        let hi = src_rows.stop().max(dst_rows.stop()) as usize / LANE;
+        let merged = xb_mask.as_dense_range().filter(|_| hi - lo + 1 == wpx);
+        let len = merged.as_ref().map_or(hi - lo + 1, |xbs| xbs.len() * wpx);
+        // Output word `i` of a span takes source words `i + k` and
+        // `i + k + 1`, shifted right by `r`; `pad` zero words on either
+        // side keep both inside the copy.
+        let shift = dst_rows.start() as isize - src_rows.start() as isize;
+        let (k, r) = (
+            (-shift).div_euclid(LANE as isize),
+            (-shift).rem_euclid(LANE as isize),
+        );
+        let pad = k.unsigned_abs() + 1;
+        scratch.clear();
+        scratch.resize(4 * len + 2 * pad, 0);
+        let (a, rest) = scratch.split_at_mut(len);
+        let (b, rest) = rest.split_at_mut(len);
+        let (moved, old) = rest.split_at_mut(len);
+        for (pattern, rows) in [(&mut *a, src_rows), (&mut *b, dst_rows)] {
+            let (start, stop) = (rows.start() as usize, rows.stop() as usize);
+            if rows.is_dense() {
+                for w in start / LANE..=stop / LANE {
+                    pattern[w - lo] = row_bits(start, stop, w);
+                }
+            } else {
+                for row in rows.iter() {
+                    pattern[row as usize / LANE - lo] |= 1 << (row as usize % LANE);
+                }
+            }
+            for xb in 1..len / wpx {
+                pattern.copy_within(..wpx, xb * wpx);
+            }
+        }
+        let (a, b) = (&*a, &*b);
+        let bits = &mut self.bits;
+        for part in 0..WORD_BITS {
+            let [s, t1, t2, d] = regs.map(|reg| (reg * WORD_BITS + part) * ps);
+            let mut span = |start: usize| {
+                old[pad..pad + len].copy_from_slice(&bits[s + start..][..len]);
+                for (i, m) in moved.iter_mut().enumerate() {
+                    let q = (i + pad).wrapping_add_signed(k);
+                    let two = u128::from(old[q + 1]) << LANE | u128::from(old[q]);
+                    *m = (two >> r) as u64 & b[i];
+                }
+                let (old, moved) = (&old[pad..pad + len], &*moved);
+                let sources = old.iter().zip(a).zip(b.iter().zip(moved));
+                for (x, ((&o, &ma), (&mb, &mv))) in
+                    bits[t1 + start..][..len].iter_mut().zip(sources)
+                {
+                    *x = *x & !(ma | mb) | !o & ma & !mb | mv;
+                }
+                for (x, (&mb, &mv)) in bits[t2 + start..][..len]
+                    .iter_mut()
+                    .zip(b.iter().zip(moved))
+                {
+                    *x = *x & !mb | !mv & mb;
+                }
+                for (x, (&mb, &mv)) in bits[d + start..][..len].iter_mut().zip(b.iter().zip(moved))
+                {
+                    *x = *x & !mb | mv;
+                }
+            };
+            match &merged {
+                Some(xbs) => span(xbs.start * wpx),
+                None => xb_mask.iter().for_each(|xb| span(xb as usize * wpx + lo)),
+            }
+        }
     }
 
-    /// Block form of a run of vertical `NOT`s that moves a row set of
-    /// register `reg` by a uniform shift: each row `r` that `dst` selects
-    /// takes `old[r] & !old[r - shift]`, where `old` is the register
-    /// **before** the run — with `init` (each `NOT` behind its own `INIT1`)
-    /// simply `!old[r - shift]`. Every other row is untouched. Per plane it
-    /// is one funnel shift over the words of each span under the span's row
-    /// pattern (dense or strided alike), walked from the far end so that
-    /// every word is read before it is stored.
-    ///
-    /// The caller guarantees that the serial gates it replaces never read a
-    /// row an earlier one wrote; `dst` was lowered by these cells, its rows
-    /// less `shift` lie inside the crossbar and `shift != 0`.
-    pub(crate) fn transfer_rows(&mut self, reg: usize, dst: &Selection, shift: isize, init: bool) {
-        let span = dst.pattern.len();
-        // Words off the plane read as 0: only rows outside the crossbar
-        // would come from there, and the pattern selects none of those.
-        let old = |plane: &[u64], w: isize| {
-            usize::try_from(w).map_or(0, |w| plane.get(w).copied().unwrap_or(0))
-        };
-        for plane in self.reg_planes_mut(reg) {
-            for &start in &dst.starts {
-                for k in 0..span {
-                    let i = if shift > 0 { span - 1 - k } else { k };
-                    let (w, m) = (start + i, dst.pattern[i]);
-                    let from = (w * LANE) as isize - shift;
-                    let (q, r) = (
-                        from.div_euclid(LANE as isize),
-                        from.rem_euclid(LANE as isize),
-                    );
-                    let mut moved = old(plane, q) >> r;
-                    if r != 0 {
-                        moved |= old(plane, q + 1) << (LANE as isize - r);
-                    }
-                    let out = if init { plane[w] | m } else { plane[w] };
-                    plane[w] = out & !(moved & m);
+    /// Block form of `n` moves in a row ([`move_words`](Self::move_words)):
+    /// move `k` is `mv` with both rows advanced by `k`. Every crossbar of
+    /// `xb_mask` sends rows `row_src..row_src + n` of register `index_src`
+    /// to rows `row_dst..` of `index_dst` in the crossbar `dist` away — per
+    /// plane one masked copy of the rows' words, whole words when the two
+    /// row ranges line up in their words, a funnel shift otherwise. The
+    /// caller has planned the moves: destinations in range, and no
+    /// destination crossbar is a source (the H-tree rule), so no move
+    /// reads what another wrote.
+    #[inline(never)]
+    pub(crate) fn move_run(&mut self, mv: &MoveOp, n: usize, xb_mask: &RangeMask) {
+        let (wpx, ps) = (self.wpx, self.plane_words());
+        let (row_src, row_dst) = (mv.row_src as usize, mv.row_dst as usize);
+        assert!(
+            row_src + n <= self.rows && row_dst + n <= self.rows,
+            "cell out of geometry"
+        );
+        let shift = row_dst as isize - row_src as isize;
+        let last = row_dst + n - 1;
+        let (regs_src, regs_dst) = (mv.index_src as usize, mv.index_dst as usize);
+        for part in 0..WORD_BITS {
+            let s = (regs_src * WORD_BITS + part) * ps;
+            let d = (regs_dst * WORD_BITS + part) * ps;
+            for xb in xb_mask.iter() {
+                let from = s + xb as usize * wpx;
+                let to = d + (xb as i64 + i64::from(mv.dist)) as usize * wpx;
+                for w in row_dst / LANE..=last / LANE {
+                    let m = row_bits(row_dst, last, w);
+                    let moved = funnel(&self.bits[from..from + wpx], w, shift);
+                    self.bits[to + w] = self.bits[to + w] & !m | moved & m;
                 }
             }
         }
     }
 }
 
+/// Plane word `w` of one crossbar's words `old` shifted by `shift` rows:
+/// bit `r` holds row `64 · w + r - shift` of `old`, 0 off the crossbar.
+#[inline(always)]
+fn funnel(old: &[u64], w: usize, shift: isize) -> u64 {
+    let word = |q: isize| usize::try_from(q).map_or(0, |q| old.get(q).copied().unwrap_or(0));
+    let from = (w * LANE) as isize - shift;
+    let (q, r) = (
+        from.div_euclid(LANE as isize),
+        from.rem_euclid(LANE as isize),
+    );
+    match r {
+        0 => word(q),
+        r => word(q) >> r | word(q + 1) << (LANE as isize - r),
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pim_arch::{ColAddr, PimConfig};
+    use pim_arch::{ColAddr, MicroOp, PimConfig, RowMove};
     use proptest::prelude::*;
 
     fn cfg() -> PimConfig {
@@ -1165,18 +1267,35 @@ mod tests {
         }
     }
 
-    /// `transfer_rows` against the serial gates it replaces — `INIT1` of
-    /// the destination row and a vertical `NOT` into it, ordered so that
-    /// every source row is read before it is overwritten; or, where no
-    /// destination row is a source row, the bare `NOT`s into whatever the
-    /// destination rows hold — for every shift distance in both directions,
-    /// dense and strided row sets that overlap their sources, interleave
-    /// with them or lie apart, inside one plane word or across several.
+    /// `move_rows` against the expansion it stands for, applied op by op
+    /// (`INIT1` and a vertical `NOT` per pair, ordered so that every source
+    /// row is read before it is overwritten, where the row sets overlap;
+    /// the bare `NOT`s behind one horizontal `INIT` where they do not) —
+    /// for every shift distance in both directions, dense and strided row
+    /// sets that overlap their sources, interleave with them or lie apart,
+    /// inside one plane word or across several, into another register and
+    /// back into the source register, under dense and strided crossbar
+    /// masks. Scratch registers included.
     #[test]
     fn shifted_row_ranges_match_serial_transfers() {
         for (xbs, rows) in [(1usize, 4usize), (2, 64), (3, 96), (2, 200)] {
-            let pre = noisy(xbs, rows, (rows * 7 + xbs) as u32);
+            let cfg = PimConfig::small()
+                .with_crossbars(xbs)
+                .with_rows(rows)
+                .with_user_regs(2);
+            let (t1, t2) = RowMove::scratch(&cfg);
+            let mut pre = Crossbars::new(xbs, rows, cfg.regs);
+            let mut noise = (rows * 7 + xbs) as u32 | 1;
+            for (xb, row, reg) in (0..xbs)
+                .flat_map(|xb| (0..rows).flat_map(move |row| (0..4).map(move |reg| (xb, row, reg))))
+            {
+                noise ^= noise << 13;
+                noise ^= noise >> 17;
+                noise ^= noise << 5;
+                pre.set_word(xb, row, reg, noise);
+            }
             let xb_mask = xb_masks(xbs)[(rows / 4) % 3];
+            let mut scratch = Vec::new();
             for dist in 1..rows {
                 for (upward, step) in [(true, 1), (false, 1), (true, 3), (false, 2 * dist)] {
                     // Source sets: as many rows as fit, a short set at the
@@ -1187,60 +1306,105 @@ mod tests {
                         // Upward: rows first.. move to first + dist..;
                         // downward: the mirror image.
                         let first = first * step;
-                        let (src, dst, shift) = match upward {
-                            true => (first, first + dist, dist as isize),
-                            false => (first + dist, first, -(dist as isize)),
+                        let (src, dst) = match upward {
+                            true => (first, first + dist),
+                            false => (first + dist, first),
                         };
-                        let dst_rows =
-                            RangeMask::strided(dst as u32, count as u32, step as u32).unwrap();
-                        let sel = lower(&pre, xb_mask, dst_rows);
-                        let what = format!(
-                            "{xbs}x{rows}: rows {src}.. -> {dst}.. x{count} step {step} under {xb_mask:?}"
-                        );
-                        // No pair writes a row a later pair reads.
-                        let apart = dist % step != 0 || dist / step >= count;
-                        for init in [true, false] {
-                            if !init && !apart {
-                                continue;
-                            }
+                        let rows_from = |start| {
+                            RangeMask::strided(start as u32, count as u32, step as u32).unwrap()
+                        };
+                        let (src_rows, dst_rows) = (rows_from(src), rows_from(dst));
+                        for (src, dst) in [(0, 1), (1, 1)] {
+                            let mv = RowMove {
+                                src,
+                                dst,
+                                src_rows,
+                                dst_rows,
+                            };
+                            let mut ops = Vec::new();
+                            mv.expand(&cfg, &mut ops).unwrap();
                             let mut slow = pre.clone();
-                            for k in 0..count {
-                                let k = if upward { count - 1 - k } else { k } * step;
-                                if init {
-                                    slow.apply_vlogic(
-                                        VGate::Init1,
-                                        (0, dst + k),
-                                        2,
-                                        &xb_mask,
-                                        true,
-                                    )
-                                    .unwrap();
+                            let mut row_mask = src_rows;
+                            for op in &ops {
+                                match op {
+                                    MicroOp::RowMask(m) => row_mask = *m,
+                                    MicroOp::LogicH(l) => {
+                                        let sel = lower(&slow, xb_mask, row_mask);
+                                        slow.apply_hlogic(l, &sel, true).unwrap();
+                                    }
+                                    MicroOp::LogicV {
+                                        gate,
+                                        row_in,
+                                        row_out,
+                                        index,
+                                    } => {
+                                        let rows = (*row_in as usize, *row_out as usize);
+                                        let reg = *index as usize;
+                                        slow.apply_vlogic(*gate, rows, reg, &xb_mask, true)
+                                            .unwrap();
+                                    }
+                                    _ => unreachable!("{op:?} in a row move"),
                                 }
-                                slow.apply_vlogic(
-                                    VGate::Not,
-                                    (src + k, dst + k),
-                                    2,
-                                    &xb_mask,
-                                    init,
-                                )
-                                .unwrap();
                             }
                             let mut fast = pre.clone();
-                            fast.transfer_rows(2, &sel, shift, init);
-                            assert!(fast == slow, "{what} init {init}");
+                            let regs = [src, t1, t2, dst].map(usize::from);
+                            fast.move_rows(regs, (&src_rows, &dst_rows), &xb_mask, &mut scratch);
+                            let what = format!(
+                                "{xbs}x{rows}: {src_rows:?} -> {dst_rows:?}, r{src} -> r{dst} \
+                                 under {xb_mask:?}"
+                            );
+                            assert!(fast == slow, "{what}");
                             assert_padding_clear(&fast);
                         }
-                        // The strict pre-check of the bare shape: true once
-                        // the destination rows are set, false with one
-                        // cleared cell.
-                        let mut set = pre.clone();
-                        for plane in set.reg_planes_mut(2) {
-                            sel.fill(plane, true);
+                    }
+                }
+            }
+        }
+    }
+
+    /// `move_run` against the moves it stands for, one `move_words` each:
+    /// runs of 1, 2, 64 and more rows, aligned in their plane words or
+    /// not, crossing word boundaries, up and down, into the source
+    /// register and another, under the crossbar masks a move allows.
+    #[test]
+    fn a_move_run_is_its_moves() {
+        for (xbs, rows) in [(4usize, 64usize), (8, 96), (4, 200)] {
+            let pre = noisy(xbs, rows, (rows * 3 + xbs) as u32);
+            let masks = [
+                (RangeMask::dense(0, xbs as u32 / 2).unwrap(), xbs as i32 / 2),
+                (RangeMask::single(1), -1),
+                (RangeMask::strided(0, xbs as u32 / 4, 4).unwrap(), 2),
+            ];
+            let mut scratch = Vec::new();
+            for (xb_mask, dist) in masks {
+                for n in [1, 2, 5, 64, 65, rows].into_iter().filter(|&n| n <= rows) {
+                    for (row_src, row_dst) in [(0, 0), (3, 0), (0, 7), (rows - n, 0), (1, rows - n)]
+                    {
+                        if row_src + n > rows || row_dst + n > rows {
+                            continue;
                         }
-                        assert!(set.rows_set(2, &sel), "{what}");
-                        let hole = dst + (count - 1) * step;
-                        set.set_cell(xb_mask.stop() as usize, hole, 17, 2, false);
-                        assert!(!set.rows_set(2, &sel), "{what}");
+                        for (index_src, index_dst) in [(0, 0), (1, 2)] {
+                            let mv = MoveOp {
+                                dist,
+                                row_src: row_src as u32,
+                                row_dst: row_dst as u32,
+                                index_src,
+                                index_dst,
+                            };
+                            let mut slow = pre.clone();
+                            for k in 0..n as u32 {
+                                let mv_k = MoveOp {
+                                    row_src: mv.row_src + k,
+                                    row_dst: mv.row_dst + k,
+                                    ..mv
+                                };
+                                slow.move_words(&mv_k, &xb_mask, &mut scratch);
+                            }
+                            let mut fast = pre.clone();
+                            fast.move_run(&mv, n, &xb_mask);
+                            assert!(fast == slow, "{xbs}x{rows}: {n} x {mv:?} under {xb_mask:?}");
+                            assert_padding_clear(&fast);
+                        }
                     }
                 }
             }

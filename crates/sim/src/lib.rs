@@ -28,13 +28,14 @@
 //!   and a run has a block form: an upload or a read-back arrives as one
 //!   ([`access`](pim_arch::Backend::access)) and is checked whole, charged
 //!   in closed form and applied one plane word at a time, 64 rows to a
-//!   64 x 64 bit-matrix transpose between word format and planes; the
-//!   vertical `NOT`s of a row move (each behind its own `INIT1` when source
-//!   and destination rows overlap) are recognised inside
-//!   [`execute_batch`](pim_arch::Backend::execute_batch) and become one
-//!   masked complemented shift per plane. A lone operation and a shift
-//!   whose serial order matters take the per-operation path; cells, masks,
-//!   profiler and errors are the same either way.
+//!   64 x 64 bit-matrix transpose between word format and planes; a row
+//!   move arrives as one ([`move_rows`](pim_arch::Backend::move_rows)) and
+//!   is checked once, charged in closed form and applied as one pass per
+//!   register plane instead of its `pairs + 9` or more micro-operations;
+//!   moves whose rows advance by one, found inside
+//!   [`execute_batch`](pim_arch::Backend::execute_batch), are one masked
+//!   plane copy. A lone operation takes the per-operation path; cells,
+//!   masks, profiler and errors are the same either way.
 //! * **Logic**: every horizontal gate, under every mask, is one `NOT`/`NOR`
 //!   body — `out[w] &= !((a[w] | b[w]) & m[w])` over the plane words of
 //!   each concurrent gate. The stored masks are lowered once per mask
@@ -94,7 +95,7 @@ mod crossbar;
 mod profiler;
 mod simulator;
 
-pub use cost::{charge_batch, charge_op};
+pub use cost::{charge_batch, charge_op, charge_row_move};
 pub use crossbar::{Crossbars, Selection};
 pub use profiler::{OpTypeCounts, Profiler};
 pub use simulator::{PimSimulator, SimSnapshot};

@@ -1,9 +1,10 @@
 use crate::{charge_batch, charge_op, Crossbars, Profiler, Selection};
 use pim_arch::{
-    ArchError, Backend, CellRun, MicroOp, PimConfig, PreparedBatch, RangeMask, RegId, VGate,
+    ArchError, Backend, CellRun, MicroOp, PimConfig, PreparedBatch, RangeMask, RowMove,
 };
 
 mod access;
+mod moves;
 
 /// The bit-accurate digital PIM simulator (§VI) — a drop-in replacement for
 /// a physical chip behind the [`Backend`] micro-operation interface.
@@ -32,9 +33,9 @@ pub struct PimSimulator {
     profiler: Profiler,
     /// Source words of the move in flight (reused across moves).
     move_scratch: Vec<u32>,
-    /// Destination rows of the row-transfer run in flight, lowered under
-    /// the stored crossbar mask (reused across runs).
-    run_sel: Selection,
+    /// Row patterns and source words of the row move in flight (reused
+    /// across row moves).
+    row_scratch: Vec<u64>,
 }
 
 /// A point-in-time copy of a simulator's complete architectural state:
@@ -71,7 +72,7 @@ impl PimSimulator {
             strict: true,
             profiler: Profiler::new(),
             move_scratch: Vec::new(),
-            run_sel: Selection::default(),
+            row_scratch: Vec::new(),
         })
     }
 
@@ -222,77 +223,23 @@ impl PimSimulator {
         Ok(())
     }
 
-    /// Applies an accepted stream in order. The vertical `NOT`s of a row
-    /// move arrive in runs, and a run at the head of the remaining stream
-    /// is applied in its block form; every other operation — and every run
-    /// too short or too irregular to have one — goes through
-    /// [`apply`](Self::apply).
+    /// Applies an accepted stream in order. A run of moves at the head of
+    /// the remaining stream is applied in its block form
+    /// ([`move_run`](Self::move_run)); every other operation — and a lone
+    /// move — goes through [`apply`](Self::apply).
     fn run_blocks(&mut self, ops: &[MicroOp]) -> Result<(), ArchError> {
         let mut rest = ops;
         while let Some(op) = rest.first() {
-            let covered = self.transfer_run(rest);
-            if covered.is_none() {
+            let covered = match op {
+                MicroOp::Move(_) => self.move_run(rest),
+                _ => 0,
+            };
+            if covered == 0 {
                 self.apply(op)?;
             }
-            rest = &rest[covered.unwrap_or(1)..];
+            rest = &rest[covered.max(1)..];
         }
         Ok(())
-    }
-
-    /// Applies the row-transfer run at the head of `ops`, returning the
-    /// operations it covered: two or more vertical `NOT`s on one register —
-    /// bare, or each behind the `INIT1` of its output row — whose input and
-    /// output rows advance together by one constant step (what `MoveRows`
-    /// lowers to: step 1 for a row range, the stride for a strided set).
-    /// While no gate reads a row an earlier one wrote, serial and
-    /// simultaneous semantics coincide and the run is one masked
-    /// complemented shift per plane. Gate `j` writes the row gate `k` reads
-    /// when `shift = step · (k - j)`, so the run is cut before the first
-    /// such `k`. Strict mode has nothing to check behind an `INIT1`; the
-    /// outputs of bare `NOT`s are checked together before any cell changes,
-    /// and a run with an unset output is left to the gate-by-gate path,
-    /// which stops at the offending gate as it would outside a batch.
-    fn transfer_run(&mut self, ops: &[MicroOp]) -> Option<usize> {
-        let init = matches!(
-            ops.first()?,
-            MicroOp::LogicV {
-                gate: VGate::Init1,
-                ..
-            }
-        );
-        let width = 1 + usize::from(init);
-        let (src, dst, reg) = transfer(ops, init)?;
-        let step = transfer(ops.get(width..)?, init)?.0 - src;
-        let shift = dst - src;
-        if step == 0 || shift == 0 {
-            return None;
-        }
-        let safe = match shift % step == 0 && shift / step >= 1 {
-            true => (shift / step) as usize,
-            false => usize::MAX,
-        };
-        let count = ops
-            .chunks_exact(width)
-            .take(safe)
-            .zip(0..)
-            .take_while(|&(gate, k)| {
-                transfer(gate, init) == Some((src + step * k, dst + step * k, reg))
-            })
-            .count();
-        if count < 2 {
-            return None;
-        }
-        let lowest = dst.min(dst + step * (count as i64 - 1));
-        let rows =
-            RangeMask::strided(lowest as u32, count as u32, step.unsigned_abs() as u32).ok()?;
-        self.cells
-            .lower_masks(&self.xb_mask, &rows, &mut self.run_sel);
-        if self.strict && !init && !self.cells.rows_set(reg as usize, &self.run_sel) {
-            return None;
-        }
-        self.cells
-            .transfer_rows(reg as usize, &self.run_sel, shift as isize, init);
-        Some(width * count)
     }
 }
 
@@ -310,34 +257,6 @@ fn check_read_masks(xb_mask: &RangeMask, row_mask: &RangeMask) -> Result<(), Arc
             row_mask.len()
         ),
     })
-}
-
-/// `(source row, destination row, register)` when `ops` starts with the
-/// vertical transfer of one row: a `NOT` into the destination row — with
-/// `init`, behind the `INIT1` of that row.
-fn transfer(ops: &[MicroOp], init: bool) -> Option<(i64, i64, RegId)> {
-    let not = match (init, ops) {
-        (false, [not, ..]) => not,
-        (
-            true,
-            [MicroOp::LogicV {
-                gate: VGate::Init1,
-                row_out: init_row,
-                index: init_reg,
-                ..
-            }, not @ MicroOp::LogicV { row_out, index, .. }, ..],
-        ) if (init_row, init_reg) == (row_out, index) => not,
-        _ => return None,
-    };
-    match not {
-        MicroOp::LogicV {
-            gate: VGate::Not,
-            row_in,
-            row_out,
-            index,
-        } => Some((i64::from(*row_in), i64::from(*row_out), *index)),
-        _ => None,
-    }
 }
 
 impl Backend for PimSimulator {
@@ -371,6 +290,10 @@ impl Backend for PimSimulator {
             true => self.access_block(run, out),
             false => run.expand(self, out),
         }
+    }
+
+    fn move_rows(&mut self, mv: &RowMove) -> Result<(), ArchError> {
+        self.move_rows_block(mv)
     }
 
     fn execute_prepared(&mut self, batch: &PreparedBatch) -> Result<(), ArchError> {

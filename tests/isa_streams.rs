@@ -1,7 +1,8 @@
 //! The ISA layer between micro-operations and tensors: any stream of the
 //! data-movement instructions — `Write` to one thread or broadcast over a
-//! range, `Read`, `MoveRows`, `MoveWarps` — that `Instruction::validate`
-//! accepts means what a host word array says it means. The stream runs
+//! range, `Read`, `MoveRows`, `MoveWarps` (alone and in runs of rows, whole
+//! and broken) — that `Instruction::validate` accepts means what a host
+//! word array says it means. The stream runs
 //! through `Driver::execute_many` on a strict chip and, one instruction at
 //! a time, through `execute` on a second driver: the same words as the
 //! reference, the same final image, the same `issued()` and `Profiler`.
@@ -92,21 +93,54 @@ fn candidates((kind, a, b, c, d, e, f): Seed) -> Vec<Instruction> {
                 warps: strided(u32::from(e) % XBS, 1 + u32::from(f) % 4, 1)?,
             })
         })()),
-        _ => one((|| {
+        // A run of moves whose rows both advance by one (what a halving or
+        // a whole-warp shift emits), broken in the middle by a gap, another
+        // warp mask, another register or another distance.
+        _ => {
             let warps = match c % 3 {
                 0 => RangeMask::single(a32 % XBS),
-                1 => strided(a32 % 4, 1 + b32 % 2, 4)?,
-                _ => strided(a32 % XBS, 1 + b32 % 3, 1)?,
+                1 => match strided(a32 % 4, 1 + b32 % 2, 4) {
+                    Some(warps) => warps,
+                    None => return Vec::new(),
+                },
+                _ => match strided(a32 % XBS, 1 + b32 % 3, 1) {
+                    Some(warps) => warps,
+                    None => return Vec::new(),
+                },
             };
-            Some(Instruction::MoveWarps {
-                src: d % REGS,
-                dst: e % REGS,
-                row_src: b32 % ROWS,
-                row_dst: u32::from(f) % ROWS,
-                warps,
-                dist: [1, -1, 2, -2, 3, 4, -4, 5][kind as usize / 8 % 8],
-            })
-        })()),
+            let dist = [1, -1, 2, -2, 3, 4, -4, 5][kind as usize / 8 % 8];
+            let count = [1, 2, 6, 40][kind as usize / 64];
+            let (mut row_src, mut row_dst) = (b32 % ROWS, u32::from(f) % ROWS);
+            (0..count)
+                .map(|k| {
+                    let mut mv = Instruction::MoveWarps {
+                        src: d % REGS,
+                        dst: e % REGS,
+                        row_src,
+                        row_dst,
+                        warps,
+                        dist,
+                    };
+                    if let (
+                        true,
+                        Instruction::MoveWarps {
+                            dst, warps, dist, ..
+                        },
+                    ) = (k == count / 2, &mut mv)
+                    {
+                        match a / 16 % 8 {
+                            0 => (row_src, row_dst) = (row_src + 1, row_dst + 1),
+                            1 => *warps = RangeMask::single(warps.start()),
+                            2 => *dst = (*dst + 1) % REGS,
+                            3 => *dist = -*dist,
+                            _ => {}
+                        }
+                    }
+                    (row_src, row_dst) = (row_src + 1, row_dst + 1);
+                    mv
+                })
+                .collect()
+        }
     }
 }
 
