@@ -185,8 +185,10 @@ impl RowMove {
 /// default body does with `execute`, and is kept for a reason a production
 /// caller has:
 ///
-/// * [`access`](Self::access): an upload or a read-back reaches the chip as
-///   one run instead of a mask and an access per word;
+/// * [`access`](Self::access): a run of cells reaches the chip as one run
+///   instead of a mask and an access per word. Its one production caller
+///   is `Driver::issue_run`, which a cluster's cell jobs call: a scatter, a
+///   gather, and the one-thread writes of a batch (a planned upload);
 /// * [`move_rows`](Self::move_rows): the only way a row move skips its
 ///   per-row lowering and the per-operation checks and charges of a batch;
 /// * [`execute_prepared`](Self::execute_prepared): a cached routine replays

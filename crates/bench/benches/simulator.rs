@@ -4,10 +4,10 @@
 //! the strict checker on/off.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
-use pim_arch::{Backend, MicroOp, PimConfig, RangeMask};
+use pim_arch::{Backend, CellRun, MicroOp, PimConfig, RangeMask};
 use pim_bench::hlogic_ops;
 use pim_driver::{routines, Driver, ParallelismMode, PreparedRoutine};
-use pim_isa::{DType, Instruction, RegOp, ThreadRange};
+use pim_isa::{DType, Instruction, RegOp};
 use pim_sim::PimSimulator;
 
 /// The bit-serial routine `r2 = r0 op r1` as the driver's cache holds it.
@@ -97,68 +97,73 @@ fn bench_simulator(c: &mut Criterion) {
 
 /// The two accesses that cross the plane layout, through the driver, at
 /// the geometry `pimbench`'s `tensor_sim` runs (16 x 512, strict on): a
-/// tensor-sized upload and read-back (one single-row write or read per
-/// word), the row transfer of a shift (one `MoveRows` whose 511 row
-/// pairs overlap) and one direction of a distance-1 compare-exchange (one
-/// `MoveRows` from the 256 odd rows to the 256 even rows: disjoint strided
-/// sets), and the warp move of a reduction's first halving (a run of 512
-/// `MoveWarps`, one per row, over 8 warp pairs). The first reaches the
-/// simulator as one run per warp and kind (`Backend::access`), the two row
-/// moves as one `Backend::move_rows` each, the warp moves as one batch its
-/// executor applies as a plane copy. `upload_readback_16` is the short end
-/// of the first: two
-/// 16-word uploads to two registers and one 16-word read-back on 8 x 64,
-/// where the fixed cost of a run is what is measured.
+/// tensor-sized upload and read-back (one run of single-row writes, then
+/// one of reads, per warp, through `Driver::issue_run` — the one way a
+/// run of cells reaches a chip, as a shard's cell job hands it over), the
+/// row transfer of a shift (one `MoveRows` whose 511 row pairs overlap)
+/// and one direction of a distance-1 compare-exchange (one `MoveRows` from
+/// the 256 odd rows to the 256 even rows: disjoint strided sets), and the
+/// warp move of a reduction's first halving (a run of 512 `MoveWarps`, one
+/// per row, over 8 warp pairs). Each run of cells reaches the simulator as
+/// one `Backend::access`, the two row moves as one `Backend::move_rows`
+/// each, the warp moves as one batch its executor applies as a plane copy.
+/// `upload_readback_16` is the short end of the first: two 16-word
+/// uploads to two registers and one 16-word read-back on 8 x 64, where the
+/// fixed cost of a run is what is measured.
 fn bench_row_access(c: &mut Criterion) {
     let cfg = PimConfig::small().with_crossbars(16).with_rows(512);
     let mut group = c.benchmark_group("simulator");
-    let words = (cfg.crossbars * cfg.rows) as u32;
-    let cell = |i: u32| ThreadRange::single(i / cfg.rows as u32, i % cfg.rows as u32);
-    let upload = (0..words).map(|i| Instruction::Write {
-        reg: 0,
-        value: i.wrapping_mul(0x9E37_79B9),
-        target: cell(i),
-    });
-    let read_back = (0..words).map(|i| Instruction::Read {
-        reg: 0,
-        warp: cell(i).warps.start(),
-        row: cell(i).rows.start(),
-    });
-    let instrs: Vec<Instruction> = upload.chain(read_back).collect();
+    let warp_rows: Vec<u32> = (0..cfg.rows as u32).collect();
+    let values: Vec<Vec<u32>> = (0..cfg.crossbars as u32)
+        .map(|warp| {
+            let first = warp * cfg.rows as u32;
+            (first..first + cfg.rows as u32)
+                .map(|i| i.wrapping_mul(0x9E37_79B9))
+                .collect()
+        })
+        .collect();
     let mut driver = Driver::new(PimSimulator::new(cfg.clone()).unwrap());
-    let mut results = Vec::with_capacity(instrs.len());
-    group.throughput(Throughput::Elements(instrs.len() as u64));
+    let cells = cfg.crossbars * cfg.rows;
+    let mut words = Vec::with_capacity(cells);
+    group.throughput(Throughput::Elements(2 * cells as u64));
     group.bench_function("upload_readback", |b| {
         b.iter(|| {
-            results.clear();
-            driver.execute_many(&instrs, &mut results).unwrap();
+            words.clear();
+            for (warp, values) in (0..).zip(&values) {
+                let run = CellRun {
+                    reg: 0,
+                    rows: &warp_rows,
+                    values: Some(values),
+                };
+                driver.issue_run(warp, &run, &mut words).unwrap();
+            }
+            for warp in 0..cfg.crossbars as u32 {
+                let run = CellRun {
+                    reg: 0,
+                    rows: &warp_rows,
+                    values: None,
+                };
+                driver.issue_run(warp, &run, &mut words).unwrap();
+            }
         });
     });
 
-    let short: Vec<Instruction> = [Some(0), Some(1), None]
-        .into_iter()
-        .flat_map(|write| {
-            (0..16).map(move |row| match write {
-                Some(reg) => Instruction::Write {
-                    reg,
-                    value: row * 3 + 1,
-                    target: ThreadRange::single(5, row),
-                },
-                None => Instruction::Read {
-                    reg: 1,
-                    warp: 5,
-                    row,
-                },
-            })
-        })
-        .collect();
+    let short: Vec<u32> = (0..16).map(|row| row * 3 + 1).collect();
+    let runs = [(0, Some(&short[..])), (1, Some(&short[..])), (1, None)];
     let small = PimConfig::small().with_crossbars(8).with_rows(64);
     let mut short_driver = Driver::new(PimSimulator::new(small).unwrap());
-    group.throughput(Throughput::Elements(short.len() as u64));
+    group.throughput(Throughput::Elements(48));
     group.bench_function("upload_readback_16", |b| {
         b.iter(|| {
-            results.clear();
-            short_driver.execute_many(&short, &mut results).unwrap();
+            words.clear();
+            for (reg, values) in runs {
+                let run = CellRun {
+                    reg,
+                    rows: &warp_rows[..16],
+                    values,
+                };
+                short_driver.issue_run(5, &run, &mut words).unwrap();
+            }
         });
     });
 
@@ -197,6 +202,7 @@ fn bench_row_access(c: &mut Criterion) {
             dist: -8,
         })
         .collect();
+    let mut results = Vec::new();
     group.throughput(Throughput::Elements(u64::from(rows) * 8));
     group.bench_function("move_warps_run", |b| {
         b.iter(|| {

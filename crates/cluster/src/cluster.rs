@@ -23,6 +23,7 @@ use pim_func::BackendKind;
 use pim_sim::PimSimulator;
 use pim_telemetry::{Telemetry, TrackHandle};
 use shard::ShardSlot;
+pub(crate) use shard::{CellJob, Segment, Step};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
@@ -262,7 +263,8 @@ impl PimCluster {
         self.restarts.load(Ordering::Relaxed)
     }
 
-    /// Instructions replayed from journals during recovery so far.
+    /// Instructions replayed from journals during recovery so far (a cell
+    /// counts as the write or read it stands for).
     pub fn replayed_instructions(&self) -> u64 {
         self.replayed.load(Ordering::Relaxed)
     }
@@ -307,7 +309,7 @@ impl PimCluster {
         self.broadcast(|_, driver, journal| {
             journal::reset_counters(driver);
             if let Some(j) = journal {
-                j.record(JournalEntry::Reset, 0);
+                j.record(JournalEntry::Reset);
             }
             Ok(())
         })?;

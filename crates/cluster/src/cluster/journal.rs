@@ -1,11 +1,10 @@
 //! Crash recovery: each shard's checkpoint + bounded replay journal, and
 //! the revival that rebuilds a dead shard from them.
 
-use super::shard::CellJob;
+use super::shard::Step;
 use super::PimCluster;
 use crate::ClusterError;
 use pim_driver::{Driver, IssuedCycles, ParallelismMode, RoutineCache};
-use pim_isa::Instruction;
 use pim_sim::{PimSimulator, SimSnapshot};
 use std::sync::atomic::Ordering;
 
@@ -46,12 +45,9 @@ impl Default for RecoveryConfig {
 /// successfully. Replaying the journal (in order, on top of the
 /// checkpoint snapshot) reproduces the shard state at crash time.
 pub(super) enum JournalEntry {
-    /// Macro instructions of one executed job (read results are
+    /// One executed step of a job, run again as it ran (read words are
     /// recomputed and discarded on replay).
-    Instrs(Vec<Instruction>),
-    /// The cells of one executed scatter or gather job (read words are
-    /// recomputed and discarded on replay).
-    Cells(CellJob),
+    Step(Step),
     /// A counter reset ([`reset_counters`]).
     Reset,
 }
@@ -74,7 +70,7 @@ pub(super) struct ShardJournal {
     /// Profiler cycles at snapshot time (checkpoint-interval baseline).
     snapshot_cycles: u64,
     log: Vec<JournalEntry>,
-    /// Instructions in `log` (checkpoint-size bound).
+    /// Instructions and cells in `log` (checkpoint-size bound).
     logged_instrs: usize,
 }
 
@@ -90,10 +86,12 @@ impl ShardJournal {
         }
     }
 
-    /// Appends one executed unit of `weight` instructions (a cell of a
-    /// scatter or a gather weighs one, as the instruction it stands for).
-    pub(super) fn record(&mut self, entry: JournalEntry, weight: usize) {
-        self.logged_instrs += weight;
+    /// Appends one executed entry; a step weighs its instructions and
+    /// cells ([`Step::weight`]).
+    pub(super) fn record(&mut self, entry: JournalEntry) {
+        if let JournalEntry::Step(step) = &entry {
+            self.logged_instrs += step.weight();
+        }
         self.log.push(entry);
     }
 
@@ -116,7 +114,7 @@ impl ShardJournal {
     /// Rebuilds the shard state at crash time on `backend`: restores the
     /// checkpoint, replays the log in order, and charges the replayed span
     /// a second time as a stall. Returns the driver and the number of
-    /// instructions replayed.
+    /// instructions and cells replayed.
     fn replay(
         &self,
         mut backend: PimSimulator,
@@ -131,15 +129,9 @@ impl ShardJournal {
         let failed = |e| format!("replay failed: {e}");
         for entry in &self.log {
             match entry {
-                JournalEntry::Instrs(instrs) => {
-                    driver
-                        .execute_many(instrs, &mut Vec::new())
-                        .map_err(failed)?;
-                    replayed += instrs.len() as u64;
-                }
-                JournalEntry::Cells(job) => {
-                    job.run(&mut driver, &mut Vec::new()).map_err(failed)?;
-                    replayed += job.cells() as u64;
+                JournalEntry::Step(step) => {
+                    step.run(&mut driver, &mut Vec::new()).map_err(failed)?;
+                    replayed += step.weight() as u64;
                 }
                 JournalEntry::Reset => reset_counters(&mut driver),
             }

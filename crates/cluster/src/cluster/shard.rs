@@ -1,10 +1,10 @@
 //! One shard: its slot (the chip's driver while the shard is up, and the
 //! recovery journal that outlives a crash), [`PimCluster::run_on`] — the
-//! one point every job is delivered through — and the jobs that execute:
-//! instruction segments, and the cells of a scatter or a gather. A job
-//! runs on the thread that submits it, under the slot's lock; journal,
-//! fault consultation and panic isolation are applied there once for
-//! every kind of job.
+//! one point every job is delivered through — and the one shape of job
+//! that executes: per-request segments of steps, each step a run of
+//! instructions or of cells. A job runs on the thread that submits it,
+//! under the slot's lock; journal, fault consultation and panic isolation
+//! are applied there once for every job.
 
 use super::journal::{JournalEntry, ShardJournal};
 use super::PimCluster;
@@ -17,10 +17,6 @@ use pim_sim::PimSimulator;
 use pim_telemetry::{RequestId, RequestStats, TrackHandle};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
-/// What a macro job returns: one result per instruction (the read value
-/// for [`Instruction::Read`], `None` otherwise).
-pub(super) type ShardReply = Result<Vec<Option<u32>>, ClusterError>;
-
 /// Everything one shard owns. Behind a `Mutex` in
 /// [`PimCluster`], so any client thread can run a job on it or revive it.
 pub(super) struct ShardSlot {
@@ -31,12 +27,13 @@ pub(super) struct ShardSlot {
     pub(super) journal: Option<ShardJournal>,
 }
 
-/// One shard's part of a scatter or a gather: its cells in input order,
-/// cut into the runs [`Driver::execute_many`] would form from them — one
-/// local warp and register each — and handed to the driver run by run
-/// ([`Driver::issue_run`]) rather than as one instruction per cell.
+/// Cells for one shard, all written or all read, in order: its part of a
+/// scatter or a gather, or a request's run of single-thread writes. They
+/// are cut into runs of one local warp and register each and handed to
+/// the driver run by run ([`Driver::issue_run`]) rather than as one
+/// instruction per cell.
 #[derive(Debug)]
-pub(super) struct CellJob {
+pub(crate) struct CellJob {
     /// `(warp, register, cells)` of each run, in order.
     runs: Vec<(XbId, RegId, usize)>,
     /// The row of every cell.
@@ -48,7 +45,7 @@ pub(super) struct CellJob {
 impl CellJob {
     /// An empty job with room for `cells` cells, writing or (`!write`)
     /// reading.
-    pub(super) fn with_capacity(cells: usize, write: bool) -> Self {
+    pub(crate) fn with_capacity(cells: usize, write: bool) -> Self {
         CellJob {
             runs: Vec::new(),
             rows: Vec::with_capacity(cells),
@@ -57,7 +54,7 @@ impl CellJob {
     }
 
     /// Appends one cell; `value` is `Some` exactly for a scatter's.
-    pub(super) fn push(&mut self, warp: XbId, reg: RegId, row: RowId, value: Option<u32>) {
+    pub(crate) fn push(&mut self, warp: XbId, reg: RegId, row: RowId, value: Option<u32>) {
         match self.runs.last_mut() {
             Some((w, r, cells)) if (*w, *r) == (warp, reg) => *cells += 1,
             _ => self.runs.push((warp, reg, 1)),
@@ -80,7 +77,7 @@ impl CellJob {
     ///
     /// Fails on the first run the driver refuses, with the runs before it
     /// executed.
-    pub(super) fn run(
+    fn run(
         &self,
         driver: &mut Driver<PimSimulator>,
         words: &mut Vec<u32>,
@@ -96,8 +93,59 @@ impl CellJob {
     }
 }
 
+/// One step of a shard job, and of the shard's journal, which replays the
+/// steps it holds exactly as they ran.
+#[derive(Debug)]
+pub(crate) enum Step {
+    /// Shard-local instructions, through [`Driver::execute_many`].
+    Instrs(Vec<Instruction>),
+    /// Cells, through [`Driver::issue_run`] run by run.
+    Cells(CellJob),
+}
+
+/// One request's part of a shard job: its steps, in program order.
+pub(crate) type Segment = (RequestId, Vec<Step>);
+
+impl Step {
+    /// The step's instructions, or its cells: what it weighs in an `exec`
+    /// span and in the journal (a cell weighs one, as the instruction it
+    /// stands for).
+    pub(super) fn weight(&self) -> usize {
+        match self {
+            Step::Instrs(instrs) => instrs.len(),
+            Step::Cells(job) => job.cells(),
+        }
+    }
+
+    /// The words the step reads.
+    fn reads(&self) -> usize {
+        match self {
+            Step::Cells(job) if job.values.is_none() => job.cells(),
+            _ => 0,
+        }
+    }
+
+    /// Executes the step on `driver`, appending the word of each read to
+    /// `words`.
+    ///
+    /// # Errors
+    ///
+    /// Fails on the first instruction or run the driver refuses, with the
+    /// ones before it executed.
+    pub(super) fn run(
+        &self,
+        driver: &mut Driver<PimSimulator>,
+        words: &mut Vec<u32>,
+    ) -> Result<(), DriverError> {
+        match self {
+            Step::Instrs(instrs) => driver.execute_many(instrs, words),
+            Step::Cells(job) => job.run(driver, words),
+        }
+    }
+}
+
 /// Executes one unit of `request`'s work on `driver` — `instructions`
-/// instructions or cells — the unit of attribution on every device, one
+/// instructions and cells — the unit of attribution on every device, one
 /// chip or many (`track` = `shard-{i}`). When telemetry is recording, the
 /// chip's own profiler cycle counter is the track's timeline: the unit
 /// becomes an `exec` span covering exactly the cycles it consumed, the
@@ -152,15 +200,15 @@ fn execute_recorded(
     Ok(())
 }
 
-/// Journals a job once it has run: what it executed, when it succeeded
-/// (once the caller sees success, the state that produced it must be
-/// recoverable), or a fresh checkpoint that absorbs whatever state a job
-/// that died partway left, instead of journaling a partial effect.
+/// Journals a job once it has run: the steps it executed, when it
+/// succeeded (once the caller sees success, the state that produced it
+/// must be recoverable), or a fresh checkpoint that absorbs whatever state
+/// a job that died partway left, instead of journaling a partial effect.
 fn settle(
     journal: Option<&mut ShardJournal>,
     driver: &Driver<PimSimulator>,
     executed: bool,
-    entries: impl IntoIterator<Item = (JournalEntry, usize)>,
+    steps: impl IntoIterator<Item = Step>,
 ) {
     let Some(j) = journal else {
         return;
@@ -169,8 +217,8 @@ fn settle(
         j.checkpoint(driver);
         return;
     }
-    for (entry, weight) in entries {
-        j.record(entry, weight);
+    for step in steps {
+        j.record(JournalEntry::Step(step));
     }
     j.maybe_checkpoint(driver);
 }
@@ -227,69 +275,38 @@ impl PimCluster {
         }))
     }
 
-    /// Runs one shard job of per-request instruction segments, in order,
-    /// collecting per-instruction results across all of them (a coalesced
-    /// gateway group carries several requests in one job). Segment
+    /// Runs one shard job — per-request segments of steps, in order — and
+    /// returns the word of every read it made (none for a batch). Segment
     /// boundaries exist only for attribution: each segment's execution
     /// span and modeled cycles record against its request when telemetry
-    /// is enabled, and a failed segment ends the job.
+    /// is enabled (a scatter's or a gather's cells are one untagged
+    /// segment), and a failed segment ends the job.
     ///
     /// # Errors
     ///
     /// See [`run_on`](PimCluster::run_on).
-    pub(crate) fn run_segments(
+    pub(crate) fn run_job(
         &self,
         shard: usize,
-        segments: Vec<(RequestId, Vec<Instruction>)>,
-    ) -> Result<ShardReply, ClusterError> {
-        self.run_on(shard, true, |driver, journal| {
-            let track = &self.shard_tracks[shard];
-            let mut out = Vec::with_capacity(segments.iter().map(|(_, i)| i.len()).sum());
-            let executed = segments
-                .iter()
-                .try_for_each(|(request, instrs)| {
-                    execute_recorded(driver, track, *request, instrs.len(), |driver| {
-                        driver.execute_many(instrs, &mut out)
-                    })
-                })
-                .map_err(|source| ClusterError::Shard { shard, source });
-            let entries = segments
-                .into_iter()
-                .filter(|(_, instrs)| !instrs.is_empty())
-                .map(|(_, instrs)| {
-                    let weight = instrs.len();
-                    (JournalEntry::Instrs(instrs), weight)
-                });
-            settle(journal, driver, executed.is_ok(), entries);
-            executed.map(|()| out)
-        })
-    }
-
-    /// Runs one shard job of a scatter's or a gather's cells, outside any
-    /// request, and returns the words its reads returned, in order.
-    ///
-    /// # Errors
-    ///
-    /// See [`run_on`](PimCluster::run_on).
-    pub(super) fn run_cells(
-        &self,
-        shard: usize,
-        job: CellJob,
+        job: Vec<Segment>,
     ) -> Result<Result<Vec<u32>, ClusterError>, ClusterError> {
         self.run_on(shard, true, |driver, journal| {
             let track = &self.shard_tracks[shard];
-            let cells = job.cells();
-            let mut words = Vec::with_capacity(if job.values.is_some() { 0 } else { cells });
-            let executed = execute_recorded(driver, track, RequestId::UNTAGGED, cells, |driver| {
-                job.run(driver, &mut words)
-            })
-            .map_err(|source| ClusterError::Shard { shard, source });
-            settle(
-                journal,
-                driver,
-                executed.is_ok(),
-                [(JournalEntry::Cells(job), cells)],
-            );
+            let reads = job.iter().flat_map(|(_, steps)| steps).map(Step::reads);
+            let mut words = Vec::with_capacity(reads.sum());
+            let executed = job
+                .iter()
+                .try_for_each(|(request, steps)| {
+                    let weight = steps.iter().map(Step::weight).sum();
+                    execute_recorded(driver, track, *request, weight, |driver| {
+                        steps
+                            .iter()
+                            .try_for_each(|step| step.run(driver, &mut words))
+                    })
+                })
+                .map_err(|source| ClusterError::Shard { shard, source });
+            let steps = job.into_iter().flat_map(|(_, steps)| steps);
+            settle(journal, driver, executed.is_ok(), steps);
             executed.map(|()| words)
         })
     }

@@ -3,14 +3,14 @@
 //! moves, barrier, transfer, launch — plus the host-staged transfer itself
 //! and the bulk gather/scatter it is built from.
 
-use super::shard::CellJob;
+use super::shard::{CellJob, Step};
 use super::PimCluster;
 use crate::coalesce::{CrossingMove, MoveCoalescer};
-use crate::sched::BatchScheduler;
+use crate::sched::{BatchScheduler, Piece};
 use crate::{ClusterError, LinkFaultKind, MoveRoute};
 use pim_arch::{ArchError, RangeMask};
 use pim_fault::LinkFault;
-use pim_isa::Instruction;
+use pim_isa::{Instruction, ThreadRange};
 use pim_telemetry::{RequestId, RequestStats};
 
 /// A global memory location: `(warp, row, register)` in cluster-wide warp
@@ -203,7 +203,7 @@ impl PimCluster {
         }
         let mut sched = BatchScheduler::new(self);
         let mut coalescer = MoveCoalescer::new();
-        let mut parts: Vec<(usize, Instruction)> = Vec::new();
+        let mut parts: Vec<(usize, Piece)> = Vec::new();
         // What a `MoveWarps` routes its crossing pairs into.
         let mut route = MoveRoute::default();
         for (request, instrs) in batches {
@@ -232,25 +232,36 @@ impl PimCluster {
     }
 
     /// Splits one validated logical instruction into its shard-local pieces
-    /// (appended to `parts` as `(shard, local instruction)` pairs) and
-    /// returns the chip-crossing remainder of a `MoveWarps`, if any, its
-    /// pairs routed into the (empty) `route`. Every instruction splits
-    /// along its warp mask alone: a piece is the instruction itself,
-    /// addressed to one shard's local warps ([`rebased`]). A read has no
-    /// place in a batch (`validate_batch` refuses it before anything is
-    /// routed): [`ClusterError::Protocol`].
+    /// (appended to `parts` as `(shard, piece)` pairs) and returns the
+    /// chip-crossing remainder of a `MoveWarps`, if any, its pairs routed
+    /// into the (empty) `route`. A write to one thread spelt
+    /// [`ThreadRange::single`] is a cell of its owner's run of cells (any
+    /// other spelling keeps its masks, so it stays an instruction). Every
+    /// other instruction splits along its warp mask alone: a piece is the
+    /// instruction itself, addressed to one shard's local warps
+    /// ([`rebased`]). A read has no place in a batch (`validate_batch`
+    /// refuses it before anything is routed): [`ClusterError::Protocol`].
     fn split_local(
         &self,
         instr: &Instruction,
-        parts: &mut Vec<(usize, Instruction)>,
+        parts: &mut Vec<(usize, Piece)>,
         route: &mut MoveRoute,
     ) -> Result<Option<CrossingMove>, ClusterError> {
-        let piece = |(shard, warps): (usize, RangeMask)| (shard, rebased(instr, warps));
+        let piece =
+            |(shard, warps): (usize, RangeMask)| (shard, Piece::Instr(rebased(instr, warps)));
         Ok(match instr {
             Instruction::Read { .. } => {
                 return Err(ClusterError::Protocol {
                     reason: "a read reached batch routing".into(),
                 })
+            }
+            Instruction::Write { reg, value, target }
+                if *target == ThreadRange::single(target.warps.start(), target.rows.start()) =>
+            {
+                let (warp, row) = (target.warps.start(), target.rows.start());
+                let cell = Piece::Cell(self.plan.local_warp(warp), *reg, row, *value);
+                parts.push((self.plan.shard_of_warp(warp), cell));
+                None
             }
             Instruction::RType { target, .. } | Instruction::Write { target, .. } => {
                 parts.extend(self.plan.split_warps(&target.warps).map(piece));
@@ -461,7 +472,8 @@ impl PimCluster {
         let mut outcome = Ok(());
         for (shard, (indices, job)) in per.into_iter().enumerate() {
             if job.cells() > 0 {
-                let reply = self.run_cells(shard, job)?;
+                let reply =
+                    self.run_job(shard, vec![(RequestId::UNTAGGED, vec![Step::Cells(job)])])?;
                 if outcome.is_ok() {
                     outcome = reply.map(|words| {
                         for (i, word) in indices.into_iter().zip(words) {
@@ -496,7 +508,8 @@ impl PimCluster {
         let mut outcome = Ok(());
         for (shard, job) in per.into_iter().enumerate() {
             if job.cells() > 0 {
-                let reply = self.run_cells(shard, job)?;
+                let reply =
+                    self.run_job(shard, vec![(RequestId::UNTAGGED, vec![Step::Cells(job)])])?;
                 if outcome.is_ok() {
                     outcome = reply.map(drop);
                 }

@@ -238,9 +238,12 @@ fn a_refused_job_is_fatal_and_its_shard_serves_on() {
     // Shard 2's job 0: local warp 5 is past its 4-warp chip, a job only
     // the shard's own driver can refuse.
     let refused = c
-        .run_segments(
+        .run_job(
             2,
-            vec![(RequestId::UNTAGGED, vec![write(0, 7), write(5, 8)])],
+            vec![(
+                RequestId::UNTAGGED,
+                vec![Step::Instrs(vec![write(0, 7), write(5, 8)])],
+            )],
         )
         .unwrap()
         .unwrap_err();

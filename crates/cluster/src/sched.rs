@@ -3,8 +3,9 @@
 //! a global barrier at every crossing `MoveWarps`. It decides where each
 //! shard's jobs begin and end.
 //!
-//! * Shard-local instructions accumulate in per-shard *pending* queues, one
-//!   segment per request.
+//! * Shard-local pieces accumulate in per-shard *pending* queues, one
+//!   segment per request: instructions, and one-thread writes as runs of
+//!   cells ([`Piece`]).
 //! * A crossing move *drains* only the shards it touches — the owners of
 //!   its crossing source and destination warps, as reported by
 //!   [`ShardPlan::route_move_warps`](crate::ShardPlan::route_move_warps) —
@@ -22,17 +23,29 @@
 //! are disjoint: its queued work touches no cell the transfer reads or
 //! writes.
 
+use crate::cluster::{CellJob, Segment, Step};
 use crate::{ClusterError, JobSet, PimCluster};
+use pim_arch::{RegId, RowId, XbId};
 use pim_isa::Instruction;
 use pim_telemetry::RequestId;
 
+/// One shard's piece of a routed instruction: the instruction addressed to
+/// the shard's local warps, or — for a write to one thread spelt
+/// `ThreadRange::single` — its cell `(local warp, register, row, word)`,
+/// which joins the shard's run of cells instead of travelling as an
+/// instruction.
+pub(crate) enum Piece {
+    Instr(Instruction),
+    Cell(XbId, RegId, RowId, u32),
+}
+
 /// Per-shard dependency tracker driving one submission: pending (not yet
-/// run) instruction segments, each carrying the [`RequestId`] its modeled
+/// run) segments of steps, each carrying the [`RequestId`] its modeled
 /// cycles attribute to, plus the outcomes of launched jobs not yet
 /// checked, in launch order, each with its shard.
 pub(crate) struct BatchScheduler<'c> {
     cluster: &'c PimCluster,
-    pending: Vec<Vec<(RequestId, Vec<Instruction>)>>,
+    pending: Vec<Vec<Segment>>,
     launched: Vec<(usize, Result<(), ClusterError>)>,
 }
 
@@ -40,30 +53,46 @@ impl<'c> BatchScheduler<'c> {
     pub(crate) fn new(cluster: &'c PimCluster) -> Self {
         BatchScheduler {
             cluster,
-            pending: vec![Vec::new(); cluster.shards()],
+            pending: (0..cluster.shards()).map(|_| Vec::new()).collect(),
             launched: Vec::new(),
         }
     }
 
-    /// Queues one shard-local instruction of `request`, extending the
-    /// shard's last segment or opening one; nothing runs yet.
-    /// Inlined: a scatter calls it once per word from another module.
+    /// Queues one piece of `request` on `shard`, extending the shard's
+    /// last segment, and its last step if the piece is of its kind, or
+    /// opening them; nothing runs yet. Inlined: the router calls it once
+    /// per piece from another module.
     #[inline]
-    pub(crate) fn enqueue(&mut self, shard: usize, request: RequestId, instr: Instruction) {
-        match self.pending[shard].last_mut() {
-            Some((r, segment)) if *r == request => segment.push(instr),
-            _ => self.pending[shard].push((request, vec![instr])),
+    pub(crate) fn enqueue(&mut self, shard: usize, request: RequestId, piece: Piece) {
+        let pending = &mut self.pending[shard];
+        if pending.last().is_none_or(|(r, _)| *r != request) {
+            pending.push((request, Vec::new()));
+        }
+        let Some((_, steps)) = pending.last_mut() else {
+            return;
+        };
+        match (piece, steps.last_mut()) {
+            (Piece::Instr(instr), Some(Step::Instrs(instrs))) => instrs.push(instr),
+            (Piece::Instr(instr), _) => steps.push(Step::Instrs(vec![instr])),
+            (Piece::Cell(warp, reg, row, value), Some(Step::Cells(job))) => {
+                job.push(warp, reg, row, Some(value));
+            }
+            (Piece::Cell(warp, reg, row, value), _) => {
+                let mut job = CellJob::with_capacity(1, true);
+                job.push(warp, reg, row, Some(value));
+                steps.push(Step::Cells(job));
+            }
         }
     }
 
     /// Runs a shard's pending segments as one job, keeping its outcome
-    /// for later (a batch job's values are all `None`).
+    /// for later (a batch reads nothing).
     fn launch(&mut self, shard: usize) -> Result<(), ClusterError> {
         if self.pending[shard].is_empty() {
             return Ok(());
         }
         let segments = std::mem::take(&mut self.pending[shard]);
-        let reply = self.cluster.run_segments(shard, segments)?;
+        let reply = self.cluster.run_job(shard, segments)?;
         self.launched.push((shard, reply.map(drop)));
         Ok(())
     }

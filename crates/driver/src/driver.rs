@@ -82,12 +82,6 @@ pub struct Driver<B> {
     /// micro-operation source, so it can elide redundant mask operations).
     cur_xb: Option<RangeMask>,
     cur_rows: Option<RangeMask>,
-    /// The run [`execute_many`](Self::execute_many) is collecting — the row
-    /// of each cell and, for an upload, its word — and the words its reads
-    /// returned (all reused across calls).
-    run_rows: Vec<u32>,
-    run_values: Vec<u32>,
-    read_words: Vec<u32>,
     /// The batch a run of `MoveWarps` goes out as (reused across runs).
     move_ops: Vec<MicroOp>,
 }
@@ -111,9 +105,6 @@ impl<B: Backend> Driver<B> {
             encoded_cache: HashMap::new(),
             cur_xb: None,
             cur_rows: None,
-            run_rows: Vec::new(),
-            run_values: Vec::new(),
-            read_words: Vec::new(),
             move_ops: Vec::new(),
         }
     }
@@ -379,24 +370,17 @@ impl<B: Backend> Driver<B> {
         Ok(())
     }
 
-    /// Executes a sequence of macro-instructions, appending one result per
-    /// instruction to `out` (the word for an [`Instruction::Read`], `None`
-    /// otherwise; a `Vec`, or a sink that keeps only what the caller
-    /// wants) — [`execute`](Self::execute) in a loop, except for two kinds
-    /// of run, each handed to the backend as one block:
-    ///
-    /// * single-thread writes, or reads, of one register of one warp (a
-    ///   host upload or read-back) go out as one [`CellRun`] through
-    ///   [`issue_run`](Self::issue_run);
-    /// * `MoveWarps` that share a warp mask, a distance and a register
-    ///   pair, each with both rows one past the one before (what a
-    ///   reduction's halving and a whole-warp shift emit), go out as one
-    ///   [`Backend::execute_batch`]: the crossbar mask if the memory holds
-    ///   another, then one `Move` per instruction.
-    ///
-    /// A run of one is the instruction it came from. The micro-operations
-    /// a run stands for, the elided masks and [`issued`](Self::issued) are
-    /// exactly the loop's.
+    /// Executes a sequence of macro-instructions, appending the word of
+    /// every [`Instruction::Read`] to `words` — [`execute`](Self::execute)
+    /// in a loop, except that `MoveWarps` that share a warp mask, a
+    /// distance and a register pair, each with both rows one past the one
+    /// before (what a reduction's halving and a whole-warp shift emit), go
+    /// out as one [`Backend::execute_batch`]: the crossbar mask if the
+    /// memory holds another, then one `Move` per instruction. A run of one
+    /// is the instruction it came from. The micro-operations a run stands
+    /// for, the elided masks and [`issued`](Self::issued) are exactly the
+    /// loop's. Writes and reads go one by one: a run of cells reaches the
+    /// driver as one, through [`issue_run`](Self::issue_run).
     ///
     /// # Errors
     ///
@@ -404,143 +388,61 @@ impl<B: Backend> Driver<B> {
     /// before it executed; see [`execute`](Self::execute). A run the
     /// backend refuses counts nothing towards `issued` and leaves the
     /// stored masks unknown to the driver.
-    pub fn execute_many<I, O>(&mut self, instrs: I, out: &mut O) -> Result<(), DriverError>
+    pub fn execute_many<I>(&mut self, instrs: I, words: &mut Vec<u32>) -> Result<(), DriverError>
     where
         I: IntoIterator,
         I::Item: Borrow<Instruction>,
-        O: Extend<Option<u32>>,
     {
-        let (mut run, mut moves): (_, Option<MoveRun>) = (None, None);
+        let mut moves: Option<MoveRun> = None;
         for instr in instrs {
             let instr = instr.borrow();
-            let cell = match instr {
-                // The masks of a run are `single(..)`: a one-thread range
-                // spelt with another step keeps its own spelling.
-                Instruction::Write { reg, value, target } => {
-                    let (warp, row) = (target.warps.start(), target.rows.start());
-                    let cell = Some(((*reg, warp, true), row, *value));
-                    cell.filter(|_| *target == ThreadRange::single(warp, row))
-                }
-                Instruction::Read { reg, warp, row } => Some(((*reg, *warp, false), *row, 0)),
-                _ => None,
-            };
-            // An invalid cell ends the run like any other instruction;
-            // `execute` then reports it. Only the row is new in a cell that
-            // extends the run (the whole check cost 3.5 ns a cell).
-            let cell = cell.filter(|&(key, row, _)| match run == Some(key) {
-                true => (row as usize) < self.cfg.rows,
-                false => instr.validate(&self.cfg).is_ok(),
-            });
-            let Some((key, row, value)) = cell else {
-                self.issue_cells(run.take(), out)?;
-                self.execute_other(instr, &mut moves, out)?;
+            let Instruction::MoveWarps {
+                src,
+                dst,
+                row_src,
+                row_dst,
+                warps,
+                dist,
+            } = instr
+            else {
+                self.issue_moves(moves.take())?;
+                words.extend(self.execute(instr)?);
                 continue;
             };
-            if moves.is_some() {
-                self.issue_moves(moves.take(), out)?;
-            }
-            if run != Some(key) {
-                self.issue_cells(run.replace(key), out)?;
-                self.run_rows.clear();
-                self.run_values.clear();
-            }
-            self.run_rows.push(row);
-            if key.2 {
-                self.run_values.push(value);
-            }
-        }
-        self.issue_moves(moves, out)?;
-        self.issue_cells(run, out)
-    }
-
-    /// The part of [`execute_many`](Self::execute_many) for an instruction
-    /// that is no cell of a run: a `MoveWarps` that extends the run of
-    /// moves `moves` joins it, a valid one starts a new run, and anything
-    /// else issues the run and executes. Out of the loop, so that the cells
-    /// of an upload do not pay for it.
-    fn execute_other(
-        &mut self,
-        instr: &Instruction,
-        moves: &mut Option<MoveRun>,
-        out: &mut impl Extend<Option<u32>>,
-    ) -> Result<(), DriverError> {
-        let Instruction::MoveWarps {
-            src,
-            dst,
-            row_src,
-            row_dst,
-            warps,
-            dist,
-        } = instr
-        else {
-            self.issue_moves(moves.take(), out)?;
-            out.extend([self.execute(instr)?]);
-            return Ok(());
-        };
-        let mv = MoveOp {
-            dist: *dist,
-            row_src: *row_src,
-            row_dst: *row_dst,
-            index_src: *src,
-            index_dst: *dst,
-        };
-        // Only the rows are new in a move that extends the run.
-        if let Some((at, first, n)) = moves {
-            let next = MoveOp {
-                row_src: first.row_src + *n,
-                row_dst: first.row_dst + *n,
-                ..*first
+            let mv = MoveOp {
+                dist: *dist,
+                row_src: *row_src,
+                row_dst: *row_dst,
+                index_src: *src,
+                index_dst: *dst,
             };
-            let rows = self.cfg.rows as u32;
-            if (*at, next) == (*warps, mv) && mv.row_src.max(mv.row_dst) < rows {
-                *n += 1;
-                return Ok(());
+            // Only the rows are new in a move that extends the run.
+            if let Some((at, first, n)) = &mut moves {
+                let next = MoveOp {
+                    row_src: first.row_src + *n,
+                    row_dst: first.row_dst + *n,
+                    ..*first
+                };
+                let rows = self.cfg.rows as u32;
+                if (*at, next) == (*warps, mv) && mv.row_src.max(mv.row_dst) < rows {
+                    *n += 1;
+                    continue;
+                }
+            }
+            self.issue_moves(moves.take())?;
+            match instr.validate(&self.cfg) {
+                Ok(()) => moves = Some((*warps, mv, 1)),
+                Err(e) => return Err(e.into()),
             }
         }
-        self.issue_moves(moves.take(), out)?;
-        match instr.validate(&self.cfg) {
-            Ok(()) => *moves = Some((*warps, mv, 1)),
-            Err(_) => out.extend([self.execute(instr)?]),
-        }
-        Ok(())
-    }
-
-    /// Issues the cells [`execute_many`](Self::execute_many) collected —
-    /// `(register, warp, is a write)` — and appends one result per cell to
-    /// `out`.
-    fn issue_cells(
-        &mut self,
-        run: Option<(RegId, XbId, bool)>,
-        out: &mut impl Extend<Option<u32>>,
-    ) -> Result<(), DriverError> {
-        let Some((reg, warp, write)) = run else {
-            return Ok(());
-        };
-        let rows = std::mem::take(&mut self.run_rows);
-        let values = std::mem::take(&mut self.run_values);
-        let mut words = std::mem::take(&mut self.read_words);
-        words.clear();
-        let run = CellRun {
-            reg,
-            rows: &rows,
-            values: write.then_some(&values[..]),
-        };
-        let done = self.issue_run(warp, &run, &mut words);
-        if done.is_ok() {
-            match write {
-                true => out.extend(std::iter::repeat_n(None, rows.len())),
-                false => out.extend(words.iter().copied().map(Some)),
-            }
-        }
-        (self.run_rows, self.run_values, self.read_words) = (rows, values, words);
-        done
+        self.issue_moves(moves)
     }
 
     /// Issues a run of single-cell accesses to warp `warp` (one register,
     /// the rows in access order; see [`CellRun`]) and appends the word of
-    /// each read to `words` — the one way in for an upload or a read-back:
-    /// [`execute_many`](Self::execute_many) and a cluster's scatter and
-    /// gather jobs both call it. Two or more cells reach the backend as one
+    /// each read to `words` — the driver's one way in for a run of cells:
+    /// a cluster's cell jobs (a scatter, a gather, a batch's single-thread
+    /// writes) call it run by run. Two or more cells reach the backend as one
     /// [`Backend::access`] behind the masks of the first cell; a lone cell
     /// is the `Write` or `Read` instruction it stands for (a run's fixed
     /// cost is not worth paying for one cell). Either way the elided masks
@@ -613,24 +515,20 @@ impl<B: Backend> Driver<B> {
     }
 
     /// Issues the `MoveWarps` run [`execute_many`](Self::execute_many)
-    /// collected and appends one result per instruction to `out`.
-    fn issue_moves(
-        &mut self,
-        run: Option<MoveRun>,
-        out: &mut impl Extend<Option<u32>>,
-    ) -> Result<(), DriverError> {
+    /// collected.
+    fn issue_moves(&mut self, run: Option<MoveRun>) -> Result<(), DriverError> {
         let Some((warps, mv, n)) = run else {
             return Ok(());
         };
         if n == 1 {
-            out.extend([self.execute(&Instruction::MoveWarps {
+            self.execute(&Instruction::MoveWarps {
                 src: mv.index_src,
                 dst: mv.index_dst,
                 row_src: mv.row_src,
                 row_dst: mv.row_dst,
                 warps,
                 dist: mv.dist,
-            })?]);
+            })?;
             return Ok(());
         }
         let plan = htree::plan_move(&warps, &mv, &self.cfg)?;
@@ -654,7 +552,6 @@ impl<B: Backend> Driver<B> {
         let cycles = plan.cycles * u64::from(n);
         self.issued.logic += cycles;
         self.issued.total += cycles + u64::from(stale);
-        out.extend(std::iter::repeat_n(None, n as usize));
         Ok(())
     }
 }
@@ -976,7 +873,10 @@ mod tests {
         let (mut bulk, mut looped) = (driver(), driver());
         let mut got = Vec::new();
         bulk.execute_many(&instrs, &mut got).unwrap();
-        let want: Vec<_> = instrs.iter().map(|i| looped.execute(i).unwrap()).collect();
+        let want: Vec<_> = instrs
+            .iter()
+            .filter_map(|i| looped.execute(i).unwrap())
+            .collect();
         assert_eq!(got, want);
         assert_eq!(bulk.issued(), looped.issued());
         assert_eq!(bulk.backend().profiler(), looped.backend().profiler());
@@ -1004,7 +904,7 @@ mod tests {
             err,
             DriverError::Arch(pim_arch::ArchError::AddressOutOfBounds { .. })
         ));
-        assert_eq!(got, [None, Some(1000)]);
+        assert_eq!(got, [1000]);
         bulk.execute_many(&instrs[5..6], &mut got).unwrap();
         let (warp, row) = cell(5);
         assert_eq!(bulk.backend().peek(warp as usize, row as usize, 1), 1005);

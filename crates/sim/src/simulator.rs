@@ -78,7 +78,10 @@ impl PimSimulator {
 
     /// Enables or disables strict stateful-logic checking (output cells of
     /// `NOT`/`NOR` gates must be 1 when the gate fires). Strict mode is on
-    /// by default; benchmarks may disable it for speed.
+    /// by default, and nothing that builds a chip for a device turns it
+    /// off. Only the randomized gate suites (whose gates fire onto cells no
+    /// `INIT1` armed), the strict-versus-relaxed block-form tests and the
+    /// `simulator/int_add_fast` bench row call this.
     pub fn set_strict(&mut self, strict: bool) {
         self.strict = strict;
     }

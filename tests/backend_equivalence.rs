@@ -42,7 +42,7 @@ fn assert_engines_agree(cfg: &PimConfig, stream: &[Instruction]) -> Vec<u32> {
     reference.execute_many(stream, &mut want).unwrap();
     assert_same_chips(&engine, &reference);
     assert_eq!(got, want, "read words diverge");
-    got.into_iter().flatten().collect()
+    got
 }
 
 fn assert_same_chips(engine: &Driver<PimSimulator>, reference: &Driver<FuncBackend>) {

@@ -1,9 +1,11 @@
-//! Bulk host I/O takes one path — `Driver::execute_many` hands every run
-//! of single-thread writes, or of reads, of one register of one warp to
-//! the backend as one `CellRun` — and that path must be
-//! indistinguishable from issuing the instructions one
-//! by one: the same result words, the same `Driver::issued`, the same
-//! `Profiler`, on one chip and through the shards of a cluster.
+//! Bulk host I/O takes one path — every run of single-thread writes, or
+//! of reads, of one register of one warp reaches the chip's driver as one
+//! `CellRun` through `Driver::issue_run`, from a shard's cell job: a
+//! batch's one-thread writes, which the router every device submits to
+//! turns into cells, a `scatter` or a `gather` — and that path must be
+//! indistinguishable from issuing the instructions one by one: the same
+//! result words, the same `Driver::issued`, the same `Profiler`, on one
+//! chip and through the shards of a cluster.
 
 use proptest::prelude::*;
 use pypim::arch::{PimConfig, RangeMask};
@@ -54,21 +56,25 @@ fn word(i: usize) -> u32 {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// One chip: uploads and read-backs interleaved with a
-    /// broadcast write and an R-type instruction (which go through
-    /// `execute` inside the same call).
+    /// One chip through the router: uploads batched with a broadcast
+    /// write and an R-type instruction (which stay instructions in the
+    /// same shard job), each read back through `gather`, against the same
+    /// instructions one by one on a bare driver.
     #[test]
-    fn execute_many_equals_the_instruction_loop(
+    fn a_routed_upload_equals_the_instruction_loop(
         patterns in proptest::collection::vec(any::<(u16, u16, u8)>(), 1..5),
     ) {
         let cfg = chip();
-        let mut instrs = Vec::new();
+        let cluster = PimCluster::new(cfg.clone(), 1).unwrap();
+        let mut looped = Driver::new(PimSimulator::new(cfg.clone()).unwrap());
+        let (mut got, mut want) = (Vec::new(), Vec::new());
         for (p, &seed) in patterns.iter().enumerate() {
             let cells = pattern(&cfg, cfg.crossbars as u32, seed);
             let reg = (p % 2) as u8;
-            instrs.extend(cells.iter().enumerate().map(|(i, &cell)| write(reg, cell, word(i))));
+            let mut batch: Vec<Instruction> =
+                cells.iter().enumerate().map(|(i, &cell)| write(reg, cell, word(i))).collect();
             if p % 2 == 1 {
-                instrs.push(Instruction::Write {
+                batch.push(Instruction::Write {
                     reg: 2,
                     value: 7,
                     target: ThreadRange::new(
@@ -76,7 +82,7 @@ proptest! {
                         RangeMask::new(1, 95, 2).unwrap(),
                     ),
                 });
-                instrs.push(Instruction::RType {
+                batch.push(Instruction::RType {
                     op: RegOp::Add,
                     dtype: DType::Int32,
                     dst: 3,
@@ -84,27 +90,30 @@ proptest! {
                     target: ThreadRange::all(&cfg),
                 });
             }
-            instrs.extend(cells.iter().map(|&(warp, row)| Instruction::Read { reg, warp, row }));
-            instrs.extend(cells.iter().rev().map(|&(warp, row)| Instruction::Read { reg: 3, warp, row }));
-        }
-        let driver = || Driver::new(PimSimulator::new(cfg.clone()).unwrap());
-        let (mut bulk, mut looped) = (driver(), driver());
-        let mut got = Vec::new();
-        bulk.execute_many(&instrs, &mut got).unwrap();
-        let want: Vec<Option<u32>> =
-            instrs.iter().map(|i| looped.execute(i).unwrap()).collect();
-        prop_assert_eq!(&got, &want);
-        prop_assert_eq!(bulk.issued(), looped.issued());
-        prop_assert_eq!(bulk.backend().profiler(), looped.backend().profiler());
-        for xb in 0..cfg.crossbars {
-            for row in 0..cfg.rows {
-                for reg in 0..4 {
-                    prop_assert_eq!(
-                        bulk.backend().peek(xb, row, reg),
-                        looped.backend().peek(xb, row, reg)
-                    );
-                }
+            cluster.execute_batch(&batch).unwrap();
+            for instr in &batch {
+                looped.execute(instr).unwrap();
             }
+            let locs: Vec<_> = cells
+                .iter()
+                .map(|&(warp, row)| (warp, row, reg))
+                .chain(cells.iter().rev().map(|&(warp, row)| (warp, row, 3)))
+                .collect();
+            got.extend(cluster.gather(&locs).unwrap());
+            want.extend(locs.iter().map(|&(warp, row, reg)| {
+                looped.execute(&Instruction::Read { reg, warp, row }).unwrap().unwrap()
+            }));
+        }
+        prop_assert_eq!(&got, &want);
+        let stats = cluster.stats().unwrap();
+        prop_assert_eq!(stats.issued(), looped.issued());
+        prop_assert_eq!(stats.merged_profiler(), looped.backend().profiler().clone());
+        let cells: Vec<_> = (0..cfg.crossbars as u32)
+            .flat_map(|xb| (0..cfg.rows as u32).flat_map(move |row| (0..4).map(move |reg| (xb, row, reg))))
+            .collect();
+        let image = cluster.gather(&cells).unwrap();
+        for (&(xb, row, reg), &word) in cells.iter().zip(&image) {
+            prop_assert_eq!(word, looped.backend().peek(xb as usize, row as usize, reg as usize));
         }
     }
 

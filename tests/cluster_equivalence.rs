@@ -705,11 +705,7 @@ fn inline_and_threaded_single_shard_agree() {
         .iter()
         .map(|&(warp, row, reg)| Instruction::Read { reg, warp, row });
     bare.execute_many(reads, &mut words).unwrap();
-    let reference = (
-        words.into_iter().flatten().collect::<Vec<u32>>(),
-        bare.backend().profiler().cycles,
-        bare.issued(),
-    );
+    let reference = (words, bare.backend().profiler().cycles, bare.issued());
     assert!(reference.0.iter().filter(|&&w| w != 0).count() > 1000);
 
     assert_eq!(on_device(Device::new(cfg.clone()).unwrap()), reference);

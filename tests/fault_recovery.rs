@@ -287,10 +287,18 @@ fn a_counter_reset_replays_across_a_crash() {
 
 #[test]
 fn journal_replay_restores_a_scatter_bit_identically() {
-    // A scatter and a gather are journaled as one cell job per shard and
-    // replayed through the same entry that executed them: the revived
-    // shard holds the same words, counters and issued cycles as a
-    // fault-free twin, and the replay counts one instruction per cell.
+    for planned in [false, true] {
+        replay_restores_an_upload(planned);
+    }
+}
+
+/// A scatter and a gather are journaled as one cell job per shard, and so
+/// is a planned upload (`planned`: the same cells as a batch of one-thread
+/// writes, which the router turns into each shard's run of cells). Each is
+/// replayed through the same step that executed it: the revived shard
+/// holds the same words, counters and issued cycles as a fault-free twin,
+/// and the replay counts one instruction per cell.
+fn replay_restores_an_upload(planned: bool) {
     let cfg = cfg();
     let cells: Vec<(u32, u32)> = (0..150u32)
         .map(|i| (i * 5 / cfg.rows as u32 % 8, i * 5 % cfg.rows as u32))
@@ -312,13 +320,24 @@ fn journal_replay_restores_a_scatter_bit_identically() {
         .copied()
         .collect();
 
-    // Shard 0's third job — after its half of the scatter and of the
+    // Shard 0's third job — after its half of the upload and of the
     // gather — crashes the shard; both stay under the checkpoint budgets,
     // so recovery is pure replay of the two cell jobs.
     let twin = PimCluster::new(cfg.clone(), SHARDS).unwrap();
     let (cluster, _) = faulty_cluster(FaultPlan::none().crash_at(0, 2), RecoveryConfig::default());
+    let planned_writes: Vec<Instruction> = writes
+        .iter()
+        .map(|w| Instruction::Write {
+            reg: w.reg,
+            value: w.value,
+            target: ThreadRange::single(w.warp, w.row),
+        })
+        .collect();
     for c in [&twin, &cluster] {
-        c.scatter(&writes).unwrap();
+        match planned {
+            true => c.execute_batch(&planned_writes).unwrap(),
+            false => c.scatter(&writes).unwrap(),
+        }
         assert_eq!(
             c.gather(&backwards).unwrap(),
             (0..cells.len()).rev().map(word).collect::<Vec<_>>()
