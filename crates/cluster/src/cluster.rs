@@ -141,8 +141,6 @@ pub struct PimCluster {
     shard_tracks: Vec<TrackHandle>,
     /// Trace track of host-staged interconnect bursts.
     ic_track: TrackHandle,
-    mode: ParallelismMode,
-    shared_cache: RoutineCache,
     fault: Option<Arc<FaultInjector>>,
     /// Shards revived after a crash.
     restarts: AtomicU64,
@@ -218,8 +216,6 @@ impl PimCluster {
                 .collect(),
             ic_track: telemetry.track("cluster/interconnect"),
             telemetry,
-            mode: options.mode,
-            shared_cache,
             fault: options.fault,
             restarts: AtomicU64::new(0),
             replayed: AtomicU64::new(0),

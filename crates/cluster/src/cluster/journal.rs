@@ -1,11 +1,11 @@
 //! Crash recovery: each shard's checkpoint + bounded replay journal, and
-//! the revival that rebuilds a dead shard from them.
+//! the revival that copies the checkpoint and replays the journal on it.
 
 use super::shard::Step;
 use super::PimCluster;
 use crate::ClusterError;
-use pim_driver::{Driver, IssuedCycles, ParallelismMode, RoutineCache};
-use pim_sim::{PimSimulator, SimSnapshot};
+use pim_driver::Driver;
+use pim_sim::PimSimulator;
 use std::sync::atomic::Ordering;
 
 /// Take a fresh checkpoint once a shard has modeled at least this many
@@ -20,13 +20,16 @@ pub const CHECKPOINT_MAX_INSTRUCTIONS: usize = 1024;
 
 /// Shard crash-recovery policy: whether a crashed shard is revived.
 ///
-/// Between checkpoints each shard keeps a bounded journal of executed
-/// jobs ([`CHECKPOINT_INTERVAL_CYCLES`], [`CHECKPOINT_MAX_INSTRUCTIONS`]);
-/// recovery restores the last backend snapshot ([`SimSnapshot`]) and
-/// replays the journal suffix, so a crash costs bounded replay latency
-/// instead of a dead cluster. Checkpointing is host-side only — it never
-/// touches modeled state, so modeled cycle counts are bit-identical with
-/// recovery on or off.
+/// Each shard's checkpoint is a copy of its whole driver: the chip, the
+/// issued cycles and the masks the driver believes the chip holds.
+/// Between checkpoints the shard keeps a bounded journal of executed jobs
+/// ([`CHECKPOINT_INTERVAL_CYCLES`], [`CHECKPOINT_MAX_INSTRUCTIONS`]);
+/// recovery copies the last checkpoint and replays the journal on it, so
+/// a crash costs bounded replay latency instead of a dead cluster, and the
+/// revived shard equals a shard that never crashed except for the replay,
+/// which its cycles carry as a stall. Checkpointing is host-side only — it
+/// never touches modeled state, so modeled cycle counts are bit-identical
+/// with recovery on or off.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RecoveryConfig {
     /// Revive a crashed shard on its next job (on by default). When off,
@@ -42,8 +45,8 @@ impl Default for RecoveryConfig {
 }
 
 /// One recoverable unit of shard work, recorded after it executed
-/// successfully. Replaying the journal (in order, on top of the
-/// checkpoint snapshot) reproduces the shard state at crash time.
+/// successfully. Replaying the journal (in order, on a copy of the
+/// checkpoint) reproduces the shard state at crash time.
 pub(super) enum JournalEntry {
     /// One executed step of a job, run again as it ran (read words are
     /// recomputed and discarded on replay).
@@ -63,12 +66,11 @@ pub(super) fn reset_counters(driver: &mut Driver<PimSimulator>) {
 }
 
 /// A shard's checkpoint + bounded replay log: its jobs append and
-/// periodically re-checkpoint, and revival restores from it.
+/// periodically re-checkpoint, and revival replays the log on a copy of
+/// the checkpoint.
 pub(super) struct ShardJournal {
-    snapshot: SimSnapshot,
-    issued: IssuedCycles,
-    /// Profiler cycles at snapshot time (checkpoint-interval baseline).
-    snapshot_cycles: u64,
+    /// The shard's driver as it was at the last checkpoint.
+    checkpoint: Driver<PimSimulator>,
     log: Vec<JournalEntry>,
     /// Instructions and cells in `log` (checkpoint-size bound).
     logged_instrs: usize,
@@ -78,9 +80,7 @@ impl ShardJournal {
     /// A journal whose checkpoint is the driver's current state.
     pub(super) fn new(driver: &Driver<PimSimulator>) -> Self {
         ShardJournal {
-            snapshot: driver.backend().snapshot(),
-            issued: driver.issued(),
-            snapshot_cycles: driver.backend().profiler().cycles,
+            checkpoint: driver.clone(),
             log: Vec::new(),
             logged_instrs: 0,
         }
@@ -95,8 +95,8 @@ impl ShardJournal {
         self.log.push(entry);
     }
 
-    /// Re-checkpoints: captures the driver's current state as the new
-    /// snapshot and clears the log.
+    /// Re-checkpoints: copies the driver's current state as the new
+    /// checkpoint and clears the log.
     pub(super) fn checkpoint(&mut self, driver: &Driver<PimSimulator>) {
         *self = ShardJournal::new(driver);
     }
@@ -104,26 +104,20 @@ impl ShardJournal {
     /// Re-checkpoints if the journal outgrew its bounds.
     pub(super) fn maybe_checkpoint(&mut self, driver: &Driver<PimSimulator>) {
         let cycles = driver.backend().profiler().cycles;
+        let baseline = self.checkpoint.backend().profiler().cycles;
         if self.logged_instrs >= CHECKPOINT_MAX_INSTRUCTIONS
-            || cycles.saturating_sub(self.snapshot_cycles) >= CHECKPOINT_INTERVAL_CYCLES
+            || cycles.saturating_sub(baseline) >= CHECKPOINT_INTERVAL_CYCLES
         {
             self.checkpoint(driver);
         }
     }
 
-    /// Rebuilds the shard state at crash time on `backend`: restores the
-    /// checkpoint, replays the log in order, and charges the replayed span
-    /// a second time as a stall. Returns the driver and the number of
-    /// instructions and cells replayed.
-    fn replay(
-        &self,
-        mut backend: PimSimulator,
-        mode: ParallelismMode,
-        cache: RoutineCache,
-    ) -> Result<(Driver<PimSimulator>, u64), String> {
-        backend.restore(&self.snapshot);
-        let mut driver = Driver::with_cache(backend, mode, cache);
-        driver.restore_issued(self.issued);
+    /// Rebuilds the shard state at crash time: copies the checkpoint,
+    /// replays the log in order, and charges the replayed span a second
+    /// time as a stall. Returns the driver and the number of instructions
+    /// and cells replayed.
+    fn replay(&self) -> Result<(Driver<PimSimulator>, u64), String> {
+        let mut driver = self.checkpoint.clone();
         let checkpoint_cycles = driver.backend().profiler().cycles;
         let mut replayed = 0u64;
         let failed = |e| format!("replay failed: {e}");
@@ -138,9 +132,9 @@ impl ShardJournal {
         }
         // Replay brings the profiler back to its pre-crash value, but on
         // the wall timeline the replayed span executed twice — once before
-        // the crash (already counted, then rolled back by the restore, then
-        // re-counted by the replay) and once during recovery. Charge the
-        // recovery pass as a stall so degraded runs model the real
+        // the crash (already counted, then rolled back with the checkpoint,
+        // then re-counted by the replay) and once during recovery. Charge
+        // the recovery pass as a stall so degraded runs model the real
         // throughput cost of a crash.
         let replay_span = driver
             .backend()
@@ -153,10 +147,10 @@ impl ShardJournal {
 }
 
 impl PimCluster {
-    /// Brings a dead shard back: rebuilds its simulator from the journal's
-    /// checkpoint, replays the journal suffix, re-checkpoints, and returns
-    /// the rebuilt driver for the shard's slot. Called with the shard's
-    /// slot lock held.
+    /// Brings a dead shard back: replays the journal on a copy of its
+    /// checkpoint, re-checkpoints, and returns the driver for the shard's
+    /// slot. The driver keeps the masks the replay left, as the shard that
+    /// crashed had them. Called with the shard's slot lock held.
     ///
     /// # Errors
     ///
@@ -169,17 +163,13 @@ impl PimCluster {
         shard: usize,
     ) -> Result<Driver<PimSimulator>, ClusterError> {
         let journal = journal.ok_or(ClusterError::Disconnected { shard })?;
-        let failed = |reason: String| ClusterError::RecoveryFailed { shard, reason };
-        let backend =
-            PimSimulator::new(self.shard_cfg.clone()).map_err(|e| failed(e.to_string()))?;
-        let (mut driver, replayed) = journal
-            .replay(backend, self.mode, self.shared_cache.share())
-            .map_err(failed)?;
+        let (driver, replayed) = journal
+            .replay()
+            .map_err(|reason| ClusterError::RecoveryFailed { shard, reason })?;
         self.replayed.fetch_add(replayed, Ordering::Relaxed);
         // Fold the replayed suffix into a fresh checkpoint so a second
         // crash never replays the same work twice.
         journal.checkpoint(&driver);
-        driver.invalidate_masks();
         self.restarts.fetch_add(1, Ordering::Relaxed);
         Ok(driver)
     }

@@ -11,8 +11,9 @@
 //! run the instructions built here, in the same order, on the same
 //! allocations, so results are bit-identical at identical modeled cost.
 //! Every data dependency in a session window is same-warp or same-shard,
-//! which the per-shard FIFO job channels order; a chip-crossing move is
-//! staged on the submitting client thread.
+//! and scheduler order keeps it: each shard job runs on the submitting
+//! thread under the shard's lock, and a chip-crossing move is staged on
+//! that thread too.
 //!
 //! A move no instruction plan expresses (a strided view spanning partial
 //! warps) is where the two part: a blocking op runs what it has planned,

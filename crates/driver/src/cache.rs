@@ -45,8 +45,9 @@ pub struct RoutineKey {
 /// (shards of one cluster share one geometry). Hit/miss
 /// counters stay per handle, so per-shard telemetry survives sharing. The
 /// steady-state cost of sharing is one uncontended read-lock acquisition
-/// per macro-instruction.
-#[derive(Debug, Default)]
+/// per macro-instruction. A clone is another handle onto the same map
+/// that starts from this handle's counters.
+#[derive(Debug, Default, Clone)]
 pub struct RoutineCache {
     map: Arc<RwLock<HashMap<RoutineKey, Arc<PreparedRoutine>>>>,
     hits: u64,

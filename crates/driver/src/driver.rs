@@ -67,8 +67,12 @@ impl std::iter::Sum for IssuedCycles {
 /// micro-operations and feeds them to a [`Backend`] (the simulator, a
 /// physical chip, or the measurement sink).
 ///
+/// A clone is the whole driver at one point: its backend, its issued
+/// cycles, the masks it believes the memory holds and a handle onto the
+/// same compiled routines (with the hit/miss counters copied).
+///
 /// See the crate-level docs for an end-to-end example.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct Driver<B> {
     backend: B,
     cache: RoutineCache,
@@ -156,14 +160,10 @@ impl<B: Backend> Driver<B> {
         self.cache.stats()
     }
 
-    /// Forgets the masks the driver believes are stored in the memory.
-    ///
-    /// The driver elides redundant mask micro-operations because it is
-    /// normally the sole micro-operation source. Call this after issuing
-    /// micro-operations to the backend directly (e.g. through
-    /// [`backend_mut`](Self::backend_mut)), so the next instruction
-    /// re-issues its masks instead of trusting a stale cache.
-    pub fn invalidate_masks(&mut self) {
+    /// Forgets the masks the driver believes are stored in the memory:
+    /// after a backend refused an operation partway, the next instruction
+    /// re-issues its masks instead of trusting them.
+    fn invalidate_masks(&mut self) {
         self.cur_xb = None;
         self.cur_rows = None;
     }
@@ -182,14 +182,6 @@ impl<B: Backend> Driver<B> {
     pub fn reset_counters(&mut self) {
         self.issued = IssuedCycles::default();
         self.cache.reset_stats();
-    }
-
-    /// Overwrites the issued-cycle counters with a previously captured
-    /// value. Used by checkpoint/restore recovery (`pim-cluster`): a
-    /// respawned shard driver resumes accounting from the checkpointed
-    /// counters instead of zero.
-    pub fn restore_issued(&mut self, issued: IssuedCycles) {
-        self.issued = issued;
     }
 
     /// Emits crossbar/row mask operations, eliding ones that match the

@@ -169,11 +169,9 @@ struct HostState {
     gateway: Box<dyn GatewayHost + Send + Sync>,
     /// False once a [`HostFault::Crash`] fired; never recovers.
     alive: bool,
-    /// Modeled cycle the current stall ends ([`HostFault::Stall`]).
-    stalled_until: u64,
-    /// Modeled cycle the current partition heals
-    /// ([`HostFault::Partition`]).
-    partitioned_until: u64,
+    /// Modeled cycle the current outage ends: a [`HostFault::Stall`] and
+    /// a [`HostFault::Partition`] both silence the host until then.
+    silent_until: u64,
     /// Modeled cycle of the last heartbeat this host sent.
     last_heartbeat: u64,
     /// Next cycle a heartbeat is due (0 = immediately).
@@ -187,7 +185,7 @@ impl HostState {
     /// Whether the host can heartbeat, hold sessions, and take new
     /// placements at `now`.
     fn eligible(&self, now: u64) -> bool {
-        self.alive && now >= self.stalled_until && now >= self.partitioned_until
+        self.alive && now >= self.silent_until
     }
 }
 
@@ -273,11 +271,8 @@ impl FleetInner {
             let h = &mut st.hosts[host];
             match fault {
                 HostFault::Crash => h.alive = false,
-                HostFault::Stall { cycles } => {
-                    h.stalled_until = h.stalled_until.max(cycle.saturating_add(cycles));
-                }
-                HostFault::Partition { cycles } => {
-                    h.partitioned_until = h.partitioned_until.max(cycle.saturating_add(cycles));
+                HostFault::Stall { cycles } | HostFault::Partition { cycles } => {
+                    h.silent_until = h.silent_until.max(cycle.saturating_add(cycles));
                 }
             }
         }
@@ -447,8 +442,7 @@ impl Fleet {
                     .map(|gateway| HostState {
                         gateway,
                         alive: true,
-                        stalled_until: 0,
-                        partitioned_until: 0,
+                        silent_until: 0,
                         last_heartbeat: 0,
                         next_heartbeat: 0,
                         failed_over: false,

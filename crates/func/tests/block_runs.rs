@@ -679,7 +679,7 @@ fn prepared_replay_matches_the_reference_on_every_selection_shape() {
         (RegOp::Mul, DType::Float32),
     ];
     for (what, cfg, xb_mask, row_mask) in replay_shapes() {
-        let start = seeded(sim(&cfg, true), xb_mask, row_mask).snapshot();
+        let start = seeded(sim(&cfg, true), xb_mask, row_mask);
         for (op, dtype) in programs {
             let batch = routine(&cfg, op, dtype);
             let reference = FuncBackend::new(cfg.clone()).unwrap();
@@ -687,8 +687,7 @@ fn prepared_replay_matches_the_reference_on_every_selection_shape() {
             reference.execute_prepared(&batch).unwrap();
             let cells = image(&reference);
             for strict in [true, false] {
-                let mut chip = sim(&cfg, strict);
-                chip.restore(&start);
+                let mut chip = start.clone();
                 chip.set_strict(strict);
                 chip.execute_prepared(&batch).unwrap();
                 let case = format!("{what}: {op} {dtype}, strict {strict}");

@@ -98,4 +98,4 @@ mod simulator;
 pub use cost::{charge_batch, charge_op, charge_row_move};
 pub use crossbar::{Crossbars, Selection};
 pub use profiler::{OpTypeCounts, Profiler};
-pub use simulator::{PimSimulator, SimSnapshot};
+pub use simulator::PimSimulator;

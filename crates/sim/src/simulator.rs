@@ -18,8 +18,12 @@ mod moves;
 /// the selected crossbars only: a micro-operation touches too few words of
 /// the plane image to repay a thread hand-off.
 ///
+/// A clone is a point-in-time copy of the whole chip (cells, masks,
+/// strict flag, profiler); `pim-cluster` checkpoints a shard as a clone of
+/// its driver, and so of this.
+///
 /// See the crate-level docs for an end-to-end example.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct PimSimulator {
     cfg: PimConfig,
     cells: Crossbars,
@@ -36,21 +40,6 @@ pub struct PimSimulator {
     /// Row patterns and source words of the row move in flight (reused
     /// across row moves).
     row_scratch: Vec<u64>,
-}
-
-/// A point-in-time copy of a simulator's complete architectural state:
-/// every crossbar's cells, the stored masks, the strict flag, and the
-/// profiling counters. Taken with [`PimSimulator::snapshot`] and applied
-/// with [`PimSimulator::restore`]; `pim-cluster` uses these as shard
-/// checkpoints for crash recovery (restore + replay of the instruction
-/// suffix since the snapshot).
-#[derive(Debug, Clone)]
-pub struct SimSnapshot {
-    cells: Crossbars,
-    xb_mask: RangeMask,
-    row_mask: RangeMask,
-    strict: bool,
-    profiler: Profiler,
 }
 
 impl PimSimulator {
@@ -113,35 +102,6 @@ impl PimSimulator {
     /// [`peek`]: PimSimulator::peek
     pub fn poke(&mut self, xb: usize, row: usize, reg: usize, value: u32) {
         self.cells.set_word(xb, row, reg, value);
-    }
-
-    /// Captures the complete architectural state (cells, masks, strict
-    /// flag, profiler) as a [`SimSnapshot`].
-    pub fn snapshot(&self) -> SimSnapshot {
-        SimSnapshot {
-            cells: self.cells.clone(),
-            xb_mask: self.xb_mask,
-            row_mask: self.row_mask,
-            strict: self.strict,
-            profiler: self.profiler.clone(),
-        }
-    }
-
-    /// Restores the state captured by [`snapshot`](PimSimulator::snapshot).
-    /// The snapshot must come from a simulator with the same [`PimConfig`]
-    /// geometry (same crossbar count and dimensions).
-    pub fn restore(&mut self, snap: &SimSnapshot) {
-        debug_assert_eq!(
-            snap.cells.geometry(),
-            self.cells.geometry(),
-            "snapshot geometry mismatch"
-        );
-        self.cells.clone_from(&snap.cells);
-        self.xb_mask = snap.xb_mask;
-        self.row_mask = snap.row_mask;
-        self.sel_stale = true;
-        self.strict = snap.strict;
-        self.profiler = snap.profiler.clone();
     }
 
     /// Charges `cycles` modeled cycles without executing anything — the
@@ -671,52 +631,6 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_mutate_restore_roundtrips() {
-        let cfg = PimConfig::small().with_rows(96); // padding in every plane word
-        let mut s = PimSimulator::new(cfg.clone()).unwrap();
-        s.execute_batch(&[
-            MicroOp::XbMask(RangeMask::new(1, 13, 4).unwrap()),
-            MicroOp::RowMask(RangeMask::new(2, 92, 3).unwrap()),
-            MicroOp::Write {
-                index: 4,
-                value: 0x1234_5678,
-            },
-            MicroOp::LogicH(HLogic::init_reg(true, 5, &cfg).unwrap()),
-            MicroOp::LogicH(HLogic::parallel(GateKind::Not, 4, 4, 5, &cfg).unwrap()),
-        ])
-        .unwrap();
-        s.set_strict(false);
-        let snap = s.snapshot();
-        let (cells, profiler) = (s.cells.clone(), s.profiler().clone());
-
-        // Mutate everything a snapshot covers: cells, both masks, the
-        // strict flag, the profiler.
-        s.set_strict(true);
-        s.execute_batch(&[
-            MicroOp::XbMask(RangeMask::dense(0, 16).unwrap()),
-            MicroOp::RowMask(RangeMask::dense(0, 96).unwrap()),
-            MicroOp::LogicH(HLogic::init_reg(false, 4, &cfg).unwrap()),
-            MicroOp::LogicH(HLogic::init_reg(true, 5, &cfg).unwrap()),
-        ])
-        .unwrap();
-        assert_ne!(s.cells, cells);
-
-        s.restore(&snap);
-        assert_eq!(s.cells, cells);
-        assert_eq!(s.profiler(), &profiler);
-        assert!(!s.strict());
-        // The restored masks are the ones in force again (and are lowered
-        // afresh): a write lands on the snapshot's selection only.
-        s.execute(&MicroOp::Write { index: 6, value: 7 }).unwrap();
-        for xb in 0..16 {
-            for row in 0..96 {
-                let selected = xb % 4 == 1 && xb <= 13 && row % 3 == 2 && row <= 92;
-                assert_eq!(s.peek(xb, row, 6) == 7, selected, "xb {xb} row {row}");
-            }
-        }
-    }
-
-    #[test]
     fn batch_prepared_for_another_geometry_is_never_trusted() {
         let tall = PimConfig::small(); // 64 rows
         let mut s = PimSimulator::new(PimConfig::small().with_rows(8)).unwrap();
@@ -1076,12 +990,10 @@ mod proptests {
                 }
             }
             seeded.execute_batch(&[MicroOp::XbMask(xb_mask), MicroOp::RowMask(row_mask)]).unwrap();
-            let image = seeded.snapshot();
 
             for strict in [true, false] {
-                let mut sims = [(); 2].map(|()| PimSimulator::new(cfg.clone()).unwrap());
+                let mut sims = [(); 2].map(|()| seeded.clone());
                 for sim in &mut sims {
-                    sim.restore(&image);
                     sim.set_strict(strict);
                 }
                 let [replay, serial] = &mut sims;

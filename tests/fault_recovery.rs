@@ -9,6 +9,7 @@ use proptest::prelude::*;
 use pypim::cluster::{ClusterError, PimCluster, CHECKPOINT_MAX_INSTRUCTIONS};
 use pypim::isa::{DType, Instruction, RegOp, ThreadRange};
 use pypim::serve::ClusterClient;
+use pypim::sim::Profiler;
 use pypim::{
     ClusterOptions, Device, DeviceServeExt, ErrorClass, FaultInjector, FaultPlan, FaultProfile,
     PimConfig, RecoveryConfig, Result, ServeConfig,
@@ -115,6 +116,46 @@ fn empty_injector_and_recovery_are_bit_identical_to_plain_cluster() {
 // ---------------------------------------------------------------------
 // Recovery: typed error, revival, checkpoint+replay
 // ---------------------------------------------------------------------
+
+/// Asserts that every shard of `revived` equals that shard of its
+/// fault-free `twin`: issued cycles and every profiler counter but the
+/// cycles, which carry a revival's replay as a stall.
+fn assert_twin(twin: &PimCluster, revived: &PimCluster, ctx: &str) {
+    let (want, got) = (twin.stats().unwrap(), revived.stats().unwrap());
+    let uncycled = |p: &Profiler| Profiler {
+        cycles: 0,
+        ..p.clone()
+    };
+    for (w, g) in want.shards.iter().zip(&got.shards) {
+        assert_eq!(g.issued, w.issued, "{ctx}: shard {}", w.shard);
+        let (g_ops, w_ops) = (uncycled(&g.profiler), uncycled(&w.profiler));
+        assert_eq!(g_ops, w_ops, "{ctx}: shard {}", w.shard);
+    }
+}
+
+/// The modeled cycles `job` costs each shard of `c` (0 across a counter
+/// reset).
+fn cycles_spent(c: &PimCluster, job: impl FnOnce(&PimCluster)) -> Vec<u64> {
+    let cycles = || -> Vec<u64> {
+        let shards = c.stats().unwrap().shards;
+        shards.iter().map(|s| s.profiler.cycles).collect()
+    };
+    let before = cycles();
+    job(c);
+    cycles()
+        .iter()
+        .zip(&before)
+        .map(|(a, b)| a.saturating_sub(*b))
+        .collect()
+}
+
+/// Every word of registers 0..8 of the whole cluster, read in one gather.
+fn image(c: &PimCluster) -> Vec<u32> {
+    let cells: Vec<(u32, u32, u8)> = (0..8u32)
+        .flat_map(|warp| (0..64u32).flat_map(move |row| (0..8u8).map(move |reg| (warp, row, reg))))
+        .collect();
+    c.gather(&cells).unwrap()
+}
 
 /// Runs the cluster-level crash/recover scenario: batch 1 — its two
 /// fills led by `padding` single-cell writes to shard 0 — commits, batch 2
@@ -225,9 +266,10 @@ fn a_counter_reset_replays_across_a_crash() {
     // Execute, reset the counters, execute again; then shard 0 crashes on
     // its next job, before its next checkpoint, and is revived from a
     // journal that holds the reset between the two executions. The revived
-    // shard's issued cycles and operation counters equal a fault-free
-    // twin's (only its cycles differ: they carry the replay, charged as a
-    // stall), and the retried job leaves the twin's memory.
+    // shard's issued cycles and counters equal a fault-free twin's (only
+    // its cycles differ: they carry the replay, charged as a stall) at
+    // revival and again after the retried job, which costs both the same
+    // cycles and leaves the twin's memory.
     let twin = PimCluster::new(cfg(), SHARDS).unwrap();
     let all = ThreadRange::all(twin.logical_config());
     let fill = |reg, value| Instruction::Write {
@@ -268,21 +310,101 @@ fn a_counter_reset_replays_across_a_crash() {
 
     // A stats snapshot revives the shard: pure replay of the fills, the
     // reset and the add.
-    let (want, got) = (twin.stats().unwrap(), faulted.stats().unwrap());
+    let got = faulted.stats().unwrap();
     assert_eq!((got.worker_restarts, got.replayed_instructions), (1, 3));
-    for (w, g) in want.shards.iter().zip(&got.shards) {
-        assert_eq!(g.issued, w.issued, "shard {}", w.shard);
-        assert_eq!(g.profiler.ops, w.profiler.ops, "shard {}", w.shard);
-    }
-    twin.execute_batch(&on_shard_0).unwrap();
-    faulted.execute_batch(&on_shard_0).unwrap();
-    let cells: Vec<(u32, u32, u8)> = (0..8u32)
-        .flat_map(|warp| (0..64u32).flat_map(move |row| (0..4u8).map(move |reg| (warp, row, reg))))
+    assert_twin(&twin, &faulted, "at revival");
+    let spent = cycles_spent(&faulted, |c| c.execute_batch(&on_shard_0).unwrap());
+    let twin_spent = cycles_spent(&twin, |c| c.execute_batch(&on_shard_0).unwrap());
+    assert_eq!(spent, twin_spent);
+    assert_twin(&twin, &faulted, "at the end");
+    assert_eq!(image(&faulted), image(&twin));
+}
+
+/// Shard 0 crashes at its k-th job, for every job but the last of a
+/// program that touches shard 0 only — fills, an R-type, a row move, a run
+/// of warp moves, a scatter, a gather, a counter reset and two more
+/// R-types — and the refused job is retried on the revived shard. The
+/// faulted cluster runs in lockstep with a fault-free twin: after every
+/// job both hold the same issued cycles and counters but the cycles, every
+/// job but the retried one (which carries the replay as a stall) costs
+/// both the same cycles, and at the end both hold the same image.
+#[test]
+fn a_crash_at_any_job_revives_the_fault_free_twin() {
+    let warps = pypim::RangeMask::new(0, 3, 1).unwrap();
+    let rows = |start, end| pypim::RangeMask::dense(start, end).unwrap();
+    let target = ThreadRange::new(warps, rows(0, 64));
+    let fill = move |reg, value| Instruction::Write { reg, value, target };
+    let rtype = move |op, dst, srcs| Instruction::RType {
+        op,
+        dtype: DType::Int32,
+        dst,
+        srcs,
+        target,
+    };
+    let move_rows = Instruction::MoveRows {
+        src: 2,
+        dst: 3,
+        src_rows: rows(0, 32),
+        dst_rows: rows(32, 64),
+        warps,
+    };
+    let move_warps: Vec<_> = (0..8)
+        .map(|i| Instruction::MoveWarps {
+            src: 3,
+            dst: 4,
+            row_src: 32 + i,
+            row_dst: i,
+            warps: pypim::RangeMask::new(0, 1, 1).unwrap(),
+            dist: 2,
+        })
         .collect();
-    assert_eq!(
-        faulted.gather(&cells).unwrap(),
-        twin.gather(&cells).unwrap()
-    );
+    let cells: Vec<(u32, u32)> = (0..40u32).map(|i| (i % 4, i * 7 % 64)).collect();
+    let writes: Vec<_> = cells
+        .iter()
+        .map(|&(warp, row)| pypim::cluster::GlobalWrite::new(warp, row, 5, warp * 64 + row))
+        .collect();
+    let reads: Vec<_> = cells.iter().map(|&(warp, row)| (warp, row, 4)).collect();
+    type Job = Box<dyn Fn(&PimCluster) -> std::result::Result<(), ClusterError>>;
+    let program: Vec<Job> = vec![
+        Box::new(move |c| c.execute_batch(&[fill(0, 30)])),
+        Box::new(move |c| c.execute_batch(&[fill(1, 12)])),
+        Box::new(move |c| c.execute_batch(&[rtype(RegOp::Add, 2, [0, 1, 0])])),
+        Box::new(move |c| c.execute_batch(std::slice::from_ref(&move_rows))),
+        Box::new(move |c| c.execute_batch(&move_warps)),
+        Box::new(move |c| c.scatter(&writes)),
+        Box::new(move |c| c.gather(&reads).map(drop)),
+        Box::new(|c| c.reset_counters()),
+        Box::new(move |c| c.execute_batch(&[rtype(RegOp::Sub, 6, [5, 2, 0])])),
+        Box::new(move |c| c.execute_batch(&[rtype(RegOp::Mul, 7, [6, 4, 0])])),
+    ];
+
+    // Nine executable jobs: the counter reset is none, so it never crashes
+    // a shard. Each but the last, which no job follows, crashes once.
+    for k in 0..program.len() as u64 - 2 {
+        let twin = PimCluster::new(cfg(), SHARDS).unwrap();
+        let (faulted, injector) =
+            faulty_cluster(FaultPlan::none().crash_at(0, k), RecoveryConfig::default());
+        for (i, job) in program.iter().enumerate() {
+            let ctx = format!("crash at job {k}, after step {i}");
+            let twin_spent = cycles_spent(&twin, |c| job(c).unwrap());
+            let mut retried = false;
+            let spent = cycles_spent(&faulted, |c| {
+                if let Err(e) = job(c) {
+                    assert_eq!(e, ClusterError::WorkerCrashed { shard: 0 }, "{ctx}");
+                    retried = true;
+                    job(c).unwrap();
+                }
+            });
+            if !retried {
+                assert_eq!(spent, twin_spent, "{ctx}");
+            }
+            assert_twin(&twin, &faulted, &ctx);
+        }
+        assert_eq!(injector.stats().worker_crashes, 1, "crash at job {k}");
+        let restarts = faulted.stats().unwrap().worker_restarts;
+        assert_eq!(restarts, 1, "crash at job {k}");
+        assert_eq!(image(&faulted), image(&twin), "crash at job {k}");
+    }
 }
 
 #[test]
@@ -352,29 +474,16 @@ fn replay_restores_an_upload(planned: bool) {
     // A stats snapshot revives the shard: issued cycles and every counter
     // but the cycles (which carry the replay, charged as a stall) equal
     // the twin's.
-    let (want, got) = (twin.stats().unwrap(), cluster.stats().unwrap());
+    let got = cluster.stats().unwrap();
     assert_eq!(
         (got.worker_restarts, got.replayed_instructions),
         (1, 2 * on_shard_0)
     );
-    for (w, g) in want.shards.iter().zip(&got.shards) {
-        let uncycled = |p: &pypim::sim::Profiler| pypim::sim::Profiler {
-            cycles: 0,
-            ..p.clone()
-        };
-        assert_eq!(g.issued, w.issued, "shard {}", w.shard);
-        assert_eq!(
-            uncycled(&g.profiler),
-            uncycled(&w.profiler),
-            "shard {}",
-            w.shard
-        );
-    }
+    assert_twin(&twin, &cluster, "at revival");
     // The next job leaves the twin's words and costs the revived shard
-    // what it costs the twin but one cycle: revival forgets the driver's
-    // mask cache (`PimCluster::revive` calls `invalidate_masks`; an open
-    // ROADMAP item), so the job's first run re-sends the crossbar mask of
-    // warp 0 that the twin, last on warp 0, elides.
+    // exactly what it costs the twin: revival keeps the masks the replay
+    // left, so the job's first run elides the crossbar mask of warp 0 on
+    // both.
     let next: Vec<_> = writes[1..]
         .iter()
         .map(|w| pypim::cluster::GlobalWrite {
@@ -383,26 +492,10 @@ fn replay_restores_an_upload(planned: bool) {
         })
         .collect();
     assert_eq!((next[0].warp, shard_0[0].0), (0, 0));
-    let cycles = |c: &PimCluster| -> Vec<u64> {
-        let shards = c.stats().unwrap().shards;
-        shards.iter().map(|s| s.profiler.cycles).collect()
-    };
-    let (twin_before, before) = (cycles(&twin), cycles(&cluster));
-    twin.scatter(&next).unwrap();
-    cluster.scatter(&next).unwrap();
-    let spent = |c: &PimCluster, before: Vec<u64>| -> Vec<u64> {
-        cycles(c).iter().zip(&before).map(|(a, b)| a - b).collect()
-    };
-    let twin_spent = spent(&twin, twin_before);
-    assert_eq!(spent(&cluster, before), [twin_spent[0] + 1, twin_spent[1]]);
+    let spent = cycles_spent(&cluster, |c| c.scatter(&next).unwrap());
+    assert_eq!(spent, cycles_spent(&twin, |c| c.scatter(&next).unwrap()));
     assert_eq!(cluster.gather(&locs).unwrap(), twin.gather(&locs).unwrap());
-    let (want, got) = (twin.stats().unwrap(), cluster.stats().unwrap());
-    let issued = |s: &pypim::cluster::ShardStats| (s.issued.logic, s.issued.total);
-    assert_eq!(
-        issued(&got.shards[0]),
-        (issued(&want.shards[0]).0, issued(&want.shards[0]).1 + 1)
-    );
-    assert_eq!(issued(&got.shards[1]), issued(&want.shards[1]));
+    assert_twin(&twin, &cluster, "after the next job");
 }
 
 #[test]
