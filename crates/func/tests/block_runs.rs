@@ -19,8 +19,10 @@
 //!
 //! A cached routine replays gate by gate, in a loop specialised once per
 //! batch to the width of the selection's word spans. The last suite
-//! replays the routines the driver compiles under a selection of every
-//! shape that loop tells apart and holds the result to the reference:
+//! replays the routines the driver compiles, and a program of every plane
+//! fill (`Write`, `INIT0`, `INIT1`, strided `INIT1`), under a selection of
+//! every shape that loop and the fill tell apart and holds the result to
+//! the reference:
 //! cells of every register and `Profiler`; and a gate the batch does not
 //! prove is still checked under strict mode, before it changes anything.
 //!
@@ -666,9 +668,39 @@ fn routine(cfg: &PimConfig, op: RegOp, dtype: DType) -> PreparedBatch {
     routine.unwrap().prepare(cfg).unwrap().batch
 }
 
-/// The routines of int add / mul / `<` and fp add / mul, replayed by the
-/// simulator (strict on and off) under every selection shape, leave the
-/// cells of every register and the `Profiler` the reference leaves.
+/// Every kind of plane fill between `NOR` gates that read what it left: a
+/// whole-register `Write`, a whole-register `INIT0` and `INIT1`, and an
+/// `INIT1` of every second partition (16 gates, two planes apart) under a
+/// strided `NOR` of as many gates.
+fn fills(cfg: &PimConfig) -> PreparedBatch {
+    let col = ColAddr::new;
+    let op = |op: Result<HLogic, ArchError>| MicroOp::LogicH(op.unwrap());
+    let init = |value, reg| op(HLogic::init_reg(value, reg, cfg));
+    let nor = |a, b, out| op(HLogic::serial(GateKind::Nor, a, b, out, cfg));
+    let every_second = |gate, a, b| op(HLogic::strided(gate, a, b, col(1, 6), 31, 2, cfg));
+    let ops = vec![
+        init(true, 4),
+        nor(col(3, 1), col(9, 0), col(0, 4)),
+        MicroOp::Write {
+            index: 3,
+            value: 0x5A0F_C396,
+        },
+        nor(col(5, 3), col(9, 0), col(5, 4)),
+        init(false, 5),
+        nor(col(2, 5), col(5, 3), col(6, 4)),
+        init(true, 7),
+        nor(col(1, 3), col(6, 4), col(3, 7)),
+        every_second(GateKind::Init1, col(1, 6), col(1, 6)),
+        every_second(GateKind::Nor, col(0, 3), col(0, 7)),
+        nor(col(3, 3), col(3, 6), col(4, 7)),
+    ];
+    PreparedBatch::new(ops, cfg).unwrap()
+}
+
+/// The routines of int add / mul / `<` and fp add / mul, and [`fills`],
+/// replayed by the simulator (strict on and off) under every selection
+/// shape, leave the cells of every register and the `Profiler` the
+/// reference leaves.
 #[test]
 fn prepared_replay_matches_the_reference_on_every_selection_shape() {
     let programs = [
@@ -680,8 +712,10 @@ fn prepared_replay_matches_the_reference_on_every_selection_shape() {
     ];
     for (what, cfg, xb_mask, row_mask) in replay_shapes() {
         let start = seeded(sim(&cfg, true), xb_mask, row_mask);
-        for (op, dtype) in programs {
-            let batch = routine(&cfg, op, dtype);
+        let routines = programs
+            .iter()
+            .map(|&(op, dtype)| (format!("{op} {dtype}"), routine(&cfg, op, dtype)));
+        for (name, batch) in routines.chain([("fills".to_string(), fills(&cfg))]) {
             let reference = FuncBackend::new(cfg.clone()).unwrap();
             let mut reference = seeded(reference, xb_mask, row_mask);
             reference.execute_prepared(&batch).unwrap();
@@ -690,7 +724,7 @@ fn prepared_replay_matches_the_reference_on_every_selection_shape() {
                 let mut chip = start.clone();
                 chip.set_strict(strict);
                 chip.execute_prepared(&batch).unwrap();
-                let case = format!("{what}: {op} {dtype}, strict {strict}");
+                let case = format!("{what}: {name}, strict {strict}");
                 assert!(image(&chip) == cells, "{case}: cells differ");
                 assert_eq!(chip.profiler(), reference.profiler(), "{case}");
             }

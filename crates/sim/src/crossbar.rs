@@ -59,6 +59,14 @@ pub(crate) const LANE: usize = u64::BITS as usize;
 /// else goes through [`apply_gate`](Self::apply_gate); an [`HLogic`] is
 /// resolved on the spot ([`apply_hlogic`](Self::apply_hlogic)).
 ///
+/// A `Write` or an `INIT` is one block fill over the planes it names (a
+/// register's 32, a strided `INIT`'s every `step`-th). FP mul holds 354
+/// whole-register `INIT1`s in 11 565 operations (FP add 177 of 5 768); as
+/// 32 per-plane fills each they took nearly as long as all its gates. Per
+/// such fill (both bodies in one process, same host, best of 15), per-plane
+/// -> block: one plane word 78 -> 60-70 ns; `serve_fused`'s window 111-116
+/// -> 49-53 ns; four words 100 -> 58 ns; 16 x 512 ~1.0 µs either way.
+///
 /// The type holds cells only: masks, the strict flag and profiling are the
 /// caller's. The stored masks reach the kernels as a [`Selection`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -115,25 +123,6 @@ impl Selection {
         }
     }
 
-    /// Sets (`value`) or clears the selected cells of one plane; a one-word
-    /// span (a single row, any rows within one plane word) indexed directly.
-    #[inline(always)]
-    fn fill(&self, plane: &mut [u64], value: bool) {
-        let ones = if value { u64::MAX } else { 0 };
-        if let [m] = self.pattern[..] {
-            for &s in &self.starts {
-                plane[s] = plane[s] & !m | m & ones;
-            }
-            return;
-        }
-        for &s in &self.starts {
-            let span = &mut plane[s..s + self.pattern.len()];
-            for (d, &m) in span.iter_mut().zip(&self.pattern) {
-                *d = *d & !m | m & ones;
-            }
-        }
-    }
-
     /// The selected spans of one plane.
     fn spans<'a>(&'a self, plane: &'a [u64]) -> impl Iterator<Item = &'a [u64]> {
         self.starts
@@ -184,6 +173,33 @@ fn nor_words<const L: usize>(
             }
             ran + 1
         }),
+    }
+}
+
+/// [`Crossbars::fill_planes`] over spans under the pattern `m`: the planes
+/// to clear, then the planes to set, each by an `AND NOT` or an `OR` of `m`
+/// over every span (one vector operation per word, and no branch on the
+/// value of a plane).
+#[inline(always)]
+fn fill_words(
+    bits: &mut [u64],
+    starts: &[usize],
+    m: &[u64],
+    ([first, stride, count], values): ([usize; 3], u32),
+) {
+    let counted = u32::MAX >> (WORD_BITS - count);
+    for (set, mut planes) in [(false, !values & counted), (true, values & counted)] {
+        while planes != 0 {
+            let at = first + planes.trailing_zeros() as usize * stride;
+            planes &= planes - 1;
+            for &s in starts {
+                let span = bits[at + s..][..m.len()].iter_mut().zip(m);
+                match set {
+                    false => span.for_each(|(d, &m)| *d &= !m),
+                    true => span.for_each(|(d, &m)| *d |= m),
+                }
+            }
+        }
     }
 }
 
@@ -351,19 +367,11 @@ impl Crossbars {
         &self.bits[index * ps..][..ps]
     }
 
-    /// Plane `index`, mutable.
-    fn plane_mut(&mut self, index: usize) -> &mut [u64] {
-        let ps = self.plane_words();
-        &mut self.bits[index * ps..][..ps]
-    }
-
     /// Writes `value` to register `reg` of every selected row (memory write
-    /// semantics): each of its 32 planes is set or cleared under the
-    /// selection.
+    /// semantics): its 32 planes are set or cleared under the selection,
+    /// plane `part` by bit `part` of `value`.
     pub fn write(&mut self, reg: usize, value: u32, sel: &Selection) {
-        for (part, plane) in self.reg_planes_mut(reg).enumerate() {
-            sel.fill(plane, value >> part & 1 == 1);
-        }
+        self.fill_planes(sel, [reg * WORD_BITS, 1, WORD_BITS], value);
     }
 
     /// Applies a horizontal stateful-logic operation to the selected cells:
@@ -414,12 +422,14 @@ impl Crossbars {
     }
 
     /// Applies a resolved horizontal gate to the selected cells: an `INIT`
-    /// fills its planes, a `NOT`/`NOR` runs the body
+    /// fills its planes in one pass, a `NOT`/`NOR` runs the body
     /// [`replay_plain`](Self::replay_plain) runs, once per concurrent gate.
     /// Every path but that loop lands here — a prepared replay with the
     /// records the loop leaves, the rest through
     /// [`apply_hlogic`](Self::apply_hlogic). A routine's gate on one plane
-    /// word cost 6.6 ns when every record came here, 3.9 ns in the loop.
+    /// word cost 6.6 ns when every record came here, 3.9 ns in the loop. An
+    /// `INIT` is one fill over all its planes: ~50 ns for a whole register
+    /// on `serve_fused`'s window, ~113 ns as the 32 per-plane fills it was.
     ///
     /// Gates are evaluated one after another, which equals the simultaneous
     /// semantics: [`HLogic::validate`] forbids an input that is its own
@@ -445,7 +455,8 @@ impl Crossbars {
         check: bool,
     ) -> Result<(), ArchError> {
         if gate.kind().inputs() == 0 {
-            self.init_planes(gate, sel);
+            let ones = u32::MAX * u32::from(gate.kind() == GateKind::Init1);
+            self.fill_planes(sel, [gate.out(), gate.step(), gate.gates()], ones);
         } else if check && self.outputs_unset(gate, sel) {
             return Err(self.unset_output(gate, sel));
         } else {
@@ -462,12 +473,25 @@ impl Crossbars {
         (0..gate.gates()).map(move |t| out + t * step)
     }
 
-    /// `INIT0`/`INIT1`: sets or clears the selected cells of every output
-    /// plane.
+    /// The one fill body, behind `Write` and `INIT`: sets or clears the
+    /// selected cells of `count` planes from `first`, `step` apart, plane
+    /// `t` by bit `t` of `values`. The span width is matched once per run,
+    /// as in [`replay_plain`](Self::replay_plain): a 1-, 2-, 4- or 8-word
+    /// pattern is a constant-length array, so a register's fill is one
+    /// tight loop over `32 x L` words.
     #[inline(never)]
-    fn init_planes(&mut self, gate: &ReplayRecord, sel: &Selection) {
-        for plane in Self::outputs(gate) {
-            sel.fill(self.plane_mut(plane), gate.kind() == GateKind::Init1);
+    fn fill_planes(&mut self, sel: &Selection, [first, step, count]: [usize; 3], values: u32) {
+        let ps = self.plane_words();
+        let (bits, starts) = (&mut self.bits[..], &sel.starts[..]);
+        let run = ([first * ps, step * ps, count], values);
+        match sel.pattern[..] {
+            [m] => fill_words(bits, starts, &[m], run),
+            [m0, m1] => fill_words(bits, starts, &[m0, m1], run),
+            [m0, m1, m2, m3] => fill_words(bits, starts, &[m0, m1, m2, m3], run),
+            [m0, m1, m2, m3, m4, m5, m6, m7] => {
+                fill_words(bits, starts, &[m0, m1, m2, m3, m4, m5, m6, m7], run)
+            }
+            _ => fill_words(bits, starts, &sel.pattern, run),
         }
     }
 
