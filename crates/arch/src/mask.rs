@@ -150,9 +150,11 @@ impl RangeMask {
     }
 
     /// Whether this mask and `other` select a common index. Only the
-    /// window both masks span is searched, and two masks of one step
-    /// share an index there exactly when their starts differ by a multiple
-    /// of it.
+    /// window both masks span is searched: two masks of one step share an
+    /// index there exactly when their starts differ by a multiple of it;
+    /// otherwise the coarser mask's indices there are tested in the finer.
+    /// Inlined: the cluster's move coalescer calls it per hazard check.
+    #[inline]
     pub fn intersects(&self, other: &RangeMask) -> bool {
         let (lo, hi) = (self.start.max(other.start), self.stop.min(other.stop));
         if lo > hi {
@@ -161,11 +163,13 @@ impl RangeMask {
         if self.step == other.step {
             return self.start.abs_diff(other.start).is_multiple_of(self.step);
         }
-        let skip = (self.step - (lo - self.start) % self.step) % self.step;
+        let coarse = std::cmp::max_by_key(self, other, |m| m.step);
+        let fine = std::cmp::min_by_key(self, other, |m| m.step);
+        let skip = (coarse.step - (lo - coarse.start) % coarse.step) % coarse.step;
         lo.checked_add(skip).is_some_and(|first| {
             (first..=hi)
-                .step_by(self.step as usize)
-                .any(|index| other.contains(index))
+                .step_by(coarse.step as usize)
+                .any(|index| fine.contains(index))
         })
     }
 
@@ -305,6 +309,20 @@ mod tests {
         assert!(!m.intersects(&RangeMask::new(3, 15, 3).unwrap()));
         assert!(m.intersects(&RangeMask::new(8, 20, 3).unwrap()));
         assert!(!m.intersects(&RangeMask::dense(15, 20).unwrap()));
+        let s = |start, count, step| RangeMask::strided(start, count, step).unwrap();
+        // Dense runs that touch and that only abut.
+        assert!(s(0, 4, 1).intersects(&s(3, 4, 1)));
+        assert!(!s(0, 4, 1).intersects(&s(4, 4, 1)));
+        // One step, incongruent and congruent phases.
+        assert!(!s(0, 8, 2).intersects(&s(1, 8, 2)));
+        assert!(s(0, 8, 2).intersects(&s(2, 8, 2)));
+        // Unequal steps: {0,3,6,9} and {4,6,8} share 6; {0,3,6,9} and
+        // {4,8} share nothing.
+        assert!(s(0, 4, 3).intersects(&s(4, 3, 2)));
+        assert!(!s(0, 4, 3).intersects(&s(4, 2, 4)));
+        // Singles.
+        assert!(RangeMask::single(5).intersects(&s(1, 5, 2)));
+        assert!(!RangeMask::single(6).intersects(&s(1, 5, 2)));
     }
 
     #[test]

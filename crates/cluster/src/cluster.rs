@@ -313,8 +313,7 @@ impl PimCluster {
     }
 
     /// Runs one non-executable job on every shard, in shard order, and
-    /// returns the replies; the first shard that cannot take its job ends
-    /// the round.
+    /// returns the replies; the first shard error ends the round.
     fn broadcast<R>(
         &self,
         job: impl Fn(
@@ -323,11 +322,9 @@ impl PimCluster {
             Option<&mut ShardJournal>,
         ) -> Result<R, ClusterError>,
     ) -> Result<Vec<R>, ClusterError> {
-        let mut replies = Vec::with_capacity(self.shards());
-        for shard in 0..self.shards() {
-            replies.push(self.run_on(shard, false, |driver, j| job(shard, driver, j))?);
-        }
-        replies.into_iter().collect()
+        (0..self.shards())
+            .map(|shard| self.run_on(shard, false, |driver, j| job(shard, driver, j)))
+            .collect()
     }
 }
 

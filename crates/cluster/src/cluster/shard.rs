@@ -234,11 +234,13 @@ impl PimCluster {
     ///
     /// # Errors
     ///
-    /// The outer error means the job never ran:
-    /// [`ShardIndex`](ClusterError::ShardIndex), or the shard is down and
-    /// cannot be revived. The inner result is the job's own;
-    /// [`WorkerCrashed`](ClusterError::WorkerCrashed) when it crashed the
-    /// shard (the next job revives it from the journal).
+    /// The job's own error; [`WorkerCrashed`](ClusterError::WorkerCrashed)
+    /// when it crashed the shard (the next job revives it from the
+    /// journal); [`ShardIndex`](ClusterError::ShardIndex), or
+    /// [`Disconnected`](ClusterError::Disconnected) /
+    /// [`RecoveryFailed`](ClusterError::RecoveryFailed) for a shard that is
+    /// down and cannot be revived. Each is this one job's error: a caller
+    /// running several jobs treats them all alike.
     pub(super) fn run_on<R>(
         &self,
         shard: usize,
@@ -247,7 +249,7 @@ impl PimCluster {
             &mut Driver<PimSimulator>,
             Option<&mut ShardJournal>,
         ) -> Result<R, ClusterError>,
-    ) -> Result<Result<R, ClusterError>, ClusterError> {
+    ) -> Result<R, ClusterError> {
         let slot = self.slots.get(shard).ok_or(ClusterError::ShardIndex {
             shard,
             shards: self.slots.len(),
@@ -269,10 +271,10 @@ impl PimCluster {
             Some(WorkerFault::Crash) => None,
             _ => catch_unwind(AssertUnwindSafe(|| job(up, journal.as_mut()))).ok(),
         };
-        Ok(reply.unwrap_or_else(|| {
+        reply.unwrap_or_else(|| {
             *driver = None;
             Err(ClusterError::WorkerCrashed { shard })
-        }))
+        })
     }
 
     /// Runs one shard job — per-request segments of steps, in order — and
@@ -289,7 +291,7 @@ impl PimCluster {
         &self,
         shard: usize,
         job: Vec<Segment>,
-    ) -> Result<Result<Vec<u32>, ClusterError>, ClusterError> {
+    ) -> Result<Vec<u32>, ClusterError> {
         self.run_on(shard, true, |driver, journal| {
             let track = &self.shard_tracks[shard];
             let reads = job.iter().flat_map(|(_, steps)| steps).map(Step::reads);

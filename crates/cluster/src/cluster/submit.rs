@@ -146,8 +146,10 @@ impl PimCluster {
     ///
     /// Returns [`ClusterError::Protocol`] for reads (which return data and
     /// must go through [`execute`](PimCluster::execute)), plus validation
-    /// errors and shards that cannot take a job. Nothing runs if
-    /// validation fails.
+    /// errors; nothing runs if validation fails. A shard job's error —
+    /// a crash, or a shard down for good — is the [`JobSet`]'s, unless a
+    /// chip-crossing transfer touches that shard: then it is returned
+    /// here, before the transfer stages.
     pub fn submit_batch(&self, instrs: &[Instruction]) -> Result<JobSet, ClusterError> {
         self.submit_routed(std::iter::once((RequestId::UNTAGGED, instrs)))
     }
@@ -228,7 +230,7 @@ impl PimCluster {
                 sched.drain()?;
             }
         }
-        sched.finish()
+        Ok(sched.finish())
     }
 
     /// Splits one validated logical instruction into its shard-local pieces
@@ -451,8 +453,9 @@ impl PimCluster {
     /// # Errors
     ///
     /// Returns an addressing error, before any job runs, for a cell
-    /// outside the logical geometry; otherwise the first shard error, in
-    /// shard order, once every involved shard has run its job.
+    /// outside the logical geometry; otherwise the first shard job error
+    /// (a crash or a shard down for good alike), in shard order, once
+    /// every involved shard has run its job.
     pub fn gather(&self, locs: &[GlobalLoc]) -> Result<Vec<u32>, ClusterError> {
         let share = locs.len().div_ceil(self.shards());
         let mut per: Vec<(Vec<usize>, CellJob)> = (0..self.shards())
@@ -472,15 +475,12 @@ impl PimCluster {
         let mut outcome = Ok(());
         for (shard, (indices, job)) in per.into_iter().enumerate() {
             if job.cells() > 0 {
-                let reply =
-                    self.run_job(shard, vec![(RequestId::UNTAGGED, vec![Step::Cells(job)])])?;
-                if outcome.is_ok() {
-                    outcome = reply.map(|words| {
-                        for (i, word) in indices.into_iter().zip(words) {
-                            out[i] = word;
-                        }
-                    });
-                }
+                let job = vec![(RequestId::UNTAGGED, vec![Step::Cells(job)])];
+                outcome = outcome.and(self.run_job(shard, job).map(|words| {
+                    for (i, word) in indices.into_iter().zip(words) {
+                        out[i] = word;
+                    }
+                }));
             }
         }
         outcome.map(|()| out)
@@ -492,8 +492,9 @@ impl PimCluster {
     /// # Errors
     ///
     /// Returns an addressing error, before any job runs, for a cell
-    /// outside the logical geometry; otherwise the first shard error, in
-    /// shard order, once every involved shard has run its job.
+    /// outside the logical geometry; otherwise the first shard job error
+    /// (a crash or a shard down for good alike), in shard order, once
+    /// every involved shard has run its job.
     pub fn scatter(&self, writes: &[GlobalWrite]) -> Result<(), ClusterError> {
         // Tensors stripe evenly across chips, so an even share is the
         // likely size of each shard's job (and the exact one on one chip).
@@ -508,11 +509,8 @@ impl PimCluster {
         let mut outcome = Ok(());
         for (shard, job) in per.into_iter().enumerate() {
             if job.cells() > 0 {
-                let reply =
-                    self.run_job(shard, vec![(RequestId::UNTAGGED, vec![Step::Cells(job)])])?;
-                if outcome.is_ok() {
-                    outcome = reply.map(drop);
-                }
+                let job = vec![(RequestId::UNTAGGED, vec![Step::Cells(job)])];
+                outcome = outcome.and(self.run_job(shard, job).map(drop));
             }
         }
         outcome

@@ -59,28 +59,6 @@ pub(crate) struct CellRange {
     warps: RangeMask,
 }
 
-/// Whether two warp masks (arithmetic progressions) share an element.
-/// Probes the coarser progression inside the masks' interval overlap and
-/// membership-tests the other — at most `(hi - lo) / max_step + 1` checks,
-/// and the all-dense case short-circuits on the first probe.
-fn masks_overlap(a: &RangeMask, b: &RangeMask) -> bool {
-    let lo = a.start().max(b.start());
-    let hi = a.stop().min(b.stop());
-    if lo > hi {
-        return false;
-    }
-    let (probe, other) = if a.step() >= b.step() { (a, b) } else { (b, a) };
-    // First probe element >= lo (lo >= probe.start() since lo is the max).
-    let mut w = probe.start() + (lo - probe.start()).div_ceil(probe.step()) * probe.step();
-    while w <= hi {
-        if other.contains(w) {
-            return true;
-        }
-        w += probe.step();
-    }
-    false
-}
-
 /// One routed chip-crossing `MoveWarps`: its crossing `(source,
 /// destination)` global warp pairs, its distance, and the cell ranges the
 /// *whole* logical move reads and writes (the hazard footprint the
@@ -166,7 +144,7 @@ fn bucket_intersects(buckets: &Buckets, cell: &CellRange) -> bool {
     };
     std::iter::once(first)
         .chain(more)
-        .any(|m| masks_overlap(m, &cell.warps))
+        .any(|m| m.intersects(&cell.warps))
 }
 
 /// The peephole itself: accumulates the current run of mergeable crossing
@@ -305,23 +283,6 @@ mod tests {
             matches!(err, ClusterError::Invalid(ArchError::InvalidMove { .. })),
             "{err}"
         );
-    }
-
-    #[test]
-    fn masks_overlap_cases() {
-        let m = |s, l, t| RangeMask::strided(s, l, t).unwrap();
-        assert!(masks_overlap(&m(0, 4, 1), &m(3, 4, 1)));
-        assert!(!masks_overlap(&m(0, 4, 1), &m(4, 4, 1)));
-        // Same step, incongruent phases.
-        assert!(!masks_overlap(&m(0, 8, 2), &m(1, 8, 2)));
-        assert!(masks_overlap(&m(0, 8, 2), &m(2, 8, 2)));
-        // Different steps: {0,3,6,9} vs {4,6,8}.
-        assert!(masks_overlap(&m(0, 4, 3), &m(4, 3, 2)));
-        // {0,3,9} vs {4,8}: no common element.
-        assert!(!masks_overlap(&m(0, 4, 3), &m(4, 2, 4)));
-        // Singles.
-        assert!(masks_overlap(&RangeMask::single(5), &m(1, 5, 2)));
-        assert!(!masks_overlap(&RangeMask::single(6), &m(1, 5, 2)));
     }
 
     #[test]

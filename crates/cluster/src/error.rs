@@ -83,7 +83,8 @@ pub enum ClusterError {
         shards: usize,
     },
     /// A shard is down and recovery is off: a crash dropped its state and
-    /// there is no journal to revive it from.
+    /// there is no journal to revive it from. Every job sent to the shard
+    /// fails with it, as the job a crash ends fails with `WorkerCrashed`.
     Disconnected {
         /// Shard that is down.
         shard: usize,

@@ -26,8 +26,10 @@
 //!   [`submit_batch_tagged`](PimCluster::submit_batch_tagged) are thin calls
 //!   into it): validate, split per shard, coalesce crossing moves, barrier,
 //!   transfer, launch. Moves within a chip stay native; moves crossing a
-//!   chip boundary go over the modeled [`Interconnect`]. The first error
-//!   of the jobs it ran is its [`JobSet`].
+//!   chip boundary go over the modeled [`Interconnect`]. A shard job has
+//!   one outcome: a shard that crashes on it and one that is down for
+//!   good ([`ClusterError::Disconnected`]) fail that job alike, and the
+//!   first error of the jobs it ran is its [`JobSet`].
 //! * [`Interconnect`]/[`InterconnectConfig`] — the chip-to-chip link model:
 //!   crossing word pairs travel as one message per
 //!   `(source, destination)` shard pair (one gathered read burst + one

@@ -7,8 +7,8 @@
 //!   segment per request: instructions, and one-thread writes as runs of
 //!   cells ([`Piece`]).
 //! * A crossing move *drains* only the shards it touches — the owners of
-//!   its crossing source and destination warps, as reported by
-//!   [`ShardPlan::route_move_warps`](crate::ShardPlan::route_move_warps) —
+//!   its crossing source and destination warps, as the router's
+//!   [`ShardPlan::route_into`](crate::ShardPlan::route_into) finds them —
 //!   i.e. their pending queues run as jobs and every one of their job
 //!   results is checked before the host stages the transfer.
 //! * Untouched shards are *launched* instead: their pending queues run as
@@ -16,7 +16,7 @@
 //!   barrier-free submission's are.
 //! * With no crossing move nothing is launched until the end, and the
 //!   first error among the jobs then launched — one per involved shard —
-//!   is the submission's [`JobSet`].
+//!   is the submission's [`JobSet`]. A failed job stops no other launch.
 //!
 //! Launching an untouched shard at a barrier is sound because the H-tree
 //! move rule guarantees a `MoveWarps`' source and destination warp sets
@@ -87,14 +87,12 @@ impl<'c> BatchScheduler<'c> {
 
     /// Runs a shard's pending segments as one job, keeping its outcome
     /// for later (a batch reads nothing).
-    fn launch(&mut self, shard: usize) -> Result<(), ClusterError> {
-        if self.pending[shard].is_empty() {
-            return Ok(());
+    fn launch(&mut self, shard: usize) {
+        if !self.pending[shard].is_empty() {
+            let segments = std::mem::take(&mut self.pending[shard]);
+            let reply = self.cluster.run_job(shard, segments);
+            self.launched.push((shard, reply.map(drop)));
         }
-        let segments = std::mem::take(&mut self.pending[shard]);
-        let reply = self.cluster.run_job(shard, segments)?;
-        self.launched.push((shard, reply.map(drop)));
-        Ok(())
     }
 
     /// Checks every result `shard` has produced so far, in launch order.
@@ -117,12 +115,12 @@ impl<'c> BatchScheduler<'c> {
         // fault schedule and modeled clock was taken in.
         for (shard, &t) in touched.iter().enumerate() {
             if !t {
-                self.launch(shard)?;
+                self.launch(shard);
             }
         }
         for (shard, &t) in touched.iter().enumerate() {
             if t {
-                self.launch(shard)?;
+                self.launch(shard);
             }
         }
         for (shard, &t) in touched.iter().enumerate() {
@@ -154,11 +152,10 @@ impl<'c> BatchScheduler<'c> {
 
     /// Runs every pending queue and hands back the first error among the
     /// unchecked results — the end of the submission.
-    pub(crate) fn finish(mut self) -> Result<JobSet, ClusterError> {
+    pub(crate) fn finish(mut self) -> JobSet {
         for shard in 0..self.pending.len() {
-            self.launch(shard)?;
+            self.launch(shard);
         }
-        let first_error = self.launched.into_iter().try_for_each(|(_, r)| r);
-        Ok(JobSet(first_error))
+        JobSet(self.launched.into_iter().try_for_each(|(_, r)| r))
     }
 }

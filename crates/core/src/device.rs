@@ -397,8 +397,8 @@ impl Device {
     ///
     /// # Errors
     ///
-    /// Returns [`CoreError::Protocol`] for read instructions, plus
-    /// validation errors and shards that cannot take a job.
+    /// Returns [`CoreError::Protocol`] for read instructions, plus the
+    /// errors of [`PimCluster::submit_batch`].
     pub fn submit_instrs(&self, instrs: &[Instruction]) -> Result<StepTicket> {
         refuse_reads(instrs)?;
         Ok(StepTicket(self.inner.cluster.submit_batch(instrs)?))

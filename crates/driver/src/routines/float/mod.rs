@@ -9,10 +9,11 @@ mod cmp;
 mod misc;
 mod muldiv;
 mod pack;
-#[cfg(test)]
-mod tests;
 
 pub use add::add;
 pub use cmp::compare;
 pub use misc::{abs, neg, sign};
 pub use muldiv::{div, mul};
+
+#[cfg(test)]
+mod tests;

@@ -21,11 +21,6 @@
 
 pub mod common;
 
-#[cfg(test)]
-mod tests;
-#[cfg(test)]
-pub(crate) mod testutil;
-
 mod bitwise;
 mod float;
 mod intarith;
@@ -168,3 +163,8 @@ pub(crate) fn write_bool(
 pub(crate) fn src_bits(b: &CircuitBuilder, reg: RegId) -> Bits {
     b.reg_bits(reg)
 }
+
+#[cfg(test)]
+mod tests;
+#[cfg(test)]
+pub(crate) mod testutil;

@@ -6,7 +6,7 @@
 
 use futures::executor::{block_on, block_on_timeout};
 use proptest::prelude::*;
-use pypim::cluster::{ClusterError, PimCluster, CHECKPOINT_MAX_INSTRUCTIONS};
+use pypim::cluster::{ClusterError, GlobalWrite, PimCluster, CHECKPOINT_MAX_INSTRUCTIONS};
 use pypim::isa::{DType, Instruction, RegOp, ThreadRange};
 use pypim::serve::ClusterClient;
 use pypim::sim::Profiler;
@@ -361,7 +361,7 @@ fn a_crash_at_any_job_revives_the_fault_free_twin() {
     let cells: Vec<(u32, u32)> = (0..40u32).map(|i| (i % 4, i * 7 % 64)).collect();
     let writes: Vec<_> = cells
         .iter()
-        .map(|&(warp, row)| pypim::cluster::GlobalWrite::new(warp, row, 5, warp * 64 + row))
+        .map(|&(warp, row)| GlobalWrite::new(warp, row, 5, warp * 64 + row))
         .collect();
     let reads: Vec<_> = cells.iter().map(|&(warp, row)| (warp, row, 4)).collect();
     type Job = Box<dyn Fn(&PimCluster) -> std::result::Result<(), ClusterError>>;
@@ -429,7 +429,7 @@ fn replay_restores_an_upload(planned: bool) {
     let writes: Vec<_> = cells
         .iter()
         .enumerate()
-        .map(|(i, &(warp, row))| pypim::cluster::GlobalWrite::new(warp, row, 1, word(i)))
+        .map(|(i, &(warp, row))| GlobalWrite::new(warp, row, 1, word(i)))
         .collect();
     let on_shard_0 = cells.iter().filter(|&&(warp, _)| warp < 4).count() as u64;
     assert!(on_shard_0 > 64 && on_shard_0 < 150);
@@ -486,7 +486,7 @@ fn replay_restores_an_upload(planned: bool) {
     // both.
     let next: Vec<_> = writes[1..]
         .iter()
-        .map(|w| pypim::cluster::GlobalWrite {
+        .map(|w| GlobalWrite {
             value: !w.value,
             ..*w
         })
@@ -522,6 +522,61 @@ fn recovery_disabled_turns_crashes_into_permanent_disconnects() {
     // Stats need every shard up; with shard 0 permanently down they
     // error, typed, rather than hang.
     assert!(cluster.stats().is_err());
+}
+
+/// A cluster with recovery off whose shard 0 crashed on its first job (a
+/// one-cell scatter), so it is down for good.
+fn shard_0_down() -> PimCluster {
+    let off = RecoveryConfig { enabled: false };
+    let (cluster, _) = faulty_cluster(FaultPlan::none().crash_at(0, 0), off);
+    let crashed = cluster.scatter(&[GlobalWrite::new(0, 1, 0, 1)]);
+    assert!(
+        matches!(crashed, Err(ClusterError::WorkerCrashed { shard: 0 })),
+        "{crashed:?}"
+    );
+    cluster
+}
+
+#[test]
+fn a_scatter_past_a_shard_down_for_good_still_runs_the_others() {
+    let cluster = shard_0_down();
+    // Warp 0 is shard 0's, warp 4 shard 1's: the down shard's job fails
+    // as a crashed one would, and shard 1 still runs its own.
+    let writes = [GlobalWrite::new(0, 1, 0, 7), GlobalWrite::new(4, 1, 0, 9)];
+    let err = cluster.scatter(&writes).unwrap_err();
+    assert!(
+        matches!(err, ClusterError::Disconnected { shard: 0 }),
+        "{err:?}"
+    );
+    assert_eq!(cluster.gather(&[(4, 1, 0)]).unwrap(), vec![9]);
+}
+
+#[test]
+fn a_batch_past_a_shard_down_for_good_still_runs_the_others() {
+    let cluster = shard_0_down();
+    let all = ThreadRange::all(cluster.logical_config());
+    let fill = [Instruction::Write {
+        reg: 2,
+        value: 11,
+        target: all,
+    }];
+    let err = cluster.execute_batch(&fill).unwrap_err();
+    assert!(
+        matches!(err, ClusterError::Disconnected { shard: 0 }),
+        "{err:?}"
+    );
+    // Every cell of shard 1 (warps 4..8) holds the fill.
+    let rows = cluster.logical_config().rows as u32;
+    let locs: Vec<_> = (4..8)
+        .flat_map(|warp| (0..rows).map(move |row| (warp, row, 2)))
+        .collect();
+    let unfilled = cluster
+        .gather(&locs)
+        .unwrap()
+        .iter()
+        .filter(|&&v| v != 11)
+        .count();
+    assert_eq!(unfilled, 0, "of {} cells", locs.len());
 }
 
 #[test]
